@@ -123,16 +123,6 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
     scratches.push_back(std::make_unique<ProbeScratch>());
   }
 
-  // Slow-query capture: one shared (read-only) explain index for the whole
-  // batch; each query owns a PRIVATE trace + recorder, so the single-threaded
-  // trace contract holds even though the batch is parallel. A frozen-backed
-  // runner needs no index — the frozen layout's entry indices ARE the
-  // explain numbering.
-  std::unique_ptr<ExplainIndex> explain_index;
-  if ((slow_log_ != nullptr || heatmap_ != nullptr) && tree_ != nullptr) {
-    explain_index = std::make_unique<ExplainIndex>(*tree_);
-  }
-
   // Index heatmap: one PRIVATE recorder per worker (the searcher hot path
   // stays lock-free), merged into the caller's recorder after the join —
   // counters are commutative sums keyed by stable node ids, so the merged
@@ -187,6 +177,8 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
         worker_options.scratch = scratches[w].get();
         worker_options.publish_metrics = false;
         if (profiling_) worker_options.profiler = profilers[w].get();
+        // Slow-query capture: each query owns a PRIVATE trace + recorder, so
+        // the single-threaded trace contract holds in a parallel batch.
         std::unique_ptr<obs::QueryTrace> trace;
         obs::ExplainRecorder recorder;
         if (slow_log_ != nullptr || sampled) {
@@ -198,9 +190,6 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
         }
         if (heatmap_ != nullptr) {
           worker_options.heatmap = worker_heatmaps[w].get();
-        }
-        if (explain_index != nullptr) {
-          worker_options.explain_index = explain_index.get();
         }
         results[i] = searcher.Search(queries[i], worker_options);
         const double ms = query_timer.ElapsedMillis();

@@ -126,9 +126,9 @@ class BatchRunner {
   void set_heatmap(obs::HeatmapRecorder* heatmap) { heatmap_ = heatmap; }
 
   /// Runs every query through RstknnSearcher::Search. `options.trace`,
-  /// `options.scratch`, `options.explain` and `options.explain_index` are
-  /// overridden per worker; `options.pool` (real-I/O mode) is honored and
-  /// requires the concurrent-reader-safe BufferPool.
+  /// `options.scratch` and `options.explain` are overridden per worker;
+  /// `options.pool` (real-I/O mode) is honored and requires the
+  /// concurrent-reader-safe BufferPool.
   std::vector<RstknnResult> RunRstknn(const std::vector<RstknnQuery>& queries,
                                       const RstknnOptions& options,
                                       BatchStats* batch_stats = nullptr) const;

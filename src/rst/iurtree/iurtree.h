@@ -205,7 +205,8 @@ class IurTree {
 ///
 /// The index holds raw Entry pointers: it is invalidated by Insert/Delete on
 /// the tree and must be rebuilt. Read-only sharing across concurrent queries
-/// is safe (exec::BatchRunner builds one per batch).
+/// is safe (each pointer-tree RstknnSearcher builds one and shares it with
+/// every query it runs; its ids also key the probes' pair memo).
 class ExplainIndex {
  public:
   struct Info {

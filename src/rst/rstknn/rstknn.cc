@@ -1,6 +1,7 @@
 #include "rst/rstknn/rstknn.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,13 @@ namespace rst {
 
 ProbeScratch::ProbeScratch() : impl_(std::make_unique<Impl>()) {}
 ProbeScratch::~ProbeScratch() = default;
+
+RstknnSearcher::RstknnSearcher(const IurTree* tree, const Dataset* dataset,
+                               const StScorer* scorer)
+    : tree_(tree),
+      explain_index_(std::make_shared<const ExplainIndex>(*tree)),
+      dataset_(dataset),
+      scorer_(scorer) {}
 
 void RstknnStats::Publish(const std::string& prefix) const {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
@@ -82,7 +90,7 @@ RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
                                             options)
                    : SearchProbe(view, *dataset_, *scorer_, query, options);
     } else {
-      const PointerTreeView view{tree_};
+      const PointerTreeView view{tree_, explain_index_.get()};
       result = contribution_list
                    ? SearchContributionList(view, *dataset_, *scorer_, query,
                                             options)

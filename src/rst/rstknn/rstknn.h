@@ -62,11 +62,13 @@ enum class ExpandPolicy {
 };
 
 /// Reusable per-thread working memory for RstknnSearcher: the query-path /
-/// charged-node hash sets and the per-candidate bound-memoization cache that
-/// the probes allocate. A searcher given a scratch clears it instead of
-/// reallocating, so hash-table buckets survive across the queries of a batch.
-/// A ProbeScratch may be reused across queries but must never be shared by
-/// two concurrent queries — rst::exec::BatchRunner keeps one per worker.
+/// charged-node sets, the competitor probes' heap, and the per-candidate pair
+/// memo (a sparse set over dense entry keys: 4 B per index entry, plus one
+/// slot per pair a candidate's probes touch). A searcher given a scratch
+/// clears it instead of reallocating, so every container keeps its capacity
+/// across the queries of a batch. One scratch may serve trees and views of
+/// any size, one query at a time; it must never be shared by two concurrent
+/// queries — rst::exec::BatchRunner keeps one per worker.
 class ProbeScratch {
  public:
   ProbeScratch();
@@ -121,19 +123,14 @@ struct RstknnOptions {
   /// (ExplainRecorder::CheckReconciles). Null (the default) costs one branch
   /// per decision.
   obs::ExplainRecorder* explain = nullptr;
-  /// Deterministic entry numbering behind explain node ids. Shareable
-  /// read-only across queries and threads; when null while `explain` is set,
-  /// the search builds a private index (an O(tree) walk per query — share
-  /// one across a batch instead).
-  const ExplainIndex* explain_index = nullptr;
   /// Optional cross-query index heatmap: every branch-and-bound decision
   /// also bumps per-node visit/prune/expand/report counters keyed by the
   /// same stable explain ids. Unlike `explain` the recorder is NOT reset per
   /// query — it accumulates a workload-level view whose totals reconcile
   /// exactly against the summed RstknnStats over the recorded queries
   /// (HeatmapRecorder::CheckReconciles). Not thread-safe: one per worker,
-  /// merged after the batch. `explain_index` sharing applies here too.
-  /// Null (the default) costs one branch per decision.
+  /// merged after the batch. Null (the default) costs one branch per
+  /// decision.
   obs::HeatmapRecorder* heatmap = nullptr;
 };
 
@@ -143,6 +140,10 @@ struct RstknnStats {
   uint64_t expansions = 0;        ///< node expansions performed
   uint64_t pruned_entries = 0;    ///< subtrees pruned without expansion
   uint64_t reported_entries = 0;  ///< subtrees reported wholesale
+  /// Pair-bound evaluations: one per (candidate, other) pair a competitor
+  /// probe first meets (its spatial legs; the text legs follow lazily), one
+  /// per lazy cluster refinement, one per candidate self-pair; under the
+  /// contribution-list algorithm, one per memoized entry pair.
   uint64_t bound_computations = 0;
   uint64_t probes = 0;            ///< leaf-level competitor probes
   uint64_t pq_pops = 0;           ///< priority-queue pops across all probes
@@ -168,18 +169,19 @@ struct RstknnResult {
 /// live entry set.
 class RstknnSearcher {
  public:
-  /// All referents must outlive the searcher.
+  /// All referents must outlive the searcher. Numbers the tree's entries
+  /// once (an ExplainIndex, O(tree)): the ids key the probes' pair memo and
+  /// label EXPLAIN and heatmap records. Mutating the tree afterwards
+  /// invalidates the searcher; build a new one.
   RstknnSearcher(const IurTree* tree, const Dataset* dataset,
-                 const StScorer* scorer)
-      : tree_(tree), dataset_(dataset), scorer_(scorer) {}
+                 const StScorer* scorer);
 
   /// Searches a frozen flat-layout snapshot (rst::frozen) instead of the
   /// pointer tree. Both algorithms run the exact same templated code over a
   /// thin tree view, so answers, RstknnStats, and EXPLAIN output are
   /// byte-identical to a pointer-tree search over the tree the snapshot was
-  /// frozen from. `options.explain_index` is ignored in this mode — the
-  /// frozen layout stores entries in explain preorder, so ids are read
-  /// straight off entry indices.
+  /// frozen from. No ExplainIndex is built: the frozen layout stores entries
+  /// in explain preorder, so ids are read straight off entry indices.
   RstknnSearcher(const frozen::FrozenTree* frozen, const Dataset* dataset,
                  const StScorer* scorer)
       : frozen_(frozen), dataset_(dataset), scorer_(scorer) {}
@@ -189,6 +191,8 @@ class RstknnSearcher {
 
  private:
   const IurTree* tree_ = nullptr;
+  /// The pointer tree's entry numbering (shared by copies of the searcher).
+  std::shared_ptr<const ExplainIndex> explain_index_;
   const frozen::FrozenTree* frozen_ = nullptr;
   const Dataset* dataset_;
   const StScorer* scorer_;

@@ -17,8 +17,11 @@
 ///   * text        — Summary / ClusterSummary as SummarySpan, which feed the
 ///                   single span-kernel implementation of every similarity
 ///                   bound, so all floats are bit-identical across views;
-///   * keys        — NodeKey/EntryKey map refs to uintptr_t so one
-///                   ProbeScratch::Impl (hash sets/memos) serves all views;
+///   * keys        — NodeKey / NodeFromKey round-trip a node ref through a
+///                   uintptr_t (the self-path and charged-node sets, the
+///                   probe heap); EntryKey gives every entry a dense key in
+///                   [1, EntryKeySpace()) — its explain id — which indexes
+///                   the pair memo's sparse array;
 ///   * I/O         — Charge (simulated or real through a buffer pool);
 ///   * explain     — ExplainInfo yielding the deterministic preorder ids;
 ///   * scope hooks — ProbeRoot / CollectSelfPath / ForEachContextEntry,
@@ -39,10 +42,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -62,34 +67,72 @@
 namespace rst {
 namespace rstknn_internal {
 
-/// Memoized blended bounds of (candidate, other) for one candidate's two
-/// probes. The spatial legs are kept so a later lazy cluster refinement can
-/// recombine them with tighter text bounds. Refined bounds are strictly
-/// tighter and remain valid brackets, so reusing them across the guaranteed
-/// and potential probes never changes answers — only the redundant kernel
-/// evaluations disappear.
+/// Memoized bounds of (candidate, other) for one candidate's two probes.
+/// The spatial legs are filled when the pair enters the memo; each blended
+/// text leg (mn = MinST, mx = MaxST) only once a decision needs it, since
+/// the spatial leg alone often settles the comparison (PairJudge). A lazy
+/// cluster refinement recombines the spatial legs with tighter text bounds
+/// and fills both legs. Refined bounds are strictly tighter and remain valid
+/// brackets, so reusing them across the guaranteed and potential probes
+/// never changes answers — only the redundant kernel evaluations disappear.
 struct CandPairBounds {
   double spatial_min = 0.0;
   double spatial_max = 0.0;
-  double mn = 0.0;
-  double mx = 0.0;
+  double mn = 0.0;  ///< valid iff has_mn
+  double mx = 0.0;  ///< valid iff has_mx
+  bool has_mn = false;
+  bool has_mx = false;
   bool refined = false;
 };
 
-/// Key/hash for the contribution-list pair memo (ordered entry-key pair).
-struct EntryPairKey {
-  uintptr_t a = 0;
-  uintptr_t b = 0;
-  bool operator==(const EntryPairKey& o) const { return a == o.a && b == o.b; }
-};
-struct EntryPairKeyHash {
-  size_t operator()(const EntryPairKey& k) const {
-    const size_t h1 = std::hash<uintptr_t>()(k.a);
-    const size_t h2 = std::hash<uintptr_t>()(k.b);
-    return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
+/// One candidate's pair memo: a Briggs–Torczon sparse set from dense entry
+/// keys to CandPairBounds. `sparse` holds one uint32 per key of the largest
+/// key space seen (4 B per entry); `packed` holds the live slots in
+/// insertion order and grows with the pairs one candidate touches. A key is
+/// live iff its sparse index points inside `packed` at a slot carrying that
+/// key, so Clear() is packed.clear() — stale sparse values, from earlier
+/// candidates or from another view's key space, are rejected by that test.
+class PairMemo {
+ public:
+  /// Grows the sparse array to cover keys [0, key_space); never shrinks.
+  void Reserve(size_t key_space) {
+    RST_CHECK_LE(key_space, size_t{std::numeric_limits<uint32_t>::max()})
+        << "entry key space exceeds the pair memo's uint32 keys";
+    if (sparse_.size() < key_space) sparse_.resize(key_space);
   }
+  void Clear() { packed_.clear(); }
+
+  /// The slot for `key`, and whether it was just inserted (default bounds).
+  /// The pointer is valid until the next insertion.
+  std::pair<CandPairBounds*, bool> FindOrInsert(uint32_t key) {
+    RST_DCHECK_LT(key, sparse_.size());
+    uint32_t& index = sparse_[key];
+    if (index < packed_.size() && packed_[index].key == key) {
+      return {&packed_[index].bounds, false};
+    }
+    index = static_cast<uint32_t>(packed_.size());
+    packed_.push_back({key, CandPairBounds{}});
+    return {&packed_.back().bounds, true};
+  }
+
+ private:
+  struct Slot {
+    uint32_t key;
+    CandPairBounds bounds;
+  };
+  std::vector<uint32_t> sparse_;
+  std::vector<Slot> packed_;
 };
 
+/// One queued node of a competitor probe: its pair MaxST and the node, as
+/// the view's NodeKey (so one heap serves every view).
+struct ProbeItem {
+  double max_st;
+  uintptr_t node;
+  bool operator<(const ProbeItem& other) const { return max_st < other.max_st; }
+};
+
+/// A contribution-list pair memo entry.
 struct PairBoundsValue {
   double mn = 0.0;
   double mx = 0.0;
@@ -101,29 +144,31 @@ struct PairBoundsValue {
 /// bounds are pure functions of immutable tree entries, so the memos are safe
 /// to keep for as long as their scope allows: cand_bounds spans one
 /// candidate's two probes, pair_bounds spans one whole contribution-list
-/// query. clear() keeps hash-table buckets, which is the point of reuse.
-/// Nodes and entries are keyed by the view's uintptr_t keys (pointers or
-/// dense indices), so the same scratch serves every tree view — never mix
-/// views within one query, which no searcher does.
+/// query. The vectors only ever grow, so once a reused scratch has seen its
+/// largest query the probes allocate only when they first open a node (the
+/// node-keyed `charged` set). Nodes are keyed by the view's NodeKey and
+/// entries by its dense EntryKey, so the same scratch serves every tree view
+/// — never mix views within one query, which no searcher does.
 struct ProbeScratch::Impl {
   std::unordered_set<uintptr_t> self_path;
   std::unordered_set<uintptr_t> charged;
-  std::unordered_map<uintptr_t, rstknn_internal::CandPairBounds> cand_bounds;
+  rstknn_internal::PairMemo cand_bounds;
+  std::vector<rstknn_internal::ProbeItem> probe_heap;
   bool self_tb_valid = false;
   TextBounds self_tb;
-  std::unordered_map<rstknn_internal::EntryPairKey,
-                     rstknn_internal::PairBoundsValue,
-                     rstknn_internal::EntryPairKeyHash>
-      pair_bounds;
+  /// Keyed by the ordered entry-key pair (a << 32 | b).
+  std::unordered_map<uint64_t, rstknn_internal::PairBoundsValue> pair_bounds;
 
-  void ResetForQuery() {
+  /// `entry_key_space`: the searched view's EntryKeySpace().
+  void ResetForQuery(size_t entry_key_space) {
     self_path.clear();
     charged.clear();
     pair_bounds.clear();
+    cand_bounds.Reserve(entry_key_space);
     ResetForCandidate();
   }
   void ResetForCandidate() {
-    cand_bounds.clear();
+    cand_bounds.Clear();
     self_tb_valid = false;
   }
 };
@@ -149,11 +194,14 @@ bool CollectPath(const View& view, typename View::NodeRef node, ObjectId id,
   return false;
 }
 
+/// The pointer tree, numbered by the searcher's ExplainIndex: its preorder
+/// ids are both the explain ids and the dense pair-memo keys.
 struct PointerTreeView {
   using NodeRef = const IurTree::Node*;
   using EntryRef = const IurTree::Entry*;
 
   const IurTree* tree = nullptr;
+  const ExplainIndex* index = nullptr;
 
   size_t TreeSize() const { return tree->size(); }
   NodeRef Root() const { return tree->root(); }
@@ -174,9 +222,17 @@ struct PointerTreeView {
   }
 
   static uintptr_t NodeKey(NodeRef n) { return reinterpret_cast<uintptr_t>(n); }
-  static uintptr_t EntryKey(EntryRef e) {
-    return reinterpret_cast<uintptr_t>(e);
+  static NodeRef NodeFromKey(uintptr_t key) {
+    return reinterpret_cast<NodeRef>(key);
   }
+  uint32_t EntryKey(EntryRef e) const {
+    const uint64_t id = index->Lookup(e).id;
+    // Id 0 means the entry postdates the index: the tree was mutated after
+    // the searcher was built.
+    RST_DCHECK_NE(id, 0u);
+    return static_cast<uint32_t>(id);
+  }
+  size_t EntryKeySpace() const { return index->size() + 1; }
 
   /// Scope hooks (single-tree defaults; see the header comment).
   NodeRef ProbeRoot() const { return Root(); }
@@ -204,17 +260,7 @@ struct PointerTreeView {
     tree->ChargeAccess(n, &stats->io);
   }
 
-  void PrepareExplain(const RstknnOptions& options, const ExplainIndex** index,
-                      std::unique_ptr<ExplainIndex>* local) const {
-    *index = options.explain_index;
-    if (*index == nullptr) {
-      *local = std::make_unique<ExplainIndex>(*tree);
-      *index = local->get();
-    }
-  }
-  ExplainIndex::Info ExplainInfo(EntryRef e, const ExplainIndex* index) const {
-    return index->Lookup(e);
-  }
+  ExplainIndex::Info ExplainInfo(EntryRef e) const { return index->Lookup(e); }
 };
 
 struct FrozenTreeView {
@@ -244,7 +290,12 @@ struct FrozenTreeView {
   }
 
   static uintptr_t NodeKey(NodeRef n) { return n; }
-  static uintptr_t EntryKey(EntryRef e) { return e; }
+  static NodeRef NodeFromKey(uintptr_t key) {
+    return static_cast<NodeRef>(key);
+  }
+  /// The explain id: entries are stored in explain preorder.
+  uint32_t EntryKey(EntryRef e) const { return e + 1; }
+  size_t EntryKeySpace() const { return size_t{tree->num_entries()} + 1; }
 
   /// Scope hooks (single-tree defaults; see the header comment).
   NodeRef ProbeRoot() const { return Root(); }
@@ -269,11 +320,8 @@ struct FrozenTreeView {
 
   /// Frozen entry indices ARE the explain numbering (index + 1); no
   /// ExplainIndex is built or consulted.
-  void PrepareExplain(const RstknnOptions&, const ExplainIndex**,
-                      std::unique_ptr<ExplainIndex>*) const {}
-  ExplainIndex::Info ExplainInfo(EntryRef e, const ExplainIndex*) const {
-    return ExplainIndex::Info{static_cast<uint64_t>(e) + 1,
-                              tree->EntryLevel(e)};
+  ExplainIndex::Info ExplainInfo(EntryRef e) const {
+    return ExplainIndex::Info{EntryKey(e), tree->EntryLevel(e)};
   }
 };
 
@@ -354,18 +402,36 @@ double ViewClusterEntropy(const View& view, typename View::EntryRef e) {
 }
 
 /// A candidate entry of the branch-and-bound search: a subtree (or object)
-/// whose membership in the answer is still to be decided.
+/// whose membership in the answer is still to be decided. Candidates live in
+/// an index arena; `home` and the `parent` links spell out the candidate's
+/// root path (the nodes whose subtrees contain it), which the probes use to
+/// avoid double-counting the candidate's own objects.
 template <typename View>
 struct Candidate {
+  static constexpr uint32_t kNoParent = std::numeric_limits<uint32_t>::max();
+
   typename View::EntryRef entry{};
-  /// NodeKeys of the root path whose subtrees contain this entry (used to
-  /// avoid double-counting the candidate's own objects during probes).
-  std::vector<uintptr_t> path;
-  bool contains_self = false;  ///< subtree holds the query object
-  double q_min = 0.0;          ///< MinST(q, E)
-  double q_max = 0.0;          ///< MaxST(q, E)
+  typename View::NodeRef home{};  ///< the node holding `entry`
+  uint32_t parent = kNoParent;    ///< arena index of the expanded candidate
+                                  ///< whose child node is `home`
+  bool contains_self = false;     ///< subtree holds the query object
+  double q_min = 0.0;             ///< MinST(q, E)
+  double q_max = 0.0;             ///< MaxST(q, E)
   double priority = 0.0;
 };
+
+/// True iff `node` lies on the root path of arena[index]: at most one link
+/// per tree level.
+template <typename View>
+bool OnCandidatePath(const Candidate<View>* arena, uint32_t index,
+                     typename View::NodeRef node) {
+  for (;;) {
+    const Candidate<View>& c = arena[index];
+    if (c.home == node) return true;
+    if (c.parent == Candidate<View>::kNoParent) return false;
+    index = c.parent;
+  }
+}
 
 template <typename View>
 void CollectObjectIds(const View& view, typename View::EntryRef entry,
@@ -381,34 +447,28 @@ void CollectObjectIds(const View& view, typename View::EntryRef entry,
 }
 
 /// Per-query EXPLAIN state: the recorder (reset + stamped here) and the
-/// entry-numbering source — the pointer view uses an ExplainIndex (the
-/// caller's shared one or a private fallback); the frozen view reads ids off
-/// its entry indices. Everything is a no-op when no recorder is attached.
+/// heatmap, both fed the view's deterministic explain ids. Everything is a
+/// no-op when no recorder is attached.
 template <typename View>
 struct ExplainSink {
   obs::ExplainRecorder* recorder = nullptr;
   obs::HeatmapRecorder* heatmap = nullptr;
-  const ExplainIndex* index = nullptr;
-  std::unique_ptr<ExplainIndex> local_index;
 
-  ExplainSink(const View& view, const RstknnOptions& options,
-              std::string_view algorithm) {
+  ExplainSink(const RstknnOptions& options, std::string_view algorithm) {
     recorder = options.explain;
     heatmap = options.heatmap;
-    if (recorder == nullptr && heatmap == nullptr) return;
     if (recorder != nullptr) {
       recorder->Reset();
       recorder->SetAlgorithm(algorithm);
     }
     // The heatmap is deliberately NOT reset: it accumulates across queries.
-    view.PrepareExplain(options, &index, &local_index);
   }
 
   void Record(const View& view, typename View::EntryRef entry, double q_min,
               double q_max, obs::ExplainVerdict verdict,
               obs::ExplainBound bound, uint64_t decided_objects) const {
     if (recorder == nullptr && heatmap == nullptr) return;
-    const ExplainIndex::Info info = view.ExplainInfo(entry, index);
+    const ExplainIndex::Info info = view.ExplainInfo(entry);
     if (recorder != nullptr) {
       recorder->Record({info.id, info.level, verdict, bound, q_min, q_max,
                         decided_objects});
@@ -419,28 +479,151 @@ struct ExplainSink {
   }
 };
 
-/// Counts competitor objects of candidate E against `threshold`, stopping at
-/// k. In *guaranteed* mode (prune test, threshold = MaxST(q,E)) an object o'
-/// is counted only when every object of E is certainly more similar to o'
-/// than to q: pair MinST(E, o') > threshold; disjoint subtrees whose MinST
-/// already clears the threshold are counted wholesale. In *potential* mode
-/// (report test, threshold = MinST(q,E)) an object is counted when it COULD
-/// exceed the threshold (pair MaxST > threshold). Traversal is best-first by
-/// pair MaxST, so it terminates as soon as no remaining subtree can matter —
-/// and for an object candidate in guaranteed mode the count is exact, which
-/// forces a decision at leaf level. The descent starts at view.ProbeRoot(),
-/// so a shard-scoped view counts competitors across the whole forest.
+/// A competitor probe's verdict on one (candidate, other) entry pair.
+enum class PairVerdict {
+  kDrop,   ///< no object under `other` clears the threshold
+  kCount,  ///< every object under `other` clears it (count wholesale)
+  kPush,   ///< a straddling node: descend it, keyed by its exact MaxST
+};
+
+/// The per-pair decision of CountCompetitors (DESIGN.md §3.2). The eager rule
+/// computes both blended bounds mn = MinST(E, other) and mx = MaxST(E, other),
+/// refines them per cluster when they straddle the threshold
+/// (mn <= threshold < mx), then decides:
+///   * object:  count iff (guaranteed ? mn : mx) > threshold;
+///   * node:    drop iff mx <= threshold; count iff mn > threshold and the
+///              subtree is disjoint from the candidate; otherwise push at mx.
+/// Judge() reaches the same verdict, with the same memo state and counters,
+/// but evaluates each leg only when the verdict still depends on it, in the
+/// order spatial legs → MaxSim → MinSim → cluster refinement. Every text
+/// bound lies in [0, 1] and rounding is monotone, so a blended leg
+/// spatial + fl((1−α)·t) lies between spatial + min(0, 1−α) and
+/// spatial + max(0, 1−α): whenever that bracket sits wholly on one side of
+/// the threshold, the comparison is settled without running a text kernel.
+template <typename View>
+class PairJudge {
+ public:
+  using EntryRef = typename View::EntryRef;
+
+  PairJudge(const View& view, const StScorer& scorer, EntryRef e)
+      : view_(view),
+        scorer_(scorer),
+        e_rect_(view.RectOf(e)),
+        e_sum_(view.Summary(e)),
+        alpha_(scorer.options().alpha),
+        text_weight_(1.0 - alpha_),
+        text_lo_(std::min(text_weight_, 0.0)),
+        text_hi_(std::max(text_weight_, 0.0)) {}
+
+  /// `bounds` is the pair's memo slot; `fresh` says it was just inserted
+  /// (then its spatial legs are filled and bound_computations counts the
+  /// pair). On kPush, bounds->mx holds the exact MaxST.
+  PairVerdict Judge(CandPairBounds* bounds, bool fresh, EntryRef other,
+                    double threshold, bool guaranteed, bool overlaps_cand,
+                    RstknnStats* stats) const {
+    if (fresh) {
+      const Rect& other_rect = view_.RectOf(other);
+      bounds->spatial_min =
+          alpha_ * scorer_.SpatialSim(MaxDistance(e_rect_, other_rect));
+      bounds->spatial_max =
+          alpha_ * scorer_.SpatialSim(MinDistance(e_rect_, other_rect));
+      ++stats->bound_computations;
+    }
+    // Lazy cluster refinement: per-cluster bounds (up to |clusters| kernel
+    // pairs) only when the blended bounds straddle the threshold and could
+    // change the outcome; a refined pair stays refined — tighter bounds are
+    // still valid brackets at the other probe's threshold.
+    if (!bounds->refined && view_.NumClusters(other) > 0 &&
+        MaxAbove(bounds, other, threshold) &&
+        !MinAbove(bounds, other, threshold)) {
+      const TextBounds tb =
+          ViewBoundsVsClusters(view_, e_sum_, other, scorer_.text());
+      ++stats->bound_computations;
+      bounds->mn = bounds->spatial_min + text_weight_ * tb.min_sim;
+      bounds->mx = bounds->spatial_max + text_weight_ * tb.max_sim;
+      bounds->has_mn = bounds->has_mx = true;
+      bounds->refined = true;
+    }
+    if (view_.IsObject(other)) {
+      const bool above = guaranteed ? MinAbove(bounds, other, threshold)
+                                    : MaxAbove(bounds, other, threshold);
+      return above ? PairVerdict::kCount : PairVerdict::kDrop;
+    }
+    if (!MaxAbove(bounds, other, threshold)) return PairVerdict::kDrop;
+    if (!overlaps_cand && MinAbove(bounds, other, threshold)) {
+      return PairVerdict::kCount;
+    }
+    if (!bounds->has_mx) {
+      bounds->mx = bounds->spatial_max + text_weight_ * MaxSim(other);
+      bounds->has_mx = true;
+    }
+    return PairVerdict::kPush;
+  }
+
+ private:
+  double MinSim(EntryRef other) const {
+    return scorer_.text().MinSim(e_sum_, view_.Summary(other));
+  }
+  double MaxSim(EntryRef other) const {
+    return scorer_.text().MaxSim(e_sum_, view_.Summary(other));
+  }
+
+  /// mn > threshold, running MinSim only when the bracket straddles.
+  bool MinAbove(CandPairBounds* bounds, EntryRef other,
+                double threshold) const {
+    if (!bounds->has_mn) {
+      if (bounds->spatial_min + text_lo_ > threshold) return true;
+      if (bounds->spatial_min + text_hi_ <= threshold) return false;
+      bounds->mn = bounds->spatial_min + text_weight_ * MinSim(other);
+      bounds->has_mn = true;
+    }
+    return bounds->mn > threshold;
+  }
+  /// mx > threshold, running MaxSim only when the bracket straddles.
+  bool MaxAbove(CandPairBounds* bounds, EntryRef other,
+                double threshold) const {
+    if (!bounds->has_mx) {
+      if (bounds->spatial_max + text_lo_ > threshold) return true;
+      if (bounds->spatial_max + text_hi_ <= threshold) return false;
+      bounds->mx = bounds->spatial_max + text_weight_ * MaxSim(other);
+      bounds->has_mx = true;
+    }
+    return bounds->mx > threshold;
+  }
+
+  const View& view_;
+  const StScorer& scorer_;
+  const Rect& e_rect_;
+  const SummarySpan e_sum_;
+  const double alpha_;
+  const double text_weight_;  ///< 1 − α
+  const double text_lo_;      ///< min(0, 1 − α)
+  const double text_hi_;      ///< max(0, 1 − α)
+};
+
+/// Counts competitor objects of candidate E = arena[cand] against
+/// `threshold`, stopping at k. In *guaranteed* mode (prune test, threshold =
+/// MaxST(q,E)) an object o' is counted only when every object of E is
+/// certainly more similar to o' than to q: pair MinST(E, o') > threshold;
+/// disjoint subtrees whose MinST already clears the threshold are counted
+/// wholesale. In *potential* mode (report test, threshold = MinST(q,E)) an
+/// object is counted when it COULD exceed the threshold (pair MaxST >
+/// threshold). Traversal is best-first by pair MaxST, so it terminates as
+/// soon as no remaining subtree can matter — and for an object candidate in
+/// guaranteed mode the count is exact, which forces a decision at leaf level.
+/// The descent starts at view.ProbeRoot(), so a shard-scoped view counts
+/// competitors across the whole forest. The pair memo and the probe heap
+/// live in `mem`, so a probe allocates only to record a newly opened node.
 template <typename View>
 size_t CountCompetitors(const View& view, const StScorer& scorer,
                         const RstknnOptions& options,
-                        const Candidate<View>& cand, ProbeScratch::Impl* mem,
-                        double threshold, size_t k, ObjectId exclude,
-                        bool guaranteed, RstknnStats* stats) {
+                        const Candidate<View>* arena, uint32_t cand,
+                        ProbeScratch::Impl* mem, double threshold, size_t k,
+                        ObjectId exclude, bool guaranteed, RstknnStats* stats) {
   using NodeRef = typename View::NodeRef;
   const auto& exclude_path = mem->self_path;
-  const auto e = cand.entry;
+  const auto e = arena[cand].entry;
   const Rect& e_rect = view.RectOf(e);
-  const SummarySpan e_sum = view.Summary(e);
   const bool e_is_object = view.IsObject(e);
   const double alpha = scorer.options().alpha;
   ++stats->probes;
@@ -457,7 +640,7 @@ size_t CountCompetitors(const View& view, const StScorer& scorer,
   // Self term: the candidate's own other objects compete among themselves.
   // The pair text bounds are threshold-independent, so the potential probe
   // reuses what the guaranteed probe computed.
-  uint32_t own = view.Count(e) - (cand.contains_self ? 1 : 0);
+  uint32_t own = view.Count(e) - (arena[cand].contains_self ? 1 : 0);
   if (own > 1) {
     if (!mem->self_tb_valid) {
       mem->self_tb = ViewPairTextBounds(view, e, e, scorer.text());
@@ -476,89 +659,55 @@ size_t CountCompetitors(const View& view, const StScorer& scorer,
     }
   }
 
-  // Pair bounds with lazy cluster refinement: the cheap blended-summary
-  // bound decides most entries outright; per-cluster bounds (up to
-  // |clusters|^2 kernel evaluations) are computed only when the blended
-  // bound straddles the threshold and could change the outcome. Results are
-  // memoized per candidate (keyed by the other entry) so the potential probe
-  // reuses the guaranteed probe's kernels; a pair refined once stays refined
-  // — tighter bounds are still valid brackets at the other threshold.
-  auto pair_bounds = [&](typename View::EntryRef other) {
-    auto [it, inserted] = mem->cand_bounds.try_emplace(View::EntryKey(other));
-    CandPairBounds& cb = it->second;
-    const Rect& other_rect = view.RectOf(other);
-    if (inserted) {
-      cb.spatial_min = alpha * scorer.SpatialSim(MaxDistance(e_rect, other_rect));
-      cb.spatial_max = alpha * scorer.SpatialSim(MinDistance(e_rect, other_rect));
-      ++stats->bound_computations;
-      const SummarySpan other_sum = view.Summary(other);
-      cb.mn = cb.spatial_min +
-              (1.0 - alpha) * scorer.text().MinSim(e_sum, other_sum);
-      cb.mx = cb.spatial_max +
-              (1.0 - alpha) * scorer.text().MaxSim(e_sum, other_sum);
-    }
-    if (!cb.refined && view.NumClusters(other) > 0 && cb.mn <= threshold &&
-        cb.mx > threshold) {
-      const TextBounds tb =
-          ViewBoundsVsClusters(view, e_sum, other, scorer.text());
-      ++stats->bound_computations;
-      cb.mn = cb.spatial_min + (1.0 - alpha) * tb.min_sim;
-      cb.mx = cb.spatial_max + (1.0 - alpha) * tb.max_sim;
-      cb.refined = true;
-    }
-    return std::make_pair(cb.mn, cb.mx);
+  // Pair bounds are memoized per candidate (keyed by the other entry) so the
+  // potential probe reuses the guaranteed probe's legs.
+  const PairJudge<View> judge(view, scorer, e);
+  CandPairBounds* bounds = nullptr;  // the slot judge_pair last decided
+  auto judge_pair = [&](typename View::EntryRef other, bool overlaps_cand) {
+    bool fresh = false;
+    std::tie(bounds, fresh) =
+        mem->cand_bounds.FindOrInsert(view.EntryKey(other));
+    return judge.Judge(bounds, fresh, other, threshold, guaranteed,
+                       overlaps_cand, stats);
   };
 
-  auto is_own_subtree = [&](NodeRef node) {
-    return !e_is_object && node == view.Child(e);
-  };
-  auto is_ancestor = [&](NodeRef node) {
-    return std::find(cand.path.begin(), cand.path.end(),
-                     View::NodeKey(node)) != cand.path.end();
-  };
-
-  struct ProbeItem {
-    double max_st;
-    double min_st;
-    NodeRef node;
-    bool contains_exclude;
-    bool operator<(const ProbeItem& other) const {
-      return max_st < other.max_st;
-    }
-  };
-  std::priority_queue<ProbeItem> pq;
-  pq.push({1.0, 0.0, view.ProbeRoot(), true});
-
-  while (!pq.empty()) {
-    const ProbeItem item = pq.top();
-    pq.pop();
+  std::vector<ProbeItem>& heap = mem->probe_heap;
+  heap.clear();
+  heap.push_back({1.0, View::NodeKey(view.ProbeRoot())});
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end());
+    const ProbeItem item = heap.back();
+    heap.pop_back();
     ++stats->pq_pops;
     if (item.max_st <= threshold) break;  // nothing left can matter
-    charge_once(item.node);
-    for (size_t i = 0, n = view.NumEntries(item.node); i < n; ++i) {
-      const auto child = view.EntryAt(item.node, i);
+    const NodeRef node = View::NodeFromKey(item.node);
+    charge_once(node);
+    for (size_t i = 0, n = view.NumEntries(node); i < n; ++i) {
+      const auto child = view.EntryAt(node, i);
       if (view.IsObject(child)) {
         if (view.Id(child) == exclude) continue;
         if (e_is_object && view.Id(child) == view.Id(e)) continue;
-        const auto [mn, mx] = pair_bounds(child);
-        const double value = guaranteed ? mn : mx;
-        if (value > threshold && ++count >= k) return k;
+        if (judge_pair(child, false) == PairVerdict::kCount && ++count >= k) {
+          return k;
+        }
         continue;
       }
       const NodeRef child_node = view.Child(child);
-      if (is_own_subtree(child_node)) continue;  // covered by the self term
-      const auto [mn, mx] = pair_bounds(child);
-      if (mx <= threshold) continue;  // no object inside can matter
-      const bool overlaps_cand = is_ancestor(child_node);
-      const bool overlaps_excl =
-          exclude_path.count(View::NodeKey(child_node)) > 0;
-      if (mn > threshold && !overlaps_cand) {
+      // The candidate's own subtree is covered by the self term.
+      if (!e_is_object && child_node == view.Child(e)) continue;
+      const PairVerdict verdict =
+          judge_pair(child, OnCandidatePath(arena, cand, child_node));
+      if (verdict == PairVerdict::kDrop) continue;  // nothing inside matters
+      if (verdict == PairVerdict::kCount) {
         // Every object in this disjoint subtree clears the threshold.
+        const bool overlaps_excl =
+            exclude_path.count(View::NodeKey(child_node)) > 0;
         count += view.Count(child) - (overlaps_excl ? 1 : 0);
         if (count >= k) return k;
         continue;
       }
-      pq.push({mx, mn, child_node, overlaps_excl});
+      heap.push_back({bounds->mx, View::NodeKey(child_node)});
+      std::push_heap(heap.begin(), heap.end());
     }
   }
   return count;
@@ -576,13 +725,13 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
   obs::PhaseProfiler* profiler = options.profiler;
   if (trace != nullptr) trace->Enter(obs::names::kSpanSetup);
   if (profiler != nullptr) profiler->Enter(obs::Phase::kDescent);
-  const ExplainSink<View> explain(view, options, "probe");
+  const ExplainSink<View> explain(options, "probe");
   const double alpha = scorer.options().alpha;
   const TextSummary qsum = TextSummary::FromDoc(*query.doc);
   const SummarySpan qspan = AsSpan(qsum);
 
-  // Working memory: reuse the caller's scratch (clearing keeps hash-table
-  // buckets warm across a batch) or allocate a query-local one.
+  // Working memory: reuse the caller's scratch (its containers keep their
+  // capacity across a batch) or allocate a query-local one.
   std::unique_ptr<ProbeScratch> local_scratch;
   if (options.scratch == nullptr) {
     local_scratch = std::make_unique<ProbeScratch>();
@@ -590,70 +739,72 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
   ProbeScratch::Impl* mem =
       (options.scratch != nullptr ? options.scratch : local_scratch.get())
           ->impl();
-  mem->ResetForQuery();
+  mem->ResetForQuery(view.EntryKeySpace());
   std::unordered_set<uintptr_t>& self_path = mem->self_path;
   if (query.self != IurTree::kNoObject) {
     view.CollectSelfPath(query.self, &self_path);
   }
   std::unordered_set<uintptr_t>& charged = mem->charged;  // nodes paid for
 
-  // Candidates live in a deque-like pool; the work queue orders them by a
+  // Candidates live in an index arena; the work queue orders them by a
   // static priority (upper-bound similarity to q, optionally biased by
   // cluster entropy under the TE policy).
-  std::vector<std::unique_ptr<Candidate<View>>> pool;
+  std::vector<Candidate<View>> arena;
   struct QueueItem {
     double priority;
-    Candidate<View>* cand;
+    uint32_t cand;
     bool operator<(const QueueItem& other) const {
       return priority < other.priority;
     }
   };
   std::priority_queue<QueueItem> work;
 
-  auto add_candidate = [&](EntryRef e, std::vector<uintptr_t> path) {
+  auto add_candidate = [&](EntryRef e, NodeRef home, uint32_t parent) {
     if (view.IsObject(e) && view.Id(e) == query.self) return;  // never a
                                                                // candidate
-    auto cand = std::make_unique<Candidate<View>>();
-    cand->entry = e;
-    cand->path = std::move(path);
+    Candidate<View> cand;
+    cand.entry = e;
+    cand.home = home;
+    cand.parent = parent;
     if (view.IsObject(e)) {
       const StObject& obj = dataset.object(view.Id(e));
-      cand->q_min = cand->q_max =
+      cand.q_min = cand.q_max =
           scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
     } else {
-      cand->contains_self =
-          self_path.count(View::NodeKey(view.Child(e))) > 0;
+      cand.contains_self = self_path.count(View::NodeKey(view.Child(e))) > 0;
       const TextBounds tb = ViewEntryTextBounds(view, e, qspan, scorer.text());
       const Rect& rect = view.RectOf(e);
-      cand->q_min = alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
-                    (1.0 - alpha) * tb.min_sim;
-      cand->q_max = alpha * scorer.SpatialSim(MinDistance(query.loc, rect)) +
-                    (1.0 - alpha) * tb.max_sim;
+      cand.q_min = alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
+                   (1.0 - alpha) * tb.min_sim;
+      cand.q_max = alpha * scorer.SpatialSim(MinDistance(query.loc, rect)) +
+                   (1.0 - alpha) * tb.max_sim;
     }
-    cand->priority = cand->q_max;
+    cand.priority = cand.q_max;
     if (options.expand == ExpandPolicy::kTextEntropy) {
-      cand->priority += options.entropy_weight * ViewClusterEntropy(view, e);
+      cand.priority += options.entropy_weight * ViewClusterEntropy(view, e);
     }
     ++result.stats.entries_created;
-    work.push({cand->priority, cand.get()});
-    pool.push_back(std::move(cand));
+    work.push({cand.priority, static_cast<uint32_t>(arena.size())});
+    arena.push_back(cand);
   };
 
   const NodeRef root = view.Root();
   charged.insert(View::NodeKey(root));
   view.Charge(root, options, &result.stats);
   for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
-    add_candidate(view.EntryAt(root, i), {View::NodeKey(root)});
+    add_candidate(view.EntryAt(root, i), root, Candidate<View>::kNoParent);
   }
   if (profiler != nullptr) profiler->Exit();  // descent (setup)
   if (trace != nullptr) trace->Exit();  // setup
 
   while (!work.empty()) {
-    Candidate<View>* cand = work.top().cand;
+    const uint32_t index = work.top().cand;
     work.pop();
     ++result.stats.pq_pops;
-    const bool object = view.IsObject(cand->entry);
-    const uint32_t cand_count = view.Count(cand->entry);
+    // A copy: expanding below appends to the arena.
+    const Candidate<View> cand = arena[index];
+    const bool object = view.IsObject(cand.entry);
+    const uint32_t cand_count = view.Count(cand.entry);
 
     // Prune test: at least k competitors are guaranteed to beat q for every
     // object of the candidate (MaxST(q,E) < kNNL(E)).
@@ -664,8 +815,8 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
       obs::PhaseTimer bounds_phase(profiler, obs::Phase::kBounds);
       const uint64_t bounds_before = result.stats.bound_computations;
       const uint64_t pops_before = result.stats.pq_pops;
-      guaranteed = CountCompetitors(view, scorer, options, *cand, mem,
-                                    cand->q_max, query.k, query.self,
+      guaranteed = CountCompetitors(view, scorer, options, arena.data(), index,
+                                    mem, cand.q_max, query.k, query.self,
                                     /*guaranteed=*/true, &result.stats);
       span.AddCount(obs::names::kCountBoundComputations,
                     result.stats.bound_computations - bounds_before);
@@ -673,12 +824,12 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
     }
     if (guaranteed >= query.k) {
       ++result.stats.pruned_entries;
-      explain.Record(view, cand->entry, cand->q_min, cand->q_max,
+      explain.Record(view, cand.entry, cand.q_min, cand.q_max,
                      object ? obs::ExplainVerdict::kReportMiss
                             : obs::ExplainVerdict::kPrune,
                      object ? obs::ExplainBound::kExact
                             : obs::ExplainBound::kLowerBound,
-                     cand_count - (cand->contains_self ? 1 : 0));
+                     cand_count - (cand.contains_self ? 1 : 0));
       continue;
     }
     // For an object candidate the guaranteed probe descends every straddling
@@ -686,10 +837,10 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
     // than k competitors beat q ⇒ the object is an answer. No second probe.
     if (object) {
       ++result.stats.reported_entries;
-      explain.Record(view, cand->entry, cand->q_min, cand->q_max,
+      explain.Record(view, cand.entry, cand.q_min, cand.q_max,
                      obs::ExplainVerdict::kReportHit, obs::ExplainBound::kExact,
                      1);
-      result.answers.push_back(view.Id(cand->entry));
+      result.answers.push_back(view.Id(cand.entry));
       continue;
     }
     // Report test: fewer than k competitors can possibly beat q for any
@@ -700,8 +851,8 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
       obs::PhaseTimer bounds_phase(profiler, obs::Phase::kBounds);
       const uint64_t bounds_before = result.stats.bound_computations;
       const uint64_t pops_before = result.stats.pq_pops;
-      potential = CountCompetitors(view, scorer, options, *cand, mem,
-                                   cand->q_min, query.k, query.self,
+      potential = CountCompetitors(view, scorer, options, arena.data(), index,
+                                   mem, cand.q_min, query.k, query.self,
                                    /*guaranteed=*/false, &result.stats);
       span.AddCount(obs::names::kCountBoundComputations,
                     result.stats.bound_computations - bounds_before);
@@ -709,11 +860,11 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
     }
     if (potential < query.k) {
       ++result.stats.reported_entries;
-      explain.Record(view, cand->entry, cand->q_min, cand->q_max,
+      explain.Record(view, cand.entry, cand.q_min, cand.q_max,
                      obs::ExplainVerdict::kReportHit,
                      obs::ExplainBound::kUpperBound,
-                     cand_count - (cand->contains_self ? 1 : 0));
-      CollectObjectIds(view, cand->entry, query.self, &result.answers);
+                     cand_count - (cand.contains_self ? 1 : 0));
+      CollectObjectIds(view, cand.entry, query.self, &result.answers);
       continue;
     }
     // Undecided: objects are always decided by the exact guaranteed count
@@ -721,18 +872,16 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
     RST_DCHECK(!object);
     obs::TraceSpan expand_span(trace, obs::names::kSpanExpand);
     obs::PhaseTimer descent_phase(profiler, obs::Phase::kDescent);
-    const NodeRef child_node = view.Child(cand->entry);
+    const NodeRef child_node = view.Child(cand.entry);
     if (charged.insert(View::NodeKey(child_node)).second) {
       view.Charge(child_node, options, &result.stats);
     }
     ++result.stats.expansions;
-    explain.Record(view, cand->entry, cand->q_min, cand->q_max,
+    explain.Record(view, cand.entry, cand.q_min, cand.q_max,
                    obs::ExplainVerdict::kExpand, obs::ExplainBound::kNone, 0);
-    std::vector<uintptr_t> child_path = cand->path;
-    child_path.push_back(View::NodeKey(child_node));
     const size_t num_children = view.NumEntries(child_node);
     for (size_t i = 0; i < num_children; ++i) {
-      add_candidate(view.EntryAt(child_node, i), child_path);
+      add_candidate(view.EntryAt(child_node, i), child_node, index);
     }
     expand_span.AddCount(obs::names::kCountEntries, num_children);
   }
@@ -775,7 +924,7 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   using EntryRef = typename View::EntryRef;
   RstknnResult result;
   if (view.TreeSize() == 0 || query.k == 0) return result;
-  const ExplainSink<View> explain(view, options, "contribution_list");
+  const ExplainSink<View> explain(options, "contribution_list");
   const double alpha = scorer.options().alpha;
   const TextSummary qsum = TextSummary::FromDoc(*query.doc);
   const SummarySpan qspan = AsSpan(qsum);
@@ -787,7 +936,7 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   ProbeScratch::Impl* mem =
       (options.scratch != nullptr ? options.scratch : local_scratch.get())
           ->impl();
-  mem->ResetForQuery();
+  mem->ResetForQuery(view.EntryKeySpace());
   std::unordered_set<uintptr_t>& self_path = mem->self_path;
   if (query.self != IurTree::kNoObject) {
     view.CollectSelfPath(query.self, &self_path);
@@ -857,7 +1006,7 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   // lookups for every pair already seen.
   auto pair_bounds = [&](const FlatEntry& a, const FlatEntry& b) {
     auto [it, inserted] = mem->pair_bounds.try_emplace(
-        EntryPairKey{View::EntryKey(a.entry), View::EntryKey(b.entry)});
+        uint64_t{view.EntryKey(a.entry)} << 32 | view.EntryKey(b.entry));
     if (inserted) {
       const TextBounds tb =
           ViewPairTextBounds(view, a.entry, b.entry, scorer.text());

@@ -21,8 +21,9 @@ namespace {
 /// is (s << 32) | index; the virtual root node (whose "entries" are the K
 /// shards) is ~0; the virtual entry standing for the whole of shard s is
 /// (1 << 63) | s. Real refs never set bit 63 (shard counts are far below
-/// 2^31), so the encodings are disjoint and NodeKey/EntryKey stay unique —
-/// one ProbeScratch serves the forest exactly as it serves a single tree.
+/// 2^31), so the encodings are disjoint and NodeKey stays unique; EntryKey is
+/// the entry's explain id, dense over the forest — one ProbeScratch serves
+/// the forest exactly as it serves a single tree.
 constexpr uint64_t kVirtualRoot = ~0ull;
 constexpr uint64_t kVirtualBit = 1ull << 63;
 
@@ -41,7 +42,8 @@ struct ForestView {
 
   const ShardedIndex* index = nullptr;
   const std::vector<uint64_t>* entry_offsets = nullptr;
-  uint32_t scope = 0;  ///< shard whose tree Root() names
+  size_t entry_key_space = 0;  ///< 1 + shards + entries over all shards
+  uint32_t scope = 0;          ///< shard whose tree Root() names
 
   static uint64_t Pack(uint32_t s, uint32_t v) {
     return (static_cast<uint64_t>(s) << 32) | v;
@@ -112,7 +114,18 @@ struct ForestView {
   }
 
   static uintptr_t NodeKey(NodeRef n) { return static_cast<uintptr_t>(n); }
-  static uintptr_t EntryKey(EntryRef e) { return static_cast<uintptr_t>(e); }
+  static NodeRef NodeFromKey(uintptr_t key) {
+    return static_cast<NodeRef>(key);
+  }
+  /// Globally unique, deterministic explain ids, dense in
+  /// [1, entry_key_space): 1..K are the virtual shard entries; shard s's
+  /// entry e maps to K + offset[s] + e + 1.
+  uint32_t EntryKey(EntryRef e) const {
+    if (IsVirtual(e)) return VShard(e) + 1;
+    return static_cast<uint32_t>(index->num_shards() +
+                                 (*entry_offsets)[Shard(e)] + Idx(e) + 1);
+  }
+  size_t EntryKeySpace() const { return entry_key_space; }
 
   /// Scope hooks: probes span the whole forest.
   NodeRef ProbeRoot() const { return kVirtualRoot; }
@@ -136,19 +149,12 @@ struct ForestView {
     index->shard(Shard(n)).ChargeAccess(Idx(n), &stats->io);
   }
 
-  /// Globally unique, deterministic heatmap ids: 1..K are the virtual shard
-  /// entries (level 0); shard s's entry e maps to K + offset[s] + e + 1 one
-  /// level down from its in-shard level.
-  void PrepareExplain(const RstknnOptions&, const ExplainIndex**,
-                      std::unique_ptr<ExplainIndex>*) const {}
-  ExplainIndex::Info ExplainInfo(EntryRef e, const ExplainIndex*) const {
-    if (IsVirtual(e)) {
-      return ExplainIndex::Info{static_cast<uint64_t>(VShard(e)) + 1, 0};
-    }
-    const uint32_t s = Shard(e);
-    return ExplainIndex::Info{
-        index->num_shards() + (*entry_offsets)[s] + Idx(e) + 1,
-        index->shard(s).EntryLevel(Idx(e)) + 1};
+  /// Heatmap ids are the entry keys; the virtual shard entries sit at level
+  /// 0 and every real entry one level below its in-shard level.
+  ExplainIndex::Info ExplainInfo(EntryRef e) const {
+    if (IsVirtual(e)) return ExplainIndex::Info{EntryKey(e), 0};
+    return ExplainIndex::Info{EntryKey(e),
+                              index->shard(Shard(e)).EntryLevel(Idx(e)) + 1};
   }
 };
 
@@ -188,6 +194,7 @@ ShardedSearcher::ShardedSearcher(const ShardedIndex* index,
     entry_offsets_[s] = offset;
     offset += index->shard(s).num_entries();
   }
+  entry_key_space_ = 1 + index->num_shards() + offset;
 }
 
 ShardedResult ShardedSearcher::Search(const RstknnQuery& query,
@@ -218,7 +225,7 @@ ShardedResult ShardedSearcher::Search(const RstknnQuery& query,
   if (options.profiler != nullptr) options.profiler->Reset();
   const size_t num_shards = index_->num_shards();
   if (num_shards > 0 && query.k > 0 && index_->size() > 0) {
-    const ForestView view{index_, &entry_offsets_, 0};
+    const ForestView view{index_, &entry_offsets_, entry_key_space_, 0};
     std::unique_ptr<ProbeScratch> local_scratch;
     if (options.scratch == nullptr) {
       local_scratch = std::make_unique<ProbeScratch>();
@@ -226,7 +233,7 @@ ShardedResult ShardedSearcher::Search(const RstknnQuery& query,
     ProbeScratch* scratch =
         options.scratch != nullptr ? options.scratch : local_scratch.get();
     ProbeScratch::Impl* mem = scratch->impl();
-    mem->ResetForQuery();
+    mem->ResetForQuery(view.EntryKeySpace());
     if (query.self != IurTree::kNoObject) {
       view.CollectSelfPath(query.self, &mem->self_path);
     }
@@ -242,9 +249,10 @@ ShardedResult ShardedSearcher::Search(const RstknnQuery& query,
     // EXPLAIN-counter reconciliation identities stay exact.
     std::vector<uint32_t> to_search;
     for (uint32_t s = 0; s < num_shards; ++s) {
+      // A one-candidate arena whose root path is the virtual root alone.
       rstknn_internal::Candidate<ForestView> cand;
       cand.entry = ForestView::VirtualEntry(s);
-      cand.path = {ForestView::NodeKey(kVirtualRoot)};
+      cand.home = kVirtualRoot;
       cand.contains_self = query.self != IurTree::kNoObject &&
                            index_->shard_of(query.self) == s;
       const TextBounds tb = rstknn_internal::ViewEntryTextBounds(
@@ -259,8 +267,8 @@ ShardedResult ShardedSearcher::Search(const RstknnQuery& query,
           view.Count(cand.entry) - (cand.contains_self ? 1 : 0);
       mem->ResetForCandidate();
       const size_t guaranteed = rstknn_internal::CountCompetitors(
-          view, *scorer_, options, cand, mem, cand.q_max, query.k, query.self,
-          /*guaranteed=*/true, &result.stats);
+          view, *scorer_, options, &cand, 0, mem, cand.q_max, query.k,
+          query.self, /*guaranteed=*/true, &result.stats);
       if (guaranteed >= query.k) {
         ++result.stats.pruned_entries;
         ++result.shards.shards_pruned;
@@ -271,8 +279,8 @@ ShardedResult ShardedSearcher::Search(const RstknnQuery& query,
         continue;
       }
       const size_t potential = rstknn_internal::CountCompetitors(
-          view, *scorer_, options, cand, mem, cand.q_min, query.k, query.self,
-          /*guaranteed=*/false, &result.stats);
+          view, *scorer_, options, &cand, 0, mem, cand.q_min, query.k,
+          query.self, /*guaranteed=*/false, &result.stats);
       if (potential < query.k) {
         ++result.stats.reported_entries;
         ++result.shards.shards_reported;

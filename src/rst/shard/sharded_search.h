@@ -83,6 +83,8 @@ class ShardedSearcher {
   /// ids: shard s's entry e maps to id K + entry_offsets_[s] + e + 1 (ids
   /// 1..K belong to the virtual shard entries).
   std::vector<uint64_t> entry_offsets_;
+  /// 1 + K + total entries: the dense entry-key space of the forest.
+  size_t entry_key_space_ = 0;
 };
 
 }  // namespace shard

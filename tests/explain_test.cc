@@ -140,7 +140,6 @@ TEST(ExplainSearchTest, TotalsReconcileWithRstknnStats) {
   const std::vector<RstknnQuery> queries = f.Queries(16, 6);
 
   for (const IurTree* tree : {&f.tree, &f.ciur}) {
-    const ExplainIndex index(*tree);
     for (RstknnAlgorithm algorithm :
          {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
       const RstknnSearcher searcher(tree, &f.dataset, &f.scorer);
@@ -148,7 +147,6 @@ TEST(ExplainSearchTest, TotalsReconcileWithRstknnStats) {
       RstknnOptions options;
       options.algorithm = algorithm;
       options.explain = &recorder;
-      options.explain_index = &index;
 
       for (const RstknnQuery& q : queries) {
         const RstknnResult result = searcher.Search(q, options);
@@ -172,8 +170,9 @@ TEST(ExplainSearchTest, TotalsReconcileWithRstknnStats) {
 }
 
 /// The determinism contract: same query + dataset + seed produces
-/// byte-identical explain JSON — across repeated runs, across a shared vs.
-/// recorder-private ExplainIndex, and across batch thread counts.
+/// byte-identical explain JSON — across repeated runs, across separate
+/// searcher instances (each numbers the tree itself), and across batch
+/// thread counts.
 TEST(ExplainSearchTest, JsonIsByteIdenticalAcrossRunsAndThreadCounts) {
   const ExplainFixture f;
   const size_t kQueries = 8;
@@ -185,22 +184,21 @@ TEST(ExplainSearchTest, JsonIsByteIdenticalAcrossRunsAndThreadCounts) {
       RstknnOptions options;
       options.algorithm = algorithm;
 
-      // Serial reference with an explicitly shared index.
-      const ExplainIndex index(*tree);
+      // Serial reference.
       const RstknnSearcher searcher(tree, &f.dataset, &f.scorer);
       obs::ExplainRecorder recorder;
       options.explain = &recorder;
-      options.explain_index = &index;
       std::vector<std::string> reference;
       for (const RstknnQuery& q : queries) {
         searcher.Search(q, options);
         reference.push_back(recorder.ToJson());
       }
 
-      // Second serial run, recorder-private fallback index: same bytes.
-      options.explain_index = nullptr;
+      // Second serial run on a fresh searcher (its own numbering): same
+      // bytes.
+      const RstknnSearcher rerun(tree, &f.dataset, &f.scorer);
       for (size_t i = 0; i < queries.size(); ++i) {
-        searcher.Search(queries[i], options);
+        rerun.Search(queries[i], options);
         EXPECT_EQ(recorder.ToJson(), reference[i]) << "rerun query " << i;
       }
 

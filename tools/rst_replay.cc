@@ -329,13 +329,6 @@ int Main(int argc, char** argv) {
     const RstknnSearcher searcher =
         use_frozen ? RstknnSearcher(&*frozen, &dataset, &scorer)
                    : RstknnSearcher(&*tree, &dataset, &scorer);
-    std::unique_ptr<ExplainIndex> explain_index;
-    if (!use_frozen) {
-      // One shared numbering for the whole replay instead of an O(tree)
-      // rebuild per query.
-      explain_index = std::make_unique<ExplainIndex>(*tree);
-      options.explain_index = explain_index.get();
-    }
     ProbeScratch scratch;
     options.scratch = &scratch;
     options.publish_metrics = false;
