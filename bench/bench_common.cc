@@ -224,7 +224,9 @@ const CoreEnv& CachedCoreEnv(const CoreParams& params) {
                           {},
                           IurTree::Build({}, {}),
                           IurTree::Build({}, {}),
-                          IurTree::Build({}, {}),
+                          {},
+                          {},
+                          {},
                           {}};
   GeoNamesLikeConfig config;
   config.num_objects = params.num_objects;
@@ -242,8 +244,10 @@ const CoreEnv& CachedCoreEnv(const CoreParams& params) {
 
   env->iur = IurTree::BuildFromDataset(env->dataset, {});
   env->ciur = IurTree::BuildFromDataset(env->dataset, {}, &env->clusters);
-  env->ciur_oe =
-      IurTree::BuildFromDataset(env->dataset, {}, &env->clusters_oe);
+  env->frozen_iur = frozen::FrozenTree::Freeze(env->iur);
+  env->frozen_ciur = frozen::FrozenTree::Freeze(env->ciur);
+  env->frozen_ciur_oe = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(env->dataset, {}, &env->clusters_oe));
   env->queries =
       SampleQueryObjects(env->dataset, params.num_queries, params.seed + 3);
   (*cache)[key] = env;
@@ -258,7 +262,7 @@ CorePoint RunCorePoint(const CoreParams& params, bool run_baseline) {
   CorePoint point;
   const double inv_q = 1.0 / static_cast<double>(env.queries.size());
 
-  auto run_variant = [&](const IurTree& tree,
+  auto run_variant = [&](const frozen::FrozenTree& tree,
                          const RstknnOptions& options) -> CoreVariantPoint {
     CoreVariantPoint variant;
     size_t answers = 0;
@@ -296,12 +300,12 @@ CorePoint RunCorePoint(const CoreParams& params, bool run_baseline) {
     return variant;
   };
 
-  point.iur = run_variant(env.iur, {});
-  point.ciur = run_variant(env.ciur, {});
-  point.ciur_oe = run_variant(env.ciur_oe, {});
+  point.iur = run_variant(env.frozen_iur, {});
+  point.ciur = run_variant(env.frozen_ciur, {});
+  point.ciur_oe = run_variant(env.frozen_ciur_oe, {});
   RstknnOptions te;
   te.expand = ExpandPolicy::kTextEntropy;
-  point.ciur_te = run_variant(env.ciur_oe, te);
+  point.ciur_te = run_variant(env.frozen_ciur_oe, te);
 
   if (run_baseline) {
     PrecomputeBaseline baseline(&env.iur, &env.dataset, &scorer);

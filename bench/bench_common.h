@@ -21,6 +21,7 @@
 
 #include "rst/data/dataset.h"
 #include "rst/data/generators.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/iurtree/iurtree.h"
 #include "rst/maxbrst/joint_topk.h"
@@ -144,14 +145,19 @@ struct CorePoint {
 };
 
 /// The prebuilt environment for one core configuration (shared across
-/// sweeps over k / α which do not change the indexes).
+/// sweeps over k / α which do not change the indexes). RSTkNN queries
+/// search the frozen snapshots, frozen once here so no timed region pays for
+/// a freeze; the precompute baseline and the index-size figures use the
+/// IUR-/CIUR-trees they were frozen from.
 struct CoreEnv {
   Dataset dataset;
   std::vector<uint32_t> clusters;
   std::vector<uint32_t> clusters_oe;
   IurTree iur;
   IurTree ciur;
-  IurTree ciur_oe;
+  frozen::FrozenTree frozen_iur;
+  frozen::FrozenTree frozen_ciur;
+  frozen::FrozenTree frozen_ciur_oe;
   std::vector<ObjectId> queries;
 };
 

@@ -16,7 +16,7 @@ int main() {
   const CoreEnv& env = CachedCoreEnv(params);
   TextSimilarity sim(params.measure, &env.dataset.corpus_max());
   StScorer scorer(&sim, {params.alpha, env.dataset.max_dist()});
-  RstknnSearcher searcher(&env.iur, &env.dataset, &scorer);
+  RstknnSearcher searcher(&env.frozen_iur, &env.dataset, &scorer);
 
   PrintTitle("Ablation: contribution lists vs competitor probes  (|D|=" +
              std::to_string(params.num_objects) + ", k=10)");

@@ -22,7 +22,7 @@ int main() {
   for (EjBoundMode mode : {EjBoundMode::kNaive, EjBoundMode::kCauchySchwarz}) {
     TextSimilarity sim(TextMeasure::kExtendedJaccard, nullptr, mode);
     StScorer scorer(&sim, {params.alpha, env.dataset.max_dist()});
-    RstknnSearcher searcher(&env.iur, &env.dataset, &scorer);
+    RstknnSearcher searcher(&env.frozen_iur, &env.dataset, &scorer);
     double ms = 0, entries = 0, bounds = 0, io = 0;
     Stopwatch timer;
     for (ObjectId qid : env.queries) {

@@ -1,5 +1,5 @@
 // Load driver (DESIGN.md §12.5): replays a batch of RSTkNN queries against
-// one prebuilt CIUR-tree in two load models and writes BENCH_profile.json
+// one prebuilt, frozen CIUR-tree in two load models and writes BENCH_profile.json
 // with throughput and latency percentiles.
 //
 //   closed loop — a fixed worker pool (the rst::exec::BatchRunner) drains
@@ -112,7 +112,8 @@ ModeResult RunClosed(const rst::bench::CoreEnv& env, const rst::StScorer& scorer
                      const std::vector<rst::RstknnQuery>& queries,
                      size_t workers, rst::obs::WorkloadRecorder* journal) {
   rst::exec::ThreadPool pool(workers);
-  rst::exec::BatchRunner runner(&env.ciur, &env.dataset, &scorer, &pool);
+  rst::exec::BatchRunner runner(&env.frozen_ciur, &env.dataset, &scorer,
+                                &pool);
   runner.set_profiling(true);
   if (journal != nullptr && journal->is_open()) runner.set_journal(journal);
 
@@ -147,7 +148,8 @@ ModeResult RunOpen(const rst::bench::CoreEnv& env, const rst::StScorer& scorer,
                    size_t workers, double qps,
                    rst::obs::WorkloadRecorder* journal) {
   using Clock = std::chrono::steady_clock;
-  const rst::RstknnSearcher searcher(&env.ciur, &env.dataset, &scorer);
+  const rst::RstknnSearcher searcher(&env.frozen_ciur, &env.dataset,
+                                     &scorer);
 
   // Arrival-to-completion latency per query, one single-writer histogram per
   // worker, merged after the join.
@@ -273,7 +275,6 @@ int main(int argc, char** argv) {
     header.label = "load_driver";
     header.data = data_path;
     header.algo = "probe";
-    header.view = "pointer";
     header.tree = "ciur";
     header.measure = MeasureToken(params.measure);
     header.weighting = rst::WeightingName(params.weighting);

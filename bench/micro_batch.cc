@@ -1,6 +1,6 @@
 // Batched RSTkNN throughput: a serial per-query loop vs the
 // rst::exec::BatchRunner at 1/2/4/8 threads, all over one shared read-only
-// CIUR-tree. The batch path runs the identical per-query algorithm (answers
+// frozen CIUR-tree. The batch path runs the identical per-query algorithm (answers
 // are byte-identical by the determinism contract), so any delta is pure
 // execution-model overhead or parallel speedup.
 //
@@ -55,7 +55,8 @@ int main() {
   {
     Measurement m;
     m.mode = "serial";
-    const rst::RstknnSearcher searcher(&env.ciur, &env.dataset, &scorer);
+    const rst::RstknnSearcher searcher(&env.frozen_ciur, &env.dataset,
+                                       &scorer);
     rst::Stopwatch timer;
     for (size_t rep = 0; rep < reps; ++rep) {
       m.answers = 0;
@@ -73,7 +74,7 @@ int main() {
     m.mode = "batch";
     m.threads = threads;
     ThreadPool pool(threads);
-    const BatchRunner runner(&env.ciur, &env.dataset, &scorer, &pool);
+    const BatchRunner runner(&env.frozen_ciur, &env.dataset, &scorer, &pool);
     rst::Stopwatch timer;
     for (size_t rep = 0; rep < reps; ++rep) {
       m.answers = 0;

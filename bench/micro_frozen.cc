@@ -1,15 +1,12 @@
-// Frozen flat-layout index: pointer-tree vs frozen-view RSTkNN traversal,
-// plus the index life-cycle costs (STR build at 1..N threads, freeze,
-// serialize, load). Answers are byte-identical across every row by the
-// tree-view determinism contract, so the traversal delta is pure memory
-// layout: SoA arrays + one contiguous term-weight pool vs unique_ptr nodes
-// with scattered per-entry vectors.
+// Frozen flat-layout index life cycle: STR build at 1..N threads, freeze,
+// serialize and load, plus RSTkNN query time over the freshly frozen
+// snapshot and over its serialize -> load copy. The two query rows must
+// return identical answers (the loaded snapshot is byte-identical), so any
+// delta between them is timer noise.
 //
 // Besides the console table this writes BENCH_frozen.json into the working
 // directory, including the host core count — the parallel-build speedup is
-// meaningless without it, and on a 1-core CI runner both it and the
-// traversal delta can disappear into noise (recorded caveat, PR-2
-// precedent).
+// meaningless without it.
 
 #include "bench_common.h"
 
@@ -23,9 +20,8 @@
 namespace {
 
 struct Measurement {
-  std::string view;
+  std::string index;
   double wall_ms = 0;
-  double speedup = 1.0;
   size_t answers = 0;
 };
 
@@ -88,12 +84,12 @@ int main() {
     return 1;
   }
 
-  // --- Query traversal: pointer vs frozen vs loaded-frozen ------------------
+  // --- Query traversal: frozen vs loaded-frozen ----------------------------
   std::vector<Measurement> series;
-  auto measure = [&](const std::string& view,
+  auto measure = [&](const std::string& index,
                      const rst::RstknnSearcher& searcher) {
     Measurement m;
-    m.view = view;
+    m.index = index;
     rst::Stopwatch timer;
     for (size_t rep = 0; rep < reps; ++rep) {
       m.answers = 0;
@@ -106,15 +102,12 @@ int main() {
     m.wall_ms = timer.ElapsedMillis() / static_cast<double>(reps);
     series.push_back(m);
   };
-  measure("pointer", rst::RstknnSearcher(&env.ciur, &env.dataset, &scorer));
   measure("frozen", rst::RstknnSearcher(&frozen, &env.dataset, &scorer));
   measure("frozen_loaded",
           rst::RstknnSearcher(&loaded.value(), &env.dataset, &scorer));
-  const double pointer_ms = series[0].wall_ms;
-  for (Measurement& m : series) {
-    m.speedup = m.wall_ms > 0 ? pointer_ms / m.wall_ms : 0.0;
+  for (const Measurement& m : series) {
     if (m.answers != series[0].answers) {
-      std::fprintf(stderr, "answer mismatch in view %s\n", m.view.c_str());
+      std::fprintf(stderr, "answer mismatch on index %s\n", m.index.c_str());
       return 1;
     }
   }
@@ -124,21 +117,15 @@ int main() {
              std::to_string(queries.size()) + " queries, k=" +
              std::to_string(params.k) + ", " + std::to_string(cores) +
              " core(s))");
-  PrintHeader({"view", "wall_ms", "speedup", "|ans|"});
+  PrintHeader({"index", "wall_ms", "|ans|"});
   for (const Measurement& m : series) {
-    PrintRow({m.view, Fmt(m.wall_ms), Fmt(m.speedup), FmtInt(m.answers)});
+    PrintRow({m.index, Fmt(m.wall_ms), FmtInt(m.answers)});
   }
   std::printf("\nbuild: %.2f ms serial, %.2f ms at %zu threads (%.2fx)\n",
               build1_ms, buildn_ms, build_threads,
               buildn_ms > 0 ? build1_ms / buildn_ms : 0.0);
   std::printf("freeze: %.2f ms, serialize: %.2f ms (%zu bytes), load: %.2f ms\n",
               freeze_ms, serialize_ms, bytes.size(), load_ms);
-  std::printf(
-      "\nNote: answers are byte-identical across all rows (tree-view\n"
-      "determinism contract). On a 1-core runner the parallel-build speedup\n"
-      "degenerates to ~1x and the traversal delta can sit inside timer noise\n"
-      "at bench-sized datasets; judge the layout win on multi-core hardware\n"
-      "or larger RST_BENCH_OBJECTS.\n");
 
   rst::obs::JsonWriter writer;
   writer.BeginObject();
@@ -170,12 +157,10 @@ int main() {
   writer.BeginArray();
   for (const Measurement& m : series) {
     writer.BeginObject();
-    writer.Key("view");
-    writer.String(m.view);
+    writer.Key("index");
+    writer.String(m.index);
     writer.Key("wall_ms");
     writer.Double(m.wall_ms);
-    writer.Key("speedup_vs_pointer");
-    writer.Double(m.speedup);
     writer.Key("answers");
     writer.Uint(m.answers);
     writer.EndObject();

@@ -1,12 +1,14 @@
 // Quickstart: build a tiny spatial-textual collection by hand, index it with
 // an IUR-tree, and run the two query types of the library — a top-k
-// spatial-keyword query and a reverse spatial-textual kNN (RSTkNN) query.
+// spatial-keyword query on the tree and a reverse spatial-textual kNN
+// (RSTkNN) query on its frozen snapshot.
 //
 //   $ ./quickstart
 
 #include <cstdio>
 
 #include "rst/data/dataset.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/iurtree.h"
 #include "rst/rstknn/rstknn.h"
 #include "rst/text/vocabulary.h"
@@ -62,8 +64,10 @@ int main() {
               static_cast<unsigned long long>(io.TotalIos()));
 
   // --- 4. RSTkNN: who considers "Ocean Catch" one of their 2 most similar
-  //         competitors? (the 2011 paper's reverse query) ---
-  RstknnSearcher rst(&tree, &dataset, &scorer);
+  //         competitors? (the 2011 paper's reverse query, searched on a
+  //         frozen flat-layout snapshot of the tree) ---
+  const frozen::FrozenTree snapshot = frozen::FrozenTree::Freeze(tree);
+  RstknnSearcher rst(&snapshot, &dataset, &scorer);
   const ObjectId ocean_catch = 5;
   const StObject& q = dataset.object(ocean_catch);
   const RstknnResult reverse = rst.Search({q.loc, &q.doc, 2, ocean_catch});

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "rst/data/generators.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/iurtree/iurtree.h"
 #include "rst/rstknn/rstknn.h"
@@ -30,7 +31,9 @@ int main() {
   copts.num_clusters = 10;
   copts.outlier_threshold = 0.15;
   const ClusteringResult clusters = ClusterDocuments(docs, copts);
-  const IurTree index = IurTree::BuildFromDataset(city, {}, &clusters.assignment);
+  // RSTkNN searches a frozen snapshot; the builder is not needed afterwards.
+  const frozen::FrozenTree index = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(city, {}, &clusters.assignment));
   std::printf("city: %zu venues, %u text clusters (%u outliers)\n\n",
               city.size(), clusters.num_clusters, clusters.num_outliers);
 

@@ -3,9 +3,7 @@
 #include <memory>
 #include <utility>
 
-#include "rst/common/check.h"
 #include "rst/common/stopwatch.h"
-#include "rst/frozen/frozen.h"
 #include "rst/obs/explain.h"
 #include "rst/obs/heatmap.h"
 #include "rst/obs/journal.h"
@@ -153,9 +151,7 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
     trace_events_->AddThreadName(static_cast<uint32_t>(workers + 1), "queue");
   }
 
-  const RstknnSearcher searcher =
-      frozen_ != nullptr ? RstknnSearcher(frozen_, dataset_, scorer_)
-                         : RstknnSearcher(tree_, dataset_, scorer_);
+  const RstknnSearcher searcher(tree_, dataset_, scorer_);
   Stopwatch wall;
   pool_->ParallelFor(
       queries.size(), /*chunk=*/1, [&](size_t i, size_t w) {
@@ -263,45 +259,6 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
   aggregate.total.Publish(obs::names::kRstknnPrefix);
   metrics.rstknn_queries.Add(aggregate.queries);
   metrics.rstknn_answers.Add(aggregate.answers);
-  metrics.batches.Increment();
-  metrics.batch_queries.Add(aggregate.queries);
-  metrics.batch_ms.Record(wall_ms);
-  if (batch_stats != nullptr) *batch_stats = std::move(aggregate);
-  return results;
-}
-
-std::vector<std::vector<TopKResult>> BatchRunner::RunTopK(
-    const std::vector<TopKQuery>& queries, BatchStats* batch_stats) const {
-  RST_CHECK(tree_ != nullptr) << "RunTopK is pointer-tree-only";
-  const BatchMetrics& metrics = BatchMetrics::Get();
-  const size_t workers = pool_->num_threads();
-  std::vector<std::vector<TopKResult>> results(queries.size());
-  std::vector<WorkerSlot> slots(workers);
-
-  const TopKSearcher searcher(tree_, dataset_, scorer_);
-  Stopwatch wall;
-  pool_->ParallelFor(
-      queries.size(), /*chunk=*/1, [&](size_t i, size_t w) {
-        metrics.queue_wait_ms.Record(wall.ElapsedMillis());
-        Stopwatch query_timer;
-        IoStats io;
-        results[i] = searcher.Search(queries[i], &io);
-        slots[w].busy_ms += query_timer.ElapsedMillis();
-        slots[w].answers += results[i].size();
-        slots[w].stats.io += io;
-      });
-  const double wall_ms = wall.ElapsedMillis();
-
-  BatchStats aggregate;
-  aggregate.queries = queries.size();
-  aggregate.wall_ms = wall_ms;
-  aggregate.worker_busy_ms.reserve(workers);
-  for (const WorkerSlot& slot : slots) {
-    aggregate.total.Merge(slot.stats);
-    aggregate.answers += slot.answers;
-    aggregate.worker_busy_ms.push_back(slot.busy_ms);
-    metrics.worker_busy_ms.Record(slot.busy_ms);
-  }
   metrics.batches.Increment();
   metrics.batch_queries.Add(aggregate.queries);
   metrics.batch_ms.Record(wall_ms);

@@ -5,10 +5,9 @@
 
 #include "rst/data/dataset.h"
 #include "rst/exec/thread_pool.h"
-#include "rst/iurtree/iurtree.h"
+#include "rst/frozen/frozen.h"
 #include "rst/obs/journal.h"
 #include "rst/rstknn/rstknn.h"
-#include "rst/topk/topk.h"
 
 namespace rst {
 
@@ -35,8 +34,7 @@ obs::JournalQueryRecord MakeJournalRecord(uint64_t index,
 
 /// Aggregate accounting for one batch run.
 struct BatchStats {
-  /// Sum of every query's RstknnStats (for RunTopK only the nested IoStats
-  /// is populated).
+  /// Sum of every query's RstknnStats.
   RstknnStats total;
   uint64_t queries = 0;
   uint64_t answers = 0;  ///< total result rows across the batch
@@ -46,8 +44,8 @@ struct BatchStats {
   std::vector<double> worker_busy_ms;
 };
 
-/// Evaluates batches of RSTkNN (and top-k / MaxBRSTkNN candidate-scoring)
-/// queries concurrently over a shared read-only IurTree + Dataset.
+/// Evaluates batches of RSTkNN queries concurrently over a shared read-only
+/// FrozenTree + Dataset.
 ///
 /// Determinism contract: results are written into slots keyed by query index
 /// and each query runs the unmodified single-query algorithm, so the output
@@ -79,18 +77,9 @@ class BatchRunner {
  public:
   /// All referents must outlive the runner. `pool` is borrowed, not owned —
   /// callers typically keep one pool for many batches.
-  BatchRunner(const IurTree* tree, const Dataset* dataset,
+  BatchRunner(const frozen::FrozenTree* tree, const Dataset* dataset,
               const StScorer* scorer, ThreadPool* pool)
       : tree_(tree), dataset_(dataset), scorer_(scorer), pool_(pool) {}
-
-  /// Batches over a frozen flat-layout snapshot (rst::frozen) instead of the
-  /// pointer tree. RunRstknn behaves identically (the determinism contract
-  /// extends across views: same queries ⇒ byte-identical results either
-  /// way); RunTopK is pointer-tree-only and must not be called on a
-  /// frozen-backed runner.
-  BatchRunner(const frozen::FrozenTree* frozen, const Dataset* dataset,
-              const StScorer* scorer, ThreadPool* pool)
-      : frozen_(frozen), dataset_(dataset), scorer_(scorer), pool_(pool) {}
 
   /// Attaches a slow-query capture sink for RunRstknn (see the class comment;
   /// the log must outlive the runner's batches). Null disables capture — the
@@ -133,17 +122,8 @@ class BatchRunner {
                                       const RstknnOptions& options,
                                       BatchStats* batch_stats = nullptr) const;
 
-  /// Runs every query through TopKSearcher::Search — the kernel both the
-  /// precompute baseline and the MaxBRSTkNN candidate-scoring pass (per-user
-  /// top-k) batch over. Simulated I/O is aggregated into
-  /// batch_stats->total.io.
-  std::vector<std::vector<TopKResult>> RunTopK(
-      const std::vector<TopKQuery>& queries,
-      BatchStats* batch_stats = nullptr) const;
-
  private:
-  const IurTree* tree_ = nullptr;
-  const frozen::FrozenTree* frozen_ = nullptr;
+  const frozen::FrozenTree* tree_;
   const Dataset* dataset_;
   const StScorer* scorer_;
   ThreadPool* pool_;

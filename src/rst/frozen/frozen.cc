@@ -126,10 +126,9 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
     return ref;
   };
 
-  // Layout walk: the exact stack traversal ExplainIndex uses to number
-  // entries (children pushed in reverse so they pop in entry order; a popped
-  // node's entries get consecutive indices). Entry index i therefore carries
-  // explain id i + 1, and frozen/pointer explain JSON is byte-identical.
+  // Layout walk: a stack preorder (children pushed in reverse so they pop in
+  // entry order; a popped node's entries get consecutive indices). Entry
+  // index i carries explain id i + 1, a function of tree structure alone.
   if (trace != nullptr) trace->Enter(obs::names::kSpanFrozenLayout);
   struct Frame {
     const IurTree::Node* node;
@@ -195,7 +194,7 @@ void FrozenTree::SerializeNodePayloads(uint32_t node) {
     }
   }
   // Byte-for-byte the record IurTree::SerializeNode writes, in the same
-  // post-order, so page handles match the pointer tree exactly.
+  // post-order, so page handles match the source tree exactly.
   std::string record;
   record.push_back(IsLeaf(node) ? 1 : 0);
   PutVarint32(&record, count);
@@ -568,9 +567,9 @@ Status FrozenTree::CheckInvariants() const {
       return Status::Corruption("frozen index: cluster slice out of pool");
     }
   }
-  // Same bracketing contract the pointer tree enforces: slices sorted, weights
-  // non-negative, and the intersection dominated by the union — otherwise the
-  // frozen kernels could compute MinSim > MaxSim.
+  // Same bracketing contract IurTree::CheckInvariants enforces: slices sorted,
+  // weights non-negative, and the intersection dominated by the union —
+  // otherwise the frozen kernels could compute MinSim > MaxSim.
   auto check_summary = [this](const SummaryRef& s) -> Status {
     const TermSlice* slices[] = {&s.uni, &s.intr};
     for (const TermSlice* slice : slices) {

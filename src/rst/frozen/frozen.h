@@ -46,21 +46,20 @@ struct ClusterRef {
   SummaryRef summary;
 };
 
-/// An immutable, pointer-free snapshot of a built IUR-/CIUR-tree: SoA
-/// node/entry arrays indexed by the same deterministic preorder walk that
-/// numbers entries for EXPLAIN (entry index i carries explain id i + 1), with
-/// every term weight — union/intersection summaries, per-cluster summaries,
-/// leaf documents — concatenated into one contiguous TermWeight pool
-/// referenced by (offset, len) slices. The RSTkNN algorithms traverse it
-/// through the same tree-view abstraction as the pointer tree and produce
-/// byte-identical results, stats, and explain output; the flat layout removes
-/// the pointer chasing and scattered term-weight reads of the unique_ptr
-/// tree (DESIGN.md §10).
+/// An immutable, pointer-free snapshot of a built IUR-/CIUR-tree — the index
+/// every RSTkNN search runs on (an IurTree is the builder that is frozen
+/// once). SoA node/entry arrays are laid out in the deterministic preorder
+/// that numbers entries for EXPLAIN (entry index i carries explain id i + 1),
+/// with every term weight — union/intersection summaries, per-cluster
+/// summaries, leaf documents — concatenated into one contiguous TermWeight
+/// pool referenced by (offset, len) slices. The flat layout removes the
+/// pointer chasing and scattered term-weight reads of the builder's
+/// arena-allocated nodes (DESIGN.md §10).
 ///
 /// Storage: the frozen tree owns a PageStore whose node records and inverted
 /// files are re-encoded in the exact post-order of IurTree::FinalizeStorage,
 /// so page handles and byte counts — and therefore simulated and real I/O
-/// accounting — match the pointer tree exactly. The serialized file
+/// accounting — match the source tree exactly. The serialized file
 /// (Save/Load) stores only the arrays and the pool; payloads are rebuilt
 /// deterministically on load.
 class FrozenTree {
@@ -76,8 +75,8 @@ class FrozenTree {
 
   /// Snapshots a built tree. If the tree's storage is finalized the frozen
   /// payload store is rebuilt with identical handles; otherwise the frozen
-  /// tree has no payloads (ChargeAccess then charges node reads only — same
-  /// as the dirty pointer tree). Records `frozen.freeze` spans on `trace`
+  /// tree has no payloads (ChargeAccess then charges node reads only, and
+  /// ReadNodePayload fails with FailedPrecondition). Records `frozen.freeze` spans on `trace`
   /// and publishes frozen.freezes / frozen.freeze.last_ms.
   static FrozenTree Freeze(const IurTree& tree,
                            obs::QueryTrace* trace = nullptr);
@@ -102,8 +101,7 @@ class FrozenTree {
   uint32_t ObjectIdOf(uint32_t e) const { return entry_id_[e]; }
   uint32_t Child(uint32_t e) const { return entry_child_[e]; }
   uint32_t Count(uint32_t e) const { return entry_summary_[e].count; }
-  /// Tree level (0 = root entries), identical to ExplainIndex::Info::level;
-  /// the explain id of entry e is e + 1.
+  /// Tree level (0 = root entries); the explain id of entry e is e + 1.
   uint32_t EntryLevel(uint32_t e) const { return entry_level_[e]; }
 
   SummarySpan Summary(uint32_t e) const { return Span(entry_summary_[e]); }
@@ -128,9 +126,10 @@ class FrozenTree {
   /// blocks of its inverted file when payloads exist.
   void ChargeAccess(uint32_t node, IoStats* stats) const;
 
-  /// Reads `node`'s inverted file through a buffer pool wrapping
-  /// page_store() and decodes it — the same real-I/O path as
-  /// IurTree::ReadNodePayload.
+  /// Reads `node`'s serialized inverted file through a buffer pool wrapping
+  /// page_store() (real bytes; cache hits charge nothing) and decodes it —
+  /// the real-I/O path of RstknnOptions::pool. FailedPrecondition when the
+  /// snapshot has no payloads.
   Status ReadNodePayload(uint32_t node, BufferPool* pool, IoStats* stats,
                          InvertedFile* out) const;
 

@@ -7,7 +7,6 @@
 #include "rst/common/check.h"
 #include "rst/common/stopwatch.h"
 #include "rst/exec/thread_pool.h"
-#include "rst/iurtree/cluster.h"
 #include "rst/iurtree/node_arena.h"
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
@@ -620,19 +619,6 @@ void IurTree::ChargeAccess(const Node* node, IoStats* stats) const {
   }
 }
 
-Status IurTree::ReadNodePayload(const Node* node, BufferPool* pool,
-                                IoStats* stats, InvertedFile* out) const {
-  if (storage_dirty_ || !node->invfile_handle.valid()) {
-    return Status::FailedPrecondition("storage not finalized");
-  }
-  stats->AddNodeRead();
-  auto payload = pool->Fetch(node->invfile_handle, stats);
-  if (!payload.ok()) return payload.status();
-  size_t offset = 0;
-  obs::TraceSpan decode_span(pool->trace(), obs::names::kSpanPayloadDecode);
-  return DecodeInvertedFile(*payload.value(), &offset, out);
-}
-
 namespace {
 
 /// Formats "depth D, entry I" for invariant-violation messages so a failed
@@ -839,80 +825,6 @@ TextBounds EntryTextBounds(const IurTree::Entry& entry,
     bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(summary, other));
   }
   return bounds;
-}
-
-ExplainIndex::ExplainIndex(const IurTree& tree) {
-  // Preorder over entries in node order: parents get smaller ids than their
-  // descendants, siblings number left to right — the same order every build
-  // of the same tree produces.
-  uint64_t next_id = 1;
-  struct Frame {
-    const IurTree::Node* node;
-    uint32_t level;
-  };
-  std::vector<Frame> stack;
-  if (tree.root() != nullptr) stack.push_back({tree.root(), 0});
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    // Children are pushed in reverse so they pop in entry order; preorder ids
-    // still only depend on structure either way.
-    for (size_t i = frame.node->entries.size(); i-- > 0;) {
-      const IurTree::Entry& e = frame.node->entries[i];
-      if (!e.is_object()) stack.push_back({e.child, frame.level + 1});
-    }
-    for (const IurTree::Entry& e : frame.node->entries) {
-      info_.emplace(&e, Info{next_id++, frame.level});
-    }
-  }
-}
-
-TextBounds EntryPairTextBounds(const IurTree::Entry& a, const IurTree::Entry& b,
-                               const TextSimilarity& sim) {
-  if (a.clusters.empty() && b.clusters.empty()) {
-    return {sim.MinSim(a.summary, b.summary), sim.MaxSim(a.summary, b.summary)};
-  }
-  // Treat an unclustered side as one blended cluster.
-  const std::vector<std::pair<uint32_t, TextSummary>> blended_a =
-      a.clusters.empty()
-          ? std::vector<std::pair<uint32_t, TextSummary>>{{0, a.summary}}
-          : a.clusters;
-  const std::vector<std::pair<uint32_t, TextSummary>> blended_b =
-      b.clusters.empty()
-          ? std::vector<std::pair<uint32_t, TextSummary>>{{0, b.summary}}
-          : b.clusters;
-  TextBounds bounds{1.0, 0.0};
-  for (const auto& [ca, sa] : blended_a) {
-    for (const auto& [cb, sb] : blended_b) {
-      bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(sa, sb));
-      bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(sa, sb));
-    }
-  }
-  return bounds;
-}
-
-TextBounds EntryTextBoundsVsClusters(const TextSummary& a,
-                                     const IurTree::Entry& b,
-                                     const TextSimilarity& sim) {
-  if (b.clusters.empty()) {
-    return {sim.MinSim(a, b.summary), sim.MaxSim(a, b.summary)};
-  }
-  TextBounds bounds{1.0, 0.0};
-  for (const auto& [cluster_id, summary] : b.clusters) {
-    bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(a, summary));
-    bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(a, summary));
-  }
-  return bounds;
-}
-
-double EntryClusterEntropy(const IurTree::Entry& entry) {
-  if (entry.clusters.empty()) return 0.0;
-  std::vector<uint32_t> counts;
-  counts.reserve(entry.clusters.size());
-  for (const auto& [cluster_id, summary] : entry.clusters) {
-    counts.push_back(summary.count);
-  }
-  return ClusterEntropy(counts);
 }
 
 }  // namespace rst

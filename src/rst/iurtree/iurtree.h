@@ -3,20 +3,22 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "rst/common/geometry.h"
 #include "rst/common/status.h"
 #include "rst/data/dataset.h"
 #include "rst/iurtree/arena_array.h"
-#include "rst/storage/buffer_pool.h"
 #include "rst/storage/codec.h"
 #include "rst/storage/io_stats.h"
 #include "rst/storage/page_store.h"
 #include "rst/text/similarity.h"
 
 namespace rst {
+
+namespace obs {
+class QueryTrace;
+}  // namespace obs
 
 /// The IUR-tree (Intersection–Union R-tree) of the 2011 RSTkNN paper: an
 /// R-tree whose every entry additionally carries a text summary — the
@@ -157,14 +159,6 @@ class IurTree {
   /// blocks of its inverted file (papers' methodology; DESIGN.md §3.5).
   void ChargeAccess(const Node* node, IoStats* stats) const;
 
-  /// Reads `node`'s serialized inverted file through a buffer pool (real
-  /// bytes from the page store; cache hits charge nothing) and decodes it.
-  /// This is the full disk path — algorithms use the in-memory entries plus
-  /// ChargeAccess for speed, but the storage layer round-trips for real.
-  /// Requires FinalizeStorage() to have run; `pool` must wrap page_store().
-  Status ReadNodePayload(const Node* node, BufferPool* pool, IoStats* stats,
-                         InvertedFile* out) const;
-
   /// Deep structural validation for tests: MBRs tight, summaries exactly the
   /// merge of children, counts consistent, leaves at equal depth, cluster
   /// summaries partition the blended summary. `doc_of` maps an item id to
@@ -196,62 +190,12 @@ class IurTree {
   bool storage_dirty_ = true;
 };
 
-/// Deterministic numbering of a tree's entries for EXPLAIN diagnostics
-/// (rst::obs::ExplainRecorder): a preorder walk assigns every entry a stable
-/// id and its tree level (0 = the root's entries, increasing downward; object
-/// entries carry their object id separately in the tree itself). Ids depend
-/// only on tree structure — never on pointer values — so explain output is
-/// byte-reproducible across runs, thread counts, and ASLR.
-///
-/// The index holds raw Entry pointers: it is invalidated by Insert/Delete on
-/// the tree and must be rebuilt. Read-only sharing across concurrent queries
-/// is safe (each pointer-tree RstknnSearcher builds one and shares it with
-/// every query it runs; its ids also key the probes' pair memo).
-class ExplainIndex {
- public:
-  struct Info {
-    uint64_t id = 0;
-    uint32_t level = 0;
-  };
-
-  explicit ExplainIndex(const IurTree& tree);
-
-  /// Info for an entry of the indexed tree; {0, 0} for unknown pointers
-  /// (id 0 is never assigned — numbering starts at 1).
-  Info Lookup(const IurTree::Entry* entry) const {
-    auto it = info_.find(entry);
-    return it == info_.end() ? Info{} : it->second;
-  }
-
-  size_t size() const { return info_.size(); }
-
- private:
-  std::unordered_map<const IurTree::Entry*, Info> info_;
-};
-
 /// Text bounds of an entry against a plain summary (e.g. a query document or
 /// a super-user). Cluster-aware: with per-cluster summaries the bound is the
 /// min/max over clusters, which is tighter than the blended summary's bound.
 TextBounds EntryTextBounds(const IurTree::Entry& entry,
                            const TextSummary& other,
                            const TextSimilarity& sim);
-
-/// Text bounds between two entries (cluster-aware on both sides).
-TextBounds EntryPairTextBounds(const IurTree::Entry& a,
-                               const IurTree::Entry& b,
-                               const TextSimilarity& sim);
-
-/// One-sided variant: blends `a` but refines over `b`'s clusters — 
-/// O(|b.clusters|) kernel evaluations instead of the full cross product,
-/// still a valid (if slightly looser) bracket. The RSTkNN probes use this in
-/// the straddle region (DESIGN.md §3.3).
-TextBounds EntryTextBoundsVsClusters(const TextSummary& a,
-                                     const IurTree::Entry& b,
-                                     const TextSimilarity& sim);
-
-/// TE expansion priority: entropy of the entry's cluster-count distribution
-/// (0 for unclustered entries).
-double EntryClusterEntropy(const IurTree::Entry& entry);
 
 }  // namespace rst
 

@@ -33,7 +33,8 @@ std::string_view ExplainVerdictName(ExplainVerdict verdict);
 std::string_view ExplainBoundName(ExplainBound bound);
 
 /// One recorded branch-and-bound decision. `node_id` and `level` come from a
-/// deterministic numbering of the tree (rst::ExplainIndex), so the record is
+/// deterministic preorder numbering of the tree (a FrozenTree's entry index
+/// + 1; DESIGN.md §14.2), so the record is
 /// stable across runs and thread counts; the similarity interval
 /// [q_min, q_max] = [MinST(q,E), MaxST(q,E)] is the evidence the verdict was
 /// reached on.
@@ -70,7 +71,7 @@ struct ExplainLevelSummary {
 /// `log_dropped()` — diagnostics stay bounded on adversarial queries.
 ///
 /// Determinism: the recorder stores no clocks and no pointers, only
-/// ExplainIndex ids and similarity bounds, so for a fixed query, dataset,
+/// explain ids and similarity bounds, so for a fixed query, dataset,
 /// and seed the JSON export is byte-identical at any thread count (the
 /// batch engine runs the unmodified single-query algorithm).
 ///

@@ -14,10 +14,9 @@ namespace rst::obs {
 class JsonWriter;
 
 /// Per-node counters accumulated by a HeatmapRecorder. A node is identified
-/// by its stable explain preorder id (ExplainIndex numbering for the pointer
-/// tree; `entry_index + 1` for a FrozenTree — the two agree for trees built
-/// from the same data), so heatmaps from pointer and frozen runs of the same
-/// workload are directly comparable.
+/// by its stable explain preorder id (`entry_index + 1` in a FrozenTree, a
+/// function of tree structure alone), so heatmaps from separate runs of the
+/// same workload over the same index are directly comparable.
 struct HeatmapNodeCounters {
   uint32_t level = 0;             ///< tree level (0 = leaf entries)
   uint64_t visits = 0;            ///< decisions of any kind touching this node

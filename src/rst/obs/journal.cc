@@ -129,8 +129,6 @@ void AppendHeaderJson(JsonWriter* w, const JournalHeader& h) {
   w->String(h.data);
   w->Key("algo");
   w->String(h.algo);
-  w->Key("view");
-  w->String(h.view);
   w->Key("tree");
   w->String(h.tree);
   w->Key("measure");
@@ -225,11 +223,13 @@ Status ReadDouble(const JsonValue& obj, const char* key, double* out) {
   return Status::Ok();
 }
 
+/// Keys not read here are ignored, e.g. the `view` ("pointer" | "frozen")
+/// that older captures carry: every replay searches a frozen tree, and the
+/// answers and stats never depended on the view.
 Status ParseHeader(const JsonValue& obj, JournalHeader* header) {
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "label", &header->label));
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "data", &header->data));
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "algo", &header->algo));
-  JOURNAL_RETURN_IF_ERROR(ReadString(obj, "view", &header->view));
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "tree", &header->tree));
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "measure", &header->measure));
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "weighting", &header->weighting));

@@ -18,7 +18,7 @@ class JsonWriter;
 /// FNV-1a 64-bit digest over the little-endian 4-byte encodings of `ids`,
 /// in the order given. Answer digests are taken over the *sorted* result id
 /// list (RstknnResult::answers is already ascending), so the digest is
-/// independent of algorithm, tree view, and thread count whenever the
+/// independent of algorithm, shard count, and thread count whenever the
 /// answer set is.
 uint64_t AnswerDigest(const std::vector<uint32_t>& ids);
 
@@ -34,7 +34,6 @@ struct JournalHeader {
   std::string label;      ///< "rstknn", "rstknn.batch", "load_driver", ...
   std::string data;       ///< dataset path ("" if not materialized)
   std::string algo;       ///< "probe" | "contribution_list"
-  std::string view;       ///< "pointer" | "frozen"
   std::string tree;       ///< "iur" | "ciur"
   std::string measure;    ///< text similarity measure flag value
   std::string weighting;  ///< term weighting flag value

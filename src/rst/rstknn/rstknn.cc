@@ -17,13 +17,6 @@ namespace rst {
 ProbeScratch::ProbeScratch() : impl_(std::make_unique<Impl>()) {}
 ProbeScratch::~ProbeScratch() = default;
 
-RstknnSearcher::RstknnSearcher(const IurTree* tree, const Dataset* dataset,
-                               const StScorer* scorer)
-    : tree_(tree),
-      explain_index_(std::make_shared<const ExplainIndex>(*tree)),
-      dataset_(dataset),
-      scorer_(scorer) {}
-
 void RstknnStats::Publish(const std::string& prefix) const {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   registry.GetCounter(prefix + obs::names::kSuffixEntriesCreated).Add(entries_created);
@@ -51,7 +44,6 @@ RstknnStats& RstknnStats::Merge(const RstknnStats& other) {
 RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
                                     const RstknnOptions& options) const {
   using rstknn_internal::FrozenTreeView;
-  using rstknn_internal::PointerTreeView;
   using rstknn_internal::SearchContributionList;
   using rstknn_internal::SearchProbe;
 
@@ -81,21 +73,11 @@ RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
                         options.algorithm == RstknnAlgorithm::kContributionList
                             ? obs::names::kSpanRstknnContributionList
                             : obs::names::kSpanRstknnProbe);
-    const bool contribution_list =
-        options.algorithm == RstknnAlgorithm::kContributionList;
-    if (frozen_ != nullptr) {
-      const FrozenTreeView view{frozen_};
-      result = contribution_list
-                   ? SearchContributionList(view, *dataset_, *scorer_, query,
-                                            options)
-                   : SearchProbe(view, *dataset_, *scorer_, query, options);
-    } else {
-      const PointerTreeView view{tree_, explain_index_.get()};
-      result = contribution_list
-                   ? SearchContributionList(view, *dataset_, *scorer_, query,
-                                            options)
-                   : SearchProbe(view, *dataset_, *scorer_, query, options);
-    }
+    const FrozenTreeView view{tree_};
+    result = options.algorithm == RstknnAlgorithm::kContributionList
+                 ? SearchContributionList(view, *dataset_, *scorer_, query,
+                                          options)
+                 : SearchProbe(view, *dataset_, *scorer_, query, options);
   }
   // Phase histograms are per-query by nature, so they publish even when the
   // aggregate-publish path (publish_metrics == false) suppresses the per-

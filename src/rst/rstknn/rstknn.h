@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "rst/data/dataset.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/iurtree.h"
 #include "rst/storage/io_stats.h"
 #include "rst/text/similarity.h"
@@ -17,10 +18,6 @@ class ExplainRecorder;
 class HeatmapRecorder;
 class PhaseProfiler;
 }  // namespace obs
-
-namespace frozen {
-class FrozenTree;
-}  // namespace frozen
 
 /// The Reverse Spatial-Textual k Nearest Neighbor query (SIGMOD 2011):
 /// given a query object q = (loc, doc), return every object o whose top-k
@@ -63,11 +60,12 @@ enum class ExpandPolicy {
 
 /// Reusable per-thread working memory for RstknnSearcher: the query-path /
 /// charged-node sets, the competitor probes' heap, and the per-candidate pair
-/// memo (a sparse set over dense entry keys: 4 B per index entry, plus one
-/// slot per pair a candidate's probes touch). A searcher given a scratch
-/// clears it instead of reallocating, so every container keeps its capacity
-/// across the queries of a batch. One scratch may serve trees and views of
-/// any size, one query at a time; it must never be shared by two concurrent
+/// memo (a sparse set over the dense entry keys — the explain ids — of the
+/// searched tree: 4 B per index entry, plus one slot per pair a candidate's
+/// probes touch). A searcher given a scratch clears it instead of
+/// reallocating, so every container keeps its capacity across the queries of
+/// a batch. One scratch may serve frozen trees and sharded forests of any
+/// size, one query at a time; it must never be shared by two concurrent
 /// queries — rst::exec::BatchRunner keeps one per worker.
 class ProbeScratch {
  public:
@@ -104,9 +102,8 @@ struct RstknnOptions {
   /// Optional real-I/O mode: node accesses read the serialized inverted
   /// files through this pool (hits/misses land in the buffer-pool metrics)
   /// instead of the simulated ChargeAccess. The pool must wrap the searched
-  /// tree's page store (IurTree::page_store(), or FrozenTree::page_store()
-  /// when searching a frozen snapshot) and that tree must carry finalized
-  /// payloads.
+  /// tree's FrozenTree::page_store(), and the snapshot must carry payloads
+  /// (it was frozen from a tree with finalized storage).
   BufferPool* pool = nullptr;
   /// Optional reusable working memory (see ProbeScratch). Null allocates
   /// fresh scratch per query — correct, just slower for batches.
@@ -167,33 +164,24 @@ struct RstknnResult {
 /// pruned when MaxST(q,E) < kNNL(E), reported when MinST(q,E) >= kNNU(E),
 /// and expanded otherwise. kNNL/kNNU come from contribution lists over the
 /// live entry set.
+///
+/// The searched index is a frozen flat-layout snapshot (rst::frozen): build
+/// an IurTree, freeze it once with FrozenTree::Freeze (or load a saved
+/// snapshot), then search. The snapshot stores entries in explain preorder,
+/// so entry index + 1 keys the probes' pair memo and labels EXPLAIN and
+/// heatmap records.
 class RstknnSearcher {
  public:
-  /// All referents must outlive the searcher. Numbers the tree's entries
-  /// once (an ExplainIndex, O(tree)): the ids key the probes' pair memo and
-  /// label EXPLAIN and heatmap records. Mutating the tree afterwards
-  /// invalidates the searcher; build a new one.
-  RstknnSearcher(const IurTree* tree, const Dataset* dataset,
-                 const StScorer* scorer);
-
-  /// Searches a frozen flat-layout snapshot (rst::frozen) instead of the
-  /// pointer tree. Both algorithms run the exact same templated code over a
-  /// thin tree view, so answers, RstknnStats, and EXPLAIN output are
-  /// byte-identical to a pointer-tree search over the tree the snapshot was
-  /// frozen from. No ExplainIndex is built: the frozen layout stores entries
-  /// in explain preorder, so ids are read straight off entry indices.
-  RstknnSearcher(const frozen::FrozenTree* frozen, const Dataset* dataset,
+  /// All referents must outlive the searcher.
+  RstknnSearcher(const frozen::FrozenTree* tree, const Dataset* dataset,
                  const StScorer* scorer)
-      : frozen_(frozen), dataset_(dataset), scorer_(scorer) {}
+      : tree_(tree), dataset_(dataset), scorer_(scorer) {}
 
   RstknnResult Search(const RstknnQuery& query,
                       const RstknnOptions& options = RstknnOptions()) const;
 
  private:
-  const IurTree* tree_ = nullptr;
-  /// The pointer tree's entry numbering (shared by copies of the searcher).
-  std::shared_ptr<const ExplainIndex> explain_index_;
-  const frozen::FrozenTree* frozen_ = nullptr;
+  const frozen::FrozenTree* tree_;
   const Dataset* dataset_;
   const StScorer* scorer_;
 };

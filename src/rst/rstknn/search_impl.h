@@ -2,43 +2,43 @@
 #define RST_RSTKNN_SEARCH_IMPL_H_
 
 /// The templated branch-and-bound engine behind RstknnSearcher, shared by
-/// rstknn.cc (single-tree views) and rst::shard (forest views). Everything
-/// here is an implementation detail: include it only from .cc files that
-/// instantiate a search over a concrete tree view.
+/// rstknn.cc (the frozen single-tree view) and rst::shard (forest views).
+/// Everything here is an implementation detail: include it only from .cc
+/// files that instantiate a search over a concrete tree view.
 ///
 /// The tree-view abstraction: both RSTkNN algorithms are templates over a
-/// read-only view so the pointer IUR-/CIUR-tree, the frozen flat-layout
-/// snapshot (rst::frozen), and the sharded forest (rst::shard) run the exact
-/// same code. A view names nodes and entries by a NodeRef/EntryRef (pointers
-/// for the pointer tree, dense indices for the frozen one, packed
-/// (shard, index) words for the forest) and exposes:
+/// read-only view, so the frozen flat-layout snapshot (rst::frozen) and the
+/// sharded forest of frozen trees (rst::shard) run the exact same code. A
+/// view names nodes and entries by integer NodeRef/EntryRef values (dense
+/// indices for the frozen tree, packed (shard, index) words for the forest)
+/// and exposes:
 ///   * topology    — Root, NumEntries, EntryAt, Child, IsObject, Id, Count;
 ///   * geometry    — RectOf;
 ///   * text        — Summary / ClusterSummary as SummarySpan, which feed the
 ///                   single span-kernel implementation of every similarity
-///                   bound, so all floats are bit-identical across views;
-///   * keys        — NodeKey / NodeFromKey round-trip a node ref through a
-///                   uintptr_t (the self-path and charged-node sets, the
-///                   probe heap); EntryKey gives every entry a dense key in
+///                   bound;
+///   * keys        — NodeRefs widen losslessly to uint64_t, which keys the
+///                   self-path and charged-node sets and the probe heap;
+///                   EntryKey gives every entry a dense key in
 ///                   [1, EntryKeySpace()) — its explain id — which indexes
-///                   the pair memo's sparse array;
+///                   the pair memo's sparse array and labels EXPLAIN and
+///                   heatmap records, and EntryLevel gives its tree level;
 ///   * I/O         — Charge (simulated or real through a buffer pool);
-///   * explain     — ExplainInfo yielding the deterministic preorder ids;
 ///   * scope hooks — ProbeRoot / CollectSelfPath / ForEachContextEntry,
 ///                   which default to the single-tree behaviour and let a
 ///                   shard-scoped view search one tree of a forest while
 ///                   counting competitors forest-wide (DESIGN.md §15):
 ///       - ProbeRoot() is where CountCompetitors starts its best-first
 ///         descent (default: Root());
-///       - CollectSelfPath() collects the node-key set on the query object's
+///       - CollectSelfPath() collects the node set on the query object's
 ///         root path (default: a descent from Root());
 ///       - ForEachContextEntry() yields extra contributor-only entries that
 ///         the contribution-list algorithm must account for but never report
 ///         (default: none; the forest view yields one virtual entry per
 ///         foreign shard).
-/// Entry iteration order is identical in all views, every queue receives the
-/// same insertion sequence, and the memo containers are never iterated — so
-/// results, RstknnStats, and EXPLAIN output are byte-identical.
+/// Every queue receives a deterministic insertion sequence and the memo
+/// containers are never iterated, so results, RstknnStats, and EXPLAIN
+/// output are byte-identical across runs, thread counts, and scratch reuse.
 
 #include <algorithm>
 #include <cstdint>
@@ -124,11 +124,11 @@ class PairMemo {
   std::vector<Slot> packed_;
 };
 
-/// One queued node of a competitor probe: its pair MaxST and the node, as
-/// the view's NodeKey (so one heap serves every view).
+/// One queued node of a competitor probe: its pair MaxST and the node, its
+/// NodeRef widened to 64 bits (so one heap serves every view).
 struct ProbeItem {
   double max_st;
-  uintptr_t node;
+  uint64_t node;
   bool operator<(const ProbeItem& other) const { return max_st < other.max_st; }
 };
 
@@ -146,12 +146,12 @@ struct PairBoundsValue {
 /// candidate's two probes, pair_bounds spans one whole contribution-list
 /// query. The vectors only ever grow, so once a reused scratch has seen its
 /// largest query the probes allocate only when they first open a node (the
-/// node-keyed `charged` set). Nodes are keyed by the view's NodeKey and
-/// entries by its dense EntryKey, so the same scratch serves every tree view
-/// — never mix views within one query, which no searcher does.
+/// node-keyed `charged` set). Nodes are keyed by their widened NodeRef and
+/// entries by the view's dense EntryKey, so the same scratch serves every
+/// tree view — never mix views within one query, which no searcher does.
 struct ProbeScratch::Impl {
-  std::unordered_set<uintptr_t> self_path;
-  std::unordered_set<uintptr_t> charged;
+  std::unordered_set<uint64_t> self_path;
+  std::unordered_set<uint64_t> charged;
   rstknn_internal::PairMemo cand_bounds;
   std::vector<rstknn_internal::ProbeItem> probe_heap;
   bool self_tb_valid = false;
@@ -175,94 +175,27 @@ struct ProbeScratch::Impl {
 
 namespace rstknn_internal {
 
-/// Collects the node-key set on the root-to-leaf path of object `id`.
+/// Collects the node set on the root-to-leaf path of object `id`.
 template <typename View>
 bool CollectPath(const View& view, typename View::NodeRef node, ObjectId id,
-                 std::unordered_set<uintptr_t>* path) {
+                 std::unordered_set<uint64_t>* path) {
   for (size_t i = 0, n = view.NumEntries(node); i < n; ++i) {
     const auto e = view.EntryAt(node, i);
     if (view.IsObject(e)) {
       if (view.Id(e) == id) {
-        path->insert(View::NodeKey(node));
+        path->insert(node);
         return true;
       }
     } else if (CollectPath(view, view.Child(e), id, path)) {
-      path->insert(View::NodeKey(node));
+      path->insert(node);
       return true;
     }
   }
   return false;
 }
 
-/// The pointer tree, numbered by the searcher's ExplainIndex: its preorder
-/// ids are both the explain ids and the dense pair-memo keys.
-struct PointerTreeView {
-  using NodeRef = const IurTree::Node*;
-  using EntryRef = const IurTree::Entry*;
-
-  const IurTree* tree = nullptr;
-  const ExplainIndex* index = nullptr;
-
-  size_t TreeSize() const { return tree->size(); }
-  NodeRef Root() const { return tree->root(); }
-  size_t NumEntries(NodeRef n) const { return n->entries.size(); }
-  EntryRef EntryAt(NodeRef n, size_t i) const { return &n->entries[i]; }
-  bool IsObject(EntryRef e) const { return e->is_object(); }
-  ObjectId Id(EntryRef e) const { return e->id; }
-  NodeRef Child(EntryRef e) const { return e->child; }
-  uint32_t Count(EntryRef e) const { return e->count(); }
-  const Rect& RectOf(EntryRef e) const { return e->rect; }
-  SummarySpan Summary(EntryRef e) const { return AsSpan(e->summary); }
-  size_t NumClusters(EntryRef e) const { return e->clusters.size(); }
-  SummarySpan ClusterSummary(EntryRef e, size_t i) const {
-    return AsSpan(e->clusters[i].second);
-  }
-  uint32_t ClusterCount(EntryRef e, size_t i) const {
-    return e->clusters[i].second.count;
-  }
-
-  static uintptr_t NodeKey(NodeRef n) { return reinterpret_cast<uintptr_t>(n); }
-  static NodeRef NodeFromKey(uintptr_t key) {
-    return reinterpret_cast<NodeRef>(key);
-  }
-  uint32_t EntryKey(EntryRef e) const {
-    const uint64_t id = index->Lookup(e).id;
-    // Id 0 means the entry postdates the index: the tree was mutated after
-    // the searcher was built.
-    RST_DCHECK_NE(id, 0u);
-    return static_cast<uint32_t>(id);
-  }
-  size_t EntryKeySpace() const { return index->size() + 1; }
-
-  /// Scope hooks (single-tree defaults; see the header comment).
-  NodeRef ProbeRoot() const { return Root(); }
-  void CollectSelfPath(ObjectId id, std::unordered_set<uintptr_t>* path) const {
-    CollectPath(*this, Root(), id, path);
-  }
-  template <typename Fn>
-  void ForEachContextEntry(Fn&&) const {}
-
-  /// Charges one node access. In real-I/O mode (options.pool set) the node's
-  /// serialized inverted file is read through the buffer pool — hits charge
-  /// nothing and the pool's hit/miss/fill metrics reflect genuine traffic;
-  /// otherwise the papers' simulated accounting applies.
-  void Charge(NodeRef n, const RstknnOptions& options,
-              RstknnStats* stats) const {
-    if (options.pool != nullptr) {
-      obs::TraceSpan span(options.trace, obs::names::kSpanStorageReadNode);
-      obs::PhaseTimer io_phase(options.profiler, obs::Phase::kIo);
-      InvertedFile invfile;
-      if (tree->ReadNodePayload(n, options.pool, &stats->io, &invfile).ok()) {
-        return;
-      }
-      // Payloads not finalized: fall back below (nothing was charged).
-    }
-    tree->ChargeAccess(n, &stats->io);
-  }
-
-  ExplainIndex::Info ExplainInfo(EntryRef e) const { return index->Lookup(e); }
-};
-
+/// The frozen flat-layout snapshot: entries are stored in explain preorder,
+/// so entry index + 1 is both the explain id and the dense pair-memo key.
 struct FrozenTreeView {
   using NodeRef = uint32_t;
   using EntryRef = uint32_t;
@@ -289,22 +222,23 @@ struct FrozenTreeView {
     return tree->ClusterCount(e, static_cast<uint32_t>(i));
   }
 
-  static uintptr_t NodeKey(NodeRef n) { return n; }
-  static NodeRef NodeFromKey(uintptr_t key) {
-    return static_cast<NodeRef>(key);
-  }
   /// The explain id: entries are stored in explain preorder.
   uint32_t EntryKey(EntryRef e) const { return e + 1; }
+  uint32_t EntryLevel(EntryRef e) const { return tree->EntryLevel(e); }
   size_t EntryKeySpace() const { return size_t{tree->num_entries()} + 1; }
 
   /// Scope hooks (single-tree defaults; see the header comment).
   NodeRef ProbeRoot() const { return Root(); }
-  void CollectSelfPath(ObjectId id, std::unordered_set<uintptr_t>* path) const {
+  void CollectSelfPath(ObjectId id, std::unordered_set<uint64_t>* path) const {
     CollectPath(*this, Root(), id, path);
   }
   template <typename Fn>
   void ForEachContextEntry(Fn&&) const {}
 
+  /// Charges one node access. In real-I/O mode (options.pool set) the node's
+  /// serialized inverted file is read through the buffer pool — hits charge
+  /// nothing and the pool's hit/miss/fill metrics reflect genuine traffic;
+  /// otherwise the papers' simulated accounting applies.
   void Charge(NodeRef n, const RstknnOptions& options,
               RstknnStats* stats) const {
     if (options.pool != nullptr) {
@@ -314,22 +248,16 @@ struct FrozenTreeView {
       if (tree->ReadNodePayload(n, options.pool, &stats->io, &invfile).ok()) {
         return;
       }
+      // No payloads (a dirty source tree): fall back below (nothing was
+      // charged).
     }
     tree->ChargeAccess(n, &stats->io);
   }
-
-  /// Frozen entry indices ARE the explain numbering (index + 1); no
-  /// ExplainIndex is built or consulted.
-  ExplainIndex::Info ExplainInfo(EntryRef e) const {
-    return ExplainIndex::Info{EntryKey(e), tree->EntryLevel(e)};
-  }
 };
 
-/// Generic counterparts of EntryTextBounds / EntryPairTextBounds /
-/// EntryTextBoundsVsClusters / EntryClusterEntropy (iurtree.h). Cluster
-/// iteration order and kernel call sequence match the pointer-tree free
-/// functions exactly — those now share the same span kernels underneath, so
-/// the computed doubles are bit-identical.
+/// Cluster-aware text bounds over a view's entries. An entry with per-cluster
+/// summaries (CIUR-tree) is bounded by the min/max over its clusters, which
+/// is tighter than its blended summary's bound.
 template <typename View>
 TextBounds ViewEntryTextBounds(const View& view, typename View::EntryRef e,
                                const SummarySpan& other,
@@ -468,13 +396,14 @@ struct ExplainSink {
               double q_max, obs::ExplainVerdict verdict,
               obs::ExplainBound bound, uint64_t decided_objects) const {
     if (recorder == nullptr && heatmap == nullptr) return;
-    const ExplainIndex::Info info = view.ExplainInfo(entry);
+    const uint64_t id = view.EntryKey(entry);
+    const uint32_t level = view.EntryLevel(entry);
     if (recorder != nullptr) {
-      recorder->Record({info.id, info.level, verdict, bound, q_min, q_max,
-                        decided_objects});
+      recorder->Record(
+          {id, level, verdict, bound, q_min, q_max, decided_objects});
     }
     if (heatmap != nullptr) {
-      heatmap->Record(info.id, info.level, verdict, bound, decided_objects);
+      heatmap->Record(id, level, verdict, bound, decided_objects);
     }
   }
 };
@@ -631,7 +560,7 @@ size_t CountCompetitors(const View& view, const StScorer& scorer,
     // The branch-and-bound keeps every opened node resident for the whole
     // query (the contribution lists reference them), so each node costs its
     // I/O once per query regardless of how many probes revisit it.
-    if (mem->charged.insert(View::NodeKey(node)).second) {
+    if (mem->charged.insert(node).second) {
       view.Charge(node, options, stats);
     }
   };
@@ -673,14 +602,14 @@ size_t CountCompetitors(const View& view, const StScorer& scorer,
 
   std::vector<ProbeItem>& heap = mem->probe_heap;
   heap.clear();
-  heap.push_back({1.0, View::NodeKey(view.ProbeRoot())});
+  heap.push_back({1.0, view.ProbeRoot()});
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end());
     const ProbeItem item = heap.back();
     heap.pop_back();
     ++stats->pq_pops;
     if (item.max_st <= threshold) break;  // nothing left can matter
-    const NodeRef node = View::NodeFromKey(item.node);
+    const NodeRef node = static_cast<NodeRef>(item.node);
     charge_once(node);
     for (size_t i = 0, n = view.NumEntries(node); i < n; ++i) {
       const auto child = view.EntryAt(node, i);
@@ -700,13 +629,12 @@ size_t CountCompetitors(const View& view, const StScorer& scorer,
       if (verdict == PairVerdict::kDrop) continue;  // nothing inside matters
       if (verdict == PairVerdict::kCount) {
         // Every object in this disjoint subtree clears the threshold.
-        const bool overlaps_excl =
-            exclude_path.count(View::NodeKey(child_node)) > 0;
+        const bool overlaps_excl = exclude_path.count(child_node) > 0;
         count += view.Count(child) - (overlaps_excl ? 1 : 0);
         if (count >= k) return k;
         continue;
       }
-      heap.push_back({bounds->mx, View::NodeKey(child_node)});
+      heap.push_back({bounds->mx, child_node});
       std::push_heap(heap.begin(), heap.end());
     }
   }
@@ -740,11 +668,11 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
       (options.scratch != nullptr ? options.scratch : local_scratch.get())
           ->impl();
   mem->ResetForQuery(view.EntryKeySpace());
-  std::unordered_set<uintptr_t>& self_path = mem->self_path;
+  std::unordered_set<uint64_t>& self_path = mem->self_path;
   if (query.self != IurTree::kNoObject) {
     view.CollectSelfPath(query.self, &self_path);
   }
-  std::unordered_set<uintptr_t>& charged = mem->charged;  // nodes paid for
+  std::unordered_set<uint64_t>& charged = mem->charged;  // nodes paid for
 
   // Candidates live in an index arena; the work queue orders them by a
   // static priority (upper-bound similarity to q, optionally biased by
@@ -771,7 +699,7 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
       cand.q_min = cand.q_max =
           scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
     } else {
-      cand.contains_self = self_path.count(View::NodeKey(view.Child(e))) > 0;
+      cand.contains_self = self_path.count(view.Child(e)) > 0;
       const TextBounds tb = ViewEntryTextBounds(view, e, qspan, scorer.text());
       const Rect& rect = view.RectOf(e);
       cand.q_min = alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
@@ -789,7 +717,7 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
   };
 
   const NodeRef root = view.Root();
-  charged.insert(View::NodeKey(root));
+  charged.insert(root);
   view.Charge(root, options, &result.stats);
   for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
     add_candidate(view.EntryAt(root, i), root, Candidate<View>::kNoParent);
@@ -873,7 +801,7 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
     obs::TraceSpan expand_span(trace, obs::names::kSpanExpand);
     obs::PhaseTimer descent_phase(profiler, obs::Phase::kDescent);
     const NodeRef child_node = view.Child(cand.entry);
-    if (charged.insert(View::NodeKey(child_node)).second) {
+    if (charged.insert(child_node).second) {
       view.Charge(child_node, options, &result.stats);
     }
     ++result.stats.expansions;
@@ -937,11 +865,11 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
       (options.scratch != nullptr ? options.scratch : local_scratch.get())
           ->impl();
   mem->ResetForQuery(view.EntryKeySpace());
-  std::unordered_set<uintptr_t>& self_path = mem->self_path;
+  std::unordered_set<uint64_t>& self_path = mem->self_path;
   if (query.self != IurTree::kNoObject) {
     view.CollectSelfPath(query.self, &self_path);
   }
-  std::unordered_set<uintptr_t>& charged = mem->charged;
+  std::unordered_set<uint64_t>& charged = mem->charged;
 
   enum class State { kUndecided, kPruned, kReported };
   struct FlatEntry {
@@ -968,7 +896,7 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
             scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
       }
     } else {
-      fe.contains_self = self_path.count(View::NodeKey(view.Child(e))) > 0;
+      fe.contains_self = self_path.count(view.Child(e)) > 0;
       const TextBounds tb = ViewEntryTextBounds(view, e, qspan, scorer.text());
       const Rect& rect = view.RectOf(e);
       fe.q_min = alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
@@ -986,7 +914,7 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
     FlatEntry& fe = entries[idx];
     const State inherited = fe.state;
     const NodeRef child_node = view.Child(fe.entry);
-    if (charged.insert(View::NodeKey(child_node)).second) {
+    if (charged.insert(child_node).second) {
       view.Charge(child_node, options, &result.stats);
     }
     fe.alive = false;
@@ -1022,7 +950,7 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   };
 
   const NodeRef root = view.Root();
-  charged.insert(View::NodeKey(root));
+  charged.insert(root);
   view.Charge(root, options, &result.stats);
   for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
     add_entry(view.EntryAt(root, i), State::kUndecided);

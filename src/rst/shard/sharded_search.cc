@@ -21,7 +21,7 @@ namespace {
 /// is (s << 32) | index; the virtual root node (whose "entries" are the K
 /// shards) is ~0; the virtual entry standing for the whole of shard s is
 /// (1 << 63) | s. Real refs never set bit 63 (shard counts are far below
-/// 2^31), so the encodings are disjoint and NodeKey stays unique; EntryKey is
+/// 2^31), so the encodings are disjoint and node refs stay unique; EntryKey is
 /// the entry's explain id, dense over the forest — one ProbeScratch serves
 /// the forest exactly as it serves a single tree.
 constexpr uint64_t kVirtualRoot = ~0ull;
@@ -113,10 +113,6 @@ struct ForestView {
                                                static_cast<uint32_t>(i));
   }
 
-  static uintptr_t NodeKey(NodeRef n) { return static_cast<uintptr_t>(n); }
-  static NodeRef NodeFromKey(uintptr_t key) {
-    return static_cast<NodeRef>(key);
-  }
   /// Globally unique, deterministic explain ids, dense in
   /// [1, entry_key_space): 1..K are the virtual shard entries; shard s's
   /// entry e maps to K + offset[s] + e + 1.
@@ -125,13 +121,19 @@ struct ForestView {
     return static_cast<uint32_t>(index->num_shards() +
                                  (*entry_offsets)[Shard(e)] + Idx(e) + 1);
   }
+  /// The virtual shard entries sit at level 0 and every real entry one level
+  /// below its in-shard level.
+  uint32_t EntryLevel(EntryRef e) const {
+    if (IsVirtual(e)) return 0;
+    return index->shard(Shard(e)).EntryLevel(Idx(e)) + 1;
+  }
   size_t EntryKeySpace() const { return entry_key_space; }
 
   /// Scope hooks: probes span the whole forest.
   NodeRef ProbeRoot() const { return kVirtualRoot; }
-  void CollectSelfPath(ObjectId id, std::unordered_set<uintptr_t>* path) const {
+  void CollectSelfPath(ObjectId id, std::unordered_set<uint64_t>* path) const {
     // O(shard) instead of O(forest): descend only the owning shard's tree.
-    path->insert(NodeKey(kVirtualRoot));
+    path->insert(kVirtualRoot);
     const uint32_t s = index->shard_of(id);
     rstknn_internal::CollectPath(*this, Pack(s, index->shard(s).root()), id,
                                  path);
@@ -147,14 +149,6 @@ struct ForestView {
   void Charge(NodeRef n, const RstknnOptions&, RstknnStats* stats) const {
     if (n == kVirtualRoot) return;  // resident shard directory, no I/O
     index->shard(Shard(n)).ChargeAccess(Idx(n), &stats->io);
-  }
-
-  /// Heatmap ids are the entry keys; the virtual shard entries sit at level
-  /// 0 and every real entry one level below its in-shard level.
-  ExplainIndex::Info ExplainInfo(EntryRef e) const {
-    if (IsVirtual(e)) return ExplainIndex::Info{EntryKey(e), 0};
-    return ExplainIndex::Info{EntryKey(e),
-                              index->shard(Shard(e)).EntryLevel(Idx(e)) + 1};
   }
 };
 

@@ -36,7 +36,7 @@ struct TextSummary {
 /// squared norm — the summary currency of the frozen flat-layout index
 /// (rst::frozen), whose term weights live in shared contiguous pools instead
 /// of per-node TermVector allocations. AsSpan() adapts a TermVector in O(1),
-/// so pointer-tree and frozen-view code feed the exact same span kernels.
+/// so IurTree and frozen-snapshot code feed the exact same span kernels.
 struct TermSpan {
   const TermWeight* data = nullptr;
   uint32_t len = 0;
@@ -120,7 +120,7 @@ class TextSimilarity {
 
   /// Upper bound over all (object doc, user doc) pairs drawn from A and B.
   /// The span overload is the single implementation; the TextSummary form
-  /// adapts and forwards, so pointer-tree and frozen-view bounds are
+  /// adapts and forwards, so IurTree and frozen-snapshot bounds are
   /// bit-identical.
   double MaxSim(const SummarySpan& object, const SummarySpan& user) const;
   double MaxSim(const TextSummary& object, const TextSummary& user) const {

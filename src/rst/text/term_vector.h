@@ -96,7 +96,7 @@ class TermVector {
 /// delegates to these, and the frozen flat-layout index (rst::frozen) calls
 /// them directly on its shared term-weight pools — both paths execute the
 /// exact same adaptive galloping code, so every similarity/bound double is
-/// bit-identical between the pointer tree and the frozen view.
+/// bit-identical between an IurTree's summaries and its frozen snapshot.
 double DotSpan(const TermWeight* a, size_t a_len, const TermWeight* b,
                size_t b_len);
 size_t OverlapCountSpan(const TermWeight* a, size_t a_len, const TermWeight* b,

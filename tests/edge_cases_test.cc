@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "rst/data/generators.h"
+#include "rst/frozen/frozen.h"
 #include "rst/maxbrst/miur.h"
 #include "rst/rstknn/rstknn.h"
 
@@ -29,14 +30,16 @@ TEST(EdgeCaseTest, EmptyDataset) {
   const TermVector qdoc = TermVector::FromTerms({1});
   TopKSearcher topk(&tree, &d, &scorer);
   EXPECT_TRUE(topk.Search({Point{0, 0}, &qdoc, 5, IurTree::kNoObject}).empty());
-  RstknnSearcher rst(&tree, &d, &scorer);
+  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(tree);
+  RstknnSearcher rst(&frozen, &d, &scorer);
   EXPECT_TRUE(
       rst.Search({Point{0, 0}, &qdoc, 5, IurTree::kNoObject}).answers.empty());
 }
 
 TEST(EdgeCaseTest, SingleObject) {
   Dataset d = TinyDataset({{Point{1, 1}, {0, 1}}});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
   RstknnSearcher rst(&tree, &d, &scorer);
@@ -51,7 +54,8 @@ TEST(EdgeCaseTest, SingleObject) {
 
 TEST(EdgeCaseTest, KZeroReturnsNothing) {
   Dataset d = TinyDataset({{Point{0, 0}, {0}}, {Point{1, 1}, {1}}});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
   RstknnSearcher rst(&tree, &d, &scorer);
@@ -68,7 +72,8 @@ TEST(EdgeCaseTest, CoincidentLocations) {
                            {Point{2, 2}, {2, 3}},
                            {Point{2, 2}, {0, 3}}});
   EXPECT_GT(d.max_dist(), 0.0);  // guarded fallback
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
   RstknnSearcher rst(&tree, &d, &scorer);
@@ -91,7 +96,8 @@ TEST(EdgeCaseTest, IdenticalDocuments) {
                     {0, 1, 2}});
   }
   Dataset d = TinyDataset(std::move(rows));
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
   RstknnSearcher rst(&tree, &d, &scorer);
@@ -107,7 +113,8 @@ TEST(EdgeCaseTest, ObjectWithEmptyDocument) {
   Dataset d = TinyDataset({{Point{0, 0}, {}},      // no terms at all
                            {Point{1, 0}, {0, 1}},
                            {Point{0, 1}, {1}}});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
   RstknnSearcher rst(&tree, &d, &scorer);

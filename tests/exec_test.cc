@@ -8,6 +8,7 @@
 
 #include "rst/data/generators.h"
 #include "rst/exec/thread_pool.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/obs/metrics.h"
 
@@ -97,16 +98,13 @@ TEST(ThreadPoolTest, StressManySmallLoops) {
 struct BatchFixture {
   Dataset dataset;
   std::vector<uint32_t> clusters;
-  IurTree tree;   // plain IUR-tree
-  IurTree ciur;   // clustered (exercises lazy cluster refinement paths)
+  frozen::FrozenTree tree;  // plain IUR-tree, frozen
+  frozen::FrozenTree ciur;  // clustered (exercises lazy cluster refinement)
   TextSimilarity sim;
   StScorer scorer;
 
   BatchFixture()
-      : tree(IurTree::Build({}, {})),
-        ciur(IurTree::Build({}, {})),
-        sim(TextMeasure::kExtendedJaccard),
-        scorer(&sim, {0.5, 1.0}) {
+      : sim(TextMeasure::kExtendedJaccard), scorer(&sim, {0.5, 1.0}) {
     FlickrLikeConfig config;
     config.num_objects = 400;
     config.vocab_size = 200;
@@ -117,8 +115,9 @@ struct BatchFixture {
     ClusteringOptions copts;
     copts.num_clusters = 6;
     clusters = ClusterDocuments(docs, copts).assignment;
-    tree = IurTree::BuildFromDataset(dataset, {});
-    ciur = IurTree::BuildFromDataset(dataset, {}, &clusters);
+    tree = frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
+    ciur = frozen::FrozenTree::Freeze(
+        IurTree::BuildFromDataset(dataset, {}, &clusters));
     scorer = StScorer(&sim, {0.5, dataset.max_dist()});
   }
 
@@ -141,7 +140,7 @@ TEST(BatchRunnerTest, DeterministicAcrossThreadCounts) {
   const BatchFixture f;
   const std::vector<RstknnQuery> queries = f.Queries(24, 7);
 
-  for (const IurTree* tree : {&f.tree, &f.ciur}) {
+  for (const frozen::FrozenTree* tree : {&f.tree, &f.ciur}) {
     for (RstknnAlgorithm algorithm :
          {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
       RstknnOptions options;
@@ -206,35 +205,6 @@ TEST(BatchRunnerTest, PublishesOneAggregateIntoRegistry) {
   EXPECT_EQ(delta.counters.at("rstknn.expansions"), stats.total.expansions);
   EXPECT_EQ(delta.counters.at("rstknn.io.node_reads"),
             stats.total.io.node_reads);
-}
-
-TEST(BatchRunnerTest, RunTopKMatchesSerialSearcher) {
-  const BatchFixture f;
-  std::vector<TopKQuery> queries;
-  for (size_t i = 0; i < 16; ++i) {
-    const ObjectId qid = static_cast<ObjectId>((i * 53) % f.dataset.size());
-    const StObject& q = f.dataset.object(qid);
-    queries.push_back({q.loc, &q.doc, 8, qid});
-  }
-
-  const TopKSearcher searcher(&f.tree, &f.dataset, &f.scorer);
-  std::vector<std::vector<TopKResult>> serial;
-  IoStats serial_io;
-  for (const TopKQuery& q : queries) {
-    serial.push_back(searcher.Search(q, &serial_io));
-  }
-
-  for (size_t threads : {1u, 2u, 8u}) {
-    exec::ThreadPool pool(threads);
-    const exec::BatchRunner runner(&f.tree, &f.dataset, &f.scorer, &pool);
-    exec::BatchStats stats;
-    const auto batched = runner.RunTopK(queries, &stats);
-    ASSERT_EQ(batched.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(batched[i], serial[i]) << "threads=" << threads;
-    }
-    EXPECT_EQ(stats.total.io.TotalIos(), serial_io.TotalIos());
-  }
 }
 
 TEST(BatchRunnerTest, StressSharedTreeUnderManyThreads) {

@@ -8,6 +8,7 @@
 #include "rst/data/generators.h"
 #include "rst/exec/batch_runner.h"
 #include "rst/exec/thread_pool.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/obs/metrics.h"
 #include "rst/obs/slow_log.h"
@@ -97,6 +98,8 @@ struct ExplainFixture {
   std::vector<uint32_t> clusters;
   IurTree tree;  // plain IUR-tree
   IurTree ciur;  // clustered variant
+  frozen::FrozenTree frozen_tree;  // the snapshots RSTkNN searches
+  frozen::FrozenTree frozen_ciur;
   TextSimilarity sim;
   StScorer scorer;
 
@@ -117,6 +120,8 @@ struct ExplainFixture {
     clusters = ClusterDocuments(docs, copts).assignment;
     tree = IurTree::BuildFromDataset(dataset, {});
     ciur = IurTree::BuildFromDataset(dataset, {}, &clusters);
+    frozen_tree = frozen::FrozenTree::Freeze(tree);
+    frozen_ciur = frozen::FrozenTree::Freeze(ciur);
     scorer = StScorer(&sim, {0.5, dataset.max_dist()});
   }
 
@@ -139,7 +144,7 @@ TEST(ExplainSearchTest, TotalsReconcileWithRstknnStats) {
   const ExplainFixture f;
   const std::vector<RstknnQuery> queries = f.Queries(16, 6);
 
-  for (const IurTree* tree : {&f.tree, &f.ciur}) {
+  for (const frozen::FrozenTree* tree : {&f.frozen_tree, &f.frozen_ciur}) {
     for (RstknnAlgorithm algorithm :
          {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
       const RstknnSearcher searcher(tree, &f.dataset, &f.scorer);
@@ -171,14 +176,16 @@ TEST(ExplainSearchTest, TotalsReconcileWithRstknnStats) {
 
 /// The determinism contract: same query + dataset + seed produces
 /// byte-identical explain JSON — across repeated runs, across separate
-/// searcher instances (each numbers the tree itself), and across batch
-/// thread counts.
+/// freezes of the same tree (explain ids depend on tree structure alone),
+/// and across batch thread counts.
 TEST(ExplainSearchTest, JsonIsByteIdenticalAcrossRunsAndThreadCounts) {
   const ExplainFixture f;
   const size_t kQueries = 8;
   const std::vector<RstknnQuery> queries = f.Queries(kQueries, 5);
 
-  for (const IurTree* tree : {&f.tree, &f.ciur}) {
+  for (const bool clustered : {false, true}) {
+    const frozen::FrozenTree* tree =
+        clustered ? &f.frozen_ciur : &f.frozen_tree;
     for (RstknnAlgorithm algorithm :
          {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
       RstknnOptions options;
@@ -194,9 +201,10 @@ TEST(ExplainSearchTest, JsonIsByteIdenticalAcrossRunsAndThreadCounts) {
         reference.push_back(recorder.ToJson());
       }
 
-      // Second serial run on a fresh searcher (its own numbering): same
-      // bytes.
-      const RstknnSearcher rerun(tree, &f.dataset, &f.scorer);
+      // Second serial run on a fresh freeze of the same tree: same bytes.
+      const frozen::FrozenTree refrozen =
+          frozen::FrozenTree::Freeze(clustered ? f.ciur : f.tree);
+      const RstknnSearcher rerun(&refrozen, &f.dataset, &f.scorer);
       for (size_t i = 0; i < queries.size(); ++i) {
         rerun.Search(queries[i], options);
         EXPECT_EQ(recorder.ToJson(), reference[i]) << "rerun query " << i;

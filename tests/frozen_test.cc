@@ -4,15 +4,16 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rst/common/file_util.h"
 #include "rst/data/generators.h"
-#include "rst/exec/batch_runner.h"
-#include "rst/exec/thread_pool.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/obs/explain.h"
+#include "rst/obs/heatmap.h"
 #include "rst/rstknn/rstknn.h"
 
 namespace rst {
@@ -67,7 +68,11 @@ void ExpectStatsEqual(const RstknnStats& a, const RstknnStats& b) {
 // ---------------------------------------------------------------------------
 // Structural equivalence of the frozen layout
 
-TEST(FrozenTreeTest, LayoutMatchesExplainNumbering) {
+/// The frozen layout is the stack preorder of the source tree: a popped
+/// node's entries take consecutive indices, its child nodes are visited in
+/// entry order, and entry index + 1 is the explain id. The walk below is the
+/// reference the layout is checked against, entry by entry.
+TEST(FrozenTreeTest, LayoutIsPreorderOfSourceTree) {
   const Fixture f(300, /*clustered=*/true);
   const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
   ASSERT_TRUE(frozen.CheckInvariants().ok())
@@ -76,21 +81,29 @@ TEST(FrozenTreeTest, LayoutMatchesExplainNumbering) {
   EXPECT_TRUE(frozen.clustered());
   EXPECT_EQ(frozen.num_nodes(), f.tree.NodeCount());
 
-  // Every pointer entry's explain id must address the identical frozen
-  // entry: the frozen array order IS the explain preorder (id = index + 1).
-  const ExplainIndex index(f.tree);
-  ASSERT_EQ(index.size(), frozen.num_entries());
-  std::vector<const IurTree::Node*> stack{f.tree.root()};
+  struct Frame {
+    const IurTree::Node* node;
+    uint32_t level;
+  };
+  std::vector<Frame> stack{{f.tree.root(), 0}};
+  std::map<const IurTree::Node*, uint32_t> first_entry;  // node -> index
+  std::vector<std::pair<uint32_t, const IurTree::Node*>> child_links;
+  uint32_t e = 0;  // the next entry index in preorder
   size_t objects = 0;
   while (!stack.empty()) {
-    const IurTree::Node* node = stack.back();
+    const Frame frame = stack.back();
     stack.pop_back();
-    for (const IurTree::Entry& entry : node->entries) {
-      const ExplainIndex::Info info = index.Lookup(&entry);
-      ASSERT_GE(info.id, 1u);
-      const uint32_t e = static_cast<uint32_t>(info.id - 1);
+    const auto& entries = frame.node->entries;
+    first_entry[frame.node] = e;
+    // Children pushed in reverse so they pop in entry order.
+    for (size_t i = entries.size(); i-- > 0;) {
+      if (!entries[i].is_object()) {
+        stack.push_back({entries[i].child, frame.level + 1});
+      }
+    }
+    for (const IurTree::Entry& entry : entries) {
       ASSERT_LT(e, frozen.num_entries());
-      EXPECT_EQ(frozen.EntryLevel(e), info.level);
+      EXPECT_EQ(frozen.EntryLevel(e), frame.level);
       EXPECT_EQ(frozen.EntryRect(e).min_x, entry.rect.min_x);
       EXPECT_EQ(frozen.EntryRect(e).max_y, entry.rect.max_y);
       EXPECT_EQ(frozen.IsObject(e), entry.is_object());
@@ -99,7 +112,7 @@ TEST(FrozenTreeTest, LayoutMatchesExplainNumbering) {
         EXPECT_EQ(frozen.ObjectIdOf(e), entry.id);
         ++objects;
       } else {
-        stack.push_back(entry.child);
+        child_links.emplace_back(e, entry.child);
       }
       // Summaries must be the same term-by-term data (shared span kernels
       // then guarantee bit-identical bounds).
@@ -117,120 +130,143 @@ TEST(FrozenTreeTest, LayoutMatchesExplainNumbering) {
         EXPECT_EQ(frozen.ClusterId(e, c), entry.clusters[c].first);
         EXPECT_EQ(frozen.ClusterCount(e, c), entry.clusters[c].second.count);
       }
+      ++e;
     }
   }
+  EXPECT_EQ(e, frozen.num_entries());
   EXPECT_EQ(objects, f.tree.size());
+  // Node topology: every child link lands on the node whose entries the
+  // walk numbered from that node's pop.
+  EXPECT_EQ(frozen.EntryBegin(frozen.root()), 0u);
+  for (const auto& [entry, child] : child_links) {
+    const uint32_t node = frozen.Child(entry);
+    EXPECT_EQ(frozen.EntryBegin(node), first_entry.at(child));
+    EXPECT_EQ(frozen.EntryCount(node), child->entries.size());
+    EXPECT_EQ(frozen.IsLeaf(node), child->leaf);
+  }
 }
 
-TEST(FrozenTreeTest, PayloadsMatchPointerTreeByteForByte) {
+TEST(FrozenTreeTest, PayloadsMatchSourceTreeByteForByte) {
   const Fixture f(250, /*clustered=*/true);
   const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
   ASSERT_TRUE(frozen.has_payloads());
   // Identical re-encode order ⇒ identical page handles and total bytes, so
-  // I/O accounting (simulated and real) agrees between the views.
+  // the snapshot's I/O accounting is the source tree's.
   EXPECT_EQ(frozen.IndexBytes(), f.tree.IndexBytes());
-  const PageHandle root_ptr = f.tree.root()->invfile_handle;
+  const PageHandle root_src = f.tree.root()->invfile_handle;
   const PageHandle root_frz = frozen.invfile_handle(frozen.root());
-  EXPECT_EQ(root_frz.first_page, root_ptr.first_page);
-  EXPECT_EQ(root_frz.num_pages, root_ptr.num_pages);
-  EXPECT_EQ(root_frz.bytes, root_ptr.bytes);
+  EXPECT_EQ(root_frz.first_page, root_src.first_page);
+  EXPECT_EQ(root_frz.num_pages, root_src.num_pages);
+  EXPECT_EQ(root_frz.bytes, root_src.bytes);
 }
 
 // ---------------------------------------------------------------------------
-// Determinism matrix: {probe, contribution-list} × {IUR, CIUR} × {1, 8}
-// threads — answers, stats, and explain JSON byte-identical across views.
+// Build -> freeze -> search matrix: {IUR, CIUR} × {probe, contribution-list}
+// × α ∈ {0, 0.1, 0.5, 0.9, 1}. Every case answers exactly like the
+// brute-force oracle, and its EXPLAIN records and heatmap reconcile with its
+// stats.
 
 struct MatrixCase {
   RstknnAlgorithm algorithm;
   bool clustered;
+  double alpha;
 };
 
-class FrozenMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
+class FrozenSearchMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
 
-TEST_P(FrozenMatrixTest, FrozenViewIsByteIdentical) {
+TEST_P(FrozenSearchMatrixTest, MatchesOracleAndReconciles) {
   const MatrixCase param = GetParam();
   const Fixture f(300, param.clustered);
   const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
+  const StScorer scorer(&f.sim, {param.alpha, f.dataset.max_dist()});
+  const RstknnSearcher searcher(&frozen, &f.dataset, &scorer);
 
-  // Serial: answers + stats + explain JSON per query.
-  const RstknnSearcher pointer_search(&f.tree, &f.dataset, &f.scorer);
-  const RstknnSearcher frozen_search(&frozen, &f.dataset, &f.scorer);
-  for (ObjectId qid : {ObjectId{3}, ObjectId{123}, ObjectId{222}}) {
-    const StObject& qobj = f.dataset.object(qid);
-    const RstknnQuery query{qobj.loc, &qobj.doc, 8, qid};
-    RstknnOptions options;
-    options.algorithm = param.algorithm;
-    options.publish_metrics = false;
-    obs::ExplainRecorder pointer_explain;
-    obs::ExplainRecorder frozen_explain;
-    options.explain = &pointer_explain;
-    const RstknnResult from_pointer = pointer_search.Search(query, options);
-    options.explain = &frozen_explain;
-    const RstknnResult from_frozen = frozen_search.Search(query, options);
-    EXPECT_EQ(from_pointer.answers, from_frozen.answers);
-    ExpectStatsEqual(from_pointer.stats, from_frozen.stats);
-    EXPECT_EQ(pointer_explain.ToJson(), frozen_explain.ToJson());
-  }
-
-  // Batched at 1 and 8 threads: the BatchRunner determinism contract must
-  // extend across views at every thread count.
+  // Three dataset objects plus an external query object.
   std::vector<RstknnQuery> queries;
-  for (ObjectId qid = 0; qid < 40; ++qid) {
+  for (ObjectId qid : {ObjectId{3}, ObjectId{123}, ObjectId{222}}) {
     const StObject& qobj = f.dataset.object(qid);
     queries.push_back({qobj.loc, &qobj.doc, 8, qid});
   }
+  const TermVector external_doc =
+      TermVector::FromUnsorted({{1, 0.7f}, {9, 1.1f}, {40, 0.3f}});
+  queries.push_back(
+      {f.dataset.bounds().Center(), &external_doc, 8, IurTree::kNoObject});
+
   RstknnOptions options;
   options.algorithm = param.algorithm;
-  for (const size_t threads : {size_t{1}, size_t{8}}) {
-    exec::ThreadPool pool(threads);
-    const exec::BatchRunner pointer_runner(&f.tree, &f.dataset, &f.scorer,
-                                           &pool);
-    const exec::BatchRunner frozen_runner(&frozen, &f.dataset, &f.scorer,
-                                          &pool);
-    exec::BatchStats pointer_stats;
-    exec::BatchStats frozen_stats;
-    const auto from_pointer =
-        pointer_runner.RunRstknn(queries, options, &pointer_stats);
-    const auto from_frozen =
-        frozen_runner.RunRstknn(queries, options, &frozen_stats);
-    ASSERT_EQ(from_pointer.size(), from_frozen.size());
-    for (size_t i = 0; i < from_pointer.size(); ++i) {
-      EXPECT_EQ(from_pointer[i].answers, from_frozen[i].answers)
-          << "query " << i << " at " << threads << " threads";
-      ExpectStatsEqual(from_pointer[i].stats, from_frozen[i].stats);
-    }
-    ExpectStatsEqual(pointer_stats.total, frozen_stats.total);
+  options.publish_metrics = false;
+  obs::ExplainRecorder explain;
+  obs::HeatmapRecorder heatmap;
+  options.explain = &explain;
+  options.heatmap = &heatmap;
+  RstknnStats total;
+  for (const RstknnQuery& query : queries) {
+    SCOPED_TRACE("self=" + std::to_string(query.self));
+    const RstknnResult result = searcher.Search(query, options);
+    EXPECT_EQ(result.answers, BruteForceRstknn(f.dataset, scorer, query));
+    const Status reconciled = explain.CheckReconciles(
+        result.stats.expansions, result.stats.pruned_entries,
+        result.stats.reported_entries);
+    EXPECT_TRUE(reconciled.ok()) << reconciled.ToString();
+    total.Merge(result.stats);
   }
+  heatmap.AddQueries(queries.size());
+  const Status reconciled = heatmap.CheckReconciles(
+      total.expansions, total.pruned_entries, total.reported_entries);
+  EXPECT_TRUE(reconciled.ok()) << reconciled.ToString();
+}
+
+std::vector<MatrixCase> MatrixCases() {
+  std::vector<MatrixCase> cases;
+  for (const RstknnAlgorithm algorithm :
+       {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
+    for (const bool clustered : {false, true}) {
+      for (const double alpha : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+        cases.push_back({algorithm, clustered, alpha});
+      }
+    }
+  }
+  return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Matrix, FrozenMatrixTest,
-    ::testing::Values(MatrixCase{RstknnAlgorithm::kProbe, false},
-                      MatrixCase{RstknnAlgorithm::kProbe, true},
-                      MatrixCase{RstknnAlgorithm::kContributionList, false},
-                      MatrixCase{RstknnAlgorithm::kContributionList, true}));
+    Matrix, FrozenSearchMatrixTest, ::testing::ValuesIn(MatrixCases()),
+    [](const auto& info) {
+      return std::string(info.param.algorithm == RstknnAlgorithm::kProbe
+                             ? "probe"
+                             : "cl") +
+             (info.param.clustered ? "_ciur" : "_iur") + "_a" +
+             std::to_string(static_cast<int>(info.param.alpha * 10));
+    });
 
-TEST(FrozenTreeTest, RealIoThroughBufferPoolMatchesPointerTree) {
+/// Real-I/O mode reads the snapshot's own serialized payloads through a
+/// buffer pool. A cold pool misses once per opened node and fetches exactly
+/// the bytes the simulated accounting charges; a warm pool serves every node
+/// from cache. Answers and search counters never depend on the I/O mode.
+TEST(FrozenTreeTest, RealIoThroughBufferPoolMatchesSimulatedIo) {
   const Fixture f(250, /*clustered=*/false);
   const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
+  const RstknnSearcher searcher(&frozen, &f.dataset, &f.scorer);
   const StObject& qobj = f.dataset.object(17);
   const RstknnQuery query{qobj.loc, &qobj.doc, 5, 17};
-
-  BufferPool pointer_pool(&f.tree.page_store(), 64);
-  BufferPool frozen_pool(&frozen.page_store(), 64);
   RstknnOptions options;
   options.publish_metrics = false;
-  const RstknnSearcher pointer_search(&f.tree, &f.dataset, &f.scorer);
-  const RstknnSearcher frozen_search(&frozen, &f.dataset, &f.scorer);
-  options.pool = &pointer_pool;
-  const RstknnResult from_pointer = pointer_search.Search(query, options);
-  options.pool = &frozen_pool;
-  const RstknnResult from_frozen = frozen_search.Search(query, options);
-  EXPECT_EQ(from_pointer.answers, from_frozen.answers);
-  ExpectStatsEqual(from_pointer.stats, from_frozen.stats);
-  // Identical page handles ⇒ identical fetch pattern in the pool.
-  EXPECT_EQ(pointer_pool.hits(), frozen_pool.hits());
-  EXPECT_EQ(pointer_pool.misses(), frozen_pool.misses());
+  const RstknnResult simulated = searcher.Search(query, options);
+
+  BufferPool pool(&frozen.page_store(), /*capacity_pages=*/1024);
+  options.pool = &pool;
+  const RstknnResult cold = searcher.Search(query, options);
+  EXPECT_EQ(cold.answers, simulated.answers);
+  ExpectStatsEqual(cold.stats, simulated.stats);
+  EXPECT_EQ(pool.misses(), simulated.stats.io.node_reads);
+  EXPECT_EQ(pool.hits(), 0u);
+
+  RstknnStats warm = searcher.Search(query, options).stats;
+  EXPECT_EQ(warm.io.cache_hits, simulated.stats.io.node_reads);
+  EXPECT_EQ(warm.io.payload_blocks, 0u);
+  EXPECT_EQ(warm.io.payload_bytes, 0u);
+  warm.io = simulated.stats.io;  // the rest of the search is unchanged
+  ExpectStatsEqual(warm, simulated.stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,14 +291,14 @@ TEST(FrozenSerializationTest, RoundTripIsExact) {
   EXPECT_EQ(copy.SerializeToString(), bytes);
   EXPECT_EQ(copy.IndexBytes(), frozen.IndexBytes());
 
-  // The reloaded snapshot answers queries identically to the pointer tree.
-  const RstknnSearcher pointer_search(&f.tree, &f.dataset, &f.scorer);
+  // The reloaded snapshot answers queries identically to the original.
+  const RstknnSearcher frozen_search(&frozen, &f.dataset, &f.scorer);
   const RstknnSearcher loaded_search(&copy, &f.dataset, &f.scorer);
   const StObject& qobj = f.dataset.object(42);
   const RstknnQuery query{qobj.loc, &qobj.doc, 6, 42};
   RstknnOptions options;
   options.publish_metrics = false;
-  const RstknnResult a = pointer_search.Search(query, options);
+  const RstknnResult a = frozen_search.Search(query, options);
   const RstknnResult b = loaded_search.Search(query, options);
   EXPECT_EQ(a.answers, b.answers);
   ExpectStatsEqual(a.stats, b.stats);
@@ -352,14 +388,11 @@ TEST(FrozenTreeTest, EmptyAndSingleLeafTrees) {
   EXPECT_TRUE(frozen.has_payloads());
   EXPECT_EQ(frozen.num_entries(), 6u);
   EXPECT_TRUE(frozen.CheckInvariants().ok());
-  const RstknnSearcher pointer_search(&f.tree, &f.dataset, &f.scorer);
   const RstknnSearcher frozen_search(&frozen, &f.dataset, &f.scorer);
   const StObject& qobj = f.dataset.object(2);
   const RstknnQuery query{qobj.loc, &qobj.doc, 3, 2};
   RstknnOptions options;
   options.publish_metrics = false;
-  EXPECT_EQ(pointer_search.Search(query, options).answers,
-            frozen_search.Search(query, options).answers);
   EXPECT_EQ(frozen_search.Search(query, options).answers,
             BruteForceRstknn(f.dataset, f.scorer, query));
 }

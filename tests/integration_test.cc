@@ -10,6 +10,7 @@
 
 #include "rst/data/csv.h"
 #include "rst/data/generators.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/maxbrst/miur.h"
 #include "rst/rstknn/rstknn.h"
@@ -35,8 +36,14 @@ class IntegrationTest : public ::testing::Test {
     iur_ = std::make_unique<IurTree>(IurTree::BuildFromDataset(*dataset_, {}));
     ciur_ = std::make_unique<IurTree>(
         IurTree::BuildFromDataset(*dataset_, {}, &clusters_->assignment));
+    frozen_iur_ =
+        std::make_unique<frozen::FrozenTree>(frozen::FrozenTree::Freeze(*iur_));
+    frozen_ciur_ = std::make_unique<frozen::FrozenTree>(
+        frozen::FrozenTree::Freeze(*ciur_));
   }
   static void TearDownTestSuite() {
+    frozen_ciur_.reset();
+    frozen_iur_.reset();
     ciur_.reset();
     iur_.reset();
     clusters_.reset();
@@ -47,19 +54,24 @@ class IntegrationTest : public ::testing::Test {
   static std::unique_ptr<ClusteringResult> clusters_;
   static std::unique_ptr<IurTree> iur_;
   static std::unique_ptr<IurTree> ciur_;
+  /// The snapshots RSTkNN searches.
+  static std::unique_ptr<frozen::FrozenTree> frozen_iur_;
+  static std::unique_ptr<frozen::FrozenTree> frozen_ciur_;
 };
 
 std::unique_ptr<Dataset> IntegrationTest::dataset_;
 std::unique_ptr<ClusteringResult> IntegrationTest::clusters_;
 std::unique_ptr<IurTree> IntegrationTest::iur_;
 std::unique_ptr<IurTree> IntegrationTest::ciur_;
+std::unique_ptr<frozen::FrozenTree> IntegrationTest::frozen_iur_;
+std::unique_ptr<frozen::FrozenTree> IntegrationTest::frozen_ciur_;
 
 TEST_F(IntegrationTest, AllRstknnVariantsAgreeWithOracle) {
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   for (double alpha : {0.2, 0.8}) {
     StScorer scorer(&sim, {alpha, dataset_->max_dist()});
-    RstknnSearcher on_iur(iur_.get(), dataset_.get(), &scorer);
-    RstknnSearcher on_ciur(ciur_.get(), dataset_.get(), &scorer);
+    RstknnSearcher on_iur(frozen_iur_.get(), dataset_.get(), &scorer);
+    RstknnSearcher on_ciur(frozen_ciur_.get(), dataset_.get(), &scorer);
     PrecomputeBaseline baseline(iur_.get(), dataset_.get(), &scorer);
     baseline.Build(7);
     for (ObjectId qid : {3u, 444u, 1200u}) {
@@ -83,8 +95,10 @@ TEST_F(IntegrationTest, NaiveAndTightEjBoundsAgree) {
                        EjBoundMode::kNaive);
   StScorer tight_scorer(&tight, {0.5, dataset_->max_dist()});
   StScorer naive_scorer(&naive, {0.5, dataset_->max_dist()});
-  RstknnSearcher tight_search(iur_.get(), dataset_.get(), &tight_scorer);
-  RstknnSearcher naive_search(iur_.get(), dataset_.get(), &naive_scorer);
+  RstknnSearcher tight_search(frozen_iur_.get(), dataset_.get(),
+                              &tight_scorer);
+  RstknnSearcher naive_search(frozen_iur_.get(), dataset_.get(),
+                              &naive_scorer);
   const StObject& q = dataset_->object(99);
   const RstknnQuery query{q.loc, &q.doc, 5, 99};
   const auto a = tight_search.Search(query);
@@ -134,12 +148,13 @@ TEST_F(IntegrationTest, DatasetRoundTripPreservesQueryResults) {
   auto loaded = LoadDatasetIds(path, dataset_->weighting());
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded.value().size(), dataset_->size());
-  const IurTree tree2 = IurTree::BuildFromDataset(loaded.value(), {});
+  const frozen::FrozenTree tree2 = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(loaded.value(), {}));
 
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer1(&sim, {0.5, dataset_->max_dist()});
   StScorer scorer2(&sim, {0.5, loaded.value().max_dist()});
-  RstknnSearcher s1(iur_.get(), dataset_.get(), &scorer1);
+  RstknnSearcher s1(frozen_iur_.get(), dataset_.get(), &scorer1);
   RstknnSearcher s2(&tree2, &loaded.value(), &scorer2);
   const StObject& q = dataset_->object(17);
   EXPECT_EQ(s1.Search({q.loc, &q.doc, 5, 17}).answers,
@@ -150,7 +165,7 @@ TEST_F(IntegrationTest, DatasetRoundTripPreservesQueryResults) {
 TEST_F(IntegrationTest, QueriesAreDeterministic) {
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, dataset_->max_dist()});
-  RstknnSearcher searcher(iur_.get(), dataset_.get(), &scorer);
+  RstknnSearcher searcher(frozen_iur_.get(), dataset_.get(), &scorer);
   const StObject& q = dataset_->object(250);
   const RstknnQuery query{q.loc, &q.doc, 9, 250};
   const auto a = searcher.Search(query);

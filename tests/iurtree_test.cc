@@ -227,36 +227,6 @@ TEST(IurTreeTest, StoredInvertedFileDecodesAndMatchesSummaries) {
   }
 }
 
-TEST(IurTreeTest, EntryPairBoundsBracketCrossPairs) {
-  const Dataset d = SmallDataset(300, 23);
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
-  TextSimilarity sim(TextMeasure::kExtendedJaccard);
-  const IurTree::Node* root = tree.root();
-  ASSERT_FALSE(root->leaf);
-  ASSERT_GE(root->entries.size(), 2u);
-  const IurTree::Entry& a = root->entries[0];
-  const IurTree::Entry& b = root->entries[1];
-  const TextBounds bounds = EntryPairTextBounds(a, b, sim);
-  std::vector<uint32_t> ids_a, ids_b;
-  std::function<void(const IurTree::Entry&, std::vector<uint32_t>*)> collect =
-      [&](const IurTree::Entry& e, std::vector<uint32_t>* out) {
-        if (e.is_object()) {
-          out->push_back(e.id);
-        } else {
-          for (const IurTree::Entry& ce : e.child->entries) collect(ce, out);
-        }
-      };
-  collect(a, &ids_a);
-  collect(b, &ids_b);
-  for (uint32_t ia : ids_a) {
-    for (uint32_t ib : ids_b) {
-      const double s = sim.Sim(d.object(ia).doc, d.object(ib).doc);
-      EXPECT_LE(bounds.min_sim, s + 1e-9);
-      EXPECT_GE(bounds.max_sim, s - 1e-9);
-    }
-  }
-}
-
 TEST(IurTreeTest, UsersTreeBuilds) {
   const Dataset d = SmallDataset(3000);
   UserGenConfig ucfg;
@@ -352,17 +322,6 @@ TEST(IurTreeTest, DeleteDownToEmpty) {
   }
   EXPECT_EQ(tree.size(), 40u);
   EXPECT_TRUE(tree.CheckInvariants(DocLookup(d)).ok());
-}
-
-TEST(IurTreeTest, EntropyHigherForMixedNodes) {
-  IurTree::Entry mixed;
-  mixed.clusters = {{0, {TermVector(), TermVector(), 5}},
-                    {1, {TermVector(), TermVector(), 5}}};
-  IurTree::Entry pure;
-  pure.clusters = {{0, {TermVector(), TermVector(), 10}}};
-  EXPECT_GT(EntryClusterEntropy(mixed), EntryClusterEntropy(pure));
-  IurTree::Entry unclustered;
-  EXPECT_EQ(EntryClusterEntropy(unclustered), 0.0);
 }
 
 }  // namespace

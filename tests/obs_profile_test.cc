@@ -16,6 +16,7 @@
 #include "rst/data/generators.h"
 #include "rst/exec/batch_runner.h"
 #include "rst/exec/thread_pool.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/obs/json.h"
 #include "rst/obs/metric_names.h"
@@ -143,13 +144,12 @@ TEST(PhaseProfilerTest, PublishRecordsHistogramsAndCounter) {
 struct ProfileFixture {
   Dataset dataset;
   std::vector<uint32_t> clusters;
-  IurTree ciur;
+  frozen::FrozenTree ciur;  ///< frozen CIUR-tree
   TextSimilarity sim;
   StScorer scorer;
 
   ProfileFixture()
-      : ciur(IurTree::Build({}, {})), sim(TextMeasure::kExtendedJaccard),
-        scorer(&sim, {0.5, 1.0}) {
+      : sim(TextMeasure::kExtendedJaccard), scorer(&sim, {0.5, 1.0}) {
     FlickrLikeConfig config;
     config.num_objects = 300;
     config.vocab_size = 150;
@@ -160,7 +160,8 @@ struct ProfileFixture {
     ClusteringOptions copts;
     copts.num_clusters = 5;
     clusters = ClusterDocuments(docs, copts).assignment;
-    ciur = IurTree::BuildFromDataset(dataset, {}, &clusters);
+    ciur = frozen::FrozenTree::Freeze(
+        IurTree::BuildFromDataset(dataset, {}, &clusters));
     scorer = StScorer(&sim, {0.5, dataset.max_dist()});
   }
 

@@ -1,7 +1,7 @@
 // Competitor-probe internals (rst/rstknn/search_impl.h): the lazy per-pair
 // decision against the eager rule it replaces, an alpha sweep on CIUR trees
 // against the brute-force oracle, and one ProbeScratch reused across trees,
-// sizes and views.
+// sizes and sharded forests.
 
 #include "rst/rstknn/search_impl.h"
 
@@ -26,9 +26,12 @@ namespace rst {
 namespace {
 
 using rstknn_internal::CandPairBounds;
+using rstknn_internal::CollectObjectIds;
 using rstknn_internal::FrozenTreeView;
 using rstknn_internal::PairJudge;
 using rstknn_internal::PairVerdict;
+using rstknn_internal::ViewClusterEntropy;
+using rstknn_internal::ViewPairTextBounds;
 
 constexpr double kAlphas[] = {0.0, 0.1, 0.5, 0.9, 1.0};
 
@@ -78,6 +81,68 @@ void ExpectStatsEqual(const RstknnStats& a, const RstknnStats& b) {
   EXPECT_EQ(a.bound_computations, b.bound_computations);
   EXPECT_EQ(a.probes, b.probes);
   EXPECT_EQ(a.pq_pops, b.pq_pops);
+}
+
+// ---------------------------------------------------------------------------
+// Entry text bounds over the frozen view
+
+/// Entry-pair text bounds bracket every cross pair of objects below the two
+/// entries — including an entry paired with itself (the probes' self term)
+/// and CIUR entries, where the bound is the cluster cross product.
+TEST(ViewBoundsTest, PairBoundsBracketCrossPairs) {
+  const TextSimilarity sim(TextMeasure::kExtendedJaccard);
+  for (const bool clustered : {false, true}) {
+    const Corpus corpus(300, clustered, 23);
+    const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(corpus.tree);
+    const FrozenTreeView view{&frozen};
+    const uint32_t roots = frozen.EntryCount(frozen.root());
+    ASSERT_GE(roots, 2u);
+    for (uint32_t a = 0; a < roots; ++a) {
+      for (uint32_t b = a; b < roots; ++b) {
+        const TextBounds bounds = ViewPairTextBounds(view, a, b, sim);
+        std::vector<ObjectId> ids_a, ids_b;
+        CollectObjectIds(view, a, IurTree::kNoObject, &ids_a);
+        CollectObjectIds(view, b, IurTree::kNoObject, &ids_b);
+        for (ObjectId ia : ids_a) {
+          for (ObjectId ib : ids_b) {
+            if (ia == ib) continue;
+            const double s = sim.Sim(corpus.dataset.object(ia).doc,
+                                     corpus.dataset.object(ib).doc);
+            ASSERT_LE(bounds.min_sim, s + 1e-9)
+                << "clustered=" << clustered << " a=" << a << " b=" << b;
+            ASSERT_GE(bounds.max_sim, s - 1e-9)
+                << "clustered=" << clustered << " a=" << a << " b=" << b;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The TE expansion priority: entries mixing several text clusters have
+/// positive entropy; single-cluster entries and every entry of an
+/// unclustered tree have none.
+TEST(ViewBoundsTest, ClusterEntropyHigherForMixedEntries) {
+  const Corpus ciur(240, /*clustered=*/true, 29);
+  const frozen::FrozenTree clustered = frozen::FrozenTree::Freeze(ciur.tree);
+  const FrozenTreeView view{&clustered};
+  size_t mixed = 0;
+  for (uint32_t e = 0; e < clustered.num_entries(); ++e) {
+    if (clustered.NumClusters(e) > 1) {
+      EXPECT_GT(ViewClusterEntropy(view, e), 0.0) << "entry " << e;
+      ++mixed;
+    } else {
+      EXPECT_EQ(ViewClusterEntropy(view, e), 0.0) << "entry " << e;
+    }
+  }
+  EXPECT_GT(mixed, 0u);
+
+  const Corpus iur(120, /*clustered=*/false, 29);
+  const frozen::FrozenTree plain = frozen::FrozenTree::Freeze(iur.tree);
+  const FrozenTreeView plain_view{&plain};
+  for (uint32_t e = 0; e < plain.num_entries(); ++e) {
+    EXPECT_EQ(ViewClusterEntropy(plain_view, e), 0.0) << "entry " << e;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -263,8 +328,7 @@ TEST_P(AlphaSweepTest, CiurProbeMatchesBruteForce) {
   const TextSimilarity sim(GetParam(), &corpus.dataset.corpus_max());
   for (double alpha : kAlphas) {
     const StScorer scorer(&sim, {alpha, corpus.dataset.max_dist()});
-    const RstknnSearcher pointer(&corpus.tree, &corpus.dataset, &scorer);
-    const RstknnSearcher flat(&frozen, &corpus.dataset, &scorer);
+    const RstknnSearcher searcher(&frozen, &corpus.dataset, &scorer);
     Rng rng(static_cast<uint64_t>(alpha * 100) + 3);
     for (size_t k : {size_t{2}, size_t{7}}) {
       for (int trial = 0; trial < 3; ++trial) {
@@ -274,12 +338,8 @@ TEST_P(AlphaSweepTest, CiurProbeMatchesBruteForce) {
             k);
         const std::vector<ObjectId> expected =
             BruteForceRstknn(corpus.dataset, scorer, query);
-        const RstknnResult got = pointer.Search(query);
-        EXPECT_EQ(got.answers, expected)
+        EXPECT_EQ(searcher.Search(query).answers, expected)
             << "alpha=" << alpha << " k=" << k << " self=" << query.self;
-        const RstknnResult got_flat = flat.Search(query);
-        EXPECT_EQ(got_flat.answers, expected) << "frozen, alpha=" << alpha;
-        ExpectStatsEqual(got.stats, got_flat.stats);
       }
     }
   }
@@ -327,31 +387,28 @@ TEST(CandidatePathTest, AncestorSubtreesAreNeverCountedWholesale) {
     ASSERT_GE(tree.height(), 3u);
     const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(tree);
     const StScorer scorer(&sim, {1.0, d.max_dist()});
-    const RstknnSearcher pointer(&tree, &d, &scorer);
-    const RstknnSearcher flat(&frozen, &d, &scorer);
+    const RstknnSearcher searcher(&frozen, &d, &scorer);
     const ObjectId qid = static_cast<ObjectId>(n + 1);  // a far object
     for (size_t k = n; k <= n + 2; ++k) {
       const RstknnQuery query{d.object(qid).loc, &d.object(qid).doc, k, qid};
       const std::vector<ObjectId> expected =
           BruteForceRstknn(d, scorer, query);
-      EXPECT_EQ(pointer.Search(query).answers, expected)
+      EXPECT_EQ(searcher.Search(query).answers, expected)
           << "seed=" << seed << " n=" << n << " k=" << k;
-      EXPECT_EQ(flat.Search(query).answers, expected)
-          << "frozen, seed=" << seed << " k=" << k;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// One ProbeScratch across trees, sizes and views
+// One ProbeScratch across trees, sizes and forests
 
 /// The pair memo's sparse array grows on the first large tree and never
 /// shrinks, so afterwards it holds stale indices for every key a smaller tree
-/// reuses; a pointer tree and a sharded forest key the same scratch by their
-/// own explain ids. Interleaved
-/// queries through one scratch must match fresh-scratch searches exactly —
-/// answers and every counter — under both algorithms.
-TEST(ProbeScratchTest, ReuseAcrossTreesAndViewsMatchesFreshScratch) {
+/// reuses; three frozen trees and a sharded forest key the same scratch by
+/// their own explain ids. Interleaved queries through one scratch must match
+/// fresh-scratch searches exactly — answers and every counter — under both
+/// algorithms.
+TEST(ProbeScratchTest, ReuseAcrossTreesAndForestsMatchesFreshScratch) {
   const Corpus big(420, /*clustered=*/true, 5);
   const Corpus small(50, /*clustered=*/false, 6);
   const Corpus mid(160, /*clustered=*/false, 8);
@@ -363,10 +420,11 @@ TEST(ProbeScratchTest, ReuseAcrossTreesAndViewsMatchesFreshScratch) {
   const frozen::FrozenTree big_frozen = frozen::FrozenTree::Freeze(big.tree);
   const frozen::FrozenTree small_frozen =
       frozen::FrozenTree::Freeze(small.tree);
+  const frozen::FrozenTree mid_frozen = frozen::FrozenTree::Freeze(mid.tree);
   const RstknnSearcher big_search(&big_frozen, &big.dataset, &big_scorer);
   const RstknnSearcher small_search(&small_frozen, &small.dataset,
                                     &small_scorer);
-  const RstknnSearcher pointer_search(&mid.tree, &mid.dataset, &mid_scorer);
+  const RstknnSearcher mid_search(&mid_frozen, &mid.dataset, &mid_scorer);
   shard::ShardOptions shard_options;
   shard_options.num_shards = 3;
   shard_options.tree = big.topts;
@@ -402,7 +460,7 @@ TEST(ProbeScratchTest, ReuseAcrossTreesAndViewsMatchesFreshScratch) {
       check(small_search, pick(small), "small frozen");
       check(big_search, pick(big), "big frozen");
       check(small_search, pick(small), "small frozen after big");
-      check(pointer_search, pick(mid), "pointer");
+      check(mid_search, pick(mid), "mid frozen");
       if (algorithm == RstknnAlgorithm::kProbe) {
         SCOPED_TRACE("forest round " + std::to_string(round));
         const RstknnQuery q = pick(big);

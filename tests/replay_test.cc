@@ -1,6 +1,6 @@
 // Workload capture / replay contract (DESIGN.md §14): journals round-trip
 // losslessly, answer digests are byte-identical across {algorithm} × {tree} ×
-// {view} × {thread count}, and the accumulated index heatmap reconciles
+// {thread count}, and the accumulated index heatmap reconciles
 // counter-exactly with the summed RstknnStats.
 
 #include <gtest/gtest.h>
@@ -62,7 +62,6 @@ obs::JournalHeader TestHeader() {
   header.label = "replay_test";
   header.data = "unused.tsv";
   header.algo = "probe";
-  header.view = "pointer";
   header.tree = "iur";
   header.measure = "ej";
   header.weighting = "tfidf";
@@ -314,26 +313,21 @@ TEST(HeatmapRecorderTest, JsonExportParsesAndTruncatesToHottest) {
 }
 
 // ---------------------------------------------------------------------------
-// The capture matrix: {algorithm} × {IUR, CIUR} × {pointer, frozen} ×
-// {1, 8 threads} — every combination must produce the serial reference's
+// The capture matrix: {algorithm} × {IUR, CIUR} × {1, 8 threads} — every
+// combination must produce the serial reference's
 // answer digests and a heatmap that reconciles exactly with its own summed
 // stats.
 
 struct ReplayFixture {
   Dataset dataset;
   std::vector<uint32_t> clusters;
-  IurTree iur;
-  IurTree ciur;
   frozen::FrozenTree frozen_iur;
   frozen::FrozenTree frozen_ciur;
   TextSimilarity sim;
   StScorer scorer;
 
   ReplayFixture()
-      : iur(IurTree::Build({}, {})),
-        ciur(IurTree::Build({}, {})),
-        sim(TextMeasure::kExtendedJaccard),
-        scorer(&sim, {0.5, 1.0}) {
+      : sim(TextMeasure::kExtendedJaccard), scorer(&sim, {0.5, 1.0}) {
     FlickrLikeConfig config;
     config.num_objects = 300;
     config.vocab_size = 150;
@@ -344,10 +338,10 @@ struct ReplayFixture {
     ClusteringOptions copts;
     copts.num_clusters = 5;
     clusters = ClusterDocuments(docs, copts).assignment;
-    iur = IurTree::BuildFromDataset(dataset, {});
-    ciur = IurTree::BuildFromDataset(dataset, {}, &clusters);
-    frozen_iur = frozen::FrozenTree::Freeze(iur);
-    frozen_ciur = frozen::FrozenTree::Freeze(ciur);
+    frozen_iur =
+        frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
+    frozen_ciur = frozen::FrozenTree::Freeze(
+        IurTree::BuildFromDataset(dataset, {}, &clusters));
     scorer = StScorer(&sim, {0.5, dataset.max_dist()});
   }
 
@@ -368,15 +362,14 @@ TEST(ReplayMatrixTest, DigestsAndHeatmapsInvariantAcrossExecutions) {
   const std::vector<RstknnQuery> queries = f.Queries(12, 5);
 
   for (const bool clustered : {false, true}) {
-    const IurTree& tree = clustered ? f.ciur : f.iur;
-    const frozen::FrozenTree& frozen = clustered ? f.frozen_ciur : f.frozen_iur;
+    const frozen::FrozenTree& tree = clustered ? f.frozen_ciur : f.frozen_iur;
     for (RstknnAlgorithm algorithm :
          {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
       RstknnOptions options;
       options.algorithm = algorithm;
       options.publish_metrics = false;
 
-      // Serial pointer-tree reference.
+      // Serial reference.
       const RstknnSearcher searcher(&tree, &f.dataset, &f.scorer);
       std::vector<uint64_t> reference;
       RstknnStats reference_total;
@@ -386,86 +379,83 @@ TEST(ReplayMatrixTest, DigestsAndHeatmapsInvariantAcrossExecutions) {
         reference_total.Merge(r.stats);
       }
 
-      for (const bool use_frozen : {false, true}) {
-        for (size_t threads : {1u, 8u}) {
-          SCOPED_TRACE("clustered=" + std::to_string(clustered) +
-                       " algo=" + std::to_string(static_cast<int>(algorithm)) +
-                       " frozen=" + std::to_string(use_frozen) +
-                       " threads=" + std::to_string(threads));
-          exec::ThreadPool pool(threads);
-          exec::BatchRunner runner =
-              use_frozen
-                  ? exec::BatchRunner(&frozen, &f.dataset, &f.scorer, &pool)
-                  : exec::BatchRunner(&tree, &f.dataset, &f.scorer, &pool);
-          obs::HeatmapRecorder heatmap;
-          runner.set_heatmap(&heatmap);
+      for (size_t threads : {1u, 8u}) {
+        SCOPED_TRACE("clustered=" + std::to_string(clustered) +
+                     " algo=" + std::to_string(static_cast<int>(algorithm)) +
+                     " threads=" + std::to_string(threads));
+        exec::ThreadPool pool(threads);
+        exec::BatchRunner runner(&tree, &f.dataset, &f.scorer, &pool);
+        obs::HeatmapRecorder heatmap;
+        runner.set_heatmap(&heatmap);
 
-          const std::string path = TempPath("rst_replay_matrix.jsonl");
-          obs::WorkloadRecorder journal;
-          ASSERT_TRUE(journal.Open(path, TestHeader()).ok());
-          runner.set_journal(&journal);
+        const std::string path = TempPath("rst_replay_matrix.jsonl");
+        obs::WorkloadRecorder journal;
+        ASSERT_TRUE(journal.Open(path, TestHeader()).ok());
+        runner.set_journal(&journal);
 
-          const std::vector<RstknnResult> results =
-              runner.RunRstknn(queries, options);
-          ASSERT_TRUE(journal.Close().ok());
-          ASSERT_EQ(results.size(), queries.size());
+        const std::vector<RstknnResult> results =
+            runner.RunRstknn(queries, options);
+        ASSERT_TRUE(journal.Close().ok());
+        ASSERT_EQ(results.size(), queries.size());
 
-          RstknnStats total;
-          for (size_t i = 0; i < results.size(); ++i) {
-            EXPECT_EQ(obs::AnswerDigest(results[i].answers), reference[i])
-                << "query " << i;
-            total.Merge(results[i].stats);
-          }
-          EXPECT_EQ(total.expansions, reference_total.expansions);
-          EXPECT_EQ(total.pruned_entries, reference_total.pruned_entries);
-          EXPECT_EQ(total.reported_entries, reference_total.reported_entries);
-
-          // The heatmap must reconcile exactly with this run's own stats.
-          EXPECT_EQ(heatmap.queries(), queries.size());
-          const Status reconciled = heatmap.CheckReconciles(
-              total.expansions, total.pruned_entries, total.reported_entries);
-          EXPECT_TRUE(reconciled.ok()) << reconciled.ToString();
-
-          // The journal captured every query with the reference digests.
-          const Result<obs::JournalFile> loaded = obs::ReadJournal(path);
-          ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-          ASSERT_EQ(loaded.value().records.size(), queries.size());
-          for (size_t i = 0; i < queries.size(); ++i) {
-            EXPECT_EQ(loaded.value().records[i].answer_digest, reference[i]);
-            EXPECT_EQ(loaded.value().records[i].self, queries[i].self);
-          }
-          std::remove(path.c_str());
+        RstknnStats total;
+        for (size_t i = 0; i < results.size(); ++i) {
+          EXPECT_EQ(obs::AnswerDigest(results[i].answers), reference[i])
+              << "query " << i;
+          total.Merge(results[i].stats);
         }
+        EXPECT_EQ(total.expansions, reference_total.expansions);
+        EXPECT_EQ(total.pruned_entries, reference_total.pruned_entries);
+        EXPECT_EQ(total.reported_entries, reference_total.reported_entries);
+
+        // The heatmap must reconcile exactly with this run's own stats.
+        EXPECT_EQ(heatmap.queries(), queries.size());
+        const Status reconciled = heatmap.CheckReconciles(
+            total.expansions, total.pruned_entries, total.reported_entries);
+        EXPECT_TRUE(reconciled.ok()) << reconciled.ToString();
+
+        // The journal captured every query with the reference digests.
+        const Result<obs::JournalFile> loaded = obs::ReadJournal(path);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        ASSERT_EQ(loaded.value().records.size(), queries.size());
+        for (size_t i = 0; i < queries.size(); ++i) {
+          EXPECT_EQ(loaded.value().records[i].answer_digest, reference[i]);
+          EXPECT_EQ(loaded.value().records[i].self, queries[i].self);
+        }
+        std::remove(path.c_str());
       }
     }
   }
 }
 
-/// The heatmap keys on explain preorder ids, which are identical for the
-/// pointer tree and its frozen snapshot — so the accumulated per-node
-/// counters must be identical too, not just the totals.
-TEST(ReplayMatrixTest, HeatmapNodesIdenticalAcrossViewsAndThreads) {
+/// The heatmap keys on explain preorder ids, a function of tree structure
+/// alone — so the accumulated per-node counters of a serial loop and of
+/// batches at any thread count must be identical, not just the totals.
+TEST(ReplayMatrixTest, HeatmapNodesIdenticalAcrossThreadCounts) {
   const ReplayFixture f;
   const std::vector<RstknnQuery> queries = f.Queries(8, 4);
   RstknnOptions options;
   options.publish_metrics = false;
 
   std::map<std::string, std::string> heatmaps;
-  for (const bool use_frozen : {false, true}) {
-    for (size_t threads : {1u, 8u}) {
-      exec::ThreadPool pool(threads);
-      exec::BatchRunner runner =
-          use_frozen
-              ? exec::BatchRunner(&f.frozen_iur, &f.dataset, &f.scorer, &pool)
-              : exec::BatchRunner(&f.iur, &f.dataset, &f.scorer, &pool);
-      obs::HeatmapRecorder heatmap;
-      runner.set_heatmap(&heatmap);
-      runner.RunRstknn(queries, options);
-      heatmaps[(use_frozen ? "frozen/" : "pointer/") +
-               std::to_string(threads)] = heatmap.ToJson();
-    }
+  {
+    const RstknnSearcher searcher(&f.frozen_iur, &f.dataset, &f.scorer);
+    obs::HeatmapRecorder heatmap;
+    RstknnOptions serial = options;
+    serial.heatmap = &heatmap;
+    for (const RstknnQuery& q : queries) searcher.Search(q, serial);
+    heatmap.AddQueries(queries.size());
+    heatmaps["serial"] = heatmap.ToJson();
   }
-  ASSERT_EQ(heatmaps.size(), 4u);
+  for (size_t threads : {1u, 8u}) {
+    exec::ThreadPool pool(threads);
+    exec::BatchRunner runner(&f.frozen_iur, &f.dataset, &f.scorer, &pool);
+    obs::HeatmapRecorder heatmap;
+    runner.set_heatmap(&heatmap);
+    runner.RunRstknn(queries, options);
+    heatmaps["batch/" + std::to_string(threads)] = heatmap.ToJson();
+  }
+  ASSERT_EQ(heatmaps.size(), 3u);
   for (const auto& [key, json] : heatmaps) {
     EXPECT_EQ(json, heatmaps.begin()->second) << key;
   }

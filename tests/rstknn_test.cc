@@ -4,14 +4,18 @@
 
 #include "rst/common/rng.h"
 #include "rst/data/generators.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 
 namespace rst {
 namespace {
 
+/// A dataset, its IUR-tree (the precompute baseline's index) and the frozen
+/// snapshot RSTkNN searches.
 struct Fixture {
   Dataset dataset;
   IurTree tree;
+  frozen::FrozenTree frozen;
   TextSimilarity sim;
   StScorer scorer;
 
@@ -23,6 +27,7 @@ struct Fixture {
     config.seed = seed;
     dataset = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
     tree = IurTree::BuildFromDataset(dataset, {});
+    frozen = frozen::FrozenTree::Freeze(tree);
     scorer = StScorer(&sim, {alpha, dataset.max_dist()});
   }
 };
@@ -39,7 +44,7 @@ class RstknnParamTest : public ::testing::TestWithParam<RstknnCase> {};
 TEST_P(RstknnParamTest, BranchAndBoundMatchesBruteForce) {
   const RstknnCase& param = GetParam();
   Fixture f(param.n, param.measure, param.alpha, 100 + param.n + param.k);
-  RstknnSearcher searcher(&f.tree, &f.dataset, &f.scorer);
+  RstknnSearcher searcher(&f.frozen, &f.dataset, &f.scorer);
   Rng rng(9);
   for (int trial = 0; trial < 5; ++trial) {
     const ObjectId qid =
@@ -78,7 +83,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RstknnTest, ExternalQueryObject) {
   // Query that is not part of the dataset (a new location + new text).
   Fixture f(250, TextMeasure::kExtendedJaccard, 0.5, 7);
-  RstknnSearcher searcher(&f.tree, &f.dataset, &f.scorer);
+  RstknnSearcher searcher(&f.frozen, &f.dataset, &f.scorer);
   const TermVector qdoc = TermVector::FromUnsorted(
       {{0, 0.8f}, {3, 0.5f}, {17, 1.2f}});
   RstknnQuery query{Point{50, 50}, &qdoc, 5, IurTree::kNoObject};
@@ -88,7 +93,7 @@ TEST(RstknnTest, ExternalQueryObject) {
 
 TEST(RstknnTest, KGreaterThanDatasetReportsAll) {
   Fixture f(40, TextMeasure::kExtendedJaccard, 0.5, 8);
-  RstknnSearcher searcher(&f.tree, &f.dataset, &f.scorer);
+  RstknnSearcher searcher(&f.frozen, &f.dataset, &f.scorer);
   const StObject& qobj = f.dataset.object(0);
   RstknnQuery query{qobj.loc, &qobj.doc, 100, 0};
   const auto got = searcher.Search(query);
@@ -110,8 +115,10 @@ TEST(RstknnTest, ClusteredTreeAndPoliciesAgree) {
 
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   StScorer scorer(&sim, {0.5, d.max_dist()});
-  const IurTree plain = IurTree::BuildFromDataset(d, {});
-  const IurTree ciur = IurTree::BuildFromDataset(d, {}, &clusters.assignment);
+  const frozen::FrozenTree plain =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
+  const frozen::FrozenTree ciur = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(d, {}, &clusters.assignment));
   RstknnSearcher plain_search(&plain, &d, &scorer);
   RstknnSearcher ciur_search(&ciur, &d, &scorer);
 
@@ -127,7 +134,7 @@ TEST(RstknnTest, ClusteredTreeAndPoliciesAgree) {
 
 TEST(RstknnTest, StatsArepopulated) {
   Fixture f(300, TextMeasure::kExtendedJaccard, 0.5, 13);
-  RstknnSearcher searcher(&f.tree, &f.dataset, &f.scorer);
+  RstknnSearcher searcher(&f.frozen, &f.dataset, &f.scorer);
   const StObject& qobj = f.dataset.object(5);
   const auto result = searcher.Search({qobj.loc, &qobj.doc, 5, 5});
   EXPECT_GT(result.stats.entries_created, 0u);
@@ -162,7 +169,7 @@ TEST(RstknnTest, PrecomputeBaselineMatchesBruteForce) {
 
 TEST(RstknnTest, AnswersSortedAndUnique) {
   Fixture f(300, TextMeasure::kExtendedJaccard, 0.2, 23);
-  RstknnSearcher searcher(&f.tree, &f.dataset, &f.scorer);
+  RstknnSearcher searcher(&f.frozen, &f.dataset, &f.scorer);
   const StObject& qobj = f.dataset.object(77);
   const auto got = searcher.Search({qobj.loc, &qobj.doc, 10, 77});
   for (size_t i = 1; i < got.answers.size(); ++i) {

@@ -87,7 +87,8 @@ Dataset TinyDataset(std::vector<std::pair<Point, std::vector<TermId>>> rows) {
 TEST(ShardTest, DeterminismMatrix) {
   for (const bool clustered : {false, true}) {
     const Fixture fx(240, clustered);
-    const RstknnSearcher reference(&fx.tree, &fx.dataset, &fx.scorer);
+    const frozen::FrozenTree single = frozen::FrozenTree::Freeze(fx.tree);
+    const RstknnSearcher reference(&single, &fx.dataset, &fx.scorer);
     for (const RstknnAlgorithm algo :
          {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
       RstknnOptions options;
@@ -329,13 +330,12 @@ TEST(ShardTest, EmptyDatasetBuildsEmptyForest) {
 }
 
 // The journal header round-trips the shard count, and captures from before
-// the field existed parse as shards = 0.
+// the field existed parse as shards = 0 (their `view` key is ignored).
 TEST(ShardTest, JournalHeaderShardsRoundTrip) {
   const std::string path = "shard_test_journal.jsonl";
   obs::JournalHeader header;
   header.label = "rstknn.batch";
   header.algo = "probe";
-  header.view = "frozen";
   header.tree = "iur";
   header.measure = "ej";
   header.weighting = "tfidf";
@@ -352,7 +352,7 @@ TEST(ShardTest, JournalHeaderShardsRoundTrip) {
   EXPECT_EQ(loaded.value().header.shards, 4u);
   std::remove(path.c_str());
 
-  // A pre-shard header line (no "shards" key) must still parse.
+  // A pre-shard header line (no "shards" key, a "view" key) must still parse.
   const std::string legacy =
       "{\"type\":\"header\",\"version\":1,\"label\":\"rstknn\",\"data\":\"\","
       "\"algo\":\"probe\",\"view\":\"pointer\",\"tree\":\"iur\","

@@ -15,6 +15,7 @@
 
 #include "rst/common/rng.h"
 #include "rst/data/generators.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/iurtree.h"
 #include "rst/obs/explain.h"
 #include "rst/rstknn/rstknn.h"
@@ -270,7 +271,8 @@ TEST(SimdKernels, EndToEndSearchIdenticalAcrossDispatch) {
 
   const auto run = [&](simd::Level level) {
     simd::ScopedLevelOverride override_level(level);
-    IurTree tree = IurTree::BuildFromDataset(dataset, {});
+    const frozen::FrozenTree tree =
+        frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
     StScorer scorer(&sim, {0.5, dataset.max_dist()});
     RstknnSearcher searcher(&tree, &dataset, &scorer);
     struct Out {

@@ -1,48 +1,57 @@
-// Storage-path integration: the full disk round trip of index payloads
-// through the buffer pool, cache-hit accounting, and codec robustness under
-// corruption (randomized truncations and byte flips must produce clean
-// Status errors, never crashes or hangs).
+// Storage-path integration: the full disk round trip of frozen-index
+// payloads through the buffer pool, cache-hit accounting, and codec
+// robustness under corruption (randomized truncations and byte flips must
+// produce clean Status errors, never crashes or hangs).
 
 #include <gtest/gtest.h>
 
 #include "rst/common/rng.h"
 #include "rst/data/generators.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/iurtree.h"
 #include "rst/storage/buffer_pool.h"
 
 namespace rst {
 namespace {
 
+/// The weight of `term` in a sorted term span (0 when absent).
+float WeightOf(const TermSpan& span, TermId term) {
+  for (uint32_t i = 0; i < span.len; ++i) {
+    if (span.data[i].term == term) return span.data[i].weight;
+  }
+  return 0.0f;
+}
+
 TEST(StorageIntegrationTest, NodePayloadsRoundTripThroughBufferPool) {
   FlickrLikeConfig config;
   config.num_objects = 600;
   config.seed = 4;
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   BufferPool pool(&tree.page_store(), /*capacity_pages=*/64);
   IoStats stats;
 
   // Cold read of the root: charges node + payload blocks.
   InvertedFile file;
-  ASSERT_TRUE(
-      tree.ReadNodePayload(tree.root(), &pool, &stats, &file).ok());
+  ASSERT_TRUE(tree.ReadNodePayload(tree.root(), &pool, &stats, &file).ok());
   EXPECT_GE(stats.payload_blocks, 1u);
   EXPECT_FALSE(file.empty());
-  // The decoded postings must match the in-memory summaries.
+  // The decoded postings must match the in-memory entry summaries.
+  const uint32_t begin = tree.EntryBegin(tree.root());
   for (const auto& [term, postings] : file) {
     for (const Posting& p : postings) {
-      ASSERT_LT(p.id, tree.root()->entries.size());
-      const IurTree::Entry& e = tree.root()->entries[p.id];
-      EXPECT_FLOAT_EQ(p.max_weight, e.summary.uni.Get(term));
-      EXPECT_FLOAT_EQ(p.min_weight, e.summary.intr.Get(term));
+      ASSERT_LT(p.id, tree.EntryCount(tree.root()));
+      const SummarySpan summary = tree.Summary(begin + p.id);
+      EXPECT_FLOAT_EQ(p.max_weight, WeightOf(summary.uni, term));
+      EXPECT_FLOAT_EQ(p.min_weight, WeightOf(summary.intr, term));
     }
   }
 
   // Warm read: zero new payload blocks, one cache hit.
   const uint64_t blocks_before = stats.payload_blocks;
   InvertedFile again;
-  ASSERT_TRUE(
-      tree.ReadNodePayload(tree.root(), &pool, &stats, &again).ok());
+  ASSERT_TRUE(tree.ReadNodePayload(tree.root(), &pool, &stats, &again).ok());
   EXPECT_EQ(stats.payload_blocks, blocks_before);
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(again.size(), file.size());
@@ -53,27 +62,17 @@ TEST(StorageIntegrationTest, WholeTreeScanWithSmallPool) {
   config.num_objects = 1200;
   config.seed = 5;
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
   BufferPool pool(&tree.page_store(), /*capacity_pages=*/4);  // heavy eviction
   IoStats stats;
-  size_t nodes = 0;
-  std::vector<const IurTree::Node*> stack = {tree.root()};
-  while (!stack.empty()) {
-    const IurTree::Node* node = stack.back();
-    stack.pop_back();
+  for (uint32_t node = 0; node < tree.num_nodes(); ++node) {
     InvertedFile file;
     ASSERT_TRUE(tree.ReadNodePayload(node, &pool, &stats, &file).ok());
-    ++nodes;
-    if (!node->leaf) {
-      for (const IurTree::Entry& e : node->entries) {
-        stack.push_back(e.child);
-      }
-    }
   }
-  EXPECT_EQ(nodes, tree.NodeCount());
-  EXPECT_EQ(stats.node_reads, nodes);
+  EXPECT_EQ(stats.node_reads, tree.num_nodes());
   // Tiny pool: essentially everything misses.
-  EXPECT_GE(pool.misses(), nodes - pool.capacity_pages());
+  EXPECT_GE(pool.misses(), tree.num_nodes() - pool.capacity_pages());
 }
 
 TEST(StorageIntegrationTest, UnfinalizedStorageRejected) {
@@ -82,14 +81,18 @@ TEST(StorageIntegrationTest, UnfinalizedStorageRejected) {
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
   IurTree tree = IurTree::BuildFromDataset(d, {});
   tree.Insert(100, Point{1, 1}, &d.object(0).doc);  // dirties storage
-  BufferPool pool(&tree.page_store(), 8);
+  // A snapshot of dirty storage carries no payloads to read.
+  const frozen::FrozenTree dirty = frozen::FrozenTree::Freeze(tree);
+  BufferPool pool(&dirty.page_store(), 8);
   IoStats stats;
   InvertedFile file;
-  EXPECT_EQ(tree.ReadNodePayload(tree.root(), &pool, &stats, &file).code(),
+  EXPECT_EQ(dirty.ReadNodePayload(dirty.root(), &pool, &stats, &file).code(),
             StatusCode::kFailedPrecondition);
   tree.FinalizeStorage();
-  BufferPool fresh(&tree.page_store(), 8);
-  EXPECT_TRUE(tree.ReadNodePayload(tree.root(), &fresh, &stats, &file).ok());
+  const frozen::FrozenTree finalized = frozen::FrozenTree::Freeze(tree);
+  BufferPool fresh(&finalized.page_store(), 8);
+  EXPECT_TRUE(
+      finalized.ReadNodePayload(finalized.root(), &fresh, &stats, &file).ok());
 }
 
 // Fuzz-style robustness: decoding arbitrarily corrupted buffers must fail

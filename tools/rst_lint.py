@@ -492,7 +492,7 @@ def check_header_guard(f, findings, root):
 # exact requirements; extra keys are tolerated (ReadJournal ignores them, and
 # future versions may add fields).
 JOURNAL_HEADER_KEYS = frozenset([
-    "type", "version", "label", "data", "algo", "view", "tree", "measure",
+    "type", "version", "label", "data", "algo", "tree", "measure",
     "weighting", "alpha", "threads", "sample_every", "provenance"])
 JOURNAL_RECORD_KEYS = frozenset([
     "type", "index", "x", "y", "k", "terms", "wall_ms", "answer_count",

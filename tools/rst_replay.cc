@@ -5,23 +5,25 @@
 // the accumulated index heatmap must reconcile counter-exactly with the
 // summed RstknnStats.
 //
-//   rst_replay --journal FILE [--data FILE] [--view pointer|frozen|journal]
-//              [--algo probe|cl|journal] [--shards K|journal] [--threads N]
-//              [--report FILE] [--heatmap-out FILE] [--max-diffs N]
+//   rst_replay --journal FILE [--data FILE] [--algo probe|cl|journal]
+//              [--shards K|journal] [--threads N] [--report FILE]
+//              [--heatmap-out FILE] [--max-diffs N]
+//
+// The index is rebuilt from the dataset and frozen (rst::frozen), the one
+// structure RSTkNN searches; the `view` key of older journal headers is
+// ignored.
 //
 //   --journal FILE   the JSONL capture to replay (required)
 //   --data FILE      dataset TSV (default: the journal header's data path)
-//   --view           tree view to replay on (default: journal = as captured)
 //   --algo           algorithm to replay with (default: journal). Answers —
-//                    and therefore digests — are independent of algo/view by
-//                    the equality contract; stats are only compared when the
-//                    replay algorithm matches the capture
+//                    and therefore digests — are independent of the
+//                    algorithm by the equality contract; stats are only
+//                    compared when the replay algorithm matches the capture
 //   --shards         replay against a K-shard ShardedIndex (default: journal
 //                    = the capture's shard count; 0 = single index). Digests
 //                    must still match — the answer set is independent of the
 //                    partitioning; stats are only compared when the replay
-//                    shard count matches the capture's. --view is ignored
-//                    when sharded (shards are frozen trees)
+//                    shard count matches the capture's
 //   --threads N      replay through exec::BatchRunner with N workers
 //                    (default 1 = serial RstknnSearcher loop); digests are
 //                    identical at any thread count
@@ -69,7 +71,6 @@ namespace {
 struct ReplayFlags {
   std::string journal;
   std::string data;
-  std::string view = "journal";
   std::string algo = "journal";
   std::string shards = "journal";
   size_t threads = 1;
@@ -81,7 +82,6 @@ struct ReplayFlags {
 int Usage() {
   std::fprintf(stderr,
                "usage: rst_replay --journal FILE [--data FILE]\n"
-               "                  [--view pointer|frozen|journal]\n"
                "                  [--algo probe|cl|journal]\n"
                "                  [--shards K|journal] [--threads N]\n"
                "                  [--report FILE] [--heatmap-out FILE]\n"
@@ -105,8 +105,6 @@ bool ParseFlags(int argc, char** argv, ReplayFlags* flags) {
       flags->journal = value;
     } else if (name == "--data") {
       flags->data = value;
-    } else if (name == "--view") {
-      flags->view = value;
     } else if (name == "--algo") {
       flags->algo = value;
     } else if (name == "--shards") {
@@ -226,8 +224,6 @@ int Main(int argc, char** argv) {
   }
   const Dataset& dataset = data.value();
 
-  const std::string view =
-      flags.view == "journal" ? journal.header.view : flags.view;
   const std::string algo_name =
       flags.algo == "journal"
           ? journal.header.algo
@@ -240,23 +236,16 @@ int Main(int argc, char** argv) {
           : static_cast<uint64_t>(
                 std::max(0L, std::strtol(flags.shards.c_str(), nullptr, 10)));
   const bool use_sharded = shards > 0;
-  if (use_sharded && flags.view != "journal") {
-    std::fprintf(stderr,
-                 "note: --view is ignored with a sharded replay (shards are "
-                 "frozen trees)\n");
-  }
-  const bool use_frozen = view == "frozen" && !use_sharded;
   const RstknnAlgorithm algo = algo_name == "contribution_list"
                                    ? RstknnAlgorithm::kContributionList
                                    : RstknnAlgorithm::kProbe;
   // Stats depend on the algorithm and the index shape — tree kind and shard
-  // partitioning, but not the view or thread count; digests depend on none
-  // of these.
+  // partitioning, but not the thread count; digests depend on none of
+  // these.
   const bool stats_comparable = algo_name == journal.header.algo &&
                                 journal.header.tree == "iur" &&
                                 shards == journal.header.shards;
 
-  std::optional<IurTree> tree;
   std::optional<frozen::FrozenTree> frozen;
   std::optional<shard::ShardedIndex> sharded;
   if (use_sharded) {
@@ -264,8 +253,8 @@ int Main(int argc, char** argv) {
     shard_options.num_shards = static_cast<size_t>(shards);
     sharded.emplace(shard::ShardedIndex::Build(dataset, shard_options));
   } else {
-    tree.emplace(IurTree::BuildFromDataset(dataset, {}));
-    if (use_frozen) frozen.emplace(frozen::FrozenTree::Freeze(*tree));
+    frozen.emplace(
+        frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {})));
   }
 
   TextSimilarity sim(MeasureFromHeader(journal.header),
@@ -326,9 +315,7 @@ int Main(int argc, char** argv) {
     runner.set_heatmap(&heatmap);
     results = runner.RunRstknn(queries, options);
   } else if (flags.threads <= 1) {
-    const RstknnSearcher searcher =
-        use_frozen ? RstknnSearcher(&*frozen, &dataset, &scorer)
-                   : RstknnSearcher(&*tree, &dataset, &scorer);
+    const RstknnSearcher searcher(&*frozen, &dataset, &scorer);
     ProbeScratch scratch;
     options.scratch = &scratch;
     options.publish_metrics = false;
@@ -339,9 +326,7 @@ int Main(int argc, char** argv) {
     heatmap.AddQueries(n);
   } else {
     exec::ThreadPool pool(flags.threads);
-    exec::BatchRunner runner =
-        use_frozen ? exec::BatchRunner(&*frozen, &dataset, &scorer, &pool)
-                   : exec::BatchRunner(&*tree, &dataset, &scorer, &pool);
+    exec::BatchRunner runner(&*frozen, &dataset, &scorer, &pool);
     runner.set_heatmap(&heatmap);
     results = runner.RunRstknn(queries, options);
   }
@@ -418,10 +403,10 @@ int Main(int argc, char** argv) {
   }
 
   // --- aggregate analytics ---
-  const std::string view_desc =
-      use_sharded ? std::to_string(shards) + " shards" : view + " view";
-  std::printf("replayed %zu queries (%s, %s, %zu threads) in %.2f ms\n",
-              n, algo_name.c_str(), view_desc.c_str(), flags.threads, wall_ms);
+  const std::string index_desc =
+      use_sharded ? std::to_string(shards) + " shards" : "single index";
+  std::printf("replayed %zu queries (%s, %s, %zu threads) in %.2f ms\n", n,
+              algo_name.c_str(), index_desc.c_str(), flags.threads, wall_ms);
   std::printf("digest mismatches: %zu/%zu\n", digest_mismatches, n);
   if (stats_comparable) {
     std::printf("stats mismatches:  %zu/%zu\n", stats_mismatches, n);
@@ -531,8 +516,6 @@ int Main(int argc, char** argv) {
     w.BeginObject();
     w.Key("algo");
     w.String(algo_name);
-    w.Key("view");
-    w.String(view);
     w.Key("shards");
     w.Uint(shards);
     w.Key("threads");

@@ -28,16 +28,15 @@
 //                       are genuine.
 //   --pool-pages N      buffer-pool capacity in 4 KiB pages (default 256)
 //
-// Frozen-index flags (rstknn only):
-//   --frozen            freeze the built tree into the flat-layout snapshot
-//                       (rst::frozen) and answer over it — byte-identical
-//                       results/metrics, pointer-free traversal
-//   --save-index FILE   freeze and persist the snapshot (versioned format);
+// Index flags (rstknn only). Queries always run over the frozen flat-layout
+// snapshot (rst::frozen): the command builds the IUR-tree, freezes it and
+// drops the builder, or loads a saved snapshot.
+//   --save-index FILE   persist the frozen snapshot (versioned format);
 //                       with no query flags (--id/--ids/--keywords) the
 //                       command exits after saving
 //   --load-index FILE   answer over a previously saved snapshot instead of
-//                       rebuilding the tree (implies --frozen; --data must
-//                       still name the dataset the index was built from)
+//                       rebuilding the tree (--data must still name the
+//                       dataset the index was built from)
 //   --build-threads N   worker threads for the STR bulk-load slab sorts
 //                       (default 1; any N produces the identical tree)
 //   --check-invariants  run the deep structural validation (DESIGN.md §11.2)
@@ -339,7 +338,7 @@ RstknnAlgorithm ParseAlgorithm(const Flags& flags) {
 /// rst_replay needs to rebuild the same index and scorer, normalized to the
 /// CLI's own flag vocabulary.
 obs::JournalHeader MakeJournalHeader(const Flags& flags,
-                                     const std::string& label, bool use_frozen,
+                                     const std::string& label,
                                      uint64_t threads, uint64_t sample_every,
                                      uint64_t shards = 0) {
   obs::JournalHeader header;
@@ -348,7 +347,6 @@ obs::JournalHeader MakeJournalHeader(const Flags& flags,
   header.algo = ParseAlgorithm(flags) == RstknnAlgorithm::kContributionList
                     ? "contribution_list"
                     : "probe";
-  header.view = use_frozen || shards > 0 ? "frozen" : "pointer";
   header.tree = "iur";  // the CLI builds an unclustered IUR-tree
   header.measure = flags.Get("measure", "ej");
   header.weighting = flags.Get("weighting", "tfidf");
@@ -547,7 +545,7 @@ int CmdTopK(const Flags& flags) {
 /// BatchRunner. Traces are single-threaded by design, so --trace only
 /// annotates the artifact with the batch, not per-query spans.
 int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
-                   const IurTree* tree, const frozen::FrozenTree* frozen,
+                   const frozen::FrozenTree* frozen,
                    const shard::ShardedIndex* sharded, const StScorer& scorer,
                    obs::RuntimeSampler* sampler) {
   std::vector<ObjectId> ids;
@@ -575,9 +573,7 @@ int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
   options.algorithm = ParseAlgorithm(flags);
   std::optional<BufferPool> pool;
   if (sharded == nullptr) {
-    pool.emplace(frozen != nullptr ? &frozen->page_store()
-                                   : &tree->page_store(),
-                 obs_flags.pool_pages);
+    pool.emplace(&frozen->page_store(), obs_flags.pool_pages);
     if (!obs_flags.metrics_out.empty()) options.pool = &*pool;
   } else if (obs_flags.slow_logging() || obs_flags.profile ||
              !obs_flags.trace_out.empty()) {
@@ -591,10 +587,7 @@ int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
 
   const size_t threads = static_cast<size_t>(flags.GetInt("threads", 1));
   exec::ThreadPool thread_pool(threads);
-  exec::BatchRunner runner =
-      frozen != nullptr
-          ? exec::BatchRunner(frozen, &dataset, &scorer, &thread_pool)
-          : exec::BatchRunner(tree, &dataset, &scorer, &thread_pool);
+  exec::BatchRunner runner(frozen, &dataset, &scorer, &thread_pool);
   exec::ShardedBatchRunner sharded_runner(sharded, &dataset, &scorer,
                                           &thread_pool);
   obs::SlowQueryLog slow_log(obs_flags.slow_log_ms);
@@ -609,8 +602,8 @@ int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
   if (!obs_flags.journal_out.empty()) {
     const Status s = journal.Open(
         obs_flags.journal_out,
-        MakeJournalHeader(flags, "rstknn.batch", frozen != nullptr,
-                          thread_pool.num_threads(), obs_flags.journal_sample,
+        MakeJournalHeader(flags, "rstknn.batch", thread_pool.num_threads(),
+                          obs_flags.journal_sample,
                           sharded != nullptr ? sharded->num_shards() : 0));
     if (!s.ok()) {
       std::fprintf(stderr, "--journal-out: %s\n", s.ToString().c_str());
@@ -717,13 +710,18 @@ int CmdRstknn(const Flags& flags) {
     sampler.Start(static_cast<uint64_t>(obs_flags.telemetry_ms));
   }
 
-  // Index setup: build the pointer tree (and optionally freeze/save it), or
-  // load a previously saved frozen snapshot and skip the build entirely.
-  // With --shards the index is a directory of frozen shard trees instead.
+  // Index setup: build the IUR-tree and freeze it (the builder is dropped
+  // once frozen), or load a previously saved frozen snapshot and skip the
+  // build entirely. With --shards the index is a directory of frozen shard
+  // trees instead.
   const bool load_index = flags.Has("load-index");
   const bool save_index = flags.Has("save-index");
-  const bool use_frozen = (flags.Has("frozen") || load_index) && !use_sharded;
-  std::optional<IurTree> tree;
+  // Opt-in deep validation of the index that will serve the query: every
+  // node summary dominated and equal to the merge of its children, MBRs
+  // tight, leaves level, cluster lists partitioning. Exits non-zero with the
+  // precise violation so scripted runs can gate on it.
+  const bool check_invariants = flags.Has("check-invariants");
+  Status invariants = Status::Ok();
   std::optional<frozen::FrozenTree> frozen;
   std::optional<shard::ShardedIndex> sharded;
   if (use_sharded) {
@@ -760,25 +758,18 @@ int CmdRstknn(const Flags& flags) {
     IurTreeOptions tree_options;
     tree_options.build_threads =
         static_cast<size_t>(flags.GetInt("build-threads", 1));
-    tree.emplace(IurTree::BuildFromDataset(dataset, tree_options));
-    if (use_frozen || save_index) {
-      frozen.emplace(frozen::FrozenTree::Freeze(*tree));
-    }
-  }
-  // Opt-in deep validation of whichever index will serve the query: every
-  // node summary dominated and equal to the merge of its children, MBRs
-  // tight, leaves level, cluster lists partitioning. Exits non-zero with the
-  // precise violation so scripted runs can gate on it.
-  if (flags.Has("check-invariants")) {
-    Status invariants = Status::Ok();
-    if (sharded.has_value()) {
-      invariants = sharded->CheckInvariants();
-    }
-    if (invariants.ok() && tree.has_value()) {
-      invariants = tree->CheckInvariants(
+    const IurTree tree = IurTree::BuildFromDataset(dataset, tree_options);
+    if (check_invariants) {
+      invariants = tree.CheckInvariants(
           [&dataset](uint32_t oid) -> const TermVector* {
             return oid < dataset.size() ? &dataset.object(oid).doc : nullptr;
           });
+    }
+    frozen.emplace(frozen::FrozenTree::Freeze(tree));
+  }
+  if (check_invariants) {
+    if (invariants.ok() && sharded.has_value()) {
+      invariants = sharded->CheckInvariants();
     }
     if (invariants.ok() && frozen.has_value()) {
       invariants = frozen->CheckInvariants();
@@ -821,8 +812,7 @@ int CmdRstknn(const Flags& flags) {
     }
   }
   if (flags.Has("ids")) {
-    return CmdRstknnBatch(flags, dataset, tree ? &*tree : nullptr,
-                          use_frozen ? &*frozen : nullptr,
+    return CmdRstknnBatch(flags, dataset, frozen ? &*frozen : nullptr,
                           sharded ? &*sharded : nullptr, scorer, &sampler);
   }
 
@@ -852,10 +842,7 @@ int CmdRstknn(const Flags& flags) {
   // serialized index rather than simulated charges. Sharded mode has no
   // single page store, so it stays on simulated charges.
   std::optional<BufferPool> pool;
-  if (!use_sharded) {
-    pool.emplace(use_frozen ? &frozen->page_store() : &tree->page_store(),
-                 obs_flags.pool_pages);
-  }
+  if (!use_sharded) pool.emplace(&frozen->page_store(), obs_flags.pool_pages);
   if (obs_flags.tracing() || obs_flags.slow_logging()) {
     options.trace = &trace;
   }
@@ -885,9 +872,7 @@ int CmdRstknn(const Flags& flags) {
     result.stats = res.stats;
     shard_stats = res.shards;
   } else {
-    const RstknnSearcher searcher =
-        use_frozen ? RstknnSearcher(&*frozen, &dataset, &scorer)
-                   : RstknnSearcher(&*tree, &dataset, &scorer);
+    const RstknnSearcher searcher(&*frozen, &dataset, &scorer);
     result = searcher.Search(query, options);
   }
   const double ms = timer.ElapsedMillis();
@@ -917,7 +902,7 @@ int CmdRstknn(const Flags& flags) {
     obs::WorkloadRecorder journal;
     const Status s = journal.Open(
         obs_flags.journal_out,
-        MakeJournalHeader(flags, "rstknn", use_frozen, /*threads=*/1,
+        MakeJournalHeader(flags, "rstknn", /*threads=*/1,
                           obs_flags.journal_sample,
                           use_sharded ? sharded->num_shards() : 0));
     if (!s.ok()) {
