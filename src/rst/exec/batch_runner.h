@@ -8,11 +8,12 @@
 #include "rst/frozen/frozen.h"
 #include "rst/obs/journal.h"
 #include "rst/rstknn/rstknn.h"
+#include "rst/shard/sharded_index.h"
+#include "rst/shard/sharded_search.h"
 
 namespace rst {
 
 namespace obs {
-class HeatmapRecorder;
 class SlowQueryLog;
 class TraceEventWriter;
 class WorkloadRecorder;
@@ -26,7 +27,7 @@ obs::JournalStats ToJournalStats(const RstknnStats& stats);
 
 /// Builds one workload-journal record from an executed query: query object,
 /// wall time, flattened stats and the FNV-1a64 answer digest. Shared by the
-/// batch runner, the serial CLI path, the load driver and rst_replay.
+/// batch runner and the load driver's open-loop path.
 obs::JournalQueryRecord MakeJournalRecord(uint64_t index,
                                           const RstknnQuery& query,
                                           const RstknnResult& result,
@@ -36,6 +37,8 @@ obs::JournalQueryRecord MakeJournalRecord(uint64_t index,
 struct BatchStats {
   /// Sum of every query's RstknnStats.
   RstknnStats total;
+  /// Sum of every query's shard triage outcomes; zero over a FrozenTree.
+  shard::ShardedStats shards;
   uint64_t queries = 0;
   uint64_t answers = 0;  ///< total result rows across the batch
   double wall_ms = 0.0;
@@ -44,35 +47,50 @@ struct BatchStats {
   std::vector<double> worker_busy_ms;
 };
 
-/// Evaluates batches of RSTkNN queries concurrently over a shared read-only
-/// FrozenTree + Dataset.
+/// The one executor of RSTkNN queries: evaluates a batch concurrently over a
+/// shared read-only index + Dataset, where the index is either one
+/// FrozenTree (RstknnSearcher) or a ShardedIndex (ShardedSearcher, shards
+/// run serially on the query's worker — ParallelFor does not nest, and
+/// query-major parallelism already fills the pool). A single query is a
+/// batch of one; ThreadPool(1) runs it inline on the caller.
 ///
 /// Determinism contract: results are written into slots keyed by query index
 /// and each query runs the unmodified single-query algorithm, so the output
 /// vector is byte-identical to running the same queries serially — at any
 /// thread count, regardless of scheduling.
 ///
-/// What is shared vs. per-worker: the tree, dataset, scorer and (optional)
+/// What is shared vs. per-worker: the index, dataset, scorer and (optional)
 /// BufferPool are shared read-only/thread-safe; each worker owns a
 /// ProbeScratch, an RstknnStats accumulator and a busy-time stopwatch, so
-/// the query hot path takes no locks. A caller-supplied options.trace would
-/// be SHARED across workers — traces are single-threaded by design, so it is
-/// forced to null; with a slow-query log attached (set_slow_log) each query
-/// instead gets its own private QueryTrace + ExplainRecorder, which is safe,
-/// and over-threshold queries are captured in full. Per-query registry
-/// publishes are suppressed and replaced by ONE per-batch aggregated publish
-/// (rstknn.* totals plus exec.batch.* timings, including the per-query
-/// exec.batch.queue_wait_ms histogram — time between batch start and a
-/// query's first instruction on a worker).
+/// the query hot path takes no locks. Per-query registry publishes are
+/// suppressed and replaced by ONE per-batch aggregated publish (rstknn.*
+/// and rstknn.shard.* totals plus exec.batch.* timings, including the
+/// per-query exec.batch.queue_wait_ms histogram — time between batch start
+/// and a query's first instruction on a worker).
 ///
-/// Profiling (DESIGN.md §12): set_profiling(true) gives each worker a
-/// private obs::PhaseProfiler so RunRstknn attributes every query's wall
-/// time into the rstknn.phase.* histograms (histogram Record is lock-free,
-/// so per-query publishes from workers are safe). set_trace_events attaches
-/// a Chrome trace-event writer: every query emits a `run` slice on its
-/// worker's track (queue wait as an arg), and 1-in-N sampled queries
-/// additionally serialize their full span tree nested under the run slice
-/// plus a `queue_wait` slice on a dedicated queue track.
+/// Instruments attached to `options` describe the whole batch. A non-null
+/// options.trace, options.explain, options.profiler or options.heatmap is
+/// filled with every query of the batch: each query records into a private
+/// instance (traces, recorders and profilers per query, heatmaps per
+/// worker), and after the join the runner merges them into the caller's in
+/// query-index order, so the merged output is identical at any thread count
+/// apart from timing fields. The explain recorder and the profiler are reset
+/// at batch start, as Search resets them per query; the trace and the
+/// heatmap accumulate across batches. A batch of one therefore records
+/// exactly what a direct RstknnSearcher::Search would. Private instances are
+/// created only for attached instruments — the bare path allocates nothing
+/// per query. Over a ShardedIndex options.explain must be null (the
+/// scatter-gather search rejects it), and the trace stays empty because the
+/// per-shard searches record no spans.
+///
+/// Runner-level sinks: set_slow_log captures over-threshold queries with a
+/// private trace (+ explain JSON over a FrozenTree); set_profiling gives each
+/// worker a PhaseProfiler so every query publishes rstknn.phase.*
+/// histograms; set_trace_events emits a `run` slice per query on its
+/// worker's track (queue wait as an arg), and 1-in-N sampled queries also
+/// serialize their span tree under the run slice plus a `queue_wait` slice
+/// on a dedicated queue track; set_journal appends sampled queries to a
+/// workload journal.
 class BatchRunner {
  public:
   /// All referents must outlive the runner. `pool` is borrowed, not owned —
@@ -80,6 +98,10 @@ class BatchRunner {
   BatchRunner(const frozen::FrozenTree* tree, const Dataset* dataset,
               const StScorer* scorer, ThreadPool* pool)
       : tree_(tree), dataset_(dataset), scorer_(scorer), pool_(pool) {}
+  /// Same, over a sharded forest (DESIGN.md §15).
+  BatchRunner(const shard::ShardedIndex* index, const Dataset* dataset,
+              const StScorer* scorer, ThreadPool* pool)
+      : index_(index), dataset_(dataset), scorer_(scorer), pool_(pool) {}
 
   /// Attaches a slow-query capture sink for RunRstknn (see the class comment;
   /// the log must outlive the runner's batches). Null disables capture — the
@@ -87,8 +109,8 @@ class BatchRunner {
   /// (its Snapshot/ToJson are quiesced-only).
   void set_slow_log(obs::SlowQueryLog* slow_log) { slow_log_ = slow_log; }
 
-  /// Enables per-phase latency attribution for RunRstknn (see the class
-  /// comment). Off by default — the zero-overhead path.
+  /// Enables per-query rstknn.phase.* histograms for RunRstknn (see the
+  /// class comment). Off by default — the zero-overhead path.
   void set_profiling(bool profiling) { profiling_ = profiling; }
 
   /// Attaches a Chrome trace-event writer for RunRstknn (see the class
@@ -106,31 +128,24 @@ class BatchRunner {
   /// capture — the default.
   void set_journal(obs::WorkloadRecorder* journal) { journal_ = journal; }
 
-  /// Attaches a cross-batch index heatmap for RunRstknn. Each worker feeds
-  /// a private recorder (the searcher hot path stays lock-free); the
-  /// workers' recorders are merged into `heatmap` after the join, so totals
-  /// reconcile exactly against BatchStats::total at any thread count. The
-  /// recorder is not reset — successive batches accumulate. Null disables —
-  /// the default.
-  void set_heatmap(obs::HeatmapRecorder* heatmap) { heatmap_ = heatmap; }
-
-  /// Runs every query through RstknnSearcher::Search. `options.trace`,
-  /// `options.scratch` and `options.explain` are overridden per worker;
-  /// `options.pool` (real-I/O mode) is honored and requires the
+  /// Runs every query through the index's searcher. `options.scratch` and
+  /// `options.publish_metrics` are overridden per worker, the instruments
+  /// are handled as the class comment describes, and `options.pool`
+  /// (real-I/O mode, FrozenTree only) is honored and requires the
   /// concurrent-reader-safe BufferPool.
   std::vector<RstknnResult> RunRstknn(const std::vector<RstknnQuery>& queries,
                                       const RstknnOptions& options,
                                       BatchStats* batch_stats = nullptr) const;
 
  private:
-  const frozen::FrozenTree* tree_;
+  const frozen::FrozenTree* tree_ = nullptr;
+  const shard::ShardedIndex* index_ = nullptr;
   const Dataset* dataset_;
   const StScorer* scorer_;
   ThreadPool* pool_;
   obs::SlowQueryLog* slow_log_ = nullptr;
   obs::TraceEventWriter* trace_events_ = nullptr;
   obs::WorkloadRecorder* journal_ = nullptr;
-  obs::HeatmapRecorder* heatmap_ = nullptr;
   bool profiling_ = false;
 };
 

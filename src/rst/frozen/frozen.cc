@@ -277,7 +277,6 @@ Status FrozenTree::ReadNodePayload(uint32_t node, BufferPool* pool,
   auto payload = pool->Fetch(node_invfile_[node], stats);
   if (!payload.ok()) return payload.status();
   size_t offset = 0;
-  obs::TraceSpan decode_span(pool->trace(), obs::names::kSpanPayloadDecode);
   return DecodeInvertedFile(*payload.value(), &offset, out);
 }
 

@@ -1,5 +1,6 @@
 #include "rst/obs/explain.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "rst/obs/json.h"
@@ -56,6 +57,15 @@ void Tally(ExplainLevelSummary* summary, const ExplainDecision& decision) {
   }
 }
 
+void AddSummary(ExplainLevelSummary* into, const ExplainLevelSummary& from) {
+  into->pruned += from.pruned;
+  into->expanded += from.expanded;
+  into->reported_hit += from.reported_hit;
+  into->reported_miss += from.reported_miss;
+  into->objects_pruned += from.objects_pruned;
+  into->objects_reported += from.objects_reported;
+}
+
 }  // namespace
 
 void ExplainRecorder::Record(const ExplainDecision& decision) {
@@ -73,6 +83,26 @@ void ExplainRecorder::Record(const ExplainDecision& decision) {
   } else if (max_decisions_ > 0) {
     ++log_dropped_;
   }
+}
+
+void ExplainRecorder::Merge(const ExplainRecorder& other) {
+  if (algorithm_.empty()) algorithm_ = other.algorithm_;
+  AddSummary(&totals_, other.totals_);
+  const size_t old_size = levels_.size();
+  if (other.levels_.size() > old_size) {
+    levels_.resize(other.levels_.size());
+    for (size_t i = old_size; i < levels_.size(); ++i) {
+      levels_[i].level = static_cast<uint32_t>(i);
+    }
+  }
+  for (size_t i = 0; i < other.levels_.size(); ++i) {
+    AddSummary(&levels_[i], other.levels_[i]);
+  }
+  if (max_decisions_ == 0) return;
+  const size_t taken =
+      std::min(max_decisions_ - log_.size(), other.log_.size());
+  log_.insert(log_.end(), other.log_.begin(), other.log_.begin() + taken);
+  log_dropped_ += other.decisions() - taken;
 }
 
 void ExplainRecorder::Reset() {

@@ -82,7 +82,8 @@ struct ExplainLevelSummary {
 /// CheckReconciles() verifies the identities; explain_test property-tests
 /// them across algorithms and tree variants.
 ///
-/// Single-threaded by design, like QueryTrace: one recorder per query.
+/// Single-threaded by design, like QueryTrace: one recorder per query; a
+/// batch gives each query its own and merges them in query order.
 class ExplainRecorder {
  public:
   explicit ExplainRecorder(size_t max_decisions = 0)
@@ -97,6 +98,15 @@ class ExplainRecorder {
   /// Drops all recorded state (summary, log, algorithm) but keeps the cap —
   /// lets a worker reuse one recorder across the queries of a batch.
   void Reset();
+
+  /// Folds `other` (a later query of the same batch) into this recorder:
+  /// per-level summaries and totals add up, the algorithm stamp is taken
+  /// from `other` if this recorder has none, and the decision log keeps the
+  /// first `max_decisions` decisions across both — every decision of
+  /// `other` that does not fit counts in log_dropped(). Merging per-query
+  /// recorders in query order therefore yields the log a single recorder
+  /// would have kept over the whole batch.
+  void Merge(const ExplainRecorder& other);
 
   // --- totals (across all levels) ---
   uint64_t pruned() const { return totals_.pruned; }

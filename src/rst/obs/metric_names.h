@@ -160,14 +160,12 @@ inline constexpr char kSuffixEarlyTerminations[] = ".early_terminations";
 inline constexpr char kTraceQuery[] = "query";
 inline constexpr char kTraceTopk[] = "topk";
 inline constexpr char kTraceRstknn[] = "rstknn";
-inline constexpr char kTraceRstknnBatch[] = "rstknn.batch";
 inline constexpr char kTraceMaxbrst[] = "maxbrst";
 
 // --- TraceSpan labels ---
 inline constexpr char kSpanIurtreeBuild[] = "iurtree.build";
 inline constexpr char kSpanPack[] = "pack";
 inline constexpr char kSpanFinalizeStorage[] = "finalize_storage";
-inline constexpr char kSpanPayloadDecode[] = "payload.decode";
 inline constexpr char kSpanTopkSearch[] = "topk.search";
 inline constexpr char kSpanMaxbrstFilter[] = "maxbrst.filter";
 inline constexpr char kSpanMaxbrstSelect[] = "maxbrst.select";
@@ -175,7 +173,6 @@ inline constexpr char kSpanMaxbrstEvaluate[] = "maxbrst.evaluate";
 inline constexpr char kSpanFrozenFreeze[] = "frozen.freeze";
 inline constexpr char kSpanFrozenLayout[] = "layout";
 inline constexpr char kSpanFrozenPayloads[] = "payloads";
-inline constexpr char kSpanBufferPoolFill[] = "buffer_pool.fill";
 inline constexpr char kSpanStorageReadNode[] = "storage.read_node";
 inline constexpr char kSpanSetup[] = "setup";
 inline constexpr char kSpanExpand[] = "expand";

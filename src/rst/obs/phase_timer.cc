@@ -59,6 +59,13 @@ void PhaseProfiler::Reset() {
   overflow_ = 0;
 }
 
+void PhaseProfiler::Merge(const PhaseProfiler& other) {
+  for (size_t p = 0; p < kNumPhases; ++p) {
+    total_ms_[p] += other.total_ms_[p];
+    calls_[p] += other.calls_[p];
+  }
+}
+
 void PhaseProfiler::Enter(Phase phase) {
   const Clock::time_point now = Clock::now();
   if (depth_ >= kMaxDepth) {

@@ -22,7 +22,8 @@
 //     an array add; no allocation, no locks.
 //
 // Threading: a PhaseProfiler is single-threaded per query, exactly like
-// QueryTrace. Batch execution keeps one per worker (rst::exec::BatchRunner).
+// QueryTrace. Batch execution gives each query a private one
+// (rst::exec::BatchRunner) and merges them into the caller's after the join.
 
 #include <cstddef>
 #include <cstdint>
@@ -70,6 +71,11 @@ class PhaseProfiler {
 
   /// Zeroes totals and call counts (the searcher calls this per query).
   void Reset();
+
+  /// Adds `other`'s per-phase totals and call counts to this profiler (a
+  /// batch folds its per-query profilers into the caller's this way). Open
+  /// phases of either profiler are left as they are.
+  void Merge(const PhaseProfiler& other);
 
   double total_ms(Phase phase) const {
     return total_ms_[static_cast<size_t>(phase)];

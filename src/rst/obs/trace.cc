@@ -14,6 +14,18 @@ double ElapsedMs(std::chrono::steady_clock::time_point start,
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
+/// The child of `parent` named `name`, appended if absent — repeated spans
+/// merge into one node.
+Span* ChildNamed(Span* parent, std::string_view name) {
+  for (const auto& existing : parent->children) {
+    if (existing->name == name) return existing.get();
+  }
+  parent->children.push_back(std::make_unique<Span>());
+  Span* child = parent->children.back().get();
+  child->name = std::string(name);
+  return child;
+}
+
 }  // namespace
 
 QueryTrace::QueryTrace(std::string_view root_name) {
@@ -29,20 +41,7 @@ void QueryTrace::Enter(std::string_view name) {
     // still recorded rather than dropped.
     stack_.push_back({root_.get(), Clock::now()});
   }
-  Span* parent = stack_.back().span;
-  Span* child = nullptr;
-  for (const auto& existing : parent->children) {
-    if (existing->name == name) {
-      child = existing.get();
-      break;
-    }
-  }
-  if (child == nullptr) {
-    parent->children.push_back(std::make_unique<Span>());
-    child = parent->children.back().get();
-    child->name = std::string(name);
-  }
-  stack_.push_back({child, Clock::now()});
+  stack_.push_back({ChildNamed(stack_.back().span, name), Clock::now()});
 }
 
 void QueryTrace::Exit() {
@@ -64,6 +63,26 @@ void QueryTrace::Finish() {
 void QueryTrace::AddCount(std::string_view key, uint64_t n) {
   Span* span = stack_.empty() ? root_.get() : stack_.back().span;
   span->counts[std::string(key)] += n;
+}
+
+namespace {
+
+/// Adds `from`'s counts and (recursively, by name) children into `into`.
+void MergeSpanContents(const Span& from, Span* into) {
+  for (const auto& [key, value] : from.counts) into->counts[key] += value;
+  for (const auto& from_child : from.children) {
+    Span* child = ChildNamed(into, from_child->name);
+    child->total_ms += from_child->total_ms;
+    child->calls += from_child->calls;
+    MergeSpanContents(*from_child, child);
+  }
+}
+
+}  // namespace
+
+void QueryTrace::Merge(const QueryTrace& other) {
+  MergeSpanContents(*other.root_,
+                    stack_.empty() ? root_.get() : stack_.back().span);
 }
 
 namespace {

@@ -30,7 +30,7 @@ struct Span {
 };
 
 /// Per-query span tree recorder. Single-threaded by design (one trace per
-/// query); pass nullptr wherever a trace is accepted to disable tracing —
+/// query, merged with Merge when a batch fills one trace); pass nullptr wherever a trace is accepted to disable tracing —
 /// the RAII TraceSpan then compiles down to a pointer test.
 class QueryTrace {
  public:
@@ -48,6 +48,14 @@ class QueryTrace {
 
   /// Adds `n` to counter `key` of the innermost open span.
   void AddCount(std::string_view key, uint64_t n = 1);
+
+  /// Folds `other`'s spans into the innermost open span of this trace, as if
+  /// they had been recorded here: the other root's counts add to that span,
+  /// and its children merge by name, recursively (wall time, calls and
+  /// counts accumulate; unseen names append in `other`'s order). The other
+  /// root's own time is not added. A batch records each query into a
+  /// private trace and merges them into the caller's in query order.
+  void Merge(const QueryTrace& other);
 
   const Span& root() const { return *root_; }
 

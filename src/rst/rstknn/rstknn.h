@@ -96,8 +96,9 @@ struct RstknnOptions {
   /// the profiler, attributes wall time into the fixed phase set (descent /
   /// bounds / merge / io / finalize, exclusive self-time), and publishes one
   /// rstknn.phase.* histogram sample per phase on completion. Single-threaded
-  /// like `trace` — batch execution attaches one per worker. Null (the
-  /// default) costs one branch per phase boundary.
+  /// like `trace` — exec::BatchRunner gives each query a private one and
+  /// merges them into the batch's. Null (the default) costs one branch per
+  /// phase boundary.
   obs::PhaseProfiler* profiler = nullptr;
   /// Optional real-I/O mode: node accesses read the serialized inverted
   /// files through this pool (hits/misses land in the buffer-pool metrics)

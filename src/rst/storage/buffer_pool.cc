@@ -2,8 +2,6 @@
 
 #include "rst/common/stopwatch.h"
 #include "rst/obs/metric_names.h"
-#include "rst/obs/phase_timer.h"
-#include "rst/obs/trace.h"
 
 namespace rst {
 
@@ -81,14 +79,7 @@ Result<std::shared_ptr<const std::string>> BufferPool::Fetch(
   // in parallel; a payload raced in by another thread is adopted below.
   auto payload = std::make_shared<std::string>();
   Stopwatch fill_timer;
-  Status s;
-  {
-    obs::TraceSpan span(trace_, obs::names::kSpanBufferPoolFill);
-    // Attributed to kIo; if the caller's Charge() already opened kIo this
-    // nests and self-time accounting keeps the sum exact.
-    obs::PhaseTimer io_phase(profiler_, obs::Phase::kIo);
-    s = store_->Read(handle, payload.get(), stats);
-  }
+  const Status s = store_->Read(handle, payload.get(), stats);
   fill_ms_.Record(fill_timer.ElapsedMillis());
   if (!s.ok()) return s;
   std::shared_ptr<const std::string> shared = std::move(payload);

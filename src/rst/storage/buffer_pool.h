@@ -15,11 +15,6 @@
 
 namespace rst {
 
-namespace obs {
-class PhaseProfiler;
-class QueryTrace;
-}  // namespace obs
-
 /// LRU buffer pool over a PageStore. Payloads are cached whole (a payload is
 /// the unit of access for tree nodes and inverted files); capacity is counted
 /// in pages. Fetch returns a shared payload that remains valid after
@@ -35,12 +30,13 @@ class QueryTrace;
 /// accesses), after which one copy is adopted. Eviction picks the unpinned
 /// entry with the smallest stamp, which is exactly the list-LRU victim, so
 /// single-threaded behavior (victim order, admit-over-capacity when all
-/// pinned, capacity 0 disabling caching) is unchanged.
+/// pinned, capacity 0 disabling caching) is unchanged. IoStats passed to
+/// Fetch/Pin are charged per caller and are not shared between threads.
 ///
-/// `set_trace` remains single-threaded by design (QueryTrace is not
-/// thread-safe): attach a trace only when one thread uses the pool. IoStats
-/// passed to Fetch/Pin are charged per caller and are not shared between
-/// threads.
+/// The pool records no spans or phases itself: the searcher's node read
+/// (FrozenTreeView::Charge) already wraps every Fetch in a
+/// `storage.read_node` span and the kIo phase. Fill latency lands in the
+/// storage.buffer_pool.fill_ms histogram.
 class BufferPool {
  public:
   /// `store` must outlive the pool. `capacity_pages` == 0 disables caching
@@ -84,21 +80,6 @@ class BufferPool {
                : static_cast<double>(h) / static_cast<double>(h + m);
   }
 
-  /// Attaches a query trace: miss fills then record `buffer_pool.fill`
-  /// spans. Null detaches (the default). Single-threaded use only.
-  void set_trace(obs::QueryTrace* trace) { trace_ = trace; }
-  obs::QueryTrace* trace() const { return trace_; }
-
-  /// Attaches a phase profiler: miss fills then attribute the store read to
-  /// the kIo phase (DESIGN.md §12), covering consumers that reach the pool
-  /// outside the searcher's own Charge() scope. Single-threaded use only,
-  /// like set_trace — batch workers carry the profiler in RstknnOptions
-  /// instead.
-  void set_phase_profiler(obs::PhaseProfiler* profiler) {
-    profiler_ = profiler;
-  }
-  obs::PhaseProfiler* phase_profiler() const { return profiler_; }
-
   void Clear() RST_EXCLUDES(mu_);
 
  private:
@@ -133,8 +114,6 @@ class BufferPool {
   /// performs under the shared lock.
   std::unordered_map<PageId, std::unique_ptr<Entry>> entries_
       RST_GUARDED_BY(mu_);
-  obs::QueryTrace* trace_ = nullptr;
-  obs::PhaseProfiler* profiler_ = nullptr;
   /// Registry handles (storage.buffer_pool.*), shared by all pools.
   obs::Counter hits_counter_;
   obs::Counter misses_counter_;

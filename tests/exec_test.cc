@@ -4,13 +4,19 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "rst/data/generators.h"
 #include "rst/exec/thread_pool.h"
 #include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
+#include "rst/obs/explain.h"
+#include "rst/obs/heatmap.h"
+#include "rst/obs/metric_names.h"
 #include "rst/obs/metrics.h"
+#include "rst/obs/phase_timer.h"
+#include "rst/obs/trace.h"
 
 namespace rst {
 namespace {
@@ -223,6 +229,145 @@ TEST(BatchRunnerTest, StressSharedTreeUnderManyThreads) {
       EXPECT_EQ(again[i].answers, first[i].answers);
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Batch-level instruments: a trace, explain recorder, profiler or heatmap in
+// RstknnOptions describes the whole batch.
+
+/// The timing-free shape of a span tree: names, calls and counts.
+std::string SpanShape(const obs::Span& span) {
+  std::string out = span.name + " x" + std::to_string(span.calls);
+  for (const auto& [key, value] : span.counts) {
+    out += " " + key + "=" + std::to_string(value);
+  }
+  out += " [";
+  for (const auto& child : span.children) out += SpanShape(*child) + ";";
+  return out + "]";
+}
+
+/// Every instrument the runner merges, attached to one RstknnOptions.
+struct Instruments {
+  obs::QueryTrace trace{obs::names::kTraceRstknn};
+  obs::ExplainRecorder explain{/*max_decisions=*/40};
+  obs::PhaseProfiler profiler;
+  obs::HeatmapRecorder heatmap;
+
+  RstknnOptions Attach(RstknnAlgorithm algorithm) {
+    RstknnOptions options;
+    options.algorithm = algorithm;
+    options.publish_metrics = false;
+    options.trace = &trace;
+    options.explain = &explain;
+    options.profiler = &profiler;
+    options.heatmap = &heatmap;
+    return options;
+  }
+  std::vector<uint64_t> PhaseCalls() const {
+    std::vector<uint64_t> calls;
+    for (size_t p = 0; p < obs::kNumPhases; ++p) {
+      calls.push_back(profiler.calls(static_cast<obs::Phase>(p)));
+    }
+    return calls;
+  }
+};
+
+TEST(BatchRunnerTest, BatchOfOneRecordsWhatADirectSearchRecords) {
+  const BatchFixture f;
+  const std::vector<RstknnQuery> queries = f.Queries(1, 5);
+  for (const frozen::FrozenTree* tree : {&f.tree, &f.ciur}) {
+    for (RstknnAlgorithm algorithm :
+         {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
+      SCOPED_TRACE("clustered=" + std::to_string(tree == &f.ciur) + " algo=" +
+                   std::to_string(static_cast<int>(algorithm)));
+      Instruments direct;
+      const RstknnSearcher searcher(tree, &f.dataset, &f.scorer);
+      const RstknnResult expected =
+          searcher.Search(queries[0], direct.Attach(algorithm));
+      direct.heatmap.AddQueries(1);
+      direct.trace.Finish();
+
+      Instruments batched;
+      exec::ThreadPool pool(2);
+      const exec::BatchRunner runner(tree, &f.dataset, &f.scorer, &pool);
+      const std::vector<RstknnResult> results =
+          runner.RunRstknn(queries, batched.Attach(algorithm));
+      batched.trace.Finish();
+
+      ASSERT_EQ(results.size(), 1u);
+      EXPECT_EQ(results[0].answers, expected.answers);
+      EXPECT_EQ(batched.explain.ToJson(), direct.explain.ToJson());
+      EXPECT_GT(batched.explain.log_dropped(), 0u);  // the cap is exercised
+      EXPECT_EQ(batched.heatmap.ToJson(), direct.heatmap.ToJson());
+      EXPECT_EQ(SpanShape(batched.trace.root()),
+                SpanShape(direct.trace.root()));
+      EXPECT_EQ(batched.PhaseCalls(), direct.PhaseCalls());
+    }
+  }
+}
+
+TEST(BatchRunnerTest, BatchInstrumentsIdenticalAtAnyThreadCount) {
+  const BatchFixture f;
+  const std::vector<RstknnQuery> queries = f.Queries(12, 5);
+  for (const frozen::FrozenTree* tree : {&f.tree, &f.ciur}) {
+    for (RstknnAlgorithm algorithm :
+         {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
+      std::string explain_json;
+      std::string heatmap_json;
+      std::string trace_shape;
+      std::vector<uint64_t> phase_calls;
+      for (size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("clustered=" + std::to_string(tree == &f.ciur) +
+                     " algo=" + std::to_string(static_cast<int>(algorithm)) +
+                     " threads=" + std::to_string(threads));
+        Instruments batch;
+        exec::ThreadPool pool(threads);
+        const exec::BatchRunner runner(tree, &f.dataset, &f.scorer, &pool);
+        exec::BatchStats stats;
+        runner.RunRstknn(queries, batch.Attach(algorithm), &stats);
+        batch.trace.Finish();
+
+        const RstknnStats& total = stats.total;
+        const Status explained = batch.explain.CheckReconciles(
+            total.expansions, total.pruned_entries, total.reported_entries);
+        EXPECT_TRUE(explained.ok()) << explained.ToString();
+        const Status mapped = batch.heatmap.CheckReconciles(
+            total.expansions, total.pruned_entries, total.reported_entries);
+        EXPECT_TRUE(mapped.ok()) << mapped.ToString();
+        EXPECT_EQ(batch.heatmap.queries(), queries.size());
+        if (threads == 1) {
+          explain_json = batch.explain.ToJson();
+          heatmap_json = batch.heatmap.ToJson();
+          trace_shape = SpanShape(batch.trace.root());
+          phase_calls = batch.PhaseCalls();
+          continue;
+        }
+        EXPECT_EQ(batch.explain.ToJson(), explain_json);
+        EXPECT_EQ(batch.heatmap.ToJson(), heatmap_json);
+        EXPECT_EQ(SpanShape(batch.trace.root()), trace_shape);
+        EXPECT_EQ(batch.PhaseCalls(), phase_calls);
+      }
+    }
+  }
+}
+
+TEST(BatchRunnerTest, ExplainResetsPerBatchWhileHeatmapAccumulates) {
+  const BatchFixture f;
+  const std::vector<RstknnQuery> queries = f.Queries(4, 5);
+  exec::ThreadPool pool(2);
+  const exec::BatchRunner runner(&f.tree, &f.dataset, &f.scorer, &pool);
+  Instruments batch;
+  const RstknnOptions options = batch.Attach(RstknnAlgorithm::kProbe);
+  runner.RunRstknn(queries, options);
+  const std::string first_explain = batch.explain.ToJson();
+  const uint64_t first_bounds = batch.profiler.calls(obs::Phase::kBounds);
+  const uint64_t first_decisions = batch.heatmap.decisions();
+  runner.RunRstknn(queries, options);
+  EXPECT_EQ(batch.explain.ToJson(), first_explain);
+  EXPECT_EQ(batch.profiler.calls(obs::Phase::kBounds), first_bounds);
+  EXPECT_EQ(batch.heatmap.queries(), 2 * queries.size());
+  EXPECT_EQ(batch.heatmap.decisions(), 2 * first_decisions);
 }
 
 }  // namespace

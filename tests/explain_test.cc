@@ -76,6 +76,71 @@ TEST(ExplainRecorderTest, ResetClearsStateButKeepsTheCap) {
   EXPECT_EQ(recorder.max_decisions(), 4u);
 }
 
+TEST(ExplainRecorderTest, MergeKeepsTheBatchLogCapAndCountsTheRest) {
+  // Three per-query recorders with the batch's cap of 3, merged in query
+  // order, keep the batch's first three decisions; every other decision
+  // counts as dropped.
+  obs::ExplainRecorder first(/*max_decisions=*/3);
+  first.SetAlgorithm("probe");
+  first.Record(MakeDecision(1, 0, obs::ExplainVerdict::kExpand, 0));
+  first.Record(MakeDecision(2, 1, obs::ExplainVerdict::kPrune, 4));
+  obs::ExplainRecorder second(/*max_decisions=*/3);
+  second.SetAlgorithm("probe");
+  for (uint64_t node = 10; node < 14; ++node) {  // one past its own cap
+    second.Record(MakeDecision(node, 2, obs::ExplainVerdict::kReportMiss, 1));
+  }
+  ASSERT_EQ(second.log_dropped(), 1u);
+  obs::ExplainRecorder third(/*max_decisions=*/3);
+  third.SetAlgorithm("probe");
+  third.Record(MakeDecision(20, 0, obs::ExplainVerdict::kReportHit, 2));
+
+  obs::ExplainRecorder batch(/*max_decisions=*/3);
+  batch.Merge(first);
+  EXPECT_EQ(batch.algorithm(), "probe");  // stamped by the first merge
+  batch.Merge(second);
+  batch.Merge(third);
+
+  EXPECT_EQ(batch.decisions(), 7u);
+  EXPECT_EQ(batch.expanded(), 1u);
+  EXPECT_EQ(batch.pruned(), 1u);
+  EXPECT_EQ(batch.reported_miss(), 4u);
+  EXPECT_EQ(batch.reported_hit(), 1u);
+  ASSERT_EQ(batch.levels().size(), 3u);
+  EXPECT_EQ(batch.levels()[0].expanded, 1u);
+  EXPECT_EQ(batch.levels()[0].reported_hit, 1u);
+  EXPECT_EQ(batch.levels()[0].objects_reported, 2u);
+  EXPECT_EQ(batch.levels()[1].objects_pruned, 4u);
+  EXPECT_EQ(batch.levels()[2].level, 2u);
+  EXPECT_EQ(batch.levels()[2].reported_miss, 4u);
+  ASSERT_EQ(batch.log().size(), 3u);
+  EXPECT_EQ(batch.log()[0].node_id, 1u);
+  EXPECT_EQ(batch.log()[1].node_id, 2u);
+  EXPECT_EQ(batch.log()[2].node_id, 10u);
+  EXPECT_EQ(batch.log_dropped(), 4u);  // 11, 12, 13 and 20
+
+  // Recording the same decisions into one recorder gives the same report.
+  obs::ExplainRecorder direct(/*max_decisions=*/3);
+  direct.SetAlgorithm("probe");
+  for (const obs::ExplainRecorder* part : {&first, &second, &third}) {
+    for (const obs::ExplainDecision& d : part->log()) direct.Record(d);
+  }
+  direct.Record(MakeDecision(13, 2, obs::ExplainVerdict::kReportMiss, 1));
+  EXPECT_EQ(batch.ToJson(), direct.ToJson());
+}
+
+TEST(ExplainRecorderTest, MergeIntoSummaryOnlyRecorderKeepsNoLog) {
+  obs::ExplainRecorder query(/*max_decisions=*/2);
+  query.SetAlgorithm("contribution_list");
+  query.Record(MakeDecision(1, 0, obs::ExplainVerdict::kPrune, 3));
+  obs::ExplainRecorder batch;  // summary only
+  batch.SetAlgorithm("probe");
+  batch.Merge(query);
+  EXPECT_EQ(batch.algorithm(), "probe");  // an existing stamp is kept
+  EXPECT_EQ(batch.pruned(), 1u);
+  EXPECT_TRUE(batch.log().empty());
+  EXPECT_EQ(batch.log_dropped(), 0u);
+}
+
 TEST(ExplainRecorderTest, CheckReconcilesNamesTheBrokenIdentity) {
   obs::ExplainRecorder recorder;
   recorder.Record(MakeDecision(1, 0, obs::ExplainVerdict::kPrune, 3));
@@ -229,7 +294,7 @@ TEST(ExplainSearchTest, JsonIsByteIdenticalAcrossRunsAndThreadCounts) {
           ASSERT_LT(record.query_index, reference.size());
           EXPECT_EQ(record.explain_json, reference[record.query_index])
               << "threads=" << threads << " query=" << record.query_index;
-          EXPECT_EQ(record.label, "rstknn.batch");
+          EXPECT_EQ(record.label, "rstknn");
           EXPECT_FALSE(record.trace_json.empty());
           ++matched;
         }

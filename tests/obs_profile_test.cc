@@ -98,6 +98,31 @@ TEST(PhaseProfilerTest, ResetZeroesEverything) {
   }
 }
 
+TEST(PhaseProfilerTest, MergeSumsTimesAndCalls) {
+  obs::PhaseProfiler first;
+  first.Enter(obs::Phase::kBounds);
+  Spin(0.2);
+  first.Exit();
+  obs::PhaseProfiler second;
+  for (int i = 0; i < 2; ++i) {
+    second.Enter(obs::Phase::kBounds);
+    second.Exit();
+  }
+  second.Enter(obs::Phase::kFinalize);
+  second.Exit();
+
+  obs::PhaseProfiler merged;
+  merged.Merge(first);
+  merged.Merge(second);
+  EXPECT_EQ(merged.calls(obs::Phase::kBounds), 3u);
+  EXPECT_EQ(merged.calls(obs::Phase::kFinalize), 1u);
+  EXPECT_EQ(merged.calls(obs::Phase::kDescent), 0u);
+  EXPECT_DOUBLE_EQ(merged.total_ms(obs::Phase::kBounds),
+                   first.total_ms(obs::Phase::kBounds) +
+                       second.total_ms(obs::Phase::kBounds));
+  EXPECT_DOUBLE_EQ(merged.SumMs(), first.SumMs() + second.SumMs());
+}
+
 TEST(PhaseProfilerTest, UnbalancedAndOverflowedStacksAreSafe) {
   obs::PhaseProfiler profiler;
   profiler.Exit();  // exit without enter: no-op

@@ -384,6 +384,44 @@ TEST(TraceTest, AddCountTargetsInnermostOpenSpan) {
   EXPECT_EQ(outer.children[0]->counts.at("hits"), 5u);
 }
 
+TEST(TraceTest, MergeFoldsSpansByNameIntoInnermostOpenSpan) {
+  QueryTrace first(kProbe);
+  first.Enter(kExpand);
+  first.AddCount(kEntries, 4);
+  first.Exit();
+  first.AddCount(kRootItems, 1);
+  first.Finish();
+  QueryTrace second(kProbe);
+  second.Enter(kBound);
+  second.Exit();
+  second.Enter(kExpand);
+  second.AddCount(kEntries, 2);
+  second.Exit();
+  second.Finish();
+
+  QueryTrace batch("query");
+  batch.Enter(kOuter);
+  batch.Merge(first);
+  batch.Merge(second);
+  batch.Exit();
+  batch.Finish();
+
+  const Span& root = batch.root();
+  ASSERT_EQ(root.children.size(), 1u);
+  const Span& outer = *root.children[0];
+  EXPECT_EQ(outer.calls, 1u);
+  EXPECT_EQ(outer.counts.at("root_items"), 1u);  // the merged roots' counts
+  ASSERT_EQ(outer.children.size(), 2u);  // first-seen order across merges
+  EXPECT_EQ(outer.children[0]->name, "expand");
+  EXPECT_EQ(outer.children[0]->calls, 2u);
+  EXPECT_EQ(outer.children[0]->counts.at("entries"), 6u);
+  EXPECT_EQ(outer.children[0]->total_ms,
+            first.root().children[0]->total_ms +
+                second.root().children[1]->total_ms);
+  EXPECT_EQ(outer.children[1]->name, "bound");
+  EXPECT_EQ(outer.children[1]->calls, 1u);
+}
+
 TEST(TraceTest, FinishClosesDanglingSpansAndStampsTimes) {
   QueryTrace trace;
   trace.Enter(kLeftOpen);

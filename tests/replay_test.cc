@@ -386,7 +386,8 @@ TEST(ReplayMatrixTest, DigestsAndHeatmapsInvariantAcrossExecutions) {
         exec::ThreadPool pool(threads);
         exec::BatchRunner runner(&tree, &f.dataset, &f.scorer, &pool);
         obs::HeatmapRecorder heatmap;
-        runner.set_heatmap(&heatmap);
+        RstknnOptions batch_options = options;
+        batch_options.heatmap = &heatmap;
 
         const std::string path = TempPath("rst_replay_matrix.jsonl");
         obs::WorkloadRecorder journal;
@@ -394,7 +395,7 @@ TEST(ReplayMatrixTest, DigestsAndHeatmapsInvariantAcrossExecutions) {
         runner.set_journal(&journal);
 
         const std::vector<RstknnResult> results =
-            runner.RunRstknn(queries, options);
+            runner.RunRstknn(queries, batch_options);
         ASSERT_TRUE(journal.Close().ok());
         ASSERT_EQ(results.size(), queries.size());
 
@@ -449,10 +450,12 @@ TEST(ReplayMatrixTest, HeatmapNodesIdenticalAcrossThreadCounts) {
   }
   for (size_t threads : {1u, 8u}) {
     exec::ThreadPool pool(threads);
-    exec::BatchRunner runner(&f.frozen_iur, &f.dataset, &f.scorer, &pool);
+    const exec::BatchRunner runner(&f.frozen_iur, &f.dataset, &f.scorer,
+                                   &pool);
     obs::HeatmapRecorder heatmap;
-    runner.set_heatmap(&heatmap);
-    runner.RunRstknn(queries, options);
+    RstknnOptions batch_options = options;
+    batch_options.heatmap = &heatmap;
+    runner.RunRstknn(queries, batch_options);
     heatmaps["batch/" + std::to_string(threads)] = heatmap.ToJson();
   }
   ASSERT_EQ(heatmaps.size(), 3u);

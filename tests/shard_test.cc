@@ -16,11 +16,16 @@
 
 #include "rst/common/file_util.h"
 #include "rst/data/generators.h"
-#include "rst/exec/sharded_runner.h"
+#include "rst/exec/batch_runner.h"
 #include "rst/exec/thread_pool.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/obs/heatmap.h"
 #include "rst/obs/journal.h"
+#include "rst/obs/json.h"
+#include "rst/obs/metric_names.h"
+#include "rst/obs/phase_timer.h"
+#include "rst/obs/slow_log.h"
+#include "rst/obs/trace_event.h"
 #include "rst/rstknn/rstknn.h"
 
 namespace rst {
@@ -154,13 +159,14 @@ TEST(ShardTest, BatchRunnerDeterministicAndReconciled) {
   }
   for (const size_t threads : {1u, 3u, 8u}) {
     exec::ThreadPool pool(threads);
-    exec::ShardedBatchRunner runner(&index, &fx.dataset, &fx.scorer, &pool);
+    const exec::BatchRunner runner(&index, &fx.dataset, &fx.scorer, &pool);
     obs::HeatmapRecorder heatmap;
-    runner.set_heatmap(&heatmap);
+    RstknnOptions batch_options = options;
+    batch_options.heatmap = &heatmap;
     exec::BatchStats batch_stats;
-    shard::ShardedStats shard_stats;
     const std::vector<RstknnResult> results =
-        runner.RunRstknn(queries, options, &batch_stats, &shard_stats);
+        runner.RunRstknn(queries, batch_options, &batch_stats);
+    const shard::ShardedStats& shard_stats = batch_stats.shards;
     ASSERT_EQ(results.size(), queries.size());
     for (size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(results[i].answers, expected[i]) << "threads=" << threads
@@ -176,6 +182,54 @@ TEST(ShardTest, BatchRunnerDeterministicAndReconciled) {
                                      batch_stats.total.reported_entries)
                     .ok());
   }
+}
+
+// Over a forest the runner also captures slow queries (without explain
+// JSON: the scatter-gather search takes no recorder), per-query phase
+// profiles and one trace-event run slice per query.
+TEST(ShardTest, BatchRunnerInstrumentsOverForest) {
+  const Fixture fx(200);
+  const shard::ShardedIndex index = fx.BuildSharded(4);
+  std::vector<RstknnQuery> queries;
+  for (ObjectId id = 0; id < 200; id += 29) {
+    queries.push_back(fx.SelfQuery(id, 5));
+  }
+  exec::ThreadPool pool(3);
+  exec::BatchRunner runner(&index, &fx.dataset, &fx.scorer, &pool);
+  obs::SlowQueryLog slow_log(/*threshold_ms=*/0.0, queries.size());
+  runner.set_slow_log(&slow_log);
+  obs::TraceEventWriter trace_events(/*capacity=*/1 << 12,
+                                     /*sample_every=*/1);
+  runner.set_trace_events(&trace_events);
+  obs::PhaseProfiler profiler;
+  RstknnOptions options;
+  options.publish_metrics = false;
+  options.profiler = &profiler;
+  exec::BatchStats stats;
+  runner.RunRstknn(queries, options, &stats);
+
+  EXPECT_EQ(stats.shards.shards_pruned + stats.shards.shards_reported +
+                stats.shards.shards_searched,
+            queries.size() * index.num_shards());
+  EXPECT_EQ(slow_log.captured(), queries.size());
+  for (const obs::SlowQueryRecord& record : slow_log.Snapshot()) {
+    EXPECT_EQ(record.label, "rstknn");
+    EXPECT_FALSE(record.trace_json.empty());
+    EXPECT_TRUE(record.explain_json.empty());
+  }
+  EXPECT_GT(profiler.calls(obs::Phase::kBounds), 0u);
+  const Result<obs::JsonValue> parsed =
+      obs::JsonValue::Parse(trace_events.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  size_t runs = 0;
+  for (const obs::JsonValue& event :
+       parsed.value().Get("traceEvents")->AsArray()) {
+    if (event.Get("ph")->AsString() == "X" &&
+        event.Get("name")->AsString() == obs::names::kTraceEventRun) {
+      ++runs;
+    }
+  }
+  EXPECT_EQ(runs, queries.size());
 }
 
 // The serial searcher's heatmap also reconciles — triage decisions bump the
@@ -334,7 +388,7 @@ TEST(ShardTest, EmptyDatasetBuildsEmptyForest) {
 TEST(ShardTest, JournalHeaderShardsRoundTrip) {
   const std::string path = "shard_test_journal.jsonl";
   obs::JournalHeader header;
-  header.label = "rstknn.batch";
+  header.label = "rstknn";
   header.algo = "probe";
   header.tree = "iur";
   header.measure = "ej";

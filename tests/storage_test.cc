@@ -6,7 +6,6 @@
 
 #include "rst/common/rng.h"
 #include "rst/obs/metrics.h"
-#include "rst/obs/trace.h"
 #include "rst/storage/buffer_pool.h"
 #include "rst/storage/codec.h"
 #include "rst/storage/page_store.h"
@@ -262,21 +261,6 @@ TEST(BufferPoolTest, HitRateTracksHitsOverAccesses) {
   ASSERT_TRUE(pool.Fetch(h, &stats).ok());  // hit
   ASSERT_TRUE(pool.Fetch(h, &stats).ok());  // hit
   EXPECT_DOUBLE_EQ(pool.hit_rate(), 0.75);
-}
-
-TEST(BufferPoolTest, MissFillsRecordTraceSpans) {
-  PageStore store;
-  const PageHandle h = store.Write("abc");
-  BufferPool pool(&store, /*capacity_pages=*/4);
-  obs::QueryTrace trace("test");
-  pool.set_trace(&trace);
-  IoStats stats;
-  ASSERT_TRUE(pool.Fetch(h, &stats).ok());  // miss: fill span
-  ASSERT_TRUE(pool.Fetch(h, &stats).ok());  // hit: no span
-  trace.Finish();
-  ASSERT_EQ(trace.root().children.size(), 1u);
-  EXPECT_EQ(trace.root().children[0]->name, "buffer_pool.fill");
-  EXPECT_EQ(trace.root().children[0]->calls, 1u);
 }
 
 TEST(BufferPoolTest, ConcurrentReadersStayConsistent) {

@@ -24,9 +24,8 @@
 //                    must still match — the answer set is independent of the
 //                    partitioning; stats are only compared when the replay
 //                    shard count matches the capture's
-//   --threads N      replay through exec::BatchRunner with N workers
-//                    (default 1 = serial RstknnSearcher loop); digests are
-//                    identical at any thread count
+//   --threads N      BatchRunner workers (default 1 = inline on the
+//                    caller); digests are identical at any thread count
 //   --report FILE    write the per-query diff report as JSON
 //   --heatmap-out    write the replay's accumulated heatmap JSON
 //   --max-diffs N    cap per-query diff lines on stderr (default 10)
@@ -51,19 +50,15 @@
 #include <vector>
 
 #include "rst/common/file_util.h"
-#include "rst/common/stopwatch.h"
 #include "rst/data/csv.h"
 #include "rst/exec/batch_runner.h"
-#include "rst/exec/sharded_runner.h"
 #include "rst/exec/thread_pool.h"
 #include "rst/frozen/frozen.h"
-#include "rst/obs/explain.h"
 #include "rst/obs/heatmap.h"
 #include "rst/obs/journal.h"
 #include "rst/obs/json.h"
 #include "rst/rstknn/rstknn.h"
 #include "rst/shard/sharded_index.h"
-#include "rst/shard/sharded_search.h"
 
 namespace rst {
 namespace {
@@ -289,48 +284,19 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Execute — serial searcher loop or the batch runner; both accumulate the
-  // same heatmap (batch merges per-worker recorders after the join).
+  // Execute through the batch runner (ThreadPool(1) runs inline); the
+  // heatmap merges the workers' private recorders after the join.
   RstknnOptions options;
   options.algorithm = algo;
   obs::HeatmapRecorder heatmap;
   options.heatmap = &heatmap;
-  std::vector<RstknnResult> results;
-  RstknnStats total;
-  Stopwatch wall;
-  if (use_sharded && flags.threads <= 1) {
-    const shard::ShardedSearcher searcher(&*sharded, &dataset, &scorer);
-    ProbeScratch scratch;
-    options.scratch = &scratch;
-    options.publish_metrics = false;
-    results.reserve(n);
-    for (const RstknnQuery& q : queries) {
-      shard::ShardedResult res = searcher.Search(q, options);
-      results.push_back(RstknnResult{std::move(res.answers), res.stats});
-    }
-    heatmap.AddQueries(n);
-  } else if (use_sharded) {
-    exec::ThreadPool pool(flags.threads);
-    exec::ShardedBatchRunner runner(&*sharded, &dataset, &scorer, &pool);
-    runner.set_heatmap(&heatmap);
-    results = runner.RunRstknn(queries, options);
-  } else if (flags.threads <= 1) {
-    const RstknnSearcher searcher(&*frozen, &dataset, &scorer);
-    ProbeScratch scratch;
-    options.scratch = &scratch;
-    options.publish_metrics = false;
-    results.reserve(n);
-    for (const RstknnQuery& q : queries) {
-      results.push_back(searcher.Search(q, options));
-    }
-    heatmap.AddQueries(n);
-  } else {
-    exec::ThreadPool pool(flags.threads);
-    exec::BatchRunner runner(&*frozen, &dataset, &scorer, &pool);
-    runner.set_heatmap(&heatmap);
-    results = runner.RunRstknn(queries, options);
-  }
-  const double wall_ms = wall.ElapsedMillis();
+  exec::ThreadPool pool(flags.threads);
+  const exec::BatchRunner runner =
+      use_sharded ? exec::BatchRunner(&*sharded, &dataset, &scorer, &pool)
+                  : exec::BatchRunner(&*frozen, &dataset, &scorer, &pool);
+  exec::BatchStats batch;
+  const std::vector<RstknnResult> results =
+      runner.RunRstknn(queries, options, &batch);
 
   // Compare against the capture.
   std::vector<QueryDiff> diffs(n);
@@ -353,7 +319,6 @@ int Main(int argc, char** argv) {
       if (!d.stats_match) ++stats_mismatches;
     }
     if (!d.digest_match) ++digest_mismatches;
-    total.Merge(results[i].stats);
   }
 
   size_t printed = 0;
@@ -397,7 +362,8 @@ int Main(int argc, char** argv) {
   // The heatmap must reconcile EXACTLY with the summed stats — the same
   // contract ExplainRecorder::CheckReconciles enforces per query.
   const Status reconciled = heatmap.CheckReconciles(
-      total.expansions, total.pruned_entries, total.reported_entries);
+      batch.total.expansions, batch.total.pruned_entries,
+      batch.total.reported_entries);
   if (!reconciled.ok()) {
     std::fprintf(stderr, "%s\n", reconciled.ToString().c_str());
   }
@@ -406,7 +372,8 @@ int Main(int argc, char** argv) {
   const std::string index_desc =
       use_sharded ? std::to_string(shards) + " shards" : "single index";
   std::printf("replayed %zu queries (%s, %s, %zu threads) in %.2f ms\n", n,
-              algo_name.c_str(), index_desc.c_str(), flags.threads, wall_ms);
+              algo_name.c_str(), index_desc.c_str(), flags.threads,
+              batch.wall_ms);
   std::printf("digest mismatches: %zu/%zu\n", digest_mismatches, n);
   if (stats_comparable) {
     std::printf("stats mismatches:  %zu/%zu\n", stats_mismatches, n);

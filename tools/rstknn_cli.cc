@@ -5,12 +5,18 @@
 //   rstknn_cli genusers --data F --num N --ul K --uw W --area A --out F2
 //   rstknn_cli stats    --data F
 //   rstknn_cli topk     --data F --x X --y Y --keywords "1 2 3" --k K
-//   rstknn_cli rstknn   --data F (--id QID | --x X --y Y --keywords "...") --k K
-//                       batch mode: --ids "3 5 7" [--threads N] evaluates
-//                       the listed query objects through the rst::exec
-//                       BatchRunner (N concurrent workers, default 1) and
-//                       prints "<query_id>\t<answer_id>" per answer; results
-//                       are identical to running each id serially.
+//   rstknn_cli rstknn   --data F (--id QID | --ids "3 5 7" |
+//                       --x X --y Y --keywords "...") --k K [--threads N]
+//                       Every query runs through the rst::exec BatchRunner
+//                       on N workers (default 1): --id or --keywords is a
+//                       batch of one and prints one answer id per line;
+//                       --ids is a batch of the listed objects and prints
+//                       "<query_id>\t<answer_id>" per answer. Answers are
+//                       identical at any N, and every flag below behaves the
+//                       same for one query and for many (instruments report
+//                       the whole batch). Ids must be decimal integers below
+//                       the dataset size and thread counts integers in
+//                       [1, 1024]; anything else exits 2.
 //   rstknn_cli maxbrst  --data F --users F2 --locations "x:y;x:y"
 //                       --keywords "1 2 3" --ws W --k K [--method exact]
 //
@@ -18,7 +24,8 @@
 // --weighting tfidf|lm|binary (tfidf), --seed S.
 //
 // Observability flags (topk / rstknn / maxbrst):
-//   --trace             print the per-phase span tree of the query to stderr
+//   --trace             print the per-phase span tree of the query (for
+//                       rstknn: of the whole batch, merged by name) to stderr
 //   --metrics-out FILE  write a JSON artifact: {"command", "metrics"
 //                       (registry snapshot: counters/gauges/histograms),
 //                       "trace" (span tree), "explain" (with --explain),
@@ -55,31 +62,33 @@
 //                       validates every shard plus the partition itself.
 //                       Incompatible with --explain (exit 2) and the
 //                       real-I/O buffer pool (--metrics-out still snapshots
-//                       the registry); batch mode ignores --slow-log-ms,
-//                       --profile and --trace-out with a stderr note.
+//                       the registry); slow-query capture (without explain
+//                       JSON), --profile and --trace-out work as on one
+//                       tree.
 //
 // Profiling flags (rstknn; DESIGN.md §12):
 //   --profile           attribute each query's wall time into the fixed phase
-//                       set (descent / bounds / merge / io / finalize) and
-//                       publish rstknn.phase.* latency histograms; serial
-//                       runs also print the per-phase table to stderr and
-//                       embed it in the --metrics-out artifact
+//                       set (descent / bounds / merge / io / finalize),
+//                       publish rstknn.phase.* latency histograms, print the
+//                       batch's summed per-phase table to stderr and embed
+//                       it in the --metrics-out artifact
 //   --trace-out FILE    write Chrome trace-event JSON (open in Perfetto or
 //                       chrome://tracing): per-worker run / queue-wait
-//                       timelines in batch mode, the query's span tree
-//                       serially
-//   --trace-sample N    in batch mode, keep the full span tree of every N-th
-//                       query in the trace-event output (default 1 = all)
+//                       timelines with each query's span tree nested under
+//                       its run slice
+//   --trace-sample N    keep the full span tree of every N-th query in the
+//                       trace-event output (default 1 = all)
 //   --telemetry-ms N    sample process runtime telemetry (RSS, page faults,
 //                       CPU time, thread count) every N ms into runtime.*
 //                       gauges, visible in the --metrics-out snapshot
 //
 // EXPLAIN / slow-query flags (rstknn only):
 //   --explain           print the per-level branch-and-bound decision
-//                       summary (which bound fired, prune/expand/report) to
-//                       stderr and embed it in the --metrics-out artifact
-//   --explain-log N     also keep the first N raw decisions (0 = summary
-//                       only, the default)
+//                       summary (which bound fired, prune/expand/report),
+//                       summed over the batch, to stderr and embed it in the
+//                       --metrics-out artifact
+//   --explain-log N     also keep the batch's first N raw decisions (0 =
+//                       summary only, the default)
 //   --algo probe|cl     algorithm realization: competitor probes (default)
 //                       or the 2011 contribution-list scheme
 //   --slow-log-ms X     capture queries slower than X ms (trace + explain
@@ -93,8 +102,8 @@
 //                       tools/rst_replay
 //   --journal-sample N  record every N-th query by batch index (default 1)
 //   --heatmap-out FILE  accumulate per-node visit/prune/expand/report
-//                       counters across the run (merged across workers in
-//                       batch mode) and write the heatmap JSON; exits
+//                       counters across the run (merged across workers)
+//                       and write the heatmap JSON; exits
 //                       non-zero if the totals fail to reconcile exactly
 //                       with the summed RstknnStats
 //
@@ -102,13 +111,17 @@
 // exit non-zero with the underlying Status message.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -117,7 +130,6 @@
 #include "rst/data/csv.h"
 #include "rst/data/generators.h"
 #include "rst/exec/batch_runner.h"
-#include "rst/exec/sharded_runner.h"
 #include "rst/frozen/frozen.h"
 #include "rst/maxbrst/maxbrst.h"
 #include "rst/obs/explain.h"
@@ -133,7 +145,6 @@
 #include "rst/obs/trace_event.h"
 #include "rst/rstknn/rstknn.h"
 #include "rst/shard/sharded_index.h"
-#include "rst/shard/sharded_search.h"
 
 namespace rst {
 namespace {
@@ -176,12 +187,61 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
-std::vector<TermId> ParseTerms(const std::string& s) {
+/// Parses a decimal integer in [0, max]: digits only — no sign, no
+/// surrounding junk — and no overflow.
+bool ParseUint(std::string_view token, uint64_t max, uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return false;
+  *out = value;
+  return true;
+}
+
+/// Whitespace-separated term ids; nullopt (after a message naming `flag`)
+/// on a token that is not a 32-bit unsigned integer.
+std::optional<std::vector<TermId>> ParseTerms(const std::string& s,
+                                              const char* flag) {
   std::vector<TermId> out;
   std::istringstream in(s);
   std::string tok;
-  while (in >> tok) out.push_back(static_cast<TermId>(std::stoul(tok)));
+  while (in >> tok) {
+    uint64_t term = 0;
+    if (!ParseUint(tok, std::numeric_limits<TermId>::max(), &term)) {
+      std::fprintf(stderr, "%s: '%s' is not a term id\n", flag, tok.c_str());
+      return std::nullopt;
+    }
+    out.push_back(static_cast<TermId>(term));
+  }
   return out;
+}
+
+/// One query object id of --id / --ids: a decimal integer below
+/// `num_objects`; false (after a message naming `flag`) otherwise.
+bool ParseObjectId(const std::string& token, size_t num_objects,
+                   const char* flag, ObjectId* id) {
+  uint64_t value = 0;
+  if (num_objects == 0 || !ParseUint(token, num_objects - 1, &value)) {
+    std::fprintf(stderr, "%s: '%s' is not an object id in [0, %zu)\n", flag,
+                 token.c_str(), num_objects);
+    return false;
+  }
+  *id = static_cast<ObjectId>(value);
+  return true;
+}
+
+/// A worker-count flag (--threads, --build-threads): an integer in
+/// [1, 1024], default 1; false (after a message) otherwise.
+bool GetThreadCount(const Flags& flags, const char* name, size_t* out) {
+  const std::string value = flags.Get(name, "1");
+  uint64_t threads = 0;
+  if (!ParseUint(value, 1024, &threads) || threads < 1) {
+    std::fprintf(stderr, "--%s: '%s' is not a thread count in [1, 1024]\n",
+                 name, value.c_str());
+    return false;
+  }
+  *out = static_cast<size_t>(threads);
+  return true;
 }
 
 std::vector<Point> ParseLocations(const std::string& s) {
@@ -337,12 +397,10 @@ RstknnAlgorithm ParseAlgorithm(const Flags& flags) {
 /// Capture context for a workload journal (DESIGN.md §14): everything
 /// rst_replay needs to rebuild the same index and scorer, normalized to the
 /// CLI's own flag vocabulary.
-obs::JournalHeader MakeJournalHeader(const Flags& flags,
-                                     const std::string& label,
-                                     uint64_t threads, uint64_t sample_every,
-                                     uint64_t shards = 0) {
+obs::JournalHeader MakeJournalHeader(const Flags& flags, uint64_t threads,
+                                     uint64_t sample_every, uint64_t shards) {
   obs::JournalHeader header;
-  header.label = label;
+  header.label = obs::names::kTraceRstknn;
   header.data = flags.Get("data", "objects.csv");
   header.algo = ParseAlgorithm(flags) == RstknnAlgorithm::kContributionList
                     ? "contribution_list"
@@ -519,8 +577,10 @@ int CmdTopK(const Flags& flags) {
                      &dataset.corpus_max());
   StScorer scorer(&sim, {flags.GetDouble("alpha", 0.5), dataset.max_dist()});
   TopKSearcher searcher(&tree, &dataset, &scorer);
-  const TermVector qdoc = TermVector::FromTerms(
-      ParseTerms(flags.Get("keywords", "")));
+  const std::optional<std::vector<TermId>> terms =
+      ParseTerms(flags.Get("keywords", ""), "--keywords");
+  if (!terms.has_value()) return 2;
+  const TermVector qdoc = TermVector::FromTerms(*terms);
   TopKQuery query;
   query.loc = {flags.GetDouble("x", 0), flags.GetDouble("y", 0)};
   query.doc = &qdoc;
@@ -539,147 +599,6 @@ int CmdTopK(const Flags& flags) {
                results.size(), ms,
                static_cast<unsigned long long>(io.TotalIos()));
   return EmitObsArtifacts(obs_flags, "topk", &trace);
-}
-
-/// Batch mode (--ids): evaluates every listed query object through the
-/// BatchRunner. Traces are single-threaded by design, so --trace only
-/// annotates the artifact with the batch, not per-query spans.
-int CmdRstknnBatch(const Flags& flags, const Dataset& dataset,
-                   const frozen::FrozenTree* frozen,
-                   const shard::ShardedIndex* sharded, const StScorer& scorer,
-                   obs::RuntimeSampler* sampler) {
-  std::vector<ObjectId> ids;
-  for (TermId t : ParseTerms(flags.Get("ids", ""))) {
-    ids.push_back(static_cast<ObjectId>(t));
-  }
-  if (ids.empty()) {
-    std::fprintf(stderr, "--ids must list at least one object id\n");
-    return 2;
-  }
-  const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
-  std::vector<RstknnQuery> queries;
-  queries.reserve(ids.size());
-  for (ObjectId qid : ids) {
-    if (qid >= dataset.size()) {
-      std::fprintf(stderr, "--ids entry %u out of range\n", qid);
-      return 2;
-    }
-    queries.push_back(
-        {dataset.object(qid).loc, &dataset.object(qid).doc, k, qid});
-  }
-
-  const ObsFlags obs_flags(flags);
-  RstknnOptions options;
-  options.algorithm = ParseAlgorithm(flags);
-  std::optional<BufferPool> pool;
-  if (sharded == nullptr) {
-    pool.emplace(&frozen->page_store(), obs_flags.pool_pages);
-    if (!obs_flags.metrics_out.empty()) options.pool = &*pool;
-  } else if (obs_flags.slow_logging() || obs_flags.profile ||
-             !obs_flags.trace_out.empty()) {
-    // Per-tree instruments don't compose with the scatter-gather runner (see
-    // ShardedBatchRunner); the run still proceeds so scripted pipelines that
-    // always pass them keep working against sharded indexes.
-    std::fprintf(stderr,
-                 "note: --slow-log-ms/--profile/--trace-out are ignored in "
-                 "sharded batch mode\n");
-  }
-
-  const size_t threads = static_cast<size_t>(flags.GetInt("threads", 1));
-  exec::ThreadPool thread_pool(threads);
-  exec::BatchRunner runner(frozen, &dataset, &scorer, &thread_pool);
-  exec::ShardedBatchRunner sharded_runner(sharded, &dataset, &scorer,
-                                          &thread_pool);
-  obs::SlowQueryLog slow_log(obs_flags.slow_log_ms);
-  obs::TraceEventWriter trace_events(/*capacity=*/1 << 16,
-                                     obs_flags.trace_sample);
-  if (sharded == nullptr) {
-    if (obs_flags.slow_logging()) runner.set_slow_log(&slow_log);
-    if (obs_flags.profile) runner.set_profiling(true);
-    if (!obs_flags.trace_out.empty()) runner.set_trace_events(&trace_events);
-  }
-  obs::WorkloadRecorder journal;
-  if (!obs_flags.journal_out.empty()) {
-    const Status s = journal.Open(
-        obs_flags.journal_out,
-        MakeJournalHeader(flags, "rstknn.batch", thread_pool.num_threads(),
-                          obs_flags.journal_sample,
-                          sharded != nullptr ? sharded->num_shards() : 0));
-    if (!s.ok()) {
-      std::fprintf(stderr, "--journal-out: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    runner.set_journal(&journal);
-    sharded_runner.set_journal(&journal);
-  }
-  obs::HeatmapRecorder heatmap;
-  if (!obs_flags.heatmap_out.empty()) {
-    runner.set_heatmap(&heatmap);
-    sharded_runner.set_heatmap(&heatmap);
-  }
-  exec::BatchStats batch_stats;
-  shard::ShardedStats shard_stats;
-  const std::vector<RstknnResult> results =
-      sharded != nullptr
-          ? sharded_runner.RunRstknn(queries, options, &batch_stats,
-                                     &shard_stats)
-          : runner.RunRstknn(queries, options, &batch_stats);
-
-  for (size_t i = 0; i < results.size(); ++i) {
-    for (ObjectId id : results[i].answers) {
-      std::printf("%u\t%u\n", ids[i], id);
-    }
-  }
-  double busy_ms = 0.0;
-  for (double ms : batch_stats.worker_busy_ms) busy_ms += ms;
-  std::fprintf(stderr,
-               "%llu reverse neighbors across %zu queries in %.2f ms wall "
-               "(%zu threads, %.2f ms busy, %llu I/Os)\n",
-               static_cast<unsigned long long>(batch_stats.answers),
-               queries.size(), batch_stats.wall_ms, thread_pool.num_threads(),
-               busy_ms,
-               static_cast<unsigned long long>(
-                   batch_stats.total.io.TotalIos()));
-  if (sharded != nullptr) {
-    std::fprintf(stderr,
-                 "shard triage: %llu pruned, %llu reported, %llu searched "
-                 "(of %zu shards x %zu queries)\n",
-                 static_cast<unsigned long long>(shard_stats.shards_pruned),
-                 static_cast<unsigned long long>(shard_stats.shards_reported),
-                 static_cast<unsigned long long>(shard_stats.shards_searched),
-                 sharded->num_shards(), queries.size());
-  }
-  if (options.pool != nullptr) {
-    std::fprintf(stderr, "buffer pool: %llu hits, %llu misses, %llu evictions "
-                 "(%.1f%% hit rate)\n",
-                 static_cast<unsigned long long>(pool->hits()),
-                 static_cast<unsigned long long>(pool->misses()),
-                 static_cast<unsigned long long>(pool->evictions()),
-                 100.0 * pool->hit_rate());
-  }
-  if (obs_flags.slow_logging()) {
-    std::fprintf(stderr, "slow-query log: %llu captured over %.2f ms "
-                 "(%llu dropped)\n",
-                 static_cast<unsigned long long>(slow_log.captured()),
-                 slow_log.threshold_ms(),
-                 static_cast<unsigned long long>(slow_log.dropped()));
-  }
-  if (!obs_flags.journal_out.empty()) {
-    const int rc = FinishJournal(&journal, obs_flags.journal_out);
-    if (rc != 0) return rc;
-  }
-  if (!obs_flags.heatmap_out.empty()) {
-    const int rc =
-        EmitHeatmap(obs_flags.heatmap_out, heatmap, batch_stats.total);
-    if (rc != 0) return rc;
-  }
-  // Stop before the artifact snapshot so the runtime.* gauges carry a final
-  // post-batch sample.
-  if (sampler != nullptr) sampler->Stop();
-  obs::QueryTrace trace(obs::names::kTraceRstknn);  // batch runs carry no per-query spans
-  return EmitObsArtifacts(obs_flags, "rstknn", &trace, /*explain=*/nullptr,
-                          obs_flags.slow_logging() ? &slow_log : nullptr,
-                          /*profiler=*/nullptr, &trace_events);
 }
 
 int CmdRstknn(const Flags& flags) {
@@ -705,6 +624,51 @@ int CmdRstknn(const Flags& flags) {
                  "searches would reset the recorder); use --heatmap-out\n");
     return 2;
   }
+  size_t threads = 1;
+  size_t build_threads = 1;
+  if (!GetThreadCount(flags, "threads", &threads) ||
+      !GetThreadCount(flags, "build-threads", &build_threads)) {
+    return 2;
+  }
+
+  // The query list, validated before the index build: every object of
+  // --ids, the object of --id, or one ad-hoc --keywords/--x/--y query.
+  const bool batch_output = flags.Has("ids");
+  const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
+  std::vector<ObjectId> ids;
+  TermVector qdoc;
+  std::vector<RstknnQuery> queries;
+  if (batch_output) {
+    std::istringstream in(flags.Get("ids", ""));
+    std::string token;
+    while (in >> token) {
+      ObjectId id = 0;
+      if (!ParseObjectId(token, dataset.size(), "--ids", &id)) return 2;
+      ids.push_back(id);
+    }
+    if (ids.empty()) {
+      std::fprintf(stderr, "--ids must list at least one object id\n");
+      return 2;
+    }
+  } else if (flags.Has("id")) {
+    ObjectId id = 0;
+    if (!ParseObjectId(flags.Get("id", ""), dataset.size(), "--id", &id)) {
+      return 2;
+    }
+    ids.push_back(id);
+  } else {
+    const std::optional<std::vector<TermId>> terms =
+        ParseTerms(flags.Get("keywords", ""), "--keywords");
+    if (!terms.has_value()) return 2;
+    qdoc = TermVector::FromTerms(*terms);
+    queries.push_back({{flags.GetDouble("x", 0), flags.GetDouble("y", 0)},
+                       &qdoc, k, IurTree::kNoObject});
+  }
+  for (ObjectId id : ids) {
+    queries.push_back(
+        {dataset.object(id).loc, &dataset.object(id).doc, k, id});
+  }
+
   obs::RuntimeSampler sampler;
   if (obs_flags.telemetry_ms >= 0) {
     sampler.Start(static_cast<uint64_t>(obs_flags.telemetry_ms));
@@ -739,8 +703,7 @@ int CmdRstknn(const Flags& flags) {
     } else {
       shard::ShardOptions shard_options;
       shard_options.num_shards = num_shards;
-      exec::ThreadPool build_pool(
-          static_cast<size_t>(flags.GetInt("build-threads", 1)));
+      exec::ThreadPool build_pool(build_threads);
       sharded.emplace(shard::ShardedIndex::Build(dataset, shard_options,
                                                  /*cluster_of=*/nullptr,
                                                  &build_pool));
@@ -756,8 +719,7 @@ int CmdRstknn(const Flags& flags) {
     frozen.emplace(std::move(loaded.value()));
   } else {
     IurTreeOptions tree_options;
-    tree_options.build_threads =
-        static_cast<size_t>(flags.GetInt("build-threads", 1));
+    tree_options.build_threads = build_threads;
     const IurTree tree = IurTree::BuildFromDataset(dataset, tree_options);
     if (check_invariants) {
       invariants = tree.CheckInvariants(
@@ -811,149 +773,103 @@ int CmdRstknn(const Flags& flags) {
       return 0;  // save-only invocation
     }
   }
-  if (flags.Has("ids")) {
-    return CmdRstknnBatch(flags, dataset, frozen ? &*frozen : nullptr,
-                          sharded ? &*sharded : nullptr, scorer, &sampler);
-  }
 
-  RstknnQuery query;
-  TermVector qdoc;
-  if (flags.Has("id")) {
-    const ObjectId qid = static_cast<ObjectId>(flags.GetInt("id", 0));
-    if (qid >= dataset.size()) {
-      std::fprintf(stderr, "--id out of range\n");
-      return 2;
-    }
-    query.loc = dataset.object(qid).loc;
-    query.doc = &dataset.object(qid).doc;
-    query.self = qid;
-  } else {
-    qdoc = TermVector::FromTerms(ParseTerms(flags.Get("keywords", "")));
-    query.loc = {flags.GetDouble("x", 0), flags.GetDouble("y", 0)};
-    query.doc = &qdoc;
-  }
-  query.k = static_cast<size_t>(flags.GetInt("k", 10));
-
-  obs::QueryTrace trace(obs::names::kTraceRstknn);
+  // Every query — one or many — runs through the batch runner.
   RstknnOptions options;
   options.algorithm = ParseAlgorithm(flags);
-  // With a metrics artifact requested, switch to real I/O through a buffer
-  // pool so the reported hit/miss/fill metrics are genuine reads of the
-  // serialized index rather than simulated charges. Sharded mode has no
-  // single page store, so it stays on simulated charges.
+  // With a metrics artifact requested, a single index answers through a
+  // buffer pool, so the reported hit/miss/fill metrics are genuine reads of
+  // the serialized index rather than simulated charges. A sharded index has
+  // no single page store, so it stays on simulated charges.
   std::optional<BufferPool> pool;
-  if (!use_sharded) pool.emplace(&frozen->page_store(), obs_flags.pool_pages);
-  if (obs_flags.tracing() || obs_flags.slow_logging()) {
-    options.trace = &trace;
-  }
-  obs::PhaseProfiler profiler;
-  if (obs_flags.profile) options.profiler = &profiler;
-  if (!obs_flags.metrics_out.empty() && pool.has_value()) {
-    pool->set_trace(options.trace);
-    pool->set_phase_profiler(options.profiler);
+  if (!obs_flags.metrics_out.empty() && frozen.has_value()) {
+    pool.emplace(&frozen->page_store(), obs_flags.pool_pages);
     options.pool = &*pool;
   }
+  obs::QueryTrace trace(obs::names::kTraceRstknn);
+  if (obs_flags.tracing()) options.trace = &trace;
+  obs::PhaseProfiler profiler;
+  if (obs_flags.profile) options.profiler = &profiler;
   obs::ExplainRecorder recorder(obs_flags.explain_log);
   if (obs_flags.explain) options.explain = &recorder;
   obs::HeatmapRecorder heatmap;
   if (!obs_flags.heatmap_out.empty()) options.heatmap = &heatmap;
 
+  exec::ThreadPool thread_pool(threads);
+  exec::BatchRunner runner =
+      use_sharded
+          ? exec::BatchRunner(&*sharded, &dataset, &scorer, &thread_pool)
+          : exec::BatchRunner(&*frozen, &dataset, &scorer, &thread_pool);
+  obs::SlowQueryLog slow_log(obs_flags.slow_log_ms);
+  if (obs_flags.slow_logging()) runner.set_slow_log(&slow_log);
   obs::TraceEventWriter trace_events(/*capacity=*/1 << 16,
                                      obs_flags.trace_sample);
-  const double query_start_us = trace_events.NowUs();
-  Stopwatch timer;
-  RstknnResult result;
-  shard::ShardedStats shard_stats;
-  if (use_sharded) {
-    const shard::ShardedSearcher sharded_searcher(&*sharded, &dataset,
-                                                  &scorer);
-    shard::ShardedResult res = sharded_searcher.Search(query, options);
-    result.answers = std::move(res.answers);
-    result.stats = res.stats;
-    shard_stats = res.shards;
-  } else {
-    const RstknnSearcher searcher(&*frozen, &dataset, &scorer);
-    result = searcher.Search(query, options);
-  }
-  const double ms = timer.ElapsedMillis();
-  if (obs_flags.profile) {
-    std::fprintf(stderr, "per-phase attribution (of %.2f ms wall):\n%s",
-                 ms, profiler.ToString().c_str());
-  }
-  if (!obs_flags.trace_out.empty()) {
-    // A serial run's timeline is the query's own span tree on one track.
-    trace.Finish();
-    trace_events.AddThreadName(1, "query");
-    trace_events.AddSpanTree(trace.root(), 1, query_start_us);
-  }
-
-  if (obs_flags.explain) {
-    std::fprintf(stderr, "%s", recorder.ToString().c_str());
-    const Status reconciled = recorder.CheckReconciles(
-        result.stats.expansions, result.stats.pruned_entries,
-        result.stats.reported_entries);
-    if (!reconciled.ok()) {
-      std::fprintf(stderr, "WARNING: %s\n", reconciled.ToString().c_str());
-    }
-  }
+  if (!obs_flags.trace_out.empty()) runner.set_trace_events(&trace_events);
+  obs::WorkloadRecorder journal;
   if (!obs_flags.journal_out.empty()) {
-    // Serial capture: a one-record journal with the same header/record
-    // format as batch mode, so single-query runs replay identically.
-    obs::WorkloadRecorder journal;
     const Status s = journal.Open(
         obs_flags.journal_out,
-        MakeJournalHeader(flags, "rstknn", /*threads=*/1,
+        MakeJournalHeader(flags, thread_pool.num_threads(),
                           obs_flags.journal_sample,
                           use_sharded ? sharded->num_shards() : 0));
     if (!s.ok()) {
       std::fprintf(stderr, "--journal-out: %s\n", s.ToString().c_str());
       return 1;
     }
-    if (journal.ShouldSample(0)) {
-      obs::JournalQueryRecord record =
-          exec::MakeJournalRecord(0, query, result, ms);
-      if (obs_flags.profile) {
-        obs::JsonWriter phases;
-        profiler.AppendJson(&phases);
-        record.phases_json = phases.TakeString();
+    runner.set_journal(&journal);
+  }
+  exec::BatchStats batch_stats;
+  const std::vector<RstknnResult> results =
+      runner.RunRstknn(queries, options, &batch_stats);
+
+  // --ids prints "<query_id>\t<answer_id>" rows; a single query prints its
+  // answer ids alone.
+  for (size_t i = 0; i < results.size(); ++i) {
+    for (ObjectId id : results[i].answers) {
+      if (batch_output) {
+        std::printf("%u\t%u\n", ids[i], id);
+      } else {
+        std::printf("%u\n", id);
       }
-      journal.Append(record);
     }
-    const int rc = FinishJournal(&journal, obs_flags.journal_out);
-    if (rc != 0) return rc;
   }
-  if (!obs_flags.heatmap_out.empty()) {
-    heatmap.AddQueries(1);
-    const int rc = EmitHeatmap(obs_flags.heatmap_out, heatmap, result.stats);
-    if (rc != 0) return rc;
+  double busy_ms = 0.0;
+  for (double ms : batch_stats.worker_busy_ms) busy_ms += ms;
+  if (obs_flags.profile) {
+    std::fprintf(stderr, "per-phase attribution (of %.2f ms busy):\n%s",
+                 busy_ms, profiler.ToString().c_str());
   }
-  obs::SlowQueryLog slow_log(obs_flags.slow_log_ms);
-  if (obs_flags.slow_logging() && slow_log.ShouldCapture(ms)) {
-    trace.Finish();
-    obs::SlowQueryRecord record;
-    record.label = obs::names::kTraceRstknn;
-    record.elapsed_ms = ms;
-    record.answers = result.answers.size();
-    record.trace_json = trace.ToJson();
-    if (obs_flags.explain) record.explain_json = recorder.ToJson();
-    slow_log.Insert(std::move(record));
+  if (obs_flags.explain) {
+    std::fprintf(stderr, "%s", recorder.ToString().c_str());
+    const Status reconciled = recorder.CheckReconciles(
+        batch_stats.total.expansions, batch_stats.total.pruned_entries,
+        batch_stats.total.reported_entries);
+    if (!reconciled.ok()) {
+      std::fprintf(stderr, "WARNING: %s\n", reconciled.ToString().c_str());
+    }
   }
-  for (ObjectId id : result.answers) std::printf("%u\n", id);
   std::fprintf(stderr,
-               "%zu reverse neighbors in %.2f ms (%llu entries, %llu pruned, "
+               "%llu reverse neighbors across %zu queries in %.2f ms wall "
+               "(%zu threads, %.2f ms busy, %llu entries, %llu pruned, "
                "%llu I/Os)\n",
-               result.answers.size(), ms,
-               static_cast<unsigned long long>(result.stats.entries_created),
-               static_cast<unsigned long long>(result.stats.pruned_entries),
-               static_cast<unsigned long long>(result.stats.io.TotalIos()));
+               static_cast<unsigned long long>(batch_stats.answers),
+               queries.size(), batch_stats.wall_ms, thread_pool.num_threads(),
+               busy_ms,
+               static_cast<unsigned long long>(
+                   batch_stats.total.entries_created),
+               static_cast<unsigned long long>(
+                   batch_stats.total.pruned_entries),
+               static_cast<unsigned long long>(
+                   batch_stats.total.io.TotalIos()));
   if (use_sharded) {
+    const shard::ShardedStats& triage = batch_stats.shards;
     std::fprintf(stderr,
                  "shard triage: %llu pruned, %llu reported, %llu searched "
-                 "(of %zu shards)\n",
-                 static_cast<unsigned long long>(shard_stats.shards_pruned),
-                 static_cast<unsigned long long>(shard_stats.shards_reported),
-                 static_cast<unsigned long long>(shard_stats.shards_searched),
-                 sharded->num_shards());
+                 "(of %zu shards x %zu queries)\n",
+                 static_cast<unsigned long long>(triage.shards_pruned),
+                 static_cast<unsigned long long>(triage.shards_reported),
+                 static_cast<unsigned long long>(triage.shards_searched),
+                 sharded->num_shards(), queries.size());
   }
   if (options.pool != nullptr) {
     std::fprintf(stderr, "buffer pool: %llu hits, %llu misses, %llu evictions "
@@ -963,7 +879,25 @@ int CmdRstknn(const Flags& flags) {
                  static_cast<unsigned long long>(pool->evictions()),
                  100.0 * pool->hit_rate());
   }
-  sampler.Stop();  // final runtime sample lands in the snapshot below
+  if (obs_flags.slow_logging()) {
+    std::fprintf(stderr, "slow-query log: %llu captured over %.2f ms "
+                 "(%llu dropped)\n",
+                 static_cast<unsigned long long>(slow_log.captured()),
+                 slow_log.threshold_ms(),
+                 static_cast<unsigned long long>(slow_log.dropped()));
+  }
+  if (!obs_flags.journal_out.empty()) {
+    const int rc = FinishJournal(&journal, obs_flags.journal_out);
+    if (rc != 0) return rc;
+  }
+  if (!obs_flags.heatmap_out.empty()) {
+    const int rc =
+        EmitHeatmap(obs_flags.heatmap_out, heatmap, batch_stats.total);
+    if (rc != 0) return rc;
+  }
+  // Stop before the artifact snapshot so the runtime.* gauges carry a final
+  // post-run sample.
+  sampler.Stop();
   return EmitObsArtifacts(obs_flags, "rstknn", &trace,
                           obs_flags.explain ? &recorder : nullptr,
                           obs_flags.slow_logging() ? &slow_log : nullptr,
@@ -989,7 +923,10 @@ int CmdMaxBrst(const Flags& flags) {
 
   MaxBrstQuery query;
   query.locations = ParseLocations(flags.Get("locations", ""));
-  query.keywords = ParseTerms(flags.Get("keywords", ""));
+  std::optional<std::vector<TermId>> keywords =
+      ParseTerms(flags.Get("keywords", ""), "--keywords");
+  if (!keywords.has_value()) return 2;
+  query.keywords = std::move(*keywords);
   query.ws = static_cast<size_t>(flags.GetInt("ws", 2));
   query.k = static_cast<size_t>(flags.GetInt("k", 10));
   if (query.locations.empty() || query.keywords.empty()) {
