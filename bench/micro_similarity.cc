@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "rst/common/rng.h"
 #include "rst/simd/simd.h"
 #include "rst/text/similarity.h"
@@ -106,32 +108,69 @@ void BM_ExtendedJaccardBounds(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtendedJaccardBounds)->Arg(8)->Arg(64);
 
-void BM_SumMeasureBounds(benchmark::State& state) {
+/// A kSum bound workload: an 8-document object summary of `n`-term
+/// documents, and a user side of `user_terms` distinct keywords spread over
+/// 3-keyword users (an empty intersection, like a joint top-k super-user).
+struct SumBoundsInput {
+  std::vector<float> cmax;
+  TextSummary object;
+  TextSummary user;
+};
+
+SumBoundsInput MakeSumBoundsInput(size_t n, size_t user_terms) {
   Rng rng(4);
-  const size_t n = static_cast<size_t>(state.range(0));
+  SumBoundsInput in;
   std::vector<TermVector> docs;
   for (int i = 0; i < 8; ++i) docs.push_back(MakeDoc(&rng, n, n * 10));
-  const std::vector<float> cmax = ComputeCorpusMaxWeights(docs, n * 10);
-  TextSummary object;
+  in.cmax = ComputeCorpusMaxWeights(docs, n * 10);
   for (const TermVector& d : docs) {
-    object = TextSummary::Merge(object, TextSummary::FromDoc(d));
+    in.object = TextSummary::Merge(in.object, TextSummary::FromDoc(d));
   }
-  TextSummary user;
-  for (int i = 0; i < 4; ++i) {
+  const std::vector<size_t> picks =
+      rng.SampleWithoutReplacement(n * 10, user_terms);
+  for (size_t i = 0; i < picks.size(); i += 3) {
     std::vector<TermId> terms;
-    for (size_t pick : rng.SampleWithoutReplacement(n * 10, 3)) {
-      terms.push_back(static_cast<TermId>(pick));
+    for (size_t j = i; j < std::min(i + 3, picks.size()); ++j) {
+      terms.push_back(static_cast<TermId>(picks[j]));
     }
-    user = TextSummary::Merge(
-        user, TextSummary::FromDoc(TermVector::FromTerms(terms)));
+    in.user = TextSummary::Merge(
+        in.user, TextSummary::FromDoc(TermVector::FromTerms(terms)));
   }
-  TextSimilarity sim(TextMeasure::kSum, &cmax);
+  return in;
+}
+
+/// One-shot bounds: every call prepares the user side again.
+void BM_SumMeasureBounds(benchmark::State& state) {
+  const SumBoundsInput in =
+      MakeSumBoundsInput(static_cast<size_t>(state.range(0)),
+                         static_cast<size_t>(state.range(1)));
+  TextSimilarity sim(TextMeasure::kSum, &in.cmax);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.MaxSim(in.object, in.user));
+    benchmark::DoNotOptimize(sim.MinSim(in.object, in.user));
+  }
+}
+BENCHMARK(BM_SumMeasureBounds)
+    ->ArgNames({"n", "user_terms"})
+    ->ArgsProduct({{8, 64}, {12, 20}});
+
+/// The same bounds against a user side prepared once, as joint top-k's
+/// traversal and a top-k search use it.
+void BM_SumMeasureBoundsPrepared(benchmark::State& state) {
+  const SumBoundsInput in =
+      MakeSumBoundsInput(static_cast<size_t>(state.range(0)),
+                         static_cast<size_t>(state.range(1)));
+  TextSimilarity sim(TextMeasure::kSum, &in.cmax);
+  const PreparedSummary user = sim.Prepare(AsSpan(in.user));
+  const SummarySpan object = AsSpan(in.object);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim.MaxSim(object, user));
     benchmark::DoNotOptimize(sim.MinSim(object, user));
   }
 }
-BENCHMARK(BM_SumMeasureBounds)->Arg(8)->Arg(64);
+BENCHMARK(BM_SumMeasureBoundsPrepared)
+    ->ArgNames({"n", "user_terms"})
+    ->ArgsProduct({{8, 64}, {12, 20}});
 
 void BM_UnionMaxIntersectMin(benchmark::State& state) {
   Rng rng(5);

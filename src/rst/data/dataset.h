@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "rst/common/geometry.h"
-#include "rst/rtree/rtree.h"
+#include "rst/common/object_id.h"
 #include "rst/text/corpus_stats.h"
 #include "rst/text/similarity.h"
 #include "rst/text/term_vector.h"

@@ -814,15 +814,17 @@ Status IurTree::CheckInvariants(
 }
 
 TextBounds EntryTextBounds(const IurTree::Entry& entry,
-                           const TextSummary& other,
+                           const PreparedSummary& other,
                            const TextSimilarity& sim) {
   if (entry.clusters.empty()) {
-    return {sim.MinSim(entry.summary, other), sim.MaxSim(entry.summary, other)};
+    const SummarySpan s = AsSpan(entry.summary);
+    return {sim.MinSim(s, other), sim.MaxSim(s, other)};
   }
   TextBounds bounds{1.0, 0.0};
   for (const auto& [cluster_id, summary] : entry.clusters) {
-    bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(summary, other));
-    bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(summary, other));
+    const SummarySpan s = AsSpan(summary);
+    bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(s, other));
+    bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(s, other));
   }
   return bounds;
 }

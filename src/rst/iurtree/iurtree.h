@@ -190,11 +190,12 @@ class IurTree {
   bool storage_dirty_ = true;
 };
 
-/// Text bounds of an entry against a plain summary (e.g. a query document or
-/// a super-user). Cluster-aware: with per-cluster summaries the bound is the
-/// min/max over clusters, which is tighter than the blended summary's bound.
+/// Text bounds of an entry against a prepared user side (a query document or
+/// a super-user, prepared once per search). Cluster-aware: with per-cluster
+/// summaries the bound is the min/max over clusters, which is tighter than
+/// the blended summary's bound.
 TextBounds EntryTextBounds(const IurTree::Entry& entry,
-                           const TextSummary& other,
+                           const PreparedSummary& other,
                            const TextSimilarity& sim);
 
 }  // namespace rst

@@ -54,20 +54,17 @@ struct TraversalItem {
 
 }  // namespace
 
-double JointTopKProcessor::UserScore(const StUser& user, ObjectId id) const {
-  const StObject& obj = dataset_->object(id);
-  return scorer_->Score(obj.loc, obj.doc, user.loc, user.keywords);
-}
-
 JointTraversal JointTopKProcessor::Traverse(const SuperUser& super_user,
                                             size_t k, IoStats* stats) const {
   JointTraversal out;
   if (k == 0 || tree_->size() == 0) return out;
 
   const double alpha = scorer_->options().alpha;
+  const PreparedSummary su_side =
+      scorer_->text().Prepare(AsSpan(super_user.keywords));
   auto entry_bounds = [&](const IurTree::Entry& e) -> std::pair<double, double> {
-    const TextBounds tb =
-        EntryTextBounds(e, super_user.keywords, scorer_->text());
+    ++out.bound_evaluations;
+    const TextBounds tb = EntryTextBounds(e, su_side, scorer_->text());
     const double lb =
         alpha * scorer_->SpatialSim(MaxDistance(e.rect, super_user.mbr)) +
         (1.0 - alpha) * tb.min_sim;
@@ -147,20 +144,80 @@ void JointTopKProcessor::IndividualTopK(const std::vector<StUser>& users,
                                         const JointTraversal& traversal,
                                         size_t k,
                                         JointTopKResult* result) const {
+  const TextSimilarity& text = scorer_->text();
+  const bool sum = text.measure() == TextMeasure::kSum;
+
+  // Group keyword table: the union of the users' keywords, ascending. Each
+  // user keeps its keywords as table slots in its own (ascending) term
+  // order, their weights (1 for kSum, whose user weights are ignored) and
+  // its norm, so a score sums the same products in the same order as Sim.
+  std::vector<TermId> keys;
   for (const StUser& user : users) {
+    for (const TermWeight& e : user.keywords.entries()) keys.push_back(e.term);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const size_t width = keys.size();
+  std::vector<uint32_t> slots;
+  std::vector<float> user_weights;
+  std::vector<size_t> user_begin;
+  std::vector<double> user_norm;
+  for (const StUser& user : users) {
+    user_begin.push_back(slots.size());
+    for (const TermWeight& e : user.keywords.entries()) {
+      slots.push_back(static_cast<uint32_t>(
+          std::lower_bound(keys.begin(), keys.end(), e.term) - keys.begin()));
+      user_weights.push_back(sum ? 1.0f : e.weight);
+    }
+    user_norm.push_back(text.UserNorm(user.keywords));
+  }
+  user_begin.push_back(slots.size());
+
+  // Candidate rows in scan order (LO, then RO), filled lazily up to the
+  // deepest prefix any user reaches: location, |o|² and the candidate's
+  // weights at the table's slots (0 where it lacks the keyword).
+  const std::vector<ObjectId>& lo = traversal.lo;
+  const std::vector<TopKResult>& ro = traversal.ro;
+  auto candidate = [&](size_t j) {
+    return j < lo.size() ? lo[j] : ro[j - lo.size()].id;
+  };
+  std::vector<Point> row_loc;
+  std::vector<double> row_norm;
+  std::vector<float> row_weights;
+  auto ensure_row = [&](size_t j) {
+    for (size_t r = row_loc.size(); r <= j; ++r) {
+      const StObject& obj = dataset_->object(candidate(r));
+      row_loc.push_back(obj.loc);
+      row_norm.push_back(obj.doc.NormSquared());
+      row_weights.resize(row_weights.size() + width, 0.0f);
+      float* row = row_weights.data() + r * width;
+      ForEachKeyWeight(obj.doc.entries().data(), obj.doc.size(), keys.data(),
+                       width, [row](size_t i, float w) { row[i] = w; });
+    }
+  };
+
+  for (size_t u = 0; u < users.size(); ++u) {
+    const StUser& user = users[u];
     RST_DCHECK_LT(user.id, result->per_user.size());
     std::vector<TopKResult>& list = result->per_user[user.id];
     list.clear();
-    for (ObjectId id : traversal.lo) {
-      InsertTopK(&list, k, {id, UserScore(user, id)});
-      ++result->scored_objects;
-    }
-    double rsk = list.size() == k ? list.back().score : -1.0;
-    for (const TopKResult& candidate : traversal.ro) {
+    double rsk = -1.0;
+    for (size_t j = 0; j < lo.size() + ro.size(); ++j) {
       // RO is sorted by descending UB(o, u_s): once the super-user upper
       // bound falls below this user's k-th score, nothing below can enter.
-      if (list.size() == k && candidate.score < rsk) break;
-      InsertTopK(&list, k, {candidate.id, UserScore(user, candidate.id)});
+      if (j >= lo.size() && list.size() == k && ro[j - lo.size()].score < rsk) {
+        break;
+      }
+      ensure_row(j);
+      const float* row = row_weights.data() + j * width;
+      double cross = 0.0;
+      for (size_t s = user_begin[u]; s < user_begin[u + 1]; ++s) {
+        cross += static_cast<double>(row[slots[s]]) * user_weights[s];
+      }
+      const double score =
+          scorer_->Combine(Distance(row_loc[j], user.loc),
+                           text.SimFromParts(cross, row_norm[j], user_norm[u]));
+      InsertTopK(&list, k, {candidate(j), score});
       ++result->scored_objects;
       rsk = list.size() == k ? list.back().score : -1.0;
     }
@@ -180,8 +237,11 @@ JointTopKResult JointTopKProcessor::Process(const std::vector<StUser>& users,
       obs::MetricRegistry::Global().GetCounter(obs::names::kJointTopkRuns);
   static const obs::Counter scored =
       obs::MetricRegistry::Global().GetCounter(obs::names::kJointTopkScoredObjects);
+  static const obs::Counter bounds = obs::MetricRegistry::Global().GetCounter(
+      obs::names::kJointTopkBoundEvaluations);
   runs.Increment();
   scored.Add(result.scored_objects);
+  bounds.Add(result.traversal.bound_evaluations);
   result.io.Publish(obs::names::kJointTopkIoPrefix);
   return result;
 }

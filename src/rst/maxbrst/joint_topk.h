@@ -33,6 +33,8 @@ struct JointTraversal {
   std::vector<TopKResult> ro;  ///< .score holds UB(o, u_s)
   /// k-th best lower-bound score (RS_k(u_s)); -1 when |O| < k.
   double rsk_super = -1.0;
+  /// Entries whose super-user bounds were computed (work metric).
+  uint64_t bound_evaluations = 0;
 };
 
 /// Per-user outcome of the joint computation.
@@ -67,6 +69,9 @@ class JointTopKProcessor {
 
   /// Algorithm 2: exact top-k of each user from the LO/RO pools.
   /// `users` may be any subset of the group the super-user summarizes.
+  /// Candidates are scored from rows holding each scanned candidate's
+  /// location and its weights at the group's keywords (DESIGN.md §3.4);
+  /// scores equal StScorer::Score bit-for-bit.
   void IndividualTopK(const std::vector<StUser>& users,
                       const JointTraversal& traversal, size_t k,
                       JointTopKResult* result) const;
@@ -80,8 +85,6 @@ class JointTopKProcessor {
                                   size_t k) const;
 
  private:
-  double UserScore(const StUser& user, ObjectId id) const;
-
   const IurTree* tree_;
   const Dataset* dataset_;
   const StScorer* scorer_;

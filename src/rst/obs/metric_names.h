@@ -54,6 +54,8 @@ inline constexpr char kMiurSolves[] = "miur.solves";
 inline constexpr char kMiurUsersRefined[] = "miur.users_refined";
 inline constexpr char kJointTopkRuns[] = "joint_topk.runs";
 inline constexpr char kJointTopkScoredObjects[] = "joint_topk.scored_objects";
+inline constexpr char kJointTopkBoundEvaluations[] =
+    "joint_topk.bound_evaluations";
 inline constexpr char kJointTopkBaselineRuns[] = "joint_topk.baseline.runs";
 
 // --- sharded scatter-gather (rst::shard; DESIGN.md §15) ---

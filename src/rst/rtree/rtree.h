@@ -6,12 +6,10 @@
 #include <vector>
 
 #include "rst/common/geometry.h"
+#include "rst/common/object_id.h"
 #include "rst/common/status.h"
 
 namespace rst {
-
-/// Identifier of an indexed object (dataset-assigned).
-using ObjectId = uint32_t;
 
 struct RTreeOptions {
   /// Maximum entries per node. The default approximates a 4 KiB page of

@@ -41,9 +41,6 @@ struct TermSpan {
   const TermWeight* data = nullptr;
   uint32_t len = 0;
   double norm_squared = 0.0;
-
-  float Get(TermId term) const { return GetSpan(data, len, term); }
-  bool Contains(TermId term) const { return ContainsSpan(data, len, term); }
 };
 
 inline TermSpan AsSpan(const TermVector& v) {
@@ -96,6 +93,49 @@ enum class EjBoundMode {
   kCauchySchwarz,  ///< + the x <= sqrt(ab) leg (DESIGN.md §3.1)
 };
 
+/// A user-side summary prepared once for many bound calls against different
+/// object summaries: a super-user over a whole joint top-k traversal, a
+/// query over its top-k search. For kSum it holds the user-union terms
+/// ascending, each term's cmax and whether it is required (in `intr`), plus
+/// the required terms' Σcmax, so that a bound call walks the object side
+/// once instead of looking every user term up (DESIGN.md §3.1). EJ and
+/// cosine precompute nothing; their prepared form is the span itself.
+///
+/// Build with TextSimilarity::Prepare. The summary the span points into must
+/// outlive it. Bound calls on sides of more than kInlineTerms terms reuse a
+/// scratch buffer held here, so one PreparedSummary serves one thread at a
+/// time.
+class PreparedSummary {
+  friend class TextSimilarity;
+
+  /// One user-union term.
+  struct Key {
+    TermId term;
+    bool required;  ///< the term is in `intr`
+    double cmax;
+    friend TermId TermOf(const Key& k) { return k.term; }
+  };
+  /// One user term gathered for a kSum bound.
+  struct RatioTerm {
+    double num;  ///< object-side weight bound for the term
+    double den;  ///< corpus normalizer cmax(t) > 0
+    TermId term;
+  };
+  /// Sides up to this many terms gather on the stack; larger ones use
+  /// `scratch_`.
+  static constexpr size_t kInlineTerms = 32;
+
+  double SumBound(const TermSpan& object_side, bool upper) const;
+
+  SummarySpan span_;
+  std::vector<Key> keys_;      ///< kSum: user-union terms, ascending
+  double required_den_ = 0.0;  ///< Σ cmax over required terms, in order
+  uint32_t num_required_ = 0;
+  uint32_t num_optional_ = 0;  ///< optional terms with cmax > 0
+  bool zero_cmax_optional_ = false;
+  mutable std::vector<RatioTerm> scratch_;
+};
+
 /// Exact similarities and node-level bounds for one measure.
 ///
 /// The bound contract — the foundation of every pruning rule in the library,
@@ -118,16 +158,32 @@ class TextSimilarity {
   /// keyword set (symmetric for EJ/cosine).
   double Sim(const TermVector& object, const TermVector& user) const;
 
+  /// Sim split into its parts, for callers that gather the object side
+  /// themselves (joint top-k's candidate rows): `cross` is Σ over the user's
+  /// terms, in ascending term order, of object weight × user weight (for
+  /// kSum the user weight is taken as 1); `object_norm` is |o|² (unused by
+  /// kSum); `user_norm` is UserNorm(user). Sim(o, u) ==
+  /// SimFromParts(cross, |o|², UserNorm(u)) bit-for-bit.
+  double SimFromParts(double cross, double object_norm,
+                      double user_norm) const;
+  /// |u|² for EJ/cosine; Σ cmax over the user's terms for kSum.
+  double UserNorm(const TermVector& user) const;
+
+  /// The prepared form of a user-side summary for repeated bound calls.
+  PreparedSummary Prepare(const SummarySpan& user) const;
+
   /// Upper bound over all (object doc, user doc) pairs drawn from A and B.
-  /// The span overload is the single implementation; the TextSummary form
-  /// adapts and forwards, so IurTree and frozen-snapshot bounds are
-  /// bit-identical.
+  /// The prepared overload is the single kSum implementation: the one-shot
+  /// span form prepares and forwards, and the TextSummary forms adapt to
+  /// spans, so IurTree and frozen-snapshot bounds are bit-identical.
+  double MaxSim(const SummarySpan& object, const PreparedSummary& user) const;
   double MaxSim(const SummarySpan& object, const SummarySpan& user) const;
   double MaxSim(const TextSummary& object, const TextSummary& user) const {
     return MaxSim(AsSpan(object), AsSpan(user));
   }
 
   /// Lower bound over all (object doc, user doc) pairs drawn from A and B.
+  double MinSim(const SummarySpan& object, const PreparedSummary& user) const;
   double MinSim(const SummarySpan& object, const SummarySpan& user) const;
   double MinSim(const TextSummary& object, const TextSummary& user) const {
     return MinSim(AsSpan(object), AsSpan(user));
@@ -137,10 +193,6 @@ class TextSimilarity {
   double CorpusMax(TermId t) const {
     return (corpus_max_ && t < corpus_max_->size()) ? (*corpus_max_)[t] : 0.0;
   }
-
-  double SumSim(const TermVector& object, const TermVector& user) const;
-  double SumBound(const SummarySpan& object, const SummarySpan& user,
-                  bool upper) const;
 
   TextMeasure measure_;
   const std::vector<float>* corpus_max_;
@@ -170,7 +222,16 @@ class StScorer {
 
   /// Exact combined score between two located documents.
   double Score(const Point& op, const TermVector& od, const Point& up,
-               const TermVector& ud) const;
+               const TermVector& ud) const {
+    return Combine(Distance(op, up), text_->Sim(od, ud));
+  }
+
+  /// Score's blend of a raw distance and a text similarity, for callers
+  /// that compute the text part themselves.
+  double Combine(double dist, double text_sim) const {
+    return options_.alpha * SpatialSim(dist) +
+           (1.0 - options_.alpha) * text_sim;
+  }
 
   /// Upper/lower combined-score bounds between two summarized groups with
   /// bounding rectangles. For point entries pass a degenerate Rect. The span

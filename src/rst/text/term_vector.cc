@@ -10,37 +10,8 @@ namespace rst {
 
 namespace {
 
-/// Skew ratio |large| / |small| above which the merge kernels switch from
-/// the linear two-pointer walk to galloping (exponential + binary search)
-/// over the large side. Below it the branch-predictable linear walk wins;
-/// above it the cost drops from O(|a|+|b|) to O(|small| · log |large|).
-/// The crossover matters in practice: node summaries near the IUR-tree root
-/// union thousands of terms while leaf documents and intersection summaries
-/// hold a handful.
-constexpr size_t kGallopRatio = 16;
-
-bool Skewed(size_t small, size_t large) {
-  return small * kGallopRatio < large;
-}
-
-/// First element of [first, last) with term >= `term`: doubling probes
-/// narrow an octave, then binary search inside it. Amortized O(log gap)
-/// when called with monotonically increasing `term` and an advancing
-/// `first`.
-const TermWeight* GallopLowerBound(const TermWeight* first,
-                                   const TermWeight* last, TermId term) {
-  if (first == last || first->term >= term) return first;
-  // Invariant entering the search: (first + step/2)->term < term.
-  size_t step = 1;
-  while (first + step < last && (first + step)->term < term) step <<= 1;
-  const TermWeight* lo = first + (step >> 1) + 1;
-  const TermWeight* hi = std::min(first + step, last);
-  const TermWeight* pos = std::lower_bound(
-      lo, hi, term,
-      [](const TermWeight& e, TermId t) { return e.term < t; });
-  // All of [lo, hi) < term means the probe element (== hi) is the answer.
-  return pos;
-}
+using span_internal::GallopLowerBound;
+using span_internal::Skewed;
 
 double DotGalloped(const TermWeight* small, size_t small_len,
                    const TermWeight* large, size_t large_len) {

@@ -1,6 +1,8 @@
 #ifndef RST_TEXT_TERM_VECTOR_H_
 #define RST_TEXT_TERM_VECTOR_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -110,6 +112,91 @@ bool ContainsSpan(const TermWeight* a, size_t a_len, TermId term);
 /// sequence as the TermVector construction cache, so the result matches
 /// TermVector::NormSquared() bit-for-bit.
 double NormSquaredSpan(const TermWeight* a, size_t a_len);
+
+namespace span_internal {
+
+/// Skew ratio |large| / |small| above which the merge kernels switch from
+/// the linear two-pointer walk to galloping (exponential + binary search)
+/// over the large side. Below it the branch-predictable linear walk wins;
+/// above it the cost drops from O(|a|+|b|) to O(|small| · log |large|).
+/// The crossover matters in practice: node summaries near the IUR-tree root
+/// union thousands of terms while leaf documents and intersection summaries
+/// hold a handful.
+inline constexpr size_t kGallopRatio = 16;
+
+inline bool Skewed(size_t small, size_t large) {
+  return small * kGallopRatio < large;
+}
+
+inline TermId TermOf(const TermWeight& e) { return e.term; }
+inline TermId TermOf(TermId t) { return t; }
+
+/// First element of [first, last) with term >= `term`: doubling probes
+/// narrow an octave, then binary search inside it. Amortized O(log gap)
+/// when called with monotonically increasing `term` and an advancing
+/// `first`.
+template <typename T>
+const T* GallopLowerBound(const T* first, const T* last, TermId term) {
+  if (first == last || TermOf(*first) >= term) return first;
+  // Invariant entering the search: TermOf(first[step/2]) < term.
+  size_t step = 1;
+  while (first + step < last && TermOf(first[step]) < term) step <<= 1;
+  const T* lo = first + (step >> 1) + 1;
+  const T* hi = std::min(first + step, last);
+  // All of [lo, hi) < term means the probe element (== hi) is the answer.
+  return std::lower_bound(lo, hi, term,
+                          [](const T& e, TermId t) { return TermOf(e) < t; });
+}
+
+}  // namespace span_internal
+
+/// Sorted-merge join of a term-weight span with an ascending run of unique
+/// keys (term ids, or records whose term `TermOf` yields): calls
+/// `fn(i, weight)` for every `keys[i]` whose term is present in `a`, in
+/// ascending i. Same adaptive strategy as DotSpan — a linear walk for
+/// balanced lengths, galloping through whichever side is longer by more
+/// than kGallopRatio — so a fixed key set (a prepared user side, a group's
+/// keyword table) meets any summary or document in one pass.
+template <typename Key, typename Fn>
+void ForEachKeyWeight(const TermWeight* a, size_t a_len, const Key* keys,
+                      size_t keys_len, Fn&& fn) {
+  using span_internal::GallopLowerBound;
+  using span_internal::Skewed;
+  using span_internal::TermOf;
+  const TermWeight* const a_end = a + a_len;
+  const Key* const keys_end = keys + keys_len;
+  if (Skewed(keys_len, a_len)) {
+    const TermWeight* cur = a;
+    for (const Key* k = keys; k != keys_end; ++k) {
+      cur = GallopLowerBound(cur, a_end, TermOf(*k));
+      if (cur == a_end) return;
+      if (cur->term == TermOf(*k)) {
+        fn(static_cast<size_t>(k - keys), (cur++)->weight);
+      }
+    }
+  } else if (Skewed(a_len, keys_len)) {
+    const Key* cur = keys;
+    for (const TermWeight* e = a; e != a_end; ++e) {
+      cur = GallopLowerBound(cur, keys_end, e->term);
+      if (cur == keys_end) return;
+      if (TermOf(*cur) == e->term) {
+        fn(static_cast<size_t>(cur++ - keys), e->weight);
+      }
+    }
+  } else {
+    const TermWeight* ia = a;
+    const Key* k = keys;
+    while (ia != a_end && k != keys_end) {
+      if (ia->term < TermOf(*k)) {
+        ++ia;
+      } else if (TermOf(*k) < ia->term) {
+        ++k;
+      } else {
+        fn(static_cast<size_t>(k++ - keys), (ia++)->weight);
+      }
+    }
+  }
+}
 
 }  // namespace rst
 

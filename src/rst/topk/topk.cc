@@ -27,28 +27,10 @@ struct QueueItem {
   }
 };
 
-}  // namespace
-
-double TopKSearcher::UpperBound(const IurTree::Entry& entry,
-                                const TopKQuery& query) const {
-  const TextSummary qsum = TextSummary::FromDoc(*query.doc);
-  const TextBounds tb = EntryTextBounds(entry, qsum, scorer_->text());
-  const double spatial =
-      scorer_->SpatialSim(MinDistance(query.loc, entry.rect));
-  return scorer_->options().alpha * spatial +
-         (1.0 - scorer_->options().alpha) * tb.max_sim;
-}
-
-namespace {
-
 /// True iff `candidate` contains every term of `required`.
 bool ContainsAllTerms(const TermVector& candidate, const TermVector& required) {
   return candidate.OverlapCount(required) == required.size();
 }
-
-}  // namespace
-
-namespace {
 
 /// Cached registry handles — Search runs microseconds-hot (the precompute
 /// baseline and the MaxBRSTkNN joint algorithm issue one per object/user),
@@ -83,7 +65,8 @@ std::vector<TopKResult> TopKSearcher::Search(const TopKQuery& query,
   if (query.k == 0 || tree_->size() == 0) return results;
   Stopwatch timer;
   obs::TraceSpan search_span(trace, obs::names::kSpanTopkSearch);
-  const TextSummary qsum = TextSummary::FromDoc(*query.doc);
+  const TermSpan qdoc = AsSpan(*query.doc);
+  const PreparedSummary qside = scorer_->text().Prepare({qdoc, qdoc, 1});
   const double alpha = scorer_->options().alpha;
   uint64_t pops = 0;
   uint64_t expansions = 0;
@@ -116,7 +99,7 @@ std::vector<TopKResult> TopKSearcher::Search(const TopKQuery& query,
             !ContainsAllTerms(e.summary.uni, *query.doc)) {
           continue;  // some required term appears nowhere in the subtree
         }
-        const TextBounds tb = EntryTextBounds(e, qsum, scorer_->text());
+        const TextBounds tb = EntryTextBounds(e, qside, scorer_->text());
         const double upper =
             alpha * scorer_->SpatialSim(MinDistance(query.loc, e.rect)) +
             (1.0 - alpha) * tb.max_sim;

@@ -55,10 +55,6 @@ class TopKSearcher {
                                  IoStats* stats = nullptr,
                                  obs::QueryTrace* trace = nullptr) const;
 
-  /// Upper-bound combined score of `entry` w.r.t. the query (exposed for the
-  /// algorithms built on top).
-  double UpperBound(const IurTree::Entry& entry, const TopKQuery& query) const;
-
  private:
   const IurTree* tree_;
   const Dataset* dataset_;

@@ -133,7 +133,8 @@ TEST(IurTreeTest, ClusteredBoundsAreTighterOrEqual) {
   const IurTree plain = IurTree::BuildFromDataset(d, {});
   const IurTree ciur = IurTree::BuildFromDataset(d, {}, &clusters.assignment);
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
-  const TextSummary query = TextSummary::FromDoc(d.object(3).doc);
+  const TextSummary qsum = TextSummary::FromDoc(d.object(3).doc);
+  const PreparedSummary query = sim.Prepare(AsSpan(qsum));
 
   // Compare bounds on the root children covering the same object sets is not
   // possible node-by-node (tree shapes match: same STR order). Walk both
@@ -165,7 +166,8 @@ TEST(IurTreeTest, ClusterAwareBoundsStillBracketTruth) {
   const IurTree tree = IurTree::BuildFromDataset(d, {}, &clusters.assignment);
   TextSimilarity sim(TextMeasure::kExtendedJaccard);
   const TermVector& qdoc = d.object(11).doc;
-  const TextSummary query = TextSummary::FromDoc(qdoc);
+  const TextSummary qsum = TextSummary::FromDoc(qdoc);
+  const PreparedSummary query = sim.Prepare(AsSpan(qsum));
 
   std::function<void(const IurTree::Node*)> walk = [&](const IurTree::Node*
                                                            node) {
@@ -193,6 +195,60 @@ TEST(IurTreeTest, ClusterAwareBoundsStillBracketTruth) {
     }
   };
   walk(tree.root());
+}
+
+// EntryTextBounds against a prepared user side equals the one-shot bounds
+// of every cluster summary bit-for-bit, for a super-user-like keyword group
+// (non-empty intersection, union over many terms) under all three measures.
+TEST(IurTreeTest, PreparedEntryBoundsMatchOneShotClusterBounds) {
+  const Dataset d = SmallDataset(800, 23);
+  std::vector<TermVector> docs;
+  for (const StObject& o : d.objects()) docs.push_back(o.doc);
+  ClusteringOptions copts;
+  copts.num_clusters = 6;
+  const ClusteringResult clusters = ClusterDocuments(docs, copts);
+  const IurTree ciur = IurTree::BuildFromDataset(d, {}, &clusters.assignment);
+  TextSummary group;
+  for (ObjectId id : {5u, 40u, 41u, 300u}) {
+    std::vector<TermId> terms;
+    for (const TermWeight& e : d.object(id).doc.entries()) {
+      terms.push_back(e.term);
+    }
+    terms.push_back(7);  // shared by every user: a required keyword
+    group = TextSummary::Merge(
+        group, TextSummary::FromDoc(TermVector::FromTerms(terms)));
+  }
+  ASSERT_FALSE(group.intr.empty());
+  for (TextMeasure measure : {TextMeasure::kExtendedJaccard,
+                              TextMeasure::kCosine, TextMeasure::kSum}) {
+    TextSimilarity sim(measure, &d.corpus_max());
+    const PreparedSummary prepared = sim.Prepare(AsSpan(group));
+    size_t clustered = 0;
+    std::function<void(const IurTree::Node*)> walk =
+        [&](const IurTree::Node* node) {
+          for (const IurTree::Entry& e : node->entries) {
+            TextBounds expected{1.0, 0.0};
+            if (e.clusters.empty()) {
+              expected = {sim.MinSim(e.summary, group),
+                          sim.MaxSim(e.summary, group)};
+            } else {
+              ++clustered;
+              for (const auto& [cluster_id, summary] : e.clusters) {
+                expected.min_sim =
+                    std::min(expected.min_sim, sim.MinSim(summary, group));
+                expected.max_sim =
+                    std::max(expected.max_sim, sim.MaxSim(summary, group));
+              }
+            }
+            const TextBounds got = EntryTextBounds(e, prepared, sim);
+            EXPECT_EQ(got.min_sim, expected.min_sim) << TextMeasureName(measure);
+            EXPECT_EQ(got.max_sim, expected.max_sim) << TextMeasureName(measure);
+            if (!e.is_object()) walk(e.child);
+          }
+        };
+    walk(ciur.root());
+    EXPECT_GT(clustered, 0u);
+  }
 }
 
 TEST(IurTreeTest, StorageAccountingCharges) {

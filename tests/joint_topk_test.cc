@@ -15,7 +15,8 @@ struct JointFixture {
   StScorer scorer;
 
   JointFixture(size_t num_objects, size_t num_users, Weighting weighting,
-               double alpha, uint64_t seed = 1)
+               double alpha, uint64_t seed = 1,
+               TextMeasure measure = TextMeasure::kSum)
       : tree(IurTree::Build({}, {})),
         // Placeholder measure: kSum requires corpus-max normalizers, which
         // exist only after the dataset is generated in the body (reassigned
@@ -33,7 +34,7 @@ struct JointFixture {
     ucfg.seed = seed + 5;
     gen = GenUsers(dataset, ucfg);
     tree = IurTree::BuildFromDataset(dataset, {});
-    sim = TextSimilarity(TextMeasure::kSum, &dataset.corpus_max());
+    sim = TextSimilarity(measure, &dataset.corpus_max());
     scorer = StScorer(&sim, {alpha, dataset.max_dist()});
   }
 };
@@ -79,6 +80,64 @@ INSTANTIATE_TEST_SUITE_P(Weightings, JointWeightingTest,
                          [](const auto& info) {
                            return WeightingName(info.param);
                          });
+
+/// Exact equality (ids, scores and RS_k) of the joint result with the
+/// per-user brute force and with the per-user baseline search.
+void ExpectExact(const JointFixture& f, const std::vector<StUser>& users,
+                 size_t k) {
+  JointTopKProcessor proc(&f.tree, &f.dataset, &f.scorer);
+  const JointTopKResult joint = proc.Process(users, k);
+  const JointTopKResult baseline = proc.BaselinePerUser(users, k);
+  for (const StUser& u : users) {
+    TopKQuery q{u.loc, &u.keywords, k, IurTree::kNoObject};
+    const auto expected = BruteForceTopK(f.dataset, f.scorer, q);
+    ASSERT_EQ(joint.per_user[u.id].size(), expected.size()) << "u=" << u.id;
+    EXPECT_EQ(joint.per_user[u.id], baseline.per_user[u.id]) << "u=" << u.id;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(joint.per_user[u.id][i], expected[i])
+          << "u=" << u.id << " pos=" << i;
+    }
+    EXPECT_EQ(joint.rsk[u.id],
+              expected.size() == k ? expected.back().score : -1.0);
+  }
+}
+
+class JointMeasureTest : public ::testing::TestWithParam<TextMeasure> {};
+
+// Candidate rows score every measure; the symmetric ones also read the
+// users' keyword weights, so a second group carries weighted keywords.
+TEST_P(JointMeasureTest, MatchesBruteForceAndBaselineExactly) {
+  JointFixture f(1500, 40, Weighting::kTfIdf, 0.4, 29, GetParam());
+  ExpectExact(f, f.gen.users, 7);
+  std::vector<StUser> weighted = f.gen.users;
+  for (StUser& u : weighted) u.keywords = f.dataset.object(u.id * 31).doc;
+  ExpectExact(f, weighted, 7);
+}
+
+INSTANTIATE_TEST_SUITE_P(Measures, JointMeasureTest,
+                         ::testing::Values(TextMeasure::kExtendedJaccard,
+                                           TextMeasure::kCosine,
+                                           TextMeasure::kSum),
+                         [](const auto& info) {
+                           return TextMeasureName(info.param);
+                         });
+
+// A keyword past the end of corpus_max has cmax 0: it adds nothing to a
+// user's kSum normalizer, and the super-user bounds must still hold.
+TEST(JointTopKTest, OutOfCorpusKeywordGroupMatchesOracles) {
+  JointFixture f(1500, 40, Weighting::kLanguageModel, 0.5, 31);
+  const TermId oov = static_cast<TermId>(f.dataset.corpus_max().size() + 3);
+  std::vector<StUser> users = f.gen.users;
+  for (size_t i = 0; i < users.size(); i += 3) {
+    std::vector<TermId> terms = {oov};
+    for (const TermWeight& e : users[i].keywords.entries()) {
+      terms.push_back(e.term);
+    }
+    users[i].keywords = TermVector::FromTerms(terms);
+  }
+  users[1].keywords = TermVector::FromTerms({oov});  // scores 0 on text
+  ExpectExact(f, users, 6);
+}
 
 struct SweepCase {
   size_t k;
