@@ -60,7 +60,6 @@ void RunScenario(const rst::bench::ExtParams& params, double offset) {
       // MIUR: users behind an index; refine only where needed.
       IurTreeOptions uopts;
       uopts.max_entries = 16;
-      uopts.min_entries = 6;
       const IurTree user_tree = IurTree::BuildFromUsers(gen.users, uopts);
       timer.Restart();
       MiurMaxBrstSolver miur(&env.tree, &env.dataset, &scorer, &user_tree,

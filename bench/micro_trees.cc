@@ -1,4 +1,4 @@
-// Microbenchmarks for the index structures: R-tree operations, IUR-tree
+// Microbenchmarks for the index structures: R-tree bulk load and kNN, IUR-tree
 // construction, and top-k search latency.
 
 #include <benchmark/benchmark.h>
@@ -21,17 +21,6 @@ std::vector<std::pair<ObjectId, Rect>> RandomPoints(size_t n) {
   }
   return items;
 }
-
-void BM_RTreeInsert(benchmark::State& state) {
-  const auto items = RandomPoints(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    RTree tree;
-    for (const auto& [id, rect] : items) tree.Insert(id, rect);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * items.size());
-}
-BENCHMARK(BM_RTreeInsert)->Arg(1000)->Arg(10000);
 
 void BM_RTreeBulkLoad(benchmark::State& state) {
   const auto items = RandomPoints(static_cast<size_t>(state.range(0)));

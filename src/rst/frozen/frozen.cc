@@ -106,8 +106,7 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
   FrozenTree out;
   out.size_ = tree.size();
   out.clustered_ = tree.clustered();
-  out.has_payloads_ =
-      tree.storage_finalized() && tree.root()->record_handle.valid();
+  out.has_payloads_ = tree.options().store_payloads;
 
   // The norm caches are copied from the source vectors; a summary whose intr
   // equals its uni (every leaf document) shares one pool slice.
@@ -193,54 +192,23 @@ void FrozenTree::SerializeNodePayloads(uint32_t node) {
       SerializeNodePayloads(entry_child_[begin + i]);
     }
   }
-  // Byte-for-byte the record IurTree::SerializeNode writes, in the same
-  // post-order, so page handles match the source tree exactly.
-  std::string record;
-  record.push_back(IsLeaf(node) ? 1 : 0);
-  PutVarint32(&record, count);
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t e = begin + i;
-    PutDouble(&record, entry_rect_[e].min_x);
-    PutDouble(&record, entry_rect_[e].min_y);
-    PutDouble(&record, entry_rect_[e].max_x);
-    PutDouble(&record, entry_rect_[e].max_y);
-    PutVarint32(&record, entry_id_[e] == kNoObject ? 0 : entry_id_[e] + 1);
-    PutVarint32(&record, entry_summary_[e].count);
-  }
-  node_record_[node] = page_store_->Write(record);
-
-  InvertedFile file;
-  for (uint32_t i = 0; i < count; ++i) {
-    const SummaryRef& s = entry_summary_[begin + i];
-    const TermWeight* uni = pool_.data() + s.uni.offset;
-    for (uint32_t t = 0; t < s.uni.len; ++t) {
-      file[uni[t].term].push_back(
-          {i, uni[t].weight,
-           GetSpan(pool_.data() + s.intr.offset, s.intr.len, uni[t].term)});
+  // Same encoder and post-order as IurTree::SerializeNode, so page handles
+  // match the source tree exactly.
+  std::vector<PayloadEntry> entries;
+  std::vector<PayloadCluster> clusters;
+  entries.reserve(count);
+  for (uint32_t e = begin; e < begin + count; ++e) {
+    entries.push_back({entry_rect_[e], entry_id_[e], Summary(e),
+                       static_cast<uint32_t>(clusters.size()),
+                       NumClusters(e)});
+    for (uint32_t c = 0; c < NumClusters(e); ++c) {
+      clusters.push_back({ClusterId(e, c), ClusterSummary(e, c)});
     }
   }
-  std::string payload;
-  EncodeInvertedFile(file, &payload);
-  if (clustered_) {
-    auto slice_vector = [this](const TermSlice& s) {
-      return TermVector::FromSorted(std::vector<TermWeight>(
-          pool_.begin() + static_cast<ptrdiff_t>(s.offset),
-          pool_.begin() + static_cast<ptrdiff_t>(s.offset) + s.len));
-    };
-    for (uint32_t i = 0; i < count; ++i) {
-      const uint32_t e = begin + i;
-      PutVarint32(&payload, entry_cluster_count_[e]);
-      for (uint32_t c = 0; c < entry_cluster_count_[e]; ++c) {
-        const ClusterRef& cluster = clusters_[entry_cluster_begin_[e] + c];
-        PutVarint32(&payload, cluster.cluster_id);
-        const TextSummary summary{slice_vector(cluster.summary.uni),
-                                  slice_vector(cluster.summary.intr),
-                                  cluster.summary.count};
-        EncodeTextSummary(summary, &payload);
-      }
-    }
-  }
-  node_invfile_[node] = page_store_->Write(payload);
+  const NodePayload payload =
+      EncodeNodePayload(IsLeaf(node), entries, clusters, clustered_);
+  node_record_[node] = page_store_->Write(payload.record);
+  node_invfile_[node] = page_store_->Write(payload.invfile);
 }
 
 void FrozenTree::RebuildPayloads() {

@@ -57,11 +57,11 @@ struct ClusterRef {
 /// arena-allocated nodes (DESIGN.md §10).
 ///
 /// Storage: the frozen tree owns a PageStore whose node records and inverted
-/// files are re-encoded in the exact post-order of IurTree::FinalizeStorage,
-/// so page handles and byte counts — and therefore simulated and real I/O
-/// accounting — match the source tree exactly. The serialized file
-/// (Save/Load) stores only the arrays and the pool; payloads are rebuilt
-/// deterministically on load.
+/// files are re-encoded by the same encoder (EncodeNodePayload) in the exact
+/// post-order of IurTree::Build's storage pass, so page handles and bytes —
+/// and therefore simulated and real I/O accounting — match the source tree
+/// exactly. The serialized file (Save/Load) stores only the arrays and the
+/// pool; payloads are rebuilt deterministically on load.
 class FrozenTree {
  public:
   static constexpr uint32_t kNoObject = IurTree::kNoObject;
@@ -73,11 +73,12 @@ class FrozenTree {
   FrozenTree(FrozenTree&&) noexcept = default;
   FrozenTree& operator=(FrozenTree&&) noexcept = default;
 
-  /// Snapshots a built tree. If the tree's storage is finalized the frozen
-  /// payload store is rebuilt with identical handles; otherwise the frozen
-  /// tree has no payloads (ChargeAccess then charges node reads only, and
-  /// ReadNodePayload fails with FailedPrecondition). Records `frozen.freeze` spans on `trace`
-  /// and publishes frozen.freezes / frozen.freeze.last_ms.
+  /// Snapshots a built tree. If the tree stores payloads the frozen payload
+  /// store is rebuilt with identical handles; otherwise the frozen tree has
+  /// no payloads (ChargeAccess then charges node reads only, and
+  /// ReadNodePayload fails with FailedPrecondition). Records
+  /// `frozen.freeze` spans on `trace` and publishes frozen.freezes /
+  /// frozen.freeze.last_ms.
   static FrozenTree Freeze(const IurTree& tree,
                            obs::QueryTrace* trace = nullptr);
 

@@ -13,12 +13,12 @@ namespace rst {
 /// of arena-allocated tree nodes. The arena co-allocates the element storage
 /// with the node in one cache-line-aligned chunk (see NodeArena), so unlike
 /// std::vector there is no separate heap allocation, no capacity growth, and
-/// no iterator invalidation short of erase/clear: an element's address is
-/// stable for its lifetime, which the EXPLAIN entry index relies on.
+/// no iterator invalidation short of clear: an element's address is stable
+/// for its lifetime.
 ///
 /// Elements are constructed in place on push/emplace and destroyed on
-/// erase/clear/destruction; the storage itself is never freed here — it
-/// belongs to the arena chunk.
+/// clear/destruction; the storage itself is never freed here — it belongs
+/// to the arena chunk.
 template <typename T>
 class ArenaArray {
  public:
@@ -54,15 +54,6 @@ class ArenaArray {
     T* slot = new (data_ + size_) T(std::forward<Args>(args)...);
     ++size_;
     return *slot;
-  }
-
-  /// Erases the element at `pos` (a pointer into [begin(), end())),
-  /// shifting later elements down — mirrors vector::erase(iterator).
-  void erase(T* pos) {
-    RST_DCHECK(pos >= begin() && pos < end());
-    for (T* p = pos + 1; p != end(); ++p) *(p - 1) = std::move(*p);
-    --size_;
-    data_[size_].~T();
   }
 
   void clear() {

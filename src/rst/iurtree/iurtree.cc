@@ -11,7 +11,6 @@
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
 #include "rst/obs/trace.h"
-#include "rst/storage/varint.h"
 
 namespace rst {
 
@@ -79,47 +78,12 @@ Rect IurTree::Node::ComputeMbr() const {
 
 IurTree::IurTree(const IurTreeOptions& options)
     : options_(options),
-      // +1 entry slot: InsertRec pushes past max_entries before splitting.
-      arena_(std::make_unique<NodeArena>(options.max_entries + 1)),
-      page_store_(std::make_unique<PageStore>()) {
-  RST_CHECK_GE(options_.max_entries, 2 * options_.min_entries)
-      << "IurTreeOptions: max_entries must be at least twice min_entries";
-  root_ = arena_->Create();
-}
+      arena_(std::make_unique<NodeArena>(options.max_entries)),
+      page_store_(std::make_unique<PageStore>()) {}
 
-IurTree::IurTree(IurTree&& other) noexcept
-    : options_(other.options_),
-      arena_(std::move(other.arena_)),
-      root_(std::exchange(other.root_, nullptr)),
-      page_store_(std::move(other.page_store_)),
-      size_(std::exchange(other.size_, 0)),
-      clustered_(other.clustered_),
-      storage_dirty_(other.storage_dirty_) {}
-
-IurTree& IurTree::operator=(IurTree&& other) noexcept {
-  if (this == &other) return *this;
-  if (arena_ != nullptr && root_ != nullptr) DestroyRecursive(root_);
-  options_ = other.options_;
-  arena_ = std::move(other.arena_);
-  root_ = std::exchange(other.root_, nullptr);
-  page_store_ = std::move(other.page_store_);
-  size_ = std::exchange(other.size_, 0);
-  clustered_ = other.clustered_;
-  storage_dirty_ = other.storage_dirty_;
-  return *this;
-}
-
-IurTree::~IurTree() {
-  // arena_ is null exactly when this tree was moved from.
-  if (arena_ != nullptr && root_ != nullptr) DestroyRecursive(root_);
-}
-
-void IurTree::DestroyRecursive(Node* node) {
-  if (!node->leaf) {
-    for (Entry& e : node->entries) DestroyRecursive(e.child);
-  }
-  arena_->Destroy(node);
-}
+IurTree::IurTree(IurTree&& other) noexcept = default;
+IurTree& IurTree::operator=(IurTree&& other) noexcept = default;
+IurTree::~IurTree() = default;
 
 IurTree::Entry IurTree::MakeParentEntry(Node* node) {
   Entry parent;
@@ -250,27 +214,25 @@ IurTree IurTree::Build(std::vector<Item> items, const IurTreeOptions& options,
       if (level.size() == 1) break;
     }
 
-    // Either way the constructor's placeholder root is replaced; hand its
-    // chunk back so single-build trees hold exactly NodeCount() chunks.
-    if (level.size() == 1 && level.front().child != nullptr) {
-      tree.arena_->Destroy(tree.root_);
+    // Every level entry has a child; a lone one is the root, otherwise the
+    // (at most max_entries) top entries get a root of their own.
+    if (level.size() == 1) {
       tree.root_ = level.front().child;
-      level.front().child = nullptr;
     } else {
-      Node* root = tree.arena_->Create();
-      root->leaf = false;
-      for (Entry& e : level) root->entries.push_back(std::move(e));
-      tree.arena_->Destroy(tree.root_);
-      tree.root_ = root;
+      tree.root_ = tree.arena_->Create();
+      tree.root_->leaf = false;
+      for (Entry& e : level) tree.root_->entries.push_back(std::move(e));
     }
     if (trace != nullptr) trace->Exit();  // pack
+  } else {
+    tree.root_ = tree.arena_->Create();  // an empty leaf
   }
 
   // Single publish point: every path — empty input, single-leaf small input,
-  // full STR pack — finalizes and publishes exactly once, here.
+  // full STR pack — writes storage and publishes exactly once, here.
   {
     obs::TraceSpan finalize_span(trace, obs::names::kSpanFinalizeStorage);
-    tree.FinalizeStorage();
+    if (options.store_payloads) tree.SerializeNode(tree.root_);
   }
   BuildMetrics::Get().parallel_ms.Set(parallel_ms);
   PublishBuildMetrics(tree, build_timer.ElapsedMillis());
@@ -299,290 +261,25 @@ IurTree IurTree::BuildFromUsers(const std::vector<StUser>& users,
   return Build(std::move(items), options, nullptr);
 }
 
-void IurTree::SplitNode(Node* node, Node** split_off) {
-  std::vector<Entry> entries;
-  entries.reserve(node->entries.size());
-  for (Entry& e : node->entries) entries.push_back(std::move(e));
-  node->entries.clear();
-  *split_off = arena_->Create();
-  (*split_off)->leaf = node->leaf;
-
-  size_t seed_a = 0, seed_b = 1;
-  double worst_waste = -1.0;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    for (size_t j = i + 1; j < entries.size(); ++j) {
-      const double waste = Union(entries[i].rect, entries[j].rect).Area() -
-                           entries[i].rect.Area() - entries[j].rect.Area();
-      if (waste > worst_waste) {
-        worst_waste = waste;
-        seed_a = i;
-        seed_b = j;
-      }
-    }
-  }
-
-  Node* group_a = node;
-  Node* group_b = *split_off;
-  Rect mbr_a = entries[seed_a].rect;
-  Rect mbr_b = entries[seed_b].rect;
-  group_a->entries.push_back(std::move(entries[seed_a]));
-  group_b->entries.push_back(std::move(entries[seed_b]));
-  std::vector<bool> assigned(entries.size(), false);
-  assigned[seed_a] = assigned[seed_b] = true;
-  size_t remaining = entries.size() - 2;
-
-  while (remaining > 0) {
-    if (group_a->entries.size() + remaining == options_.min_entries ||
-        group_b->entries.size() + remaining == options_.min_entries) {
-      Node* needy = group_a->entries.size() + remaining == options_.min_entries
-                        ? group_a
-                        : group_b;
-      for (size_t i = 0; i < entries.size(); ++i) {
-        if (!assigned[i]) {
-          needy->entries.push_back(std::move(entries[i]));
-          assigned[i] = true;
-        }
-      }
-      break;
-    }
-    size_t pick = 0;
-    double best_diff = -1.0;
-    double pick_enl_a = 0.0, pick_enl_b = 0.0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (assigned[i]) continue;
-      const double enl_a = mbr_a.Enlargement(entries[i].rect);
-      const double enl_b = mbr_b.Enlargement(entries[i].rect);
-      if (std::abs(enl_a - enl_b) > best_diff) {
-        best_diff = std::abs(enl_a - enl_b);
-        pick = i;
-        pick_enl_a = enl_a;
-        pick_enl_b = enl_b;
-      }
-    }
-    Node* target;
-    if (pick_enl_a < pick_enl_b) {
-      target = group_a;
-    } else if (pick_enl_b < pick_enl_a) {
-      target = group_b;
-    } else {
-      target = group_a->entries.size() <= group_b->entries.size() ? group_a
-                                                                  : group_b;
-    }
-    (target == group_a ? mbr_a : mbr_b).Extend(entries[pick].rect);
-    target->entries.push_back(std::move(entries[pick]));
-    assigned[pick] = true;
-    --remaining;
-  }
-}
-
-struct IurTree::InsertResult {
-  Node* split_off = nullptr;
-};
-
-IurTree::InsertResult IurTree::InsertRec(Node* node, Entry entry,
-                                         size_t node_height) {
-  if (node->leaf) {
-    node->entries.push_back(std::move(entry));
-  } else {
-    // Choose the child needing the least enlargement.
-    size_t best = 0;
-    double best_enlargement = 0.0;
-    double best_area = 0.0;
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      const double enl = node->entries[i].rect.Enlargement(entry.rect);
-      const double area = node->entries[i].rect.Area();
-      if (i == 0 || enl < best_enlargement ||
-          (enl == best_enlargement && area < best_area)) {
-        best = i;
-        best_enlargement = enl;
-        best_area = area;
-      }
-    }
-    Entry& slot = node->entries[best];
-    InsertResult child_result =
-        InsertRec(slot.child, std::move(entry), node_height - 1);
-    // Refresh the slot from its (possibly split) child.
-    Entry refreshed = MakeParentEntry(slot.child);
-    refreshed.id = kNoObject;
-    node->entries[best] = std::move(refreshed);
-    if (child_result.split_off != nullptr) {
-      node->entries.push_back(MakeParentEntry(child_result.split_off));
-    }
-  }
-  InsertResult result;
-  if (node->entries.size() > options_.max_entries) {
-    SplitNode(node, &result.split_off);
-  }
-  return result;
-}
-
-void IurTree::Insert(uint32_t id, Point loc, const TermVector* doc,
-                     uint32_t cluster) {
-  Entry e;
-  e.rect = Rect::FromPoint(loc);
-  e.summary = TextSummary::FromDoc(*doc);
-  e.id = id;
-  if (cluster != kNoCluster) {
-    e.clusters.push_back({cluster, e.summary});
-    clustered_ = true;
-  }
-  InsertResult result = InsertRec(root_, std::move(e), height());
-  if (result.split_off != nullptr) {
-    Node* new_root = arena_->Create();
-    new_root->leaf = false;
-    new_root->entries.push_back(MakeParentEntry(root_));
-    new_root->entries.push_back(MakeParentEntry(result.split_off));
-    root_ = new_root;
-  }
-  ++size_;
-  storage_dirty_ = true;
-  static const obs::Counter inserts =
-      obs::MetricRegistry::Global().GetCounter(obs::names::kIurtreeInserts);
-  inserts.Increment();
-}
-
-namespace {
-
-/// Recomputes a parent entry's rect/summary/clusters from its child node.
-void RefreshEntry(IurTree::Entry* e) {
-  e->rect = e->child->ComputeMbr();
-  e->summary = TextSummary();
-  e->clusters.clear();
-  for (const IurTree::Entry& ce : e->child->entries) {
-    e->summary = TextSummary::Merge(e->summary, ce.summary);
-    e->clusters = MergeClusterLists(e->clusters, ce.clusters);
-  }
-}
-
-/// Collects all object entries beneath `entry` (moving them out), handing
-/// the emptied subtree nodes back to the arena.
-void FlattenToObjects(IurTree::Entry entry, NodeArena* arena,
-                      std::vector<IurTree::Entry>* out) {
-  if (entry.is_object()) {
-    out->push_back(std::move(entry));
-    return;
-  }
-  for (IurTree::Entry& ce : entry.child->entries) {
-    FlattenToObjects(std::move(ce), arena, out);
-  }
-  arena->Destroy(entry.child);
-}
-
-}  // namespace
-
-bool IurTree::DeleteRec(Node* node, uint32_t id, const Rect& target,
-                        std::vector<Entry>* orphans) {
-  if (node->leaf) {
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      if (node->entries[i].id == id && node->entries[i].rect == target) {
-        node->entries.erase(node->entries.begin() + i);
-        return true;
-      }
-    }
-    return false;
-  }
-  for (size_t i = 0; i < node->entries.size(); ++i) {
-    Entry& e = node->entries[i];
-    if (!e.rect.Contains(target)) continue;
-    if (!DeleteRec(e.child, id, target, orphans)) continue;
-    if (e.child->entries.size() < options_.min_entries) {
-      // Condense: re-home the survivors, drop the underfull node.
-      for (Entry& ce : e.child->entries) {
-        FlattenToObjects(std::move(ce), arena_.get(), orphans);
-      }
-      arena_->Destroy(e.child);
-      node->entries.erase(node->entries.begin() + i);
-    } else {
-      RefreshEntry(&e);
-    }
-    return true;
-  }
-  return false;
-}
-
-Status IurTree::Delete(uint32_t id, Point loc) {
-  std::vector<Entry> orphans;
-  if (!DeleteRec(root_, id, Rect::FromPoint(loc), &orphans)) {
-    return Status::NotFound("no such (id, location)");
-  }
-  --size_;
-  // Shrink an internal root down to its single child.
-  while (!root_->leaf && root_->entries.size() == 1) {
-    Node* old_root = root_;
-    root_ = root_->entries.front().child;
-    arena_->Destroy(old_root);
-  }
-  if (!root_->leaf && root_->entries.empty()) {
-    arena_->Destroy(root_);
-    root_ = arena_->Create();
-  }
-  for (Entry& orphan : orphans) {
-    InsertResult result = InsertRec(root_, std::move(orphan), height());
-    if (result.split_off != nullptr) {
-      Node* new_root = arena_->Create();
-      new_root->leaf = false;
-      new_root->entries.push_back(MakeParentEntry(root_));
-      new_root->entries.push_back(MakeParentEntry(result.split_off));
-      root_ = new_root;
-    }
-  }
-  storage_dirty_ = true;
-  static const obs::Counter deletes =
-      obs::MetricRegistry::Global().GetCounter(obs::names::kIurtreeDeletes);
-  deletes.Increment();
-  return Status::Ok();
-}
-
 void IurTree::SerializeNode(Node* node) {
   if (!node->leaf) {
     for (Entry& e : node->entries) SerializeNode(e.child);
   }
-  // Structural record: what an R-tree page would hold.
-  std::string record;
-  record.push_back(node->leaf ? 1 : 0);
-  PutVarint32(&record, static_cast<uint32_t>(node->entries.size()));
+  std::vector<PayloadEntry> entries;
+  std::vector<PayloadCluster> clusters;
+  entries.reserve(node->entries.size());
   for (const Entry& e : node->entries) {
-    PutDouble(&record, e.rect.min_x);
-    PutDouble(&record, e.rect.min_y);
-    PutDouble(&record, e.rect.max_x);
-    PutDouble(&record, e.rect.max_y);
-    PutVarint32(&record, e.id == kNoObject ? 0 : e.id + 1);
-    PutVarint32(&record, e.count());
-  }
-  node->record_handle = page_store_->Write(record);
-
-  // Inverted file: per-term <child, maxw, minw> postings (the MIR-tree
-  // content), plus the per-cluster summaries when clustered.
-  InvertedFile file;
-  for (size_t i = 0; i < node->entries.size(); ++i) {
-    const Entry& e = node->entries[i];
-    for (const TermWeight& tw : e.summary.uni.entries()) {
-      file[tw.term].push_back(
-          {static_cast<uint32_t>(i), tw.weight, e.summary.intr.Get(tw.term)});
+    entries.push_back({e.rect, e.id, AsSpan(e.summary),
+                       static_cast<uint32_t>(clusters.size()),
+                       static_cast<uint32_t>(e.clusters.size())});
+    for (const auto& [cluster_id, summary] : e.clusters) {
+      clusters.push_back({cluster_id, AsSpan(summary)});
     }
   }
-  std::string payload;
-  EncodeInvertedFile(file, &payload);
-  if (clustered_) {
-    for (const Entry& e : node->entries) {
-      PutVarint32(&payload, static_cast<uint32_t>(e.clusters.size()));
-      for (const auto& [cluster_id, summary] : e.clusters) {
-        PutVarint32(&payload, cluster_id);
-        EncodeTextSummary(summary, &payload);
-      }
-    }
-  }
-  node->invfile_handle = page_store_->Write(payload);
-}
-
-void IurTree::FinalizeStorage() {
-  if (!options_.store_payloads) {
-    storage_dirty_ = false;
-    return;
-  }
-  page_store_ = std::make_unique<PageStore>();
-  SerializeNode(root_);
-  storage_dirty_ = false;
+  const NodePayload payload =
+      EncodeNodePayload(node->leaf, entries, clusters, clustered_);
+  node->record_handle = page_store_->Write(payload.record);
+  node->invfile_handle = page_store_->Write(payload.invfile);
 }
 
 size_t IurTree::height() const {
@@ -614,7 +311,7 @@ uint64_t IurTree::IndexBytes() const { return page_store_->PayloadBytes(); }
 void IurTree::ChargeAccess(const Node* node, IoStats* stats) const {
   if (stats == nullptr) return;
   stats->AddNodeRead();
-  if (!storage_dirty_ && node->invfile_handle.valid()) {
+  if (node->invfile_handle.valid()) {
     stats->AddPayloadRead(node->invfile_handle.bytes);
   }
 }

@@ -38,7 +38,6 @@ class QueryTrace;
 /// text bounds on topic-mixed nodes (see EntryTextBounds).
 struct IurTreeOptions {
   size_t max_entries = 32;
-  size_t min_entries = 12;  ///< used by dynamic inserts (split fill)
   /// Serialize node records and inverted files into the page store so that
   /// index size is byte-accurate and node accesses can be charged.
   bool store_payloads = true;
@@ -64,7 +63,7 @@ class IurTree {
 
   /// One child slot of a node: either an object (leaf) or a subtree. The
   /// child pointer is non-owning — every Node lives on the tree's NodeArena
-  /// and is destroyed explicitly (DestroyRecursive) or with the tree.
+  /// and is destroyed with it.
   struct Entry {
     Rect rect;
     TextSummary summary;
@@ -101,11 +100,13 @@ class IurTree {
     const TermVector* doc = nullptr;  ///< must outlive the tree
   };
 
-  /// STR bulk load; summaries are computed bottom-up. If `cluster_of` is
-  /// non-null it maps item *ids* to cluster ids and the result is a
-  /// CIUR-tree. An optional trace records build-phase spans (pack,
-  /// finalize_storage); node counts and the fanout histogram always go to
-  /// the global metric registry (`iurtree.*`).
+  /// STR bulk load — the only way to make a tree, which never changes
+  /// afterwards. Summaries are computed bottom-up; with
+  /// `options.store_payloads` every node's pages are then written once. If
+  /// `cluster_of` is non-null it maps item *ids* to cluster ids and the
+  /// result is a CIUR-tree. An optional trace records build-phase spans
+  /// (pack, finalize_storage); node counts and the fanout histogram always go
+  /// to the global metric registry (`iurtree.*`).
   static IurTree Build(std::vector<Item> items, const IurTreeOptions& options,
                        const std::vector<uint32_t>* cluster_of = nullptr,
                        obs::QueryTrace* trace = nullptr);
@@ -123,32 +124,12 @@ class IurTree {
   IurTree& operator=(IurTree&& other) noexcept;
   ~IurTree();
 
-  /// Dynamic insertion (quadratic split, summaries propagated upward).
-  /// Invalidates the serialized payloads until FinalizeStorage() is called
-  /// again.
-  void Insert(uint32_t id, Point loc, const TermVector* doc,
-              uint32_t cluster = kNoCluster);
-  static constexpr uint32_t kNoCluster = 0xFFFFFFFFu;
-
-  /// Removes the object `(id, loc)`; NotFound if absent. Underfull nodes are
-  /// condensed and their remaining objects re-inserted; intersection/union
-  /// summaries stay exact along every touched path (update costs mirror the
-  /// IR-tree, as the 2011 paper's cost analysis claims). Invalidates the
-  /// serialized payloads until FinalizeStorage().
-  Status Delete(uint32_t id, Point loc);
-
-  /// (Re)serializes node records and inverted files into the page store.
-  void FinalizeStorage();
-
   const Node* root() const { return root_; }
   size_t size() const { return size_; }
   size_t height() const;
   size_t NodeCount() const;
   bool clustered() const { return clustered_; }
-  /// True when the serialized payloads are in sync with the tree (after a
-  /// payload-storing build or FinalizeStorage(), until the next
-  /// Insert/Delete). Gates payload re-encoding in frozen::FrozenTree::Freeze.
-  bool storage_finalized() const { return !storage_dirty_; }
+  const IurTreeOptions& options() const { return options_; }
 
   /// Total serialized bytes (node records + inverted files).
   uint64_t IndexBytes() const;
@@ -156,7 +137,8 @@ class IurTree {
   const NodeArena& arena() const { return *arena_; }
 
   /// Charges the simulated I/O of opening `node`: one node read plus the
-  /// blocks of its inverted file (papers' methodology; DESIGN.md §3.5).
+  /// blocks of its inverted file when payloads are stored (papers'
+  /// methodology; DESIGN.md §3.5).
   void ChargeAccess(const Node* node, IoStats* stats) const;
 
   /// Deep structural validation for tests: MBRs tight, summaries exactly the
@@ -169,14 +151,8 @@ class IurTree {
  private:
   explicit IurTree(const IurTreeOptions& options);
 
-  struct InsertResult;
-  InsertResult InsertRec(Node* node, Entry entry, size_t node_height);
-  bool DeleteRec(Node* node, uint32_t id, const Rect& target,
-                 std::vector<Entry>* orphans);
-  void SplitNode(Node* node, Node** split_off);
   static Entry MakeParentEntry(Node* node);
-  /// Destroys `node` and its whole subtree back into the arena.
-  void DestroyRecursive(Node* node);
+  /// Writes the pages of `node`'s subtree in post-order.
   void SerializeNode(Node* node);
 
   IurTreeOptions options_;
@@ -187,7 +163,6 @@ class IurTree {
   std::unique_ptr<PageStore> page_store_;
   size_t size_ = 0;
   bool clustered_ = false;
-  bool storage_dirty_ = true;
 };
 
 /// Text bounds of an entry against a prepared user side (a query document or

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <new>
 
-#include "rst/common/check.h"
-
 namespace rst {
 
 namespace {
@@ -23,8 +21,6 @@ size_t AlignUp(size_t n, size_t alignment) {
 
 NodeArena::NodeArena(size_t entry_capacity) : entry_capacity_(entry_capacity) {
   static_assert(alignof(IurTree::Node) <= kCacheLine);
-  static_assert(sizeof(NodeArena::FreeChunk) <= sizeof(IurTree::Node),
-                "free-list link must fit in a destroyed chunk");
   entry_offset_ = AlignUp(sizeof(IurTree::Node), alignof(IurTree::Entry));
   chunk_bytes_ = AlignUp(
       entry_offset_ + entry_capacity_ * sizeof(IurTree::Entry), kCacheLine);
@@ -34,46 +30,43 @@ NodeArena::NodeArena(size_t entry_capacity) : entry_capacity_(entry_capacity) {
 }
 
 NodeArena::~NodeArena() {
-  // Owners destroy every node before the arena (IurTree::~IurTree walks the
-  // tree); a live node here means its Entry vectors are about to leak.
-  RST_DCHECK_EQ(live_nodes_, size_t{0})
-      << "NodeArena destroyed with live nodes";
+  // Chunks are handed out in order: every full slab, then the newest one up
+  // to bump_.
+  size_t remaining = node_count_;
+  for (size_t i = 0; i < slabs_.size(); ++i) {
+    std::byte* chunk = FirstChunk(i);
+    for (size_t c = 0; c < chunks_per_slab_ && remaining > 0; ++c) {
+      std::launder(reinterpret_cast<IurTree::Node*>(chunk))->~Node();
+      chunk += chunk_bytes_;
+      --remaining;
+    }
+  }
+}
+
+std::byte* NodeArena::FirstChunk(size_t i) const {
+  // The + kCacheLine - 1 slack of every slab lets the first chunk be aligned
+  // manually — make_unique<std::byte[]> only guarantees max_align_t. Keeping
+  // the allocation on the standard path (no raw operator new) means
+  // sanitizers and the project linter see a plain owned array.
+  std::byte* base = slabs_[i].get();
+  const auto addr = reinterpret_cast<uintptr_t>(base);
+  return base + static_cast<ptrdiff_t>(AlignUp(addr, kCacheLine) - addr);
 }
 
 void NodeArena::AddSlab() {
-  // The + kCacheLine - 1 slack lets the first chunk be aligned manually —
-  // make_unique<std::byte[]> only guarantees max_align_t. Keeping the
-  // allocation on the standard path (no raw operator new) means sanitizers
-  // and the project linter see a plain owned array.
   slabs_.push_back(std::make_unique<std::byte[]>(slab_bytes_ + kCacheLine - 1));
-  const auto addr = reinterpret_cast<uintptr_t>(slabs_.back().get());
-  bump_ = slabs_.back().get() +
-          static_cast<ptrdiff_t>(AlignUp(addr, kCacheLine) - addr);
+  bump_ = FirstChunk(slabs_.size() - 1);
   bump_remaining_ = chunks_per_slab_;
 }
 
 IurTree::Node* NodeArena::Create() {
-  std::byte* chunk;
-  if (free_list_ != nullptr) {
-    chunk = reinterpret_cast<std::byte*>(free_list_);
-    free_list_ = free_list_->next;
-  } else {
-    if (bump_remaining_ == 0) AddSlab();
-    chunk = bump_;
-    bump_ += chunk_bytes_;
-    --bump_remaining_;
-  }
-  ++live_nodes_;
+  if (bump_remaining_ == 0) AddSlab();
+  std::byte* chunk = bump_;
+  bump_ += chunk_bytes_;
+  --bump_remaining_;
+  ++node_count_;
   auto* entries = reinterpret_cast<IurTree::Entry*>(chunk + entry_offset_);
   return new (chunk) IurTree::Node(entries, entry_capacity_);
-}
-
-void NodeArena::Destroy(IurTree::Node* node) {
-  RST_DCHECK_GT(live_nodes_, size_t{0});
-  node->~Node();
-  FreeChunk* chunk = new (static_cast<void*>(node)) FreeChunk{free_list_};
-  free_list_ = chunk;
-  --live_nodes_;
 }
 
 }  // namespace rst

@@ -10,49 +10,41 @@
 namespace rst {
 
 /// Slab/bump allocator for IurTree nodes. Each chunk holds one Node header
-/// followed by storage for a fixed number of Entry slots (max_entries + 1,
-/// the worst case during an insert split), starts on a cache-line boundary,
-/// and is carved from a large slab — so a bulk load makes one heap
-/// allocation per ~256 KiB of nodes instead of two (node + entry vector) per
-/// node, and sibling nodes land adjacent in memory in build order, which is
-/// exactly the order the STR-packed tree is traversed.
+/// followed by storage for a fixed number of Entry slots (max_entries),
+/// starts on a cache-line boundary, and is carved from a large slab — so a
+/// bulk load makes one heap allocation per ~256 KiB of nodes instead of two
+/// (node + entry vector) per node, and sibling nodes land adjacent in memory
+/// in build order, which is exactly the order the STR-packed tree is
+/// traversed.
 ///
-/// Destroy() runs the node's destructor and pushes the chunk onto a free
-/// list for reuse by the next Create(); slabs themselves are only released
-/// when the arena dies. Not thread-safe — each tree owns one arena and tree
-/// mutation is single-threaded (the parallel bulk-load phase only sorts
-/// entry ranges; nodes are created serially).
+/// Trees are built once and never shrink, so nodes are never freed one by
+/// one: the arena destroys every node it created when it dies. Not
+/// thread-safe — each tree owns one arena and nodes are created serially
+/// (the parallel bulk-load phase only sorts entry ranges).
 class NodeArena {
  public:
   /// `entry_capacity` is the fixed Entry-slot count of every chunk.
   explicit NodeArena(size_t entry_capacity);
+  /// Runs every created node's destructor (and with it its entries').
   ~NodeArena();
 
   NodeArena(const NodeArena&) = delete;
   NodeArena& operator=(const NodeArena&) = delete;
 
-  /// Placement-constructs a Node (leaf, no entries) in a fresh or recycled
-  /// chunk. The node's entry array points into the same chunk.
+  /// Placement-constructs a Node (leaf, no entries) in the next chunk. The
+  /// node's entry array points into the same chunk.
   IurTree::Node* Create();
 
-  /// Destroys `node` (running Entry destructors via ArenaArray) and recycles
-  /// its chunk. The pointer must come from this arena's Create().
-  void Destroy(IurTree::Node* node);
-
-  size_t live_nodes() const { return live_nodes_; }
+  size_t node_count() const { return node_count_; }
   size_t entry_capacity() const { return entry_capacity_; }
   size_t chunk_bytes() const { return chunk_bytes_; }
-  size_t slab_count() const { return slabs_.size(); }
-  /// Total bytes reserved in slabs (≥ live_nodes() * chunk_bytes()).
+  /// Total bytes reserved in slabs (≥ node_count() * chunk_bytes()).
   size_t allocated_bytes() const { return slabs_.size() * slab_bytes_; }
 
  private:
-  /// Recycled chunks form an intrusive list through their first bytes.
-  struct FreeChunk {
-    FreeChunk* next;
-  };
-
   void AddSlab();
+  /// The cache-line-aligned first chunk of slab `i`.
+  std::byte* FirstChunk(size_t i) const;
 
   size_t entry_capacity_;
   size_t entry_offset_;  ///< byte offset of the Entry storage within a chunk
@@ -62,8 +54,7 @@ class NodeArena {
   std::vector<std::unique_ptr<std::byte[]>> slabs_;
   std::byte* bump_ = nullptr;   ///< next unused chunk of the newest slab
   size_t bump_remaining_ = 0;   ///< unused chunks after bump_
-  FreeChunk* free_list_ = nullptr;
-  size_t live_nodes_ = 0;
+  size_t node_count_ = 0;
 };
 
 }  // namespace rst

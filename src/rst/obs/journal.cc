@@ -234,6 +234,12 @@ Status ParseHeader(const JsonValue& obj, JournalHeader* header) {
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "measure", &header->measure));
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "weighting", &header->weighting));
   JOURNAL_RETURN_IF_ERROR(ReadDouble(obj, "alpha", &header->alpha));
+  // The scorer's bounds hold only for a spatial weight in [0, 1].
+  if (!(header->alpha >= 0.0 && header->alpha <= 1.0)) {
+    return Status::InvalidArgument("journal: alpha " +
+                                   std::to_string(header->alpha) +
+                                   " is outside [0, 1]");
+  }
   JOURNAL_RETURN_IF_ERROR(ReadUint(obj, "threads", &header->threads));
   JOURNAL_RETURN_IF_ERROR(ReadUint(obj, "sample_every", &header->sample_every));
   if (header->sample_every == 0) header->sample_every = 1;

@@ -38,8 +38,6 @@ inline constexpr char kIurtreeBuildLastNodeCount[] =
     "iurtree.build.last_node_count";
 inline constexpr char kIurtreeBuildParallelMs[] = "iurtree.build.parallel_ms";
 inline constexpr char kIurtreeFanout[] = "iurtree.fanout";
-inline constexpr char kIurtreeInserts[] = "iurtree.inserts";
-inline constexpr char kIurtreeDeletes[] = "iurtree.deletes";
 
 // --- topk ---
 inline constexpr char kTopkQueries[] = "topk.queries";
@@ -92,7 +90,6 @@ inline constexpr char kRuntimeSamples[] = "runtime.samples";
 
 // --- workload capture journal (obs/journal.h) ---
 inline constexpr char kJournalRecords[] = "journal.records";
-inline constexpr char kJournalSkipped[] = "journal.skipped";
 inline constexpr char kJournalErrors[] = "journal.errors";
 
 // --- Chrome trace-event export (obs/trace_event.h) ---

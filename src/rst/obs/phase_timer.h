@@ -14,12 +14,10 @@
 // (rstknn.phase.*) in the global registry.
 //
 // Overhead contract:
-//   * compiled out — build with -DRST_DISABLE_PROFILING and PhaseTimer is an
-//     empty type; the hooks vanish entirely;
-//   * enabled-but-idle — a null profiler costs one pointer test per hook
-//     (same discipline as TraceSpan), ≤1% on the micro_batch serial row;
-//   * enabled-and-attached — one steady_clock read per phase boundary plus
-//     an array add; no allocation, no locks.
+//   * idle — a null profiler costs one pointer test per hook (same
+//     discipline as TraceSpan), ≤1% on the micro_batch serial row;
+//   * attached — one steady_clock read per phase boundary plus an array
+//     add; no allocation, no locks.
 //
 // Threading: a PhaseProfiler is single-threaded per query, exactly like
 // QueryTrace. Batch execution gives each query a private one
@@ -111,15 +109,7 @@ class PhaseProfiler {
 };
 
 /// RAII scope attributing its lifetime to `phase`. Null profiler = one
-/// branch; RST_DISABLE_PROFILING compiles the whole thing away.
-#ifdef RST_DISABLE_PROFILING
-class PhaseTimer {
- public:
-  PhaseTimer(PhaseProfiler*, Phase) {}
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-};
-#else
+/// branch.
 class PhaseTimer {
  public:
   PhaseTimer(PhaseProfiler* profiler, Phase phase) : profiler_(profiler) {
@@ -134,7 +124,6 @@ class PhaseTimer {
  private:
   PhaseProfiler* profiler_;
 };
-#endif  // RST_DISABLE_PROFILING
 
 }  // namespace rst::obs
 

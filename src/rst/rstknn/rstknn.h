@@ -104,7 +104,7 @@ struct RstknnOptions {
   /// files through this pool (hits/misses land in the buffer-pool metrics)
   /// instead of the simulated ChargeAccess. The pool must wrap the searched
   /// tree's FrozenTree::page_store(), and the snapshot must carry payloads
-  /// (it was frozen from a tree with finalized storage).
+  /// (its source tree was built with IurTreeOptions::store_payloads).
   BufferPool* pool = nullptr;
   /// Optional reusable working memory (see ProbeScratch). Null allocates
   /// fresh scratch per query — correct, just slower for batches.

@@ -248,8 +248,8 @@ struct FrozenTreeView {
       if (tree->ReadNodePayload(n, options.pool, &stats->io, &invfile).ok()) {
         return;
       }
-      // No payloads (a dirty source tree): fall back below (nothing was
-      // charged).
+      // No payloads (built without store_payloads): fall back below
+      // (nothing was charged).
     }
     tree->ChargeAccess(n, &stats->io);
   }
@@ -425,10 +425,10 @@ enum class PairVerdict {
 /// Judge() reaches the same verdict, with the same memo state and counters,
 /// but evaluates each leg only when the verdict still depends on it, in the
 /// order spatial legs → MaxSim → MinSim → cluster refinement. Every text
-/// bound lies in [0, 1] and rounding is monotone, so a blended leg
-/// spatial + fl((1−α)·t) lies between spatial + min(0, 1−α) and
-/// spatial + max(0, 1−α): whenever that bracket sits wholly on one side of
-/// the threshold, the comparison is settled without running a text kernel.
+/// bound lies in [0, 1], StScorer keeps α in [0, 1] and rounding is
+/// monotone, so a blended leg spatial + fl((1−α)·t) lies between spatial + 0
+/// and spatial + (1−α): whenever that bracket sits wholly on one side of the
+/// threshold, the comparison is settled without running a text kernel.
 template <typename View>
 class PairJudge {
  public:
@@ -441,8 +441,8 @@ class PairJudge {
         e_sum_(view.Summary(e)),
         alpha_(scorer.options().alpha),
         text_weight_(1.0 - alpha_),
-        text_lo_(std::min(text_weight_, 0.0)),
-        text_hi_(std::max(text_weight_, 0.0)) {}
+        text_lo_(0.0),
+        text_hi_(text_weight_) {}
 
   /// `bounds` is the pair's memo slot; `fresh` says it was just inserted
   /// (then its spatial legs are filled and bound_computations counts the
@@ -526,8 +526,8 @@ class PairJudge {
   const SummarySpan e_sum_;
   const double alpha_;
   const double text_weight_;  ///< 1 − α
-  const double text_lo_;      ///< min(0, 1 − α)
-  const double text_hi_;      ///< max(0, 1 − α)
+  const double text_lo_;      ///< 0: StScorer keeps α in [0, 1]
+  const double text_hi_;      ///< 1 − α
 };
 
 /// Counts competitor objects of candidate E = arena[cand] against

@@ -1,7 +1,5 @@
 #include "rst/rtree/rtree.h"
 
-#include "rst/common/check.h"
-
 #include <algorithm>
 #include <cmath>
 #include <queue>
@@ -10,7 +8,6 @@ namespace rst {
 
 struct RTree::Node {
   bool leaf = true;
-  Node* parent = nullptr;
   std::vector<Entry> entries;
 
   Rect ComputeMbr() const;
@@ -28,319 +25,23 @@ Rect RTree::Node::ComputeMbr() const {
   return mbr;
 }
 
-RTree::RTree(const RTreeOptions& options) : options_(options) {
-  RST_CHECK_GE(options_.max_entries, 2 * options_.min_entries)
-      << "RTreeOptions: max_entries must be at least twice min_entries";
-  root_ = std::make_unique<Node>();
-}
+RTree::RTree(const RTreeOptions& options)
+    : options_(options), root_(std::make_unique<Node>()) {}
 
 RTree::~RTree() = default;
 RTree::RTree(RTree&&) noexcept = default;
 RTree& RTree::operator=(RTree&&) noexcept = default;
 
-namespace {
-
-/// Height of the subtree rooted at a node (leaf = 0).
-template <typename NodeT>
-size_t SubtreeHeight(const NodeT* node) {
+size_t RTree::height() const {
   size_t h = 0;
-  while (!node->leaf) {
-    node = node->entries.front().child.get();
+  for (const Node* node = root_.get(); !node->leaf;
+       node = node->entries.front().child.get()) {
     ++h;
   }
   return h;
 }
 
-}  // namespace
-
-size_t RTree::height() const { return SubtreeHeight(root_.get()); }
-
 Rect RTree::bounds() const { return root_->ComputeMbr(); }
-
-RTree::Node* RTree::ChooseLeaf(const Rect& rect) const {
-  Node* node = root_.get();
-  while (!node->leaf) {
-    Entry* best = nullptr;
-    double best_enlargement = 0.0;
-    double best_area = 0.0;
-    for (Entry& e : node->entries) {
-      const double enlargement = e.rect.Enlargement(rect);
-      const double area = e.rect.Area();
-      if (best == nullptr || enlargement < best_enlargement ||
-          (enlargement == best_enlargement && area < best_area)) {
-        best = &e;
-        best_enlargement = enlargement;
-        best_area = area;
-      }
-    }
-    node = best->child.get();
-  }
-  return node;
-}
-
-void RTree::SplitNode(Node* node, std::unique_ptr<Node>* new_node) {
-  // Guttman's quadratic split.
-  std::vector<Entry> entries = std::move(node->entries);
-  node->entries.clear();
-  *new_node = std::make_unique<Node>();
-  (*new_node)->leaf = node->leaf;
-
-  // PickSeeds: the pair wasting the most area if grouped together.
-  size_t seed_a = 0, seed_b = 1;
-  double worst_waste = -1.0;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    for (size_t j = i + 1; j < entries.size(); ++j) {
-      const double waste = Union(entries[i].rect, entries[j].rect).Area() -
-                           entries[i].rect.Area() - entries[j].rect.Area();
-      if (waste > worst_waste) {
-        worst_waste = waste;
-        seed_a = i;
-        seed_b = j;
-      }
-    }
-  }
-
-  Node* group_a = node;
-  Node* group_b = new_node->get();
-  Rect mbr_a = entries[seed_a].rect;
-  Rect mbr_b = entries[seed_b].rect;
-  group_a->entries.push_back(std::move(entries[seed_a]));
-  group_b->entries.push_back(std::move(entries[seed_b]));
-
-  std::vector<bool> assigned(entries.size(), false);
-  assigned[seed_a] = assigned[seed_b] = true;
-  size_t remaining = entries.size() - 2;
-
-  while (remaining > 0) {
-    // If one group must absorb all remaining entries to reach min fill.
-    if (group_a->entries.size() + remaining == options_.min_entries ||
-        group_b->entries.size() + remaining == options_.min_entries) {
-      Node* needy = group_a->entries.size() + remaining == options_.min_entries
-                        ? group_a
-                        : group_b;
-      Rect* needy_mbr = needy == group_a ? &mbr_a : &mbr_b;
-      for (size_t i = 0; i < entries.size(); ++i) {
-        if (assigned[i]) continue;
-        needy_mbr->Extend(entries[i].rect);
-        needy->entries.push_back(std::move(entries[i]));
-        assigned[i] = true;
-      }
-      remaining = 0;
-      break;
-    }
-    // PickNext: entry with the strongest group preference.
-    size_t pick = 0;
-    double best_diff = -1.0;
-    double pick_enl_a = 0.0, pick_enl_b = 0.0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (assigned[i]) continue;
-      const double enl_a = mbr_a.Enlargement(entries[i].rect);
-      const double enl_b = mbr_b.Enlargement(entries[i].rect);
-      const double diff = std::abs(enl_a - enl_b);
-      if (diff > best_diff) {
-        best_diff = diff;
-        pick = i;
-        pick_enl_a = enl_a;
-        pick_enl_b = enl_b;
-      }
-    }
-    Node* target;
-    if (pick_enl_a < pick_enl_b) {
-      target = group_a;
-    } else if (pick_enl_b < pick_enl_a) {
-      target = group_b;
-    } else if (mbr_a.Area() != mbr_b.Area()) {
-      target = mbr_a.Area() < mbr_b.Area() ? group_a : group_b;
-    } else {
-      target = group_a->entries.size() <= group_b->entries.size() ? group_a
-                                                                  : group_b;
-    }
-    (target == group_a ? mbr_a : mbr_b).Extend(entries[pick].rect);
-    target->entries.push_back(std::move(entries[pick]));
-    assigned[pick] = true;
-    --remaining;
-  }
-
-  for (Entry& e : group_b->entries) {
-    if (e.child) e.child->parent = group_b;
-  }
-  for (Entry& e : group_a->entries) {
-    if (e.child) e.child->parent = group_a;
-  }
-}
-
-void RTree::AdjustTreeAfterInsert(Node* node, std::unique_ptr<Node> split_off) {
-  while (node != root_.get()) {
-    Node* parent = node->parent;
-    // Refresh the parent entry's MBR for `node`.
-    for (Entry& e : parent->entries) {
-      if (e.child.get() == node) {
-        e.rect = node->ComputeMbr();
-        break;
-      }
-    }
-    if (split_off) {
-      Entry e;
-      e.rect = split_off->ComputeMbr();
-      split_off->parent = parent;
-      e.child = std::move(split_off);
-      parent->entries.push_back(std::move(e));
-      if (parent->entries.size() > options_.max_entries) {
-        SplitNode(parent, &split_off);
-      }
-    }
-    node = parent;
-  }
-  if (split_off) {
-    // Root split: grow the tree.
-    auto new_root = std::make_unique<Node>();
-    new_root->leaf = false;
-    Entry left;
-    left.rect = root_->ComputeMbr();
-    root_->parent = new_root.get();
-    left.child = std::move(root_);
-    Entry right;
-    right.rect = split_off->ComputeMbr();
-    split_off->parent = new_root.get();
-    right.child = std::move(split_off);
-    new_root->entries.push_back(std::move(left));
-    new_root->entries.push_back(std::move(right));
-    root_ = std::move(new_root);
-  }
-}
-
-void RTree::Insert(ObjectId id, const Rect& rect) {
-  Node* leaf = ChooseLeaf(rect);
-  Entry entry;
-  entry.rect = rect;
-  entry.id = id;
-  leaf->entries.push_back(std::move(entry));
-  ++size_;
-  std::unique_ptr<Node> split_off;
-  if (leaf->entries.size() > options_.max_entries) {
-    SplitNode(leaf, &split_off);
-  }
-  AdjustTreeAfterInsert(leaf, std::move(split_off));
-}
-
-void RTree::InsertEntryAtLevel(Entry entry, size_t level) {
-  // Descend to a node of height `level + 1` (whose children sit at `level`),
-  // or the leaf level when level == 0 for leaf entries.
-  Node* node = root_.get();
-  size_t node_height = SubtreeHeight(node);
-  while (node_height > level + (entry.child ? 1 : 0)) {
-    Entry* best = nullptr;
-    double best_enlargement = 0.0;
-    double best_area = 0.0;
-    for (Entry& e : node->entries) {
-      const double enlargement = e.rect.Enlargement(entry.rect);
-      const double area = e.rect.Area();
-      if (best == nullptr || enlargement < best_enlargement ||
-          (enlargement == best_enlargement && area < best_area)) {
-        best = &e;
-        best_enlargement = enlargement;
-        best_area = area;
-      }
-    }
-    node = best->child.get();
-    --node_height;
-  }
-  if (entry.child) entry.child->parent = node;
-  node->entries.push_back(std::move(entry));
-  std::unique_ptr<Node> split_off;
-  if (node->entries.size() > options_.max_entries) {
-    SplitNode(node, &split_off);
-  }
-  AdjustTreeAfterInsert(node, std::move(split_off));
-}
-
-void RTree::CollectLeafEntries(Node* node, std::vector<Entry>* out) {
-  if (node->leaf) {
-    for (Entry& e : node->entries) out->push_back(std::move(e));
-    return;
-  }
-  for (Entry& e : node->entries) CollectLeafEntries(e.child.get(), out);
-}
-
-Status RTree::Delete(ObjectId id, const Rect& rect) {
-  // Find the leaf holding the entry.
-  Node* found_leaf = nullptr;
-  size_t found_idx = 0;
-  std::vector<Node*> stack = {root_.get()};
-  while (!stack.empty() && found_leaf == nullptr) {
-    Node* node = stack.back();
-    stack.pop_back();
-    if (node->leaf) {
-      for (size_t i = 0; i < node->entries.size(); ++i) {
-        if (node->entries[i].id == id && node->entries[i].rect == rect) {
-          found_leaf = node;
-          found_idx = i;
-          break;
-        }
-      }
-    } else {
-      for (Entry& e : node->entries) {
-        if (e.rect.Contains(rect)) stack.push_back(e.child.get());
-      }
-    }
-  }
-  if (found_leaf == nullptr) return Status::NotFound("no such (id, rect)");
-
-  found_leaf->entries.erase(found_leaf->entries.begin() + found_idx);
-  --size_;
-
-  // CondenseTree: walk up, dropping underfull nodes and stashing their
-  // entries (with the height they belong to) for re-insertion.
-  std::vector<std::pair<Entry, size_t>> orphans;
-  Node* node = found_leaf;
-  size_t node_height = 0;
-  while (node != root_.get()) {
-    Node* parent = node->parent;
-    if (node->entries.size() < options_.min_entries) {
-      // Remove node's entry from the parent; stash children.
-      for (size_t i = 0; i < parent->entries.size(); ++i) {
-        if (parent->entries[i].child.get() == node) {
-          std::unique_ptr<Node> owned = std::move(parent->entries[i].child);
-          parent->entries.erase(parent->entries.begin() + i);
-          for (Entry& e : owned->entries) {
-            orphans.push_back({std::move(e), node_height == 0 ? 0
-                                                              : node_height - 1});
-          }
-          break;
-        }
-      }
-    } else {
-      for (Entry& e : parent->entries) {
-        if (e.child.get() == node) {
-          e.rect = node->ComputeMbr();
-          break;
-        }
-      }
-    }
-    node = parent;
-    ++node_height;
-  }
-
-  // Shrink the root while it is internal with a single child.
-  while (!root_->leaf && root_->entries.size() == 1) {
-    std::unique_ptr<Node> only = std::move(root_->entries.front().child);
-    only->parent = nullptr;
-    root_ = std::move(only);
-  }
-  if (!root_->leaf && root_->entries.empty()) {
-    root_ = std::make_unique<Node>();
-  }
-
-  for (auto& [entry, level] : orphans) {
-    if (!entry.child) {
-      // Leaf-level orphan: plain re-insert (keeps size_ constant).
-      InsertEntryAtLevel(std::move(entry), 0);
-    } else {
-      InsertEntryAtLevel(std::move(entry), level);
-    }
-  }
-  return Status::Ok();
-}
 
 std::vector<ObjectId> RTree::RangeQuery(const Rect& query) const {
   std::vector<ObjectId> out;
@@ -436,7 +137,6 @@ RTree RTree::BulkLoad(std::vector<std::pair<ObjectId, Rect>> items,
         node->leaf = leaf_level;
         node->entries.reserve(end - begin);
         for (size_t i = begin; i < end; ++i) {
-          if (level[i].child) level[i].child->parent = node.get();
           node->entries.push_back(std::move(level[i]));
         }
         Entry parent_entry;
@@ -450,65 +150,39 @@ RTree RTree::BulkLoad(std::vector<std::pair<ObjectId, Rect>> items,
     if (level.size() == 1) break;
   }
 
-  if (level.size() == 1 && level.front().child) {
+  if (level.size() == 1) {
     tree.root_ = std::move(level.front().child);
-    tree.root_->parent = nullptr;
   } else {
-    auto root = std::make_unique<Node>();
-    root->leaf = false;
-    for (Entry& e : level) {
-      if (e.child) e.child->parent = root.get();
-      root->entries.push_back(std::move(e));
-    }
-    tree.root_ = std::move(root);
+    tree.root_->leaf = false;
+    for (Entry& e : level) tree.root_->entries.push_back(std::move(e));
   }
   return tree;
 }
 
-namespace {
-
-struct InvariantState {
-  const RTreeOptions* options;
-  size_t leaf_depth = SIZE_MAX;
-  size_t objects = 0;
-  Status status = Status::Ok();
-};
-
-}  // namespace
-
 Status RTree::CheckInvariants() const {
-  InvariantState state;
-  state.options = &options_;
-
   struct Frame {
     const Node* node;
     size_t depth;
-    const Node* expected_parent;
   };
-  std::vector<Frame> stack = {{root_.get(), 0, nullptr}};
-  while (!stack.empty() && state.status.ok()) {
-    auto [node, depth, expected_parent] = stack.back();
+  size_t leaf_depth = SIZE_MAX;
+  size_t objects = 0;
+  std::vector<Frame> stack = {{root_.get(), 0}};
+  while (!stack.empty()) {
+    auto [node, depth] = stack.back();
     stack.pop_back();
-    if (node->parent != expected_parent) {
-      return Status::Corruption("bad parent pointer");
-    }
-    if (node != root_.get() &&
-        (node->entries.size() < options_.min_entries ||
-         node->entries.size() > options_.max_entries)) {
-      // Bulk-loaded trees may have one underfull node per level (the last
-      // pack); accept >= 1 instead of strict min fill for leaves built that
-      // way, but never overflow.
-      if (node->entries.size() > options_.max_entries ||
-          node->entries.empty()) {
-        return Status::Corruption("node fan-out out of bounds");
-      }
+    // STR packing leaves at most one underfull node per level (the last
+    // pack), so a non-root node only has to be non-empty — but never
+    // overfull.
+    if (node->entries.size() > options_.max_entries ||
+        (node != root_.get() && node->entries.empty())) {
+      return Status::Corruption("node fan-out out of bounds");
     }
     if (node->leaf) {
-      if (state.leaf_depth == SIZE_MAX) state.leaf_depth = depth;
-      if (depth != state.leaf_depth) {
+      if (leaf_depth == SIZE_MAX) leaf_depth = depth;
+      if (depth != leaf_depth) {
         return Status::Corruption("leaves at unequal depth");
       }
-      state.objects += node->entries.size();
+      objects += node->entries.size();
     } else {
       if (node->entries.empty()) return Status::Corruption("empty internal");
       for (const Entry& e : node->entries) {
@@ -516,11 +190,11 @@ Status RTree::CheckInvariants() const {
         if (!(e.rect == e.child->ComputeMbr())) {
           return Status::Corruption("stale MBR");
         }
-        stack.push_back({e.child.get(), depth + 1, node});
+        stack.push_back({e.child.get(), depth + 1});
       }
     }
   }
-  if (state.objects != size_) return Status::Corruption("size mismatch");
+  if (objects != size_) return Status::Corruption("size mismatch");
   return Status::Ok();
 }
 

@@ -13,22 +13,17 @@ namespace rst {
 
 struct RTreeOptions {
   /// Maximum entries per node. The default approximates a 4 KiB page of
-  /// (rect + id) entries. Must be >= 2 * min_entries.
+  /// (rect + id) entries.
   size_t max_entries = 32;
-  /// Minimum fill for non-root nodes after a split or deletion.
-  size_t min_entries = 12;
 };
 
-/// Classic Guttman R-tree over 2-D rectangles: quadratic-split insertion,
-/// deletion with tree condensing and re-insertion, STR bulk loading, range
-/// and best-first k-nearest-neighbor queries.
-///
-/// This is the spatial substrate of the library; the spatial-textual indexes
-/// (IUR-tree / CIUR-tree, MIUR user tree) implement the same structural
-/// algorithms with text-augmented nodes in `rst/iurtree/`.
+/// Plain R-tree over 2-D rectangles, built once by STR bulk loading, with
+/// range and best-first k-nearest-neighbor queries. It is the spatial-only
+/// reference the index-build table compares the IUR-tree against; the
+/// spatial-textual indexes (IUR-tree / CIUR-tree, MIUR user tree) pack the
+/// same way with text-augmented nodes in `rst/iurtree/`.
 class RTree {
  public:
-  explicit RTree(const RTreeOptions& options = RTreeOptions());
   ~RTree();
 
   RTree(RTree&&) noexcept;
@@ -39,13 +34,6 @@ class RTree {
   /// Sort-Tile-Recursive bulk load: produces a compact tree in O(n log n).
   static RTree BulkLoad(std::vector<std::pair<ObjectId, Rect>> items,
                         const RTreeOptions& options = RTreeOptions());
-
-  void Insert(ObjectId id, const Rect& rect);
-
-  /// Removes one entry with exactly this (id, rect); returns NotFound if no
-  /// such entry exists. Underfull nodes are condensed and their remaining
-  /// entries re-inserted (Guttman's CondenseTree).
-  Status Delete(ObjectId id, const Rect& rect);
 
   /// All object ids whose rectangles intersect `query`.
   std::vector<ObjectId> RangeQuery(const Rect& query) const;
@@ -74,11 +62,7 @@ class RTree {
   struct Node;
   struct Entry;
 
-  Node* ChooseLeaf(const Rect& rect) const;
-  void SplitNode(Node* node, std::unique_ptr<Node>* new_node);
-  void AdjustTreeAfterInsert(Node* leaf, std::unique_ptr<Node> split_off);
-  void InsertEntryAtLevel(Entry entry, size_t level);
-  void CollectLeafEntries(Node* node, std::vector<Entry>* out);
+  explicit RTree(const RTreeOptions& options);
 
   RTreeOptions options_;
   std::unique_ptr<Node> root_;

@@ -7,14 +7,22 @@
 
 namespace rst {
 
-void EncodeTermVector(const TermVector& vec, std::string* dst) {
-  PutVarint32(dst, static_cast<uint32_t>(vec.size()));
+namespace {
+
+void EncodeTermSpan(const TermSpan& span, std::string* dst) {
+  PutVarint32(dst, span.len);
   TermId prev = 0;
-  for (const TermWeight& e : vec.entries()) {
-    PutVarint32(dst, e.term - prev);
-    PutFloat(dst, e.weight);
-    prev = e.term;
+  for (uint32_t i = 0; i < span.len; ++i) {
+    PutVarint32(dst, span.data[i].term - prev);
+    PutFloat(dst, span.data[i].weight);
+    prev = span.data[i].term;
   }
+}
+
+}  // namespace
+
+void EncodeTermVector(const TermVector& vec, std::string* dst) {
+  EncodeTermSpan(AsSpan(vec), dst);
 }
 
 Status DecodeTermVector(const std::string& src, size_t* offset,
@@ -44,10 +52,10 @@ Status DecodeTermVector(const std::string& src, size_t* offset,
   return Status::Ok();
 }
 
-void EncodeTextSummary(const TextSummary& summary, std::string* dst) {
+void EncodeTextSummary(const SummarySpan& summary, std::string* dst) {
   PutVarint32(dst, summary.count);
-  EncodeTermVector(summary.uni, dst);
-  EncodeTermVector(summary.intr, dst);
+  EncodeTermSpan(summary.uni, dst);
+  EncodeTermSpan(summary.intr, dst);
 }
 
 Status DecodeTextSummary(const std::string& src, size_t* offset,
@@ -123,6 +131,46 @@ Status DecodeInvertedFile(const std::string& src, size_t* offset,
     (*out)[prev] = std::move(postings);
   }
   return Status::Ok();
+}
+
+NodePayload EncodeNodePayload(bool leaf,
+                              const std::vector<PayloadEntry>& entries,
+                              const std::vector<PayloadCluster>& clusters,
+                              bool clustered) {
+  NodePayload out;
+  out.record.push_back(leaf ? 1 : 0);
+  PutVarint32(&out.record, static_cast<uint32_t>(entries.size()));
+  for (const PayloadEntry& e : entries) {
+    PutDouble(&out.record, e.rect.min_x);
+    PutDouble(&out.record, e.rect.min_y);
+    PutDouble(&out.record, e.rect.max_x);
+    PutDouble(&out.record, e.rect.max_y);
+    PutVarint32(&out.record, e.id == 0xFFFFFFFFu ? 0 : e.id + 1);
+    PutVarint32(&out.record, e.summary.count);
+  }
+
+  InvertedFile file;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const TermSpan& uni = entries[i].summary.uni;
+    const TermSpan& intr = entries[i].summary.intr;
+    for (uint32_t t = 0; t < uni.len; ++t) {
+      file[uni.data[t].term].push_back(
+          {static_cast<uint32_t>(i), uni.data[t].weight,
+           GetSpan(intr.data, intr.len, uni.data[t].term)});
+    }
+  }
+  EncodeInvertedFile(file, &out.invfile);
+  if (clustered) {
+    for (const PayloadEntry& e : entries) {
+      PutVarint32(&out.invfile, e.cluster_count);
+      for (uint32_t c = 0; c < e.cluster_count; ++c) {
+        const PayloadCluster& cluster = clusters[e.cluster_begin + c];
+        PutVarint32(&out.invfile, cluster.id);
+        EncodeTextSummary(cluster.summary, &out.invfile);
+      }
+    }
+  }
+  return out;
 }
 
 size_t TermVectorEncodedSize(const TermVector& vec) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "rst/common/geometry.h"
 #include "rst/common/status.h"
 #include "rst/text/similarity.h"
 #include "rst/text/term_vector.h"
@@ -21,7 +22,8 @@ Status DecodeTermVector(const std::string& src, size_t* offset,
                         TermVector* out);
 
 /// --- Text summaries (IUR-tree node payloads) ---
-void EncodeTextSummary(const TextSummary& summary, std::string* dst);
+/// Same bytes as EncodeTermVector for each side: count, then uni, then intr.
+void EncodeTextSummary(const SummarySpan& summary, std::string* dst);
 Status DecodeTextSummary(const std::string& src, size_t* offset,
                          TextSummary* out);
 
@@ -50,6 +52,40 @@ Status DecodePostingList(const std::string& src, size_t* offset,
 void EncodeInvertedFile(const InvertedFile& file, std::string* dst);
 Status DecodeInvertedFile(const std::string& src, size_t* offset,
                           InvertedFile* out);
+
+/// --- Index node pages (IUR-/CIUR-tree and its frozen snapshot) ---
+/// One child entry of a node as EncodeNodePayload reads it. A CIUR entry's
+/// per-cluster summaries are the run [cluster_begin, cluster_begin +
+/// cluster_count) of the node's cluster list.
+struct PayloadEntry {
+  Rect rect;
+  uint32_t id = 0;      ///< object id; 0xFFFFFFFF for a subtree entry
+  SummarySpan summary;  ///< summary.count is the subtree object count
+  uint32_t cluster_begin = 0;
+  uint32_t cluster_count = 0;
+};
+
+struct PayloadCluster {
+  uint32_t id = 0;
+  SummarySpan summary;
+};
+
+/// The two pages of one node.
+struct NodePayload {
+  /// What an R-tree page holds: the leaf flag, then per entry its rect,
+  /// id + 1 (0 for a subtree entry) and object count.
+  std::string record;
+  /// Per-term <entry, maxw, minw> postings (the MIR-tree content), then —
+  /// when the tree is clustered — each entry's cluster summaries.
+  std::string invfile;
+};
+
+/// The single encoder of node pages: the pointer tree and the frozen
+/// snapshot both feed it, so their page stores are byte-identical.
+NodePayload EncodeNodePayload(bool leaf,
+                              const std::vector<PayloadEntry>& entries,
+                              const std::vector<PayloadCluster>& clusters,
+                              bool clustered);
 
 /// Serialized size (bytes) without materializing the buffer.
 size_t TermVectorEncodedSize(const TermVector& vec);

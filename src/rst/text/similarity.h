@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "rst/common/check.h"
 #include "rst/common/geometry.h"
 #include "rst/text/term_vector.h"
 
@@ -210,9 +211,14 @@ struct StOptions {
 
 class StScorer {
  public:
-  /// `text` must outlive the scorer.
+  /// `text` must outlive the scorer. `options.alpha` must lie in [0, 1]
+  /// (NaN fails too): every score bound pairs the weight 1 − α with a
+  /// MaxSim and α with a spatial maximum, so outside it they stop bounding.
   StScorer(const TextSimilarity* text, const StOptions& options)
-      : text_(text), options_(options) {}
+      : text_(text), options_(options) {
+    RST_CHECK(options.alpha >= 0.0 && options.alpha <= 1.0)
+        << "StScorer: alpha " << options.alpha << " is outside [0, 1]";
+  }
 
   const StOptions& options() const { return options_; }
   const TextSimilarity& text() const { return *text_; }

@@ -44,7 +44,6 @@ struct Fixture {
     }
     IurTreeOptions topts;
     topts.max_entries = 8;
-    topts.min_entries = 4;
     tree = IurTree::BuildFromDataset(dataset, topts,
                                      clustered ? &cluster_of : nullptr);
     scorer = StScorer(&sim, {0.5, dataset.max_dist()});
@@ -146,18 +145,63 @@ TEST(FrozenTreeTest, LayoutIsPreorderOfSourceTree) {
   }
 }
 
-TEST(FrozenTreeTest, PayloadsMatchSourceTreeByteForByte) {
-  const Fixture f(250, /*clustered=*/true);
-  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
+/// Checks every node's record and inverted-file handle of `frozen` against
+/// the source node the layout walk numbered it from (the same stack
+/// preorder), and the page bytes behind each pair of handles.
+void ExpectPayloadsMatch(const IurTree& tree,
+                         const frozen::FrozenTree& frozen) {
   ASSERT_TRUE(frozen.has_payloads());
-  // Identical re-encode order ⇒ identical page handles and total bytes, so
-  // the snapshot's I/O accounting is the source tree's.
-  EXPECT_EQ(frozen.IndexBytes(), f.tree.IndexBytes());
-  const PageHandle root_src = f.tree.root()->invfile_handle;
-  const PageHandle root_frz = frozen.invfile_handle(frozen.root());
-  EXPECT_EQ(root_frz.first_page, root_src.first_page);
-  EXPECT_EQ(root_frz.num_pages, root_src.num_pages);
-  EXPECT_EQ(root_frz.bytes, root_src.bytes);
+  EXPECT_EQ(frozen.IndexBytes(), tree.IndexBytes());
+  EXPECT_EQ(frozen.page_store().num_pages(), tree.page_store().num_pages());
+  const auto expect_same_page = [&](PageHandle src, PageHandle frz,
+                                    const std::string& what) {
+    EXPECT_EQ(frz.first_page, src.first_page) << what;
+    EXPECT_EQ(frz.num_pages, src.num_pages) << what;
+    EXPECT_EQ(frz.bytes, src.bytes) << what;
+    std::string src_bytes;
+    std::string frz_bytes;
+    ASSERT_TRUE(tree.page_store().Read(src, &src_bytes, nullptr).ok()) << what;
+    ASSERT_TRUE(frozen.page_store().Read(frz, &frz_bytes, nullptr).ok())
+        << what;
+    EXPECT_EQ(frz_bytes, src_bytes) << what;
+  };
+  std::vector<const IurTree::Node*> stack{tree.root()};
+  uint32_t node = 0;
+  while (!stack.empty()) {
+    const IurTree::Node* src = stack.back();
+    stack.pop_back();
+    for (size_t i = src->entries.size(); i-- > 0;) {
+      if (!src->entries[i].is_object()) stack.push_back(src->entries[i].child);
+    }
+    ASSERT_LT(node, frozen.num_nodes());
+    const std::string what = "node " + std::to_string(node);
+    expect_same_page(src->record_handle, frozen.record_handle(node),
+                     what + " record");
+    expect_same_page(src->invfile_handle, frozen.invfile_handle(node),
+                     what + " inverted file");
+    ++node;
+  }
+  EXPECT_EQ(node, frozen.num_nodes());
+}
+
+TEST(FrozenTreeTest, PayloadsMatchSourceTreeByteForByte) {
+  // Both trees encode with EncodeNodePayload in the same post-order, so
+  // every handle and every page byte is the source tree's — and stays so
+  // after the snapshot is saved and its payloads rebuilt on load.
+  for (const bool clustered : {false, true}) {
+    SCOPED_TRACE(clustered ? "CIUR" : "IUR");
+    const Fixture f(250, clustered);
+    const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
+    ExpectPayloadsMatch(f.tree, frozen);
+
+    const std::string path =
+        ::testing::TempDir() + "/frozen_payload_equality_test.rstf";
+    ASSERT_TRUE(frozen.Save(path).ok());
+    const Result<frozen::FrozenTree> loaded = frozen::FrozenTree::Load(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectPayloadsMatch(f.tree, loaded.value());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -380,9 +424,9 @@ TEST(FrozenTreeTest, EmptyAndSingleLeafTrees) {
   EXPECT_EQ(rt.value().num_entries(), 0u);
 
   // A dataset that fits one leaf (≤ max_entries) exercises the small-input
-  // build path, which must finalize storage exactly like the full path.
+  // build path, which must write storage exactly like the full path.
   const Fixture f(6);
-  EXPECT_TRUE(f.tree.storage_finalized());
+  EXPECT_TRUE(f.tree.root()->invfile_handle.valid());
   EXPECT_GT(f.tree.IndexBytes(), 0u);
   const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
   EXPECT_TRUE(frozen.has_payloads());
@@ -397,19 +441,42 @@ TEST(FrozenTreeTest, EmptyAndSingleLeafTrees) {
             BruteForceRstknn(f.dataset, f.scorer, query));
 }
 
-TEST(FrozenTreeTest, DirtyTreeFreezesWithoutPayloads) {
-  Fixture f(100);
-  // An insert invalidates the serialized payloads; the freeze then carries
-  // no payload store and charges node reads only — same as the dirty tree.
-  f.tree.Insert(100, {0.5, 0.5}, &f.dataset.object(0).doc);
-  ASSERT_FALSE(f.tree.storage_finalized());
-  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
+TEST(FrozenTreeTest, TreeWithoutPayloadsFreezesWithoutPayloads) {
+  // Built with store_payloads = false, the snapshot carries no payload
+  // store: ChargeAccess charges node reads only, and answers are unchanged.
+  FlickrLikeConfig config;
+  config.num_objects = 150;
+  config.vocab_size = 200;
+  config.seed = 9;
+  const Dataset dataset = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
+  IurTreeOptions options;
+  options.max_entries = 8;
+  options.store_payloads = false;
+  const IurTree tree = IurTree::BuildFromDataset(dataset, options);
+  EXPECT_EQ(tree.IndexBytes(), 0u);
+  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(tree);
   EXPECT_FALSE(frozen.has_payloads());
+  EXPECT_EQ(frozen.IndexBytes(), 0u);
   EXPECT_TRUE(frozen.CheckInvariants().ok());
   IoStats stats;
   frozen.ChargeAccess(frozen.root(), &stats);
   EXPECT_EQ(stats.node_reads, 1u);
   EXPECT_EQ(stats.payload_blocks, 0u);
+
+  TextSimilarity sim(TextMeasure::kExtendedJaccard);
+  const StScorer scorer(&sim, {0.5, dataset.max_dist()});
+  const RstknnSearcher searcher(&frozen, &dataset, &scorer);
+  RstknnOptions search_options;
+  search_options.publish_metrics = false;
+  for (const ObjectId qid : {ObjectId{4}, ObjectId{77}, ObjectId{140}}) {
+    const StObject& qobj = dataset.object(qid);
+    const RstknnQuery query{qobj.loc, &qobj.doc, 6, qid};
+    const RstknnResult result = searcher.Search(query, search_options);
+    EXPECT_EQ(result.answers, BruteForceRstknn(dataset, scorer, query))
+        << "self=" << qid;
+    EXPECT_EQ(result.stats.io.payload_blocks, 0u) << "self=" << qid;
+    EXPECT_GT(result.stats.io.node_reads, 0u) << "self=" << qid;
+  }
 }
 
 TEST(FrozenTreeTest, ParallelBuildProducesIdenticalFrozenBytes) {
@@ -420,7 +487,6 @@ TEST(FrozenTreeTest, ParallelBuildProducesIdenticalFrozenBytes) {
   const Dataset dataset = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
   IurTreeOptions serial;
   serial.max_entries = 8;
-  serial.min_entries = 4;
   IurTreeOptions parallel = serial;
   parallel.build_threads = 4;
   const IurTree t1 = IurTree::BuildFromDataset(dataset, serial);

@@ -135,7 +135,6 @@ TEST_F(IntegrationTest, FullBichromaticPipelineAgrees) {
 
   IurTreeOptions uopts;
   uopts.max_entries = 8;
-  uopts.min_entries = 3;
   const IurTree user_tree = IurTree::BuildFromUsers(gen.users, uopts);
   MiurMaxBrstSolver miur(iur_.get(), dataset_.get(), &scorer, &user_tree, &gen.users);
   EXPECT_EQ(miur.Solve(query, KeywordSelect::kExact).best.coverage(),

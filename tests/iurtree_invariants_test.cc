@@ -1,15 +1,14 @@
 // IurTree::CheckInvariants / FrozenTree::CheckInvariants behavior
 // (DESIGN.md §11.2): every tree the builders produce — serial, parallel,
-// clustered, after dynamic updates — validates clean, and each class of
-// hand-injected corruption is caught with a message precise enough to name
-// the node, the entry, and the violated invariant.
+// clustered — validates clean, and each class of hand-injected corruption is
+// caught with a message precise enough to name the node, the entry, and the
+// violated invariant.
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "rst/common/rng.h"
 #include "rst/data/generators.h"
 #include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
@@ -69,27 +68,6 @@ TEST(IurTreeInvariantsTest, ClusteredBuildValidates) {
   ASSERT_TRUE(tree.clustered());
   const Status s = tree.CheckInvariants(DocLookup(d));
   EXPECT_TRUE(s.ok()) << s.ToString();
-}
-
-TEST(IurTreeInvariantsTest, DynamicUpdatesValidate) {
-  const Dataset d = SmallDataset(600);
-  std::vector<IurTree::Item> items;
-  for (uint32_t id = 0; id < 550; ++id) {
-    items.push_back({id, d.object(id).loc, &d.object(id).doc});
-  }
-  IurTree tree = IurTree::Build(std::move(items), {});
-  for (uint32_t id = 550; id < 600; ++id) {
-    tree.Insert(id, d.object(id).loc, &d.object(id).doc);
-  }
-  Status s = tree.CheckInvariants(DocLookup(d));
-  EXPECT_TRUE(s.ok()) << s.ToString();
-
-  for (uint32_t id = 0; id < 40; ++id) {
-    ASSERT_TRUE(tree.Delete(id, d.object(id).loc).ok());
-  }
-  s = tree.CheckInvariants(DocLookup(d));
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(tree.size(), 560u);
 }
 
 TEST(IurTreeInvariantsTest, CatchesStaleMbr) {

@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "rst/common/rng.h"
+#include <string>
+#include <vector>
+
 #include "rst/data/generators.h"
 #include "rst/iurtree/cluster.h"
-#include "rst/topk/topk.h"
 
 namespace rst {
 namespace {
@@ -46,17 +47,38 @@ TEST(IurTreeTest, DegenerateSizes) {
 TEST(IurTreeTest, SmallInputsFinalizeStorageLikeTheFullPath) {
   // Every Build path — empty input, a dataset that fits a single leaf
   // (≤ max_entries), and the full STR pack — must flow through the same
-  // publish point: storage finalized, payloads serialized, handles valid.
-  const IurTree empty = IurTree::Build({}, {});
-  EXPECT_TRUE(empty.storage_finalized());
+  // storage pass: every node's record and inverted file written once.
+  // The pages and bytes of the store are exactly those of the nodes'
+  // handles: nothing written twice, no node left out.
+  const auto expect_every_node_stored = [](const IurTree& tree,
+                                           const std::string& what) {
+    size_t nodes = 0;
+    size_t pages = 0;
+    uint64_t bytes = 0;
+    std::vector<const IurTree::Node*> stack = {tree.root()};
+    while (!stack.empty()) {
+      const IurTree::Node* node = stack.back();
+      stack.pop_back();
+      ++nodes;
+      EXPECT_TRUE(node->record_handle.valid()) << what;
+      EXPECT_TRUE(node->invfile_handle.valid()) << what;
+      pages += node->record_handle.num_pages + node->invfile_handle.num_pages;
+      bytes += node->record_handle.bytes + node->invfile_handle.bytes;
+      if (!node->leaf) {
+        for (const IurTree::Entry& e : node->entries) stack.push_back(e.child);
+      }
+    }
+    EXPECT_EQ(nodes, tree.NodeCount()) << what;
+    EXPECT_EQ(tree.page_store().num_pages(), pages) << what;
+    EXPECT_EQ(tree.IndexBytes(), bytes) << what;
+  };
+  expect_every_node_stored(IurTree::Build({}, {}), "empty");
 
   for (size_t n : {1u, 5u, 32u, 33u, 200u}) {
     const Dataset d = SmallDataset(n, 40 + n);
     const IurTree tree = IurTree::BuildFromDataset(d, {});
-    EXPECT_TRUE(tree.storage_finalized()) << "n=" << n;
     EXPECT_GT(tree.IndexBytes(), 0u) << "n=" << n;
-    EXPECT_TRUE(tree.root()->record_handle.valid()) << "n=" << n;
-    EXPECT_TRUE(tree.root()->invfile_handle.valid()) << "n=" << n;
+    expect_every_node_stored(tree, "n=" + std::to_string(n));
   }
 }
 
@@ -94,20 +116,6 @@ TEST(IurTreeTest, NodeSummariesBracketSubtreeDocs) {
         }
       };
   check(tree.root(), nullptr);
-}
-
-TEST(IurTreeTest, DynamicInsertMatchesInvariants) {
-  const Dataset d = SmallDataset(400);
-  IurTreeOptions options;
-  IurTree tree = IurTree::Build({}, options);
-  for (const StObject& obj : d.objects()) {
-    tree.Insert(obj.id, obj.loc, &obj.doc);
-  }
-  EXPECT_EQ(tree.size(), 400u);
-  const Status s = tree.CheckInvariants(DocLookup(d));
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  tree.FinalizeStorage();
-  EXPECT_GT(tree.IndexBytes(), 0u);
 }
 
 TEST(IurTreeTest, ClusteredBuildInvariants) {
@@ -296,88 +304,6 @@ TEST(IurTreeTest, UsersTreeBuilds) {
         return id < gen.users.size() ? &gen.users[id].keywords : nullptr;
       });
   EXPECT_TRUE(s.ok()) << s.ToString();
-}
-
-TEST(IurTreeTest, DeleteMaintainsInvariants) {
-  const Dataset d = SmallDataset(500, 41);
-  IurTree tree = IurTree::BuildFromDataset(d, {});
-  Rng rng(42);
-  std::vector<ObjectId> order(d.size());
-  for (size_t i = 0; i < d.size(); ++i) order[i] = static_cast<ObjectId>(i);
-  rng.Shuffle(&order);
-  std::vector<bool> deleted(d.size(), false);
-  size_t remaining = d.size();
-  for (size_t step = 0; step < 400; ++step) {
-    const ObjectId id = order[step];
-    ASSERT_TRUE(tree.Delete(id, d.object(id).loc).ok()) << "id=" << id;
-    deleted[id] = true;
-    --remaining;
-    ASSERT_EQ(tree.size(), remaining);
-    if (step % 80 == 0) {
-      const Status s = tree.CheckInvariants([&](uint32_t oid) {
-        return oid < d.size() && !deleted[oid] ? &d.object(oid).doc : nullptr;
-      });
-      ASSERT_TRUE(s.ok()) << "step=" << step << " " << s.ToString();
-    }
-  }
-  // Deleting something twice (or a wrong location) fails cleanly.
-  EXPECT_EQ(tree.Delete(order[0], d.object(order[0]).loc).code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(tree.Delete(order[400], Point{-1, -1}).code(),
-            StatusCode::kNotFound);
-}
-
-TEST(IurTreeTest, DeleteThenQueryStaysExact) {
-  const Dataset d = SmallDataset(400, 43);
-  IurTree tree = IurTree::BuildFromDataset(d, {});
-  // Remove 100 objects, then verify top-k over the survivors matches a
-  // brute-force scan restricted to the survivors.
-  std::vector<bool> alive(d.size(), true);
-  Rng rng(44);
-  for (int i = 0; i < 100; ++i) {
-    ObjectId id;
-    do {
-      id = static_cast<ObjectId>(rng.UniformInt(uint64_t{d.size()}));
-    } while (!alive[id]);
-    ASSERT_TRUE(tree.Delete(id, d.object(id).loc).ok());
-    alive[id] = false;
-  }
-  tree.FinalizeStorage();
-  TextSimilarity sim(TextMeasure::kExtendedJaccard);
-  StScorer scorer(&sim, {0.5, d.max_dist()});
-  TopKSearcher searcher(&tree, &d, &scorer);
-  const StObject& q = d.object(7);
-  TopKQuery query{q.loc, &q.doc, 10, IurTree::kNoObject};
-  const auto got = searcher.Search(query);
-  std::vector<TopKResult> expected;
-  for (const StObject& o : d.objects()) {
-    if (!alive[o.id]) continue;
-    expected.push_back({o.id, scorer.Score(o.loc, o.doc, q.loc, q.doc)});
-  }
-  std::sort(expected.begin(), expected.end(),
-            [](const TopKResult& a, const TopKResult& b) {
-              return a.score > b.score || (a.score == b.score && a.id < b.id);
-            });
-  expected.resize(10);
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, expected[i].id) << "pos " << i;
-  }
-}
-
-TEST(IurTreeTest, DeleteDownToEmpty) {
-  const Dataset d = SmallDataset(40, 45);
-  IurTree tree = IurTree::BuildFromDataset(d, {});
-  for (const StObject& o : d.objects()) {
-    ASSERT_TRUE(tree.Delete(o.id, o.loc).ok());
-  }
-  EXPECT_EQ(tree.size(), 0u);
-  // And it can be refilled.
-  for (const StObject& o : d.objects()) {
-    tree.Insert(o.id, o.loc, &o.doc);
-  }
-  EXPECT_EQ(tree.size(), 40u);
-  EXPECT_TRUE(tree.CheckInvariants(DocLookup(d)).ok());
 }
 
 }  // namespace

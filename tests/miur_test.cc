@@ -37,7 +37,6 @@ struct MiurFixture {
     object_tree = IurTree::BuildFromDataset(dataset, {});
     IurTreeOptions uopts;
     uopts.max_entries = 8;  // small fan-out => deeper user tree, more pruning
-    uopts.min_entries = 3;
     user_tree = IurTree::BuildFromUsers(gen.users, uopts);
     sim = TextSimilarity(TextMeasure::kSum, &dataset.corpus_max());
     scorer = StScorer(&sim, {0.5, dataset.max_dist()});

@@ -1,6 +1,6 @@
-// NodeArena unit and stress tests: chunk alignment, free-list reuse,
-// destructor discipline (live_nodes bookkeeping), and — because every tree
-// owns a private arena — parallel build+destroy of many trees, which the CI
+// NodeArena unit and stress tests: chunk alignment, destructor discipline
+// (the arena destroys every node it created), and — because every tree owns
+// a private arena — parallel build+destroy of many trees, which the CI
 // sanitizer jobs run under ASan and TSan to shake out lifetime races.
 
 #include "rst/iurtree/node_arena.h"
@@ -19,11 +19,10 @@ namespace {
 
 TEST(NodeArena, CreateAlignsAndCounts) {
   NodeArena arena(33);
-  EXPECT_EQ(arena.live_nodes(), 0u);
+  EXPECT_EQ(arena.node_count(), 0u);
   EXPECT_EQ(arena.entry_capacity(), 33u);
   EXPECT_EQ(arena.chunk_bytes() % 64, 0u);
 
-  std::vector<IurTree::Node*> nodes;
   for (int i = 0; i < 1000; ++i) {
     IurTree::Node* node = arena.Create();
     ASSERT_NE(node, nullptr);
@@ -32,29 +31,10 @@ TEST(NodeArena, CreateAlignsAndCounts) {
     EXPECT_TRUE(node->leaf);
     EXPECT_EQ(node->entries.size(), 0u);
     EXPECT_EQ(node->entries.capacity(), 33u);
-    nodes.push_back(node);
   }
-  EXPECT_EQ(arena.live_nodes(), 1000u);
+  EXPECT_EQ(arena.node_count(), 1000u);
   EXPECT_GE(arena.allocated_bytes(), 1000 * arena.chunk_bytes());
-
-  for (IurTree::Node* node : nodes) arena.Destroy(node);
-  EXPECT_EQ(arena.live_nodes(), 0u);
-}
-
-TEST(NodeArena, FreeListRecyclesChunks) {
-  NodeArena arena(9);
-  IurTree::Node* a = arena.Create();
-  IurTree::Node* b = arena.Create();
-  arena.Destroy(b);
-  arena.Destroy(a);
-  const size_t slabs = arena.slab_count();
-  // LIFO free list: the most recently destroyed chunk comes back first, and
-  // no new slab is touched.
-  EXPECT_EQ(arena.Create(), a);
-  EXPECT_EQ(arena.Create(), b);
-  EXPECT_EQ(arena.slab_count(), slabs);
-  arena.Destroy(a);
-  arena.Destroy(b);
+  // Every node is destroyed with the arena (ASan reports any leaked entry).
 }
 
 TEST(NodeArena, EntriesLiveInsideTheChunk) {
@@ -68,13 +48,9 @@ TEST(NodeArena, EntriesLiveInsideTheChunk) {
   const auto node_addr = reinterpret_cast<uintptr_t>(node);
   const auto entry_addr = reinterpret_cast<uintptr_t>(&node->entries[0]);
   EXPECT_GE(entry_addr, node_addr + sizeof(IurTree::Node));
-  EXPECT_LT(entry_addr + 17 * sizeof(IurTree::Entry),
+  EXPECT_LE(entry_addr + 17 * sizeof(IurTree::Entry),
             node_addr + arena.chunk_bytes());
   EXPECT_EQ(node->entries[16].id, 16u);
-  node->entries.erase(node->entries.begin() + 3);
-  EXPECT_EQ(node->entries.size(), 16u);
-  EXPECT_EQ(node->entries[3].id, 4u);
-  arena.Destroy(node);
 }
 
 TEST(NodeArena, TreeReleasesEveryNode) {
@@ -83,18 +59,10 @@ TEST(NodeArena, TreeReleasesEveryNode) {
   config.vocab_size = 80;
   config.seed = 11;
   const Dataset dataset = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  IurTree tree = IurTree::BuildFromDataset(dataset, {});
-  EXPECT_EQ(tree.arena().live_nodes(), tree.NodeCount());
-
-  // Deletes + reinserts churn the free list; live count must track exactly.
-  for (uint32_t id = 0; id < 100; ++id) {
-    ASSERT_TRUE(tree.Delete(id, dataset.object(id).loc).ok());
-  }
-  EXPECT_EQ(tree.arena().live_nodes(), tree.NodeCount());
-  for (uint32_t id = 0; id < 100; ++id) {
-    tree.Insert(id, dataset.object(id).loc, &dataset.object(id).doc);
-  }
-  EXPECT_EQ(tree.arena().live_nodes(), tree.NodeCount());
+  const IurTree tree = IurTree::BuildFromDataset(dataset, {});
+  // The build creates exactly the nodes it keeps: no placeholder root.
+  EXPECT_EQ(tree.arena().node_count(), tree.NodeCount());
+  EXPECT_EQ(tree.arena().entry_capacity(), IurTreeOptions().max_entries);
   const Status invariants = tree.CheckInvariants(
       [&](uint32_t id) { return &dataset.object(id).doc; });
   EXPECT_TRUE(invariants.ok()) << invariants.ToString();
@@ -123,9 +91,9 @@ TEST(NodeArena, MoveTransfersOwnership) {
 }
 
 TEST(NodeArena, ParallelBuildAndDestroyStress) {
-  // Each thread builds, mutates, and destroys its own trees (arenas are
-  // per-tree and not shared); under TSan/ASan this catches any accidental
-  // global state in the arena or stale-pointer reuse across trees.
+  // Each thread builds and destroys its own trees (arenas are per-tree and
+  // not shared); under TSan/ASan this catches any accidental global state in
+  // the arena or stale-pointer reuse across trees.
   constexpr int kThreads = 4;
   constexpr int kRounds = 3;
   std::vector<Dataset> datasets(kThreads);
@@ -142,15 +110,8 @@ TEST(NodeArena, ParallelBuildAndDestroyStress) {
     threads.emplace_back([&datasets, t] {
       const Dataset& dataset = datasets[static_cast<size_t>(t)];
       for (int round = 0; round < kRounds; ++round) {
-        IurTree tree = IurTree::BuildFromDataset(dataset, {});
-        ASSERT_EQ(tree.arena().live_nodes(), tree.NodeCount());
-        for (uint32_t id = 0; id < 50; ++id) {
-          ASSERT_TRUE(tree.Delete(id, dataset.object(id).loc).ok());
-        }
-        for (uint32_t id = 0; id < 50; ++id) {
-          tree.Insert(id, dataset.object(id).loc, &dataset.object(id).doc);
-        }
-        ASSERT_EQ(tree.arena().live_nodes(), tree.NodeCount());
+        const IurTree tree = IurTree::BuildFromDataset(dataset, {});
+        ASSERT_EQ(tree.arena().node_count(), tree.NodeCount());
         const Status invariants = tree.CheckInvariants(
             [&](uint32_t id) { return &dataset.object(id).doc; });
         ASSERT_TRUE(invariants.ok()) << invariants.ToString();

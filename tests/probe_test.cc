@@ -58,7 +58,6 @@ struct Corpus {
       cluster_of = ClusterDocuments(docs, copts).assignment;
     }
     topts.max_entries = 6;
-    topts.min_entries = 3;
     tree = IurTree::BuildFromDataset(dataset, topts,
                                      clustered ? &cluster_of : nullptr);
   }
@@ -382,7 +381,6 @@ TEST(CandidatePathTest, AncestorSubtreesAreNeverCountedWholesale) {
     d.Finalize({Weighting::kTfIdf, 0.1});
     IurTreeOptions topts;
     topts.max_entries = 4;
-    topts.min_entries = 2;
     const IurTree tree = IurTree::BuildFromDataset(d, topts);
     ASSERT_GE(tree.height(), 3u);
     const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(tree);

@@ -223,6 +223,26 @@ TEST(ReadJournalTest, RejectsRecordBeforeHeader) {
   std::remove(path.c_str());
 }
 
+TEST(ReadJournalTest, RejectsHeaderAlphaOutsideUnitInterval) {
+  // StScorer aborts on such an alpha; the reader refuses it first, so
+  // rst_replay exits with the Status instead.
+  for (const double alpha : {1.5, -0.5}) {
+    const std::string path = TempPath("rst_replay_bad_alpha.jsonl");
+    obs::JournalHeader header = TestHeader();
+    header.alpha = alpha;
+    obs::WorkloadRecorder recorder;
+    ASSERT_TRUE(recorder.Open(path, header).ok());
+    recorder.Append(TestRecord(0));
+    ASSERT_TRUE(recorder.Close().ok());
+    const Result<obs::JournalFile> loaded = obs::ReadJournal(path);
+    ASSERT_FALSE(loaded.ok()) << "alpha " << alpha;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().ToString().find("alpha"), std::string::npos)
+        << loaded.status().ToString();
+    std::remove(path.c_str());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // HeatmapRecorder
 

@@ -9,7 +9,10 @@ On a generated 500-object dataset it checks that
   * --ids "3 5 7" prints the same output at --threads 1 and --threads 4, and
     over a 4-shard index;
   * malformed numbers (thread counts below 1, non-numeric, negative,
-    out-of-range or 32-bit-wrapping ids, non-numeric keywords) exit 2.
+    out-of-range or 32-bit-wrapping ids, non-numeric keywords, an --alpha
+    outside [0, 1], and junk or negative values of every other numeric flag
+    of rstknn, gen, genusers, topk and maxbrst) exit 2 with a message naming
+    the flag.
 Exits non-zero with a message on the first failed check.
 """
 
@@ -95,12 +98,63 @@ def main():
                     ["--id", "-1"],
                     ["--id", "500"],
                     ["--id", "3x"],
-                    ["--keywords", "1 x"]):
+                    ["--keywords", "1 x"],
+                    ["--id", "3", "--alpha", "1.5"],
+                    ["--id", "3", "--alpha", "-0.5"],
+                    ["--id", "3", "--alpha", "abc"],
+                    ["--id", "3", "--alpha", "nan"],
+                    ["--id", "3", "--alpha", "0.5x"],
+                    ["--id", "3", "--k", "-1"],
+                    ["--id", "3", "--k", "five"],
+                    ["--id", "3", "--shards", "-2"],
+                    ["--id", "3", "--pool-pages", "abc"],
+                    ["--id", "3", "--explain-log", "-3"],
+                    ["--id", "3", "--slow-log-ms", "soon"],
+                    ["--id", "3", "--trace-sample", "-1"],
+                    ["--id", "3", "--telemetry-ms", "xyz"],
+                    ["--id", "3", "--journal-sample", "1.5"],
+                    ["--keywords", "1 2", "--x", "inf"],
+                    ["--keywords", "1 2", "--y", "12,5"]):
             proc = run(cli, *base, *bad)
             check(proc.returncode == 2,
                   "%s exited %d, want 2 (stderr: %s)" %
                   (bad, proc.returncode, proc.stderr.strip()))
             check(proc.stdout == "", "%s printed answers" % bad)
+            flag = next((arg for arg in bad if arg not in ("--id", "--ids",
+                                                           "--keywords")
+                         and arg.startswith("--")), bad[0])
+            check(flag in proc.stderr,
+                  "%s: the message does not name %s (stderr: %s)" %
+                  (bad, flag, proc.stderr.strip()))
+
+        # The other commands parse their numeric flags the same way.
+        users = os.path.join(tmp, "u.tsv")
+        ok(cli, "genusers", "--data", data, "--num", "20", "--ul", "2",
+           "--uw", "10", "--area", "10", "--out", users)
+        maxbrst = ["maxbrst", "--data", data, "--users", users,
+                   "--keywords", "3 7 11", "--locations", "20:20;50:50"]
+        ok(cli, *maxbrst, "--ws", "2", "--k", "5")
+        for bad in (["gen", "--objects", "-5", "--out", data + ".x"],
+                    ["gen", "--objects", "10k", "--out", data + ".x"],
+                    ["gen", "--seed", "x", "--out", data + ".x"],
+                    ["genusers", "--data", data, "--num", "-1"],
+                    ["genusers", "--data", data, "--ul", "two"],
+                    ["genusers", "--data", data, "--uw", "-3"],
+                    ["genusers", "--data", data, "--area", "wide"],
+                    ["topk", "--data", data, "--keywords", "3", "--k", "-1"],
+                    ["topk", "--data", data, "--keywords", "3", "--alpha",
+                     "2"],
+                    [*maxbrst, "--ws", "-1"],
+                    [*maxbrst, "--k", "x"],
+                    [*maxbrst, "--alpha", "abc"],
+                    [*maxbrst[:-1], "20:20;50:north"],
+                    [*maxbrst[:-1], "20:20;5050"]):
+            proc = run(cli, *bad)
+            check(proc.returncode == 2,
+                  "%s exited %d, want 2 (stderr: %s)" %
+                  (bad, proc.returncode, proc.stderr.strip()))
+            check(proc.stdout == "", "%s printed output" % bad)
+            check(not os.path.exists(data + ".x"), "%s wrote a file" % bad)
     print("rstknn_cli_test: ok")
 
 

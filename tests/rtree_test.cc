@@ -33,26 +33,11 @@ std::vector<ObjectId> BruteRange(
 }
 
 TEST(RTreeTest, EmptyTreeQueries) {
-  RTree tree;
+  const RTree tree = RTree::BulkLoad({});
   EXPECT_TRUE(tree.empty());
   EXPECT_TRUE(tree.RangeQuery(Rect::FromCorners(0, 0, 1, 1)).empty());
   EXPECT_TRUE(tree.KnnQuery(Point{0, 0}, 3).empty());
   EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(RTreeTest, InsertMaintainsInvariantsAndFindsEverything) {
-  Rng rng(21);
-  auto items = RandomPoints(&rng, 500);
-  RTree tree;
-  for (const auto& [id, rect] : items) {
-    tree.Insert(id, rect);
-  }
-  EXPECT_EQ(tree.size(), 500u);
-  ASSERT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants().ToString();
-  // Whole-space query returns every object.
-  auto all = tree.RangeQuery(Rect::FromCorners(-1, -1, 101, 101));
-  EXPECT_EQ(all.size(), 500u);
-  EXPECT_GE(tree.height(), 1u);
 }
 
 class RTreeRandomTest : public ::testing::TestWithParam<size_t> {};
@@ -60,19 +45,20 @@ class RTreeRandomTest : public ::testing::TestWithParam<size_t> {};
 TEST_P(RTreeRandomTest, RangeQueryMatchesBruteForce) {
   Rng rng(31 + GetParam());
   auto items = RandomPoints(&rng, GetParam());
-  RTree inserted;
-  for (const auto& [id, rect] : items) inserted.Insert(id, rect);
-  RTree bulk = RTree::BulkLoad(items);
-  ASSERT_TRUE(inserted.CheckInvariants().ok());
+  RTreeOptions narrow;
+  narrow.max_entries = 4;  // deeper trees: more internal levels to descend
+  const RTree bulk = RTree::BulkLoad(items);
+  const RTree deep = RTree::BulkLoad(items, narrow);
   ASSERT_TRUE(bulk.CheckInvariants().ok());
+  ASSERT_TRUE(deep.CheckInvariants().ok());
   EXPECT_EQ(bulk.size(), items.size());
   for (int q = 0; q < 25; ++q) {
     const Rect query =
         Rect::FromCorners(rng.Uniform(0, 100), rng.Uniform(0, 100),
                           rng.Uniform(0, 100), rng.Uniform(0, 100));
     const auto expected = BruteRange(items, query);
-    EXPECT_EQ(inserted.RangeQuery(query), expected);
     EXPECT_EQ(bulk.RangeQuery(query), expected);
+    EXPECT_EQ(deep.RangeQuery(query), expected);
   }
 }
 
@@ -113,72 +99,15 @@ TEST(RTreeTest, BulkLoadHandlesDegenerateSizes) {
   }
 }
 
-TEST(RTreeTest, DeleteRemovesAndCondenses) {
-  Rng rng(51);
-  auto items = RandomPoints(&rng, 300);
-  RTree tree;
-  for (const auto& [id, rect] : items) tree.Insert(id, rect);
-
-  // Delete in random order, re-validating periodically.
-  std::vector<size_t> order(items.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  rng.Shuffle(&order);
-  size_t remaining = items.size();
-  for (size_t idx : order) {
-    ASSERT_TRUE(tree.Delete(items[idx].first, items[idx].second).ok());
-    --remaining;
-    EXPECT_EQ(tree.size(), remaining);
-    if (remaining % 50 == 0) {
-      ASSERT_TRUE(tree.CheckInvariants().ok())
-          << "remaining=" << remaining << " "
-          << tree.CheckInvariants().ToString();
-      EXPECT_EQ(tree.RangeQuery(Rect::FromCorners(-1, -1, 101, 101)).size(),
-                remaining);
-    }
-  }
-  EXPECT_TRUE(tree.empty());
-}
-
-TEST(RTreeTest, DeleteMissingIsNotFound) {
-  RTree tree;
-  tree.Insert(7, Rect::FromPoint(Point{1, 1}));
-  EXPECT_EQ(tree.Delete(7, Rect::FromPoint(Point{2, 2})).code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(tree.Delete(8, Rect::FromPoint(Point{1, 1})).code(),
-            StatusCode::kNotFound);
-  EXPECT_TRUE(tree.Delete(7, Rect::FromPoint(Point{1, 1})).ok());
-}
-
-TEST(RTreeTest, MixedInsertDeleteStaysConsistent) {
-  Rng rng(61);
-  RTree tree;
-  std::vector<std::pair<ObjectId, Rect>> live;
-  ObjectId next_id = 0;
-  for (int step = 0; step < 2000; ++step) {
-    if (live.empty() || rng.Bernoulli(0.6)) {
-      const Point p{rng.Uniform(0, 50), rng.Uniform(0, 50)};
-      live.push_back({next_id, Rect::FromPoint(p)});
-      tree.Insert(next_id, live.back().second);
-      ++next_id;
-    } else {
-      const size_t pick = rng.UniformInt(live.size());
-      ASSERT_TRUE(tree.Delete(live[pick].first, live[pick].second).ok());
-      live.erase(live.begin() + pick);
-    }
-  }
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  EXPECT_EQ(tree.size(), live.size());
-  const Rect q = Rect::FromCorners(10, 10, 30, 30);
-  EXPECT_EQ(tree.RangeQuery(q), BruteRange(live, q));
-}
-
 TEST(RTreeTest, KnnDeterministicTieBreak) {
   // Four equidistant points: ids must come back in ascending order.
-  RTree tree;
-  tree.Insert(3, Rect::FromPoint(Point{1, 0}));
-  tree.Insert(1, Rect::FromPoint(Point{-1, 0}));
-  tree.Insert(2, Rect::FromPoint(Point{0, 1}));
-  tree.Insert(0, Rect::FromPoint(Point{0, -1}));
+  RTreeOptions options;
+  options.max_entries = 2;  // the four points span two leaves
+  const RTree tree = RTree::BulkLoad({{3, Rect::FromPoint(Point{1, 0})},
+                                      {1, Rect::FromPoint(Point{-1, 0})},
+                                      {2, Rect::FromPoint(Point{0, 1})},
+                                      {0, Rect::FromPoint(Point{0, -1})}},
+                                     options);
   auto got = tree.KnnQuery(Point{0, 0}, 4);
   ASSERT_EQ(got.size(), 4u);
   for (size_t i = 0; i < 4; ++i) EXPECT_EQ(got[i].id, i);

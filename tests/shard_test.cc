@@ -56,7 +56,6 @@ struct Fixture {
       cluster_of = ClusterDocuments(docs, copts).assignment;
     }
     topts.max_entries = 8;
-    topts.min_entries = 4;
     tree = IurTree::BuildFromDataset(dataset, topts,
                                      clustered ? &cluster_of : nullptr);
     scorer = StScorer(&sim, {0.5, dataset.max_dist()});
@@ -276,7 +275,6 @@ TEST(ShardTest, DistantShardsArePruned) {
   shard::ShardOptions options;
   options.num_shards = 4;
   options.tree.max_entries = 8;
-  options.tree.min_entries = 4;
   const shard::ShardedIndex index = shard::ShardedIndex::Build(dataset,
                                                                options);
   const shard::ShardedSearcher searcher(&index, &dataset, &scorer);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace rst {
 namespace {
 
@@ -94,6 +96,17 @@ TEST(StScorerTest, CombinesSpatialAndText) {
   // alpha = 0 ignores space entirely.
   StScorer text_only(&ej, {0.0, 10.0});
   EXPECT_DOUBLE_EQ(text_only.Score(Point{0, 0}, d, Point{3, 4}, d), 1.0);
+}
+
+TEST(StScorerDeathTest, RejectsAlphaOutsideUnitInterval) {
+  // The score bounds pair 1 − α with MaxSim; outside [0, 1] they stop
+  // bounding, so the scorer refuses such an α (and NaN) outright.
+  TextSimilarity ej(TextMeasure::kExtendedJaccard);
+  for (const double alpha :
+       {1.5, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_DEATH(StScorer(&ej, {alpha, 1.0}), "alpha .* is outside \\[0, 1\\]")
+        << "alpha " << alpha;
+  }
 }
 
 TEST(StScorerTest, SpatialSimClampsBeyondMaxDist) {

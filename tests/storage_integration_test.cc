@@ -75,24 +75,27 @@ TEST(StorageIntegrationTest, WholeTreeScanWithSmallPool) {
   EXPECT_GE(pool.misses(), tree.num_nodes() - pool.capacity_pages());
 }
 
-TEST(StorageIntegrationTest, UnfinalizedStorageRejected) {
+TEST(StorageIntegrationTest, TreeWithoutPayloadsRejectsPayloadReads) {
   FlickrLikeConfig config;
   config.num_objects = 100;
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  IurTree tree = IurTree::BuildFromDataset(d, {});
-  tree.Insert(100, Point{1, 1}, &d.object(0).doc);  // dirties storage
-  // A snapshot of dirty storage carries no payloads to read.
-  const frozen::FrozenTree dirty = frozen::FrozenTree::Freeze(tree);
-  BufferPool pool(&dirty.page_store(), 8);
+  IurTreeOptions options;
+  options.store_payloads = false;
+  // A snapshot of a tree built without payloads has none to read.
+  const frozen::FrozenTree bare =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, options));
+  EXPECT_FALSE(bare.has_payloads());
+  EXPECT_EQ(bare.IndexBytes(), 0u);
+  BufferPool pool(&bare.page_store(), 8);
   IoStats stats;
   InvertedFile file;
-  EXPECT_EQ(dirty.ReadNodePayload(dirty.root(), &pool, &stats, &file).code(),
+  EXPECT_EQ(bare.ReadNodePayload(bare.root(), &pool, &stats, &file).code(),
             StatusCode::kFailedPrecondition);
-  tree.FinalizeStorage();
-  const frozen::FrozenTree finalized = frozen::FrozenTree::Freeze(tree);
-  BufferPool fresh(&finalized.page_store(), 8);
+  const frozen::FrozenTree stored =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
+  BufferPool fresh(&stored.page_store(), 8);
   EXPECT_TRUE(
-      finalized.ReadNodePayload(finalized.root(), &fresh, &stats, &file).ok());
+      stored.ReadNodePayload(stored.root(), &fresh, &stats, &file).ok());
 }
 
 // Fuzz-style robustness: decoding arbitrarily corrupted buffers must fail
@@ -129,7 +132,7 @@ TEST(CodecFuzzTest, ByteFlipsNeverCrash) {
   summary.intr = summary.uni;
   summary.count = 64;
   std::string buf;
-  EncodeTextSummary(summary, &buf);
+  EncodeTextSummary(AsSpan(summary), &buf);
   for (int trial = 0; trial < 500; ++trial) {
     std::string mutated = buf;
     const size_t pos = rng.UniformInt(mutated.size());

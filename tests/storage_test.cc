@@ -86,7 +86,7 @@ TEST(CodecTest, TextSummaryRoundTrip) {
   s.uni = TermVector::FromUnsorted({{1, 2.0f}, {9, 1.0f}});
   s.intr = TermVector::FromUnsorted({{9, 0.5f}});
   std::string buf;
-  EncodeTextSummary(s, &buf);
+  EncodeTextSummary(AsSpan(s), &buf);
   size_t off = 0;
   TextSummary out;
   ASSERT_TRUE(DecodeTextSummary(buf, &off, &out).ok());

@@ -60,6 +60,12 @@ know about:
                             src/ -- library code must block on condition
                             variables or deadlines, never bare sleeps
                             (tests and bench drivers may sleep)
+  unused-metric-name        every `inline constexpr char k...[]` in
+                            src/rst/obs/metric_names.h must be referenced by
+                            some other source under src/, tools/, bench/,
+                            perfbench/, tests/, examples/ or fuzz/ -- a name
+                            nothing publishes is a dead series in every
+                            dashboard and doc that lists it
   bad-suppression           a suppression comment without a reason
 
 Any finding is suppressible on its own line or the line above with
@@ -103,6 +109,7 @@ RULES = [
     "manual-lock",
     "thread-detach",
     "sleep-in-src",
+    "unused-metric-name",
     "bad-suppression",
 ]
 
@@ -138,6 +145,23 @@ PLACEMENT_NEW_ALLOWED = {
 PLACEMENT_NEW_RE = re.compile(r"\bnew\s*\(")
 
 METRIC_NAMES_HEADER = os.path.join("src", "rst", "obs", "metric_names.h")
+
+# Headers the unused-metric-name rule checks: the real registry of names plus
+# fixture mirrors for --self-test. A name counts as used when some other
+# source under METRIC_REFERENCE_DIRS (fixtures excluded) or beside the header
+# mentions it outside comments and strings.
+METRIC_NAME_HEADERS = {
+    METRIC_NAMES_HEADER,
+    os.path.join("tools", "lint_fixtures", "good", "metricnames",
+                 "metric_names.h"),
+    os.path.join("tools", "lint_fixtures", "bad", "metricnames",
+                 "metric_names.h"),
+}
+METRIC_REFERENCE_DIRS = ["src", "tools", "bench", "perfbench", "tests",
+                         "examples", "fuzz"]
+METRIC_NAME_DECL_RE = re.compile(
+    r"\binline\s+constexpr\s+char\s+(k\w+)\s*\[\s*\]")
+IDENTIFIER_RE = re.compile(r"\b[A-Za-z_]\w*")
 
 OBS_NAME_APIS = ("GetCounter", "GetGauge", "GetHistogram", "QueryTrace",
                  "Enter", "AddCount", "Publish")
@@ -672,6 +696,43 @@ def check_atomics_rationale(f, findings):
                 "is sufficient (what publishes, what acquires)"))
 
 
+def check_unused_metric_names(f, findings, root, parsed):
+    """`parsed` maps already-read paths to SourceFile, so files the run lints
+    anyway are not masked twice."""
+    rel = os.path.relpath(f.path, root)
+    if rel not in METRIC_NAME_HEADERS:
+        return
+    declared = []
+    for idx, code in enumerate(f.nocomment_lines):
+        m = METRIC_NAME_DECL_RE.search(code)
+        if m:
+            declared.append((idx + 1, m.group(1)))
+    if not declared:
+        return
+    header = os.path.abspath(f.path)
+    sources = gather_sources(root, METRIC_REFERENCE_DIRS)
+    beside = os.path.dirname(header)
+    sources += [os.path.join(beside, name) for name in os.listdir(beside)
+                if name.endswith(SOURCE_EXTENSIONS)]
+    referenced = set()
+    for path in sorted(set(os.path.abspath(p) for p in sources)):
+        if path == header or path.endswith(JOURNAL_EXTENSIONS):
+            continue
+        source = parsed.get(path)
+        if source is None:
+            with open(path, "r", encoding="utf-8", errors="replace") as fh:
+                source = SourceFile(path, fh.read())
+        for code in source.code_lines:
+            referenced.update(IDENTIFIER_RE.findall(code))
+    for lineno, name in declared:
+        if name not in referenced:
+            findings.append(Finding(
+                f.path, lineno, "unused-metric-name",
+                "metric name %s is referenced nowhere under %s; delete it "
+                "or publish it" % (name, ", ".join(
+                    d + "/" for d in METRIC_REFERENCE_DIRS))))
+
+
 def lint_files(paths, root):
     files = []
     for path in paths:
@@ -685,6 +746,7 @@ def lint_files(paths, root):
                      if f.path.endswith(JOURNAL_EXTENSIONS)]
     files = [f for f in files if not f.path.endswith(JOURNAL_EXTENSIONS)]
     status_names = collect_status_functions(files)
+    parsed = {os.path.abspath(f.path): f for f in files}
     all_findings = []
     for f in journal_files:
         findings = []
@@ -701,6 +763,7 @@ def lint_files(paths, root):
         check_lock_discipline(f, findings, root)
         check_mutex_guarded_by(f, findings)
         check_atomics_rationale(f, findings)
+        check_unused_metric_names(f, findings, root, parsed)
         for lineno in f.bad_suppressions:
             findings.append(Finding(
                 f.path, lineno, "bad-suppression",

@@ -20,8 +20,11 @@
 //   rstknn_cli maxbrst  --data F --users F2 --locations "x:y;x:y"
 //                       --keywords "1 2 3" --ws W --k K [--method exact]
 //
-// Common flags: --alpha A (0.5), --measure ej|cos|sum (ej; sum for maxbrst),
-// --weighting tfidf|lm|binary (tfidf), --seed S.
+// Common flags: --alpha A (0.5, in [0, 1]), --measure ej|cos|sum (ej; sum
+// for maxbrst), --weighting tfidf|lm|binary (tfidf), --seed S. Every numeric
+// flag is parsed strictly — counts are non-negative decimal integers,
+// coordinates and thresholds finite numbers, --locations pairs x:y numbers —
+// and anything else exits 2 with a message naming the flag.
 //
 // Observability flags (topk / rstknn / maxbrst):
 //   --trace             print the per-phase span tree of the query (for
@@ -112,6 +115,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -149,6 +153,33 @@
 namespace rst {
 namespace {
 
+/// Parses a decimal integer in [0, max]: digits only — no sign, no
+/// surrounding junk — and no overflow.
+bool ParseUint(std::string_view token, uint64_t max, uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return false;
+  *out = value;
+  return true;
+}
+
+/// Parses a finite decimal number in [lo, hi]: the whole token, no
+/// surrounding junk, no inf/nan.
+bool ParseDouble(std::string_view token, double* out,
+                 double lo = std::numeric_limits<double>::lowest(),
+                 double hi = std::numeric_limits<double>::max()) {
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      !(value >= lo && value <= hi)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -173,30 +204,50 @@ class Flags {
     auto it = values_.find(name);
     return it == values_.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& name, double fallback) const {
+  /// --name as a decimal integer in [0, max], `fallback` when absent.
+  /// Anything else — a sign, junk, overflow — exits 2 naming the flag.
+  uint64_t Uint(const std::string& name, uint64_t fallback,
+                uint64_t max = std::numeric_limits<uint64_t>::max()) const {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    if (it == values_.end()) return fallback;
+    uint64_t value = 0;
+    if (!ParseUint(it->second, max, &value)) {
+      std::fprintf(stderr, "--%s: '%s' is not a non-negative integer",
+                   name.c_str(), it->second.c_str());
+      if (max != std::numeric_limits<uint64_t>::max()) {
+        std::fprintf(stderr, " <= %llu", static_cast<unsigned long long>(max));
+      }
+      std::fprintf(stderr, "\n");
+      std::exit(2);
+    }
+    return value;
   }
-  long GetInt(const std::string& name, long fallback) const {
+  /// --name as a finite number in [lo, hi], `fallback` when absent;
+  /// anything else exits 2 naming the flag.
+  double Double(const std::string& name, double fallback,
+                double lo = std::numeric_limits<double>::lowest(),
+                double hi = std::numeric_limits<double>::max()) const {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 10);
+    if (it == values_.end()) return fallback;
+    double value = 0.0;
+    if (!ParseDouble(it->second, &value, lo, hi)) {
+      std::fprintf(stderr, "--%s: '%s' is not a finite number", name.c_str(),
+                   it->second.c_str());
+      if (lo != std::numeric_limits<double>::lowest()) {
+        std::fprintf(stderr, " in [%g, %g]", lo, hi);
+      }
+      std::fprintf(stderr, "\n");
+      std::exit(2);
+    }
+    return value;
   }
+  /// --alpha, the spatial weight of SimST: a number in [0, 1].
+  double Alpha() const { return Double("alpha", 0.5, 0.0, 1.0); }
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
 
  private:
   std::map<std::string, std::string> values_;
 };
-
-/// Parses a decimal integer in [0, max]: digits only — no sign, no
-/// surrounding junk — and no overflow.
-bool ParseUint(std::string_view token, uint64_t max, uint64_t* out) {
-  uint64_t value = 0;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (ec != std::errc() || ptr != end || value > max) return false;
-  *out = value;
-  return true;
-}
 
 /// Whitespace-separated term ids; nullopt (after a message naming `flag`)
 /// on a token that is not a 32-bit unsigned integer.
@@ -244,15 +295,25 @@ bool GetThreadCount(const Flags& flags, const char* name, size_t* out) {
   return true;
 }
 
-std::vector<Point> ParseLocations(const std::string& s) {
+/// `;`-separated `x:y` candidate locations (empty pieces are skipped);
+/// nullopt (after a message) on a piece that is not two finite numbers.
+std::optional<std::vector<Point>> ParseLocations(const std::string& s) {
   std::vector<Point> out;
   std::istringstream in(s);
   std::string pair;
   while (std::getline(in, pair, ';')) {
+    if (pair.empty()) continue;
     const size_t colon = pair.find(':');
-    if (colon == std::string::npos) continue;
-    out.push_back({std::strtod(pair.substr(0, colon).c_str(), nullptr),
-                   std::strtod(pair.substr(colon + 1).c_str(), nullptr)});
+    const std::string_view view(pair);
+    Point p;
+    if (colon == std::string::npos ||
+        !ParseDouble(view.substr(0, colon), &p.x) ||
+        !ParseDouble(view.substr(colon + 1), &p.y)) {
+      std::fprintf(stderr, "--locations: '%s' is not an x:y pair\n",
+                   pair.c_str());
+      return std::nullopt;
+    }
+    out.push_back(p);
   }
   return out;
 }
@@ -277,20 +338,21 @@ struct ObsFlags {
   explicit ObsFlags(const Flags& flags)
       : trace(flags.Has("trace")),
         metrics_out(flags.Get("metrics-out", "")),
-        pool_pages(static_cast<size_t>(flags.GetInt("pool-pages", 256))),
+        pool_pages(flags.Uint("pool-pages", 256)),
         explain(flags.Has("explain")),
-        explain_log(static_cast<size_t>(flags.GetInt("explain-log", 0))),
-        slow_log_ms(flags.Has("slow-log-ms") ? flags.GetDouble("slow-log-ms", 0)
-                                             : -1.0),
+        explain_log(flags.Uint("explain-log", 0)),
+        slow_log_ms(flags.Double("slow-log-ms", -1.0)),
         slow_log_out(flags.Get("slow-log-out", "")),
         profile(flags.Has("profile")),
         trace_out(flags.Get("trace-out", "")),
-        trace_sample(static_cast<uint64_t>(flags.GetInt("trace-sample", 1))),
-        telemetry_ms(flags.Has("telemetry-ms") ? flags.GetInt("telemetry-ms", 1)
-                                               : -1),
+        trace_sample(flags.Uint("trace-sample", 1)),
+        telemetry_ms(flags.Has("telemetry-ms")
+                         ? static_cast<long>(flags.Uint(
+                               "telemetry-ms", 1,
+                               std::numeric_limits<long>::max()))
+                         : -1),
         journal_out(flags.Get("journal-out", "")),
-        journal_sample(static_cast<uint64_t>(
-            std::max(1L, flags.GetInt("journal-sample", 1)))),
+        journal_sample(std::max<uint64_t>(1, flags.Uint("journal-sample", 1))),
         heatmap_out(flags.Get("heatmap-out", "")) {}
 
   bool tracing() const {
@@ -408,7 +470,7 @@ obs::JournalHeader MakeJournalHeader(const Flags& flags, uint64_t threads,
   header.tree = "iur";  // the CLI builds an unclustered IUR-tree
   header.measure = flags.Get("measure", "ej");
   header.weighting = flags.Get("weighting", "tfidf");
-  header.alpha = flags.GetDouble("alpha", 0.5);
+  header.alpha = flags.Alpha();
   header.threads = threads;
   header.sample_every = sample_every;
   header.shards = shards;
@@ -455,8 +517,9 @@ int FinishJournal(obs::WorkloadRecorder* journal, const std::string& path) {
 
 int CmdGen(const Flags& flags) {
   const std::string kind = flags.Get("kind", "flickr");
-  const size_t n = static_cast<size_t>(flags.GetInt("objects", 10000));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const size_t n =
+      flags.Uint("objects", 10000, std::numeric_limits<ObjectId>::max());
+  const uint64_t seed = flags.Uint("seed", 1);
   const WeightingOptions weighting = ParseWeighting(flags);
   Dataset dataset;
   if (kind == "yelp") {
@@ -498,11 +561,12 @@ int CmdGenUsers(const Flags& flags) {
     return 1;
   }
   UserGenConfig config;
-  config.num_users = static_cast<size_t>(flags.GetInt("num", 100));
-  config.keywords_per_user = static_cast<size_t>(flags.GetInt("ul", 3));
-  config.num_unique_keywords = static_cast<size_t>(flags.GetInt("uw", 20));
-  config.area_extent = flags.GetDouble("area", 5.0);
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
+  config.num_users =
+      flags.Uint("num", 100, std::numeric_limits<ObjectId>::max());
+  config.keywords_per_user = flags.Uint("ul", 3);
+  config.num_unique_keywords = flags.Uint("uw", 20);
+  config.area_extent = flags.Double("area", 5.0);
+  config.seed = flags.Uint("seed", 11);
   const GeneratedUsers gen = GenUsers(data.value(), config);
   const std::string out = flags.Get("out", "users.csv");
   const Status s = SaveUsersIds(gen.users, out);
@@ -575,16 +639,16 @@ int CmdTopK(const Flags& flags) {
   const IurTree tree = IurTree::BuildFromDataset(dataset, {});
   TextSimilarity sim(ParseMeasure(flags, TextMeasure::kExtendedJaccard),
                      &dataset.corpus_max());
-  StScorer scorer(&sim, {flags.GetDouble("alpha", 0.5), dataset.max_dist()});
+  StScorer scorer(&sim, {flags.Alpha(), dataset.max_dist()});
   TopKSearcher searcher(&tree, &dataset, &scorer);
   const std::optional<std::vector<TermId>> terms =
       ParseTerms(flags.Get("keywords", ""), "--keywords");
   if (!terms.has_value()) return 2;
   const TermVector qdoc = TermVector::FromTerms(*terms);
   TopKQuery query;
-  query.loc = {flags.GetDouble("x", 0), flags.GetDouble("y", 0)};
+  query.loc = {flags.Double("x", 0), flags.Double("y", 0)};
   query.doc = &qdoc;
-  query.k = static_cast<size_t>(flags.GetInt("k", 10));
+  query.k = flags.Uint("k", 10);
   const ObsFlags obs_flags(flags);
   obs::QueryTrace trace(obs::names::kTraceTopk);
   IoStats io;
@@ -610,13 +674,12 @@ int CmdRstknn(const Flags& flags) {
   const Dataset& dataset = data.value();
   TextSimilarity sim(ParseMeasure(flags, TextMeasure::kExtendedJaccard),
                      &dataset.corpus_max());
-  StScorer scorer(&sim, {flags.GetDouble("alpha", 0.5), dataset.max_dist()});
+  StScorer scorer(&sim, {flags.Alpha(), dataset.max_dist()});
 
   // Runtime telemetry starts before the index build so the runtime.* gauges
   // cover the build's memory growth, not just the queries.
   const ObsFlags obs_flags(flags);
-  const size_t num_shards =
-      static_cast<size_t>(std::max(0L, flags.GetInt("shards", 0)));
+  const size_t num_shards = flags.Uint("shards", 0);
   const bool use_sharded = num_shards > 0;
   if (use_sharded && obs_flags.explain) {
     std::fprintf(stderr,
@@ -634,7 +697,7 @@ int CmdRstknn(const Flags& flags) {
   // The query list, validated before the index build: every object of
   // --ids, the object of --id, or one ad-hoc --keywords/--x/--y query.
   const bool batch_output = flags.Has("ids");
-  const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
+  const size_t k = flags.Uint("k", 10);
   std::vector<ObjectId> ids;
   TermVector qdoc;
   std::vector<RstknnQuery> queries;
@@ -661,7 +724,7 @@ int CmdRstknn(const Flags& flags) {
         ParseTerms(flags.Get("keywords", ""), "--keywords");
     if (!terms.has_value()) return 2;
     qdoc = TermVector::FromTerms(*terms);
-    queries.push_back({{flags.GetDouble("x", 0), flags.GetDouble("y", 0)},
+    queries.push_back({{flags.Double("x", 0), flags.Double("y", 0)},
                        &qdoc, k, IurTree::kNoObject});
   }
   for (ObjectId id : ids) {
@@ -919,16 +982,19 @@ int CmdMaxBrst(const Flags& flags) {
   }
   const IurTree tree = IurTree::BuildFromDataset(dataset, {});
   TextSimilarity sim(TextMeasure::kSum, &dataset.corpus_max());
-  StScorer scorer(&sim, {flags.GetDouble("alpha", 0.5), dataset.max_dist()});
+  StScorer scorer(&sim, {flags.Alpha(), dataset.max_dist()});
 
   MaxBrstQuery query;
-  query.locations = ParseLocations(flags.Get("locations", ""));
+  std::optional<std::vector<Point>> locations =
+      ParseLocations(flags.Get("locations", ""));
+  if (!locations.has_value()) return 2;
+  query.locations = std::move(*locations);
   std::optional<std::vector<TermId>> keywords =
       ParseTerms(flags.Get("keywords", ""), "--keywords");
   if (!keywords.has_value()) return 2;
   query.keywords = std::move(*keywords);
-  query.ws = static_cast<size_t>(flags.GetInt("ws", 2));
-  query.k = static_cast<size_t>(flags.GetInt("k", 10));
+  query.ws = flags.Uint("ws", 2);
+  query.k = flags.Uint("k", 10);
   if (query.locations.empty() || query.keywords.empty()) {
     std::fprintf(stderr, "need --locations \"x:y;x:y\" and --keywords\n");
     return 2;
