@@ -35,49 +35,92 @@ std::string_view ExplainBoundName(ExplainBound bound) {
   return "unknown";
 }
 
-namespace {
-
-void Tally(ExplainLevelSummary* summary, const ExplainDecision& decision) {
-  switch (decision.verdict) {
+void DecisionCounters::Tally(ExplainVerdict verdict, ExplainBound bound,
+                             uint64_t decided_objects) {
+  ++visits;
+  switch (verdict) {
     case ExplainVerdict::kPrune:
-      ++summary->pruned;
-      summary->objects_pruned += decision.subtree_count;
+      ++pruned;
+      objects_pruned += decided_objects;
       break;
     case ExplainVerdict::kExpand:
-      ++summary->expanded;
+      ++expanded;
       break;
     case ExplainVerdict::kReportHit:
-      ++summary->reported_hit;
-      summary->objects_reported += decision.subtree_count;
+      ++reported_hit;
+      objects_reported += decided_objects;
       break;
     case ExplainVerdict::kReportMiss:
-      ++summary->reported_miss;
-      summary->objects_pruned += decision.subtree_count;
+      ++reported_miss;
+      objects_pruned += decided_objects;
+      break;
+  }
+  switch (bound) {
+    case ExplainBound::kNone:
+      break;
+    case ExplainBound::kLowerBound:
+      ++lower_bound_fires;
+      break;
+    case ExplainBound::kUpperBound:
+      ++upper_bound_fires;
+      break;
+    case ExplainBound::kExact:
+      ++exact_fires;
       break;
   }
 }
 
-void AddSummary(ExplainLevelSummary* into, const ExplainLevelSummary& from) {
-  into->pruned += from.pruned;
-  into->expanded += from.expanded;
-  into->reported_hit += from.reported_hit;
-  into->reported_miss += from.reported_miss;
-  into->objects_pruned += from.objects_pruned;
-  into->objects_reported += from.objects_reported;
+DecisionCounters& DecisionCounters::operator+=(const DecisionCounters& other) {
+  visits += other.visits;
+  pruned += other.pruned;
+  expanded += other.expanded;
+  reported_hit += other.reported_hit;
+  reported_miss += other.reported_miss;
+  objects_pruned += other.objects_pruned;
+  objects_reported += other.objects_reported;
+  lower_bound_fires += other.lower_bound_fires;
+  upper_bound_fires += other.upper_bound_fires;
+  exact_fires += other.exact_fires;
+  return *this;
 }
 
-}  // namespace
+Status DecisionCounters::CheckReconciles(std::string_view source,
+                                         uint64_t expansions,
+                                         uint64_t pruned_entries,
+                                         uint64_t reported_entries) const {
+  auto mismatch = [source](std::string_view what, uint64_t got,
+                           uint64_t want) {
+    std::ostringstream os;
+    os << source << " does not reconcile with RstknnStats: " << what << ": "
+       << source << "=" << got << " stats=" << want;
+    return Status::InvalidArgument(os.str());
+  };
+  if (pruned + reported_miss != pruned_entries) {
+    return mismatch("prune + report_miss vs pruned_entries",
+                    pruned + reported_miss, pruned_entries);
+  }
+  if (reported_hit != reported_entries) {
+    return mismatch("report_hit vs reported_entries", reported_hit,
+                    reported_entries);
+  }
+  if (expanded != expansions) {
+    return mismatch("expand vs expansions", expanded, expansions);
+  }
+  return Status::Ok();
+}
+
+DecisionCounters& LevelSlot(std::vector<DecisionCounters>* levels,
+                            uint32_t level) {
+  for (size_t i = levels->size(); i <= level; ++i) {
+    levels->emplace_back().level = static_cast<uint32_t>(i);
+  }
+  return (*levels)[level];
+}
 
 void ExplainRecorder::Record(const ExplainDecision& decision) {
-  Tally(&totals_, decision);
-  if (decision.level >= levels_.size()) {
-    size_t old_size = levels_.size();
-    levels_.resize(decision.level + 1);
-    for (size_t i = old_size; i < levels_.size(); ++i) {
-      levels_[i].level = static_cast<uint32_t>(i);
-    }
-  }
-  Tally(&levels_[decision.level], decision);
+  totals_.Tally(decision.verdict, decision.bound, decision.subtree_count);
+  LevelSlot(&levels_, decision.level)
+      .Tally(decision.verdict, decision.bound, decision.subtree_count);
   if (log_.size() < max_decisions_) {
     log_.push_back(decision);
   } else if (max_decisions_ > 0) {
@@ -87,16 +130,9 @@ void ExplainRecorder::Record(const ExplainDecision& decision) {
 
 void ExplainRecorder::Merge(const ExplainRecorder& other) {
   if (algorithm_.empty()) algorithm_ = other.algorithm_;
-  AddSummary(&totals_, other.totals_);
-  const size_t old_size = levels_.size();
-  if (other.levels_.size() > old_size) {
-    levels_.resize(other.levels_.size());
-    for (size_t i = old_size; i < levels_.size(); ++i) {
-      levels_[i].level = static_cast<uint32_t>(i);
-    }
-  }
-  for (size_t i = 0; i < other.levels_.size(); ++i) {
-    AddSummary(&levels_[i], other.levels_[i]);
+  totals_ += other.totals_;
+  for (const DecisionCounters& level : other.levels_) {
+    LevelSlot(&levels_, level.level) += level;
   }
   if (max_decisions_ == 0) return;
   const size_t taken =
@@ -107,33 +143,10 @@ void ExplainRecorder::Merge(const ExplainRecorder& other) {
 
 void ExplainRecorder::Reset() {
   algorithm_.clear();
-  totals_ = ExplainLevelSummary{};
+  totals_ = DecisionCounters{};
   levels_.clear();
   log_.clear();
   log_dropped_ = 0;
-}
-
-Status ExplainRecorder::CheckReconciles(uint64_t expansions,
-                                        uint64_t pruned_entries,
-                                        uint64_t reported_entries) const {
-  auto mismatch = [](std::string_view what, uint64_t got, uint64_t want) {
-    std::ostringstream os;
-    os << "explain does not reconcile with RstknnStats: " << what << ": explain="
-       << got << " stats=" << want;
-    return Status::InvalidArgument(os.str());
-  };
-  if (totals_.pruned + totals_.reported_miss != pruned_entries) {
-    return mismatch("prune + report_miss vs pruned_entries",
-                    totals_.pruned + totals_.reported_miss, pruned_entries);
-  }
-  if (totals_.reported_hit != reported_entries) {
-    return mismatch("report_hit vs reported_entries", totals_.reported_hit,
-                    reported_entries);
-  }
-  if (totals_.expanded != expansions) {
-    return mismatch("expand vs expansions", totals_.expanded, expansions);
-  }
-  return Status::Ok();
 }
 
 std::string ExplainRecorder::ToString() const {
@@ -145,7 +158,7 @@ std::string ExplainRecorder::ToString() const {
      << " report_miss=" << totals_.reported_miss << "\n";
   os << "  objects: pruned=" << totals_.objects_pruned
      << " reported=" << totals_.objects_reported << "\n";
-  for (const ExplainLevelSummary& level : levels_) {
+  for (const DecisionCounters& level : levels_) {
     if (level.decisions() == 0) continue;
     os << "  level " << level.level << ": prune=" << level.pruned
        << " expand=" << level.expanded << " report_hit=" << level.reported_hit
@@ -172,7 +185,7 @@ std::string ExplainRecorder::ToString() const {
 
 namespace {
 
-void AppendSummaryFields(JsonWriter* w, const ExplainLevelSummary& s) {
+void AppendSummaryFields(JsonWriter* w, const DecisionCounters& s) {
   w->Key("prune");
   w->Uint(s.pruned);
   w->Key("expand");
@@ -201,7 +214,7 @@ void ExplainRecorder::AppendJson(JsonWriter* writer) const {
   writer->EndObject();
   writer->Key("levels");
   writer->BeginArray();
-  for (const ExplainLevelSummary& level : levels_) {
+  for (const DecisionCounters& level : levels_) {
     if (level.decisions() == 0) continue;
     writer->BeginObject();
     writer->Key("level");

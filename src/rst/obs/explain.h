@@ -48,20 +48,47 @@ struct ExplainDecision {
   uint64_t subtree_count = 0;  ///< objects decided by this verdict
 };
 
-/// Per-tree-level aggregation of decisions (level 0 = the root's entries).
-struct ExplainLevelSummary {
-  uint32_t level = 0;
-  uint64_t pruned = 0;
-  uint64_t expanded = 0;
-  uint64_t reported_hit = 0;
-  uint64_t reported_miss = 0;
+/// Decision tallies of one node, one tree level or a whole run — the one
+/// counter struct EXPLAIN (per level) and the heatmap (per node, per level
+/// and in total) share, so both count a verdict the same way.
+struct DecisionCounters {
+  uint32_t level = 0;             ///< tree level (0 = the root's entries)
+  uint64_t visits = 0;            ///< decisions of any kind
+  uint64_t pruned = 0;            ///< subtree discarded via bounds
+  uint64_t expanded = 0;          ///< node opened, children enqueued
+  uint64_t reported_hit = 0;      ///< reported as (containing) answers
+  uint64_t reported_miss = 0;     ///< object decided exactly, not an answer
   uint64_t objects_pruned = 0;    ///< objects inside pruned subtrees
   uint64_t objects_reported = 0;  ///< objects inside reported subtrees
+  uint64_t lower_bound_fires = 0;
+  uint64_t upper_bound_fires = 0;
+  uint64_t exact_fires = 0;
 
   uint64_t decisions() const {
     return pruned + expanded + reported_hit + reported_miss;
   }
+
+  /// Counts one decision that settled `decided_objects` objects.
+  void Tally(ExplainVerdict verdict, ExplainBound bound,
+             uint64_t decided_objects);
+  /// Adds every counter of `other`; `level` stays as it is.
+  DecisionCounters& operator+=(const DecisionCounters& other);
+
+  /// The reconciliation identities against RstknnStats summed over exactly
+  /// the recorded queries:
+  ///   pruned + reported_miss == stats.pruned_entries,
+  ///   reported_hit          == stats.reported_entries,
+  ///   expanded              == stats.expansions.
+  /// InvalidArgument naming `source` and the first broken identity otherwise.
+  Status CheckReconciles(std::string_view source, uint64_t expansions,
+                         uint64_t pruned_entries,
+                         uint64_t reported_entries) const;
 };
+
+/// The slot of `level` in a dense per-level vector, growing the vector (and
+/// stamping each new slot's level) as needed.
+DecisionCounters& LevelSlot(std::vector<DecisionCounters>* levels,
+                            uint32_t level);
 
 /// EXPLAIN-level recorder for one RSTkNN query: every branch-and-bound
 /// decision (which entry, which bound, which verdict) lands here when a
@@ -75,12 +102,11 @@ struct ExplainLevelSummary {
 /// and seed the JSON export is byte-identical at any thread count (the
 /// batch engine runs the unmodified single-query algorithm).
 ///
-/// Reconciliation: decision totals are definitionally tied to RstknnStats —
-///   pruned + reported_miss == stats.pruned_entries,
-///   reported_hit          == stats.reported_entries,
-///   expanded              == stats.expansions —
-/// CheckReconciles() verifies the identities; explain_test property-tests
-/// them across algorithms and tree variants.
+/// Reconciliation: the search bumps the decision counters of RstknnStats
+/// and records the decision here in one call (SearchObserver::Decide), so the
+/// totals reconcile with the stats by construction; CheckReconciles()
+/// verifies the identities (DecisionCounters::CheckReconciles) and
+/// explain_test property-tests them across algorithms and tree variants.
 ///
 /// Single-threaded by design, like QueryTrace: one recorder per query; a
 /// batch gives each query its own and merges them in query order.
@@ -108,20 +134,20 @@ class ExplainRecorder {
   /// would have kept over the whole batch.
   void Merge(const ExplainRecorder& other);
 
-  // --- totals (across all levels) ---
-  uint64_t pruned() const { return totals_.pruned; }
-  uint64_t expanded() const { return totals_.expanded; }
-  uint64_t reported_hit() const { return totals_.reported_hit; }
-  uint64_t reported_miss() const { return totals_.reported_miss; }
+  /// Totals across all levels.
+  const DecisionCounters& totals() const { return totals_; }
   uint64_t decisions() const { return totals_.decisions(); }
 
   /// Verifies the decision totals against the searcher's counters (see class
   /// comment); InvalidArgument with the first broken identity otherwise.
   Status CheckReconciles(uint64_t expansions, uint64_t pruned_entries,
-                         uint64_t reported_entries) const;
+                         uint64_t reported_entries) const {
+    return totals_.CheckReconciles("explain", expansions, pruned_entries,
+                                   reported_entries);
+  }
 
-  /// Levels with at least one decision, ascending.
-  const std::vector<ExplainLevelSummary>& levels() const { return levels_; }
+  /// Per-level tallies, dense by level (a level may have no decisions).
+  const std::vector<DecisionCounters>& levels() const { return levels_; }
 
   /// Decision log (first `max_decisions` decisions, in decision order).
   const std::vector<ExplainDecision>& log() const { return log_; }
@@ -138,8 +164,8 @@ class ExplainRecorder {
  private:
   std::string algorithm_;
   size_t max_decisions_;
-  ExplainLevelSummary totals_;
-  std::vector<ExplainLevelSummary> levels_;  ///< dense by level
+  DecisionCounters totals_;
+  std::vector<DecisionCounters> levels_;  ///< dense by level
   std::vector<ExplainDecision> log_;
   uint64_t log_dropped_ = 0;
 };

@@ -7,74 +7,20 @@
 
 namespace rst::obs {
 
-HeatmapNodeCounters& HeatmapNodeCounters::operator+=(
-    const HeatmapNodeCounters& other) {
-  visits += other.visits;
-  pruned += other.pruned;
-  expanded += other.expanded;
-  reported_hit += other.reported_hit;
-  reported_miss += other.reported_miss;
-  objects_pruned += other.objects_pruned;
-  objects_reported += other.objects_reported;
-  lower_bound_fires += other.lower_bound_fires;
-  upper_bound_fires += other.upper_bound_fires;
-  exact_fires += other.exact_fires;
-  return *this;
-}
-
-namespace {
-
-void Tally(HeatmapNodeCounters* c, ExplainVerdict verdict, ExplainBound bound,
-           uint64_t decided_objects) {
-  ++c->visits;
-  switch (verdict) {
-    case ExplainVerdict::kPrune:
-      ++c->pruned;
-      c->objects_pruned += decided_objects;
-      break;
-    case ExplainVerdict::kExpand:
-      ++c->expanded;
-      break;
-    case ExplainVerdict::kReportHit:
-      ++c->reported_hit;
-      c->objects_reported += decided_objects;
-      break;
-    case ExplainVerdict::kReportMiss:
-      ++c->reported_miss;
-      c->objects_pruned += decided_objects;
-      break;
-  }
-  switch (bound) {
-    case ExplainBound::kNone:
-      break;
-    case ExplainBound::kLowerBound:
-      ++c->lower_bound_fires;
-      break;
-    case ExplainBound::kUpperBound:
-      ++c->upper_bound_fires;
-      break;
-    case ExplainBound::kExact:
-      ++c->exact_fires;
-      break;
-  }
-}
-
-}  // namespace
-
 void HeatmapRecorder::Record(uint64_t node_id, uint32_t level,
                              ExplainVerdict verdict, ExplainBound bound,
                              uint64_t decided_objects) {
-  Tally(&totals_, verdict, bound, decided_objects);
-  HeatmapNodeCounters& node = nodes_[node_id];
+  totals_.Tally(verdict, bound, decided_objects);
+  DecisionCounters& node = nodes_[node_id];
   node.level = level;
-  Tally(&node, verdict, bound, decided_objects);
+  node.Tally(verdict, bound, decided_objects);
 }
 
 void HeatmapRecorder::Merge(const HeatmapRecorder& other) {
   queries_ += other.queries_;
   totals_ += other.totals_;
   for (const auto& [id, counters] : other.nodes_) {
-    HeatmapNodeCounters& node = nodes_[id];
+    DecisionCounters& node = nodes_[id];
     node.level = counters.level;
     node += counters;
   }
@@ -82,27 +28,17 @@ void HeatmapRecorder::Merge(const HeatmapRecorder& other) {
 
 void HeatmapRecorder::Reset() {
   queries_ = 0;
-  totals_ = HeatmapNodeCounters{};
+  totals_ = DecisionCounters{};
   nodes_.clear();
 }
 
-std::vector<HeatmapNodeCounters> HeatmapRecorder::LevelSummaries() const {
-  std::vector<HeatmapNodeCounters> levels;
+std::vector<DecisionCounters> HeatmapRecorder::LevelSummaries() const {
+  std::vector<DecisionCounters> levels;
   for (const auto& [id, counters] : nodes_) {
-    if (counters.level >= levels.size()) {
-      size_t old_size = levels.size();
-      levels.resize(counters.level + 1);
-      for (size_t i = old_size; i < levels.size(); ++i) {
-        levels[i].level = static_cast<uint32_t>(i);
-      }
-    }
-    const uint32_t level = counters.level;
-    const HeatmapNodeCounters saved = levels[level];
-    levels[level] += counters;
-    levels[level].level = saved.level;
+    LevelSlot(&levels, counters.level) += counters;
   }
   levels.erase(std::remove_if(levels.begin(), levels.end(),
-                              [](const HeatmapNodeCounters& c) {
+                              [](const DecisionCounters& c) {
                                 return c.visits == 0;
                               }),
                levels.end());
@@ -112,41 +48,29 @@ std::vector<HeatmapNodeCounters> HeatmapRecorder::LevelSummaries() const {
 Status HeatmapRecorder::CheckReconciles(uint64_t expansions,
                                         uint64_t pruned_entries,
                                         uint64_t reported_entries) const {
-  auto mismatch = [](std::string_view what, uint64_t got, uint64_t want) {
-    std::ostringstream os;
-    os << "heatmap does not reconcile with RstknnStats: " << what
-       << ": heatmap=" << got << " stats=" << want;
-    return Status::InvalidArgument(os.str());
-  };
-  if (totals_.pruned + totals_.reported_miss != pruned_entries) {
-    return mismatch("prune + report_miss vs pruned_entries",
-                    totals_.pruned + totals_.reported_miss, pruned_entries);
-  }
-  if (totals_.reported_hit != reported_entries) {
-    return mismatch("report_hit vs reported_entries", totals_.reported_hit,
-                    reported_entries);
-  }
-  if (totals_.expanded != expansions) {
-    return mismatch("expand vs expansions", totals_.expanded, expansions);
-  }
+  const Status totals = totals_.CheckReconciles("heatmap", expansions,
+                                                pruned_entries,
+                                                reported_entries);
+  if (!totals.ok()) return totals;
   // The per-node map must agree with the running totals (catches a bad
   // Merge): sum the map and compare the decision counters.
-  HeatmapNodeCounters sum;
+  DecisionCounters sum;
   for (const auto& [id, counters] : nodes_) sum += counters;
   if (sum.pruned != totals_.pruned || sum.expanded != totals_.expanded ||
       sum.reported_hit != totals_.reported_hit ||
       sum.reported_miss != totals_.reported_miss) {
-    return mismatch("per-node sum vs totals",
-                    sum.pruned + sum.expanded + sum.reported_hit +
-                        sum.reported_miss,
-                    decisions());
+    std::ostringstream os;
+    os << "heatmap does not reconcile with RstknnStats: per-node sum vs "
+          "totals: heatmap="
+       << sum.decisions() << " stats=" << decisions();
+    return Status::InvalidArgument(os.str());
   }
   return Status::Ok();
 }
 
 namespace {
 
-void AppendCounterFields(JsonWriter* w, const HeatmapNodeCounters& c) {
+void AppendCounterFields(JsonWriter* w, const DecisionCounters& c) {
   w->Key("visits");
   w->Uint(c.visits);
   w->Key("pruned");
@@ -183,7 +107,7 @@ void HeatmapRecorder::AppendJson(JsonWriter* writer, size_t max_nodes) const {
   writer->EndObject();
   writer->Key("levels");
   writer->BeginArray();
-  for (const HeatmapNodeCounters& level : LevelSummaries()) {
+  for (const DecisionCounters& level : LevelSummaries()) {
     writer->BeginObject();
     writer->Key("level");
     writer->Uint(level.level);
@@ -192,7 +116,7 @@ void HeatmapRecorder::AppendJson(JsonWriter* writer, size_t max_nodes) const {
   }
   writer->EndArray();
 
-  std::vector<std::pair<uint64_t, const HeatmapNodeCounters*>> ordered;
+  std::vector<std::pair<uint64_t, const DecisionCounters*>> ordered;
   ordered.reserve(nodes_.size());
   for (const auto& [id, counters] : nodes_) ordered.emplace_back(id, &counters);
   if (max_nodes > 0 && ordered.size() > max_nodes) {
@@ -239,7 +163,7 @@ std::string HeatmapRecorder::ToString() const {
      << totals_.pruned << " expand=" << totals_.expanded
      << " report_hit=" << totals_.reported_hit
      << " report_miss=" << totals_.reported_miss << "\n";
-  for (const HeatmapNodeCounters& level : LevelSummaries()) {
+  for (const DecisionCounters& level : LevelSummaries()) {
     const uint64_t decided = level.pruned + level.reported_miss;
     os << "  level " << level.level << ": visits=" << level.visits
        << " prune=" << level.pruned << " expand=" << level.expanded

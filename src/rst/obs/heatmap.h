@@ -13,33 +13,17 @@ namespace rst::obs {
 
 class JsonWriter;
 
-/// Per-node counters accumulated by a HeatmapRecorder. A node is identified
-/// by its stable explain preorder id (`entry_index + 1` in a FrozenTree, a
-/// function of tree structure alone), so heatmaps from separate runs of the
-/// same workload over the same index are directly comparable.
-struct HeatmapNodeCounters {
-  uint32_t level = 0;             ///< tree level (0 = leaf entries)
-  uint64_t visits = 0;            ///< decisions of any kind touching this node
-  uint64_t pruned = 0;            ///< subtree discarded via bounds
-  uint64_t expanded = 0;          ///< node opened, children enqueued
-  uint64_t reported_hit = 0;      ///< reported as (containing) answers
-  uint64_t reported_miss = 0;     ///< decided exactly, not an answer
-  uint64_t objects_pruned = 0;    ///< objects discarded under this node
-  uint64_t objects_reported = 0;  ///< objects reported under this node
-  uint64_t lower_bound_fires = 0;
-  uint64_t upper_bound_fires = 0;
-  uint64_t exact_fires = 0;
-
-  HeatmapNodeCounters& operator+=(const HeatmapNodeCounters& other);
-};
-
 /// Workload-level index heatmap: per-node visit/prune/expand/report counters
-/// accumulated across queries. Unlike ExplainRecorder (one query, full
-/// decision log), this keeps only counters keyed by node id, so it stays
-/// small and mergeable no matter how many queries feed it.
+/// (DecisionCounters) accumulated across queries. A node is identified by its
+/// stable explain preorder id (`entry_index + 1` in a FrozenTree, a function
+/// of tree structure alone), so heatmaps from separate runs of the same
+/// workload over the same index are directly comparable. Unlike
+/// ExplainRecorder (one query, full decision log), this keeps only counters
+/// keyed by node id, so it stays small and mergeable no matter how many
+/// queries feed it.
 ///
-/// Contract (mirrors ExplainRecorder::CheckReconciles): summed over all
-/// nodes, `pruned + reported_miss == stats.pruned_entries`,
+/// Contract (DecisionCounters::CheckReconciles, as for ExplainRecorder):
+/// summed over all nodes, `pruned + reported_miss == stats.pruned_entries`,
 /// `reported_hit == stats.reported_entries` and
 /// `expanded == stats.expansions`, where `stats` is the sum of RstknnStats
 /// over exactly the queries recorded — per query, per batch, and after
@@ -66,17 +50,12 @@ class HeatmapRecorder {
   void AddQueries(uint64_t n) { queries_ += n; }
   uint64_t queries() const { return queries_; }
 
-  uint64_t decisions() const {
-    return totals_.pruned + totals_.expanded + totals_.reported_hit +
-           totals_.reported_miss;
-  }
-  const HeatmapNodeCounters& totals() const { return totals_; }
-  const std::map<uint64_t, HeatmapNodeCounters>& nodes() const {
-    return nodes_;
-  }
+  uint64_t decisions() const { return totals_.decisions(); }
+  const DecisionCounters& totals() const { return totals_; }
+  const std::map<uint64_t, DecisionCounters>& nodes() const { return nodes_; }
 
   /// Per-level sums in level order (levels with no decisions omitted).
-  std::vector<HeatmapNodeCounters> LevelSummaries() const;
+  std::vector<DecisionCounters> LevelSummaries() const;
 
   /// Exact reconciliation against summed RstknnStats; InvalidArgument with a
   /// counter-by-counter message on any mismatch.
@@ -93,9 +72,9 @@ class HeatmapRecorder {
 
  private:
   uint64_t queries_ = 0;
-  HeatmapNodeCounters totals_;
+  DecisionCounters totals_;
   // Ordered by node id: deterministic iteration for export and merge.
-  std::map<uint64_t, HeatmapNodeCounters> nodes_;
+  std::map<uint64_t, DecisionCounters> nodes_;
 };
 
 }  // namespace rst::obs

@@ -4,6 +4,9 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <string>
+#include <string_view>
 
 #include "rst/common/file_util.h"
 #include "rst/obs/json.h"
@@ -223,16 +226,39 @@ Status ReadDouble(const JsonValue& obj, const char* key, double* out) {
   return Status::Ok();
 }
 
+/// Reads string `key` and refuses any value outside `allowed`, so a replay
+/// never silently falls back to a default scorer or algorithm.
+Status ReadToken(const JsonValue& obj, const char* key,
+                 std::initializer_list<std::string_view> allowed,
+                 std::string* out) {
+  JOURNAL_RETURN_IF_ERROR(ReadString(obj, key, out));
+  if (std::find(allowed.begin(), allowed.end(), *out) != allowed.end()) {
+    return Status::Ok();
+  }
+  std::string message = std::string("journal: ") + key + " \"" + *out +
+                        "\" is not one of ";
+  for (const std::string_view token : allowed) {
+    if (token != *allowed.begin()) message += "|";
+    message += token;
+  }
+  return Status::InvalidArgument(message);
+}
+
 /// Keys not read here are ignored, e.g. the `view` ("pointer" | "frozen")
 /// that older captures carry: every replay searches a frozen tree, and the
 /// answers and stats never depended on the view.
 Status ParseHeader(const JsonValue& obj, JournalHeader* header) {
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "label", &header->label));
   JOURNAL_RETURN_IF_ERROR(ReadString(obj, "data", &header->data));
-  JOURNAL_RETURN_IF_ERROR(ReadString(obj, "algo", &header->algo));
-  JOURNAL_RETURN_IF_ERROR(ReadString(obj, "tree", &header->tree));
-  JOURNAL_RETURN_IF_ERROR(ReadString(obj, "measure", &header->measure));
-  JOURNAL_RETURN_IF_ERROR(ReadString(obj, "weighting", &header->weighting));
+  JOURNAL_RETURN_IF_ERROR(
+      ReadToken(obj, "algo", {"probe", "contribution_list"}, &header->algo));
+  JOURNAL_RETURN_IF_ERROR(
+      ReadToken(obj, "tree", {"iur", "ciur"}, &header->tree));
+  JOURNAL_RETURN_IF_ERROR(
+      ReadToken(obj, "measure", {"ej", "cos", "sum"}, &header->measure));
+  JOURNAL_RETURN_IF_ERROR(ReadToken(obj, "weighting",
+                                    {"tfidf", "lm", "binary"},
+                                    &header->weighting));
   JOURNAL_RETURN_IF_ERROR(ReadDouble(obj, "alpha", &header->alpha));
   // The scorer's bounds hold only for a spatial weight in [0, 1].
   if (!(header->alpha >= 0.0 && header->alpha <= 1.0)) {

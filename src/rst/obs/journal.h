@@ -35,8 +35,8 @@ struct JournalHeader {
   std::string data;       ///< dataset path ("" if not materialized)
   std::string algo;       ///< "probe" | "contribution_list"
   std::string tree;       ///< "iur" | "ciur"
-  std::string measure;    ///< text similarity measure flag value
-  std::string weighting;  ///< term weighting flag value
+  std::string measure;    ///< "ej" | "cos" | "sum"
+  std::string weighting;  ///< "tfidf" | "lm" | "binary"
   double alpha = 0.5;
   uint64_t threads = 1;
   uint64_t sample_every = 1;

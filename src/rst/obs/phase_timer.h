@@ -14,8 +14,9 @@
 // (rstknn.phase.*) in the global registry.
 //
 // Overhead contract:
-//   * idle — a null profiler costs one pointer test per hook (same
-//     discipline as TraceSpan), ≤1% on the micro_batch serial row;
+//   * idle — a null profiler costs one pointer test per hook: the search
+//     opens every phase through its SearchObserver, which skips a null
+//     profiler (BENCH_obs.json measures the cost);
 //   * attached — one steady_clock read per phase boundary plus an array
 //     add; no allocation, no locks.
 //
@@ -106,23 +107,6 @@ class PhaseProfiler {
   /// Nesting beyond kMaxDepth: counted so Exit() stays balanced.
   size_t overflow_ = 0;
   Clock::time_point slice_start_;
-};
-
-/// RAII scope attributing its lifetime to `phase`. Null profiler = one
-/// branch.
-class PhaseTimer {
- public:
-  PhaseTimer(PhaseProfiler* profiler, Phase phase) : profiler_(profiler) {
-    if (profiler_ != nullptr) profiler_->Enter(phase);
-  }
-  ~PhaseTimer() {
-    if (profiler_ != nullptr) profiler_->Exit();
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  PhaseProfiler* profiler_;
 };
 
 }  // namespace rst::obs

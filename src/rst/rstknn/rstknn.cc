@@ -1,6 +1,7 @@
 #include "rst/rstknn/rstknn.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,12 +42,11 @@ RstknnStats& RstknnStats::Merge(const RstknnStats& other) {
   return *this;
 }
 
-RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
-                                    const RstknnOptions& options) const {
-  using rstknn_internal::FrozenTreeView;
-  using rstknn_internal::SearchContributionList;
-  using rstknn_internal::SearchProbe;
+namespace rstknn_internal {
 
+void RunQuery(const RstknnOptions& options,
+              const std::vector<ObjectId>& answers, const RstknnStats& stats,
+              const std::function<void()>& search) {
   // Handles are cached so the per-query registry cost is two atomic adds
   // and one histogram record.
   struct QueryMetrics {
@@ -63,32 +63,40 @@ RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
   }();
 
   Stopwatch timer;
-  RstknnResult result;
   // Per-query phase attribution: the profiler's window is exactly one
-  // Search(), so its per-phase totals are per-query samples and their sum is
+  // query, so its per-phase totals are per-query samples and their sum is
   // bounded by this query's wall time.
   if (options.profiler != nullptr) options.profiler->Reset();
-  {
-    obs::TraceSpan span(options.trace,
-                        options.algorithm == RstknnAlgorithm::kContributionList
-                            ? obs::names::kSpanRstknnContributionList
-                            : obs::names::kSpanRstknnProbe);
-    const FrozenTreeView view{tree_};
-    result = options.algorithm == RstknnAlgorithm::kContributionList
-                 ? SearchContributionList(view, *dataset_, *scorer_, query,
-                                          options)
-                 : SearchProbe(view, *dataset_, *scorer_, query, options);
-  }
+  search();
   // Phase histograms are per-query by nature, so they publish even when the
   // aggregate-publish path (publish_metrics == false) suppresses the per-
   // query counter traffic; Record() is lock-free either way.
   if (options.profiler != nullptr) options.profiler->Publish();
   if (options.publish_metrics) {
     metrics.queries.Increment();
-    metrics.answers.Add(result.answers.size());
+    metrics.answers.Add(answers.size());
     metrics.latency_ms.Record(timer.ElapsedMillis());
-    result.stats.Publish(obs::names::kRstknnPrefix);
+    stats.Publish(obs::names::kRstknnPrefix);
   }
+}
+
+}  // namespace rstknn_internal
+
+RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
+                                    const RstknnOptions& options) const {
+  RstknnResult result;
+  rstknn_internal::RunQuery(options, result.answers, result.stats, [&] {
+    const bool cl = options.algorithm == RstknnAlgorithm::kContributionList;
+    obs::TraceSpan span(options.trace,
+                        cl ? obs::names::kSpanRstknnContributionList
+                           : obs::names::kSpanRstknnProbe);
+    const rstknn_internal::FrozenTreeView view{tree_};
+    result = cl ? rstknn_internal::SearchContributionList(view, *dataset_,
+                                                          *scorer_, query,
+                                                          options)
+                : rstknn_internal::SearchProbe(view, *dataset_, *scorer_,
+                                               query, options);
+  });
   return result;
 }
 

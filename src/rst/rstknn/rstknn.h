@@ -88,17 +88,22 @@ struct RstknnOptions {
   ExpandPolicy expand = ExpandPolicy::kBestFirst;
   /// Weight of the entropy term under kTextEntropy.
   double entropy_weight = 0.25;
+  /// The four instruments below (trace, profiler, explain, heatmap) feed
+  /// one per-query seam inside the search (DESIGN.md §9): each region opens
+  /// its profiler phase and trace span in one scope, and each
+  /// branch-and-bound verdict bumps RstknnStats and records EXPLAIN and the
+  /// heatmap in one call. A null instrument costs one branch per hook.
+  ///
   /// Optional query trace: the search records per-phase spans (setup,
   /// probe.guaranteed, probe.potential, expand, ...) with counter deltas.
-  /// Null (the default) costs one branch per phase.
   obs::QueryTrace* trace = nullptr;
   /// Optional per-phase latency attribution (DESIGN.md §12): Search() resets
   /// the profiler, attributes wall time into the fixed phase set (descent /
-  /// bounds / merge / io / finalize, exclusive self-time), and publishes one
-  /// rstknn.phase.* histogram sample per phase on completion. Single-threaded
-  /// like `trace` — exec::BatchRunner gives each query a private one and
-  /// merges them into the batch's. Null (the default) costs one branch per
-  /// phase boundary.
+  /// bounds / merge / io / finalize, exclusive self-time) over the same
+  /// regions the trace spans cover, and publishes one rstknn.phase.*
+  /// histogram sample per phase on completion. Single-threaded like `trace`
+  /// — exec::BatchRunner gives each query a private one and merges them into
+  /// the batch's.
   obs::PhaseProfiler* profiler = nullptr;
   /// Optional real-I/O mode: node accesses read the serialized inverted
   /// files through this pool (hits/misses land in the buffer-pool metrics)
@@ -114,21 +119,20 @@ struct RstknnOptions {
   /// batch lands in the registry as ONE aggregated publish instead of N
   /// per-query ones; the returned RstknnStats are unaffected.
   bool publish_metrics = true;
-  /// Optional EXPLAIN recorder (DESIGN.md §9): the search resets it, stamps
-  /// the algorithm, and records every branch-and-bound decision — which
-  /// entry, which bound fired, prune/expand/report verdict. Decision totals
-  /// reconcile exactly with the returned RstknnStats
-  /// (ExplainRecorder::CheckReconciles). Null (the default) costs one branch
-  /// per decision.
+  /// Optional EXPLAIN recorder (DESIGN.md §9): every search — including one
+  /// that returns at once (k = 0, empty tree) — resets it, stamps the
+  /// algorithm, and records every branch-and-bound decision: which entry,
+  /// which bound fired, prune/expand/report verdict. Decision totals
+  /// reconcile exactly with the returned RstknnStats by construction
+  /// (ExplainRecorder::CheckReconciles verifies it).
   obs::ExplainRecorder* explain = nullptr;
   /// Optional cross-query index heatmap: every branch-and-bound decision
   /// also bumps per-node visit/prune/expand/report counters keyed by the
-  /// same stable explain ids. Unlike `explain` the recorder is NOT reset per
-  /// query — it accumulates a workload-level view whose totals reconcile
-  /// exactly against the summed RstknnStats over the recorded queries
-  /// (HeatmapRecorder::CheckReconciles). Not thread-safe: one per worker,
-  /// merged after the batch. Null (the default) costs one branch per
-  /// decision.
+  /// same stable explain ids, through the same tally as `explain`. Unlike
+  /// `explain` the recorder is NOT reset per query — it accumulates a
+  /// workload-level view whose totals reconcile exactly against the summed
+  /// RstknnStats over the recorded queries (HeatmapRecorder::CheckReconciles).
+  /// Not thread-safe: one per worker, merged after the batch.
   obs::HeatmapRecorder* heatmap = nullptr;
 };
 

@@ -23,7 +23,8 @@
 ///                   [1, EntryKeySpace()) — its explain id — which indexes
 ///                   the pair memo's sparse array and labels EXPLAIN and
 ///                   heatmap records, and EntryLevel gives its tree level;
-///   * I/O         — Charge (simulated or real through a buffer pool);
+///   * I/O         — Charge (simulated or real through a buffer pool),
+///                   given the query's SearchObserver;
 ///   * scope hooks — ProbeRoot / CollectSelfPath / ForEachContextEntry,
 ///                   which default to the single-tree behaviour and let a
 ///                   shard-scoped view search one tree of a forest while
@@ -42,11 +43,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <queue>
-#include <string>
-#include <string_view>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -57,11 +57,10 @@
 #include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/obs/explain.h"
-#include "rst/obs/heatmap.h"
 #include "rst/obs/metric_names.h"
 #include "rst/obs/phase_timer.h"
-#include "rst/obs/trace.h"
 #include "rst/rstknn/rstknn.h"
+#include "rst/rstknn/search_observer.h"
 #include "rst/storage/codec.h"
 
 namespace rst {
@@ -175,6 +174,35 @@ struct ProbeScratch::Impl {
 
 namespace rstknn_internal {
 
+/// The bracket every searcher (RstknnSearcher, shard::ShardedSearcher) runs
+/// one query in, defined in rstknn.cc: it resets options.profiler, runs
+/// `search` (which fills `answers` and `stats`), publishes the profiler's
+/// phases and — unless options.publish_metrics is false — the rstknn.queries
+/// / answers / query.ms metrics and the stats.
+void RunQuery(const RstknnOptions& options,
+              const std::vector<ObjectId>& answers, const RstknnStats& stats,
+              const std::function<void()>& search);
+
+/// A query's working memory — the caller's scratch (its containers keep
+/// their capacity across a batch) or a fresh one held in `local` — reset for
+/// `view`, with the query object's root path collected.
+template <typename View>
+ProbeScratch* AcquireScratch(const View& view, const RstknnQuery& query,
+                             const RstknnOptions& options,
+                             std::unique_ptr<ProbeScratch>* local) {
+  ProbeScratch* scratch = options.scratch;
+  if (scratch == nullptr) {
+    *local = std::make_unique<ProbeScratch>();
+    scratch = local->get();
+  }
+  ProbeScratch::Impl* mem = scratch->impl();
+  mem->ResetForQuery(view.EntryKeySpace());
+  if (query.self != IurTree::kNoObject) {
+    view.CollectSelfPath(query.self, &mem->self_path);
+  }
+  return scratch;
+}
+
 /// Collects the node set on the root-to-leaf path of object `id`.
 template <typename View>
 bool CollectPath(const View& view, typename View::NodeRef node, ObjectId id,
@@ -239,19 +267,18 @@ struct FrozenTreeView {
   /// serialized inverted file is read through the buffer pool — hits charge
   /// nothing and the pool's hit/miss/fill metrics reflect genuine traffic;
   /// otherwise the papers' simulated accounting applies.
-  void Charge(NodeRef n, const RstknnOptions& options,
-              RstknnStats* stats) const {
-    if (options.pool != nullptr) {
-      obs::TraceSpan span(options.trace, obs::names::kSpanStorageReadNode);
-      obs::PhaseTimer io_phase(options.profiler, obs::Phase::kIo);
+  void Charge(NodeRef n,
+              const SearchObserver<FrozenTreeView>& observer) const {
+    IoStats* io = &observer.stats()->io;
+    if (BufferPool* pool = observer.options().pool; pool != nullptr) {
+      const auto read = observer.Phase(obs::Phase::kIo,
+                                       obs::names::kSpanStorageReadNode);
       InvertedFile invfile;
-      if (tree->ReadNodePayload(n, options.pool, &stats->io, &invfile).ok()) {
-        return;
-      }
+      if (tree->ReadNodePayload(n, pool, io, &invfile).ok()) return;
       // No payloads (built without store_payloads): fall back below
       // (nothing was charged).
     }
-    tree->ChargeAccess(n, &stats->io);
+    tree->ChargeAccess(n, io);
   }
 };
 
@@ -329,6 +356,23 @@ double ViewClusterEntropy(const View& view, typename View::EntryRef e) {
   return ClusterEntropy(counts);
 }
 
+/// [MinST(q, E), MaxST(q, E)] of a node entry E: its spatial bounds to the
+/// query location blended with its (cluster-aware) text bounds to `qspan`.
+template <typename View>
+std::pair<double, double> QueryEntryBounds(const View& view,
+                                           const StScorer& scorer,
+                                           const RstknnQuery& query,
+                                           const SummarySpan& qspan,
+                                           typename View::EntryRef e) {
+  const double alpha = scorer.options().alpha;
+  const TextBounds tb = ViewEntryTextBounds(view, e, qspan, scorer.text());
+  const Rect& rect = view.RectOf(e);
+  return {alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
+              (1.0 - alpha) * tb.min_sim,
+          alpha * scorer.SpatialSim(MinDistance(query.loc, rect)) +
+              (1.0 - alpha) * tb.max_sim};
+}
+
 /// A candidate entry of the branch-and-bound search: a subtree (or object)
 /// whose membership in the answer is still to be decided. Candidates live in
 /// an index arena; `home` and the `parent` links spell out the candidate's
@@ -373,40 +417,6 @@ void CollectObjectIds(const View& view, typename View::EntryRef entry,
     CollectObjectIds(view, view.EntryAt(child, i), exclude, out);
   }
 }
-
-/// Per-query EXPLAIN state: the recorder (reset + stamped here) and the
-/// heatmap, both fed the view's deterministic explain ids. Everything is a
-/// no-op when no recorder is attached.
-template <typename View>
-struct ExplainSink {
-  obs::ExplainRecorder* recorder = nullptr;
-  obs::HeatmapRecorder* heatmap = nullptr;
-
-  ExplainSink(const RstknnOptions& options, std::string_view algorithm) {
-    recorder = options.explain;
-    heatmap = options.heatmap;
-    if (recorder != nullptr) {
-      recorder->Reset();
-      recorder->SetAlgorithm(algorithm);
-    }
-    // The heatmap is deliberately NOT reset: it accumulates across queries.
-  }
-
-  void Record(const View& view, typename View::EntryRef entry, double q_min,
-              double q_max, obs::ExplainVerdict verdict,
-              obs::ExplainBound bound, uint64_t decided_objects) const {
-    if (recorder == nullptr && heatmap == nullptr) return;
-    const uint64_t id = view.EntryKey(entry);
-    const uint32_t level = view.EntryLevel(entry);
-    if (recorder != nullptr) {
-      recorder->Record(
-          {id, level, verdict, bound, q_min, q_max, decided_objects});
-    }
-    if (heatmap != nullptr) {
-      heatmap->Record(id, level, verdict, bound, decided_objects);
-    }
-  }
-};
 
 /// A competitor probe's verdict on one (candidate, other) entry pair.
 enum class PairVerdict {
@@ -543,13 +553,15 @@ class PairJudge {
 /// The descent starts at view.ProbeRoot(), so a shard-scoped view counts
 /// competitors across the whole forest. The pair memo and the probe heap
 /// live in `mem`, so a probe allocates only to record a newly opened node.
+/// Work counters land in `observer`'s stats.
 template <typename View>
 size_t CountCompetitors(const View& view, const StScorer& scorer,
-                        const RstknnOptions& options,
+                        const SearchObserver<View>& observer,
                         const Candidate<View>* arena, uint32_t cand,
                         ProbeScratch::Impl* mem, double threshold, size_t k,
-                        ObjectId exclude, bool guaranteed, RstknnStats* stats) {
+                        ObjectId exclude, bool guaranteed) {
   using NodeRef = typename View::NodeRef;
+  RstknnStats* stats = observer.stats();
   const auto& exclude_path = mem->self_path;
   const auto e = arena[cand].entry;
   const Rect& e_rect = view.RectOf(e);
@@ -560,9 +572,7 @@ size_t CountCompetitors(const View& view, const StScorer& scorer,
     // The branch-and-bound keeps every opened node resident for the whole
     // query (the contribution lists reference them), so each node costs its
     // I/O once per query regardless of how many probes revisit it.
-    if (mem->charged.insert(node).second) {
-      view.Charge(node, options, stats);
-    }
+    if (mem->charged.insert(node).second) view.Charge(node, observer);
   };
 
   size_t count = 0;
@@ -648,31 +658,8 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
   using NodeRef = typename View::NodeRef;
   using EntryRef = typename View::EntryRef;
   RstknnResult result;
+  const SearchObserver<View> observer(view, options, &result.stats);
   if (view.TreeSize() == 0 || query.k == 0) return result;
-  obs::QueryTrace* trace = options.trace;
-  obs::PhaseProfiler* profiler = options.profiler;
-  if (trace != nullptr) trace->Enter(obs::names::kSpanSetup);
-  if (profiler != nullptr) profiler->Enter(obs::Phase::kDescent);
-  const ExplainSink<View> explain(options, "probe");
-  const double alpha = scorer.options().alpha;
-  const TextSummary qsum = TextSummary::FromDoc(*query.doc);
-  const SummarySpan qspan = AsSpan(qsum);
-
-  // Working memory: reuse the caller's scratch (its containers keep their
-  // capacity across a batch) or allocate a query-local one.
-  std::unique_ptr<ProbeScratch> local_scratch;
-  if (options.scratch == nullptr) {
-    local_scratch = std::make_unique<ProbeScratch>();
-  }
-  ProbeScratch::Impl* mem =
-      (options.scratch != nullptr ? options.scratch : local_scratch.get())
-          ->impl();
-  mem->ResetForQuery(view.EntryKeySpace());
-  std::unordered_set<uint64_t>& self_path = mem->self_path;
-  if (query.self != IurTree::kNoObject) {
-    view.CollectSelfPath(query.self, &self_path);
-  }
-  std::unordered_set<uint64_t>& charged = mem->charged;  // nodes paid for
 
   // Candidates live in an index arena; the work queue orders them by a
   // static priority (upper-bound similarity to q, optionally biased by
@@ -686,6 +673,9 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
     }
   };
   std::priority_queue<QueueItem> work;
+  TextSummary qsum;
+  std::unique_ptr<ProbeScratch> local_scratch;
+  ProbeScratch::Impl* mem = nullptr;
 
   auto add_candidate = [&](EntryRef e, NodeRef home, uint32_t parent) {
     if (view.IsObject(e) && view.Id(e) == query.self) return;  // never a
@@ -699,13 +689,9 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
       cand.q_min = cand.q_max =
           scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
     } else {
-      cand.contains_self = self_path.count(view.Child(e)) > 0;
-      const TextBounds tb = ViewEntryTextBounds(view, e, qspan, scorer.text());
-      const Rect& rect = view.RectOf(e);
-      cand.q_min = alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
-                   (1.0 - alpha) * tb.min_sim;
-      cand.q_max = alpha * scorer.SpatialSim(MinDistance(query.loc, rect)) +
-                   (1.0 - alpha) * tb.max_sim;
+      cand.contains_self = mem->self_path.count(view.Child(e)) > 0;
+      std::tie(cand.q_min, cand.q_max) =
+          QueryEntryBounds(view, scorer, query, AsSpan(qsum), e);
     }
     cand.priority = cand.q_max;
     if (options.expand == ExpandPolicy::kTextEntropy) {
@@ -716,14 +702,18 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
     arena.push_back(cand);
   };
 
-  const NodeRef root = view.Root();
-  charged.insert(root);
-  view.Charge(root, options, &result.stats);
-  for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
-    add_candidate(view.EntryAt(root, i), root, Candidate<View>::kNoParent);
+  {
+    const auto setup =
+        observer.Phase(obs::Phase::kDescent, obs::names::kSpanSetup);
+    qsum = TextSummary::FromDoc(*query.doc);
+    mem = AcquireScratch(view, query, options, &local_scratch)->impl();
+    const NodeRef root = view.Root();
+    mem->charged.insert(root);
+    view.Charge(root, observer);
+    for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
+      add_candidate(view.EntryAt(root, i), root, Candidate<View>::kNoParent);
+    }
   }
-  if (profiler != nullptr) profiler->Exit();  // descent (setup)
-  if (trace != nullptr) trace->Exit();  // setup
 
   while (!work.empty()) {
     const uint32_t index = work.top().cand;
@@ -732,90 +722,78 @@ RstknnResult SearchProbe(const View& view, const Dataset& dataset,
     // A copy: expanding below appends to the arena.
     const Candidate<View> cand = arena[index];
     const bool object = view.IsObject(cand.entry);
-    const uint32_t cand_count = view.Count(cand.entry);
+    const uint32_t decided =
+        view.Count(cand.entry) - (cand.contains_self ? 1 : 0);
 
     // Prune test: at least k competitors are guaranteed to beat q for every
     // object of the candidate (MaxST(q,E) < kNNL(E)).
     mem->ResetForCandidate();
-    size_t guaranteed;
+    size_t guaranteed = 0;
     {
-      obs::TraceSpan span(trace, obs::names::kSpanProbeGuaranteed);
-      obs::PhaseTimer bounds_phase(profiler, obs::Phase::kBounds);
-      const uint64_t bounds_before = result.stats.bound_computations;
-      const uint64_t pops_before = result.stats.pq_pops;
-      guaranteed = CountCompetitors(view, scorer, options, arena.data(), index,
-                                    mem, cand.q_max, query.k, query.self,
-                                    /*guaranteed=*/true, &result.stats);
-      span.AddCount(obs::names::kCountBoundComputations,
-                    result.stats.bound_computations - bounds_before);
-      span.AddCount(obs::names::kCountPqPops, result.stats.pq_pops - pops_before);
+      const auto probe =
+          observer.Phase(obs::Phase::kBounds, obs::names::kSpanProbeGuaranteed,
+                         SpanDeltas::kBoundsAndPops);
+      guaranteed = CountCompetitors(view, scorer, observer, arena.data(),
+                                    index, mem, cand.q_max, query.k,
+                                    query.self, /*guaranteed=*/true);
     }
     if (guaranteed >= query.k) {
-      ++result.stats.pruned_entries;
-      explain.Record(view, cand.entry, cand.q_min, cand.q_max,
-                     object ? obs::ExplainVerdict::kReportMiss
-                            : obs::ExplainVerdict::kPrune,
-                     object ? obs::ExplainBound::kExact
-                            : obs::ExplainBound::kLowerBound,
-                     cand_count - (cand.contains_self ? 1 : 0));
+      observer.Decide(cand.entry, cand.q_min, cand.q_max,
+                      object ? obs::ExplainVerdict::kReportMiss
+                             : obs::ExplainVerdict::kPrune,
+                      object ? obs::ExplainBound::kExact
+                             : obs::ExplainBound::kLowerBound,
+                      decided);
       continue;
     }
     // For an object candidate the guaranteed probe descends every straddling
     // subtree to exact object-object scores, so its count is exact: fewer
     // than k competitors beat q ⇒ the object is an answer. No second probe.
     if (object) {
-      ++result.stats.reported_entries;
-      explain.Record(view, cand.entry, cand.q_min, cand.q_max,
-                     obs::ExplainVerdict::kReportHit, obs::ExplainBound::kExact,
-                     1);
+      observer.Decide(cand.entry, cand.q_min, cand.q_max,
+                      obs::ExplainVerdict::kReportHit,
+                      obs::ExplainBound::kExact, 1);
       result.answers.push_back(view.Id(cand.entry));
       continue;
     }
     // Report test: fewer than k competitors can possibly beat q for any
     // object of the candidate (MinST(q,E) >= kNNU(E)).
-    size_t potential;
+    size_t potential = 0;
     {
-      obs::TraceSpan span(trace, obs::names::kSpanProbePotential);
-      obs::PhaseTimer bounds_phase(profiler, obs::Phase::kBounds);
-      const uint64_t bounds_before = result.stats.bound_computations;
-      const uint64_t pops_before = result.stats.pq_pops;
-      potential = CountCompetitors(view, scorer, options, arena.data(), index,
+      const auto probe =
+          observer.Phase(obs::Phase::kBounds, obs::names::kSpanProbePotential,
+                         SpanDeltas::kBoundsAndPops);
+      potential = CountCompetitors(view, scorer, observer, arena.data(), index,
                                    mem, cand.q_min, query.k, query.self,
-                                   /*guaranteed=*/false, &result.stats);
-      span.AddCount(obs::names::kCountBoundComputations,
-                    result.stats.bound_computations - bounds_before);
-      span.AddCount(obs::names::kCountPqPops, result.stats.pq_pops - pops_before);
+                                   /*guaranteed=*/false);
     }
     if (potential < query.k) {
-      ++result.stats.reported_entries;
-      explain.Record(view, cand.entry, cand.q_min, cand.q_max,
-                     obs::ExplainVerdict::kReportHit,
-                     obs::ExplainBound::kUpperBound,
-                     cand_count - (cand.contains_self ? 1 : 0));
+      observer.Decide(cand.entry, cand.q_min, cand.q_max,
+                      obs::ExplainVerdict::kReportHit,
+                      obs::ExplainBound::kUpperBound, decided);
       CollectObjectIds(view, cand.entry, query.self, &result.answers);
       continue;
     }
     // Undecided: objects are always decided by the exact guaranteed count
     // (bounds are tight at leaf level), so only nodes reach this point.
     RST_DCHECK(!object);
-    obs::TraceSpan expand_span(trace, obs::names::kSpanExpand);
-    obs::PhaseTimer descent_phase(profiler, obs::Phase::kDescent);
+    const auto expand =
+        observer.Phase(obs::Phase::kDescent, obs::names::kSpanExpand);
     const NodeRef child_node = view.Child(cand.entry);
-    if (charged.insert(child_node).second) {
-      view.Charge(child_node, options, &result.stats);
+    if (mem->charged.insert(child_node).second) {
+      view.Charge(child_node, observer);
     }
-    ++result.stats.expansions;
-    explain.Record(view, cand.entry, cand.q_min, cand.q_max,
-                   obs::ExplainVerdict::kExpand, obs::ExplainBound::kNone, 0);
+    observer.Decide(cand.entry, cand.q_min, cand.q_max,
+                    obs::ExplainVerdict::kExpand, obs::ExplainBound::kNone, 0);
     const size_t num_children = view.NumEntries(child_node);
     for (size_t i = 0; i < num_children; ++i) {
       add_candidate(view.EntryAt(child_node, i), child_node, index);
     }
-    expand_span.AddCount(obs::names::kCountEntries, num_children);
+    expand.AddCount(obs::names::kCountEntries, num_children);
   }
 
   {
-    obs::PhaseTimer finalize_phase(profiler, obs::Phase::kFinalize);
+    const auto finalize = observer.Phase(obs::Phase::kFinalize);
     std::sort(result.answers.begin(), result.answers.end());
   }
   return result;
@@ -851,25 +829,14 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   using NodeRef = typename View::NodeRef;
   using EntryRef = typename View::EntryRef;
   RstknnResult result;
+  const SearchObserver<View> observer(view, options, &result.stats);
   if (view.TreeSize() == 0 || query.k == 0) return result;
-  const ExplainSink<View> explain(options, "contribution_list");
   const double alpha = scorer.options().alpha;
   const TextSummary qsum = TextSummary::FromDoc(*query.doc);
   const SummarySpan qspan = AsSpan(qsum);
-
   std::unique_ptr<ProbeScratch> local_scratch;
-  if (options.scratch == nullptr) {
-    local_scratch = std::make_unique<ProbeScratch>();
-  }
   ProbeScratch::Impl* mem =
-      (options.scratch != nullptr ? options.scratch : local_scratch.get())
-          ->impl();
-  mem->ResetForQuery(view.EntryKeySpace());
-  std::unordered_set<uint64_t>& self_path = mem->self_path;
-  if (query.self != IurTree::kNoObject) {
-    view.CollectSelfPath(query.self, &self_path);
-  }
-  std::unordered_set<uint64_t>& charged = mem->charged;
+      AcquireScratch(view, query, options, &local_scratch)->impl();
 
   enum class State { kUndecided, kPruned, kReported };
   struct FlatEntry {
@@ -896,36 +863,31 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
             scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
       }
     } else {
-      fe.contains_self = self_path.count(view.Child(e)) > 0;
-      const TextBounds tb = ViewEntryTextBounds(view, e, qspan, scorer.text());
-      const Rect& rect = view.RectOf(e);
-      fe.q_min = alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
-                 (1.0 - alpha) * tb.min_sim;
-      fe.q_max = alpha * scorer.SpatialSim(MinDistance(query.loc, rect)) +
-                 (1.0 - alpha) * tb.max_sim;
+      fe.contains_self = mem->self_path.count(view.Child(e)) > 0;
+      std::tie(fe.q_min, fe.q_max) =
+          QueryEntryBounds(view, scorer, query, qspan, e);
     }
     ++result.stats.entries_created;
     entries.push_back(fe);
   };
 
   auto expand = [&](size_t idx) {
-    obs::TraceSpan span(options.trace, obs::names::kSpanExpand);
-    obs::PhaseTimer descent_phase(options.profiler, obs::Phase::kDescent);
+    const auto scope =
+        observer.Phase(obs::Phase::kDescent, obs::names::kSpanExpand);
     FlatEntry& fe = entries[idx];
     const State inherited = fe.state;
     const NodeRef child_node = view.Child(fe.entry);
-    if (charged.insert(child_node).second) {
-      view.Charge(child_node, options, &result.stats);
+    if (mem->charged.insert(child_node).second) {
+      view.Charge(child_node, observer);
     }
     fe.alive = false;
-    ++result.stats.expansions;
-    explain.Record(view, fe.entry, fe.q_min, fe.q_max,
-                   obs::ExplainVerdict::kExpand, obs::ExplainBound::kNone, 0);
+    observer.Decide(fe.entry, fe.q_min, fe.q_max, obs::ExplainVerdict::kExpand,
+                    obs::ExplainBound::kNone, 0);
     const size_t num_children = view.NumEntries(child_node);
     for (size_t i = 0; i < num_children; ++i) {
       add_entry(view.EntryAt(child_node, i), inherited);
     }
-    span.AddCount(obs::names::kCountEntries, num_children);
+    scope.AddCount(obs::names::kCountEntries, num_children);
   };
 
   // Pair bounds are pure functions of the two (immutable) entries, and each
@@ -950,8 +912,8 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   };
 
   const NodeRef root = view.Root();
-  charged.insert(root);
-  view.Charge(root, options, &result.stats);
+  mem->charged.insert(root);
+  view.Charge(root, observer);
   for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
     add_entry(view.EntryAt(root, i), State::kUndecided);
   }
@@ -971,8 +933,8 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
     size_t pick = SIZE_MAX;
     double best_priority = -1.0;
     {
-      obs::TraceSpan span(options.trace, obs::names::kSpanPick);
-      obs::PhaseTimer descent_phase(options.profiler, obs::Phase::kDescent);
+      const auto scope =
+          observer.Phase(obs::Phase::kDescent, obs::names::kSpanPick);
       for (size_t i = 0; i < entries.size(); ++i) {
         const FlatEntry& fe = entries[i];
         if (!fe.alive || fe.state != State::kUndecided) continue;
@@ -990,17 +952,16 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
     if (pick == SIZE_MAX) break;
 
     // Contribution list over all live entries.
-    std::vector<Contribution> contributions;
-    contributions.reserve(entries.size());
     size_t best_blocker = SIZE_MAX;
-    double best_blocker_score = -1.0;
-    obs::QueryTrace* trace = options.trace;
-    if (trace != nullptr) trace->Enter(obs::names::kSpanContributions);
-    if (options.profiler != nullptr) {
-      options.profiler->Enter(obs::Phase::kMerge);
-    }
-    const uint64_t bounds_before = result.stats.bound_computations;
+    double knn_lower = 0.0;
+    double knn_upper = 0.0;
     {
+      const auto scope =
+          observer.Phase(obs::Phase::kMerge, obs::names::kSpanContributions,
+                         SpanDeltas::kBounds);
+      std::vector<Contribution> contributions;
+      contributions.reserve(entries.size());
+      double best_blocker_score = -1.0;
       const FlatEntry& cand = entries[pick];
       for (size_t j = 0; j < entries.size(); ++j) {
         if (j == pick || !entries[j].alive) continue;
@@ -1020,35 +981,27 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
         const auto [mn, mx] = pair_bounds(cand, cand);
         contributions.push_back({mn, mx, self_cap - 1});
       }
-    }
-    std::vector<Contribution> scratch = contributions;
-    const double knn_lower = KthSorted(&scratch, query.k, /*lower=*/true);
-    scratch = contributions;
-    const double knn_upper = KthSorted(&scratch, query.k, /*lower=*/false);
-    if (options.profiler != nullptr) options.profiler->Exit();  // merge
-    if (trace != nullptr) {
-      trace->AddCount(obs::names::kCountBoundComputations,
-                      result.stats.bound_computations - bounds_before);
-      trace->Exit();  // contributions
+      std::vector<Contribution> scratch = contributions;
+      knn_lower = KthSorted(&scratch, query.k, /*lower=*/true);
+      scratch = contributions;
+      knn_upper = KthSorted(&scratch, query.k, /*lower=*/false);
     }
 
     FlatEntry& cand = entries[pick];
     if (cand.q_max < knn_lower) {
       cand.state = State::kPruned;
-      ++result.stats.pruned_entries;
-      explain.Record(view, cand.entry, cand.q_min, cand.q_max,
-                     view.IsObject(cand.entry)
-                         ? obs::ExplainVerdict::kReportMiss
-                         : obs::ExplainVerdict::kPrune,
-                     obs::ExplainBound::kLowerBound, capacity(cand));
+      observer.Decide(cand.entry, cand.q_min, cand.q_max,
+                      view.IsObject(cand.entry)
+                          ? obs::ExplainVerdict::kReportMiss
+                          : obs::ExplainVerdict::kPrune,
+                      obs::ExplainBound::kLowerBound, capacity(cand));
       continue;
     }
     if (cand.q_min >= knn_upper) {
       cand.state = State::kReported;
-      ++result.stats.reported_entries;
-      explain.Record(view, cand.entry, cand.q_min, cand.q_max,
-                     obs::ExplainVerdict::kReportHit,
-                     obs::ExplainBound::kUpperBound, capacity(cand));
+      observer.Decide(cand.entry, cand.q_min, cand.q_max,
+                      obs::ExplainVerdict::kReportHit,
+                      obs::ExplainBound::kUpperBound, capacity(cand));
       CollectObjectIds(view, cand.entry, query.self, &result.answers);
       continue;
     }
@@ -1064,7 +1017,7 @@ RstknnResult SearchContributionList(const View& view, const Dataset& dataset,
   }
 
   {
-    obs::PhaseTimer finalize_phase(options.profiler, obs::Phase::kFinalize);
+    const auto finalize = observer.Phase(obs::Phase::kFinalize);
     std::sort(result.answers.begin(), result.answers.end());
   }
   return result;

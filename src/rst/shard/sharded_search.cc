@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 
 #include "rst/common/check.h"
-#include "rst/common/stopwatch.h"
 #include "rst/exec/thread_pool.h"
 #include "rst/obs/heatmap.h"
-#include "rst/obs/metrics.h"
-#include "rst/obs/metric_names.h"
 #include "rst/rstknn/search_impl.h"
 
 namespace rst {
@@ -146,9 +144,11 @@ struct ForestView {
     }
   }
 
-  void Charge(NodeRef n, const RstknnOptions&, RstknnStats* stats) const {
+  void Charge(
+      NodeRef n,
+      const rstknn_internal::SearchObserver<ForestView>& observer) const {
     if (n == kVirtualRoot) return;  // resident shard directory, no I/O
-    index->shard(Shard(n)).ChargeAccess(Idx(n), &stats->io);
+    index->shard(Shard(n)).ChargeAccess(Idx(n), &observer.stats()->io);
   }
 };
 
@@ -201,46 +201,26 @@ ShardedResult ShardedSearcher::Search(const RstknnQuery& query,
       << "real-I/O buffer pools wrap a single tree's page store; unsupported "
          "in sharded mode";
 
-  struct QueryMetrics {
-    obs::Counter queries;
-    obs::Counter answers;
-    obs::HistogramRef latency_ms;
-  };
-  static const QueryMetrics metrics = [] {
-    obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-    return QueryMetrics{registry.GetCounter(obs::names::kRstknnQueries),
-                        registry.GetCounter(obs::names::kRstknnAnswers),
-                        registry.GetHistogram(obs::names::kRstknnQueryMs,
-                                              obs::HistogramSpec::LatencyMs())};
-  }();
-
-  Stopwatch timer;
   ShardedResult result;
-  if (options.profiler != nullptr) options.profiler->Reset();
-  const size_t num_shards = index_->num_shards();
-  if (num_shards > 0 && query.k > 0 && index_->size() > 0) {
+  rstknn_internal::RunQuery(options, result.answers, result.stats, [&] {
+    const size_t num_shards = index_->num_shards();
+    if (num_shards == 0 || query.k == 0 || index_->size() == 0) return;
     const ForestView view{index_, &entry_offsets_, entry_key_space_, 0};
     std::unique_ptr<ProbeScratch> local_scratch;
-    if (options.scratch == nullptr) {
-      local_scratch = std::make_unique<ProbeScratch>();
-    }
     ProbeScratch* scratch =
-        options.scratch != nullptr ? options.scratch : local_scratch.get();
+        rstknn_internal::AcquireScratch(view, query, options, &local_scratch);
     ProbeScratch::Impl* mem = scratch->impl();
-    mem->ResetForQuery(view.EntryKeySpace());
-    if (query.self != IurTree::kNoObject) {
-      view.CollectSelfPath(query.self, &mem->self_path);
-    }
-    const double alpha = scorer_->options().alpha;
     const TextSummary qsum = TextSummary::FromDoc(*query.doc);
     const SummarySpan qspan = AsSpan(qsum);
     obs::HeatmapRecorder* heatmap = options.heatmap;
 
-    // Triage: run every shard's virtual entry through the same
-    // guaranteed/potential competitor probes that decide node entries inside
-    // a tree, counting competitors across the whole forest. Outcomes bump
-    // the same stats and heatmap slots a node decision would, so the
-    // EXPLAIN-counter reconciliation identities stay exact.
+    // Triage: run every shard's virtual entry (explain id s + 1, level 0)
+    // through the same guaranteed/potential competitor probes that decide node
+    // entries inside a tree, counting competitors across the whole forest.
+    // Each outcome is one observer decision, exactly like a node decision, so
+    // the heatmap-counter reconciliation identities stay exact.
+    const rstknn_internal::SearchObserver<ForestView> observer(view, options,
+                                                               &result.stats);
     std::vector<uint32_t> to_search;
     for (uint32_t s = 0; s < num_shards; ++s) {
       // A one-candidate arena whose root path is the virtual root alone.
@@ -249,57 +229,46 @@ ShardedResult ShardedSearcher::Search(const RstknnQuery& query,
       cand.home = kVirtualRoot;
       cand.contains_self = query.self != IurTree::kNoObject &&
                            index_->shard_of(query.self) == s;
-      const TextBounds tb = rstknn_internal::ViewEntryTextBounds(
-          view, cand.entry, qspan, scorer_->text());
-      const Rect& rect = view.RectOf(cand.entry);
-      cand.q_min = alpha * scorer_->SpatialSim(MaxDistance(query.loc, rect)) +
-                   (1.0 - alpha) * tb.min_sim;
-      cand.q_max = alpha * scorer_->SpatialSim(MinDistance(query.loc, rect)) +
-                   (1.0 - alpha) * tb.max_sim;
+      std::tie(cand.q_min, cand.q_max) = rstknn_internal::QueryEntryBounds(
+          view, *scorer_, query, qspan, cand.entry);
       ++result.stats.entries_created;
       const uint32_t cap =
           view.Count(cand.entry) - (cand.contains_self ? 1 : 0);
       mem->ResetForCandidate();
       const size_t guaranteed = rstknn_internal::CountCompetitors(
-          view, *scorer_, options, &cand, 0, mem, cand.q_max, query.k,
-          query.self, /*guaranteed=*/true, &result.stats);
+          view, *scorer_, observer, &cand, 0, mem, cand.q_max, query.k,
+          query.self, /*guaranteed=*/true);
       if (guaranteed >= query.k) {
-        ++result.stats.pruned_entries;
         ++result.shards.shards_pruned;
-        if (heatmap != nullptr) {
-          heatmap->Record(s + 1, 0, obs::ExplainVerdict::kPrune,
-                          obs::ExplainBound::kLowerBound, cap);
-        }
+        observer.Decide(cand.entry, cand.q_min, cand.q_max,
+                        obs::ExplainVerdict::kPrune,
+                        obs::ExplainBound::kLowerBound, cap);
         continue;
       }
       const size_t potential = rstknn_internal::CountCompetitors(
-          view, *scorer_, options, &cand, 0, mem, cand.q_min, query.k,
-          query.self, /*guaranteed=*/false, &result.stats);
+          view, *scorer_, observer, &cand, 0, mem, cand.q_min, query.k,
+          query.self, /*guaranteed=*/false);
       if (potential < query.k) {
-        ++result.stats.reported_entries;
         ++result.shards.shards_reported;
-        if (heatmap != nullptr) {
-          heatmap->Record(s + 1, 0, obs::ExplainVerdict::kReportHit,
-                          obs::ExplainBound::kUpperBound, cap);
-        }
+        observer.Decide(cand.entry, cand.q_min, cand.q_max,
+                        obs::ExplainVerdict::kReportHit,
+                        obs::ExplainBound::kUpperBound, cap);
         rstknn_internal::CollectObjectIds(view, cand.entry, query.self,
                                           &result.answers);
         continue;
       }
-      ++result.stats.expansions;
       ++result.shards.shards_searched;
-      if (heatmap != nullptr) {
-        heatmap->Record(s + 1, 0, obs::ExplainVerdict::kExpand,
-                        obs::ExplainBound::kNone, 0);
-      }
+      observer.Decide(cand.entry, cand.q_min, cand.q_max,
+                      obs::ExplainVerdict::kExpand, obs::ExplainBound::kNone,
+                      0);
       to_search.push_back(s);
     }
 
     // Scatter surviving shards, gather answers into index-keyed slots so the
     // merge order is the shard order at any thread count.
     std::vector<RstknnResult> shard_results(to_search.size());
-    const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
-                          to_search.size() > 1;
+    const bool parallel =
+        pool != nullptr && pool->num_threads() > 1 && to_search.size() > 1;
     if (!parallel) {
       for (size_t i = 0; i < to_search.size(); ++i) {
         ForestView scoped = view;
@@ -330,8 +299,7 @@ ShardedResult ShardedSearcher::Search(const RstknnQuery& query,
         per.trace = nullptr;
         per.profiler = nullptr;
         per.scratch = worker_scratch[w].get();
-        per.heatmap =
-            heatmap != nullptr ? worker_heatmaps[w].get() : nullptr;
+        per.heatmap = heatmap != nullptr ? worker_heatmaps[w].get() : nullptr;
         shard_results[i] =
             SearchOneShard(scoped, *dataset_, *scorer_, query, per);
       });
@@ -344,20 +312,13 @@ ShardedResult ShardedSearcher::Search(const RstknnQuery& query,
     for (const RstknnResult& r : shard_results) {
       result.stats.Merge(r.stats);
       result.answers.insert(result.answers.end(), r.answers.begin(),
-                            r.answers.end());
+                             r.answers.end());
     }
     // Every object lives in exactly one shard, so the concatenation is
     // duplicate-free; one sort restores the global ascending contract.
     std::sort(result.answers.begin(), result.answers.end());
-  }
-  if (options.profiler != nullptr) options.profiler->Publish();
-  if (options.publish_metrics) {
-    metrics.queries.Increment();
-    metrics.answers.Add(result.answers.size());
-    metrics.latency_ms.Record(timer.ElapsedMillis());
-    result.stats.Publish(obs::names::kRstknnPrefix);
-    result.shards.Publish();
-  }
+  });
+  if (options.publish_metrics) result.shards.Publish();
   return result;
 }
 

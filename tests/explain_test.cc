@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rst/data/generators.h"
@@ -10,8 +13,12 @@
 #include "rst/exec/thread_pool.h"
 #include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
+#include "rst/obs/heatmap.h"
+#include "rst/obs/metric_names.h"
 #include "rst/obs/metrics.h"
+#include "rst/obs/phase_timer.h"
 #include "rst/obs/slow_log.h"
+#include "rst/obs/trace.h"
 #include "rst/rstknn/rstknn.h"
 
 namespace rst {
@@ -41,10 +48,10 @@ TEST(ExplainRecorderTest, TalliesPerLevelAndCapsTheLog) {
   recorder.Record(MakeDecision(2, 1, obs::ExplainVerdict::kReportHit, 2));
   recorder.Record(MakeDecision(3, 1, obs::ExplainVerdict::kExpand, 0));
 
-  EXPECT_EQ(recorder.pruned(), 1u);
-  EXPECT_EQ(recorder.expanded(), 1u);
-  EXPECT_EQ(recorder.reported_hit(), 1u);
-  EXPECT_EQ(recorder.reported_miss(), 0u);
+  EXPECT_EQ(recorder.totals().pruned, 1u);
+  EXPECT_EQ(recorder.totals().expanded, 1u);
+  EXPECT_EQ(recorder.totals().reported_hit, 1u);
+  EXPECT_EQ(recorder.totals().reported_miss, 0u);
   EXPECT_EQ(recorder.decisions(), 3u);
 
   ASSERT_EQ(recorder.levels().size(), 2u);
@@ -101,10 +108,10 @@ TEST(ExplainRecorderTest, MergeKeepsTheBatchLogCapAndCountsTheRest) {
   batch.Merge(third);
 
   EXPECT_EQ(batch.decisions(), 7u);
-  EXPECT_EQ(batch.expanded(), 1u);
-  EXPECT_EQ(batch.pruned(), 1u);
-  EXPECT_EQ(batch.reported_miss(), 4u);
-  EXPECT_EQ(batch.reported_hit(), 1u);
+  EXPECT_EQ(batch.totals().expanded, 1u);
+  EXPECT_EQ(batch.totals().pruned, 1u);
+  EXPECT_EQ(batch.totals().reported_miss, 4u);
+  EXPECT_EQ(batch.totals().reported_hit, 1u);
   ASSERT_EQ(batch.levels().size(), 3u);
   EXPECT_EQ(batch.levels()[0].expanded, 1u);
   EXPECT_EQ(batch.levels()[0].reported_hit, 1u);
@@ -136,7 +143,7 @@ TEST(ExplainRecorderTest, MergeIntoSummaryOnlyRecorderKeepsNoLog) {
   batch.SetAlgorithm("probe");
   batch.Merge(query);
   EXPECT_EQ(batch.algorithm(), "probe");  // an existing stamp is kept
-  EXPECT_EQ(batch.pruned(), 1u);
+  EXPECT_EQ(batch.totals().pruned, 1u);
   EXPECT_TRUE(batch.log().empty());
   EXPECT_EQ(batch.log_dropped(), 0u);
 }
@@ -168,13 +175,13 @@ struct ExplainFixture {
   TextSimilarity sim;
   StScorer scorer;
 
-  ExplainFixture()
+  explicit ExplainFixture(size_t num_objects = 400)
       : tree(IurTree::Build({}, {})),
         ciur(IurTree::Build({}, {})),
         sim(TextMeasure::kExtendedJaccard),
         scorer(&sim, {0.5, 1.0}) {
     FlickrLikeConfig config;
-    config.num_objects = 400;
+    config.num_objects = num_objects;
     config.vocab_size = 200;
     config.seed = 77;
     dataset = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
@@ -230,7 +237,7 @@ TEST(ExplainSearchTest, TotalsReconcileWithRstknnStats) {
             << " query=" << q.self;
         // Reported objects itemized by the recorder == the answer set.
         uint64_t objects_reported = 0;
-        for (const obs::ExplainLevelSummary& level : recorder.levels()) {
+        for (const obs::DecisionCounters& level : recorder.levels()) {
           objects_reported += level.objects_reported;
         }
         EXPECT_EQ(objects_reported, result.answers.size());
@@ -299,6 +306,161 @@ TEST(ExplainSearchTest, JsonIsByteIdenticalAcrossRunsAndThreadCounts) {
           ++matched;
         }
         EXPECT_EQ(matched, queries.size());
+      }
+    }
+  }
+}
+
+/// A query that returns before searching (k = 0, or an empty tree) still
+/// resets and stamps the recorder: it must not carry the previous query's
+/// decisions, and its (empty) report reconciles with its zero stats.
+TEST(ExplainSearchTest, EarlyReturnLeavesNoStaleDecisions) {
+  const ExplainFixture f(300);
+  const RstknnQuery query = f.Queries(1, 5).front();
+  RstknnQuery no_k = query;
+  no_k.k = 0;
+  const frozen::FrozenTree empty =
+      frozen::FrozenTree::Freeze(IurTree::Build({}, {}));
+
+  for (RstknnAlgorithm algorithm :
+       {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
+    obs::ExplainRecorder recorder;
+    RstknnOptions options;
+    options.algorithm = algorithm;
+    options.explain = &recorder;
+    const RstknnSearcher searcher(&f.frozen_tree, &f.dataset, &f.scorer);
+    const RstknnSearcher empty_searcher(&empty, &f.dataset, &f.scorer);
+    for (const bool empty_tree : {false, true}) {
+      searcher.Search(query, options);
+      ASSERT_GT(recorder.decisions(), 0u);
+      const std::string algorithm_name = recorder.algorithm();
+      const RstknnResult result = empty_tree
+                                      ? empty_searcher.Search(query, options)
+                                      : searcher.Search(no_k, options);
+      EXPECT_TRUE(result.answers.empty());
+      EXPECT_EQ(recorder.decisions(), 0u) << "empty_tree=" << empty_tree;
+      EXPECT_EQ(recorder.algorithm(), algorithm_name);
+      EXPECT_TRUE(recorder
+                      .CheckReconciles(result.stats.expansions,
+                                       result.stats.pruned_entries,
+                                       result.stats.reported_entries)
+                      .ok());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Where the search hooks sit: with all four instruments attached, the span
+// tree, the phase profiler, EXPLAIN and the heatmap each itemize the same
+// work RstknnStats counts.
+
+struct SpanTotals {
+  uint64_t calls = 0;
+  std::map<std::string, uint64_t> counts;
+};
+
+/// Sums the calls and counts of every span named `name` under `span`, and
+/// collects the names of all spans below it.
+void CollectSpans(const obs::Span& span, std::string_view name,
+                  SpanTotals* totals, std::set<std::string>* names) {
+  for (const auto& child : span.children) {
+    names->insert(child->name);
+    if (child->name == name) {
+      totals->calls += child->calls;
+      for (const auto& [key, n] : child->counts) totals->counts[key] += n;
+    }
+    CollectSpans(*child, name, totals, names);
+  }
+}
+
+SpanTotals Spans(const obs::QueryTrace& trace, std::string_view name) {
+  SpanTotals totals;
+  std::set<std::string> names;
+  CollectSpans(trace.root(), name, &totals, &names);
+  return totals;
+}
+
+TEST(SearchHooksTest, SpansPhasesAndDecisionsItemizeTheStats) {
+  const ExplainFixture f(600);
+  const std::vector<RstknnQuery> queries = f.Queries(6, 5);
+  namespace names = obs::names;
+
+  for (const frozen::FrozenTree* tree : {&f.frozen_tree, &f.frozen_ciur}) {
+    const RstknnSearcher searcher(tree, &f.dataset, &f.scorer);
+    for (RstknnAlgorithm algorithm :
+         {RstknnAlgorithm::kProbe, RstknnAlgorithm::kContributionList}) {
+      const bool probe = algorithm == RstknnAlgorithm::kProbe;
+      for (const RstknnQuery& q : queries) {
+        SCOPED_TRACE(::testing::Message()
+                     << "ciur=" << (tree == &f.frozen_ciur)
+                     << " probe=" << probe << " query=" << q.self);
+        obs::QueryTrace trace;
+        obs::PhaseProfiler profiler;
+        obs::ExplainRecorder explain;
+        obs::HeatmapRecorder heatmap;
+        RstknnOptions options;
+        options.algorithm = algorithm;
+        options.trace = &trace;
+        options.profiler = &profiler;
+        options.explain = &explain;
+        options.heatmap = &heatmap;
+        const RstknnResult result = searcher.Search(q, options);
+        trace.Finish();
+        const RstknnStats& s = result.stats;
+
+        // Nesting: one algorithm span under the root, and every search span
+        // directly below it.
+        ASSERT_EQ(trace.root().children.size(), 1u);
+        const obs::Span& top = *trace.root().children.front();
+        EXPECT_EQ(top.name, probe ? names::kSpanRstknnProbe
+                                  : names::kSpanRstknnContributionList);
+        const std::set<std::string> allowed =
+            probe ? std::set<std::string>{names::kSpanSetup,
+                                          names::kSpanProbeGuaranteed,
+                                          names::kSpanProbePotential,
+                                          names::kSpanExpand}
+                  : std::set<std::string>{names::kSpanPick,
+                                          names::kSpanContributions,
+                                          names::kSpanExpand};
+        for (const auto& child : top.children) {
+          EXPECT_TRUE(allowed.count(child->name) > 0) << child->name;
+          EXPECT_TRUE(child->children.empty()) << child->name;
+        }
+
+        const SpanTotals expand = Spans(trace, names::kSpanExpand);
+        EXPECT_EQ(expand.calls, s.expansions);
+        EXPECT_EQ(profiler.calls(obs::Phase::kFinalize), 1u);
+        EXPECT_TRUE(explain
+                        .CheckReconciles(s.expansions, s.pruned_entries,
+                                         s.reported_entries)
+                        .ok());
+        EXPECT_TRUE(heatmap
+                        .CheckReconciles(s.expansions, s.pruned_entries,
+                                         s.reported_entries)
+                        .ok());
+
+        if (probe) {
+          SpanTotals guaranteed = Spans(trace, names::kSpanProbeGuaranteed);
+          SpanTotals potential = Spans(trace, names::kSpanProbePotential);
+          EXPECT_EQ(guaranteed.calls + potential.calls, s.probes);
+          EXPECT_EQ(profiler.calls(obs::Phase::kBounds), s.probes);
+          EXPECT_EQ(guaranteed.counts[names::kCountBoundComputations] +
+                        potential.counts[names::kCountBoundComputations],
+                    s.bound_computations);
+          EXPECT_EQ(guaranteed.counts[names::kCountPqPops] +
+                        potential.counts[names::kCountPqPops] +
+                        s.entries_created,
+                    s.pq_pops);
+          EXPECT_EQ(profiler.calls(obs::Phase::kDescent), 1 + s.expansions);
+          EXPECT_EQ(Spans(trace, names::kSpanSetup).calls, 1u);
+        } else {
+          SpanTotals contributions = Spans(trace, names::kSpanContributions);
+          EXPECT_EQ(contributions.counts[names::kCountBoundComputations],
+                    s.bound_computations);
+          EXPECT_EQ(profiler.calls(obs::Phase::kMerge), contributions.calls);
+          EXPECT_EQ(profiler.calls(obs::Phase::kDescent),
+                    Spans(trace, names::kSpanPick).calls + s.expansions);
+        }
       }
     }
   }

@@ -136,10 +136,6 @@ TEST(PhaseProfilerTest, UnbalancedAndOverflowedStacksAreSafe) {
   profiler.Exit();  // still balanced after drain
 }
 
-TEST(PhaseProfilerTest, NullProfilerTimerIsANoop) {
-  obs::PhaseTimer timer(nullptr, obs::Phase::kIo);  // must not crash
-}
-
 TEST(PhaseProfilerTest, PublishRecordsHistogramsAndCounter) {
   obs::PhaseProfiler profiler;
   profiler.Enter(obs::Phase::kDescent);

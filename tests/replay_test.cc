@@ -11,6 +11,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rst/common/file_util.h"
@@ -243,6 +244,53 @@ TEST(ReadJournalTest, RejectsHeaderAlphaOutsideUnitInterval) {
   }
 }
 
+TEST(ReadJournalTest, RejectsHeaderTokensOutsideTheirVocabulary) {
+  // A replay must never fall back to probe / EJ / tf-idf on an unknown token.
+  using Field = std::string obs::JournalHeader::*;
+  const std::vector<std::pair<std::string, Field>> fields = {
+      {"algo", &obs::JournalHeader::algo},
+      {"tree", &obs::JournalHeader::tree},
+      {"measure", &obs::JournalHeader::measure},
+      {"weighting", &obs::JournalHeader::weighting}};
+  for (const auto& [name, field] : fields) {
+    const std::string path = TempPath("rst_replay_bad_token.jsonl");
+    obs::JournalHeader header = TestHeader();
+    header.*field = "bogus";
+    obs::WorkloadRecorder recorder;
+    ASSERT_TRUE(recorder.Open(path, header).ok());
+    recorder.Append(TestRecord(0));
+    ASSERT_TRUE(recorder.Close().ok());
+    const Result<obs::JournalFile> loaded = obs::ReadJournal(path);
+    ASSERT_FALSE(loaded.ok()) << name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().ToString().find(name + " \"bogus\""),
+              std::string::npos)
+        << loaded.status().ToString();
+    std::remove(path.c_str());
+  }
+}
+
+TEST(ReadJournalTest, AcceptsEveryHeaderToken) {
+  const std::string path = TempPath("rst_replay_tokens.jsonl");
+  obs::JournalHeader header = TestHeader();
+  header.algo = "contribution_list";
+  header.tree = "ciur";
+  for (const char* measure : {"ej", "cos", "sum"}) {
+    for (const char* weighting : {"tfidf", "lm", "binary"}) {
+      header.measure = measure;
+      header.weighting = weighting;
+      obs::WorkloadRecorder recorder;
+      ASSERT_TRUE(recorder.Open(path, header).ok());
+      ASSERT_TRUE(recorder.Close().ok());
+      const Result<obs::JournalFile> loaded = obs::ReadJournal(path);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(loaded.value().header.measure, measure);
+      EXPECT_EQ(loaded.value().header.weighting, weighting);
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // HeatmapRecorder
 
@@ -260,7 +308,7 @@ TEST(HeatmapRecorderTest, TalliesVerdictsAndBounds) {
 
   EXPECT_EQ(heatmap.decisions(), 4u);
   ASSERT_EQ(heatmap.nodes().size(), 3u);
-  const obs::HeatmapNodeCounters& node1 = heatmap.nodes().at(1);
+  const obs::DecisionCounters& node1 = heatmap.nodes().at(1);
   EXPECT_EQ(node1.level, 2u);
   EXPECT_EQ(node1.visits, 2u);
   EXPECT_EQ(node1.expanded, 1u);

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end checks of `rstknn_cli rstknn`, which runs every query -- one
-(--id, --keywords) or many (--ids) -- through one batch runner.
+(--id, --keywords) or many (--ids) -- through one batch runner, and of the
+flag and journal-header parsing of `rst_replay`.
 
-    rstknn_cli_test.py PATH/TO/rstknn_cli
+    rstknn_cli_test.py PATH/TO/rstknn_cli PATH/TO/rst_replay
 
 On a generated 500-object dataset it checks that
   * --id 3 and --ids 3 print the same answers and the same --explain table;
@@ -12,7 +13,11 @@ On a generated 500-object dataset it checks that
     out-of-range or 32-bit-wrapping ids, non-numeric keywords, an --alpha
     outside [0, 1], and junk or negative values of every other numeric flag
     of rstknn, gen, genusers, topk and maxbrst) exit 2 with a message naming
-    the flag.
+    the flag, and so do enum values outside their lists (--measure,
+    --weighting, --algo, --kind, --method);
+  * a captured journal replays cleanly, while malformed rst_replay flags
+    (--threads, --max-diffs, --shards, --algo) and journal headers whose
+    algo, tree, measure or weighting is outside its vocabulary exit 2.
 Exits non-zero with a message on the first failed check.
 """
 
@@ -30,9 +35,22 @@ def run(cli, *args):
 def ok(cli, *args):
     proc = run(cli, *args)
     if proc.returncode != 0:
-        sys.exit("rstknn_cli %s exited %d:\n%s" %
-                 (" ".join(args), proc.returncode, proc.stderr))
+        sys.exit("%s %s exited %d:\n%s" %
+                 (os.path.basename(cli), " ".join(args), proc.returncode,
+                  proc.stderr))
     return proc
+
+
+def check_usage_error(tool, args, flag):
+    """`tool args` must exit 2, print nothing on stdout and name `flag`."""
+    proc = run(tool, *args)
+    check(proc.returncode == 2,
+          "%s exited %d, want 2 (stderr: %s)" %
+          (args, proc.returncode, proc.stderr.strip()))
+    check(proc.stdout == "", "%s printed output" % args)
+    check(flag in proc.stderr,
+          "%s: the message does not name %s (stderr: %s)" %
+          (args, flag, proc.stderr.strip()))
 
 
 def explain_table(stderr):
@@ -55,9 +73,9 @@ def check(condition, message):
 
 
 def main():
-    if len(sys.argv) != 2:
+    if len(sys.argv) != 3:
         sys.exit(__doc__)
-    cli = sys.argv[1]
+    cli, replay = sys.argv[1], sys.argv[2]
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "d.tsv")
         ok(cli, "gen", "--kind", "geonames", "--objects", "500", "--seed",
@@ -114,18 +132,14 @@ def main():
                     ["--id", "3", "--telemetry-ms", "xyz"],
                     ["--id", "3", "--journal-sample", "1.5"],
                     ["--keywords", "1 2", "--x", "inf"],
-                    ["--keywords", "1 2", "--y", "12,5"]):
-            proc = run(cli, *base, *bad)
-            check(proc.returncode == 2,
-                  "%s exited %d, want 2 (stderr: %s)" %
-                  (bad, proc.returncode, proc.stderr.strip()))
-            check(proc.stdout == "", "%s printed answers" % bad)
+                    ["--keywords", "1 2", "--y", "12,5"],
+                    ["--id", "3", "--measure", "bogus"],
+                    ["--id", "3", "--weighting", "bogus"],
+                    ["--id", "3", "--algo", "foo"]):
             flag = next((arg for arg in bad if arg not in ("--id", "--ids",
                                                            "--keywords")
                          and arg.startswith("--")), bad[0])
-            check(flag in proc.stderr,
-                  "%s: the message does not name %s (stderr: %s)" %
-                  (bad, flag, proc.stderr.strip()))
+            check_usage_error(cli, base + bad, flag)
 
         # The other commands parse their numeric flags the same way.
         users = os.path.join(tmp, "u.tsv")
@@ -148,13 +162,42 @@ def main():
                     [*maxbrst, "--k", "x"],
                     [*maxbrst, "--alpha", "abc"],
                     [*maxbrst[:-1], "20:20;50:north"],
-                    [*maxbrst[:-1], "20:20;5050"]):
+                    [*maxbrst[:-1], "20:20;5050"],
+                    ["gen", "--kind", "bogus", "--out", data + ".x"],
+                    ["gen", "--weighting", "bogus", "--out", data + ".x"],
+                    [*maxbrst, "--method", "fast"]):
             proc = run(cli, *bad)
             check(proc.returncode == 2,
                   "%s exited %d, want 2 (stderr: %s)" %
                   (bad, proc.returncode, proc.stderr.strip()))
             check(proc.stdout == "", "%s printed output" % bad)
             check(not os.path.exists(data + ".x"), "%s wrote a file" % bad)
+
+        # rst_replay: a capture replays cleanly; malformed flags and header
+        # tokens outside their vocabularies exit 2 naming what is wrong.
+        journal = os.path.join(tmp, "j.jsonl")
+        ok(cli, *base, "--ids", "3 5 7", "--journal-out", journal)
+        ok(replay, "--journal", journal)
+        ok(replay, "--journal", journal, "--threads", "2", "--shards", "2",
+           "--algo", "cl", "--max-diffs", "0")
+        replay_base = ["--journal", journal]
+        for bad in (["--threads", "abc"], ["--threads", "0"],
+                    ["--threads", "1025"], ["--threads", "-1"],
+                    ["--max-diffs", "-3"], ["--max-diffs", "x"],
+                    ["--shards", "-2"], ["--shards", "xyz"],
+                    ["--algo", "nope"]):
+            check_usage_error(replay, replay_base + bad, bad[0])
+        with open(journal) as f:
+            lines = f.read().splitlines(keepends=True)
+        for key, good in (("measure", "ej"), ("weighting", "tfidf"),
+                          ("algo", "probe"), ("tree", "iur")):
+            needle = '"%s":"%s"' % (key, good)
+            check(needle in lines[0], "journal header lacks %s" % needle)
+            broken = os.path.join(tmp, "bad_%s.jsonl" % key)
+            with open(broken, "w") as f:
+                f.write(lines[0].replace(needle, '"%s":"bogus"' % key))
+                f.writelines(lines[1:])
+            check_usage_error(replay, ["--journal", broken], key)
     print("rstknn_cli_test: ok")
 
 

@@ -5,7 +5,8 @@
 // the accumulated index heatmap must reconcile counter-exactly with the
 // summed RstknnStats.
 //
-//   rst_replay --journal FILE [--data FILE] [--algo probe|cl|journal]
+//   rst_replay --journal FILE [--data FILE]
+//              [--algo probe|cl|contribution-list|journal]
 //              [--shards K|journal] [--threads N] [--report FILE]
 //              [--heatmap-out FILE] [--max-diffs N]
 //
@@ -24,23 +25,25 @@
 //                    must still match — the answer set is independent of the
 //                    partitioning; stats are only compared when the replay
 //                    shard count matches the capture's
-//   --threads N      BatchRunner workers (default 1 = inline on the
-//                    caller); digests are identical at any thread count
+//   --threads N      BatchRunner workers in [1, 1024] (default 1 = inline on
+//                    the caller); digests are identical at any thread count
 //   --report FILE    write the per-query diff report as JSON
 //   --heatmap-out    write the replay's accumulated heatmap JSON
 //   --max-diffs N    cap per-query diff lines on stderr (default 10)
 //
 // Exit status: 0 clean; 1 on any digest mismatch, comparable-stats mismatch,
-// or heatmap reconciliation failure; 2 on usage/IO errors. Scripted gates
-// (the CI replay-smoke job) rely on this.
+// or heatmap reconciliation failure; 2 on usage/IO errors — a malformed flag
+// value (named in the message) or a journal header whose algo, tree, measure
+// or weighting is outside its vocabulary. Scripted gates (the CI
+// replay-smoke job) rely on this.
 //
 // After replaying, an aggregate analytics table is printed: per-level prune
 // efficiency, bound-fire frequency, hottest nodes and hottest query terms —
 // the workload-level view ROADMAP item 5's planner trains from.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -59,6 +62,7 @@
 #include "rst/obs/json.h"
 #include "rst/rstknn/rstknn.h"
 #include "rst/shard/sharded_index.h"
+#include "flag_parse.h"
 
 namespace rst {
 namespace {
@@ -67,7 +71,7 @@ struct ReplayFlags {
   std::string journal;
   std::string data;
   std::string algo = "journal";
-  std::string shards = "journal";
+  std::optional<uint64_t> shards;  ///< nullopt: the journal's shard count
   size_t threads = 1;
   std::string report;
   std::string heatmap_out;
@@ -77,7 +81,7 @@ struct ReplayFlags {
 int Usage() {
   std::fprintf(stderr,
                "usage: rst_replay --journal FILE [--data FILE]\n"
-               "                  [--algo probe|cl|journal]\n"
+               "                  [--algo probe|cl|contribution-list|journal]\n"
                "                  [--shards K|journal] [--threads N]\n"
                "                  [--report FILE] [--heatmap-out FILE]\n"
                "                  [--max-diffs N]\n"
@@ -96,24 +100,48 @@ bool ParseFlags(int argc, char** argv, ReplayFlags* flags) {
       value = "1";
       i += 1;
     }
+    uint64_t number = 0;
     if (name == "--journal") {
       flags->journal = value;
     } else if (name == "--data") {
       flags->data = value;
     } else if (name == "--algo") {
+      if (value != "probe" && value != "cl" && value != "contribution-list" &&
+          value != "journal") {
+        std::fprintf(stderr,
+                     "--algo: '%s' is not one of probe cl contribution-list "
+                     "journal\n",
+                     value.c_str());
+        return false;
+      }
       flags->algo = value;
     } else if (name == "--shards") {
-      flags->shards = value;
+      if (value == "journal") {
+        flags->shards.reset();
+      } else if (tools::ParseUint(value, UINT64_MAX, &number)) {
+        flags->shards = number;
+      } else {
+        std::fprintf(stderr,
+                     "--shards: '%s' is neither a shard count nor journal\n",
+                     value.c_str());
+        return false;
+      }
     } else if (name == "--threads") {
-      flags->threads = static_cast<size_t>(
-          std::max(1L, std::strtol(value.c_str(), nullptr, 10)));
+      if (!tools::ParseThreadCount(value, "threads", &flags->threads)) {
+        return false;
+      }
     } else if (name == "--report") {
       flags->report = value;
     } else if (name == "--heatmap-out") {
       flags->heatmap_out = value;
     } else if (name == "--max-diffs") {
-      flags->max_diffs = static_cast<size_t>(
-          std::max(0L, std::strtol(value.c_str(), nullptr, 10)));
+      if (!tools::ParseUint(value, UINT64_MAX, &number)) {
+        std::fprintf(stderr,
+                     "--max-diffs: '%s' is not a non-negative integer\n",
+                     value.c_str());
+        return false;
+      }
+      flags->max_diffs = static_cast<size_t>(number);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", name.c_str());
       return false;
@@ -225,11 +253,7 @@ int Main(int argc, char** argv) {
           : (flags.algo == "cl" || flags.algo == "contribution-list"
                  ? "contribution_list"
                  : "probe");
-  const uint64_t shards =
-      flags.shards == "journal"
-          ? journal.header.shards
-          : static_cast<uint64_t>(
-                std::max(0L, std::strtol(flags.shards.c_str(), nullptr, 10)));
+  const uint64_t shards = flags.shards.value_or(journal.header.shards);
   const bool use_sharded = shards > 0;
   const RstknnAlgorithm algo = algo_name == "contribution_list"
                                    ? RstknnAlgorithm::kContributionList
@@ -388,7 +412,7 @@ int Main(int argc, char** argv) {
   std::printf("\nper-level prune efficiency:\n");
   std::printf("  %-6s %10s %10s %10s %10s %12s\n", "level", "visits",
               "pruned", "expanded", "reported", "prune_rate");
-  for (const obs::HeatmapNodeCounters& level : heatmap.LevelSummaries()) {
+  for (const obs::DecisionCounters& level : heatmap.LevelSummaries()) {
     const uint64_t decided = level.pruned + level.reported_miss;
     std::printf("  %-6u %10llu %10llu %10llu %10llu %11.1f%%\n", level.level,
                 static_cast<unsigned long long>(level.visits),
@@ -402,7 +426,7 @@ int Main(int argc, char** argv) {
                     : 0.0);
   }
 
-  const obs::HeatmapNodeCounters& totals = heatmap.totals();
+  const obs::DecisionCounters& totals = heatmap.totals();
   const uint64_t fires = totals.lower_bound_fires + totals.upper_bound_fires +
                          totals.exact_fires;
   std::printf("\nbound-fire frequency (%llu decisions with a bound):\n",
@@ -419,7 +443,7 @@ int Main(int argc, char** argv) {
   fire_line("exact", totals.exact_fires);
 
   std::printf("\nhottest nodes (by visits):\n");
-  std::vector<std::pair<uint64_t, obs::HeatmapNodeCounters>> hot(
+  std::vector<std::pair<uint64_t, obs::DecisionCounters>> hot(
       heatmap.nodes().begin(), heatmap.nodes().end());
   std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
     if (a.second.visits != b.second.visits) {

@@ -21,10 +21,11 @@
 //                       --keywords "1 2 3" --ws W --k K [--method exact]
 //
 // Common flags: --alpha A (0.5, in [0, 1]), --measure ej|cos|sum (ej; sum
-// for maxbrst), --weighting tfidf|lm|binary (tfidf), --seed S. Every numeric
-// flag is parsed strictly — counts are non-negative decimal integers,
-// coordinates and thresholds finite numbers, --locations pairs x:y numbers —
-// and anything else exits 2 with a message naming the flag.
+// for maxbrst), --weighting tfidf|lm|binary (tfidf), --seed S. Every flag
+// value is parsed strictly — counts are non-negative decimal integers,
+// coordinates and thresholds finite numbers, --locations pairs x:y numbers,
+// and --kind, --measure, --weighting, --algo and --method one of their listed
+// values — and anything else exits 2 with a message naming the flag.
 //
 // Observability flags (topk / rstknn / maxbrst):
 //   --trace             print the per-phase span tree of the query (for
@@ -119,6 +120,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
@@ -149,20 +151,12 @@
 #include "rst/obs/trace_event.h"
 #include "rst/rstknn/rstknn.h"
 #include "rst/shard/sharded_index.h"
+#include "flag_parse.h"
 
 namespace rst {
 namespace {
 
-/// Parses a decimal integer in [0, max]: digits only — no sign, no
-/// surrounding junk — and no overflow.
-bool ParseUint(std::string_view token, uint64_t max, uint64_t* out) {
-  uint64_t value = 0;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (ec != std::errc() || ptr != end || value > max) return false;
-  *out = value;
-  return true;
-}
+using tools::ParseUint;
 
 /// Parses a finite decimal number in [lo, hi]: the whole token, no
 /// surrounding junk, no inf/nan.
@@ -241,6 +235,25 @@ class Flags {
     }
     return value;
   }
+  /// --name as one of `allowed`, `fallback` when absent; anything else exits
+  /// 2 naming the flag and the accepted values.
+  std::string Enum(const std::string& name, const std::string& fallback,
+                   std::initializer_list<std::string_view> allowed) const {
+    auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    if (std::find(allowed.begin(), allowed.end(), it->second) !=
+        allowed.end()) {
+      return it->second;
+    }
+    std::fprintf(stderr, "--%s: '%s' is not one of", name.c_str(),
+                 it->second.c_str());
+    for (const std::string_view value : allowed) {
+      std::fprintf(stderr, " %.*s", static_cast<int>(value.size()),
+                   value.data());
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
   /// --alpha, the spatial weight of SimST: a number in [0, 1].
   double Alpha() const { return Double("alpha", 0.5, 0.0, 1.0); }
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
@@ -278,20 +291,6 @@ bool ParseObjectId(const std::string& token, size_t num_objects,
     return false;
   }
   *id = static_cast<ObjectId>(value);
-  return true;
-}
-
-/// A worker-count flag (--threads, --build-threads): an integer in
-/// [1, 1024], default 1; false (after a message) otherwise.
-bool GetThreadCount(const Flags& flags, const char* name, size_t* out) {
-  const std::string value = flags.Get(name, "1");
-  uint64_t threads = 0;
-  if (!ParseUint(value, 1024, &threads) || threads < 1) {
-    std::fprintf(stderr, "--%s: '%s' is not a thread count in [1, 1024]\n",
-                 name, value.c_str());
-    return false;
-  }
-  *out = static_cast<size_t>(threads);
   return true;
 }
 
@@ -434,14 +433,15 @@ int EmitObsArtifacts(const ObsFlags& obs_flags, const std::string& command,
 }
 
 WeightingOptions ParseWeighting(const Flags& flags) {
-  const std::string w = flags.Get("weighting", "tfidf");
+  const std::string w =
+      flags.Enum("weighting", "tfidf", {"tfidf", "lm", "binary"});
   if (w == "lm") return {Weighting::kLanguageModel, 0.1};
   if (w == "binary") return {Weighting::kBinary, 0.1};
   return {Weighting::kTfIdf, 0.1};
 }
 
 TextMeasure ParseMeasure(const Flags& flags, TextMeasure fallback) {
-  const std::string m = flags.Get("measure", "");
+  const std::string m = flags.Enum("measure", "", {"ej", "cos", "sum"});
   if (m == "ej") return TextMeasure::kExtendedJaccard;
   if (m == "cos") return TextMeasure::kCosine;
   if (m == "sum") return TextMeasure::kSum;
@@ -449,11 +449,10 @@ TextMeasure ParseMeasure(const Flags& flags, TextMeasure fallback) {
 }
 
 RstknnAlgorithm ParseAlgorithm(const Flags& flags) {
-  const std::string a = flags.Get("algo", "probe");
-  if (a == "cl" || a == "contribution-list") {
-    return RstknnAlgorithm::kContributionList;
-  }
-  return RstknnAlgorithm::kProbe;
+  const std::string a =
+      flags.Enum("algo", "probe", {"probe", "cl", "contribution-list"});
+  return a == "probe" ? RstknnAlgorithm::kProbe
+                      : RstknnAlgorithm::kContributionList;
 }
 
 /// Capture context for a workload journal (DESIGN.md §14): everything
@@ -516,7 +515,8 @@ int FinishJournal(obs::WorkloadRecorder* journal, const std::string& path) {
 }
 
 int CmdGen(const Flags& flags) {
-  const std::string kind = flags.Get("kind", "flickr");
+  const std::string kind =
+      flags.Enum("kind", "flickr", {"flickr", "yelp", "geonames"});
   const size_t n =
       flags.Uint("objects", 10000, std::numeric_limits<ObjectId>::max());
   const uint64_t seed = flags.Uint("seed", 1);
@@ -689,8 +689,10 @@ int CmdRstknn(const Flags& flags) {
   }
   size_t threads = 1;
   size_t build_threads = 1;
-  if (!GetThreadCount(flags, "threads", &threads) ||
-      !GetThreadCount(flags, "build-threads", &build_threads)) {
+  if (!tools::ParseThreadCount(flags.Get("threads", "1"), "threads",
+                               &threads) ||
+      !tools::ParseThreadCount(flags.Get("build-threads", "1"),
+                               "build-threads", &build_threads)) {
     return 2;
   }
 
@@ -1000,6 +1002,11 @@ int CmdMaxBrst(const Flags& flags) {
     return 2;
   }
 
+  const KeywordSelect method =
+      flags.Enum("method", "approx", {"approx", "exact"}) == "exact"
+          ? KeywordSelect::kExact
+          : KeywordSelect::kApprox;
+
   const ObsFlags obs_flags(flags);
   obs::QueryTrace trace(obs::names::kTraceMaxbrst);
   obs::QueryTrace* trace_ptr = obs_flags.tracing() ? &trace : nullptr;
@@ -1012,9 +1019,6 @@ int CmdMaxBrst(const Flags& flags) {
   const double topk_ms = timer.ElapsedMillis();
 
   MaxBrstSolver solver(&dataset, &scorer);
-  const KeywordSelect method = flags.Get("method", "approx") == "exact"
-                                   ? KeywordSelect::kExact
-                                   : KeywordSelect::kApprox;
   timer.Restart();
   const MaxBrstResult best =
       solver.Solve(users.value(), joint.rsk, query, method, trace_ptr);
