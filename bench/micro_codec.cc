@@ -1,10 +1,9 @@
 // Microbenchmarks for the storage substrate: varint codecs, posting-list
-// encode/decode, page store and buffer pool throughput.
+// encode/decode and page store throughput.
 
 #include <benchmark/benchmark.h>
 
 #include "rst/common/rng.h"
-#include "rst/storage/buffer_pool.h"
 #include "rst/storage/codec.h"
 #include "rst/storage/page_store.h"
 #include "rst/storage/varint.h"
@@ -97,19 +96,6 @@ void BM_PageStoreRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PageStoreRoundTrip)->Arg(512)->Arg(65536);
-
-void BM_BufferPoolHit(benchmark::State& state) {
-  PageStore store;
-  const PageHandle h = store.Write(std::string(4096, 'y'));
-  BufferPool pool(&store, 64);
-  IoStats stats;
-  // rst-lint: allow(unchecked-status) cache warm-up; the timed Fetch below is checked by storage_test
-  (void)pool.Fetch(h, &stats);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.Fetch(h, &stats));
-  }
-}
-BENCHMARK(BM_BufferPoolHit);
 
 }  // namespace
 }  // namespace rst

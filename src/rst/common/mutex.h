@@ -3,13 +3,12 @@
 
 /// Capability-annotated synchronization wrappers (DESIGN.md §16).
 ///
-/// libstdc++'s std::mutex / std::shared_mutex carry no thread-safety
-/// attributes, so clang's capability analysis cannot reason about them.
-/// These thin wrappers add the annotations with zero runtime cost; all
-/// locking in the project goes through them (tools/rst_lint.py rule
-/// raw-sync-primitive bans the std types everywhere else — this header is
-/// the single exemption, which is also why the manual .lock()/.unlock()
-/// calls below are allowed to exist).
+/// libstdc++'s std::mutex carries no thread-safety attributes, so clang's
+/// capability analysis cannot reason about it. These thin wrappers add the
+/// annotations with zero runtime cost; all locking in the project goes
+/// through them (tools/rst_lint.py rule raw-sync-primitive bans the std
+/// types everywhere else — this header is the single exemption, which is
+/// also why the manual .lock()/.unlock() calls below are allowed to exist).
 ///
 /// Idiom:
 ///
@@ -35,7 +34,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "rst/common/thread_annotations.h"
 
@@ -59,27 +57,6 @@ class RST_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Reader/writer mutex (std::shared_mutex) declared as a capability.
-class RST_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() RST_ACQUIRE() { mu_.lock(); }
-  void Unlock() RST_RELEASE() { mu_.unlock(); }
-  bool TryLock() RST_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  void LockShared() RST_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() RST_RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool TryLockShared() RST_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// RAII exclusive lock over Mutex.
 class RST_SCOPED_CAPABILITY MutexLock {
  public:
@@ -90,34 +67,6 @@ class RST_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// RAII exclusive lock over SharedMutex.
-class RST_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex* mu) RST_ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-  }
-  ~WriterMutexLock() RST_RELEASE() { mu_->Unlock(); }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
-};
-
-/// RAII shared (reader) lock over SharedMutex.
-class RST_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex* mu) RST_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_->LockShared();
-  }
-  ~ReaderMutexLock() RST_RELEASE_GENERIC() { mu_->UnlockShared(); }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
 };
 
 /// Condition variable usable with rst::Mutex. Wait* atomically release the

@@ -13,8 +13,8 @@
 ///
 /// The analysis only understands types declared as capabilities, so code
 /// must use the annotated wrappers in rst/common/mutex.h (rst::Mutex,
-/// rst::SharedMutex, the RAII guards, rst::CondVar) rather than raw
-/// std::mutex — enforced by the raw-sync-primitive rule in tools/rst_lint.py.
+/// rst::MutexLock, rst::CondVar) rather than raw std::mutex — enforced by
+/// the raw-sync-primitive rule in tools/rst_lint.py.
 
 #if defined(__clang__)
 #define RST_THREAD_ANNOTATION_ATTRIBUTE__(x) __attribute__((x))
@@ -37,57 +37,30 @@
 /// pointer itself may be read freely).
 #define RST_PT_GUARDED_BY(x) RST_THREAD_ANNOTATION_ATTRIBUTE__(pt_guarded_by(x))
 
-/// Lock-ordering declarations between mutex members (deadlock prevention;
+/// Lock-ordering declaration between mutex members (deadlock prevention;
 /// checked under -Wthread-safety-beta).
 #define RST_ACQUIRED_BEFORE(...) \
   RST_THREAD_ANNOTATION_ATTRIBUTE__(acquired_before(__VA_ARGS__))
-#define RST_ACQUIRED_AFTER(...) \
-  RST_THREAD_ANNOTATION_ATTRIBUTE__(acquired_after(__VA_ARGS__))
 
-/// Functions: caller must hold the capability (exclusively / shared). This is
-/// the contract for private `...Locked()` helpers.
+/// Functions: caller must hold the capability. This is the contract for
+/// private `...Locked()` helpers.
 #define RST_REQUIRES(...) \
   RST_THREAD_ANNOTATION_ATTRIBUTE__(requires_capability(__VA_ARGS__))
-#define RST_REQUIRES_SHARED(...) \
-  RST_THREAD_ANNOTATION_ATTRIBUTE__(requires_shared_capability(__VA_ARGS__))
 
-/// Functions: acquire/release the capability (exclusively / shared).
+/// Functions: acquire/release the capability.
 #define RST_ACQUIRE(...) \
   RST_THREAD_ANNOTATION_ATTRIBUTE__(acquire_capability(__VA_ARGS__))
-#define RST_ACQUIRE_SHARED(...) \
-  RST_THREAD_ANNOTATION_ATTRIBUTE__(acquire_shared_capability(__VA_ARGS__))
 #define RST_RELEASE(...) \
   RST_THREAD_ANNOTATION_ATTRIBUTE__(release_capability(__VA_ARGS__))
-#define RST_RELEASE_SHARED(...) \
-  RST_THREAD_ANNOTATION_ATTRIBUTE__(release_shared_capability(__VA_ARGS__))
-/// Releases a capability however it was acquired (exclusive or shared) —
-/// used by scoped-guard destructors that serve both modes.
-#define RST_RELEASE_GENERIC(...) \
-  RST_THREAD_ANNOTATION_ATTRIBUTE__(release_generic_capability(__VA_ARGS__))
 
 /// Functions: attempt to acquire; first argument is the return value meaning
 /// success, e.g. RST_TRY_ACQUIRE(true).
 #define RST_TRY_ACQUIRE(...) \
   RST_THREAD_ANNOTATION_ATTRIBUTE__(try_acquire_capability(__VA_ARGS__))
-#define RST_TRY_ACQUIRE_SHARED(...) \
-  RST_THREAD_ANNOTATION_ATTRIBUTE__(try_acquire_shared_capability(__VA_ARGS__))
 
 /// Functions: caller must NOT hold the capability (non-reentrancy contract
 /// for public methods that take the lock themselves).
 #define RST_EXCLUDES(...) \
   RST_THREAD_ANNOTATION_ATTRIBUTE__(locks_excluded(__VA_ARGS__))
-
-/// Asserts at runtime that the capability is held (analysis trusts it).
-#define RST_ASSERT_CAPABILITY(x) \
-  RST_THREAD_ANNOTATION_ATTRIBUTE__(assert_capability(x))
-
-/// Functions returning a reference to a capability-guarding mutex.
-#define RST_RETURN_CAPABILITY(x) \
-  RST_THREAD_ANNOTATION_ATTRIBUTE__(lock_returned(x))
-
-/// Escape hatch: disables analysis for one function. Every use must carry a
-/// comment explaining why the contract cannot be expressed.
-#define RST_NO_THREAD_SAFETY_ANALYSIS \
-  RST_THREAD_ANNOTATION_ATTRIBUTE__(no_thread_safety_analysis)
 
 #endif  // RST_COMMON_THREAD_ANNOTATIONS_H_

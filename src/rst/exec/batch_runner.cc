@@ -94,7 +94,6 @@ obs::JournalStats ToJournalStats(const RstknnStats& stats) {
   out.io_node_reads = stats.io.node_reads;
   out.io_payload_blocks = stats.io.payload_blocks;
   out.io_payload_bytes = stats.io.payload_bytes;
-  out.io_cache_hits = stats.io.cache_hits;
   out.entries_created = stats.entries_created;
   out.expansions = stats.expansions;
   out.pruned_entries = stats.pruned_entries;

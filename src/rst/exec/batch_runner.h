@@ -59,14 +59,13 @@ struct BatchStats {
 /// vector is byte-identical to running the same queries serially — at any
 /// thread count, regardless of scheduling.
 ///
-/// What is shared vs. per-worker: the index, dataset, scorer and (optional)
-/// BufferPool are shared read-only/thread-safe; each worker owns a
-/// ProbeScratch, an RstknnStats accumulator and a busy-time stopwatch, so
-/// the query hot path takes no locks. Per-query registry publishes are
-/// suppressed and replaced by ONE per-batch aggregated publish (rstknn.*
-/// and rstknn.shard.* totals plus exec.batch.* timings, including the
-/// per-query exec.batch.queue_wait_ms histogram — time between batch start
-/// and a query's first instruction on a worker).
+/// What is shared vs. per-worker: the index, dataset and scorer are shared
+/// read-only; each worker owns a ProbeScratch, an RstknnStats accumulator and
+/// a busy-time stopwatch, so the query hot path takes no locks. Per-query
+/// registry publishes are suppressed and replaced by ONE per-batch
+/// aggregated publish (rstknn.* and rstknn.shard.* totals plus exec.batch.*
+/// timings, including the per-query exec.batch.queue_wait_ms histogram —
+/// time between batch start and a query's first instruction on a worker).
 ///
 /// Instruments attached to `options` describe the whole batch. A non-null
 /// options.trace, options.explain, options.profiler or options.heatmap is
@@ -129,10 +128,8 @@ class BatchRunner {
   void set_journal(obs::WorkloadRecorder* journal) { journal_ = journal; }
 
   /// Runs every query through the index's searcher. `options.scratch` and
-  /// `options.publish_metrics` are overridden per worker, the instruments
-  /// are handled as the class comment describes, and `options.pool`
-  /// (real-I/O mode, FrozenTree only) is honored and requires the
-  /// concurrent-reader-safe BufferPool.
+  /// `options.publish_metrics` are overridden per worker, and the
+  /// instruments are handled as the class comment describes.
   std::vector<RstknnResult> RunRstknn(const std::vector<RstknnQuery>& queries,
                                       const RstknnOptions& options,
                                       BatchStats* batch_stats = nullptr) const;

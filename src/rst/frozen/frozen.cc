@@ -236,18 +236,6 @@ void FrozenTree::ChargeAccess(uint32_t node, IoStats* stats) const {
   }
 }
 
-Status FrozenTree::ReadNodePayload(uint32_t node, BufferPool* pool,
-                                   IoStats* stats, InvertedFile* out) const {
-  if (!has_payloads_ || !node_invfile_[node].valid()) {
-    return Status::FailedPrecondition("frozen tree has no payloads");
-  }
-  stats->AddNodeRead();
-  auto payload = pool->Fetch(node_invfile_[node], stats);
-  if (!payload.ok()) return payload.status();
-  size_t offset = 0;
-  return DecodeInvertedFile(*payload.value(), &offset, out);
-}
-
 std::string FrozenTree::SerializeToString() const {
   std::string out;
   out.append(kMagic, sizeof(kMagic));

@@ -9,7 +9,6 @@
 #include "rst/common/geometry.h"
 #include "rst/common/status.h"
 #include "rst/iurtree/iurtree.h"
-#include "rst/storage/buffer_pool.h"
 #include "rst/storage/codec.h"
 #include "rst/storage/io_stats.h"
 #include "rst/storage/page_store.h"
@@ -59,7 +58,7 @@ struct ClusterRef {
 /// Storage: the frozen tree owns a PageStore whose node records and inverted
 /// files are re-encoded by the same encoder (EncodeNodePayload) in the exact
 /// post-order of IurTree::Build's storage pass, so page handles and bytes —
-/// and therefore simulated and real I/O accounting — match the source tree
+/// and therefore the simulated I/O accounting — match the source tree
 /// exactly. The serialized file (Save/Load) stores only the arrays and the
 /// pool; payloads are rebuilt deterministically on load.
 class FrozenTree {
@@ -75,8 +74,7 @@ class FrozenTree {
 
   /// Snapshots a built tree. If the tree stores payloads the frozen payload
   /// store is rebuilt with identical handles; otherwise the frozen tree has
-  /// no payloads (ChargeAccess then charges node reads only, and
-  /// ReadNodePayload fails with FailedPrecondition). Records
+  /// no payloads (ChargeAccess then charges node reads only). Records
   /// `frozen.freeze` spans on `trace` and publishes frozen.freezes /
   /// frozen.freeze.last_ms.
   static FrozenTree Freeze(const IurTree& tree,
@@ -124,15 +122,9 @@ class FrozenTree {
   PageHandle invfile_handle(uint32_t node) const { return node_invfile_[node]; }
 
   /// Charges the simulated I/O of opening `node`: one node read plus the
-  /// blocks of its inverted file when payloads exist.
+  /// blocks of its inverted file when payloads exist. The only way a search
+  /// charges I/O (DESIGN.md §3.5).
   void ChargeAccess(uint32_t node, IoStats* stats) const;
-
-  /// Reads `node`'s serialized inverted file through a buffer pool wrapping
-  /// page_store() (real bytes; cache hits charge nothing) and decodes it —
-  /// the real-I/O path of RstknnOptions::pool. FailedPrecondition when the
-  /// snapshot has no payloads.
-  Status ReadNodePayload(uint32_t node, BufferPool* pool, IoStats* stats,
-                         InvertedFile* out) const;
 
   // --- Persistence (versioned flat snapshot; DESIGN.md §10.3) ---
   std::string SerializeToString() const;

@@ -86,19 +86,6 @@ void AppendProvenanceJson(JsonWriter* writer) {
 #endif
 }
 
-bool JournalStats::operator==(const JournalStats& other) const {
-  return io_node_reads == other.io_node_reads &&
-         io_payload_blocks == other.io_payload_blocks &&
-         io_payload_bytes == other.io_payload_bytes &&
-         io_cache_hits == other.io_cache_hits &&
-         entries_created == other.entries_created &&
-         expansions == other.expansions &&
-         pruned_entries == other.pruned_entries &&
-         reported_entries == other.reported_entries &&
-         bound_computations == other.bound_computations &&
-         probes == other.probes && pq_pops == other.pq_pops;
-}
-
 namespace {
 
 struct StatsField {
@@ -119,6 +106,37 @@ constexpr StatsField kStatsFields[] = {
     {"probes", &JournalStats::probes},
     {"pq_pops", &JournalStats::pq_pops},
 };
+
+}  // namespace
+
+bool JournalStats::operator==(const JournalStats& other) const {
+  for (const StatsField& f : kStatsFields) {
+    if (this->*f.member != other.*f.member) return false;
+  }
+  return true;
+}
+
+std::string JournalStats::Diff(const JournalStats& other) const {
+  std::string out;
+  for (const StatsField& f : kStatsFields) {
+    if (this->*f.member == other.*f.member) continue;
+    if (!out.empty()) out += ", ";
+    out += std::string(f.key) + " " + std::to_string(this->*f.member) + "->" +
+           std::to_string(other.*f.member);
+  }
+  return out;
+}
+
+void JournalStats::AppendJson(JsonWriter* w) const {
+  w->BeginObject();
+  for (const StatsField& f : kStatsFields) {
+    w->Key(f.key);
+    w->Uint(this->*f.member);
+  }
+  w->EndObject();
+}
+
+namespace {
 
 void AppendHeaderJson(JsonWriter* w, const JournalHeader& h) {
   w->BeginObject();
@@ -187,12 +205,7 @@ void AppendRecordJson(JsonWriter* w, const JournalQueryRecord& r) {
   w->Key("answer_digest");
   w->String(DigestHex(r.answer_digest));
   w->Key("stats");
-  w->BeginObject();
-  for (const StatsField& f : kStatsFields) {
-    w->Key(f.key);
-    w->Uint(r.stats.*f.member);
-  }
-  w->EndObject();
+  r.stats.AppendJson(w);
   w->EndObject();
 }
 

@@ -64,6 +64,12 @@ struct JournalStats {
 
   bool operator==(const JournalStats& other) const;
   bool operator!=(const JournalStats& other) const { return !(*this == other); }
+
+  /// "key this->other" for every field whose values differ, in journal key
+  /// order and joined by ", "; empty when the two are equal.
+  std::string Diff(const JournalStats& other) const;
+  /// The record's "stats" object: {"io_node_reads":..,...,"pq_pops":..}.
+  void AppendJson(JsonWriter* w) const;
 };
 
 /// One captured query. Term weights round-trip exactly: floats are written

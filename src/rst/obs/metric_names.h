@@ -106,14 +106,6 @@ inline constexpr char kTraceArgCalls[] = "calls";
 inline constexpr char kPageStoreWrites[] = "storage.page_store.writes";
 inline constexpr char kPageStorePagesWritten[] =
     "storage.page_store.pages_written";
-inline constexpr char kPageStoreReads[] = "storage.page_store.reads";
-inline constexpr char kPageStorePagesRead[] = "storage.page_store.pages_read";
-inline constexpr char kPageStoreBytesRead[] = "storage.page_store.bytes_read";
-inline constexpr char kBufferPoolHits[] = "storage.buffer_pool.hits";
-inline constexpr char kBufferPoolMisses[] = "storage.buffer_pool.misses";
-inline constexpr char kBufferPoolEvictions[] = "storage.buffer_pool.evictions";
-inline constexpr char kBufferPoolHitRate[] = "storage.buffer_pool.hit_rate";
-inline constexpr char kBufferPoolFillMs[] = "storage.buffer_pool.fill_ms";
 
 // --- precompute baseline ---
 inline constexpr char kBaselineBuilds[] = "baseline.builds";
@@ -137,7 +129,6 @@ inline constexpr char kSuffixIo[] = ".io";
 inline constexpr char kSuffixNodeReads[] = ".node_reads";
 inline constexpr char kSuffixPayloadBlocks[] = ".payload_blocks";
 inline constexpr char kSuffixPayloadBytes[] = ".payload_bytes";
-inline constexpr char kSuffixCacheHits[] = ".cache_hits";
 
 // --- Publish() suffixes: RstknnStats ---
 inline constexpr char kSuffixEntriesCreated[] = ".entries_created";
@@ -172,7 +163,6 @@ inline constexpr char kSpanMaxbrstEvaluate[] = "maxbrst.evaluate";
 inline constexpr char kSpanFrozenFreeze[] = "frozen.freeze";
 inline constexpr char kSpanFrozenLayout[] = "layout";
 inline constexpr char kSpanFrozenPayloads[] = "payloads";
-inline constexpr char kSpanStorageReadNode[] = "storage.read_node";
 inline constexpr char kSpanSetup[] = "setup";
 inline constexpr char kSpanExpand[] = "expand";
 inline constexpr char kSpanPick[] = "pick";

@@ -6,7 +6,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "rst/obs/json.h"
@@ -455,57 +454,6 @@ Result<MetricsSnapshot> MetricsSnapshot::FromJsonValue(const JsonValue& root) {
     }
   }
   return snap;
-}
-
-namespace {
-
-std::string PrometheusName(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    if (c == '.' || c == '-') c = '_';
-  }
-  return out;
-}
-
-void AppendNumber(std::string* out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
-}  // namespace
-
-std::string MetricsSnapshot::ToPrometheusText() const {
-  std::string out;
-  for (const auto& [name, value] : counters) {
-    const std::string pname = PrometheusName(name);
-    out += "# TYPE " + pname + " counter\n";
-    out += pname + " " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : gauges) {
-    const std::string pname = PrometheusName(name);
-    out += "# TYPE " + pname + " gauge\n";
-    out += pname + " ";
-    AppendNumber(&out, value);
-    out += "\n";
-  }
-  for (const auto& [name, hist] : histograms) {
-    const std::string pname = PrometheusName(name);
-    out += "# TYPE " + pname + " histogram\n";
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < hist.bounds.size(); ++i) {
-      cumulative += hist.counts[i];
-      out += pname + "_bucket{le=\"";
-      AppendNumber(&out, hist.bounds[i]);
-      out += "\"} " + std::to_string(cumulative) + "\n";
-    }
-    out += pname + "_bucket{le=\"+Inf\"} " + std::to_string(hist.count) + "\n";
-    out += pname + "_sum ";
-    AppendNumber(&out, hist.sum);
-    out += "\n";
-    out += pname + "_count " + std::to_string(hist.count) + "\n";
-  }
-  return out;
 }
 
 }  // namespace rst::obs

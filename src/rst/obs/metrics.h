@@ -88,9 +88,6 @@ struct MetricsSnapshot {
   /// snapshot and wrapper schemas (e.g. the CLI's {"metrics": {...}}) by
   /// picking the object to decode itself.
   static Result<MetricsSnapshot> FromJsonValue(const JsonValue& root);
-
-  /// Prometheus text exposition ('.' in names becomes '_').
-  std::string ToPrometheusText() const;
 };
 
 /// Handle to a named monotonic counter. Cheap to copy; a default-constructed
@@ -144,7 +141,7 @@ class HistogramRef {
 ///
 /// Metric naming scheme (see DESIGN.md §7): dot-separated
 /// `<subsystem>.<metric>`, e.g. `rstknn.pruned_entries`,
-/// `storage.buffer_pool.hits`, `iurtree.fanout`.
+/// `storage.page_store.writes`, `iurtree.fanout`.
 class MetricRegistry {
  public:
   static constexpr size_t kNumShards = 16;

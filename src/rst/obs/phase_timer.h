@@ -37,8 +37,10 @@ class JsonWriter;
 /// §12.1): kDescent = entry setup + node expansion + candidate pick,
 /// kBounds = competitor probes (guaranteed/potential) and their bound
 /// kernels, kMerge = contribution-list build + k-th selection (the 2011
-/// literal algorithm), kIo = node payload reads through a BufferPool,
-/// kFinalize = answer collection + final sort.
+/// literal algorithm), kIo = no search step (searches charge simulated I/O
+/// and read no pages; the bucket stays so rstknn.phase.io_ms keeps its name
+/// for perfbench, and always reads 0), kFinalize = answer collection +
+/// final sort.
 enum class Phase : uint8_t {
   kDescent = 0,
   kBounds,

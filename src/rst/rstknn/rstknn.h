@@ -105,12 +105,6 @@ struct RstknnOptions {
   /// — exec::BatchRunner gives each query a private one and merges them into
   /// the batch's.
   obs::PhaseProfiler* profiler = nullptr;
-  /// Optional real-I/O mode: node accesses read the serialized inverted
-  /// files through this pool (hits/misses land in the buffer-pool metrics)
-  /// instead of the simulated ChargeAccess. The pool must wrap the searched
-  /// tree's FrozenTree::page_store(), and the snapshot must carry payloads
-  /// (its source tree was built with IurTreeOptions::store_payloads).
-  BufferPool* pool = nullptr;
   /// Optional reusable working memory (see ProbeScratch). Null allocates
   /// fresh scratch per query — correct, just slower for batches.
   ProbeScratch* scratch = nullptr;

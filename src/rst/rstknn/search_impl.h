@@ -23,7 +23,7 @@
 ///                   [1, EntryKeySpace()) — its explain id — which indexes
 ///                   the pair memo's sparse array and labels EXPLAIN and
 ///                   heatmap records, and EntryLevel gives its tree level;
-///   * I/O         — Charge (simulated or real through a buffer pool),
+///   * I/O         — Charge (the papers' simulated accounting),
 ///                   given the query's SearchObserver;
 ///   * scope hooks — ProbeRoot / CollectSelfPath / ForEachContextEntry,
 ///                   which default to the single-tree behaviour and let a
@@ -61,7 +61,6 @@
 #include "rst/obs/phase_timer.h"
 #include "rst/rstknn/rstknn.h"
 #include "rst/rstknn/search_observer.h"
-#include "rst/storage/codec.h"
 
 namespace rst {
 namespace rstknn_internal {
@@ -263,22 +262,10 @@ struct FrozenTreeView {
   template <typename Fn>
   void ForEachContextEntry(Fn&&) const {}
 
-  /// Charges one node access. In real-I/O mode (options.pool set) the node's
-  /// serialized inverted file is read through the buffer pool — hits charge
-  /// nothing and the pool's hit/miss/fill metrics reflect genuine traffic;
-  /// otherwise the papers' simulated accounting applies.
+  /// Charges one node access with the papers' simulated accounting.
   void Charge(NodeRef n,
               const SearchObserver<FrozenTreeView>& observer) const {
-    IoStats* io = &observer.stats()->io;
-    if (BufferPool* pool = observer.options().pool; pool != nullptr) {
-      const auto read = observer.Phase(obs::Phase::kIo,
-                                       obs::names::kSpanStorageReadNode);
-      InvertedFile invfile;
-      if (tree->ReadNodePayload(n, pool, io, &invfile).ok()) return;
-      // No payloads (built without store_payloads): fall back below
-      // (nothing was charged).
-    }
-    tree->ChargeAccess(n, io);
+    tree->ChargeAccess(n, &observer.stats()->io);
   }
 };
 

@@ -9,6 +9,7 @@
 #include "rst/common/check.h"
 #include "rst/exec/thread_pool.h"
 #include "rst/obs/heatmap.h"
+#include "rst/obs/metrics.h"
 #include "rst/rstknn/search_impl.h"
 
 namespace rst {
@@ -197,9 +198,6 @@ ShardedResult ShardedSearcher::Search(const RstknnQuery& query,
   RST_CHECK(options.explain == nullptr)
       << "EXPLAIN recorder not supported in sharded mode (per-shard searches "
          "would reset it); attach a heatmap instead";
-  RST_CHECK(options.pool == nullptr)
-      << "real-I/O buffer pools wrap a single tree's page store; unsupported "
-         "in sharded mode";
 
   ShardedResult result;
   rstknn_internal::RunQuery(options, result.answers, result.stats, [&] {

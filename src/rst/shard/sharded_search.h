@@ -54,11 +54,10 @@ struct ShardedResult {
 ///      the dataset, not the tree shape); RstknnStats differ — they describe
 ///      the forest traversal.
 ///
-/// Restrictions: `options.explain` and `options.pool` are unsupported in
-/// sharded mode (RST_CHECK) — the per-shard searches would reset the recorder
-/// and the buffer pool wraps a single tree's page store. `options.heatmap` is
-/// fully supported and reconciles exactly against the returned stats;
-/// `options.trace` is ignored by the per-shard searches.
+/// Restrictions: `options.explain` is unsupported in sharded mode
+/// (RST_CHECK) — the per-shard searches would reset the recorder.
+/// `options.heatmap` is fully supported and reconciles exactly against the
+/// returned stats; `options.trace` is ignored by the per-shard searches.
 class ShardedSearcher {
  public:
   /// All referents must outlive the searcher.

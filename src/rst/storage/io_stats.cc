@@ -11,12 +11,10 @@ namespace rst {
 std::string IoStats::ToString() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "IoStats{nodes=%llu, blocks=%llu, bytes=%llu, hits=%llu, "
-                "total=%llu}",
+                "IoStats{nodes=%llu, blocks=%llu, bytes=%llu, total=%llu}",
                 static_cast<unsigned long long>(node_reads),
                 static_cast<unsigned long long>(payload_blocks),
                 static_cast<unsigned long long>(payload_bytes),
-                static_cast<unsigned long long>(cache_hits),
                 static_cast<unsigned long long>(TotalIos()));
   return buf;
 }
@@ -26,7 +24,6 @@ void IoStats::Publish(const std::string& prefix) const {
   registry.GetCounter(prefix + obs::names::kSuffixNodeReads).Add(node_reads);
   registry.GetCounter(prefix + obs::names::kSuffixPayloadBlocks).Add(payload_blocks);
   registry.GetCounter(prefix + obs::names::kSuffixPayloadBytes).Add(payload_bytes);
-  registry.GetCounter(prefix + obs::names::kSuffixCacheHits).Add(cache_hits);
 }
 
 void IoStats::AppendJson(obs::JsonWriter* writer) const {
@@ -37,8 +34,6 @@ void IoStats::AppendJson(obs::JsonWriter* writer) const {
   writer->Uint(payload_blocks);
   writer->Key("payload_bytes");
   writer->Uint(payload_bytes);
-  writer->Key("cache_hits");
-  writer->Uint(cache_hits);
   writer->Key("total_ios");
   writer->Uint(TotalIos());
   writer->EndObject();

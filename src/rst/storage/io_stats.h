@@ -13,14 +13,12 @@ class MetricRegistry;
 
 /// Simulated I/O accounting, following the methodology both papers report:
 /// visiting a tree node costs one I/O; loading a node's inverted file (or any
-/// serialized payload) costs ceil(bytes / page_size) I/Os. A buffer pool may
-/// absorb repeated accesses; cache hits are tracked separately and do not
-/// count as I/Os.
+/// serialized payload) costs ceil(bytes / page_size) I/Os. This is the only
+/// I/O accounting the project keeps (DESIGN.md §3.5).
 struct IoStats {
   uint64_t node_reads = 0;      ///< tree nodes visited (1 I/O each)
   uint64_t payload_blocks = 0;  ///< 4 KiB blocks of posting/payload data read
   uint64_t payload_bytes = 0;   ///< raw payload bytes read
-  uint64_t cache_hits = 0;      ///< accesses served by the buffer pool
 
   static constexpr uint64_t kPageSize = 4096;
 
@@ -31,7 +29,6 @@ struct IoStats {
     payload_bytes += bytes;
     payload_blocks += (bytes + kPageSize - 1) / kPageSize;
   }
-  void AddCacheHit() { ++cache_hits; }
 
   void Reset() { *this = IoStats(); }
 
@@ -39,22 +36,21 @@ struct IoStats {
     node_reads += other.node_reads;
     payload_blocks += other.payload_blocks;
     payload_bytes += other.payload_bytes;
-    cache_hits += other.cache_hits;
     return *this;
   }
 
   std::string ToString() const;
 
   /// Adds these totals to the global metric registry as counters
-  /// `<prefix>.node_reads`, `.payload_blocks`, `.payload_bytes`,
-  /// `.cache_hits` — the bridge that keeps this struct's public fields intact
+  /// `<prefix>.node_reads`, `.payload_blocks`, `.payload_bytes` — the
+  /// bridge that keeps this struct's public fields intact
   /// while making every consumer's I/O visible in obs snapshots. Call once
   /// per completed operation (per query / per build), not per access.
   void Publish(const std::string& prefix) const;
 
   /// {"node_reads":..,"payload_blocks":..,"payload_bytes":..,
-  ///  "cache_hits":..,"total_ios":..} — used by the slow-query log and the
-  ///  CLI to embed per-query I/O in JSON artifacts.
+  ///  "total_ios":..} — used by the slow-query log and the CLI to embed
+  ///  per-query I/O in JSON artifacts.
   void AppendJson(obs::JsonWriter* writer) const;
 };
 

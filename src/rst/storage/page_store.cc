@@ -7,14 +7,11 @@ namespace rst {
 
 namespace {
 
-/// Process-wide page-store traffic counters; handles are cached so the
+/// Process-wide page-store write counters; handles are cached so the
 /// per-call cost is one relaxed atomic add.
 struct PageStoreMetrics {
   obs::Counter writes;
   obs::Counter pages_written;
-  obs::Counter reads;
-  obs::Counter pages_read;
-  obs::Counter bytes_read;
 
   static const PageStoreMetrics& Get() {
     static const PageStoreMetrics* metrics = [] {
@@ -22,9 +19,6 @@ struct PageStoreMetrics {
       obs::MetricRegistry& registry = obs::MetricRegistry::Global();
       m->writes = registry.GetCounter(obs::names::kPageStoreWrites);
       m->pages_written = registry.GetCounter(obs::names::kPageStorePagesWritten);
-      m->reads = registry.GetCounter(obs::names::kPageStoreReads);
-      m->pages_read = registry.GetCounter(obs::names::kPageStorePagesRead);
-      m->bytes_read = registry.GetCounter(obs::names::kPageStoreBytesRead);
       return m;
     }();
     return *metrics;
@@ -73,13 +67,6 @@ Status PageStore::Read(const PageHandle& handle, std::string* out,
     return Status::Corruption("short page read");
   }
   if (stats != nullptr) stats->AddPayloadRead(handle.bytes);
-  const PageStoreMetrics& metrics = PageStoreMetrics::Get();
-  metrics.reads.Increment();
-  // Page-granular attribution: the unit the perf-regression gate diffs —
-  // byte counts drift with encoding changes, page counts only with access
-  // patterns.
-  metrics.pages_read.Add(handle.num_pages);
-  metrics.bytes_read.Add(handle.bytes);
   return Status::Ok();
 }
 

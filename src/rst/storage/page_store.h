@@ -22,10 +22,11 @@ struct PageHandle {
 };
 
 /// Append-only simulated disk of 4 KiB pages. Index structures serialize
-/// their node payloads and inverted files here; every Read charges the
-/// simulated I/O cost of the pages it touches (unless served by a
-/// BufferPool layered above). The backing memory is real — sizes reported by
-/// the benchmarks are byte-accurate.
+/// their node payloads and inverted files here. Searches never read it: they
+/// charge the simulated I/O cost of a node from its page handles
+/// (FrozenTree::ChargeAccess); Read serves tests and benchmarks that decode
+/// the stored bytes. The backing memory is real — sizes reported by the
+/// benchmarks are byte-accurate.
 class PageStore {
  public:
   static constexpr size_t kPageSize = IoStats::kPageSize;

@@ -54,7 +54,6 @@ void ExpectStatsEqual(const RstknnStats& a, const RstknnStats& b) {
   EXPECT_EQ(a.io.node_reads, b.io.node_reads);
   EXPECT_EQ(a.io.payload_blocks, b.io.payload_blocks);
   EXPECT_EQ(a.io.payload_bytes, b.io.payload_bytes);
-  EXPECT_EQ(a.io.cache_hits, b.io.cache_hits);
   EXPECT_EQ(a.entries_created, b.entries_created);
   EXPECT_EQ(a.expansions, b.expansions);
   EXPECT_EQ(a.pruned_entries, b.pruned_entries);
@@ -282,36 +281,6 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.clustered ? "_ciur" : "_iur") + "_a" +
              std::to_string(static_cast<int>(info.param.alpha * 10));
     });
-
-/// Real-I/O mode reads the snapshot's own serialized payloads through a
-/// buffer pool. A cold pool misses once per opened node and fetches exactly
-/// the bytes the simulated accounting charges; a warm pool serves every node
-/// from cache. Answers and search counters never depend on the I/O mode.
-TEST(FrozenTreeTest, RealIoThroughBufferPoolMatchesSimulatedIo) {
-  const Fixture f(250, /*clustered=*/false);
-  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
-  const RstknnSearcher searcher(&frozen, &f.dataset, &f.scorer);
-  const StObject& qobj = f.dataset.object(17);
-  const RstknnQuery query{qobj.loc, &qobj.doc, 5, 17};
-  RstknnOptions options;
-  options.publish_metrics = false;
-  const RstknnResult simulated = searcher.Search(query, options);
-
-  BufferPool pool(&frozen.page_store(), /*capacity_pages=*/1024);
-  options.pool = &pool;
-  const RstknnResult cold = searcher.Search(query, options);
-  EXPECT_EQ(cold.answers, simulated.answers);
-  ExpectStatsEqual(cold.stats, simulated.stats);
-  EXPECT_EQ(pool.misses(), simulated.stats.io.node_reads);
-  EXPECT_EQ(pool.hits(), 0u);
-
-  RstknnStats warm = searcher.Search(query, options).stats;
-  EXPECT_EQ(warm.io.cache_hits, simulated.stats.io.node_reads);
-  EXPECT_EQ(warm.io.payload_blocks, 0u);
-  EXPECT_EQ(warm.io.payload_bytes, 0u);
-  warm.io = simulated.stats.io;  // the rest of the search is unchanged
-  ExpectStatsEqual(warm, simulated.stats);
-}
 
 // ---------------------------------------------------------------------------
 // Persistence

@@ -27,7 +27,6 @@ constexpr char kQLat[] = "q.lat";
 constexpr char kDCount[] = "d.count";
 constexpr char kDHist[] = "d.hist";
 constexpr char kDGauge[] = "d.gauge";
-constexpr char kSubSystemEvents[] = "sub.system.events";
 constexpr char kSetup[] = "setup";
 constexpr char kProbe[] = "probe";
 constexpr char kExpand[] = "expand";
@@ -324,14 +323,6 @@ TEST(SnapshotTest, DeltaSubtractsCountersAndHistograms) {
   EXPECT_DOUBLE_EQ(delta.histograms.at("d.hist").sum, 2.0);
   // Gauges keep their current value in a delta.
   EXPECT_DOUBLE_EQ(delta.gauges.at("d.gauge"), 7.0);
-}
-
-TEST(SnapshotTest, PrometheusTextUsesUnderscores) {
-  MetricRegistry registry;
-  registry.GetCounter(kSubSystemEvents).Add(2);
-  const std::string text = registry.Snapshot().ToPrometheusText();
-  EXPECT_NE(text.find("sub_system_events"), std::string::npos);
-  EXPECT_EQ(text.find("sub.system.events"), std::string::npos);
 }
 
 // --- QueryTrace -----------------------------------------------------------

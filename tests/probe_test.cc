@@ -72,7 +72,6 @@ void ExpectStatsEqual(const RstknnStats& a, const RstknnStats& b) {
   EXPECT_EQ(a.io.node_reads, b.io.node_reads);
   EXPECT_EQ(a.io.payload_blocks, b.io.payload_blocks);
   EXPECT_EQ(a.io.payload_bytes, b.io.payload_bytes);
-  EXPECT_EQ(a.io.cache_hits, b.io.cache_hits);
   EXPECT_EQ(a.entries_created, b.entries_created);
   EXPECT_EQ(a.expansions, b.expansions);
   EXPECT_EQ(a.pruned_entries, b.pruned_entries);

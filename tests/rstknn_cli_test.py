@@ -14,13 +14,18 @@ On a generated 500-object dataset it checks that
     outside [0, 1], and junk or negative values of every other numeric flag
     of rstknn, gen, genusers, topk and maxbrst) exit 2 with a message naming
     the flag, and so do enum values outside their lists (--measure,
-    --weighting, --algo, --kind, --method);
+    --weighting, --algo, --kind, --method) and flags a command does not
+    accept (misspelled, or belonging to another command);
   * a captured journal replays cleanly, while malformed rst_replay flags
     (--threads, --max-diffs, --shards, --algo) and journal headers whose
-    algo, tree, measure or weighting is outside its vocabulary exit 2.
+    algo, tree, measure or weighting is outside its vocabulary exit 2;
+  * a 4-thread capture taken with --metrics-out replays on one thread with
+    no digest or stats mismatch, and a capture whose recorded io_node_reads
+    was edited fails replay with exit 1, naming io_node_reads.
 Exits non-zero with a message on the first failed check.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -173,6 +178,24 @@ def main():
             check(proc.stdout == "", "%s printed output" % bad)
             check(not os.path.exists(data + ".x"), "%s wrote a file" % bad)
 
+        # Every command rejects a flag it does not accept, naming it.
+        topk = ["topk", "--data", data, "--keywords", "3 7", "--k", "3"]
+        ok(cli, *topk)
+        for bad, flag in (([*base, "--id", "3", "--bogus-flag", "7"],
+                           "--bogus-flag"),
+                          ([*base, "--id", "3", "--kk", "50"], "--kk"),
+                          ([*base, "--id", "3", "--trace-samples", "2"],
+                           "--trace-samples"),
+                          ([*topk, "--kay", "3"], "--kay"),
+                          ([*topk, "--threads", "4"], "--threads"),
+                          ([*maxbrst, "--explain"], "--explain"),
+                          (["stats", "--data", data, "--out", data + ".x"],
+                           "--out"),
+                          (["gen", "--data", data, "--out", data + ".x"],
+                           "--data")):
+            check_usage_error(cli, bad, flag)
+            check(not os.path.exists(data + ".x"), "%s wrote a file" % bad)
+
         # rst_replay: a capture replays cleanly; malformed flags and header
         # tokens outside their vocabularies exit 2 naming what is wrong.
         journal = os.path.join(tmp, "j.jsonl")
@@ -198,6 +221,47 @@ def main():
                 f.write(lines[0].replace(needle, '"%s":"bogus"' % key))
                 f.writelines(lines[1:])
             check_usage_error(replay, ["--journal", broken], key)
+
+        # The artifact switch only observes: a capture of a 4-thread batch
+        # taken with --metrics-out replays on one thread with identical
+        # answers and identical recorded stats, I/O counts included.
+        many = ["--ids", " ".join(str(i) for i in range(3, 500, 19))]
+        metered = os.path.join(tmp, "metered.jsonl")
+        report = os.path.join(tmp, "metered.report.json")
+        ok(cli, *base, *many, "--threads", "4", "--metrics-out",
+           os.path.join(tmp, "metered.metrics.json"), "--journal-out",
+           metered)
+        ok(replay, "--journal", metered, "--threads", "1", "--report", report)
+        with open(report) as f:
+            summary = json.load(f)
+        check(len(summary["per_query"]) >= 20,
+              "the metered capture replayed %d queries, want >= 20" %
+              len(summary["per_query"]))
+        check(summary["replay"]["stats_comparable"],
+              "the metered capture's stats were not compared")
+        check(summary["digest_mismatches"] == 0 and
+              summary["stats_mismatches"] == 0,
+              "metered capture replayed with %d digest / %d stats mismatches"
+              % (summary["digest_mismatches"], summary["stats_mismatches"]))
+
+        # A stats divergence names the field that differs, I/O fields too.
+        with open(metered) as f:
+            lines = f.read().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["stats"]["io_node_reads"] += 1
+        edited = os.path.join(tmp, "edited.jsonl")
+        with open(edited, "w") as f:
+            f.write(lines[0])
+            f.write(json.dumps(record, separators=(",", ":")) + "\n")
+            f.writelines(lines[2:])
+        proc = run(replay, "--journal", edited)
+        check(proc.returncode == 1,
+              "replay of an edited capture exited %d, want 1 (stderr: %s)" %
+              (proc.returncode, proc.stderr.strip()))
+        check("stats diverged" in proc.stderr and
+              "io_node_reads" in proc.stderr,
+              "the divergence line does not name io_node_reads (stderr: %s)"
+              % proc.stderr.strip())
     print("rstknn_cli_test: ok")
 
 

@@ -1,7 +1,8 @@
 // Storage-path integration: the full disk round trip of frozen-index
-// payloads through the buffer pool, cache-hit accounting, and codec
-// robustness under corruption (randomized truncations and byte flips must
-// produce clean Status errors, never crashes or hangs).
+// payloads through the page store, the simulated I/O charge of a node
+// against the bytes actually stored for it, and codec robustness under
+// corruption (randomized truncations and byte flips must produce clean
+// Status errors, never crashes or hangs).
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,6 @@
 #include "rst/data/generators.h"
 #include "rst/frozen/frozen.h"
 #include "rst/iurtree/iurtree.h"
-#include "rst/storage/buffer_pool.h"
 
 namespace rst {
 namespace {
@@ -22,19 +22,28 @@ float WeightOf(const TermSpan& span, TermId term) {
   return 0.0f;
 }
 
-TEST(StorageIntegrationTest, NodePayloadsRoundTripThroughBufferPool) {
+/// Reads `node`'s serialized inverted file from the tree's page store,
+/// charging `stats`, and decodes it.
+Status ReadInvertedFile(const frozen::FrozenTree& tree, uint32_t node,
+                        IoStats* stats, InvertedFile* out) {
+  std::string bytes;
+  const Status read =
+      tree.page_store().Read(tree.invfile_handle(node), &bytes, stats);
+  if (!read.ok()) return read;
+  size_t offset = 0;
+  return DecodeInvertedFile(bytes, &offset, out);
+}
+
+TEST(StorageIntegrationTest, NodePayloadsRoundTripThroughPageStore) {
   FlickrLikeConfig config;
   config.num_objects = 600;
   config.seed = 4;
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
   const frozen::FrozenTree tree =
       frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
-  BufferPool pool(&tree.page_store(), /*capacity_pages=*/64);
   IoStats stats;
-
-  // Cold read of the root: charges node + payload blocks.
   InvertedFile file;
-  ASSERT_TRUE(tree.ReadNodePayload(tree.root(), &pool, &stats, &file).ok());
+  ASSERT_TRUE(ReadInvertedFile(tree, tree.root(), &stats, &file).ok());
   EXPECT_GE(stats.payload_blocks, 1u);
   EXPECT_FALSE(file.empty());
   // The decoded postings must match the in-memory entry summaries.
@@ -47,35 +56,32 @@ TEST(StorageIntegrationTest, NodePayloadsRoundTripThroughBufferPool) {
       EXPECT_FLOAT_EQ(p.min_weight, WeightOf(summary.intr, term));
     }
   }
-
-  // Warm read: zero new payload blocks, one cache hit.
-  const uint64_t blocks_before = stats.payload_blocks;
-  InvertedFile again;
-  ASSERT_TRUE(tree.ReadNodePayload(tree.root(), &pool, &stats, &again).ok());
-  EXPECT_EQ(stats.payload_blocks, blocks_before);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(again.size(), file.size());
 }
 
-TEST(StorageIntegrationTest, WholeTreeScanWithSmallPool) {
+TEST(StorageIntegrationTest, WholeTreeScanMatchesSimulatedCharges) {
   FlickrLikeConfig config;
   config.num_objects = 1200;
   config.seed = 5;
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
   const frozen::FrozenTree tree =
       frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
-  BufferPool pool(&tree.page_store(), /*capacity_pages=*/4);  // heavy eviction
-  IoStats stats;
+  // Reading every node's stored inverted file costs exactly what the
+  // search's simulated accounting charges for opening every node.
+  IoStats read;
+  IoStats charged;
   for (uint32_t node = 0; node < tree.num_nodes(); ++node) {
     InvertedFile file;
-    ASSERT_TRUE(tree.ReadNodePayload(node, &pool, &stats, &file).ok());
+    read.AddNodeRead();
+    ASSERT_TRUE(ReadInvertedFile(tree, node, &read, &file).ok());
+    tree.ChargeAccess(node, &charged);
   }
-  EXPECT_EQ(stats.node_reads, tree.num_nodes());
-  // Tiny pool: essentially everything misses.
-  EXPECT_GE(pool.misses(), tree.num_nodes() - pool.capacity_pages());
+  EXPECT_EQ(read.node_reads, tree.num_nodes());
+  EXPECT_EQ(read.node_reads, charged.node_reads);
+  EXPECT_EQ(read.payload_blocks, charged.payload_blocks);
+  EXPECT_EQ(read.payload_bytes, charged.payload_bytes);
 }
 
-TEST(StorageIntegrationTest, TreeWithoutPayloadsRejectsPayloadReads) {
+TEST(StorageIntegrationTest, TreeWithoutPayloadsChargesNodeReadsOnly) {
   FlickrLikeConfig config;
   config.num_objects = 100;
   const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
@@ -86,16 +92,15 @@ TEST(StorageIntegrationTest, TreeWithoutPayloadsRejectsPayloadReads) {
       frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, options));
   EXPECT_FALSE(bare.has_payloads());
   EXPECT_EQ(bare.IndexBytes(), 0u);
-  BufferPool pool(&bare.page_store(), 8);
   IoStats stats;
   InvertedFile file;
-  EXPECT_EQ(bare.ReadNodePayload(bare.root(), &pool, &stats, &file).code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(ReadInvertedFile(bare, bare.root(), &stats, &file).ok());
+  bare.ChargeAccess(bare.root(), &stats);
+  EXPECT_EQ(stats.node_reads, 1u);
+  EXPECT_EQ(stats.payload_blocks, 0u);
   const frozen::FrozenTree stored =
       frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
-  BufferPool fresh(&stored.page_store(), 8);
-  EXPECT_TRUE(
-      stored.ReadNodePayload(stored.root(), &fresh, &stats, &file).ok());
+  EXPECT_TRUE(ReadInvertedFile(stored, stored.root(), &stats, &file).ok());
 }
 
 // Fuzz-style robustness: decoding arbitrarily corrupted buffers must fail

@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "rst/common/rng.h"
 #include "rst/obs/metrics.h"
-#include "rst/storage/buffer_pool.h"
 #include "rst/storage/codec.h"
 #include "rst/storage/page_store.h"
 #include "rst/storage/varint.h"
@@ -158,152 +156,6 @@ TEST(PageStoreTest, EmptyPayload) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(BufferPoolTest, HitsDoNotChargeIo) {
-  PageStore store;
-  const PageHandle h = store.Write(std::string(10, 'x'));
-  BufferPool pool(&store, /*capacity_pages=*/8);
-  IoStats stats;
-  auto r1 = pool.Fetch(h, &stats);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(stats.payload_blocks, 1u);
-  auto r2 = pool.Fetch(h, &stats);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(stats.payload_blocks, 1u);  // unchanged: cache hit
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 1u);
-  EXPECT_EQ(r2.value()->at(0), 'x');
-}
-
-TEST(BufferPoolTest, LruEvictsColdest) {
-  PageStore store;
-  std::vector<PageHandle> handles;
-  for (int i = 0; i < 4; ++i) {
-    handles.push_back(store.Write(std::string(PageStore::kPageSize, 'a' + i)));
-  }
-  BufferPool pool(&store, /*capacity_pages=*/2);
-  IoStats stats;
-  ASSERT_TRUE(pool.Fetch(handles[0], &stats).ok());
-  ASSERT_TRUE(pool.Fetch(handles[1], &stats).ok());
-  // Touch 0 so 1 becomes the LRU victim.
-  ASSERT_TRUE(pool.Fetch(handles[0], &stats).ok());
-  ASSERT_TRUE(pool.Fetch(handles[2], &stats).ok());  // evicts 1
-  EXPECT_EQ(pool.used_pages(), 2u);
-  stats.Reset();
-  ASSERT_TRUE(pool.Fetch(handles[0], &stats).ok());
-  EXPECT_EQ(stats.payload_blocks, 0u);  // still resident
-  ASSERT_TRUE(pool.Fetch(handles[1], &stats).ok());
-  EXPECT_EQ(stats.payload_blocks, 1u);  // was evicted
-}
-
-TEST(BufferPoolTest, PinnedPayloadSurvivesPressure) {
-  PageStore store;
-  std::vector<PageHandle> handles;
-  for (int i = 0; i < 4; ++i) {
-    handles.push_back(store.Write(std::string(PageStore::kPageSize, 'a' + i)));
-  }
-  BufferPool pool(&store, /*capacity_pages=*/2);
-  IoStats stats;
-  ASSERT_TRUE(pool.Pin(handles[0], &stats).ok());
-  ASSERT_TRUE(pool.Fetch(handles[1], &stats).ok());
-  ASSERT_TRUE(pool.Fetch(handles[2], &stats).ok());
-  ASSERT_TRUE(pool.Fetch(handles[3], &stats).ok());
-  stats.Reset();
-  ASSERT_TRUE(pool.Fetch(handles[0], &stats).ok());
-  EXPECT_EQ(stats.payload_blocks, 0u);  // pinned: never evicted
-  ASSERT_TRUE(pool.Unpin(handles[0]).ok());
-  EXPECT_FALSE(pool.Unpin(handles[0]).ok());  // double unpin rejected
-}
-
-TEST(BufferPoolTest, ZeroCapacityDisablesCaching) {
-  PageStore store;
-  const PageHandle h = store.Write("abc");
-  BufferPool pool(&store, 0);
-  IoStats stats;
-  ASSERT_TRUE(pool.Fetch(h, &stats).ok());
-  ASSERT_TRUE(pool.Fetch(h, &stats).ok());
-  EXPECT_EQ(stats.payload_blocks, 2u);
-  EXPECT_EQ(pool.resident_payloads(), 0u);
-}
-
-TEST(BufferPoolTest, EvictionAccountingReachesRegistry) {
-  PageStore store;
-  std::vector<PageHandle> handles;
-  for (int i = 0; i < 3; ++i) {
-    handles.push_back(store.Write(std::string(PageStore::kPageSize, 'a' + i)));
-  }
-  const obs::MetricsSnapshot before = obs::MetricRegistry::Global().Snapshot();
-  BufferPool pool(&store, /*capacity_pages=*/1);
-  IoStats stats;
-  ASSERT_TRUE(pool.Fetch(handles[0], &stats).ok());
-  ASSERT_TRUE(pool.Fetch(handles[1], &stats).ok());  // evicts 0
-  ASSERT_TRUE(pool.Fetch(handles[2], &stats).ok());  // evicts 1
-  ASSERT_TRUE(pool.Fetch(handles[0], &stats).ok());  // evicts 2
-  EXPECT_EQ(pool.evictions(), 3u);
-  EXPECT_EQ(pool.misses(), 4u);
-  EXPECT_EQ(pool.used_pages(), 1u);
-
-  const obs::MetricsSnapshot delta =
-      obs::MetricRegistry::Global().Snapshot().Delta(before);
-  EXPECT_EQ(delta.counters.at("storage.buffer_pool.evictions"), 3u);
-  EXPECT_EQ(delta.counters.at("storage.buffer_pool.misses"), 4u);
-}
-
-TEST(BufferPoolTest, HitRateTracksHitsOverAccesses) {
-  PageStore store;
-  const PageHandle h = store.Write("payload");
-  BufferPool pool(&store, /*capacity_pages=*/4);
-  EXPECT_DOUBLE_EQ(pool.hit_rate(), 0.0);  // no accesses yet
-  IoStats stats;
-  ASSERT_TRUE(pool.Fetch(h, &stats).ok());  // miss
-  EXPECT_DOUBLE_EQ(pool.hit_rate(), 0.0);
-  ASSERT_TRUE(pool.Fetch(h, &stats).ok());  // hit
-  ASSERT_TRUE(pool.Fetch(h, &stats).ok());  // hit
-  ASSERT_TRUE(pool.Fetch(h, &stats).ok());  // hit
-  EXPECT_DOUBLE_EQ(pool.hit_rate(), 0.75);
-}
-
-TEST(BufferPoolTest, ConcurrentReadersStayConsistent) {
-  // Several threads hammer one pool with deterministic fetch sequences.
-  // Under TSan this exercises the shared-lock hit path racing the unique-lock
-  // fill path; on any build it checks the accounting invariants.
-  PageStore store;
-  std::vector<PageHandle> handles;
-  for (int i = 0; i < 12; ++i) {
-    handles.push_back(
-        store.Write(std::string(PageStore::kPageSize, 'a' + i % 26)));
-  }
-  BufferPool pool(&store, /*capacity_pages=*/6);
-
-  constexpr size_t kThreads = 6;
-  constexpr size_t kFetchesPerThread = 400;
-  std::vector<IoStats> per_thread(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (size_t i = 0; i < kFetchesPerThread; ++i) {
-        const size_t pick = (i * (t + 3)) % handles.size();
-        auto r = pool.Fetch(handles[pick], &per_thread[t]);
-        ASSERT_TRUE(r.ok());
-        ASSERT_EQ(r.value()->size(), PageStore::kPageSize);
-        ASSERT_EQ(r.value()->at(0), static_cast<char>('a' + pick % 26));
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  // Every access is a hit or a miss (a raced double-fill counts as two
-  // misses, so the identity still holds).
-  EXPECT_EQ(pool.hits() + pool.misses(), kThreads * kFetchesPerThread);
-  uint64_t thread_hits = 0;
-  for (const IoStats& s : per_thread) thread_hits += s.cache_hits;
-  EXPECT_EQ(thread_hits, pool.hits());
-  EXPECT_LE(pool.used_pages(), 6u);
-  EXPECT_GT(pool.hits(), 0u);
-  EXPECT_GT(pool.misses(), 0u);
-}
-
 TEST(IoStatsTest, BlockRoundingAndTotal) {
   IoStats stats;
   stats.AddNodeRead();
@@ -335,14 +187,12 @@ TEST(IoStatsTest, PayloadBlockCeilEdgeCases) {
 
 TEST(IoStatsTest, ToStringFormatsAllFields) {
   IoStats stats;
-  EXPECT_EQ(stats.ToString(),
-            "IoStats{nodes=0, blocks=0, bytes=0, hits=0, total=0}");
+  EXPECT_EQ(stats.ToString(), "IoStats{nodes=0, blocks=0, bytes=0, total=0}");
   stats.AddNodeRead();
   stats.AddNodeRead();
   stats.AddPayloadRead(4097);
-  stats.AddCacheHit();
   EXPECT_EQ(stats.ToString(),
-            "IoStats{nodes=2, blocks=2, bytes=4097, hits=1, total=4}");
+            "IoStats{nodes=2, blocks=2, bytes=4097, total=4}");
 }
 
 TEST(IoStatsTest, PublishBridgesFieldsToRegistry) {
@@ -350,7 +200,6 @@ TEST(IoStatsTest, PublishBridgesFieldsToRegistry) {
   IoStats stats;
   stats.AddNodeRead();
   stats.AddPayloadRead(IoStats::kPageSize + 1);
-  stats.AddCacheHit();
   // rst-lint: allow(metric-name-literal) scratch prefix; this test pins Publish() expansion itself
   stats.Publish("test.io");
   const obs::MetricsSnapshot delta =
@@ -358,7 +207,6 @@ TEST(IoStatsTest, PublishBridgesFieldsToRegistry) {
   EXPECT_EQ(delta.counters.at("test.io.node_reads"), 1u);
   EXPECT_EQ(delta.counters.at("test.io.payload_blocks"), 2u);
   EXPECT_EQ(delta.counters.at("test.io.payload_bytes"), IoStats::kPageSize + 1);
-  EXPECT_EQ(delta.counters.at("test.io.cache_hits"), 1u);
 }
 
 }  // namespace

@@ -2,9 +2,8 @@
 // rst/common/mutex.h (DESIGN.md §16). The *static* contract (mis-locked
 // access fails to compile under clang) lives in
 // tests/compile/thread_safety_negative.cc; this file pins the dynamic
-// semantics — mutual exclusion, try-lock, reader/writer modes, and CondVar
-// wait/notify over the adopt-lock bridge — and gives TSan real concurrency
-// to chew on.
+// semantics — mutual exclusion, try-lock, and CondVar wait/notify over the
+// adopt-lock bridge — and gives TSan real concurrency to chew on.
 
 #include <gtest/gtest.h>
 
@@ -55,38 +54,6 @@ TEST(MutexTest, TryLockReflectsOwnership) {
     mu.Unlock();
   });
   second.join();
-}
-
-TEST(SharedMutexTest, WriterExcludesReaders) {
-  SharedMutex mu;
-  int value = 0;  // guarded by mu by construction of the test
-  constexpr int kWriters = 4;
-  constexpr int kReaders = 4;
-  constexpr int kRounds = 500;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kRounds; ++i) {
-        WriterMutexLock lock(&mu);
-        ++value;
-      }
-    });
-  }
-  for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&] {
-      int last = 0;
-      for (int i = 0; i < kRounds; ++i) {
-        ReaderMutexLock lock(&mu);
-        // Writers only increment, so any reader must observe a
-        // monotonically non-decreasing value.
-        EXPECT_GE(value, last);
-        last = value;
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  WriterMutexLock lock(&mu);
-  EXPECT_EQ(value, kWriters * kRounds);
 }
 
 TEST(CondVarTest, WaitWakesOnNotify) {

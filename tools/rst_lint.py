@@ -41,7 +41,7 @@ know about:
                             wrappers in src/rst/common/mutex.h -- raw
                             primitives are invisible to clang's thread-safety
                             analysis (DESIGN.md SS16)
-  mutex-guarded-by          a declared rst::Mutex/SharedMutex whose name is
+  mutex-guarded-by          a declared rst::Mutex whose name is
                             never referenced by any RST_* thread-safety
                             annotation in the same file protects nothing the
                             analysis can see; annotate the data it guards
@@ -594,12 +594,12 @@ SLEEP_BANNED_DIRS = [
     os.path.join("tools", "lint_fixtures", "bad", "srcsleep"),
 ]
 
-# A Mutex/SharedMutex object declaration: `mutable rst::Mutex mu_;`,
-# `Mutex run_mu_ RST_ACQUIRED_BEFORE(...)`, `SharedMutex mu_ = ...`.
+# A Mutex object declaration: `mutable rst::Mutex mu_;`,
+# `Mutex run_mu_ RST_ACQUIRED_BEFORE(...)`, `Mutex mu_ = ...`.
 # References (`Mutex&` parameters, `Mutex*`) do not declare a capability and
 # are not matched.
 MUTEX_DECL_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:rst::)?(?:Mutex|SharedMutex)\s+"
+    r"^\s*(?:mutable\s+)?(?:rst::)?Mutex\s+"
     r"([A-Za-z_]\w*)\s*(?:;|=|RST_)")
 
 # Argument lists of RST_GUARDED_BY(mu_), RST_REQUIRES(mu_), RST_EXCLUDES(a,
@@ -638,9 +638,9 @@ def check_lock_discipline(f, findings, root):
             if m:
                 findings.append(Finding(
                     f.path, lineno, "manual-lock",
-                    "manual .%s() call; hold locks through the RAII guards "
-                    "(MutexLock / ReaderMutexLock / WriterMutexLock) so the "
-                    "critical section is exception-safe and analyzable"
+                    "manual .%s() call; hold locks through the RAII guard "
+                    "(MutexLock) so the critical section is exception-safe "
+                    "and analyzable"
                     % m.group(1)))
         m = DETACH_RE.search(code)
         if m:

@@ -183,33 +183,6 @@ std::string DigestHex(uint64_t digest) {
   return buf;
 }
 
-void AppendStatsJson(obs::JsonWriter* w, const obs::JournalStats& s) {
-  w->BeginObject();
-  w->Key("expansions");
-  w->Uint(s.expansions);
-  w->Key("pruned_entries");
-  w->Uint(s.pruned_entries);
-  w->Key("reported_entries");
-  w->Uint(s.reported_entries);
-  w->Key("bound_computations");
-  w->Uint(s.bound_computations);
-  w->Key("probes");
-  w->Uint(s.probes);
-  w->Key("pq_pops");
-  w->Uint(s.pq_pops);
-  w->Key("entries_created");
-  w->Uint(s.entries_created);
-  w->Key("io_node_reads");
-  w->Uint(s.io_node_reads);
-  w->Key("io_payload_blocks");
-  w->Uint(s.io_payload_blocks);
-  w->Key("io_payload_bytes");
-  w->Uint(s.io_payload_bytes);
-  w->Key("io_cache_hits");
-  w->Uint(s.io_cache_hits);
-  w->EndObject();
-}
-
 int Main(int argc, char** argv) {
   ReplayFlags flags;
   if (!ParseFlags(argc, argv, &flags)) return Usage();
@@ -359,23 +332,9 @@ int Main(int argc, char** argv) {
                    DigestHex(d.replayed_digest).c_str(),
                    static_cast<unsigned long long>(d.replayed_answers));
     } else {
-      std::fprintf(stderr,
-                   "query %llu: stats diverged (expansions %llu->%llu, "
-                   "pruned %llu->%llu, reported %llu->%llu, probes "
-                   "%llu->%llu)\n",
+      std::fprintf(stderr, "query %llu: stats diverged (%s)\n",
                    static_cast<unsigned long long>(d.index),
-                   static_cast<unsigned long long>(d.recorded_stats.expansions),
-                   static_cast<unsigned long long>(d.replayed_stats.expansions),
-                   static_cast<unsigned long long>(
-                       d.recorded_stats.pruned_entries),
-                   static_cast<unsigned long long>(
-                       d.replayed_stats.pruned_entries),
-                   static_cast<unsigned long long>(
-                       d.recorded_stats.reported_entries),
-                   static_cast<unsigned long long>(
-                       d.replayed_stats.reported_entries),
-                   static_cast<unsigned long long>(d.recorded_stats.probes),
-                   static_cast<unsigned long long>(d.replayed_stats.probes));
+                   d.recorded_stats.Diff(d.replayed_stats).c_str());
     }
   }
   if (printed > flags.max_diffs) {
@@ -543,9 +502,9 @@ int Main(int argc, char** argv) {
         w.Bool(d.stats_match);
       }
       w.Key("recorded_stats");
-      AppendStatsJson(&w, d.recorded_stats);
+      d.recorded_stats.AppendJson(&w);
       w.Key("replayed_stats");
-      AppendStatsJson(&w, d.replayed_stats);
+      d.replayed_stats.AppendJson(&w);
       w.EndObject();
     }
     w.EndArray();

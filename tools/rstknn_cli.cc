@@ -20,12 +20,15 @@
 //   rstknn_cli maxbrst  --data F --users F2 --locations "x:y;x:y"
 //                       --keywords "1 2 3" --ws W --k K [--method exact]
 //
-// Common flags: --alpha A (0.5, in [0, 1]), --measure ej|cos|sum (ej; sum
-// for maxbrst), --weighting tfidf|lm|binary (tfidf), --seed S. Every flag
-// value is parsed strictly — counts are non-negative decimal integers,
-// coordinates and thresholds finite numbers, --locations pairs x:y numbers,
-// and --kind, --measure, --weighting, --algo and --method one of their listed
-// values — and anything else exits 2 with a message naming the flag.
+// Common flags: --weighting tfidf|lm|binary (tfidf) on every command;
+// --alpha A (0.5, in [0, 1]) on topk, rstknn and maxbrst; --measure
+// ej|cos|sum (ej) on topk and rstknn (maxbrst always scores with sum);
+// --seed S on gen and genusers. Each command accepts exactly the flags listed
+// for it here, and any other flag exits 2 naming it. Every flag value is
+// parsed strictly — counts are non-negative decimal integers, coordinates
+// and thresholds finite numbers, --locations pairs x:y numbers, and --kind,
+// --measure, --weighting, --algo and --method one of their listed values —
+// and anything else exits 2 with a message naming the flag.
 //
 // Observability flags (topk / rstknn / maxbrst):
 //   --trace             print the per-phase span tree of the query (for
@@ -33,11 +36,9 @@
 //   --metrics-out FILE  write a JSON artifact: {"command", "metrics"
 //                       (registry snapshot: counters/gauges/histograms),
 //                       "trace" (span tree), "explain" (with --explain),
-//                       "slow_log" (with --slow-log-ms)}. For rstknn this
-//                       also switches node accesses to real reads through a
-//                       buffer pool, so storage.buffer_pool.{hits,misses}
-//                       are genuine.
-//   --pool-pages N      buffer-pool capacity in 4 KiB pages (default 256)
+//                       "slow_log" (with --slow-log-ms)}. It only observes:
+//                       answers and the simulated I/O counts are the same
+//                       with it and without it.
 //
 // Index flags (rstknn only). Queries always run over the frozen flat-layout
 // snapshot (rst::frozen): the command builds the IUR-tree, freezes it and
@@ -64,11 +65,9 @@
 //                       --load-index then name a snapshot DIRECTORY
 //                       (MANIFEST + shard_<i>.frz); --check-invariants
 //                       validates every shard plus the partition itself.
-//                       Incompatible with --explain (exit 2) and the
-//                       real-I/O buffer pool (--metrics-out still snapshots
-//                       the registry); slow-query capture (without explain
-//                       JSON), --profile and --trace-out work as on one
-//                       tree.
+//                       Incompatible with --explain (exit 2); slow-query
+//                       capture (without explain JSON), --profile and
+//                       --trace-out work as on one tree.
 //
 // Profiling flags (rstknn; DESIGN.md §12):
 //   --profile           attribute each query's wall time into the fixed phase
@@ -257,6 +256,17 @@ class Flags {
   /// --alpha, the spatial weight of SimST: a number in [0, 1].
   double Alpha() const { return Double("alpha", 0.5, 0.0, 1.0); }
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
+  /// The first given flag not in `accepted` (without its "--"); "" if none.
+  std::string FirstUnknown(
+      const std::vector<std::string_view>& accepted) const {
+    for (const auto& entry : values_) {
+      if (std::find(accepted.begin(), accepted.end(), entry.first) ==
+          accepted.end()) {
+        return entry.first;
+      }
+    }
+    return "";
+  }
 
  private:
   std::map<std::string, std::string> values_;
@@ -321,7 +331,6 @@ std::optional<std::vector<Point>> ParseLocations(const std::string& s) {
 struct ObsFlags {
   bool trace = false;           ///< print the span tree to stderr
   std::string metrics_out;      ///< JSON artifact path ("" = off)
-  size_t pool_pages = 256;
   bool explain = false;         ///< record + print branch-and-bound decisions
   size_t explain_log = 0;       ///< raw decision-log cap (0 = summary only)
   double slow_log_ms = -1.0;    ///< capture threshold (< 0 = off)
@@ -337,7 +346,6 @@ struct ObsFlags {
   explicit ObsFlags(const Flags& flags)
       : trace(flags.Has("trace")),
         metrics_out(flags.Get("metrics-out", "")),
-        pool_pages(flags.Uint("pool-pages", 256)),
         explain(flags.Has("explain")),
         explain_log(flags.Uint("explain-log", 0)),
         slow_log_ms(flags.Double("slow-log-ms", -1.0)),
@@ -842,15 +850,6 @@ int CmdRstknn(const Flags& flags) {
   // Every query — one or many — runs through the batch runner.
   RstknnOptions options;
   options.algorithm = ParseAlgorithm(flags);
-  // With a metrics artifact requested, a single index answers through a
-  // buffer pool, so the reported hit/miss/fill metrics are genuine reads of
-  // the serialized index rather than simulated charges. A sharded index has
-  // no single page store, so it stays on simulated charges.
-  std::optional<BufferPool> pool;
-  if (!obs_flags.metrics_out.empty() && frozen.has_value()) {
-    pool.emplace(&frozen->page_store(), obs_flags.pool_pages);
-    options.pool = &*pool;
-  }
   obs::QueryTrace trace(obs::names::kTraceRstknn);
   if (obs_flags.tracing()) options.trace = &trace;
   obs::PhaseProfiler profiler;
@@ -935,14 +934,6 @@ int CmdRstknn(const Flags& flags) {
                  static_cast<unsigned long long>(triage.shards_reported),
                  static_cast<unsigned long long>(triage.shards_searched),
                  sharded->num_shards(), queries.size());
-  }
-  if (options.pool != nullptr) {
-    std::fprintf(stderr, "buffer pool: %llu hits, %llu misses, %llu evictions "
-                 "(%.1f%% hit rate)\n",
-                 static_cast<unsigned long long>(pool->hits()),
-                 static_cast<unsigned long long>(pool->misses()),
-                 static_cast<unsigned long long>(pool->evictions()),
-                 100.0 * pool->hit_rate());
   }
   if (obs_flags.slow_logging()) {
     std::fprintf(stderr, "slow-query log: %llu captured over %.2f ms "
@@ -1047,16 +1038,50 @@ int Usage() {
   return 2;
 }
 
+/// A subcommand and the flags it accepts (the header lists them).
+struct Command {
+  std::string_view name;
+  int (*run)(const Flags&);
+  std::vector<std::string_view> flags;
+};
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
-  const Flags flags(argc, argv);
-  if (cmd == "gen") return CmdGen(flags);
-  if (cmd == "genusers") return CmdGenUsers(flags);
-  if (cmd == "stats") return CmdStats(flags);
-  if (cmd == "topk") return CmdTopK(flags);
-  if (cmd == "rstknn") return CmdRstknn(flags);
-  if (cmd == "maxbrst") return CmdMaxBrst(flags);
+  const std::vector<Command> commands = {
+      {"gen", CmdGen, {"kind", "objects", "seed", "weighting", "out"}},
+      {"genusers",
+       CmdGenUsers,
+       {"data", "weighting", "num", "ul", "uw", "area", "seed", "out"}},
+      {"stats", CmdStats, {"data", "weighting"}},
+      {"topk",
+       CmdTopK,
+       {"data", "weighting", "measure", "alpha", "x", "y", "keywords", "k",
+        "trace", "metrics-out"}},
+      {"rstknn",
+       CmdRstknn,
+       {"data", "weighting", "measure", "alpha", "algo", "id", "ids", "x",
+        "y", "keywords", "k", "threads", "build-threads", "shards",
+        "save-index", "load-index", "check-invariants", "trace",
+        "metrics-out", "explain", "explain-log", "slow-log-ms",
+        "slow-log-out", "profile", "trace-out", "trace-sample",
+        "telemetry-ms", "journal-out", "journal-sample", "heatmap-out"}},
+      {"maxbrst",
+       CmdMaxBrst,
+       {"data", "weighting", "alpha", "users", "locations", "keywords", "ws",
+        "k", "method", "trace", "metrics-out"}},
+  };
+  for (const Command& command : commands) {
+    if (cmd != command.name) continue;
+    const Flags flags(argc, argv);
+    const std::string unknown = flags.FirstUnknown(command.flags);
+    if (!unknown.empty()) {
+      std::fprintf(stderr, "%s: unknown flag --%s\n", cmd.c_str(),
+                   unknown.c_str());
+      return 2;
+    }
+    return command.run(flags);
+  }
   return Usage();
 }
 
