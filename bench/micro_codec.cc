@@ -1,11 +1,10 @@
-// Microbenchmarks for the storage substrate: varint codecs, posting-list
-// encode/decode and page store throughput.
+// Microbenchmarks for the storage substrate: varint codecs and posting-list
+// encode/decode.
 
 #include <benchmark/benchmark.h>
 
 #include "rst/common/rng.h"
 #include "rst/storage/codec.h"
-#include "rst/storage/page_store.h"
 #include "rst/storage/varint.h"
 
 namespace rst {
@@ -82,20 +81,6 @@ void BM_InvertedFileDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InvertedFileDecode)->Arg(16)->Arg(256);
-
-void BM_PageStoreRoundTrip(benchmark::State& state) {
-  const std::string payload(static_cast<size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    PageStore store;
-    const PageHandle h = store.Write(payload);
-    std::string out;
-    // rst-lint: allow(unchecked-status) benchmark hot loop; reading a just-written page cannot fail
-    (void)store.Read(h, &out, nullptr);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PageStoreRoundTrip)->Arg(512)->Arg(65536);
 
 }  // namespace
 }  // namespace rst

@@ -48,7 +48,6 @@ class RST_CAPABILITY("mutex") Mutex {
 
   void Lock() RST_ACQUIRE() { mu_.lock(); }
   void Unlock() RST_RELEASE() { mu_.unlock(); }
-  bool TryLock() RST_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   /// The wrapped primitive, for CondVar interop only.
   std::mutex& native() { return mu_; }

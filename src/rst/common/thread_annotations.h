@@ -53,11 +53,6 @@
 #define RST_RELEASE(...) \
   RST_THREAD_ANNOTATION_ATTRIBUTE__(release_capability(__VA_ARGS__))
 
-/// Functions: attempt to acquire; first argument is the return value meaning
-/// success, e.g. RST_TRY_ACQUIRE(true).
-#define RST_TRY_ACQUIRE(...) \
-  RST_THREAD_ANNOTATION_ATTRIBUTE__(try_acquire_capability(__VA_ARGS__))
-
 /// Functions: caller must NOT hold the capability (non-reentrancy contract
 /// for public methods that take the lock themselves).
 #define RST_EXCLUDES(...) \

@@ -149,8 +149,6 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
     out.node_entry_begin_.push_back(out.num_entries());
     out.node_entry_count_.push_back(
         static_cast<uint32_t>(frame.node->entries.size()));
-    out.node_record_.push_back(frame.node->record_handle);
-    out.node_invfile_.push_back(frame.node->invfile_handle);
     for (const IurTree::Entry& e : frame.node->entries) {
       const uint32_t entry_id = out.num_entries();
       out.entry_rect_.push_back(e.rect);
@@ -175,7 +173,7 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
 
   if (out.has_payloads_) {
     obs::TraceSpan payload_span(trace, obs::names::kSpanFrozenPayloads);
-    out.RebuildPayloads();
+    out.MeasurePayloads();
   }
 
   const FrozenMetrics& metrics = FrozenMetrics::Get();
@@ -184,16 +182,9 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
   return out;
 }
 
-void FrozenTree::SerializeNodePayloads(uint32_t node) {
+void FrozenTree::EncodeNode(uint32_t node, NodePayload* out) const {
   const uint32_t begin = node_entry_begin_[node];
   const uint32_t count = node_entry_count_[node];
-  if (!IsLeaf(node)) {
-    for (uint32_t i = 0; i < count; ++i) {
-      SerializeNodePayloads(entry_child_[begin + i]);
-    }
-  }
-  // Same encoder and post-order as IurTree::SerializeNode, so page handles
-  // match the source tree exactly.
   std::vector<PayloadEntry> entries;
   std::vector<PayloadCluster> clusters;
   entries.reserve(count);
@@ -205,17 +196,17 @@ void FrozenTree::SerializeNodePayloads(uint32_t node) {
       clusters.push_back({ClusterId(e, c), ClusterSummary(e, c)});
     }
   }
-  const NodePayload payload =
-      EncodeNodePayload(IsLeaf(node), entries, clusters, clustered_);
-  node_record_[node] = page_store_->Write(payload.record);
-  node_invfile_[node] = page_store_->Write(payload.invfile);
+  EncodeNodePayload(IsLeaf(node), entries, clusters, clustered_, out);
 }
 
-void FrozenTree::RebuildPayloads() {
-  page_store_ = std::make_unique<PageStore>();
-  node_record_.assign(num_nodes(), PageHandle());
-  node_invfile_.assign(num_nodes(), PageHandle());
-  if (num_nodes() > 0) SerializeNodePayloads(root());
+void FrozenTree::MeasurePayloads() {
+  node_invfile_bytes_.resize(num_nodes());
+  NodePayload payload;
+  for (uint32_t n = 0; n < num_nodes(); ++n) {
+    EncodeNode(n, &payload);
+    node_invfile_bytes_[n] = static_cast<uint32_t>(payload.invfile.size());
+    index_bytes_ += payload.record.size() + payload.invfile.size();
+  }
 }
 
 void FrozenTree::RecomputeNorms() {
@@ -231,9 +222,7 @@ void FrozenTree::RecomputeNorms() {
 void FrozenTree::ChargeAccess(uint32_t node, IoStats* stats) const {
   if (stats == nullptr) return;
   stats->AddNodeRead();
-  if (has_payloads_ && node_invfile_[node].valid()) {
-    stats->AddPayloadRead(node_invfile_[node].bytes);
-  }
+  if (has_payloads_) stats->AddPayloadRead(node_invfile_bytes_[node]);
 }
 
 std::string FrozenTree::SerializeToString() const {
@@ -345,8 +334,6 @@ Result<FrozenTree> FrozenTree::Deserialize(const std::string& bytes) {
     out.node_entry_begin_.push_back(begin);
     out.node_entry_count_.push_back(count);
   }
-  out.node_record_.assign(num_nodes, PageHandle());
-  out.node_invfile_.assign(num_nodes, PageHandle());
 
   out.entry_rect_.reserve(num_entries);
   out.entry_id_.reserve(num_entries);
@@ -415,7 +402,7 @@ Result<FrozenTree> FrozenTree::Deserialize(const std::string& bytes) {
   status = out.CheckInvariants();
   if (!status.ok()) return status;
   out.RecomputeNorms();
-  if (out.has_payloads_) out.RebuildPayloads();
+  if (out.has_payloads_) out.MeasurePayloads();
   return out;
 }
 

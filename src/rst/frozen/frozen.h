@@ -2,7 +2,6 @@
 #define RST_FROZEN_FROZEN_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,7 +10,6 @@
 #include "rst/iurtree/iurtree.h"
 #include "rst/storage/codec.h"
 #include "rst/storage/io_stats.h"
-#include "rst/storage/page_store.h"
 #include "rst/text/similarity.h"
 
 namespace rst {
@@ -55,12 +53,12 @@ struct ClusterRef {
 /// pointer chasing and scattered term-weight reads of the builder's
 /// arena-allocated nodes (DESIGN.md §10).
 ///
-/// Storage: the frozen tree owns a PageStore whose node records and inverted
-/// files are re-encoded by the same encoder (EncodeNodePayload) in the exact
-/// post-order of IurTree::Build's storage pass, so page handles and bytes —
-/// and therefore the simulated I/O accounting — match the source tree
-/// exactly. The serialized file (Save/Load) stores only the arrays and the
-/// pool; payloads are rebuilt deterministically on load.
+/// Storage: every node is encoded once by the same encoder as the source
+/// tree (EncodeNodePayload), and only the lengths are kept — each node's
+/// inverted-file bytes and the IndexBytes total — so the simulated I/O
+/// accounting matches the source tree exactly. The serialized file
+/// (Save/Load) stores only the arrays and the pool; the lengths are
+/// measured again on load.
 class FrozenTree {
  public:
   static constexpr uint32_t kNoObject = IurTree::kNoObject;
@@ -72,9 +70,9 @@ class FrozenTree {
   FrozenTree(FrozenTree&&) noexcept = default;
   FrozenTree& operator=(FrozenTree&&) noexcept = default;
 
-  /// Snapshots a built tree. If the tree stores payloads the frozen payload
-  /// store is rebuilt with identical handles; otherwise the frozen tree has
-  /// no payloads (ChargeAccess then charges node reads only). Records
+  /// Snapshots a built tree. If the tree stores payloads every node is
+  /// encoded once to measure its lengths; otherwise the frozen tree has no
+  /// payloads (ChargeAccess then charges node reads only). Records
   /// `frozen.freeze` spans on `trace` and publishes frozen.freezes /
   /// frozen.freeze.last_ms.
   static FrozenTree Freeze(const IurTree& tree,
@@ -116,10 +114,12 @@ class FrozenTree {
   }
 
   // --- Storage / I/O (mirrors IurTree accounting byte-for-byte) ---
-  const PageStore& page_store() const { return *page_store_; }
-  uint64_t IndexBytes() const { return page_store_->PayloadBytes(); }
-  PageHandle record_handle(uint32_t node) const { return node_record_[node]; }
-  PageHandle invfile_handle(uint32_t node) const { return node_invfile_[node]; }
+  /// Total encoded bytes (node records + inverted files); 0 without
+  /// payloads.
+  uint64_t IndexBytes() const { return index_bytes_; }
+  /// Encodes `node` into `*out` with the source tree's encoder, reusing its
+  /// buffers. The snapshot keeps only the lengths; tests decode the bytes.
+  void EncodeNode(uint32_t node, NodePayload* out) const;
 
   /// Charges the simulated I/O of opening `node`: one node read plus the
   /// blocks of its inverted file when payloads exist. The only way a search
@@ -146,18 +146,16 @@ class FrozenTree {
         s.count};
   }
 
-  /// Re-encodes node records and inverted files into page_store_ in the
-  /// exact post-order of IurTree::SerializeNode.
-  void SerializeNodePayloads(uint32_t node);
-  void RebuildPayloads();
+  /// Encodes every node once and records its lengths. Freeze and
+  /// Deserialize both end here when the tree has payloads.
+  void MeasurePayloads();
   void RecomputeNorms();
 
   // SoA node arrays.
   std::vector<uint8_t> node_leaf_;
   std::vector<uint32_t> node_entry_begin_;
   std::vector<uint32_t> node_entry_count_;
-  std::vector<PageHandle> node_record_;
-  std::vector<PageHandle> node_invfile_;
+  std::vector<uint32_t> node_invfile_bytes_;  ///< empty without payloads
 
   // SoA entry arrays (index order == explain preorder, id = index + 1).
   std::vector<Rect> entry_rect_;
@@ -171,7 +169,7 @@ class FrozenTree {
   std::vector<ClusterRef> clusters_;  ///< concatenated per-entry cluster runs
   std::vector<TermWeight> pool_;      ///< shared term-weight arena
 
-  std::unique_ptr<PageStore> page_store_ = std::make_unique<PageStore>();
+  uint64_t index_bytes_ = 0;
   uint64_t size_ = 0;
   bool clustered_ = false;
   bool has_payloads_ = false;

@@ -78,8 +78,7 @@ Rect IurTree::Node::ComputeMbr() const {
 
 IurTree::IurTree(const IurTreeOptions& options)
     : options_(options),
-      arena_(std::make_unique<NodeArena>(options.max_entries)),
-      page_store_(std::make_unique<PageStore>()) {}
+      arena_(std::make_unique<NodeArena>(options.max_entries)) {}
 
 IurTree::IurTree(IurTree&& other) noexcept = default;
 IurTree& IurTree::operator=(IurTree&& other) noexcept = default;
@@ -229,10 +228,21 @@ IurTree IurTree::Build(std::vector<Item> items, const IurTreeOptions& options,
   }
 
   // Single publish point: every path — empty input, single-leaf small input,
-  // full STR pack — writes storage and publishes exactly once, here.
+  // full STR pack — measures storage and publishes exactly once, here.
   {
     obs::TraceSpan finalize_span(trace, obs::names::kSpanFinalizeStorage);
-    if (options.store_payloads) tree.SerializeNode(tree.root_);
+    std::vector<Node*> stack;
+    if (options.store_payloads) stack.push_back(tree.root_);
+    while (!stack.empty()) {
+      Node* node = stack.back();
+      stack.pop_back();
+      const NodePayload payload = tree.EncodeNode(node);
+      node->invfile_bytes = static_cast<uint32_t>(payload.invfile.size());
+      tree.index_bytes_ += payload.record.size() + payload.invfile.size();
+      if (!node->leaf) {
+        for (const Entry& e : node->entries) stack.push_back(e.child);
+      }
+    }
   }
   BuildMetrics::Get().parallel_ms.Set(parallel_ms);
   PublishBuildMetrics(tree, build_timer.ElapsedMillis());
@@ -261,10 +271,7 @@ IurTree IurTree::BuildFromUsers(const std::vector<StUser>& users,
   return Build(std::move(items), options, nullptr);
 }
 
-void IurTree::SerializeNode(Node* node) {
-  if (!node->leaf) {
-    for (Entry& e : node->entries) SerializeNode(e.child);
-  }
+NodePayload IurTree::EncodeNode(const Node* node) const {
   std::vector<PayloadEntry> entries;
   std::vector<PayloadCluster> clusters;
   entries.reserve(node->entries.size());
@@ -276,10 +283,9 @@ void IurTree::SerializeNode(Node* node) {
       clusters.push_back({cluster_id, AsSpan(summary)});
     }
   }
-  const NodePayload payload =
-      EncodeNodePayload(node->leaf, entries, clusters, clustered_);
-  node->record_handle = page_store_->Write(payload.record);
-  node->invfile_handle = page_store_->Write(payload.invfile);
+  NodePayload payload;
+  EncodeNodePayload(node->leaf, entries, clusters, clustered_, &payload);
+  return payload;
 }
 
 size_t IurTree::height() const {
@@ -306,14 +312,10 @@ size_t IurTree::NodeCount() const {
   return count;
 }
 
-uint64_t IurTree::IndexBytes() const { return page_store_->PayloadBytes(); }
-
 void IurTree::ChargeAccess(const Node* node, IoStats* stats) const {
   if (stats == nullptr) return;
   stats->AddNodeRead();
-  if (node->invfile_handle.valid()) {
-    stats->AddPayloadRead(node->invfile_handle.bytes);
-  }
+  if (options_.store_payloads) stats->AddPayloadRead(node->invfile_bytes);
 }
 
 namespace {

@@ -11,7 +11,6 @@
 #include "rst/iurtree/arena_array.h"
 #include "rst/storage/codec.h"
 #include "rst/storage/io_stats.h"
-#include "rst/storage/page_store.h"
 #include "rst/text/similarity.h"
 
 namespace rst {
@@ -27,9 +26,9 @@ class QueryTrace;
 ///
 /// The same structure serves three roles in this library:
 ///  * IUR-tree over objects (2011 core);
-///  * MIR-tree (2016): the node text content is materialized as an inverted
-///    file of <child, maxw, minw> postings, which is exactly what is
-///    serialized into the page store for I/O accounting;
+///  * MIR-tree (2016): the node text content is encoded as an inverted file
+///    of <child, maxw, minw> postings, whose length is what opening the node
+///    charges in the I/O accounting;
 ///  * MIUR-tree over users (2016 §7): binary keyword vectors, union and
 ///    intersection per node, subtree user counts.
 ///
@@ -38,8 +37,9 @@ class QueryTrace;
 /// text bounds on topic-mixed nodes (see EntryTextBounds).
 struct IurTreeOptions {
   size_t max_entries = 32;
-  /// Serialize node records and inverted files into the page store so that
-  /// index size is byte-accurate and node accesses can be charged.
+  /// Encode every node once at build time and keep its lengths, so that
+  /// index size is byte-accurate and node accesses can be charged. No
+  /// encoded byte is kept.
   bool store_payloads = true;
   /// Worker threads for the STR bulk-load slab sorts. The slabs are disjoint
   /// ranges of one level array, so the resulting tree is identical at every
@@ -86,9 +86,9 @@ class IurTree {
 
     bool leaf = true;
     ArenaArray<Entry> entries;
-    /// Storage handles (valid after the build serializes payloads).
-    PageHandle record_handle;
-    PageHandle invfile_handle;
+    /// Encoded inverted-file length in bytes; 0 unless the tree stores
+    /// payloads.
+    uint32_t invfile_bytes = 0;
 
     Rect ComputeMbr() const;
   };
@@ -102,7 +102,7 @@ class IurTree {
 
   /// STR bulk load — the only way to make a tree, which never changes
   /// afterwards. Summaries are computed bottom-up; with
-  /// `options.store_payloads` every node's pages are then written once. If
+  /// `options.store_payloads` every node is then encoded once. If
   /// `cluster_of` is non-null it maps item *ids* to cluster ids and the
   /// result is a CIUR-tree. An optional trace records build-phase spans
   /// (pack, finalize_storage); node counts and the fanout histogram always go
@@ -131,15 +131,19 @@ class IurTree {
   bool clustered() const { return clustered_; }
   const IurTreeOptions& options() const { return options_; }
 
-  /// Total serialized bytes (node records + inverted files).
-  uint64_t IndexBytes() const;
-  const PageStore& page_store() const { return *page_store_; }
+  /// Total encoded bytes (node records + inverted files); 0 unless the tree
+  /// stores payloads.
+  uint64_t IndexBytes() const { return index_bytes_; }
   const NodeArena& arena() const { return *arena_; }
 
   /// Charges the simulated I/O of opening `node`: one node read plus the
   /// blocks of its inverted file when payloads are stored (papers'
   /// methodology; DESIGN.md §3.5).
   void ChargeAccess(const Node* node, IoStats* stats) const;
+
+  /// Encodes `node` with the single node encoder (EncodeNodePayload). The
+  /// build keeps only the lengths; tests decode the bytes.
+  NodePayload EncodeNode(const Node* node) const;
 
   /// Deep structural validation for tests: MBRs tight, summaries exactly the
   /// merge of children, counts consistent, leaves at equal depth, cluster
@@ -152,15 +156,13 @@ class IurTree {
   explicit IurTree(const IurTreeOptions& options);
 
   static Entry MakeParentEntry(Node* node);
-  /// Writes the pages of `node`'s subtree in post-order.
-  void SerializeNode(Node* node);
 
   IurTreeOptions options_;
   /// Owns every Node (and its co-allocated entry storage); declared before
   /// root_ so the slabs outlive the pointers into them.
   std::unique_ptr<NodeArena> arena_;
   Node* root_ = nullptr;
-  std::unique_ptr<PageStore> page_store_;
+  uint64_t index_bytes_ = 0;
   size_t size_ = 0;
   bool clustered_ = false;
 };

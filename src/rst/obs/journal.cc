@@ -97,7 +97,6 @@ constexpr StatsField kStatsFields[] = {
     {"io_node_reads", &JournalStats::io_node_reads},
     {"io_payload_blocks", &JournalStats::io_payload_blocks},
     {"io_payload_bytes", &JournalStats::io_payload_bytes},
-    {"io_cache_hits", &JournalStats::io_cache_hits},
     {"entries_created", &JournalStats::entries_created},
     {"expansions", &JournalStats::expansions},
     {"pruned_entries", &JournalStats::pruned_entries},
@@ -143,7 +142,7 @@ void AppendHeaderJson(JsonWriter* w, const JournalHeader& h) {
   w->Key("type");
   w->String("header");
   w->Key("version");
-  w->Uint(1);
+  w->Uint(2);
   w->Key("label");
   w->String(h.label);
   w->Key("data");

@@ -53,7 +53,6 @@ struct JournalStats {
   uint64_t io_node_reads = 0;
   uint64_t io_payload_blocks = 0;
   uint64_t io_payload_bytes = 0;
-  uint64_t io_cache_hits = 0;
   uint64_t entries_created = 0;
   uint64_t expansions = 0;
   uint64_t pruned_entries = 0;

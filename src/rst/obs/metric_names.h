@@ -102,11 +102,6 @@ inline constexpr char kTraceArgQuery[] = "query";
 inline constexpr char kTraceArgQueueWaitMs[] = "queue_wait_ms";
 inline constexpr char kTraceArgCalls[] = "calls";
 
-// --- storage ---
-inline constexpr char kPageStoreWrites[] = "storage.page_store.writes";
-inline constexpr char kPageStorePagesWritten[] =
-    "storage.page_store.pages_written";
-
 // --- precompute baseline ---
 inline constexpr char kBaselineBuilds[] = "baseline.builds";
 inline constexpr char kBaselineBuildMs[] = "baseline.build.ms";

@@ -141,7 +141,7 @@ class HistogramRef {
 ///
 /// Metric naming scheme (see DESIGN.md §7): dot-separated
 /// `<subsystem>.<metric>`, e.g. `rstknn.pruned_entries`,
-/// `storage.page_store.writes`, `iurtree.fanout`.
+/// `frozen.freezes`, `iurtree.fanout`.
 class MetricRegistry {
  public:
   static constexpr size_t kNumShards = 16;

@@ -133,20 +133,20 @@ Status DecodeInvertedFile(const std::string& src, size_t* offset,
   return Status::Ok();
 }
 
-NodePayload EncodeNodePayload(bool leaf,
-                              const std::vector<PayloadEntry>& entries,
-                              const std::vector<PayloadCluster>& clusters,
-                              bool clustered) {
-  NodePayload out;
-  out.record.push_back(leaf ? 1 : 0);
-  PutVarint32(&out.record, static_cast<uint32_t>(entries.size()));
+void EncodeNodePayload(bool leaf, const std::vector<PayloadEntry>& entries,
+                       const std::vector<PayloadCluster>& clusters,
+                       bool clustered, NodePayload* out) {
+  out->record.clear();
+  out->invfile.clear();
+  out->record.push_back(leaf ? 1 : 0);
+  PutVarint32(&out->record, static_cast<uint32_t>(entries.size()));
   for (const PayloadEntry& e : entries) {
-    PutDouble(&out.record, e.rect.min_x);
-    PutDouble(&out.record, e.rect.min_y);
-    PutDouble(&out.record, e.rect.max_x);
-    PutDouble(&out.record, e.rect.max_y);
-    PutVarint32(&out.record, e.id == 0xFFFFFFFFu ? 0 : e.id + 1);
-    PutVarint32(&out.record, e.summary.count);
+    PutDouble(&out->record, e.rect.min_x);
+    PutDouble(&out->record, e.rect.min_y);
+    PutDouble(&out->record, e.rect.max_x);
+    PutDouble(&out->record, e.rect.max_y);
+    PutVarint32(&out->record, e.id == 0xFFFFFFFFu ? 0 : e.id + 1);
+    PutVarint32(&out->record, e.summary.count);
   }
 
   InvertedFile file;
@@ -159,18 +159,17 @@ NodePayload EncodeNodePayload(bool leaf,
            GetSpan(intr.data, intr.len, uni.data[t].term)});
     }
   }
-  EncodeInvertedFile(file, &out.invfile);
+  EncodeInvertedFile(file, &out->invfile);
   if (clustered) {
     for (const PayloadEntry& e : entries) {
-      PutVarint32(&out.invfile, e.cluster_count);
+      PutVarint32(&out->invfile, e.cluster_count);
       for (uint32_t c = 0; c < e.cluster_count; ++c) {
         const PayloadCluster& cluster = clusters[e.cluster_begin + c];
-        PutVarint32(&out.invfile, cluster.id);
-        EncodeTextSummary(cluster.summary, &out.invfile);
+        PutVarint32(&out->invfile, cluster.id);
+        EncodeTextSummary(cluster.summary, &out->invfile);
       }
     }
   }
-  return out;
 }
 
 size_t TermVectorEncodedSize(const TermVector& vec) {

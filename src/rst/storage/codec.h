@@ -53,7 +53,7 @@ void EncodeInvertedFile(const InvertedFile& file, std::string* dst);
 Status DecodeInvertedFile(const std::string& src, size_t* offset,
                           InvertedFile* out);
 
-/// --- Index node pages (IUR-/CIUR-tree and its frozen snapshot) ---
+/// --- Index nodes (IUR-/CIUR-tree and its frozen snapshot) ---
 /// One child entry of a node as EncodeNodePayload reads it. A CIUR entry's
 /// per-cluster summaries are the run [cluster_begin, cluster_begin +
 /// cluster_count) of the node's cluster list.
@@ -70,7 +70,9 @@ struct PayloadCluster {
   SummarySpan summary;
 };
 
-/// The two pages of one node.
+/// The two encoded parts of one node. Trees keep only their lengths: the
+/// record and inverted-file bytes sum to IndexBytes, and the inverted file's
+/// length is what opening the node charges (DESIGN.md §3.5).
 struct NodePayload {
   /// What an R-tree page holds: the leaf flag, then per entry its rect,
   /// id + 1 (0 for a subtree entry) and object count.
@@ -80,12 +82,12 @@ struct NodePayload {
   std::string invfile;
 };
 
-/// The single encoder of node pages: the pointer tree and the frozen
-/// snapshot both feed it, so their page stores are byte-identical.
-NodePayload EncodeNodePayload(bool leaf,
-                              const std::vector<PayloadEntry>& entries,
-                              const std::vector<PayloadCluster>& clusters,
-                              bool clustered);
+/// The single node encoder: the pointer tree and the frozen snapshot both
+/// feed it, so their node sizes are identical. Overwrites `*out`, so a
+/// caller encoding many nodes reuses one buffer.
+void EncodeNodePayload(bool leaf, const std::vector<PayloadEntry>& entries,
+                       const std::vector<PayloadCluster>& clusters,
+                       bool clustered, NodePayload* out);
 
 /// Serialized size (bytes) without materializing the buffer.
 size_t TermVectorEncodedSize(const TermVector& vec);

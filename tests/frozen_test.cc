@@ -144,28 +144,16 @@ TEST(FrozenTreeTest, LayoutIsPreorderOfSourceTree) {
   }
 }
 
-/// Checks every node's record and inverted-file handle of `frozen` against
-/// the source node the layout walk numbered it from (the same stack
-/// preorder), and the page bytes behind each pair of handles.
+/// Checks every node of `frozen` against the source node the layout walk
+/// numbered it from (the same stack preorder): both encode to the same
+/// record and inverted-file bytes, and opening them charges the same I/O.
 void ExpectPayloadsMatch(const IurTree& tree,
                          const frozen::FrozenTree& frozen) {
   ASSERT_TRUE(frozen.has_payloads());
   EXPECT_EQ(frozen.IndexBytes(), tree.IndexBytes());
-  EXPECT_EQ(frozen.page_store().num_pages(), tree.page_store().num_pages());
-  const auto expect_same_page = [&](PageHandle src, PageHandle frz,
-                                    const std::string& what) {
-    EXPECT_EQ(frz.first_page, src.first_page) << what;
-    EXPECT_EQ(frz.num_pages, src.num_pages) << what;
-    EXPECT_EQ(frz.bytes, src.bytes) << what;
-    std::string src_bytes;
-    std::string frz_bytes;
-    ASSERT_TRUE(tree.page_store().Read(src, &src_bytes, nullptr).ok()) << what;
-    ASSERT_TRUE(frozen.page_store().Read(frz, &frz_bytes, nullptr).ok())
-        << what;
-    EXPECT_EQ(frz_bytes, src_bytes) << what;
-  };
   std::vector<const IurTree::Node*> stack{tree.root()};
   uint32_t node = 0;
+  NodePayload frz;
   while (!stack.empty()) {
     const IurTree::Node* src = stack.back();
     stack.pop_back();
@@ -174,19 +162,26 @@ void ExpectPayloadsMatch(const IurTree& tree,
     }
     ASSERT_LT(node, frozen.num_nodes());
     const std::string what = "node " + std::to_string(node);
-    expect_same_page(src->record_handle, frozen.record_handle(node),
-                     what + " record");
-    expect_same_page(src->invfile_handle, frozen.invfile_handle(node),
-                     what + " inverted file");
+    const NodePayload payload = tree.EncodeNode(src);
+    frozen.EncodeNode(node, &frz);
+    EXPECT_EQ(frz.record, payload.record) << what << " record";
+    EXPECT_EQ(frz.invfile, payload.invfile) << what << " inverted file";
+    IoStats src_charge;
+    IoStats frz_charge;
+    tree.ChargeAccess(src, &src_charge);
+    frozen.ChargeAccess(node, &frz_charge);
+    EXPECT_EQ(src_charge.payload_bytes, payload.invfile.size()) << what;
+    EXPECT_EQ(frz_charge.payload_bytes, payload.invfile.size()) << what;
+    EXPECT_EQ(frz_charge.TotalIos(), src_charge.TotalIos()) << what;
     ++node;
   }
   EXPECT_EQ(node, frozen.num_nodes());
 }
 
 TEST(FrozenTreeTest, PayloadsMatchSourceTreeByteForByte) {
-  // Both trees encode with EncodeNodePayload in the same post-order, so
-  // every handle and every page byte is the source tree's — and stays so
-  // after the snapshot is saved and its payloads rebuilt on load.
+  // Both trees encode with EncodeNodePayload, so every node's bytes and
+  // charge are the source tree's — and stay so after the snapshot is saved
+  // and its lengths measured again on load.
   for (const bool clustered : {false, true}) {
     SCOPED_TRACE(clustered ? "CIUR" : "IUR");
     const Fixture f(250, clustered);
@@ -299,8 +294,8 @@ TEST(FrozenSerializationTest, RoundTripIsExact) {
   EXPECT_EQ(copy.size(), frozen.size());
   EXPECT_EQ(copy.clustered(), frozen.clustered());
   EXPECT_EQ(copy.has_payloads(), frozen.has_payloads());
-  // Payload rebuild and norm recomputation are deterministic, so a second
-  // serialization is byte-identical and the rebuilt page store matches.
+  // Payload measurement and norm recomputation are deterministic, so a
+  // second serialization is byte-identical and the index size matches.
   EXPECT_EQ(copy.SerializeToString(), bytes);
   EXPECT_EQ(copy.IndexBytes(), frozen.IndexBytes());
 
@@ -393,9 +388,9 @@ TEST(FrozenTreeTest, EmptyAndSingleLeafTrees) {
   EXPECT_EQ(rt.value().num_entries(), 0u);
 
   // A dataset that fits one leaf (≤ max_entries) exercises the small-input
-  // build path, which must write storage exactly like the full path.
+  // build path, which must measure storage exactly like the full path.
   const Fixture f(6);
-  EXPECT_TRUE(f.tree.root()->invfile_handle.valid());
+  EXPECT_GT(f.tree.root()->invfile_bytes, 0u);
   EXPECT_GT(f.tree.IndexBytes(), 0u);
   const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
   EXPECT_TRUE(frozen.has_payloads());

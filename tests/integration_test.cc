@@ -175,23 +175,19 @@ TEST_F(IntegrationTest, QueriesAreDeterministic) {
 }
 
 TEST_F(IntegrationTest, StoredNodeRecordsHaveHonestSizes) {
-  // Every node's serialized record + inverted file must be readable from the
-  // page store and the index total must equal the sum of the parts.
+  // Every node's encoded inverted file must decode, its length must be the
+  // one the node keeps, and the index total must equal the sum of the parts.
   uint64_t total = 0;
   std::vector<const IurTree::Node*> stack = {iur_->root()};
   while (!stack.empty()) {
     const IurTree::Node* node = stack.back();
     stack.pop_back();
-    std::string payload;
-    ASSERT_TRUE(
-        iur_->page_store().Read(node->record_handle, &payload, nullptr).ok());
-    total += payload.size();
-    ASSERT_TRUE(
-        iur_->page_store().Read(node->invfile_handle, &payload, nullptr).ok());
+    const NodePayload payload = iur_->EncodeNode(node);
     size_t offset = 0;
     InvertedFile file;
-    ASSERT_TRUE(DecodeInvertedFile(payload, &offset, &file).ok());
-    total += payload.size();
+    ASSERT_TRUE(DecodeInvertedFile(payload.invfile, &offset, &file).ok());
+    EXPECT_EQ(node->invfile_bytes, payload.invfile.size());
+    total += payload.record.size() + payload.invfile.size();
     if (!node->leaf) {
       for (const IurTree::Entry& e : node->entries) {
         stack.push_back(e.child);

@@ -47,29 +47,27 @@ TEST(IurTreeTest, DegenerateSizes) {
 TEST(IurTreeTest, SmallInputsFinalizeStorageLikeTheFullPath) {
   // Every Build path — empty input, a dataset that fits a single leaf
   // (≤ max_entries), and the full STR pack — must flow through the same
-  // storage pass: every node's record and inverted file written once.
-  // The pages and bytes of the store are exactly those of the nodes'
-  // handles: nothing written twice, no node left out.
+  // storage pass: every node encoded once, its inverted-file length kept.
+  // The index size is exactly the sum of the nodes' encoded bytes: nothing
+  // counted twice, no node left out.
   const auto expect_every_node_stored = [](const IurTree& tree,
                                            const std::string& what) {
     size_t nodes = 0;
-    size_t pages = 0;
     uint64_t bytes = 0;
     std::vector<const IurTree::Node*> stack = {tree.root()};
     while (!stack.empty()) {
       const IurTree::Node* node = stack.back();
       stack.pop_back();
       ++nodes;
-      EXPECT_TRUE(node->record_handle.valid()) << what;
-      EXPECT_TRUE(node->invfile_handle.valid()) << what;
-      pages += node->record_handle.num_pages + node->invfile_handle.num_pages;
-      bytes += node->record_handle.bytes + node->invfile_handle.bytes;
+      const NodePayload payload = tree.EncodeNode(node);
+      EXPECT_FALSE(payload.record.empty()) << what;
+      EXPECT_EQ(node->invfile_bytes, payload.invfile.size()) << what;
+      bytes += payload.record.size() + payload.invfile.size();
       if (!node->leaf) {
         for (const IurTree::Entry& e : node->entries) stack.push_back(e.child);
       }
     }
     EXPECT_EQ(nodes, tree.NodeCount()) << what;
-    EXPECT_EQ(tree.page_store().num_pages(), pages) << what;
     EXPECT_EQ(tree.IndexBytes(), bytes) << what;
   };
   expect_every_node_stored(IurTree::Build({}, {}), "empty");
@@ -263,23 +261,21 @@ TEST(IurTreeTest, StorageAccountingCharges) {
   const Dataset d = SmallDataset(300);
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   EXPECT_GT(tree.IndexBytes(), 0u);
-  EXPECT_GT(tree.page_store().num_pages(), 0u);
   IoStats stats;
   tree.ChargeAccess(tree.root(), &stats);
   EXPECT_EQ(stats.node_reads, 1u);
   EXPECT_GE(stats.payload_blocks, 1u);
+  EXPECT_EQ(stats.payload_bytes, tree.root()->invfile_bytes);
 }
 
 TEST(IurTreeTest, StoredInvertedFileDecodesAndMatchesSummaries) {
   const Dataset d = SmallDataset(200);
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   const IurTree::Node* root = tree.root();
-  std::string payload;
-  ASSERT_TRUE(
-      tree.page_store().Read(root->invfile_handle, &payload, nullptr).ok());
+  const NodePayload payload = tree.EncodeNode(root);
   size_t offset = 0;
   InvertedFile file;
-  ASSERT_TRUE(DecodeInvertedFile(payload, &offset, &file).ok());
+  ASSERT_TRUE(DecodeInvertedFile(payload.invfile, &offset, &file).ok());
   // Every posting's (max,min) must match the in-memory entry summaries.
   for (const auto& [term, postings] : file) {
     for (const Posting& p : postings) {

@@ -291,6 +291,43 @@ TEST(ReadJournalTest, AcceptsEveryHeaderToken) {
   std::remove(path.c_str());
 }
 
+TEST(ReadJournalTest, ReadsVersion1And2Records) {
+  // Version 2 dropped the always-zero `io_cache_hits` stats key. A version 1
+  // record still carries it; the reader ignores it like any key it does not
+  // read, so both records load with the same stats.
+  const std::string path = TempPath("rst_replay_versions.jsonl");
+  obs::WorkloadRecorder recorder;
+  ASSERT_TRUE(recorder.Open(path, TestHeader()).ok());
+  ASSERT_TRUE(recorder.Close().ok());
+  Result<std::string> header_line = ReadFileToString(path);
+  ASSERT_TRUE(header_line.ok()) << header_line.status().ToString();
+  EXPECT_NE(header_line.value().find("\"version\":2"), std::string::npos)
+      << header_line.value();
+
+  const std::string record_head =
+      "{\"type\":\"query\",\"index\":0,\"x\":1,\"y\":2,\"k\":3,\"self\":5,"
+      "\"terms\":[[4,0.5]],\"wall_ms\":0.25,\"answer_count\":1,"
+      "\"answer_digest\":\"0123456789abcdef\",\"stats\":{"
+      "\"io_node_reads\":8,\"io_payload_blocks\":9,\"io_payload_bytes\":17839,";
+  const std::string record_tail =
+      "\"entries_created\":174,\"expansions\":6,\"pruned_entries\":165,"
+      "\"reported_entries\":3,\"bound_computations\":2160,\"probes\":180,"
+      "\"pq_pops\":444}}\n";
+  ASSERT_TRUE(WriteStringToFile(path, header_line.value() + record_head +
+                                          "\"io_cache_hits\":0," + record_tail +
+                                          record_head + record_tail)
+                  .ok());
+  const Result<obs::JournalFile> loaded = obs::ReadJournal(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value().records.size(), 2u);
+  const obs::JournalStats& v1 = loaded.value().records[0].stats;
+  EXPECT_EQ(v1.io_node_reads, 8u);
+  EXPECT_EQ(v1.io_payload_bytes, 17839u);
+  EXPECT_EQ(v1.pq_pops, 444u);
+  EXPECT_EQ(v1, loaded.value().records[1].stats);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // HeatmapRecorder
 

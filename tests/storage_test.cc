@@ -6,7 +6,7 @@
 #include "rst/common/rng.h"
 #include "rst/obs/metrics.h"
 #include "rst/storage/codec.h"
-#include "rst/storage/page_store.h"
+#include "rst/storage/io_stats.h"
 #include "rst/storage/varint.h"
 
 namespace rst {
@@ -115,45 +115,6 @@ TEST(CodecTest, CorruptedInvertedFileFailsCleanly) {
   size_t off = 0;
   InvertedFile out;
   EXPECT_FALSE(DecodeInvertedFile(buf, &off, &out).ok());
-}
-
-TEST(PageStoreTest, WriteReadRoundTripAndAccounting) {
-  PageStore store;
-  IoStats stats;
-  const std::string small(100, 'a');
-  const std::string large(3 * PageStore::kPageSize + 5, 'b');
-  const PageHandle h1 = store.Write(small);
-  const PageHandle h2 = store.Write(large);
-  EXPECT_EQ(h1.num_pages, 1u);
-  EXPECT_EQ(h2.num_pages, 4u);
-  EXPECT_EQ(store.num_pages(), 5u);
-
-  std::string out;
-  ASSERT_TRUE(store.Read(h1, &out, &stats).ok());
-  EXPECT_EQ(out, small);
-  EXPECT_EQ(stats.payload_blocks, 1u);
-  ASSERT_TRUE(store.Read(h2, &out, &stats).ok());
-  EXPECT_EQ(out, large);
-  EXPECT_EQ(stats.payload_blocks, 5u);
-  EXPECT_EQ(stats.payload_bytes, small.size() + large.size());
-}
-
-TEST(PageStoreTest, InvalidHandleRejected) {
-  PageStore store;
-  std::string out;
-  PageHandle bogus;
-  bogus.first_page = 10;
-  bogus.num_pages = 1;
-  bogus.bytes = 10;
-  EXPECT_FALSE(store.Read(bogus, &out, nullptr).ok());
-}
-
-TEST(PageStoreTest, EmptyPayload) {
-  PageStore store;
-  const PageHandle h = store.Write("");
-  std::string out = "junk";
-  ASSERT_TRUE(store.Read(h, &out, nullptr).ok());
-  EXPECT_TRUE(out.empty());
 }
 
 TEST(IoStatsTest, BlockRoundingAndTotal) {

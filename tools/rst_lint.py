@@ -19,8 +19,8 @@ know about:
                             of (index, query). Monotonic timing via
                             rst::Stopwatch is fine -- it feeds metrics, not
                             results
-  raw-new-delete            no raw `new`/`delete` outside src/rst/storage/;
-                            ownership lives in smart pointers and containers.
+  raw-new-delete            no raw `new`/`delete`; ownership lives in smart
+                            pointers and containers.
                             Placement new (constructing into storage someone
                             else owns) is additionally permitted in the node
                             arena sources listed in PLACEMENT_NEW_ALLOWED
@@ -124,10 +124,6 @@ QUERY_PATH_DIRS = [
     # Fixture mirror so --self-test can exercise the rule.
     os.path.join("tools", "lint_fixtures", "bad", "querypath"),
 ]
-
-# Raw new/delete are allowed only here (page-store arenas and the documented
-# leaky singletons would otherwise all need suppressions).
-RAW_NEW_ALLOWED_DIR = os.path.join("src", "rst", "storage")
 
 # Placement new is not an ownership operation — it constructs into storage
 # someone else owns — but a textual linter cannot tell `new (addr) T` from
@@ -413,8 +409,6 @@ def check_nondeterministic(f, findings, root):
 
 def check_raw_new_delete(f, findings, root):
     rel = os.path.relpath(f.path, root).replace(os.sep, "/")
-    if rel.startswith(RAW_NEW_ALLOWED_DIR.replace(os.sep, "/") + "/"):
-        return
     placement_ok = rel in {p.replace(os.sep, "/")
                            for p in PLACEMENT_NEW_ALLOWED}
     for idx, code in enumerate(f.code_lines):
@@ -431,8 +425,8 @@ def check_raw_new_delete(f, findings, root):
         if m:
             findings.append(Finding(
                 f.path, idx + 1, "raw-new-delete",
-                "raw %s outside src/rst/storage/; use std::make_unique / "
-                "containers, or justify with allow(raw-new-delete)"
+                "raw %s; use std::make_unique / containers, or justify "
+                "with allow(raw-new-delete)"
                 % m.group(0).split()[0]))
 
 
