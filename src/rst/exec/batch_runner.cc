@@ -1,7 +1,6 @@
 #include "rst/exec/batch_runner.h"
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -71,7 +70,6 @@ struct alignas(64) WorkerSlot {
   obs::PhaseProfiler profiler;
   obs::HeatmapRecorder heatmap;
   RstknnStats stats;
-  shard::ShardedStats shards;
   double busy_ms = 0.0;
   uint64_t answers = 0;
 };
@@ -130,9 +128,6 @@ obs::JournalQueryRecord MakeJournalRecord(uint64_t index,
 std::vector<RstknnResult> BatchRunner::RunRstknn(
     const std::vector<RstknnQuery>& queries, const RstknnOptions& options,
     BatchStats* batch_stats) const {
-  RST_CHECK(index_ == nullptr || options.explain == nullptr)
-      << "EXPLAIN recorder not supported over a sharded index; attach a "
-         "heatmap instead";
   const BatchMetrics& metrics = BatchMetrics::Get();
   const size_t n = queries.size();
   const size_t workers = pool_->num_threads();
@@ -161,8 +156,6 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
   }
 
   const RstknnSearcher searcher(tree_, dataset_, scorer_);
-  std::optional<shard::ShardedSearcher> sharded;
-  if (index_ != nullptr) sharded.emplace(index_, dataset_, scorer_);
   Stopwatch wall;
   pool_->ParallelFor(n, /*chunk=*/1, [&](size_t i, size_t w) {
     WorkerSlot& slot = slots[w];
@@ -183,9 +176,9 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
     worker_options.publish_metrics = false;
     worker_options.heatmap =
         options.heatmap != nullptr ? &slot.heatmap : nullptr;
-    // Slow-query capture and sampled span trees need a trace (and, over a
-    // FrozenTree, the slow log an explain summary) even when the caller
-    // attached none; those live only for this query.
+    // Slow-query capture and sampled span trees need a trace (and the slow
+    // log an explain summary) even when the caller attached none; those
+    // live only for this query.
     std::unique_ptr<obs::QueryTrace> capture_trace;
     obs::QueryTrace* trace = PerQuery(&traces, i, obs::names::kTraceRstknn);
     if (trace == nullptr && (slow_log_ != nullptr || sampled)) {
@@ -197,7 +190,7 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
     obs::ExplainRecorder* explain = PerQuery(
         &explains, i,
         options.explain != nullptr ? options.explain->max_decisions() : 0);
-    if (explain == nullptr && slow_log_ != nullptr && index_ == nullptr) {
+    if (explain == nullptr && slow_log_ != nullptr) {
       explain = &capture_explain;
     }
     obs::PhaseProfiler* profiler = PerQuery(&profilers, i);
@@ -206,14 +199,7 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
     worker_options.explain = explain;
     worker_options.profiler = profiler;
 
-    if (sharded.has_value()) {
-      shard::ShardedResult res =
-          sharded->Search(queries[i], worker_options, /*pool=*/nullptr);
-      results[i] = RstknnResult{std::move(res.answers), res.stats};
-      slot.shards.Merge(res.shards);
-    } else {
-      results[i] = searcher.Search(queries[i], worker_options);
-    }
+    results[i] = searcher.Search(queries[i], worker_options);
     const double ms = query_timer.ElapsedMillis();
     if (journal_ != nullptr && journal_->ShouldSample(i)) {
       obs::JournalQueryRecord record =
@@ -233,7 +219,7 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
       record.elapsed_ms = ms;
       record.answers = results[i].answers.size();
       record.trace_json = trace->ToJson();
-      if (explain != nullptr) record.explain_json = explain->ToJson();
+      record.explain_json = explain->ToJson();
       slow_log_->Insert(std::move(record));
     }
     if (trace_events_ != nullptr) {
@@ -278,7 +264,6 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
   for (const WorkerSlot& slot : slots) {
     if (options.heatmap != nullptr) options.heatmap->Merge(slot.heatmap);
     aggregate.total.Merge(slot.stats);
-    aggregate.shards.Merge(slot.shards);
     aggregate.answers += slot.answers;
     aggregate.worker_busy_ms.push_back(slot.busy_ms);
     metrics.worker_busy_ms.Record(slot.busy_ms);
@@ -288,7 +273,6 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
   // suppressed above) — the registry sees the same totals as N serial
   // queries, in 1/N the registry traffic.
   aggregate.total.Publish(obs::names::kRstknnPrefix);
-  if (index_ != nullptr) aggregate.shards.Publish();
   metrics.rstknn_queries.Add(aggregate.queries);
   metrics.rstknn_answers.Add(aggregate.answers);
   metrics.batches.Increment();

@@ -8,8 +8,6 @@
 #include "rst/frozen/frozen.h"
 #include "rst/obs/journal.h"
 #include "rst/rstknn/rstknn.h"
-#include "rst/shard/sharded_index.h"
-#include "rst/shard/sharded_search.h"
 
 namespace rst {
 
@@ -37,8 +35,6 @@ obs::JournalQueryRecord MakeJournalRecord(uint64_t index,
 struct BatchStats {
   /// Sum of every query's RstknnStats.
   RstknnStats total;
-  /// Sum of every query's shard triage outcomes; zero over a FrozenTree.
-  shard::ShardedStats shards;
   uint64_t queries = 0;
   uint64_t answers = 0;  ///< total result rows across the batch
   double wall_ms = 0.0;
@@ -48,11 +44,8 @@ struct BatchStats {
 };
 
 /// The one executor of RSTkNN queries: evaluates a batch concurrently over a
-/// shared read-only index + Dataset, where the index is either one
-/// FrozenTree (RstknnSearcher) or a ShardedIndex (ShardedSearcher, shards
-/// run serially on the query's worker — ParallelFor does not nest, and
-/// query-major parallelism already fills the pool). A single query is a
-/// batch of one; ThreadPool(1) runs it inline on the caller.
+/// shared read-only FrozenTree + Dataset with RstknnSearcher. A single query
+/// is a batch of one; ThreadPool(1) runs it inline on the caller.
 ///
 /// Determinism contract: results are written into slots keyed by query index
 /// and each query runs the unmodified single-query algorithm, so the output
@@ -63,9 +56,9 @@ struct BatchStats {
 /// read-only; each worker owns a ProbeScratch, an RstknnStats accumulator and
 /// a busy-time stopwatch, so the query hot path takes no locks. Per-query
 /// registry publishes are suppressed and replaced by ONE per-batch
-/// aggregated publish (rstknn.* and rstknn.shard.* totals plus exec.batch.*
-/// timings, including the per-query exec.batch.queue_wait_ms histogram —
-/// time between batch start and a query's first instruction on a worker).
+/// aggregated publish (rstknn.* totals plus exec.batch.* timings, including
+/// the per-query exec.batch.queue_wait_ms histogram — time between batch
+/// start and a query's first instruction on a worker).
 ///
 /// Instruments attached to `options` describe the whole batch. A non-null
 /// options.trace, options.explain, options.profiler or options.heatmap is
@@ -78,18 +71,15 @@ struct BatchStats {
 /// heatmap accumulate across batches. A batch of one therefore records
 /// exactly what a direct RstknnSearcher::Search would. Private instances are
 /// created only for attached instruments — the bare path allocates nothing
-/// per query. Over a ShardedIndex options.explain must be null (the
-/// scatter-gather search rejects it), and the trace stays empty because the
-/// per-shard searches record no spans.
+/// per query.
 ///
 /// Runner-level sinks: set_slow_log captures over-threshold queries with a
-/// private trace (+ explain JSON over a FrozenTree); set_profiling gives each
-/// worker a PhaseProfiler so every query publishes rstknn.phase.*
-/// histograms; set_trace_events emits a `run` slice per query on its
-/// worker's track (queue wait as an arg), and 1-in-N sampled queries also
-/// serialize their span tree under the run slice plus a `queue_wait` slice
-/// on a dedicated queue track; set_journal appends sampled queries to a
-/// workload journal.
+/// private trace and explain JSON; set_profiling gives each worker a
+/// PhaseProfiler so every query publishes rstknn.phase.* histograms;
+/// set_trace_events emits a `run` slice per query on its worker's track
+/// (queue wait as an arg), and 1-in-N sampled queries also serialize their
+/// span tree under the run slice plus a `queue_wait` slice on a dedicated
+/// queue track; set_journal appends sampled queries to a workload journal.
 class BatchRunner {
  public:
   /// All referents must outlive the runner. `pool` is borrowed, not owned —
@@ -97,10 +87,6 @@ class BatchRunner {
   BatchRunner(const frozen::FrozenTree* tree, const Dataset* dataset,
               const StScorer* scorer, ThreadPool* pool)
       : tree_(tree), dataset_(dataset), scorer_(scorer), pool_(pool) {}
-  /// Same, over a sharded forest (DESIGN.md §15).
-  BatchRunner(const shard::ShardedIndex* index, const Dataset* dataset,
-              const StScorer* scorer, ThreadPool* pool)
-      : index_(index), dataset_(dataset), scorer_(scorer), pool_(pool) {}
 
   /// Attaches a slow-query capture sink for RunRstknn (see the class comment;
   /// the log must outlive the runner's batches). Null disables capture — the
@@ -127,7 +113,7 @@ class BatchRunner {
   /// capture — the default.
   void set_journal(obs::WorkloadRecorder* journal) { journal_ = journal; }
 
-  /// Runs every query through the index's searcher. `options.scratch` and
+  /// Runs every query through RstknnSearcher. `options.scratch` and
   /// `options.publish_metrics` are overridden per worker, and the
   /// instruments are handled as the class comment describes.
   std::vector<RstknnResult> RunRstknn(const std::vector<RstknnQuery>& queries,
@@ -135,8 +121,7 @@ class BatchRunner {
                                       BatchStats* batch_stats = nullptr) const;
 
  private:
-  const frozen::FrozenTree* tree_ = nullptr;
-  const shard::ShardedIndex* index_ = nullptr;
+  const frozen::FrozenTree* tree_;
   const Dataset* dataset_;
   const StScorer* scorer_;
   ThreadPool* pool_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -106,7 +107,6 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
   FrozenTree out;
   out.size_ = tree.size();
   out.clustered_ = tree.clustered();
-  out.has_payloads_ = tree.options().store_payloads;
 
   // The norm caches are copied from the source vectors; a summary whose intr
   // equals its uni (every leaf document) shares one pool slice.
@@ -171,7 +171,7 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
   }
   if (trace != nullptr) trace->Exit();  // layout
 
-  if (out.has_payloads_) {
+  {
     obs::TraceSpan payload_span(trace, obs::names::kSpanFrozenPayloads);
     out.MeasurePayloads();
   }
@@ -222,7 +222,7 @@ void FrozenTree::RecomputeNorms() {
 void FrozenTree::ChargeAccess(uint32_t node, IoStats* stats) const {
   if (stats == nullptr) return;
   stats->AddNodeRead();
-  if (has_payloads_) stats->AddPayloadRead(node_invfile_bytes_[node]);
+  stats->AddPayloadRead(node_invfile_bytes_[node]);
 }
 
 std::string FrozenTree::SerializeToString() const {
@@ -231,7 +231,7 @@ std::string FrozenTree::SerializeToString() const {
   PutVarint32(&out, kFormatVersion);
   uint8_t flags = 0;
   if (clustered_) flags |= 1;
-  if (has_payloads_) flags |= 2;
+  flags |= 2;  // v1's "payloads" bit: always set, and ignored on load
   out.push_back(static_cast<char>(flags));
   PutVarint64(&out, size_);
   PutVarint32(&out, num_nodes());
@@ -297,7 +297,6 @@ Result<FrozenTree> FrozenTree::Deserialize(const std::string& bytes) {
   if (offset >= tail) return Status::Corruption("frozen index: truncated");
   const uint8_t flags = static_cast<uint8_t>(bytes[offset++]);
   out.clustered_ = (flags & 1) != 0;
-  out.has_payloads_ = (flags & 2) != 0;
 
   uint32_t num_nodes = 0, num_entries = 0, num_clusters = 0;
   uint64_t pool_size = 0;
@@ -402,7 +401,7 @@ Result<FrozenTree> FrozenTree::Deserialize(const std::string& bytes) {
   status = out.CheckInvariants();
   if (!status.ok()) return status;
   out.RecomputeNorms();
-  if (out.has_payloads_) out.MeasurePayloads();
+  out.MeasurePayloads();
   return out;
 }
 
@@ -420,6 +419,24 @@ Result<FrozenTree> FrozenTree::Load(const std::string& path) {
   metrics.loads.Increment();
   metrics.load_ms.Set(timer.ElapsedMillis());
   return tree;
+}
+
+Status FrozenTree::CheckMatchesDataset(size_t num_objects) const {
+  if (size_ != num_objects) {
+    return Status::InvalidArgument(
+        "frozen index holds " + std::to_string(size_) +
+        " objects but the dataset has " + std::to_string(num_objects) +
+        "; load the snapshot with the dataset it was built from");
+  }
+  for (uint32_t e = 0; e < num_entries(); ++e) {
+    if (IsObject(e) && entry_id_[e] >= num_objects) {
+      return Status::InvalidArgument(
+          "frozen index holds object id " + std::to_string(entry_id_[e]) +
+          ", outside the dataset's " + std::to_string(num_objects) +
+          " objects");
+    }
+  }
+  return Status::Ok();
 }
 
 Status FrozenTree::CheckInvariants() const {

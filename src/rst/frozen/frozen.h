@@ -70,11 +70,9 @@ class FrozenTree {
   FrozenTree(FrozenTree&&) noexcept = default;
   FrozenTree& operator=(FrozenTree&&) noexcept = default;
 
-  /// Snapshots a built tree. If the tree stores payloads every node is
-  /// encoded once to measure its lengths; otherwise the frozen tree has no
-  /// payloads (ChargeAccess then charges node reads only). Records
-  /// `frozen.freeze` spans on `trace` and publishes frozen.freezes /
-  /// frozen.freeze.last_ms.
+  /// Snapshots a built tree; every node is encoded once to measure its
+  /// lengths. Records `frozen.freeze` spans on `trace` and publishes
+  /// frozen.freezes / frozen.freeze.last_ms.
   static FrozenTree Freeze(const IurTree& tree,
                            obs::QueryTrace* trace = nullptr);
 
@@ -86,7 +84,6 @@ class FrozenTree {
   uint32_t root() const { return 0; }
   size_t size() const { return size_; }  ///< indexed object count
   bool clustered() const { return clustered_; }
-  bool has_payloads() const { return has_payloads_; }
 
   bool IsLeaf(uint32_t node) const { return node_leaf_[node] != 0; }
   uint32_t EntryBegin(uint32_t node) const { return node_entry_begin_[node]; }
@@ -114,16 +111,15 @@ class FrozenTree {
   }
 
   // --- Storage / I/O (mirrors IurTree accounting byte-for-byte) ---
-  /// Total encoded bytes (node records + inverted files); 0 without
-  /// payloads.
+  /// Total encoded bytes (node records + inverted files).
   uint64_t IndexBytes() const { return index_bytes_; }
   /// Encodes `node` into `*out` with the source tree's encoder, reusing its
   /// buffers. The snapshot keeps only the lengths; tests decode the bytes.
   void EncodeNode(uint32_t node, NodePayload* out) const;
 
   /// Charges the simulated I/O of opening `node`: one node read plus the
-  /// blocks of its inverted file when payloads exist. The only way a search
-  /// charges I/O (DESIGN.md §3.5).
+  /// blocks of its inverted file. The only way a search charges I/O
+  /// (DESIGN.md §3.5).
   void ChargeAccess(uint32_t node, IoStats* stats) const;
 
   // --- Persistence (versioned flat snapshot; DESIGN.md §10.3) ---
@@ -138,6 +134,12 @@ class FrozenTree {
   /// pool, child links acyclic and complete, levels consistent.
   Status CheckInvariants() const;
 
+  /// InvalidArgument unless this snapshot indexes exactly the objects
+  /// [0, num_objects) of a dataset of that size: a search reads each
+  /// answer's object from the dataset by id, so a snapshot saved from a
+  /// larger dataset would read past its end.
+  Status CheckMatchesDataset(size_t num_objects) const;
+
  private:
   SummarySpan Span(const SummaryRef& s) const {
     return SummarySpan{
@@ -147,7 +149,7 @@ class FrozenTree {
   }
 
   /// Encodes every node once and records its lengths. Freeze and
-  /// Deserialize both end here when the tree has payloads.
+  /// Deserialize both end here.
   void MeasurePayloads();
   void RecomputeNorms();
 
@@ -155,7 +157,7 @@ class FrozenTree {
   std::vector<uint8_t> node_leaf_;
   std::vector<uint32_t> node_entry_begin_;
   std::vector<uint32_t> node_entry_count_;
-  std::vector<uint32_t> node_invfile_bytes_;  ///< empty without payloads
+  std::vector<uint32_t> node_invfile_bytes_;
 
   // SoA entry arrays (index order == explain preorder, id = index + 1).
   std::vector<Rect> entry_rect_;
@@ -172,7 +174,6 @@ class FrozenTree {
   uint64_t index_bytes_ = 0;
   uint64_t size_ = 0;
   bool clustered_ = false;
-  bool has_payloads_ = false;
 };
 
 }  // namespace frozen

@@ -231,8 +231,7 @@ IurTree IurTree::Build(std::vector<Item> items, const IurTreeOptions& options,
   // full STR pack — measures storage and publishes exactly once, here.
   {
     obs::TraceSpan finalize_span(trace, obs::names::kSpanFinalizeStorage);
-    std::vector<Node*> stack;
-    if (options.store_payloads) stack.push_back(tree.root_);
+    std::vector<Node*> stack = {tree.root_};
     while (!stack.empty()) {
       Node* node = stack.back();
       stack.pop_back();
@@ -315,7 +314,7 @@ size_t IurTree::NodeCount() const {
 void IurTree::ChargeAccess(const Node* node, IoStats* stats) const {
   if (stats == nullptr) return;
   stats->AddNodeRead();
-  if (options_.store_payloads) stats->AddPayloadRead(node->invfile_bytes);
+  stats->AddPayloadRead(node->invfile_bytes);
 }
 
 namespace {

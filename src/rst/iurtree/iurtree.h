@@ -37,10 +37,6 @@ class QueryTrace;
 /// text bounds on topic-mixed nodes (see EntryTextBounds).
 struct IurTreeOptions {
   size_t max_entries = 32;
-  /// Encode every node once at build time and keep its lengths, so that
-  /// index size is byte-accurate and node accesses can be charged. No
-  /// encoded byte is kept.
-  bool store_payloads = true;
   /// Worker threads for the STR bulk-load slab sorts. The slabs are disjoint
   /// ranges of one level array, so the resulting tree is identical at every
   /// thread count. 1 = fully serial (no pool is created).
@@ -86,8 +82,7 @@ class IurTree {
 
     bool leaf = true;
     ArenaArray<Entry> entries;
-    /// Encoded inverted-file length in bytes; 0 unless the tree stores
-    /// payloads.
+    /// Encoded inverted-file length in bytes.
     uint32_t invfile_bytes = 0;
 
     Rect ComputeMbr() const;
@@ -101,8 +96,8 @@ class IurTree {
   };
 
   /// STR bulk load — the only way to make a tree, which never changes
-  /// afterwards. Summaries are computed bottom-up; with
-  /// `options.store_payloads` every node is then encoded once. If
+  /// afterwards. Summaries are computed bottom-up, then every node is encoded
+  /// once to measure its lengths (no encoded byte is kept). If
   /// `cluster_of` is non-null it maps item *ids* to cluster ids and the
   /// result is a CIUR-tree. An optional trace records build-phase spans
   /// (pack, finalize_storage); node counts and the fanout histogram always go
@@ -129,16 +124,13 @@ class IurTree {
   size_t height() const;
   size_t NodeCount() const;
   bool clustered() const { return clustered_; }
-  const IurTreeOptions& options() const { return options_; }
 
-  /// Total encoded bytes (node records + inverted files); 0 unless the tree
-  /// stores payloads.
+  /// Total encoded bytes (node records + inverted files).
   uint64_t IndexBytes() const { return index_bytes_; }
   const NodeArena& arena() const { return *arena_; }
 
   /// Charges the simulated I/O of opening `node`: one node read plus the
-  /// blocks of its inverted file when payloads are stored (papers'
-  /// methodology; DESIGN.md §3.5).
+  /// blocks of its inverted file (papers' methodology; DESIGN.md §3.5).
   void ChargeAccess(const Node* node, IoStats* stats) const;
 
   /// Encodes `node` with the single node encoder (EncodeNodePayload). The

@@ -161,8 +161,6 @@ void AppendHeaderJson(JsonWriter* w, const JournalHeader& h) {
   w->Uint(h.threads);
   w->Key("sample_every");
   w->Uint(h.sample_every);
-  w->Key("shards");
-  w->Uint(h.shards);
   w->Key("provenance");
   w->BeginObject();
   AppendProvenanceJson(w);
@@ -281,8 +279,7 @@ Status ParseHeader(const JsonValue& obj, JournalHeader* header) {
   JOURNAL_RETURN_IF_ERROR(ReadUint(obj, "threads", &header->threads));
   JOURNAL_RETURN_IF_ERROR(ReadUint(obj, "sample_every", &header->sample_every));
   if (header->sample_every == 0) header->sample_every = 1;
-  // Optional (added with rst::shard): journals captured before the field
-  // existed parse as unsharded.
+  // Optional: only journals captured over a sharded forest carry it.
   const JsonValue* shards = obj.Get("shards");
   header->shards =
       shards != nullptr && shards->is_number() ? shards->AsUint() : 0;

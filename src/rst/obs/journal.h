@@ -18,8 +18,7 @@ class JsonWriter;
 /// FNV-1a 64-bit digest over the little-endian 4-byte encodings of `ids`,
 /// in the order given. Answer digests are taken over the *sorted* result id
 /// list (RstknnResult::answers is already ascending), so the digest is
-/// independent of algorithm, shard count, and thread count whenever the
-/// answer set is.
+/// independent of algorithm and thread count whenever the answer set is.
 uint64_t AnswerDigest(const std::vector<uint32_t>& ids);
 
 /// Appends `"simd_level":..,"force_scalar":..,"build_type":..` — the
@@ -40,9 +39,9 @@ struct JournalHeader {
   double alpha = 0.5;
   uint64_t threads = 1;
   uint64_t sample_every = 1;
-  /// Shard count of the capturing index: 0 = single (unsharded) index, K > 0
-  /// = K-shard ShardedIndex. Parsed leniently (absent ⇒ 0) so journals from
-  /// before the field existed keep loading.
+  /// Shard count of the capturing index, read but never written: journals
+  /// captured over a K-shard forest (a removed index kind) carry K > 0, whose
+  /// stats a single tree cannot reproduce. Parsed leniently (absent ⇒ 0).
   uint64_t shards = 0;
 };
 

@@ -64,9 +64,9 @@ enum class ExpandPolicy {
 /// searched tree: 4 B per index entry, plus one slot per pair a candidate's
 /// probes touch). A searcher given a scratch clears it instead of
 /// reallocating, so every container keeps its capacity across the queries of
-/// a batch. One scratch may serve frozen trees and sharded forests of any
-/// size, one query at a time; it must never be shared by two concurrent
-/// queries — rst::exec::BatchRunner keeps one per worker.
+/// a batch. One scratch may serve frozen trees of any size, one query at a
+/// time; it must never be shared by two concurrent queries —
+/// rst::exec::BatchRunner keeps one per worker.
 class ProbeScratch {
  public:
   ProbeScratch();

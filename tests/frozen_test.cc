@@ -149,7 +149,6 @@ TEST(FrozenTreeTest, LayoutIsPreorderOfSourceTree) {
 /// record and inverted-file bytes, and opening them charges the same I/O.
 void ExpectPayloadsMatch(const IurTree& tree,
                          const frozen::FrozenTree& frozen) {
-  ASSERT_TRUE(frozen.has_payloads());
   EXPECT_EQ(frozen.IndexBytes(), tree.IndexBytes());
   std::vector<const IurTree::Node*> stack{tree.root()};
   uint32_t node = 0;
@@ -293,7 +292,6 @@ TEST(FrozenSerializationTest, RoundTripIsExact) {
   EXPECT_EQ(copy.num_entries(), frozen.num_entries());
   EXPECT_EQ(copy.size(), frozen.size());
   EXPECT_EQ(copy.clustered(), frozen.clustered());
-  EXPECT_EQ(copy.has_payloads(), frozen.has_payloads());
   // Payload measurement and norm recomputation are deterministic, so a
   // second serialization is byte-identical and the index size matches.
   EXPECT_EQ(copy.SerializeToString(), bytes);
@@ -393,7 +391,6 @@ TEST(FrozenTreeTest, EmptyAndSingleLeafTrees) {
   EXPECT_GT(f.tree.root()->invfile_bytes, 0u);
   EXPECT_GT(f.tree.IndexBytes(), 0u);
   const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
-  EXPECT_TRUE(frozen.has_payloads());
   EXPECT_EQ(frozen.num_entries(), 6u);
   EXPECT_TRUE(frozen.CheckInvariants().ok());
   const RstknnSearcher frozen_search(&frozen, &f.dataset, &f.scorer);
@@ -405,42 +402,26 @@ TEST(FrozenTreeTest, EmptyAndSingleLeafTrees) {
             BruteForceRstknn(f.dataset, f.scorer, query));
 }
 
-TEST(FrozenTreeTest, TreeWithoutPayloadsFreezesWithoutPayloads) {
-  // Built with store_payloads = false, the snapshot carries no payload
-  // store: ChargeAccess charges node reads only, and answers are unchanged.
-  FlickrLikeConfig config;
-  config.num_objects = 150;
-  config.vocab_size = 200;
-  config.seed = 9;
-  const Dataset dataset = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  IurTreeOptions options;
-  options.max_entries = 8;
-  options.store_payloads = false;
-  const IurTree tree = IurTree::BuildFromDataset(dataset, options);
-  EXPECT_EQ(tree.IndexBytes(), 0u);
-  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(tree);
-  EXPECT_FALSE(frozen.has_payloads());
-  EXPECT_EQ(frozen.IndexBytes(), 0u);
-  EXPECT_TRUE(frozen.CheckInvariants().ok());
-  IoStats stats;
-  frozen.ChargeAccess(frozen.root(), &stats);
-  EXPECT_EQ(stats.node_reads, 1u);
-  EXPECT_EQ(stats.payload_blocks, 0u);
+TEST(FrozenTreeTest, CheckMatchesDatasetRejectsAForeignSnapshot) {
+  const Fixture f(40);
+  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
+  EXPECT_TRUE(frozen.CheckMatchesDataset(40).ok());
+  EXPECT_EQ(frozen.CheckMatchesDataset(39).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(frozen.CheckMatchesDataset(41).code(),
+            StatusCode::kInvalidArgument);
 
-  TextSimilarity sim(TextMeasure::kExtendedJaccard);
-  const StScorer scorer(&sim, {0.5, dataset.max_dist()});
-  const RstknnSearcher searcher(&frozen, &dataset, &scorer);
-  RstknnOptions search_options;
-  search_options.publish_metrics = false;
-  for (const ObjectId qid : {ObjectId{4}, ObjectId{77}, ObjectId{140}}) {
-    const StObject& qobj = dataset.object(qid);
-    const RstknnQuery query{qobj.loc, &qobj.doc, 6, qid};
-    const RstknnResult result = searcher.Search(query, search_options);
-    EXPECT_EQ(result.answers, BruteForceRstknn(dataset, scorer, query))
-        << "self=" << qid;
-    EXPECT_EQ(result.stats.io.payload_blocks, 0u) << "self=" << qid;
-    EXPECT_GT(result.stats.io.node_reads, 0u) << "self=" << qid;
+  // The right object count with ids past the dataset's end.
+  std::vector<IurTree::Item> items;
+  for (const StObject& o : f.dataset.objects()) {
+    items.push_back({o.id + 5, o.loc, &o.doc});
   }
+  const frozen::FrozenTree shifted =
+      frozen::FrozenTree::Freeze(IurTree::Build(std::move(items), {}));
+  const Status status = shifted.CheckMatchesDataset(40);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("object id"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(FrozenTreeTest, ParallelBuildProducesIdenticalFrozenBytes) {

@@ -1,7 +1,7 @@
 // Competitor-probe internals (rst/rstknn/search_impl.h): the lazy per-pair
 // decision against the eager rule it replaces, an alpha sweep on CIUR trees
-// against the brute-force oracle, and one ProbeScratch reused across trees,
-// sizes and sharded forests.
+// against the brute-force oracle, and one ProbeScratch reused across trees
+// and sizes.
 
 #include "rst/rstknn/search_impl.h"
 
@@ -19,8 +19,6 @@
 #include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/rstknn/rstknn.h"
-#include "rst/shard/sharded_index.h"
-#include "rst/shard/sharded_search.h"
 
 namespace rst {
 namespace {
@@ -237,7 +235,7 @@ TEST_P(PairJudgeTest, MatchesEagerRule) {
     for (int trial = 0; trial < 600; ++trial) {
       const uint32_t e = pick();
       const uint32_t other = pick();
-      const PairJudge<FrozenTreeView> judge(view, scorer, e);
+      const PairJudge judge(view, scorer, e);
       EagerPair eager = EagerInit(view, scorer, e, other);
       CandPairBounds slot;
       RstknnStats stats;
@@ -397,15 +395,14 @@ TEST(CandidatePathTest, AncestorSubtreesAreNeverCountedWholesale) {
 }
 
 // ---------------------------------------------------------------------------
-// One ProbeScratch across trees, sizes and forests
+// One ProbeScratch across trees and sizes
 
 /// The pair memo's sparse array grows on the first large tree and never
 /// shrinks, so afterwards it holds stale indices for every key a smaller tree
-/// reuses; three frozen trees and a sharded forest key the same scratch by
-/// their own explain ids. Interleaved queries through one scratch must match
-/// fresh-scratch searches exactly — answers and every counter — under both
-/// algorithms.
-TEST(ProbeScratchTest, ReuseAcrossTreesAndForestsMatchesFreshScratch) {
+/// reuses; three frozen trees key the same scratch by their own explain ids.
+/// Interleaved queries through one scratch must match fresh-scratch searches
+/// exactly — answers and every counter — under both algorithms.
+TEST(ProbeScratchTest, ReuseAcrossTreesMatchesFreshScratch) {
   const Corpus big(420, /*clustered=*/true, 5);
   const Corpus small(50, /*clustered=*/false, 6);
   const Corpus mid(160, /*clustered=*/false, 8);
@@ -422,13 +419,6 @@ TEST(ProbeScratchTest, ReuseAcrossTreesAndForestsMatchesFreshScratch) {
   const RstknnSearcher small_search(&small_frozen, &small.dataset,
                                     &small_scorer);
   const RstknnSearcher mid_search(&mid_frozen, &mid.dataset, &mid_scorer);
-  shard::ShardOptions shard_options;
-  shard_options.num_shards = 3;
-  shard_options.tree = big.topts;
-  const shard::ShardedIndex forest =
-      shard::ShardedIndex::Build(big.dataset, shard_options, &big.cluster_of);
-  const shard::ShardedSearcher forest_search(&forest, &big.dataset,
-                                             &big_scorer);
 
   ProbeScratch shared;
   Rng rng(77);
@@ -458,16 +448,7 @@ TEST(ProbeScratchTest, ReuseAcrossTreesAndForestsMatchesFreshScratch) {
       check(big_search, pick(big), "big frozen");
       check(small_search, pick(small), "small frozen after big");
       check(mid_search, pick(mid), "mid frozen");
-      if (algorithm == RstknnAlgorithm::kProbe) {
-        SCOPED_TRACE("forest round " + std::to_string(round));
-        const RstknnQuery q = pick(big);
-        const shard::ShardedResult a = forest_search.Search(q, reused);
-        const shard::ShardedResult b = forest_search.Search(q, fresh);
-        EXPECT_EQ(a.answers, b.answers);
-        ExpectStatsEqual(a.stats, b.stats);
-        EXPECT_EQ(a.answers, BruteForceRstknn(big.dataset, big_scorer, q));
-      }
-      check(small_search, pick(small), "small frozen after forest");
+      check(small_search, pick(small), "small frozen after mid");
     }
   }
 }

@@ -291,6 +291,37 @@ TEST(ReadJournalTest, AcceptsEveryHeaderToken) {
   std::remove(path.c_str());
 }
 
+TEST(ReadJournalTest, ReadsShardCountLenientlyAndWritesNone) {
+  // Journals captured over a sharded forest carry "shards": K. The writer
+  // no longer emits the key; the reader still takes it (absent => 0), so
+  // rst_replay can tell such a capture's stats apart.
+  const std::string path = TempPath("rst_replay_shards.jsonl");
+  obs::WorkloadRecorder recorder;
+  ASSERT_TRUE(recorder.Open(path, TestHeader()).ok());
+  recorder.Append(TestRecord(0));
+  ASSERT_TRUE(recorder.Close().ok());
+  Result<std::string> written = ReadFileToString(path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(written.value().find("shards"), std::string::npos)
+      << written.value();
+  Result<obs::JournalFile> loaded = obs::ReadJournal(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().header.shards, 0u);
+
+  std::string sharded = written.value();
+  const size_t at = sharded.find("\"threads\":");
+  ASSERT_NE(at, std::string::npos);
+  sharded.insert(at, "\"shards\":4,");
+  ASSERT_TRUE(WriteStringToFile(path, sharded).ok());
+  loaded = obs::ReadJournal(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().header.shards, 4u);
+  ASSERT_EQ(loaded.value().records.size(), 1u);
+  EXPECT_EQ(loaded.value().records[0].answer_digest,
+            TestRecord(0).answer_digest);
+  std::remove(path.c_str());
+}
+
 TEST(ReadJournalTest, ReadsVersion1And2Records) {
   // Version 2 dropped the always-zero `io_cache_hits` stats key. A version 1
   // record still carries it; the reader ignores it like any key it does not

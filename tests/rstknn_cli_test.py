@@ -7,18 +7,22 @@ flag and journal-header parsing of `rst_replay`.
 
 On a generated 500-object dataset it checks that
   * --id 3 and --ids 3 print the same answers and the same --explain table;
-  * --ids "3 5 7" prints the same output at --threads 1 and --threads 4, and
-    over a 4-shard index;
+  * --ids "3 5 7" prints the same output at --threads 1 and --threads 4;
+  * --load-index with a snapshot saved from a different dataset exits 1
+    naming --load-index, whether or not --check-invariants is given;
   * malformed numbers (thread counts below 1, non-numeric, negative,
     out-of-range or 32-bit-wrapping ids, non-numeric keywords, an --alpha
     outside [0, 1], and junk or negative values of every other numeric flag
     of rstknn, gen, genusers, topk and maxbrst) exit 2 with a message naming
     the flag, and so do enum values outside their lists (--measure,
     --weighting, --algo, --kind, --method) and flags a command does not
-    accept (misspelled, or belonging to another command);
-  * a captured journal replays cleanly, while malformed rst_replay flags
-    (--threads, --max-diffs, --shards, --algo) and journal headers whose
-    algo, tree, measure or weighting is outside its vocabulary exit 2;
+    accept (misspelled, belonging to another command, or removed, such as
+    --shards);
+  * a captured journal replays cleanly, and so does one whose header
+    carries "shards": 4 (no digest mismatch, stats n/a), while malformed
+    rst_replay flags (--threads, --max-diffs, --algo), the unknown flag
+    --shards and journal headers whose algo, tree, measure or weighting is
+    outside its vocabulary exit 2;
   * a 4-thread capture taken with --metrics-out replays on one thread with
     no digest or stats mismatch, and a capture whose recorded io_node_reads
     was edited fails replay with exit 1, naming io_node_reads.
@@ -106,9 +110,32 @@ def main():
         check(serial.count("\n") > 1, "--ids '3 5 7' printed too few rows")
         check(ok(cli, *base, *ids, "--threads", "4").stdout == serial,
               "--ids output differs between --threads 1 and --threads 4")
-        check(ok(cli, *base, *ids, "--threads", "4", "--shards",
-                 "4").stdout == serial,
-              "--ids output differs over a 4-shard index")
+
+        # A snapshot saved from a larger dataset does not fit a smaller one:
+        # loading it is an error naming --load-index, never a crash.
+        big = os.path.join(tmp, "big.tsv")
+        small = os.path.join(tmp, "small.tsv")
+        snapshot = os.path.join(tmp, "big.frz")
+        ok(cli, "gen", "--kind", "geonames", "--objects", "2000", "--seed",
+           "1", "--out", big)
+        ok(cli, "gen", "--kind", "geonames", "--objects", "200", "--seed",
+           "1", "--out", small)
+        ok(cli, "rstknn", "--data", big, "--save-index", snapshot)
+        for query in (["--id", "3", "--k", "5"],
+                      ["--x", "50", "--y", "50", "--keywords", "3 7 11",
+                       "--k", "5"],
+                      ["--id", "3", "--k", "5", "--check-invariants"]):
+            args = ["rstknn", "--data", small, "--load-index", snapshot,
+                    *query]
+            proc = run(cli, *args)
+            check(proc.returncode == 1,
+                  "%s exited %d, want 1 (stderr: %s)" %
+                  (args, proc.returncode, proc.stderr.strip()))
+            check(proc.stdout == "", "%s printed output" % args)
+            check("--load-index" in proc.stderr and
+                  "2000" in proc.stderr and "200" in proc.stderr,
+                  "%s: the message does not name --load-index and both "
+                  "object counts (stderr: %s)" % (args, proc.stderr.strip()))
 
         for bad in (["--id", "3", "--threads", "-1"],
                     ["--id", "3", "--threads", "0"],
@@ -129,7 +156,6 @@ def main():
                     ["--id", "3", "--alpha", "0.5x"],
                     ["--id", "3", "--k", "-1"],
                     ["--id", "3", "--k", "five"],
-                    ["--id", "3", "--shards", "-2"],
                     ["--id", "3", "--pool-pages", "abc"],
                     ["--id", "3", "--explain-log", "-3"],
                     ["--id", "3", "--slow-log-ms", "soon"],
@@ -184,6 +210,8 @@ def main():
         for bad, flag in (([*base, "--id", "3", "--bogus-flag", "7"],
                            "--bogus-flag"),
                           ([*base, "--id", "3", "--kk", "50"], "--kk"),
+                          ([*base, "--id", "3", "--shards", "4"],
+                           "--shards"),
                           ([*base, "--id", "3", "--trace-samples", "2"],
                            "--trace-samples"),
                           ([*topk, "--kay", "3"], "--kay"),
@@ -201,14 +229,29 @@ def main():
         journal = os.path.join(tmp, "j.jsonl")
         ok(cli, *base, "--ids", "3 5 7", "--journal-out", journal)
         ok(replay, "--journal", journal)
-        ok(replay, "--journal", journal, "--threads", "2", "--shards", "2",
-           "--algo", "cl", "--max-diffs", "0")
+        ok(replay, "--journal", journal, "--threads", "2", "--algo", "cl",
+           "--max-diffs", "0")
+        # A capture taken over a sharded forest (an index kind that no
+        # longer exists) still replays over one tree: digests are compared,
+        # stats are reported n/a.
+        with open(journal) as f:
+            lines = f.read().splitlines(keepends=True)
+        check('"shards"' not in lines[0], "the journal header wrote shards")
+        forest = os.path.join(tmp, "forest.jsonl")
+        with open(forest, "w") as f:
+            f.write(lines[0].replace('"threads":', '"shards":4,"threads":'))
+            f.writelines(lines[1:])
+        proc = ok(replay, "--journal", forest)
+        check("digest mismatches: 0/3" in proc.stdout and
+              "stats mismatches:  n/a" in proc.stdout and
+              "shards=4" in proc.stdout,
+              "a 4-shard capture did not replay with 0 digest mismatches "
+              "and stats n/a (stdout: %s)" % proc.stdout[:300])
         replay_base = ["--journal", journal]
         for bad in (["--threads", "abc"], ["--threads", "0"],
                     ["--threads", "1025"], ["--threads", "-1"],
                     ["--max-diffs", "-3"], ["--max-diffs", "x"],
-                    ["--shards", "-2"], ["--shards", "xyz"],
-                    ["--algo", "nope"]):
+                    ["--shards", "4"], ["--algo", "nope"]):
             check_usage_error(replay, replay_base + bad, bad[0])
         with open(journal) as f:
             lines = f.read().splitlines(keepends=True)

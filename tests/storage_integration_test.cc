@@ -80,30 +80,6 @@ TEST(StorageIntegrationTest, WholeTreeScanMatchesSimulatedCharges) {
   EXPECT_EQ(read.payload_bytes, charged.payload_bytes);
 }
 
-TEST(StorageIntegrationTest, TreeWithoutPayloadsChargesNodeReadsOnly) {
-  FlickrLikeConfig config;
-  config.num_objects = 100;
-  const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  IurTreeOptions options;
-  options.store_payloads = false;
-  // A snapshot of a tree built without payloads measures none, so opening a
-  // node costs the node read alone.
-  const frozen::FrozenTree bare =
-      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, options));
-  EXPECT_FALSE(bare.has_payloads());
-  EXPECT_EQ(bare.IndexBytes(), 0u);
-  IoStats stats;
-  bare.ChargeAccess(bare.root(), &stats);
-  EXPECT_EQ(stats.node_reads, 1u);
-  EXPECT_EQ(stats.payload_blocks, 0u);
-  const frozen::FrozenTree stored =
-      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
-  EXPECT_GT(stored.IndexBytes(), 0u);
-  stored.ChargeAccess(stored.root(), &stats);
-  EXPECT_EQ(stats.node_reads, 2u);
-  EXPECT_GE(stats.payload_blocks, 1u);
-}
-
 // Fuzz-style robustness: decoding arbitrarily corrupted buffers must fail
 // cleanly (or succeed on semantically harmless flips), never crash.
 TEST(CodecFuzzTest, TruncationsNeverCrash) {

@@ -7,8 +7,8 @@
 //
 //   rst_replay --journal FILE [--data FILE]
 //              [--algo probe|cl|contribution-list|journal]
-//              [--shards K|journal] [--threads N] [--report FILE]
-//              [--heatmap-out FILE] [--max-diffs N]
+//              [--threads N] [--report FILE] [--heatmap-out FILE]
+//              [--max-diffs N]
 //
 // The index is rebuilt from the dataset and frozen (rst::frozen), the one
 // structure RSTkNN searches; the `view` key of older journal headers is
@@ -20,11 +20,10 @@
 //                    and therefore digests — are independent of the
 //                    algorithm by the equality contract; stats are only
 //                    compared when the replay algorithm matches the capture
-//   --shards         replay against a K-shard ShardedIndex (default: journal
-//                    = the capture's shard count; 0 = single index). Digests
-//                    must still match — the answer set is independent of the
-//                    partitioning; stats are only compared when the replay
-//                    shard count matches the capture's
+//                    and the capture searched one IUR tree: a header whose
+//                    `shards` is above 0 (a capture over a sharded forest,
+//                    an index kind that no longer exists) still replays,
+//                    with digests compared and stats reported n/a
 //   --threads N      BatchRunner workers in [1, 1024] (default 1 = inline on
 //                    the caller); digests are identical at any thread count
 //   --report FILE    write the per-query diff report as JSON
@@ -47,7 +46,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,7 +59,6 @@
 #include "rst/obs/journal.h"
 #include "rst/obs/json.h"
 #include "rst/rstknn/rstknn.h"
-#include "rst/shard/sharded_index.h"
 #include "flag_parse.h"
 
 namespace rst {
@@ -71,7 +68,6 @@ struct ReplayFlags {
   std::string journal;
   std::string data;
   std::string algo = "journal";
-  std::optional<uint64_t> shards;  ///< nullopt: the journal's shard count
   size_t threads = 1;
   std::string report;
   std::string heatmap_out;
@@ -82,9 +78,8 @@ int Usage() {
   std::fprintf(stderr,
                "usage: rst_replay --journal FILE [--data FILE]\n"
                "                  [--algo probe|cl|contribution-list|journal]\n"
-               "                  [--shards K|journal] [--threads N]\n"
-               "                  [--report FILE] [--heatmap-out FILE]\n"
-               "                  [--max-diffs N]\n"
+               "                  [--threads N] [--report FILE]\n"
+               "                  [--heatmap-out FILE] [--max-diffs N]\n"
                "(see the header of tools/rst_replay.cc)\n");
   return 2;
 }
@@ -115,17 +110,6 @@ bool ParseFlags(int argc, char** argv, ReplayFlags* flags) {
         return false;
       }
       flags->algo = value;
-    } else if (name == "--shards") {
-      if (value == "journal") {
-        flags->shards.reset();
-      } else if (tools::ParseUint(value, UINT64_MAX, &number)) {
-        flags->shards = number;
-      } else {
-        std::fprintf(stderr,
-                     "--shards: '%s' is neither a shard count nor journal\n",
-                     value.c_str());
-        return false;
-      }
     } else if (name == "--threads") {
       if (!tools::ParseThreadCount(value, "threads", &flags->threads)) {
         return false;
@@ -226,28 +210,18 @@ int Main(int argc, char** argv) {
           : (flags.algo == "cl" || flags.algo == "contribution-list"
                  ? "contribution_list"
                  : "probe");
-  const uint64_t shards = flags.shards.value_or(journal.header.shards);
-  const bool use_sharded = shards > 0;
   const RstknnAlgorithm algo = algo_name == "contribution_list"
                                    ? RstknnAlgorithm::kContributionList
                                    : RstknnAlgorithm::kProbe;
-  // Stats depend on the algorithm and the index shape — tree kind and shard
-  // partitioning, but not the thread count; digests depend on none of
-  // these.
+  // Stats depend on the algorithm and the index shape — one IUR tree, not a
+  // CIUR tree or a sharded forest — but not on the thread count; digests
+  // depend on none of these.
   const bool stats_comparable = algo_name == journal.header.algo &&
                                 journal.header.tree == "iur" &&
-                                shards == journal.header.shards;
+                                journal.header.shards == 0;
 
-  std::optional<frozen::FrozenTree> frozen;
-  std::optional<shard::ShardedIndex> sharded;
-  if (use_sharded) {
-    shard::ShardOptions shard_options;
-    shard_options.num_shards = static_cast<size_t>(shards);
-    sharded.emplace(shard::ShardedIndex::Build(dataset, shard_options));
-  } else {
-    frozen.emplace(
-        frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {})));
-  }
+  const frozen::FrozenTree tree =
+      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {}));
 
   TextSimilarity sim(MeasureFromHeader(journal.header),
                      &dataset.corpus_max());
@@ -288,9 +262,7 @@ int Main(int argc, char** argv) {
   obs::HeatmapRecorder heatmap;
   options.heatmap = &heatmap;
   exec::ThreadPool pool(flags.threads);
-  const exec::BatchRunner runner =
-      use_sharded ? exec::BatchRunner(&*sharded, &dataset, &scorer, &pool)
-                  : exec::BatchRunner(&*frozen, &dataset, &scorer, &pool);
+  const exec::BatchRunner runner(&tree, &dataset, &scorer, &pool);
   exec::BatchStats batch;
   const std::vector<RstknnResult> results =
       runner.RunRstknn(queries, options, &batch);
@@ -352,11 +324,8 @@ int Main(int argc, char** argv) {
   }
 
   // --- aggregate analytics ---
-  const std::string index_desc =
-      use_sharded ? std::to_string(shards) + " shards" : "single index";
-  std::printf("replayed %zu queries (%s, %s, %zu threads) in %.2f ms\n", n,
-              algo_name.c_str(), index_desc.c_str(), flags.threads,
-              batch.wall_ms);
+  std::printf("replayed %zu queries (%s, %zu threads) in %.2f ms\n", n,
+              algo_name.c_str(), flags.threads, batch.wall_ms);
   std::printf("digest mismatches: %zu/%zu\n", digest_mismatches, n);
   if (stats_comparable) {
     std::printf("stats mismatches:  %zu/%zu\n", stats_mismatches, n);
@@ -466,8 +435,6 @@ int Main(int argc, char** argv) {
     w.BeginObject();
     w.Key("algo");
     w.String(algo_name);
-    w.Key("shards");
-    w.Uint(shards);
     w.Key("threads");
     w.Uint(flags.threads);
     w.Key("stats_comparable");

@@ -48,26 +48,14 @@
 //                       command exits after saving
 //   --load-index FILE   answer over a previously saved snapshot instead of
 //                       rebuilding the tree (--data must still name the
-//                       dataset the index was built from)
+//                       dataset the index was built from; a snapshot whose
+//                       object count or ids do not fit it exits 1)
 //   --build-threads N   worker threads for the STR bulk-load slab sorts
 //                       (default 1; any N produces the identical tree)
 //   --check-invariants  run the deep structural validation (DESIGN.md §11.2)
 //                       over the index before answering — summary domination,
 //                       tight MBRs, level leaves, cluster partitions; exits
 //                       non-zero with the precise violation on corruption
-//
-// Sharded-index flags (rstknn only; DESIGN.md §15):
-//   --shards K          partition the dataset into K spatial shards (STR
-//                       tiling), bulk-build one frozen tree per shard and
-//                       answer by scatter-gather — results byte-identical to
-//                       a single index at any K; rstknn.shard.* counters
-//                       report the whole-shard triage. --save-index /
-//                       --load-index then name a snapshot DIRECTORY
-//                       (MANIFEST + shard_<i>.frz); --check-invariants
-//                       validates every shard plus the partition itself.
-//                       Incompatible with --explain (exit 2); slow-query
-//                       capture (without explain JSON), --profile and
-//                       --trace-out work as on one tree.
 //
 // Profiling flags (rstknn; DESIGN.md §12):
 //   --profile           attribute each query's wall time into the fixed phase
@@ -149,7 +137,6 @@
 #include "rst/obs/trace.h"
 #include "rst/obs/trace_event.h"
 #include "rst/rstknn/rstknn.h"
-#include "rst/shard/sharded_index.h"
 #include "flag_parse.h"
 
 namespace rst {
@@ -467,7 +454,7 @@ RstknnAlgorithm ParseAlgorithm(const Flags& flags) {
 /// rst_replay needs to rebuild the same index and scorer, normalized to the
 /// CLI's own flag vocabulary.
 obs::JournalHeader MakeJournalHeader(const Flags& flags, uint64_t threads,
-                                     uint64_t sample_every, uint64_t shards) {
+                                     uint64_t sample_every) {
   obs::JournalHeader header;
   header.label = obs::names::kTraceRstknn;
   header.data = flags.Get("data", "objects.csv");
@@ -480,7 +467,6 @@ obs::JournalHeader MakeJournalHeader(const Flags& flags, uint64_t threads,
   header.alpha = flags.Alpha();
   header.threads = threads;
   header.sample_every = sample_every;
-  header.shards = shards;
   return header;
 }
 
@@ -687,14 +673,6 @@ int CmdRstknn(const Flags& flags) {
   // Runtime telemetry starts before the index build so the runtime.* gauges
   // cover the build's memory growth, not just the queries.
   const ObsFlags obs_flags(flags);
-  const size_t num_shards = flags.Uint("shards", 0);
-  const bool use_sharded = num_shards > 0;
-  if (use_sharded && obs_flags.explain) {
-    std::fprintf(stderr,
-                 "--explain is unsupported with --shards (the per-shard "
-                 "searches would reset the recorder); use --heatmap-out\n");
-    return 2;
-  }
   size_t threads = 1;
   size_t build_threads = 1;
   if (!tools::ParseThreadCount(flags.Get("threads", "1"), "threads",
@@ -749,8 +727,7 @@ int CmdRstknn(const Flags& flags) {
 
   // Index setup: build the IUR-tree and freeze it (the builder is dropped
   // once frozen), or load a previously saved frozen snapshot and skip the
-  // build entirely. With --shards the index is a directory of frozen shard
-  // trees instead.
+  // build entirely.
   const bool load_index = flags.Has("load-index");
   const bool save_index = flags.Has("save-index");
   // Opt-in deep validation of the index that will serve the query: every
@@ -760,33 +737,14 @@ int CmdRstknn(const Flags& flags) {
   const bool check_invariants = flags.Has("check-invariants");
   Status invariants = Status::Ok();
   std::optional<frozen::FrozenTree> frozen;
-  std::optional<shard::ShardedIndex> sharded;
-  if (use_sharded) {
-    if (load_index) {
-      // The on-disk MANIFEST carries the shard count; --shards just selects
-      // the sharded loader.
-      Result<shard::ShardedIndex> loaded =
-          shard::ShardedIndex::LoadDir(flags.Get("load-index", ""));
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "--load-index: %s\n",
-                     loaded.status().ToString().c_str());
-        return 1;
-      }
-      sharded.emplace(std::move(loaded.value()));
-    } else {
-      shard::ShardOptions shard_options;
-      shard_options.num_shards = num_shards;
-      exec::ThreadPool build_pool(build_threads);
-      sharded.emplace(shard::ShardedIndex::Build(dataset, shard_options,
-                                                 /*cluster_of=*/nullptr,
-                                                 &build_pool));
-    }
-  } else if (load_index) {
+  if (load_index) {
     Result<frozen::FrozenTree> loaded =
         frozen::FrozenTree::Load(flags.Get("load-index", ""));
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "--load-index: %s\n",
-                   loaded.status().ToString().c_str());
+    const Status fits = loaded.ok()
+                            ? loaded.value().CheckMatchesDataset(dataset.size())
+                            : loaded.status();
+    if (!fits.ok()) {
+      std::fprintf(stderr, "--load-index: %s\n", fits.ToString().c_str());
       return 1;
     }
     frozen.emplace(std::move(loaded.value()));
@@ -803,12 +761,7 @@ int CmdRstknn(const Flags& flags) {
     frozen.emplace(frozen::FrozenTree::Freeze(tree));
   }
   if (check_invariants) {
-    if (invariants.ok() && sharded.has_value()) {
-      invariants = sharded->CheckInvariants();
-    }
-    if (invariants.ok() && frozen.has_value()) {
-      invariants = frozen->CheckInvariants();
-    }
+    if (invariants.ok()) invariants = frozen->CheckInvariants();
     if (!invariants.ok()) {
       std::fprintf(stderr, "--check-invariants: %s\n",
                    invariants.ToString().c_str());
@@ -818,30 +771,17 @@ int CmdRstknn(const Flags& flags) {
   }
   if (save_index) {
     const std::string path = flags.Get("save-index", "");
-    if (use_sharded) {
-      const Status s = sharded->SaveDir(path);
-      if (!s.ok()) {
-        std::fprintf(stderr, "--save-index: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      std::fprintf(stderr,
-                   "sharded index (%zu shards, %llu objects) written to %s/\n",
-                   sharded->num_shards(),
-                   static_cast<unsigned long long>(sharded->size()),
-                   path.c_str());
-    } else {
-      const Status s = frozen->Save(path);
-      if (!s.ok()) {
-        std::fprintf(stderr, "--save-index: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      std::fprintf(stderr,
-                   "frozen index (%u nodes, %u entries, %llu payload bytes) "
-                   "written to %s\n",
-                   frozen->num_nodes(), frozen->num_entries(),
-                   static_cast<unsigned long long>(frozen->IndexBytes()),
-                   path.c_str());
+    const Status s = frozen->Save(path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "--save-index: %s\n", s.ToString().c_str());
+      return 1;
     }
+    std::fprintf(stderr,
+                 "frozen index (%u nodes, %u entries, %llu payload bytes) "
+                 "written to %s\n",
+                 frozen->num_nodes(), frozen->num_entries(),
+                 static_cast<unsigned long long>(frozen->IndexBytes()),
+                 path.c_str());
     if (!flags.Has("id") && !flags.Has("ids") && !flags.Has("keywords")) {
       return 0;  // save-only invocation
     }
@@ -860,10 +800,7 @@ int CmdRstknn(const Flags& flags) {
   if (!obs_flags.heatmap_out.empty()) options.heatmap = &heatmap;
 
   exec::ThreadPool thread_pool(threads);
-  exec::BatchRunner runner =
-      use_sharded
-          ? exec::BatchRunner(&*sharded, &dataset, &scorer, &thread_pool)
-          : exec::BatchRunner(&*frozen, &dataset, &scorer, &thread_pool);
+  exec::BatchRunner runner(&*frozen, &dataset, &scorer, &thread_pool);
   obs::SlowQueryLog slow_log(obs_flags.slow_log_ms);
   if (obs_flags.slow_logging()) runner.set_slow_log(&slow_log);
   obs::TraceEventWriter trace_events(/*capacity=*/1 << 16,
@@ -874,8 +811,7 @@ int CmdRstknn(const Flags& flags) {
     const Status s = journal.Open(
         obs_flags.journal_out,
         MakeJournalHeader(flags, thread_pool.num_threads(),
-                          obs_flags.journal_sample,
-                          use_sharded ? sharded->num_shards() : 0));
+                          obs_flags.journal_sample));
     if (!s.ok()) {
       std::fprintf(stderr, "--journal-out: %s\n", s.ToString().c_str());
       return 1;
@@ -925,16 +861,6 @@ int CmdRstknn(const Flags& flags) {
                    batch_stats.total.pruned_entries),
                static_cast<unsigned long long>(
                    batch_stats.total.io.TotalIos()));
-  if (use_sharded) {
-    const shard::ShardedStats& triage = batch_stats.shards;
-    std::fprintf(stderr,
-                 "shard triage: %llu pruned, %llu reported, %llu searched "
-                 "(of %zu shards x %zu queries)\n",
-                 static_cast<unsigned long long>(triage.shards_pruned),
-                 static_cast<unsigned long long>(triage.shards_reported),
-                 static_cast<unsigned long long>(triage.shards_searched),
-                 sharded->num_shards(), queries.size());
-  }
   if (obs_flags.slow_logging()) {
     std::fprintf(stderr, "slow-query log: %llu captured over %.2f ms "
                  "(%llu dropped)\n",
@@ -1061,7 +987,7 @@ int Main(int argc, char** argv) {
       {"rstknn",
        CmdRstknn,
        {"data", "weighting", "measure", "alpha", "algo", "id", "ids", "x",
-        "y", "keywords", "k", "threads", "build-threads", "shards",
+        "y", "keywords", "k", "threads", "build-threads",
         "save-index", "load-index", "check-invariants", "trace",
         "metrics-out", "explain", "explain-log", "slow-log-ms",
         "slow-log-out", "profile", "trace-out", "trace-sample",
