@@ -183,7 +183,7 @@ BENCHMARK(BM_RestrictSkewed)->Apply(SkewArgs);
 
 // --- SIMD dispatch rows ----------------------------------------------------
 // The same member kernels with dispatch pinned via simd::ScopedLevelOverride:
-// scalar=0 rows run the detected level (AVX2 here, NEON on arm64), scalar=1
+// scalar=0 rows run the detected level (AVX2 where the CPU has it), scalar=1
 // rows pin the scalar reference on identical inputs. Each row first asserts
 // the two levels agree bitwise — the bench doubles as an equality check.
 //

@@ -11,6 +11,7 @@
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
 #include "rst/obs/trace.h"
+#include "rst/storage/node_size.h"
 #include "rst/storage/varint.h"
 
 namespace rst {
@@ -149,6 +150,7 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
     out.node_entry_begin_.push_back(out.num_entries());
     out.node_entry_count_.push_back(
         static_cast<uint32_t>(frame.node->entries.size()));
+    out.node_invfile_bytes_.push_back(frame.node->invfile_bytes);
     for (const IurTree::Entry& e : frame.node->entries) {
       const uint32_t entry_id = out.num_entries();
       out.entry_rect_.push_back(e.rect);
@@ -170,11 +172,7 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
     out.entry_child_[entry_id] = node_index.at(child);
   }
   if (trace != nullptr) trace->Exit();  // layout
-
-  {
-    obs::TraceSpan payload_span(trace, obs::names::kSpanFrozenPayloads);
-    out.MeasurePayloads();
-  }
+  out.index_bytes_ = tree.IndexBytes();
 
   const FrozenMetrics& metrics = FrozenMetrics::Get();
   metrics.freezes.Increment();
@@ -182,30 +180,26 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
   return out;
 }
 
-void FrozenTree::EncodeNode(uint32_t node, NodePayload* out) const {
-  const uint32_t begin = node_entry_begin_[node];
-  const uint32_t count = node_entry_count_[node];
-  std::vector<PayloadEntry> entries;
-  std::vector<PayloadCluster> clusters;
-  entries.reserve(count);
-  for (uint32_t e = begin; e < begin + count; ++e) {
-    entries.push_back({entry_rect_[e], entry_id_[e], Summary(e),
-                       static_cast<uint32_t>(clusters.size()),
-                       NumClusters(e)});
-    for (uint32_t c = 0; c < NumClusters(e); ++c) {
-      clusters.push_back({ClusterId(e, c), ClusterSummary(e, c)});
-    }
-  }
-  EncodeNodePayload(IsLeaf(node), entries, clusters, clustered_, out);
-}
-
-void FrozenTree::MeasurePayloads() {
+void FrozenTree::MeasureNodes() {
   node_invfile_bytes_.resize(num_nodes());
-  NodePayload payload;
+  index_bytes_ = 0;
+  std::vector<SizedEntry> entries;
+  std::vector<SizedCluster> clusters;
   for (uint32_t n = 0; n < num_nodes(); ++n) {
-    EncodeNode(n, &payload);
-    node_invfile_bytes_[n] = static_cast<uint32_t>(payload.invfile.size());
-    index_bytes_ += payload.record.size() + payload.invfile.size();
+    entries.clear();
+    clusters.clear();
+    const uint32_t begin = node_entry_begin_[n];
+    for (uint32_t e = begin; e < begin + node_entry_count_[n]; ++e) {
+      entries.push_back({entry_id_[e], Summary(e),
+                         static_cast<uint32_t>(clusters.size()),
+                         NumClusters(e)});
+      for (uint32_t c = 0; c < NumClusters(e); ++c) {
+        clusters.push_back({ClusterId(e, c), ClusterSummary(e, c)});
+      }
+    }
+    const NodeSizes sizes = MeasureNode(entries, clusters, clustered_);
+    node_invfile_bytes_[n] = static_cast<uint32_t>(sizes.invfile_bytes);
+    index_bytes_ += sizes.record_bytes + sizes.invfile_bytes;
   }
 }
 
@@ -401,7 +395,7 @@ Result<FrozenTree> FrozenTree::Deserialize(const std::string& bytes) {
   status = out.CheckInvariants();
   if (!status.ok()) return status;
   out.RecomputeNorms();
-  out.MeasurePayloads();
+  out.MeasureNodes();
   return out;
 }
 
@@ -421,7 +415,8 @@ Result<FrozenTree> FrozenTree::Load(const std::string& path) {
   return tree;
 }
 
-Status FrozenTree::CheckMatchesDataset(size_t num_objects) const {
+Status FrozenTree::CheckMatchesDataset(const Dataset& dataset) const {
+  const size_t num_objects = dataset.size();
   if (size_ != num_objects) {
     return Status::InvalidArgument(
         "frozen index holds " + std::to_string(size_) +
@@ -429,11 +424,27 @@ Status FrozenTree::CheckMatchesDataset(size_t num_objects) const {
         "; load the snapshot with the dataset it was built from");
   }
   for (uint32_t e = 0; e < num_entries(); ++e) {
-    if (IsObject(e) && entry_id_[e] >= num_objects) {
+    if (!IsObject(e)) continue;
+    const uint32_t id = entry_id_[e];
+    if (id >= num_objects) {
       return Status::InvalidArgument(
-          "frozen index holds object id " + std::to_string(entry_id_[e]) +
+          "frozen index holds object id " + std::to_string(id) +
           ", outside the dataset's " + std::to_string(num_objects) +
           " objects");
+    }
+    const StObject& object = dataset.object(id);
+    const std::vector<TermWeight>& doc = object.doc.entries();
+    const auto is_doc = [&doc](const TermSpan& span) {
+      return span.len == doc.size() &&
+             std::equal(doc.begin(), doc.end(), span.data);
+    };
+    const SummarySpan summary = Summary(e);
+    if (!(entry_rect_[e] == Rect::FromPoint(object.loc)) ||
+        !is_doc(summary.uni) || !is_doc(summary.intr)) {
+      return Status::InvalidArgument(
+          "frozen index's object " + std::to_string(id) +
+          " has another location or document than the dataset's; load the "
+          "snapshot with the dataset it was built from");
     }
   }
   return Status::Ok();

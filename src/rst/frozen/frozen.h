@@ -7,8 +7,8 @@
 
 #include "rst/common/geometry.h"
 #include "rst/common/status.h"
+#include "rst/data/dataset.h"
 #include "rst/iurtree/iurtree.h"
-#include "rst/storage/codec.h"
 #include "rst/storage/io_stats.h"
 #include "rst/text/similarity.h"
 
@@ -53,12 +53,11 @@ struct ClusterRef {
 /// pointer chasing and scattered term-weight reads of the builder's
 /// arena-allocated nodes (DESIGN.md §10).
 ///
-/// Storage: every node is encoded once by the same encoder as the source
-/// tree (EncodeNodePayload), and only the lengths are kept — each node's
-/// inverted-file bytes and the IndexBytes total — so the simulated I/O
-/// accounting matches the source tree exactly. The serialized file
-/// (Save/Load) stores only the arrays and the pool; the lengths are
-/// measured again on load.
+/// Storage: only lengths are kept — each node's inverted-file bytes and the
+/// IndexBytes total. Freeze copies them from the source tree, so the
+/// simulated I/O accounting matches it exactly. The serialized file
+/// (Save/Load) stores only the arrays and the pool; on load the lengths are
+/// measured again with the source tree's size function (MeasureNode).
 class FrozenTree {
  public:
   static constexpr uint32_t kNoObject = IurTree::kNoObject;
@@ -70,9 +69,9 @@ class FrozenTree {
   FrozenTree(FrozenTree&&) noexcept = default;
   FrozenTree& operator=(FrozenTree&&) noexcept = default;
 
-  /// Snapshots a built tree; every node is encoded once to measure its
-  /// lengths. Records `frozen.freeze` spans on `trace` and publishes
-  /// frozen.freezes / frozen.freeze.last_ms.
+  /// Snapshots a built tree, copying its node lengths. Records
+  /// `frozen.freeze` spans on `trace` and publishes frozen.freezes /
+  /// frozen.freeze.last_ms.
   static FrozenTree Freeze(const IurTree& tree,
                            obs::QueryTrace* trace = nullptr);
 
@@ -111,11 +110,8 @@ class FrozenTree {
   }
 
   // --- Storage / I/O (mirrors IurTree accounting byte-for-byte) ---
-  /// Total encoded bytes (node records + inverted files).
+  /// Total index bytes (node records + inverted files).
   uint64_t IndexBytes() const { return index_bytes_; }
-  /// Encodes `node` into `*out` with the source tree's encoder, reusing its
-  /// buffers. The snapshot keeps only the lengths; tests decode the bytes.
-  void EncodeNode(uint32_t node, NodePayload* out) const;
 
   /// Charges the simulated I/O of opening `node`: one node read plus the
   /// blocks of its inverted file. The only way a search charges I/O
@@ -134,11 +130,13 @@ class FrozenTree {
   /// pool, child links acyclic and complete, levels consistent.
   Status CheckInvariants() const;
 
-  /// InvalidArgument unless this snapshot indexes exactly the objects
-  /// [0, num_objects) of a dataset of that size: a search reads each
-  /// answer's object from the dataset by id, so a snapshot saved from a
-  /// larger dataset would read past its end.
-  Status CheckMatchesDataset(size_t num_objects) const;
+  /// InvalidArgument unless this snapshot indexes exactly the objects of
+  /// `dataset`: the same object count, and every leaf entry's rect and
+  /// summary (uni and intr) equal to its object's point and document. A
+  /// search reads each answer's object from the dataset by id, so a
+  /// snapshot of another dataset would answer wrongly or read past its end.
+  /// O(total terms).
+  Status CheckMatchesDataset(const Dataset& dataset) const;
 
  private:
   SummarySpan Span(const SummaryRef& s) const {
@@ -148,9 +146,8 @@ class FrozenTree {
         s.count};
   }
 
-  /// Encodes every node once and records its lengths. Freeze and
-  /// Deserialize both end here.
-  void MeasurePayloads();
+  /// Measures every node's lengths with MeasureNode (Deserialize).
+  void MeasureNodes();
   void RecomputeNorms();
 
   // SoA node arrays.

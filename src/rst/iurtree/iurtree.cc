@@ -11,6 +11,7 @@
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
 #include "rst/obs/trace.h"
+#include "rst/storage/node_size.h"
 
 namespace rst {
 
@@ -232,12 +233,24 @@ IurTree IurTree::Build(std::vector<Item> items, const IurTreeOptions& options,
   {
     obs::TraceSpan finalize_span(trace, obs::names::kSpanFinalizeStorage);
     std::vector<Node*> stack = {tree.root_};
+    std::vector<SizedEntry> entries;
+    std::vector<SizedCluster> clusters;
     while (!stack.empty()) {
       Node* node = stack.back();
       stack.pop_back();
-      const NodePayload payload = tree.EncodeNode(node);
-      node->invfile_bytes = static_cast<uint32_t>(payload.invfile.size());
-      tree.index_bytes_ += payload.record.size() + payload.invfile.size();
+      entries.clear();
+      clusters.clear();
+      for (const Entry& e : node->entries) {
+        entries.push_back({e.id, AsSpan(e.summary),
+                           static_cast<uint32_t>(clusters.size()),
+                           static_cast<uint32_t>(e.clusters.size())});
+        for (const auto& [cluster_id, summary] : e.clusters) {
+          clusters.push_back({cluster_id, AsSpan(summary)});
+        }
+      }
+      const NodeSizes sizes = MeasureNode(entries, clusters, tree.clustered_);
+      node->invfile_bytes = static_cast<uint32_t>(sizes.invfile_bytes);
+      tree.index_bytes_ += sizes.record_bytes + sizes.invfile_bytes;
       if (!node->leaf) {
         for (const Entry& e : node->entries) stack.push_back(e.child);
       }
@@ -268,23 +281,6 @@ IurTree IurTree::BuildFromUsers(const std::vector<StUser>& users,
     items.push_back({u.id, u.loc, &u.keywords});
   }
   return Build(std::move(items), options, nullptr);
-}
-
-NodePayload IurTree::EncodeNode(const Node* node) const {
-  std::vector<PayloadEntry> entries;
-  std::vector<PayloadCluster> clusters;
-  entries.reserve(node->entries.size());
-  for (const Entry& e : node->entries) {
-    entries.push_back({e.rect, e.id, AsSpan(e.summary),
-                       static_cast<uint32_t>(clusters.size()),
-                       static_cast<uint32_t>(e.clusters.size())});
-    for (const auto& [cluster_id, summary] : e.clusters) {
-      clusters.push_back({cluster_id, AsSpan(summary)});
-    }
-  }
-  NodePayload payload;
-  EncodeNodePayload(node->leaf, entries, clusters, clustered_, &payload);
-  return payload;
 }
 
 size_t IurTree::height() const {

@@ -9,7 +9,6 @@
 #include "rst/common/status.h"
 #include "rst/data/dataset.h"
 #include "rst/iurtree/arena_array.h"
-#include "rst/storage/codec.h"
 #include "rst/storage/io_stats.h"
 #include "rst/text/similarity.h"
 
@@ -26,9 +25,9 @@ class QueryTrace;
 ///
 /// The same structure serves three roles in this library:
 ///  * IUR-tree over objects (2011 core);
-///  * MIR-tree (2016): the node text content is encoded as an inverted file
-///    of <child, maxw, minw> postings, whose length is what opening the node
-///    charges in the I/O accounting;
+///  * MIR-tree (2016): the node text content is an inverted file of
+///    <child, maxw, minw> postings, whose length (MeasureNode) is what
+///    opening the node charges in the I/O accounting;
 ///  * MIUR-tree over users (2016 §7): binary keyword vectors, union and
 ///    intersection per node, subtree user counts.
 ///
@@ -82,7 +81,7 @@ class IurTree {
 
     bool leaf = true;
     ArenaArray<Entry> entries;
-    /// Encoded inverted-file length in bytes.
+    /// Inverted-file length in bytes (MeasureNode).
     uint32_t invfile_bytes = 0;
 
     Rect ComputeMbr() const;
@@ -96,8 +95,8 @@ class IurTree {
   };
 
   /// STR bulk load — the only way to make a tree, which never changes
-  /// afterwards. Summaries are computed bottom-up, then every node is encoded
-  /// once to measure its lengths (no encoded byte is kept). If
+  /// afterwards. Summaries are computed bottom-up, then every node's lengths
+  /// are measured once (MeasureNode; no node is encoded). If
   /// `cluster_of` is non-null it maps item *ids* to cluster ids and the
   /// result is a CIUR-tree. An optional trace records build-phase spans
   /// (pack, finalize_storage); node counts and the fanout histogram always go
@@ -125,17 +124,13 @@ class IurTree {
   size_t NodeCount() const;
   bool clustered() const { return clustered_; }
 
-  /// Total encoded bytes (node records + inverted files).
+  /// Total index bytes (node records + inverted files).
   uint64_t IndexBytes() const { return index_bytes_; }
   const NodeArena& arena() const { return *arena_; }
 
   /// Charges the simulated I/O of opening `node`: one node read plus the
   /// blocks of its inverted file (papers' methodology; DESIGN.md §3.5).
   void ChargeAccess(const Node* node, IoStats* stats) const;
-
-  /// Encodes `node` with the single node encoder (EncodeNodePayload). The
-  /// build keeps only the lengths; tests decode the bytes.
-  NodePayload EncodeNode(const Node* node) const;
 
   /// Deep structural validation for tests: MBRs tight, summaries exactly the
   /// merge of children, counts consistent, leaves at equal depth, cluster

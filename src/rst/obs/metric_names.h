@@ -152,7 +152,6 @@ inline constexpr char kSpanMaxbrstSelect[] = "maxbrst.select";
 inline constexpr char kSpanMaxbrstEvaluate[] = "maxbrst.evaluate";
 inline constexpr char kSpanFrozenFreeze[] = "frozen.freeze";
 inline constexpr char kSpanFrozenLayout[] = "layout";
-inline constexpr char kSpanFrozenPayloads[] = "payloads";
 inline constexpr char kSpanSetup[] = "setup";
 inline constexpr char kSpanExpand[] = "expand";
 inline constexpr char kSpanPick[] = "pick";

@@ -19,6 +19,7 @@
 #include "rst/obs/phase_timer.h"
 #include "rst/obs/trace.h"
 #include "rst/rstknn/search_impl.h"
+#include "rst/storage/node_size.h"
 
 namespace rst {
 

@@ -111,9 +111,6 @@ constexpr Kernels kScalarKernels = {
 #if defined(__x86_64__) && defined(RST_SIMD_HAVE_AVX2)
 extern const Kernels kAvx2Kernels;  // kernels_avx2.cc
 #endif
-#if defined(__aarch64__)
-extern const Kernels kNeonKernels;  // kernels_neon.cc
-#endif
 
 const char* LevelName(Level level) {
   switch (level) {
@@ -121,8 +118,6 @@ const char* LevelName(Level level) {
       return "scalar";
     case Level::kAvx2:
       return "avx2";
-    case Level::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -130,8 +125,6 @@ const char* LevelName(Level level) {
 Level CompiledLevel() {
 #if defined(__x86_64__) && defined(RST_SIMD_HAVE_AVX2)
   return Level::kAvx2;
-#elif defined(__aarch64__)
-  return Level::kNeon;
 #else
   return Level::kScalar;
 #endif
@@ -140,8 +133,6 @@ Level CompiledLevel() {
 Level DetectedLevel() {
 #if defined(__x86_64__) && defined(RST_SIMD_HAVE_AVX2)
   return __builtin_cpu_supports("avx2") ? Level::kAvx2 : Level::kScalar;
-#elif defined(__aarch64__)
-  return Level::kNeon;  // Advanced SIMD is baseline on arm64
 #else
   return Level::kScalar;
 #endif
@@ -153,9 +144,6 @@ const Kernels& KernelsFor(Level level) {
   if (level == Level::kAvx2 && DetectedLevel() == Level::kAvx2) {
     return kAvx2Kernels;
   }
-#endif
-#if defined(__aarch64__)
-  if (level == Level::kNeon) return kNeonKernels;
 #endif
   return kScalarKernels;
 }

@@ -16,7 +16,6 @@ namespace rst::simd {
 enum class Level {
   kScalar,  ///< portable reference — always available
   kAvx2,    ///< x86-64 AVX2 (runtime CPUID-gated)
-  kNeon,    ///< aarch64 Advanced SIMD (baseline on arm64)
 };
 
 const char* LevelName(Level level);
@@ -49,8 +48,8 @@ struct Kernels {
 /// Highest level this binary was compiled with support for.
 Level CompiledLevel();
 
-/// Highest level the running CPU supports (CPUID on x86; compile-time on
-/// aarch64), before any override.
+/// Highest level the running CPU supports (CPUID on x86), before any
+/// override.
 Level DetectedLevel();
 
 /// The level actually in use: DetectedLevel() capped by CompiledLevel(),

@@ -10,8 +10,8 @@
 namespace rst {
 
 /// LEB128 variable-length integer codecs over a std::string buffer, plus
-/// fixed-width float. These are the primitives for serializing term vectors,
-/// posting lists, and tree nodes.
+/// fixed-width float and double: the primitives of the frozen snapshot
+/// format. VarintLength also sizes the index node format (node_size.h).
 
 void PutVarint32(std::string* dst, uint32_t value);
 void PutVarint64(std::string* dst, uint64_t value);

@@ -495,7 +495,9 @@ TEST(SlowQueryLogTest, RingKeepsNewestRecordsOldestFirst) {
   for (size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(records[i].query_index, 6 + i);  // newest 4, oldest first
     EXPECT_EQ(records[i].seq, 6 + i);
-    if (i > 0) EXPECT_GT(records[i].seq, records[i - 1].seq);
+    if (i > 0) {
+      EXPECT_GT(records[i].seq, records[i - 1].seq);
+    }
   }
 
   // Every capture lands on the global (timing-derived, never gated) counter.

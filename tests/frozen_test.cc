@@ -145,14 +145,13 @@ TEST(FrozenTreeTest, LayoutIsPreorderOfSourceTree) {
 }
 
 /// Checks every node of `frozen` against the source node the layout walk
-/// numbered it from (the same stack preorder): both encode to the same
-/// record and inverted-file bytes, and opening them charges the same I/O.
-void ExpectPayloadsMatch(const IurTree& tree,
-                         const frozen::FrozenTree& frozen) {
+/// numbered it from (the same stack preorder): opening them charges the same
+/// inverted-file length and the same I/O.
+void ExpectLengthsMatch(const IurTree& tree,
+                        const frozen::FrozenTree& frozen) {
   EXPECT_EQ(frozen.IndexBytes(), tree.IndexBytes());
   std::vector<const IurTree::Node*> stack{tree.root()};
   uint32_t node = 0;
-  NodePayload frz;
   while (!stack.empty()) {
     const IurTree::Node* src = stack.back();
     stack.pop_back();
@@ -160,32 +159,27 @@ void ExpectPayloadsMatch(const IurTree& tree,
       if (!src->entries[i].is_object()) stack.push_back(src->entries[i].child);
     }
     ASSERT_LT(node, frozen.num_nodes());
-    const std::string what = "node " + std::to_string(node);
-    const NodePayload payload = tree.EncodeNode(src);
-    frozen.EncodeNode(node, &frz);
-    EXPECT_EQ(frz.record, payload.record) << what << " record";
-    EXPECT_EQ(frz.invfile, payload.invfile) << what << " inverted file";
     IoStats src_charge;
     IoStats frz_charge;
     tree.ChargeAccess(src, &src_charge);
     frozen.ChargeAccess(node, &frz_charge);
-    EXPECT_EQ(src_charge.payload_bytes, payload.invfile.size()) << what;
-    EXPECT_EQ(frz_charge.payload_bytes, payload.invfile.size()) << what;
-    EXPECT_EQ(frz_charge.TotalIos(), src_charge.TotalIos()) << what;
+    EXPECT_EQ(src_charge.payload_bytes, src->invfile_bytes) << "node " << node;
+    EXPECT_EQ(frz_charge.payload_bytes, src->invfile_bytes) << "node " << node;
+    EXPECT_EQ(frz_charge.TotalIos(), src_charge.TotalIos()) << "node " << node;
     ++node;
   }
   EXPECT_EQ(node, frozen.num_nodes());
 }
 
-TEST(FrozenTreeTest, PayloadsMatchSourceTreeByteForByte) {
-  // Both trees encode with EncodeNodePayload, so every node's bytes and
-  // charge are the source tree's — and stay so after the snapshot is saved
-  // and its lengths measured again on load.
+TEST(FrozenTreeTest, NodeLengthsMatchSourceTreeAndSurviveSaveLoad) {
+  // Freeze copies every node's lengths from the source tree; Load measures
+  // them again from the snapshot's arrays. Both must give the source tree's
+  // lengths node for node, IUR and CIUR.
   for (const bool clustered : {false, true}) {
     SCOPED_TRACE(clustered ? "CIUR" : "IUR");
     const Fixture f(250, clustered);
     const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
-    ExpectPayloadsMatch(f.tree, frozen);
+    ExpectLengthsMatch(f.tree, frozen);
 
     const std::string path =
         ::testing::TempDir() + "/frozen_payload_equality_test.rstf";
@@ -193,7 +187,7 @@ TEST(FrozenTreeTest, PayloadsMatchSourceTreeByteForByte) {
     const Result<frozen::FrozenTree> loaded = frozen::FrozenTree::Load(path);
     std::remove(path.c_str());
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    ExpectPayloadsMatch(f.tree, loaded.value());
+    ExpectLengthsMatch(f.tree, loaded.value());
   }
 }
 
@@ -405,23 +399,54 @@ TEST(FrozenTreeTest, EmptyAndSingleLeafTrees) {
 TEST(FrozenTreeTest, CheckMatchesDatasetRejectsAForeignSnapshot) {
   const Fixture f(40);
   const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
-  EXPECT_TRUE(frozen.CheckMatchesDataset(40).ok());
-  EXPECT_EQ(frozen.CheckMatchesDataset(39).code(),
+  EXPECT_TRUE(frozen.CheckMatchesDataset(f.dataset).ok());
+  EXPECT_EQ(frozen.CheckMatchesDataset(Fixture(39).dataset).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(frozen.CheckMatchesDataset(41).code(),
+  EXPECT_EQ(frozen.CheckMatchesDataset(Fixture(41).dataset).code(),
             StatusCode::kInvalidArgument);
 
-  // The right object count with ids past the dataset's end.
+  // The right object count with every id past the dataset's end: the id
+  // guard rejects it before any object is read by id.
   std::vector<IurTree::Item> items;
   for (const StObject& o : f.dataset.objects()) {
-    items.push_back({o.id + 5, o.loc, &o.doc});
+    items.push_back({o.id + 40, o.loc, &o.doc});
   }
   const frozen::FrozenTree shifted =
       frozen::FrozenTree::Freeze(IurTree::Build(std::move(items), {}));
-  const Status status = shifted.CheckMatchesDataset(40);
+  Status status = shifted.CheckMatchesDataset(f.dataset);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("object id"), std::string::npos)
       << status.ToString();
+
+  // The same size and ids, but another dataset: every object's location and
+  // document differ, so the snapshot would answer for the wrong objects.
+  const Fixture other(40, /*clustered=*/false, /*seed=*/8);
+  status = frozen.CheckMatchesDataset(other.dataset);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("location or document"), std::string::npos)
+      << status.ToString();
+
+  // One object moved, or one document changed, is enough.
+  std::vector<IurTree::Item> moved;
+  TermVector doc = f.dataset.object(7).doc;
+  for (const StObject& o : f.dataset.objects()) {
+    moved.push_back({o.id, o.loc, &o.doc});
+  }
+  moved[3].loc.x += 1e-9;
+  EXPECT_FALSE(frozen::FrozenTree::Freeze(IurTree::Build(moved, {}))
+                   .CheckMatchesDataset(f.dataset)
+                   .ok());
+  moved[3].loc = f.dataset.object(3).loc;
+  doc = TermVector::FromSorted(
+      {{doc.entries().front().term, doc.entries().front().weight + 1.0f}});
+  moved[7].doc = &doc;
+  EXPECT_FALSE(frozen::FrozenTree::Freeze(IurTree::Build(moved, {}))
+                   .CheckMatchesDataset(f.dataset)
+                   .ok());
+  moved[7].doc = &f.dataset.object(7).doc;
+  EXPECT_TRUE(frozen::FrozenTree::Freeze(IurTree::Build(moved, {}))
+                  .CheckMatchesDataset(f.dataset)
+                  .ok());
 }
 
 TEST(FrozenTreeTest, ParallelBuildProducesIdenticalFrozenBytes) {

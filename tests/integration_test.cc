@@ -174,28 +174,5 @@ TEST_F(IntegrationTest, QueriesAreDeterministic) {
   EXPECT_EQ(a.stats.io.TotalIos(), b.stats.io.TotalIos());
 }
 
-TEST_F(IntegrationTest, StoredNodeRecordsHaveHonestSizes) {
-  // Every node's encoded inverted file must decode, its length must be the
-  // one the node keeps, and the index total must equal the sum of the parts.
-  uint64_t total = 0;
-  std::vector<const IurTree::Node*> stack = {iur_->root()};
-  while (!stack.empty()) {
-    const IurTree::Node* node = stack.back();
-    stack.pop_back();
-    const NodePayload payload = iur_->EncodeNode(node);
-    size_t offset = 0;
-    InvertedFile file;
-    ASSERT_TRUE(DecodeInvertedFile(payload.invfile, &offset, &file).ok());
-    EXPECT_EQ(node->invfile_bytes, payload.invfile.size());
-    total += payload.record.size() + payload.invfile.size();
-    if (!node->leaf) {
-      for (const IurTree::Entry& e : node->entries) {
-        stack.push_back(e.child);
-      }
-    }
-  }
-  EXPECT_EQ(total, iur_->IndexBytes());
-}
-
 }  // namespace
 }  // namespace rst

@@ -7,6 +7,7 @@
 
 #include "rst/data/generators.h"
 #include "rst/iurtree/cluster.h"
+#include "rst/storage/node_size.h"
 
 namespace rst {
 namespace {
@@ -47,8 +48,8 @@ TEST(IurTreeTest, DegenerateSizes) {
 TEST(IurTreeTest, SmallInputsFinalizeStorageLikeTheFullPath) {
   // Every Build path — empty input, a dataset that fits a single leaf
   // (≤ max_entries), and the full STR pack — must flow through the same
-  // storage pass: every node encoded once, its inverted-file length kept.
-  // The index size is exactly the sum of the nodes' encoded bytes: nothing
+  // storage pass: every node measured once, its inverted-file length kept.
+  // The index size is exactly the sum of the nodes' lengths: nothing
   // counted twice, no node left out.
   const auto expect_every_node_stored = [](const IurTree& tree,
                                            const std::string& what) {
@@ -59,10 +60,14 @@ TEST(IurTreeTest, SmallInputsFinalizeStorageLikeTheFullPath) {
       const IurTree::Node* node = stack.back();
       stack.pop_back();
       ++nodes;
-      const NodePayload payload = tree.EncodeNode(node);
-      EXPECT_FALSE(payload.record.empty()) << what;
-      EXPECT_EQ(node->invfile_bytes, payload.invfile.size()) << what;
-      bytes += payload.record.size() + payload.invfile.size();
+      std::vector<SizedEntry> entries;
+      for (const IurTree::Entry& e : node->entries) {
+        entries.push_back({e.id, AsSpan(e.summary), 0, 0});
+      }
+      const NodeSizes sizes = MeasureNode(entries, {}, false);
+      EXPECT_GE(sizes.record_bytes, 2u) << what;
+      EXPECT_EQ(node->invfile_bytes, sizes.invfile_bytes) << what;
+      bytes += sizes.record_bytes + sizes.invfile_bytes;
       if (!node->leaf) {
         for (const IurTree::Entry& e : node->entries) stack.push_back(e.child);
       }
@@ -266,25 +271,6 @@ TEST(IurTreeTest, StorageAccountingCharges) {
   EXPECT_EQ(stats.node_reads, 1u);
   EXPECT_GE(stats.payload_blocks, 1u);
   EXPECT_EQ(stats.payload_bytes, tree.root()->invfile_bytes);
-}
-
-TEST(IurTreeTest, StoredInvertedFileDecodesAndMatchesSummaries) {
-  const Dataset d = SmallDataset(200);
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
-  const IurTree::Node* root = tree.root();
-  const NodePayload payload = tree.EncodeNode(root);
-  size_t offset = 0;
-  InvertedFile file;
-  ASSERT_TRUE(DecodeInvertedFile(payload.invfile, &offset, &file).ok());
-  // Every posting's (max,min) must match the in-memory entry summaries.
-  for (const auto& [term, postings] : file) {
-    for (const Posting& p : postings) {
-      ASSERT_LT(p.id, root->entries.size());
-      const IurTree::Entry& e = root->entries[p.id];
-      EXPECT_FLOAT_EQ(p.max_weight, e.summary.uni.Get(term));
-      EXPECT_FLOAT_EQ(p.min_weight, e.summary.intr.Get(term));
-    }
-  }
 }
 
 TEST(IurTreeTest, UsersTreeBuilds) {

@@ -172,8 +172,11 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{25, 0.9}, SweepCase{100, 0.3},
                       SweepCase{100, 0.7}),
     [](const auto& info) {
-      return "k" + std::to_string(info.param.k) + "_a" +
-             std::to_string(static_cast<int>(info.param.alpha * 10));
+      std::string name = "k";
+      name += std::to_string(info.param.k);
+      name += "_a";
+      name += std::to_string(static_cast<int>(info.param.alpha * 10));
+      return name;
     });
 
 TEST(JointTopKTest, MatchesBaselineAndUsesLessIo) {

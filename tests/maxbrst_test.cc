@@ -117,12 +117,20 @@ INSTANTIATE_TEST_SUITE_P(
         SolveCase{500, 25, 1, 4, 5, 0.5, Weighting::kLanguageModel, 6},
         SolveCase{500, 25, 6, 2, 5, 0.1, Weighting::kLanguageModel, 7}),
     [](const auto& info) {
-      return "o" + std::to_string(info.param.num_objects) + "_u" +
-             std::to_string(info.param.num_users) + "_l" +
-             std::to_string(info.param.num_locations) + "_ws" +
-             std::to_string(info.param.ws) + "_k" +
-             std::to_string(info.param.k) + "_" +
-             WeightingName(info.param.weighting) + std::to_string(info.param.seed);
+      std::string name = "o";
+      name += std::to_string(info.param.num_objects);
+      name += "_u";
+      name += std::to_string(info.param.num_users);
+      name += "_l";
+      name += std::to_string(info.param.num_locations);
+      name += "_ws";
+      name += std::to_string(info.param.ws);
+      name += "_k";
+      name += std::to_string(info.param.k);
+      name += "_";
+      name += WeightingName(info.param.weighting);
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 TEST(MaxBrstTest, ApproxNeverBeatsExactAndIsReasonable) {

@@ -8,8 +8,10 @@ flag and journal-header parsing of `rst_replay`.
 On a generated 500-object dataset it checks that
   * --id 3 and --ids 3 print the same answers and the same --explain table;
   * --ids "3 5 7" prints the same output at --threads 1 and --threads 4;
-  * --load-index with a snapshot saved from a different dataset exits 1
-    naming --load-index, whether or not --check-invariants is given;
+  * --load-index with a snapshot saved from a different dataset -- larger,
+    or of the same size -- exits 1 naming --load-index, whether or not
+    --check-invariants is given, and a snapshot loaded beside its own
+    dataset answers as a fresh build does;
   * malformed numbers (thread counts below 1, non-numeric, negative,
     out-of-range or 32-bit-wrapping ids, non-numeric keywords, an --alpha
     outside [0, 1], and junk or negative values of every other numeric flag
@@ -136,6 +138,30 @@ def main():
                   "2000" in proc.stderr and "200" in proc.stderr,
                   "%s: the message does not name --load-index and both "
                   "object counts (stderr: %s)" % (args, proc.stderr.strip()))
+
+        # A snapshot of another dataset of the same size: the object count
+        # and ids fit, but the objects' locations and documents differ, so
+        # its answers would be another dataset's. Loading it is an error;
+        # loading the snapshot beside its own dataset answers exactly as a
+        # fresh build does.
+        other = os.path.join(tmp, "other.tsv")
+        ok(cli, "gen", "--kind", "geonames", "--objects", "2000", "--seed",
+           "2", "--out", other)
+        args = ["rstknn", "--data", other, "--load-index", snapshot,
+                "--id", "3", "--k", "5"]
+        proc = run(cli, *args)
+        check(proc.returncode == 1,
+              "%s exited %d, want 1 (stderr: %s)" %
+              (args, proc.returncode, proc.stderr.strip()))
+        check(proc.stdout == "", "%s printed output" % args)
+        check("--load-index" in proc.stderr,
+              "%s: the message does not name --load-index (stderr: %s)" %
+              (args, proc.stderr.strip()))
+        query = ["--id", "3", "--k", "5"]
+        check(ok(cli, "rstknn", "--data", big, "--load-index", snapshot,
+                 *query).stdout ==
+              ok(cli, "rstknn", "--data", big, *query).stdout,
+              "a snapshot loaded beside its own dataset answers differently")
 
         for bad in (["--id", "3", "--threads", "-1"],
                     ["--id", "3", "--threads", "0"],

@@ -74,10 +74,15 @@ INSTANTIATE_TEST_SUITE_P(
                       RstknnCase{200, 5, 0.5, TextMeasure::kCosine},
                       RstknnCase{350, 20, 0.7, TextMeasure::kCosine}),
     [](const auto& info) {
-      return "n" + std::to_string(info.param.n) + "_k" +
-             std::to_string(info.param.k) + "_a" +
-             std::to_string(static_cast<int>(info.param.alpha * 10)) + "_" +
-             TextMeasureName(info.param.measure);
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "_k";
+      name += std::to_string(info.param.k);
+      name += "_a";
+      name += std::to_string(static_cast<int>(info.param.alpha * 10));
+      name += "_";
+      name += TextMeasureName(info.param.measure);
+      return name;
     });
 
 TEST(RstknnTest, ExternalQueryObject) {

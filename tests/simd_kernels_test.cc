@@ -133,8 +133,8 @@ std::vector<simd::Level> TestableLevels() {
 }
 
 TEST(SimdKernels, LaneBoundarySweepDenseOverlap) {
-  // Every (a_len, b_len) in [0, 40]² crosses the AVX2 8-entry and NEON
-  // 4-entry block boundaries many times, with tails of every residue.
+  // Every (a_len, b_len) in [0, 40]² crosses the AVX2 8-entry block
+  // boundaries many times, with tails of every residue.
   Rng rng(42);
   for (simd::Level level : TestableLevels()) {
     for (size_t a_len = 0; a_len <= 40; ++a_len) {

@@ -69,7 +69,9 @@ TEST(SolveTopLTest, CoveragesAreNonIncreasingAndLocationsDistinct) {
   ASSERT_GE(top5.size(), 1u);
   std::set<size_t> locations;
   for (size_t i = 0; i < top5.size(); ++i) {
-    if (i > 0) EXPECT_LE(top5[i].coverage(), top5[i - 1].coverage());
+    if (i > 0) {
+      EXPECT_LE(top5[i].coverage(), top5[i - 1].coverage());
+    }
     if (top5[i].location_index != SIZE_MAX) {
       EXPECT_TRUE(locations.insert(top5[i].location_index).second)
           << "duplicate location at rank " << i;

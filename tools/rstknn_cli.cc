@@ -741,7 +741,7 @@ int CmdRstknn(const Flags& flags) {
     Result<frozen::FrozenTree> loaded =
         frozen::FrozenTree::Load(flags.Get("load-index", ""));
     const Status fits = loaded.ok()
-                            ? loaded.value().CheckMatchesDataset(dataset.size())
+                            ? loaded.value().CheckMatchesDataset(dataset)
                             : loaded.status();
     if (!fits.ok()) {
       std::fprintf(stderr, "--load-index: %s\n", fits.ToString().c_str());
@@ -777,7 +777,7 @@ int CmdRstknn(const Flags& flags) {
       return 1;
     }
     std::fprintf(stderr,
-                 "frozen index (%u nodes, %u entries, %llu payload bytes) "
+                 "frozen index (%u nodes, %u entries, %llu index bytes) "
                  "written to %s\n",
                  frozen->num_nodes(), frozen->num_entries(),
                  static_cast<unsigned long long>(frozen->IndexBytes()),
