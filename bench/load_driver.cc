@@ -23,8 +23,8 @@
 // Flags:
 //   --journal-out FILE — capture the load as a replayable workload journal
 //     (DESIGN.md §14). The generated dataset is materialized next to it as
-//     FILE.data.tsv and referenced from the journal header, so
-//     `rst_replay --journal FILE` works standalone. When both load modes
+//     FILE.data.tsv and named (by path and digest) in the journal header,
+//     so `rst_replay --journal FILE` works standalone. When both load modes
 //     run, the closed loop is the one captured (the open loop re-runs the
 //     same queries and would duplicate every record).
 
@@ -187,8 +187,7 @@ ModeResult RunOpen(const rst::bench::CoreEnv& env, const rst::StScorer& scorer,
           std::chrono::duration<double, std::milli>(Clock::now() - arrival)
               .count();
       latencies[w].Record(latency_ms);
-      if (journal != nullptr && journal->is_open() &&
-          journal->ShouldSample(i)) {
+      if (journal != nullptr && journal->ShouldRecord(i, latency_ms)) {
         // Append serializes outside its lock, so concurrent workers only
         // contend on the final fwrite.
         journal->Append(
@@ -266,9 +265,14 @@ int main(int argc, char** argv) {
     // the header.
     const std::string data_path = journal_out + ".data.tsv";
     rst::Status s = rst::SaveDatasetIds(env.dataset, data_path);
-    if (!s.ok()) {
+    // The file keeps fewer coordinate digits than memory does, so the
+    // digest that replay will check is the reloaded file's.
+    const rst::Result<rst::Dataset> saved =
+        s.ok() ? rst::LoadDatasetIds(data_path, env.dataset.weighting())
+               : rst::Result<rst::Dataset>(s);
+    if (!saved.ok()) {
       std::fprintf(stderr, "--journal-out dataset: %s\n",
-                   s.ToString().c_str());
+                   saved.status().ToString().c_str());
       return 1;
     }
     rst::obs::JournalHeader header;
@@ -280,6 +284,8 @@ int main(int argc, char** argv) {
     header.weighting = rst::WeightingName(params.weighting);
     header.alpha = params.alpha;
     header.threads = workers;
+    header.dataset_digest =
+        rst::obs::DigestHex(rst::exec::DatasetDigest(saved.value()));
     s = journal.Open(journal_out, header);
     if (!s.ok()) {
       std::fprintf(stderr, "--journal-out: %s\n", s.ToString().c_str());

@@ -17,7 +17,7 @@ Status WriteStringToFile(const std::string& path, std::string_view content);
 /// Crash-atomic variant: writes to `<path>.tmp.<pid>` in the same directory,
 /// then renames over `path`. An interrupted run leaves either the old file
 /// or the new one — never a truncated hybrid — so downstream consumers of
-/// metrics/slow-log/trace artifacts (bench_diff, CI gates) can't read a
+/// metrics/trace artifacts (bench_diff, CI gates) can't read a
 /// half-written document. The temp file is removed on any failure.
 Status WriteStringToFileAtomic(const std::string& path,
                                std::string_view content);

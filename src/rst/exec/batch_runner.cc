@@ -13,7 +13,6 @@
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
 #include "rst/obs/phase_timer.h"
-#include "rst/obs/slow_log.h"
 #include "rst/obs/trace.h"
 #include "rst/obs/trace_event.h"
 
@@ -125,6 +124,27 @@ obs::JournalQueryRecord MakeJournalRecord(uint64_t index,
   return record;
 }
 
+uint64_t DatasetDigest(const Dataset& dataset) {
+  uint64_t h = 14695981039346656037ull;  // FNV-1a 64 offset basis
+  const auto mix = [&h](const void* data, size_t len) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < len; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ull;  // FNV-1a 64 prime
+    }
+  };
+  for (const StObject& object : dataset.objects()) {
+    mix(&object.id, sizeof(object.id));
+    mix(&object.loc.x, sizeof(object.loc.x));
+    mix(&object.loc.y, sizeof(object.loc.y));
+    for (const TermWeight& tw : object.doc.entries()) {
+      mix(&tw.term, sizeof(tw.term));
+      mix(&tw.weight, sizeof(tw.weight));
+    }
+  }
+  return h;
+}
+
 std::vector<RstknnResult> BatchRunner::RunRstknn(
     const std::vector<RstknnQuery>& queries, const RstknnOptions& options,
     BatchStats* batch_stats) const {
@@ -155,6 +175,9 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
     trace_events_->AddThreadName(static_cast<uint32_t>(workers + 1), "queue");
   }
 
+  // A journal with a latency threshold records the trace and EXPLAIN of the
+  // queries it admits, so every query needs both.
+  const bool capture_slow = journal_ != nullptr && journal_->slow_ms() >= 0.0;
   const RstknnSearcher searcher(tree_, dataset_, scorer_);
   Stopwatch wall;
   pool_->ParallelFor(n, /*chunk=*/1, [&](size_t i, size_t w) {
@@ -168,7 +191,7 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
     bool sampled = false;
     if (trace_events_ != nullptr) {
       run_start_us = trace_events_->NowUs();
-      sampled = trace_events_->ShouldSample();
+      sampled = trace_events_->ShouldSample(i);
     }
     Stopwatch query_timer;
     RstknnOptions worker_options = options;
@@ -176,12 +199,12 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
     worker_options.publish_metrics = false;
     worker_options.heatmap =
         options.heatmap != nullptr ? &slot.heatmap : nullptr;
-    // Slow-query capture and sampled span trees need a trace (and the slow
-    // log an explain summary) even when the caller attached none; those
-    // live only for this query.
+    // Slow capture and sampled span trees need a trace (and slow capture an
+    // explain summary) even when the caller attached none; those live only
+    // for this query.
     std::unique_ptr<obs::QueryTrace> capture_trace;
     obs::QueryTrace* trace = PerQuery(&traces, i, obs::names::kTraceRstknn);
-    if (trace == nullptr && (slow_log_ != nullptr || sampled)) {
+    if (trace == nullptr && (capture_slow || sampled)) {
       capture_trace =
           std::make_unique<obs::QueryTrace>(obs::names::kTraceRstknn);
       trace = capture_trace.get();
@@ -190,7 +213,7 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
     obs::ExplainRecorder* explain = PerQuery(
         &explains, i,
         options.explain != nullptr ? options.explain->max_decisions() : 0);
-    if (explain == nullptr && slow_log_ != nullptr) {
+    if (explain == nullptr && capture_slow) {
       explain = &capture_explain;
     }
     obs::PhaseProfiler* profiler = PerQuery(&profilers, i);
@@ -201,7 +224,8 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
 
     results[i] = searcher.Search(queries[i], worker_options);
     const double ms = query_timer.ElapsedMillis();
-    if (journal_ != nullptr && journal_->ShouldSample(i)) {
+    if (trace != nullptr) trace->Finish();
+    if (journal_ != nullptr && journal_->ShouldRecord(i, ms)) {
       obs::JournalQueryRecord record =
           MakeJournalRecord(i, queries[i], results[i], ms);
       if (profiler != nullptr) {
@@ -209,18 +233,11 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
         profiler->AppendJson(&phases);
         record.phases_json = phases.TakeString();
       }
+      if (capture_slow) {
+        record.trace_json = trace->ToJson();
+        record.explain_json = explain->ToJson();
+      }
       journal_->Append(record);
-    }
-    if (trace != nullptr) trace->Finish();
-    if (slow_log_ != nullptr && slow_log_->ShouldCapture(ms)) {
-      obs::SlowQueryRecord record;
-      record.query_index = i;
-      record.label = obs::names::kTraceRstknn;
-      record.elapsed_ms = ms;
-      record.answers = results[i].answers.size();
-      record.trace_json = trace->ToJson();
-      record.explain_json = explain->ToJson();
-      slow_log_->Insert(std::move(record));
     }
     if (trace_events_ != nullptr) {
       const uint32_t tid = static_cast<uint32_t>(w + 1);

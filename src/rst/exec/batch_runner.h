@@ -12,7 +12,6 @@
 namespace rst {
 
 namespace obs {
-class SlowQueryLog;
 class TraceEventWriter;
 class WorkloadRecorder;
 }  // namespace obs
@@ -30,6 +29,13 @@ obs::JournalQueryRecord MakeJournalRecord(uint64_t index,
                                           const RstknnQuery& query,
                                           const RstknnResult& result,
                                           double wall_ms);
+
+/// FNV-1a64 over every object's id, coordinates and (term, weight) pairs,
+/// in id order, each value's bytes in memory order (little-endian on every
+/// supported target): the `dataset_digest` a journal header names its
+/// dataset by. Weights are the weighted vectors, so a file digests the same
+/// only when loaded under the same weighting.
+uint64_t DatasetDigest(const Dataset& dataset);
 
 /// Aggregate accounting for one batch run.
 struct BatchStats {
@@ -73,13 +79,12 @@ struct BatchStats {
 /// created only for attached instruments — the bare path allocates nothing
 /// per query.
 ///
-/// Runner-level sinks: set_slow_log captures over-threshold queries with a
-/// private trace and explain JSON; set_profiling gives each worker a
-/// PhaseProfiler so every query publishes rstknn.phase.* histograms;
-/// set_trace_events emits a `run` slice per query on its worker's track
-/// (queue wait as an arg), and 1-in-N sampled queries also serialize their
-/// span tree under the run slice plus a `queue_wait` slice on a dedicated
-/// queue track; set_journal appends sampled queries to a workload journal.
+/// Runner-level sinks: set_profiling gives each worker a PhaseProfiler so
+/// every query publishes rstknn.phase.* histograms; set_trace_events emits a
+/// `run` slice per query on its worker's track (queue wait as an arg), and
+/// every N-th query by batch index also serializes its span tree under the
+/// run slice plus a `queue_wait` slice on a dedicated queue track;
+/// set_journal appends the journal's admitted queries to it.
 class BatchRunner {
  public:
   /// All referents must outlive the runner. `pool` is borrowed, not owned —
@@ -87,12 +92,6 @@ class BatchRunner {
   BatchRunner(const frozen::FrozenTree* tree, const Dataset* dataset,
               const StScorer* scorer, ThreadPool* pool)
       : tree_(tree), dataset_(dataset), scorer_(scorer), pool_(pool) {}
-
-  /// Attaches a slow-query capture sink for RunRstknn (see the class comment;
-  /// the log must outlive the runner's batches). Null disables capture — the
-  /// default, and the zero-overhead path. Read the log only between batches
-  /// (its Snapshot/ToJson are quiesced-only).
-  void set_slow_log(obs::SlowQueryLog* slow_log) { slow_log_ = slow_log; }
 
   /// Enables per-query rstknn.phase.* histograms for RunRstknn (see the
   /// class comment). Off by default — the zero-overhead path.
@@ -105,12 +104,14 @@ class BatchRunner {
     trace_events_ = trace_events;
   }
 
-  /// Attaches an open workload journal for RunRstknn: every sampled query
-  /// (WorkloadRecorder::ShouldSample over the query's batch index) appends
-  /// one record — query object, wall/phase timings, stats and answer
-  /// digest. Append is thread-safe; records land in completion order and
-  /// carry the index, so replay restores capture order. Null disables
-  /// capture — the default.
+  /// Attaches an open workload journal for RunRstknn: every query that
+  /// WorkloadRecorder::ShouldRecord admits (by batch index and wall time)
+  /// appends one record — query object, wall/phase timings, stats and answer
+  /// digest. While the journal has a slow_ms threshold, every query runs
+  /// with a private trace and EXPLAIN recorder (unless the caller attached
+  /// its own) and admitted records carry both as JSON. Append is
+  /// thread-safe; records land in completion order and carry the index, so
+  /// replay restores capture order. Null disables capture — the default.
   void set_journal(obs::WorkloadRecorder* journal) { journal_ = journal; }
 
   /// Runs every query through RstknnSearcher. `options.scratch` and
@@ -125,7 +126,6 @@ class BatchRunner {
   const Dataset* dataset_;
   const StScorer* scorer_;
   ThreadPool* pool_;
-  obs::SlowQueryLog* slow_log_ = nullptr;
   obs::TraceEventWriter* trace_events_ = nullptr;
   obs::WorkloadRecorder* journal_ = nullptr;
   bool profiling_ = false;

@@ -33,15 +33,6 @@ uint64_t AnswerDigest(const std::vector<uint32_t>& ids) {
   return h;
 }
 
-namespace {
-
-bool ForceScalarActive() {
-  // getenv is never raced with setenv in this codebase (environment is
-  // read-only after startup).
-  const char* v = std::getenv("RST_FORCE_SCALAR");  // NOLINT(concurrency-mt-unsafe)
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
 std::string DigestHex(uint64_t digest) {
   static const char* kHex = "0123456789abcdef";
   std::string out(16, '0');
@@ -50,6 +41,15 @@ std::string DigestHex(uint64_t digest) {
     digest >>= 4;
   }
   return out;
+}
+
+namespace {
+
+bool ForceScalarActive() {
+  // getenv is never raced with setenv in this codebase (environment is
+  // read-only after startup).
+  const char* v = std::getenv("RST_FORCE_SCALAR");  // NOLINT(concurrency-mt-unsafe)
+  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
 }
 
 Result<uint64_t> ParseDigestHex(const std::string& hex) {
@@ -142,7 +142,7 @@ void AppendHeaderJson(JsonWriter* w, const JournalHeader& h) {
   w->Key("type");
   w->String("header");
   w->Key("version");
-  w->Uint(2);
+  w->Uint(3);
   w->Key("label");
   w->String(h.label);
   w->Key("data");
@@ -161,6 +161,14 @@ void AppendHeaderJson(JsonWriter* w, const JournalHeader& h) {
   w->Uint(h.threads);
   w->Key("sample_every");
   w->Uint(h.sample_every);
+  if (h.slow_ms >= 0.0) {
+    w->Key("slow_ms");
+    w->Double(h.slow_ms);
+  }
+  if (!h.dataset_digest.empty()) {
+    w->Key("dataset_digest");
+    w->String(h.dataset_digest);
+  }
   w->Key("provenance");
   w->BeginObject();
   AppendProvenanceJson(w);
@@ -196,6 +204,14 @@ void AppendRecordJson(JsonWriter* w, const JournalQueryRecord& r) {
   if (!r.phases_json.empty()) {
     w->Key("phases");
     w->RawValue(r.phases_json);
+  }
+  if (!r.trace_json.empty()) {
+    w->Key("trace");
+    w->RawValue(r.trace_json);
+  }
+  if (!r.explain_json.empty()) {
+    w->Key("explain");
+    w->RawValue(r.explain_json);
   }
   w->Key("answer_count");
   w->Uint(r.answer_count);
@@ -283,6 +299,14 @@ Status ParseHeader(const JsonValue& obj, JournalHeader* header) {
   const JsonValue* shards = obj.Get("shards");
   header->shards =
       shards != nullptr && shards->is_number() ? shards->AsUint() : 0;
+  // Optional: set only with a latency threshold.
+  const JsonValue* slow_ms = obj.Get("slow_ms");
+  header->slow_ms =
+      slow_ms != nullptr && slow_ms->is_number() ? slow_ms->AsDouble() : -1.0;
+  // Optional: journals before version 3 do not name their dataset.
+  const JsonValue* digest = obj.Get("dataset_digest");
+  header->dataset_digest =
+      digest != nullptr && digest->is_string() ? digest->AsString() : "";
   return Status::Ok();
 }
 
@@ -376,10 +400,16 @@ bool WorkloadRecorder::is_open() const {
   return file_ != nullptr;
 }
 
-bool WorkloadRecorder::ShouldSample(uint64_t index) const {
+bool WorkloadRecorder::ShouldRecord(uint64_t index, double wall_ms) const {
   MutexLock lock(&mu_);
   if (file_ == nullptr) return false;
-  return index % header_.sample_every == 0;
+  return index % header_.sample_every == 0 ||
+         (header_.slow_ms >= 0.0 && wall_ms >= header_.slow_ms);
+}
+
+double WorkloadRecorder::slow_ms() const {
+  MutexLock lock(&mu_);
+  return header_.slow_ms;
 }
 
 void WorkloadRecorder::Append(const JournalQueryRecord& record) {

@@ -21,10 +21,14 @@ class JsonWriter;
 /// independent of algorithm and thread count whenever the answer set is.
 uint64_t AnswerDigest(const std::vector<uint32_t>& ids);
 
+/// A digest as the journal writes it: 16 lowercase hex characters (JSON
+/// numbers are doubles, so a u64 would lose precision).
+std::string DigestHex(uint64_t digest);
+
 /// Appends `"simd_level":..,"force_scalar":..,"build_type":..` — the
 /// build/runtime provenance stamped into every artifact (journal headers,
-/// slow-log exports, bench env blocks) so captures are attributable to the
-/// kernel dispatch and build flavor that produced them.
+/// bench env blocks) so captures are attributable to the kernel dispatch and
+/// build flavor that produced them.
 void AppendProvenanceJson(JsonWriter* writer);
 
 /// First line of a workload journal: the capture context replay needs to
@@ -39,6 +43,13 @@ struct JournalHeader {
   double alpha = 0.5;
   uint64_t threads = 1;
   uint64_t sample_every = 1;
+  /// Latency admission threshold: a query at or above it is recorded even
+  /// off the sampling stride, with its trace and EXPLAIN. < 0 = none (the
+  /// key is then not written).
+  double slow_ms = -1.0;
+  /// DigestHex of exec::DatasetDigest over the captured dataset; "" = none
+  /// (not written; journals before version 3 have none).
+  std::string dataset_digest;
   /// Shard count of the capturing index, read but never written: journals
   /// captured over a K-shard forest (a removed index kind) carry K > 0, whose
   /// stats a single tree cannot reproduce. Parsed leniently (absent ⇒ 0).
@@ -46,8 +57,7 @@ struct JournalHeader {
 };
 
 /// Flattened RstknnStats counters carried per record (obs cannot depend on
-/// rstknn, so the caller copies the fields over; see FillJournalStats in
-/// exec/batch_runner.cc).
+/// rstknn, so the caller copies the fields over; see exec::ToJournalStats).
 struct JournalStats {
   uint64_t io_node_reads = 0;
   uint64_t io_payload_blocks = 0;
@@ -82,6 +92,8 @@ struct JournalQueryRecord {
   std::vector<std::pair<uint32_t, float>> terms;  ///< sorted by term id
   double wall_ms = 0.0;      ///< informational; excluded from replay checks
   std::string phases_json;   ///< pre-serialized {"descent_ms":..} or ""
+  std::string trace_json;    ///< pre-serialized QueryTrace JSON or ""
+  std::string explain_json;  ///< pre-serialized ExplainRecorder JSON or ""
   uint64_t answer_count = 0;
   uint64_t answer_digest = 0;
   JournalStats stats;
@@ -99,9 +111,11 @@ struct JournalQueryRecord {
 /// completion order under batched execution and carry `index` so replay
 /// can restore capture order.
 ///
-/// Sampling is deterministic by query index (`index % sample_every == 0`),
-/// not by arrival order, so two captures of the same workload sample the
-/// same queries at any thread count.
+/// Admission (ShouldRecord) is one predicate: a query is recorded when its
+/// index is on the sampling stride (`index % sample_every == 0`, by index,
+/// not arrival order, so two captures sample the same queries at any thread
+/// count), and also, when the header sets `slow_ms`, when it ran for at
+/// least that long (timing-dependent by nature).
 class WorkloadRecorder {
  public:
   WorkloadRecorder() = default;
@@ -117,9 +131,12 @@ class WorkloadRecorder {
   /// this from monitor threads while workers Append concurrently.
   bool is_open() const RST_EXCLUDES(mu_);
 
-  /// True when query `index` should be recorded under the header's
-  /// sample_every (1 = every query).
-  bool ShouldSample(uint64_t index) const RST_EXCLUDES(mu_);
+  /// True when query `index`, which ran for `wall_ms`, is admitted (see the
+  /// class comment); false while the journal is closed.
+  bool ShouldRecord(uint64_t index, double wall_ms) const RST_EXCLUDES(mu_);
+
+  /// The open header's slow_ms (< 0 = no latency admission).
+  double slow_ms() const RST_EXCLUDES(mu_);
 
   /// Serializes and appends one record; errors latch (first one wins) and
   /// surface from Close() so hot loops need no per-append Status plumbing.

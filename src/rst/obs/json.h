@@ -40,6 +40,10 @@ class JsonValue {
   /// Parses a complete JSON document (trailing garbage is an error).
   static Result<JsonValue> Parse(std::string_view text);
 
+  /// Structural equality: same kind and value, arrays element-wise, objects
+  /// key-wise (key order in the text does not matter).
+  bool operator==(const JsonValue& other) const = default;
+
  private:
   friend class JsonParser;
 

@@ -16,13 +16,12 @@
 
 namespace rst::obs::names {
 
-// --- exec (batch runner, slow-query log) ---
+// --- exec (batch runner) ---
 inline constexpr char kExecBatches[] = "exec.batches";
 inline constexpr char kExecBatchQueries[] = "exec.batch.queries";
 inline constexpr char kExecBatchMs[] = "exec.batch.ms";
 inline constexpr char kExecWorkerBusyMs[] = "exec.worker.busy_ms";
 inline constexpr char kExecBatchQueueWaitMs[] = "exec.batch.queue_wait_ms";
-inline constexpr char kExecSlowQueries[] = "exec.slow_queries";
 
 // --- rstknn query engine ---
 inline constexpr char kRstknnQueries[] = "rstknn.queries";
@@ -136,7 +135,7 @@ inline constexpr char kSuffixCombinationsEvaluated[] =
 inline constexpr char kSuffixUserEvaluations[] = ".user_evaluations";
 inline constexpr char kSuffixEarlyTerminations[] = ".early_terminations";
 
-// --- QueryTrace root labels (also SlowQueryRecord::label values) ---
+// --- QueryTrace root labels ---
 inline constexpr char kTraceQuery[] = "query";
 inline constexpr char kTraceTopk[] = "topk";
 inline constexpr char kTraceRstknn[] = "rstknn";

@@ -20,11 +20,6 @@ double TraceEventWriter::NowUs() const {
       .count();
 }
 
-bool TraceEventWriter::ShouldSample() {
-  MutexLock lock(&mu_);
-  return sample_counter_++ % sample_every_ == 0;
-}
-
 bool TraceEventWriter::Append(Event event) {
   MutexLock lock(&mu_);
   if (events_.size() >= capacity_) {

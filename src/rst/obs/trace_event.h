@@ -10,7 +10,7 @@
 //   * rst::exec::BatchRunner emits a complete ("ph":"X") `run` event per
 //     query on its worker's track, with the measured queue wait as an arg —
 //     the per-worker timeline (queue-wait vs run);
-//   * 1-in-N sampled queries additionally serialize their whole QueryTrace
+//   * every N-th query by batch index additionally serializes its QueryTrace
 //     span tree nested under the run event, plus a `queue_wait` slice on a
 //     dedicated queue track.
 //
@@ -43,7 +43,7 @@ class JsonWriter;
 class TraceEventWriter {
  public:
   /// `capacity` bounds the event buffer; `sample_every` = N keeps the span
-  /// tree of every N-th query offered to ShouldSample() (1 = every query).
+  /// tree of every N-th query by batch index (1 = every query).
   explicit TraceEventWriter(size_t capacity = 1 << 16,
                             uint64_t sample_every = 1);
 
@@ -54,8 +54,12 @@ class TraceEventWriter {
   /// every event timestamp shares it, so tracks line up.
   double NowUs() const;
 
-  /// 1-in-N sampling gate; thread-safe. The first call returns true.
-  bool ShouldSample() RST_EXCLUDES(mu_);
+  /// True when batch query `index` keeps its span tree (`index % N == 0`),
+  /// like the journal's stride, so the choice never depends on the thread
+  /// schedule.
+  bool ShouldSample(uint64_t index) const {
+    return index % sample_every_ == 0;
+  }
   uint64_t sample_every() const { return sample_every_; }
 
   /// One complete ("ph":"X") event. `cat` and arg keys must outlive the
@@ -117,7 +121,6 @@ class TraceEventWriter {
   /// Plain (not atomic) on purpose: only touched under mu_ on the export
   /// path, so the mutex is the whole story.
   uint64_t dropped_ RST_GUARDED_BY(mu_) = 0;
-  uint64_t sample_counter_ RST_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace rst::obs

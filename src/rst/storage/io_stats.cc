@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "rst/obs/json.h"
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
 
@@ -24,19 +23,6 @@ void IoStats::Publish(const std::string& prefix) const {
   registry.GetCounter(prefix + obs::names::kSuffixNodeReads).Add(node_reads);
   registry.GetCounter(prefix + obs::names::kSuffixPayloadBlocks).Add(payload_blocks);
   registry.GetCounter(prefix + obs::names::kSuffixPayloadBytes).Add(payload_bytes);
-}
-
-void IoStats::AppendJson(obs::JsonWriter* writer) const {
-  writer->BeginObject();
-  writer->Key("node_reads");
-  writer->Uint(node_reads);
-  writer->Key("payload_blocks");
-  writer->Uint(payload_blocks);
-  writer->Key("payload_bytes");
-  writer->Uint(payload_bytes);
-  writer->Key("total_ios");
-  writer->Uint(TotalIos());
-  writer->EndObject();
 }
 
 }  // namespace rst

@@ -6,11 +6,6 @@
 
 namespace rst {
 
-namespace obs {
-class JsonWriter;
-class MetricRegistry;
-}  // namespace obs
-
 /// Simulated I/O accounting, following the methodology both papers report:
 /// visiting a tree node costs one I/O; loading a node's inverted file (or any
 /// serialized payload) costs ceil(bytes / page_size) I/Os. This is the only
@@ -47,11 +42,6 @@ struct IoStats {
   /// while making every consumer's I/O visible in obs snapshots. Call once
   /// per completed operation (per query / per build), not per access.
   void Publish(const std::string& prefix) const;
-
-  /// {"node_reads":..,"payload_blocks":..,"payload_bytes":..,
-  ///  "total_ios":..} — used by the slow-query log and the CLI to embed
-  ///  per-query I/O in JSON artifacts.
-  void AppendJson(obs::JsonWriter* writer) const;
 };
 
 }  // namespace rst

@@ -2,22 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "rst/common/file_util.h"
 #include "rst/data/generators.h"
 #include "rst/exec/batch_runner.h"
 #include "rst/exec/thread_pool.h"
 #include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/obs/heatmap.h"
+#include "rst/obs/journal.h"
+#include "rst/obs/json.h"
 #include "rst/obs/metric_names.h"
-#include "rst/obs/metrics.h"
 #include "rst/obs/phase_timer.h"
-#include "rst/obs/slow_log.h"
 #include "rst/obs/trace.h"
 #include "rst/rstknn/rstknn.h"
 
@@ -282,30 +284,49 @@ TEST(ExplainSearchTest, JsonIsByteIdenticalAcrossRunsAndThreadCounts) {
         EXPECT_EQ(recorder.ToJson(), reference[i]) << "rerun query " << i;
       }
 
-      // Batched runs: threshold 0 captures every query's explain JSON, keyed
-      // by query_index; any thread count must reproduce the serial bytes.
+      // Batched runs: a journal with slow_ms = 0 admits every query (only
+      // index 0 by the stride) with its explain JSON, keyed by index; any
+      // thread count must reproduce the serial reference.
       for (size_t threads : {1u, 8u}) {
+        const std::string path = testing::TempDir() + "/explain_slow.jsonl";
+        obs::JournalHeader header;
+        header.sample_every = 1000;
+        header.slow_ms = 0.0;
+        obs::WorkloadRecorder journal;
+        ASSERT_TRUE(journal.Open(path, header).ok());
         exec::ThreadPool pool(threads);
         exec::BatchRunner runner(tree, &f.dataset, &f.scorer, &pool);
-        obs::SlowQueryLog slow_log(/*threshold_ms=*/0.0,
-                                   /*capacity=*/kQueries);
-        runner.set_slow_log(&slow_log);
+        runner.set_journal(&journal);
         RstknnOptions batch_options;
         batch_options.algorithm = algorithm;
         runner.RunRstknn(queries, batch_options);
+        ASSERT_TRUE(journal.Close().ok());
 
-        const std::vector<obs::SlowQueryRecord> records = slow_log.Snapshot();
-        ASSERT_EQ(records.size(), queries.size()) << "threads=" << threads;
-        size_t matched = 0;
-        for (const obs::SlowQueryRecord& record : records) {
-          ASSERT_LT(record.query_index, reference.size());
-          EXPECT_EQ(record.explain_json, reference[record.query_index])
-              << "threads=" << threads << " query=" << record.query_index;
-          EXPECT_EQ(record.label, "rstknn");
-          EXPECT_FALSE(record.trace_json.empty());
-          ++matched;
+        const Result<std::string> text = ReadFileToString(path);
+        ASSERT_TRUE(text.ok()) << text.status().ToString();
+        std::vector<bool> seen(queries.size(), false);
+        size_t start = text.value().find('\n') + 1;  // skip the header
+        for (size_t end; (end = text.value().find('\n', start)) !=
+                         std::string::npos;
+             start = end + 1) {
+          const Result<obs::JsonValue> record = obs::JsonValue::Parse(
+              std::string_view(text.value()).substr(start, end - start));
+          ASSERT_TRUE(record.ok()) << record.status().ToString();
+          const uint64_t index = record.value().Get("index")->AsUint();
+          ASSERT_LT(index, reference.size());
+          seen[index] = true;
+          const obs::JsonValue* explain = record.value().Get("explain");
+          ASSERT_NE(explain, nullptr) << "query " << index;
+          EXPECT_EQ(*explain,
+                    obs::JsonValue::Parse(reference[index]).value())
+              << "threads=" << threads << " query=" << index;
+          const obs::JsonValue* trace = record.value().Get("trace");
+          ASSERT_NE(trace, nullptr) << "query " << index;
+          EXPECT_EQ(trace->Get("name")->AsString(), "rstknn");
         }
-        EXPECT_EQ(matched, queries.size());
+        EXPECT_EQ(seen, std::vector<bool>(queries.size(), true))
+            << "threads=" << threads;
+        std::remove(path.c_str());
       }
     }
   }
@@ -464,64 +485,6 @@ TEST(SearchHooksTest, SpansPhasesAndDecisionsItemizeTheStats) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// SlowQueryLog
-
-TEST(SlowQueryLogTest, ThresholdGatesCapture) {
-  obs::SlowQueryLog log(/*threshold_ms=*/5.0, /*capacity=*/4);
-  EXPECT_FALSE(log.ShouldCapture(4.999));
-  EXPECT_TRUE(log.ShouldCapture(5.0));
-  EXPECT_TRUE(log.ShouldCapture(100.0));
-  EXPECT_EQ(log.threshold_ms(), 5.0);
-}
-
-TEST(SlowQueryLogTest, RingKeepsNewestRecordsOldestFirst) {
-  obs::SlowQueryLog log(/*threshold_ms=*/0.0, /*capacity=*/4);
-  const obs::MetricsSnapshot before = obs::MetricRegistry::Global().Snapshot();
-  for (uint64_t i = 0; i < 10; ++i) {
-    obs::SlowQueryRecord record;
-    record.query_index = i;
-    record.label = "test";
-    record.elapsed_ms = static_cast<double>(i);
-    EXPECT_TRUE(log.Insert(std::move(record)));
-  }
-  EXPECT_EQ(log.captured(), 10u);
-  EXPECT_EQ(log.dropped(), 0u);
-
-  const std::vector<obs::SlowQueryRecord> records = log.Snapshot();
-  ASSERT_EQ(records.size(), 4u);
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].query_index, 6 + i);  // newest 4, oldest first
-    EXPECT_EQ(records[i].seq, 6 + i);
-    if (i > 0) {
-      EXPECT_GT(records[i].seq, records[i - 1].seq);
-    }
-  }
-
-  // Every capture lands on the global (timing-derived, never gated) counter.
-  const obs::MetricsSnapshot delta =
-      obs::MetricRegistry::Global().Snapshot().Delta(before);
-  EXPECT_EQ(delta.counters.at("exec.slow_queries"), 10u);
-
-  const std::string json = log.ToJson();
-  EXPECT_NE(json.find("\"captured\":10"), std::string::npos);
-  EXPECT_NE(json.find("\"records\":["), std::string::npos);
-}
-
-TEST(SlowQueryLogTest, CapacityIsClampedToOne) {
-  obs::SlowQueryLog log(/*threshold_ms=*/0.0, /*capacity=*/0);
-  EXPECT_EQ(log.capacity(), 1u);
-  obs::SlowQueryRecord a;
-  a.label = "first";
-  obs::SlowQueryRecord b;
-  b.label = "second";
-  EXPECT_TRUE(log.Insert(std::move(a)));
-  EXPECT_TRUE(log.Insert(std::move(b)));
-  const std::vector<obs::SlowQueryRecord> records = log.Snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].label, "second");
 }
 
 }  // namespace

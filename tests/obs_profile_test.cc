@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -321,16 +322,23 @@ TEST(TraceEventWriterTest, CompleteEventCarriesArgs) {
 }
 
 TEST(TraceEventWriterTest, SamplingGateKeepsOneInN) {
+  // The gate is a function of the batch index alone: asking in any order,
+  // or twice, gives the same answer.
   obs::TraceEventWriter writer(16, /*sample_every=*/3);
   std::vector<bool> decisions;
-  for (int i = 0; i < 9; ++i) decisions.push_back(writer.ShouldSample());
+  for (uint64_t i = 0; i < 9; ++i) decisions.push_back(writer.ShouldSample(i));
   const std::vector<bool> expected = {true,  false, false, true, false,
                                       false, true,  false, false};
   EXPECT_EQ(decisions, expected);
+  EXPECT_TRUE(writer.ShouldSample(6));
+  EXPECT_FALSE(writer.ShouldSample(4));
+  EXPECT_TRUE(writer.ShouldSample(0));
 
   obs::TraceEventWriter always(16, /*sample_every=*/1);
-  EXPECT_TRUE(always.ShouldSample());
-  EXPECT_TRUE(always.ShouldSample());
+  EXPECT_TRUE(always.ShouldSample(0));
+  EXPECT_TRUE(always.ShouldSample(7));
+  obs::TraceEventWriter clamped(16, /*sample_every=*/0);
+  EXPECT_TRUE(clamped.ShouldSample(5));
 }
 
 TEST(TraceEventWriterTest, BufferIsBoundedAndCountsDrops) {
@@ -457,7 +465,8 @@ TEST(BatchProfilingTest, TraceEventsCoverEveryQueryAndParse) {
 
   const Result<obs::JsonValue> parsed = obs::JsonValue::Parse(writer.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  size_t runs = 0, waits = 0, metadata = 0, spans = 0;
+  size_t runs = 0, metadata = 0, spans = 0;
+  std::vector<uint64_t> sampled;
   for (const obs::JsonValue& e :
        parsed.value().Get("traceEvents")->AsArray()) {
     const std::string& ph = e.Get("ph")->AsString();
@@ -470,13 +479,16 @@ TEST(BatchProfilingTest, TraceEventsCoverEveryQueryAndParse) {
       ++runs;
       EXPECT_NE(e.Get("args")->Get(obs::names::kTraceArgQueueWaitMs), nullptr);
     } else if (name == obs::names::kTraceEventQueueWait) {
-      ++waits;
+      sampled.push_back(
+          e.Get("args")->Get(obs::names::kTraceArgQuery)->AsUint());
     } else {
       ++spans;
     }
   }
   EXPECT_EQ(runs, queries.size());        // every query gets a run slice
-  EXPECT_EQ(waits, queries.size() / 2);   // 1-in-2 sampled queue slices
+  // 1-in-2 sampled queue slices, by batch index at any schedule.
+  std::sort(sampled.begin(), sampled.end());
+  EXPECT_EQ(sampled, (std::vector<uint64_t>{0, 2, 4}));
   EXPECT_EQ(metadata, pool.num_threads() + 1);  // workers + queue track
   EXPECT_GT(spans, 0u);                   // sampled span trees present
 }

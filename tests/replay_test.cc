@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -56,6 +57,48 @@ TEST(AnswerDigestTest, SensitiveToContentAndOrder) {
 }
 
 // ---------------------------------------------------------------------------
+// DatasetDigest
+
+TEST(DatasetDigestTest, GoldenValueForOneObject) {
+  // FNV-1a64 over id 0 (4 bytes), x = 1.0 and y = 2.0 (8 bytes each), term 3
+  // (4 bytes) and its binary weight 1.0f (4 bytes), little-endian.
+  Dataset dataset;
+  dataset.Add({1.0, 2.0}, RawDocument::FromTokens({3}));
+  dataset.Finalize({Weighting::kBinary, 0.1});
+  uint64_t expected = 14695981039346656037ull;
+  const auto mix = [&expected](uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      expected = (expected ^ ((value >> (8 * i)) & 0xFFu)) * 1099511628211ull;
+    }
+  };
+  mix(0, 4);
+  mix(0x3FF0000000000000ull, 8);  // 1.0
+  mix(0x4000000000000000ull, 8);  // 2.0
+  mix(3, 4);
+  mix(0x3F800000u, 4);            // 1.0f
+  EXPECT_EQ(exec::DatasetDigest(dataset), expected);
+  EXPECT_EQ(obs::DigestHex(0x0123456789abcdefull), "0123456789abcdef");
+}
+
+TEST(DatasetDigestTest, NamesContentAndWeighting) {
+  GeoNamesLikeConfig config;
+  config.num_objects = 200;
+  config.seed = 1;
+  const uint64_t digest =
+      exec::DatasetDigest(GenGeoNamesLike(config, {Weighting::kTfIdf, 0.1}));
+  EXPECT_EQ(exec::DatasetDigest(
+                GenGeoNamesLike(config, {Weighting::kTfIdf, 0.1})),
+            digest);
+  EXPECT_NE(exec::DatasetDigest(
+                GenGeoNamesLike(config, {Weighting::kBinary, 0.1})),
+            digest);
+  config.seed = 2;
+  EXPECT_NE(exec::DatasetDigest(
+                GenGeoNamesLike(config, {Weighting::kTfIdf, 0.1})),
+            digest);
+}
+
+// ---------------------------------------------------------------------------
 // WorkloadRecorder / ReadJournal round-trip
 
 obs::JournalHeader TestHeader() {
@@ -90,8 +133,10 @@ obs::JournalQueryRecord TestRecord(uint64_t index) {
 
 TEST(WorkloadRecorderTest, RoundTripsHeaderAndRecords) {
   const std::string path = TempPath("rst_replay_roundtrip.jsonl");
+  obs::JournalHeader header = TestHeader();
+  header.dataset_digest = "0123456789abcdef";
   obs::WorkloadRecorder recorder;
-  ASSERT_TRUE(recorder.Open(path, TestHeader()).ok());
+  ASSERT_TRUE(recorder.Open(path, header).ok());
   EXPECT_TRUE(recorder.is_open());
   recorder.Append(TestRecord(0));
   obs::JournalQueryRecord self_record = TestRecord(1);
@@ -110,6 +155,7 @@ TEST(WorkloadRecorderTest, RoundTripsHeaderAndRecords) {
   EXPECT_EQ(journal.header.tree, "iur");
   EXPECT_DOUBLE_EQ(journal.header.alpha, 0.25);
   EXPECT_EQ(journal.header.threads, 3u);
+  EXPECT_EQ(journal.header.dataset_digest, "0123456789abcdef");
   ASSERT_EQ(journal.records.size(), 2u);
 
   const obs::JournalQueryRecord& r0 = journal.records[0];
@@ -136,8 +182,9 @@ TEST(WorkloadRecorderTest, SamplesDeterministicallyByQueryIndex) {
   obs::WorkloadRecorder recorder;
   ASSERT_TRUE(recorder.Open(path, header).ok());
   for (uint64_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(recorder.ShouldSample(i), i % 3 == 0) << i;
-    if (recorder.ShouldSample(i)) recorder.Append(TestRecord(i));
+    // No slow_ms: however long a query ran, only the stride admits it.
+    EXPECT_EQ(recorder.ShouldRecord(i, 1e9), i % 3 == 0) << i;
+    if (recorder.ShouldRecord(i, 0.0)) recorder.Append(TestRecord(i));
   }
   ASSERT_TRUE(recorder.Close().ok());
 
@@ -146,6 +193,49 @@ TEST(WorkloadRecorderTest, SamplesDeterministicallyByQueryIndex) {
   ASSERT_EQ(loaded.value().records.size(), 4u);  // 0, 3, 6, 9
   EXPECT_EQ(loaded.value().header.sample_every, 3u);
   EXPECT_EQ(loaded.value().records[3].index, 9u);
+  EXPECT_LT(loaded.value().header.slow_ms, 0.0);
+  std::remove(path.c_str());
+}
+
+TEST(WorkloadRecorderTest, AdmitsSlowQueriesOffTheStride) {
+  const std::string path = TempPath("rst_replay_slow.jsonl");
+  obs::JournalHeader header = TestHeader();
+  header.sample_every = 4;
+  header.slow_ms = 5.0;
+  obs::WorkloadRecorder recorder;
+  EXPECT_FALSE(recorder.ShouldRecord(0, 100.0));  // not open yet
+  ASSERT_TRUE(recorder.Open(path, header).ok());
+  EXPECT_EQ(recorder.slow_ms(), 5.0);
+  EXPECT_TRUE(recorder.ShouldRecord(4, 0.0));    // on the stride
+  EXPECT_FALSE(recorder.ShouldRecord(5, 4.999));
+  EXPECT_TRUE(recorder.ShouldRecord(5, 5.0));    // at the threshold
+  EXPECT_TRUE(recorder.ShouldRecord(7, 300.0));
+
+  // An admitted slow record carries its trace and EXPLAIN as raw JSON; the
+  // reader takes records with or without them.
+  obs::JournalQueryRecord slow = TestRecord(5);
+  slow.trace_json = "{\"name\":\"rstknn\"}";
+  slow.explain_json = "{\"algorithm\":\"probe\"}";
+  recorder.Append(slow);
+  recorder.Append(TestRecord(4));
+  ASSERT_TRUE(recorder.Close().ok());
+
+  const Result<obs::JournalFile> loaded = obs::ReadJournal(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().header.slow_ms, 5.0);
+  ASSERT_EQ(loaded.value().records.size(), 2u);
+  EXPECT_EQ(loaded.value().records[1].answer_digest,
+            TestRecord(5).answer_digest);
+  const Result<std::string> text = ReadFileToString(path);
+  ASSERT_TRUE(text.ok());
+  const std::string& lines = text.value();
+  const size_t second = lines.find('\n') + 1;
+  const Result<obs::JsonValue> record = obs::JsonValue::Parse(
+      std::string_view(lines).substr(second, lines.find('\n', second) - second));
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_EQ(record.value().Get("trace")->Get("name")->AsString(), "rstknn");
+  EXPECT_EQ(record.value().Get("explain")->Get("algorithm")->AsString(),
+            "probe");
   std::remove(path.c_str());
 }
 
@@ -325,14 +415,15 @@ TEST(ReadJournalTest, ReadsShardCountLenientlyAndWritesNone) {
 TEST(ReadJournalTest, ReadsVersion1And2Records) {
   // Version 2 dropped the always-zero `io_cache_hits` stats key. A version 1
   // record still carries it; the reader ignores it like any key it does not
-  // read, so both records load with the same stats.
+  // read, so both records load with the same stats. (The writer is at
+  // version 3, whose header adds `dataset_digest` and `slow_ms`.)
   const std::string path = TempPath("rst_replay_versions.jsonl");
   obs::WorkloadRecorder recorder;
   ASSERT_TRUE(recorder.Open(path, TestHeader()).ok());
   ASSERT_TRUE(recorder.Close().ok());
   Result<std::string> header_line = ReadFileToString(path);
   ASSERT_TRUE(header_line.ok()) << header_line.status().ToString();
-  EXPECT_NE(header_line.value().find("\"version\":2"), std::string::npos)
+  EXPECT_NE(header_line.value().find("\"version\":3"), std::string::npos)
       << header_line.value();
 
   const std::string record_head =

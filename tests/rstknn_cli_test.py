@@ -19,7 +19,8 @@ On a generated 500-object dataset it checks that
     the flag, and so do enum values outside their lists (--measure,
     --weighting, --algo, --kind, --method) and flags a command does not
     accept (misspelled, belonging to another command, or removed, such as
-    --shards);
+    --shards and --slow-log-out), and --slow-log-ms without --journal-out
+    exits 2 naming --slow-log-ms;
   * a captured journal replays cleanly, and so does one whose header
     carries "shards": 4 (no digest mismatch, stats n/a), while malformed
     rst_replay flags (--threads, --max-diffs, --algo), the unknown flag
@@ -27,12 +28,18 @@ On a generated 500-object dataset it checks that
     outside its vocabulary exit 2;
   * a 4-thread capture taken with --metrics-out replays on one thread with
     no digest or stats mismatch, and a capture whose recorded io_node_reads
-    was edited fails replay with exit 1, naming io_node_reads.
+    was edited fails replay with exit 1, naming io_node_reads;
+  * a --slow-log-ms 0 capture records every query with its trace and
+    EXPLAIN and replays clean under probe, under cl and on 4 threads, while
+    a capture without it carries neither;
+  * a capture replayed after its dataset file was replaced by another one
+    exits 1 before replaying, naming the file and both dataset digests.
 Exits non-zero with a message on the first failed check.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -238,6 +245,10 @@ def main():
                           ([*base, "--id", "3", "--kk", "50"], "--kk"),
                           ([*base, "--id", "3", "--shards", "4"],
                            "--shards"),
+                          ([*base, "--id", "3", "--slow-log-out",
+                            data + ".x"], "--slow-log-out"),
+                          ([*base, "--id", "3", "--slow-log-ms", "5"],
+                           "--slow-log-ms"),
                           ([*base, "--id", "3", "--trace-samples", "2"],
                            "--trace-samples"),
                           ([*topk, "--kay", "3"], "--kay"),
@@ -263,6 +274,14 @@ def main():
         with open(journal) as f:
             lines = f.read().splitlines(keepends=True)
         check('"shards"' not in lines[0], "the journal header wrote shards")
+        header = json.loads(lines[0])
+        check(header["version"] == 3 and len(header["dataset_digest"]) == 16
+              and "slow_ms" not in header,
+              "the journal header is not version 3 with a dataset digest "
+              "and no slow_ms: %s" % lines[0])
+        check(all("trace" not in json.loads(line) and
+                  "explain" not in json.loads(line) for line in lines[1:]),
+              "a capture without --slow-log-ms carries trace or explain")
         forest = os.path.join(tmp, "forest.jsonl")
         with open(forest, "w") as f:
             f.write(lines[0].replace('"threads":', '"shards":4,"threads":'))
@@ -331,6 +350,49 @@ def main():
               "io_node_reads" in proc.stderr,
               "the divergence line does not name io_node_reads (stderr: %s)"
               % proc.stderr.strip())
+        # Slow capture: a threshold of 0 ms admits every query, each record
+        # carries its span tree and EXPLAIN summary, and the journal replays
+        # clean under both algorithms and on 4 threads.
+        slow = os.path.join(tmp, "slow.jsonl")
+        ok(cli, *base, *many, "--threads", "4", "--journal-sample", "1000",
+           "--slow-log-ms", "0", "--journal-out", slow)
+        with open(slow) as f:
+            lines = f.read().splitlines()
+        check(json.loads(lines[0]).get("slow_ms") == 0,
+              "the slow capture's header lacks slow_ms 0: %s" % lines[0])
+        records = [json.loads(line) for line in lines[1:]]
+        check(len(records) == len(many[1].split()),
+              "the slow capture recorded %d of %d queries" %
+              (len(records), len(many[1].split())))
+        check(all(r["trace"]["name"] == "rstknn" and "totals" in r["explain"]
+                  for r in records),
+              "a slow-capture record lacks its trace or explain")
+        for extra in ([], ["--algo", "cl"], ["--threads", "4"]):
+            proc = ok(replay, "--journal", slow, *extra)
+            check("digest mismatches: 0/" in proc.stdout,
+                  "the slow capture replayed with mismatches (%s): %s" %
+                  (extra, proc.stdout[:300]))
+
+        # A journal names its dataset: replayed after the file was replaced
+        # by another dataset, it stops before replaying and says so.
+        swapped = os.path.join(tmp, "swapped.tsv")
+        shutil.copyfile(big, swapped)
+        captured = os.path.join(tmp, "swapped.jsonl")
+        ok(cli, "rstknn", "--data", swapped, "--ids", "3 5 7", "--k", "5",
+           "--journal-out", captured)
+        ok(replay, "--journal", captured)
+        shutil.copyfile(other, swapped)
+        with open(captured) as f:
+            digest = json.loads(f.readline())["dataset_digest"]
+        proc = run(replay, "--journal", captured)
+        check(proc.returncode == 1,
+              "replay over a swapped dataset exited %d, want 1 (stderr: %s)"
+              % (proc.returncode, proc.stderr.strip()))
+        check(swapped in proc.stderr and digest in proc.stderr and
+              "digest mismatches" not in proc.stdout,
+              "replay over a swapped dataset does not name the file and the "
+              "recorded digest before replaying (stdout: %s, stderr: %s)" %
+              (proc.stdout[:200], proc.stderr.strip()))
     print("rstknn_cli_test: ok")
 
 

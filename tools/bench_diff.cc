@@ -14,7 +14,6 @@
 // code is 1. Counter decreases are reported as IMPROVEMENT (exit 0; refresh
 // the baseline to lock them in). Gauges and histograms carry timing, which
 // is machine-dependent — drift there is WARN-only, never a failure.
-// Timing-derived counters (exec.slow_queries) are skipped by default.
 //
 // Exit codes: 0 = no counter regressions, 1 = regression, 2 = usage/IO/parse.
 
@@ -31,9 +30,6 @@
 
 namespace rst {
 namespace {
-
-/// Counters whose values depend on wall time, never gated.
-const char* const kDefaultSkips[] = {"exec.slow_queries"};
 
 Result<obs::MetricsSnapshot> LoadSnapshot(const std::string& path) {
   Result<std::string> content = ReadFileToString(path);
@@ -57,8 +53,7 @@ int Usage() {
 int Main(int argc, char** argv) {
   std::vector<std::string> paths;
   double threshold_pct = 0.0;
-  std::set<std::string> skips(std::begin(kDefaultSkips),
-                              std::end(kDefaultSkips));
+  std::set<std::string> skips;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
       threshold_pct = std::strtod(argv[++i], nullptr);

@@ -15,7 +15,9 @@
 // ignored.
 //
 //   --journal FILE   the JSONL capture to replay (required)
-//   --data FILE      dataset TSV (default: the journal header's data path)
+//   --data FILE      dataset TSV (default: the journal header's data path);
+//                    a header with a `dataset_digest` (version 3 on) must
+//                    name this dataset, or the replay stops before running
 //   --algo           algorithm to replay with (default: journal). Answers —
 //                    and therefore digests — are independent of the
 //                    algorithm by the equality contract; stats are only
@@ -30,8 +32,9 @@
 //   --heatmap-out    write the replay's accumulated heatmap JSON
 //   --max-diffs N    cap per-query diff lines on stderr (default 10)
 //
-// Exit status: 0 clean; 1 on any digest mismatch, comparable-stats mismatch,
-// or heatmap reconciliation failure; 2 on usage/IO errors — a malformed flag
+// Exit status: 0 clean; 1 on a dataset whose digest differs from the
+// header's, any answer-digest mismatch, comparable-stats mismatch, or heatmap
+// reconciliation failure; 2 on usage/IO errors — a malformed flag
 // value (named in the message) or a journal header whose algo, tree, measure
 // or weighting is outside its vocabulary. Scripted gates (the CI
 // replay-smoke job) rely on this.
@@ -160,13 +163,6 @@ struct QueryDiff {
   obs::JournalStats replayed_stats;
 };
 
-std::string DigestHex(uint64_t digest) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(digest));
-  return buf;
-}
-
 int Main(int argc, char** argv) {
   ReplayFlags flags;
   if (!ParseFlags(argc, argv, &flags)) return Usage();
@@ -203,6 +199,19 @@ int Main(int argc, char** argv) {
     return 2;
   }
   const Dataset& dataset = data.value();
+  // Replayed over another dataset, every query would only show up as a
+  // mismatch; a header that names its dataset says so before replaying.
+  const std::string dataset_digest =
+      obs::DigestHex(exec::DatasetDigest(dataset));
+  if (!journal.header.dataset_digest.empty() &&
+      journal.header.dataset_digest != dataset_digest) {
+    std::fprintf(stderr,
+                 "--data: %s is not the captured dataset: its digest is %s, "
+                 "the journal header's dataset_digest is %s\n",
+                 data_path.c_str(), dataset_digest.c_str(),
+                 journal.header.dataset_digest.c_str());
+    return 1;
+  }
 
   const std::string algo_name =
       flags.algo == "journal"
@@ -299,9 +308,9 @@ int Main(int argc, char** argv) {
                    "query %llu: ANSWER DIGEST MISMATCH recorded=%s (%llu "
                    "answers) replayed=%s (%llu answers)\n",
                    static_cast<unsigned long long>(d.index),
-                   DigestHex(d.recorded_digest).c_str(),
+                   obs::DigestHex(d.recorded_digest).c_str(),
                    static_cast<unsigned long long>(d.recorded_answers),
-                   DigestHex(d.replayed_digest).c_str(),
+                   obs::DigestHex(d.replayed_digest).c_str(),
                    static_cast<unsigned long long>(d.replayed_answers));
     } else {
       std::fprintf(stderr, "query %llu: stats diverged (%s)\n",
@@ -457,9 +466,9 @@ int Main(int argc, char** argv) {
       w.Key("digest_match");
       w.Bool(d.digest_match);
       w.Key("recorded_digest");
-      w.String(DigestHex(d.recorded_digest));
+      w.String(obs::DigestHex(d.recorded_digest));
       w.Key("replayed_digest");
-      w.String(DigestHex(d.replayed_digest));
+      w.String(obs::DigestHex(d.replayed_digest));
       w.Key("recorded_answers");
       w.Uint(d.recorded_answers);
       w.Key("replayed_answers");

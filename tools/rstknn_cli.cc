@@ -36,7 +36,7 @@
 //   --metrics-out FILE  write a JSON artifact: {"command", "metrics"
 //                       (registry snapshot: counters/gauges/histograms),
 //                       "trace" (span tree), "explain" (with --explain),
-//                       "slow_log" (with --slow-log-ms)}. It only observes:
+//                       "phases" (with --profile)}. It only observes:
 //                       answers and the simulated I/O counts are the same
 //                       with it and without it.
 //
@@ -73,7 +73,7 @@
 //                       CPU time, thread count) every N ms into runtime.*
 //                       gauges, visible in the --metrics-out snapshot
 //
-// EXPLAIN / slow-query flags (rstknn only):
+// EXPLAIN flags (rstknn only):
 //   --explain           print the per-level branch-and-bound decision
 //                       summary (which bound fired, prune/expand/report),
 //                       summed over the batch, to stderr and embed it in the
@@ -82,23 +82,26 @@
 //                       summary only, the default)
 //   --algo probe|cl     algorithm realization: competitor probes (default)
 //                       or the 2011 contribution-list scheme
-//   --slow-log-ms X     capture queries slower than X ms (trace + explain
-//                       summary) into an in-process ring buffer
-//   --slow-log-out FILE write the captured slow queries as JSON
 //
 // Workload capture / heatmap flags (rstknn only; DESIGN.md §14):
-//   --journal-out FILE  append every executed query to a crash-atomic JSONL
-//                       workload journal (query object, wall/phase timings,
-//                       stats, FNV-1a64 answer digest) replayable with
-//                       tools/rst_replay
+//   --journal-out FILE  write a crash-atomic JSONL workload journal — a
+//                       header naming the dataset by path and digest, then
+//                       one record per admitted query (query object,
+//                       wall/phase timings, stats, FNV-1a64 answer digest) —
+//                       replayable with tools/rst_replay
 //   --journal-sample N  record every N-th query by batch index (default 1)
+//   --slow-log-ms X     also record every query that ran for at least X ms
+//                       (X >= 0), and give each record the query's span
+//                       tree ("trace") and EXPLAIN summary ("explain"); pair
+//                       it with a large --journal-sample to keep mostly the
+//                       slow queries. Needs --journal-out (exit 2 without)
 //   --heatmap-out FILE  accumulate per-node visit/prune/expand/report
 //                       counters across the run (merged across workers)
 //                       and write the heatmap JSON; exits
 //                       non-zero if the totals fail to reconcile exactly
 //                       with the summed RstknnStats
 //
-// Output-file errors (--metrics-out / --slow-log-out on an unwritable path)
+// Output-file errors (--metrics-out / --journal-out on an unwritable path)
 // exit non-zero with the underlying Status message.
 
 #include <algorithm>
@@ -133,7 +136,6 @@
 #include "rst/obs/metrics.h"
 #include "rst/obs/phase_timer.h"
 #include "rst/obs/runtime.h"
-#include "rst/obs/slow_log.h"
 #include "rst/obs/trace.h"
 #include "rst/obs/trace_event.h"
 #include "rst/rstknn/rstknn.h"
@@ -320,14 +322,13 @@ struct ObsFlags {
   std::string metrics_out;      ///< JSON artifact path ("" = off)
   bool explain = false;         ///< record + print branch-and-bound decisions
   size_t explain_log = 0;       ///< raw decision-log cap (0 = summary only)
-  double slow_log_ms = -1.0;    ///< capture threshold (< 0 = off)
-  std::string slow_log_out;     ///< slow-query JSON path ("" = stderr note)
   bool profile = false;         ///< per-phase latency attribution
   std::string trace_out;        ///< Chrome trace-event JSON path ("" = off)
   uint64_t trace_sample = 1;    ///< span tree of every N-th batch query
   long telemetry_ms = -1;       ///< runtime sampling period (< 0 = off)
   std::string journal_out;      ///< workload-journal JSONL path ("" = off)
   uint64_t journal_sample = 1;  ///< journal every N-th query by index
+  double slow_ms = -1.0;        ///< journal latency threshold (< 0 = off)
   std::string heatmap_out;      ///< index-heatmap JSON path ("" = off)
 
   explicit ObsFlags(const Flags& flags)
@@ -335,8 +336,6 @@ struct ObsFlags {
         metrics_out(flags.Get("metrics-out", "")),
         explain(flags.Has("explain")),
         explain_log(flags.Uint("explain-log", 0)),
-        slow_log_ms(flags.Double("slow-log-ms", -1.0)),
-        slow_log_out(flags.Get("slow-log-out", "")),
         profile(flags.Has("profile")),
         trace_out(flags.Get("trace-out", "")),
         trace_sample(flags.Uint("trace-sample", 1)),
@@ -347,24 +346,22 @@ struct ObsFlags {
                          : -1),
         journal_out(flags.Get("journal-out", "")),
         journal_sample(std::max<uint64_t>(1, flags.Uint("journal-sample", 1))),
+        slow_ms(flags.Double("slow-log-ms", -1.0, /*lo=*/0.0)),
         heatmap_out(flags.Get("heatmap-out", "")) {}
 
   bool tracing() const {
     return trace || !metrics_out.empty() || !trace_out.empty();
   }
-  bool slow_logging() const { return slow_log_ms >= 0.0; }
 };
 
 /// Finishes the trace and emits the requested artifacts: the span tree on
 /// stderr (--trace), the combined JSON file (--metrics-out) holding the full
 /// registry snapshot of this process plus the span tree (and, when recorded,
-/// the explain report and slow-query log), and the standalone slow-query
-/// file (--slow-log-out). Unwritable paths exit non-zero with the Status
-/// message.
+/// the phase table and the explain report), and the Chrome trace-event file
+/// (--trace-out). Unwritable paths exit non-zero with the Status message.
 int EmitObsArtifacts(const ObsFlags& obs_flags, const std::string& command,
                      obs::QueryTrace* trace,
                      const obs::ExplainRecorder* explain = nullptr,
-                     const obs::SlowQueryLog* slow_log = nullptr,
                      const obs::PhaseProfiler* profiler = nullptr,
                      const obs::TraceEventWriter* trace_events = nullptr) {
   if (obs_flags.tracing()) trace->Finish();
@@ -388,10 +385,6 @@ int EmitObsArtifacts(const ObsFlags& obs_flags, const std::string& command,
       writer.Key("explain");
       explain->AppendJson(&writer);
     }
-    if (slow_log != nullptr) {
-      writer.Key("slow_log");
-      slow_log->AppendJson(&writer);
-    }
     writer.EndObject();
     const Status s =
         WriteStringToFileAtomic(obs_flags.metrics_out, writer.str());
@@ -412,17 +405,6 @@ int EmitObsArtifacts(const ObsFlags& obs_flags, const std::string& command,
                  trace_events->size(),
                  static_cast<unsigned long long>(trace_events->dropped()),
                  obs_flags.trace_out.c_str());
-  }
-  if (!obs_flags.slow_log_out.empty() && slow_log != nullptr) {
-    const Status s = WriteStringToFileAtomic(obs_flags.slow_log_out,
-                                             slow_log->ToJson());
-    if (!s.ok()) {
-      std::fprintf(stderr, "--slow-log-out: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "slow-query log (%llu captured) written to %s\n",
-                 static_cast<unsigned long long>(slow_log->captured()),
-                 obs_flags.slow_log_out.c_str());
   }
   return 0;
 }
@@ -452,9 +434,12 @@ RstknnAlgorithm ParseAlgorithm(const Flags& flags) {
 
 /// Capture context for a workload journal (DESIGN.md §14): everything
 /// rst_replay needs to rebuild the same index and scorer, normalized to the
-/// CLI's own flag vocabulary.
-obs::JournalHeader MakeJournalHeader(const Flags& flags, uint64_t threads,
-                                     uint64_t sample_every) {
+/// CLI's own flag vocabulary, plus the admission rule and the dataset's
+/// digest.
+obs::JournalHeader MakeJournalHeader(const Flags& flags,
+                                     const ObsFlags& obs_flags,
+                                     const Dataset& dataset,
+                                     uint64_t threads) {
   obs::JournalHeader header;
   header.label = obs::names::kTraceRstknn;
   header.data = flags.Get("data", "objects.csv");
@@ -466,7 +451,9 @@ obs::JournalHeader MakeJournalHeader(const Flags& flags, uint64_t threads,
   header.weighting = flags.Get("weighting", "tfidf");
   header.alpha = flags.Alpha();
   header.threads = threads;
-  header.sample_every = sample_every;
+  header.sample_every = obs_flags.journal_sample;
+  header.slow_ms = obs_flags.slow_ms;
+  header.dataset_digest = obs::DigestHex(exec::DatasetDigest(dataset));
   return header;
 }
 
@@ -673,6 +660,12 @@ int CmdRstknn(const Flags& flags) {
   // Runtime telemetry starts before the index build so the runtime.* gauges
   // cover the build's memory growth, not just the queries.
   const ObsFlags obs_flags(flags);
+  if (obs_flags.slow_ms >= 0.0 && obs_flags.journal_out.empty()) {
+    std::fprintf(stderr,
+                 "--slow-log-ms: records slow queries into the journal; "
+                 "give --journal-out too\n");
+    return 2;
+  }
   size_t threads = 1;
   size_t build_threads = 1;
   if (!tools::ParseThreadCount(flags.Get("threads", "1"), "threads",
@@ -801,8 +794,6 @@ int CmdRstknn(const Flags& flags) {
 
   exec::ThreadPool thread_pool(threads);
   exec::BatchRunner runner(&*frozen, &dataset, &scorer, &thread_pool);
-  obs::SlowQueryLog slow_log(obs_flags.slow_log_ms);
-  if (obs_flags.slow_logging()) runner.set_slow_log(&slow_log);
   obs::TraceEventWriter trace_events(/*capacity=*/1 << 16,
                                      obs_flags.trace_sample);
   if (!obs_flags.trace_out.empty()) runner.set_trace_events(&trace_events);
@@ -810,8 +801,8 @@ int CmdRstknn(const Flags& flags) {
   if (!obs_flags.journal_out.empty()) {
     const Status s = journal.Open(
         obs_flags.journal_out,
-        MakeJournalHeader(flags, thread_pool.num_threads(),
-                          obs_flags.journal_sample));
+        MakeJournalHeader(flags, obs_flags, dataset,
+                          thread_pool.num_threads()));
     if (!s.ok()) {
       std::fprintf(stderr, "--journal-out: %s\n", s.ToString().c_str());
       return 1;
@@ -861,13 +852,6 @@ int CmdRstknn(const Flags& flags) {
                    batch_stats.total.pruned_entries),
                static_cast<unsigned long long>(
                    batch_stats.total.io.TotalIos()));
-  if (obs_flags.slow_logging()) {
-    std::fprintf(stderr, "slow-query log: %llu captured over %.2f ms "
-                 "(%llu dropped)\n",
-                 static_cast<unsigned long long>(slow_log.captured()),
-                 slow_log.threshold_ms(),
-                 static_cast<unsigned long long>(slow_log.dropped()));
-  }
   if (!obs_flags.journal_out.empty()) {
     const int rc = FinishJournal(&journal, obs_flags.journal_out);
     if (rc != 0) return rc;
@@ -882,7 +866,6 @@ int CmdRstknn(const Flags& flags) {
   sampler.Stop();
   return EmitObsArtifacts(obs_flags, "rstknn", &trace,
                           obs_flags.explain ? &recorder : nullptr,
-                          obs_flags.slow_logging() ? &slow_log : nullptr,
                           obs_flags.profile ? &profiler : nullptr,
                           &trace_events);
 }
@@ -990,7 +973,7 @@ int Main(int argc, char** argv) {
         "y", "keywords", "k", "threads", "build-threads",
         "save-index", "load-index", "check-invariants", "trace",
         "metrics-out", "explain", "explain-log", "slow-log-ms",
-        "slow-log-out", "profile", "trace-out", "trace-sample",
+        "profile", "trace-out", "trace-sample",
         "telemetry-ms", "journal-out", "journal-sample", "heatmap-out"}},
       {"maxbrst",
        CmdMaxBrst,
