@@ -57,12 +57,12 @@ struct BatchMetrics {
 };
 
 /// Per-worker state, cache-line padded so adjacent workers never share a
-/// line on the hot path: the reused search scratch, the set_profiling
-/// profiler, the private heatmap and the accumulators. Deliberately
-/// unsynchronized (no RST_GUARDED_BY): slot w is written only by worker w
-/// during the loop, and the caller reads the slots only after ParallelFor
-/// returns — publication rides the pool's internal mutex handshake
-/// (ThreadPool's done_cv_ join), which is exactly the contract the
+/// line on the hot path: the reused search scratch, the sum of the worker's
+/// query phase profiles, the private heatmap and the accumulators.
+/// Deliberately unsynchronized (no RST_GUARDED_BY): slot w is written only
+/// by worker w during the loop, and the caller reads the slots only after
+/// ParallelFor returns — publication rides the pool's internal mutex
+/// handshake (ThreadPool's done_cv_ join), which is exactly the contract the
 /// thread-safety analysis checks inside ThreadPool itself.
 struct alignas(64) WorkerSlot {
   ProbeScratch scratch;
@@ -154,17 +154,15 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
   std::vector<RstknnResult> results(n);
   std::vector<WorkerSlot> slots(workers);
 
-  // Batch-level instruments: one PRIVATE instance per query for each one the
-  // caller attached (the single-threaded trace/recorder/profiler contract
-  // holds inside a parallel batch), merged into the caller's after the join
-  // in query-index order. Heatmaps are commutative sums keyed by stable node
-  // ids, so they stay per worker (WorkerSlot::heatmap).
+  // Batch-level instruments: one PRIVATE instance per query for each of the
+  // trace and explain recorder the caller attached (the single-threaded
+  // contract holds inside a parallel batch), merged into the caller's after
+  // the join in query-index order. Heatmaps and phase profiles are
+  // commutative sums, so they stay per worker (WorkerSlot).
   std::vector<std::unique_ptr<obs::QueryTrace>> traces(
       options.trace != nullptr ? n : 0);
   std::vector<std::unique_ptr<obs::ExplainRecorder>> explains(
       options.explain != nullptr ? n : 0);
-  std::vector<std::unique_ptr<obs::PhaseProfiler>> profilers(
-      options.profiler != nullptr ? n : 0);
   if (options.explain != nullptr) options.explain->Reset();
   if (options.profiler != nullptr) options.profiler->Reset();
   if (trace_events_ != nullptr) {
@@ -216,21 +214,24 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
     if (explain == nullptr && capture_slow) {
       explain = &capture_explain;
     }
-    obs::PhaseProfiler* profiler = PerQuery(&profilers, i);
-    if (profiler == nullptr && profiling_) profiler = &slot.profiler;
+    // Search resets the profiler it is given, so each query records into
+    // its own and the worker sums them for the caller.
+    obs::PhaseProfiler query_phases;
+    const bool profiled = options.profiler != nullptr || profiling_;
     worker_options.trace = trace;
     worker_options.explain = explain;
-    worker_options.profiler = profiler;
+    worker_options.profiler = profiled ? &query_phases : nullptr;
 
     results[i] = searcher.Search(queries[i], worker_options);
     const double ms = query_timer.ElapsedMillis();
     if (trace != nullptr) trace->Finish();
+    if (options.profiler != nullptr) slot.profiler.Merge(query_phases);
     if (journal_ != nullptr && journal_->ShouldRecord(i, ms)) {
       obs::JournalQueryRecord record =
           MakeJournalRecord(i, queries[i], results[i], ms);
-      if (profiler != nullptr) {
+      if (profiled) {
         obs::JsonWriter phases;
-        profiler->AppendJson(&phases);
+        query_phases.AppendJson(&phases);
         record.phases_json = phases.TakeString();
       }
       if (capture_slow) {
@@ -270,9 +271,6 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
   for (const std::unique_ptr<obs::ExplainRecorder>& explain : explains) {
     options.explain->Merge(*explain);
   }
-  for (const std::unique_ptr<obs::PhaseProfiler>& profiler : profilers) {
-    options.profiler->Merge(*profiler);
-  }
 
   BatchStats aggregate;
   aggregate.queries = n;
@@ -280,6 +278,7 @@ std::vector<RstknnResult> BatchRunner::RunRstknn(
   aggregate.worker_busy_ms.reserve(workers);
   for (const WorkerSlot& slot : slots) {
     if (options.heatmap != nullptr) options.heatmap->Merge(slot.heatmap);
+    if (options.profiler != nullptr) options.profiler->Merge(slot.profiler);
     aggregate.total.Merge(slot.stats);
     aggregate.answers += slot.answers;
     aggregate.worker_busy_ms.push_back(slot.busy_ms);

@@ -69,18 +69,18 @@ struct BatchStats {
 /// Instruments attached to `options` describe the whole batch. A non-null
 /// options.trace, options.explain, options.profiler or options.heatmap is
 /// filled with every query of the batch: each query records into a private
-/// instance (traces, recorders and profilers per query, heatmaps per
-/// worker), and after the join the runner merges them into the caller's in
-/// query-index order, so the merged output is identical at any thread count
-/// apart from timing fields. The explain recorder and the profiler are reset
+/// instance (traces and recorders per query, heatmaps and phase profiles
+/// per worker), and after the join the runner merges them into the caller's
+/// (per-query instances in query-index order), so the merged output is
+/// identical at any thread count apart from timing fields. The explain recorder and the profiler are reset
 /// at batch start, as Search resets them per query; the trace and the
 /// heatmap accumulate across batches. A batch of one therefore records
 /// exactly what a direct RstknnSearcher::Search would. Private instances are
 /// created only for attached instruments — the bare path allocates nothing
 /// per query.
 ///
-/// Runner-level sinks: set_profiling gives each worker a PhaseProfiler so
-/// every query publishes rstknn.phase.* histograms; set_trace_events emits a
+/// Runner-level sinks: set_profiling profiles every query, so each one
+/// publishes rstknn.phase.* histograms; set_trace_events emits a
 /// `run` slice per query on its worker's track (queue wait as an arg), and
 /// every N-th query by batch index also serializes its span tree under the
 /// run slice plus a `queue_wait` slice on a dedicated queue track;

@@ -7,7 +7,6 @@
 #include "rst/common/check.h"
 #include "rst/common/stopwatch.h"
 #include "rst/exec/thread_pool.h"
-#include "rst/iurtree/node_arena.h"
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
 #include "rst/obs/trace.h"
@@ -77,13 +76,17 @@ Rect IurTree::Node::ComputeMbr() const {
   return mbr;
 }
 
-IurTree::IurTree(const IurTreeOptions& options)
-    : options_(options),
-      arena_(std::make_unique<NodeArena>(options.max_entries)) {}
+IurTree::IurTree(const IurTreeOptions& options) : options_(options) {}
 
 IurTree::IurTree(IurTree&& other) noexcept = default;
 IurTree& IurTree::operator=(IurTree&& other) noexcept = default;
 IurTree::~IurTree() = default;
+
+IurTree::Node* IurTree::NewNode() {
+  Node& node = nodes_.emplace_back();
+  node.entries.reserve(options_.max_entries);
+  return &node;
+}
 
 IurTree::Entry IurTree::MakeParentEntry(Node* node) {
   Entry parent;
@@ -201,7 +204,7 @@ IurTree IurTree::Build(std::vector<Item> items, const IurTreeOptions& options,
       for (const auto& [slab_begin, slab_end] : slabs) {
         for (size_t begin = slab_begin; begin < slab_end; begin += cap) {
           const size_t end = std::min(begin + cap, slab_end);
-          Node* node = tree.arena_->Create();
+          Node* node = tree.NewNode();
           node->leaf = leaf_level;
           for (size_t i = begin; i < end; ++i) {
             node->entries.push_back(std::move(level[i]));
@@ -219,13 +222,13 @@ IurTree IurTree::Build(std::vector<Item> items, const IurTreeOptions& options,
     if (level.size() == 1) {
       tree.root_ = level.front().child;
     } else {
-      tree.root_ = tree.arena_->Create();
+      tree.root_ = tree.NewNode();
       tree.root_->leaf = false;
       for (Entry& e : level) tree.root_->entries.push_back(std::move(e));
     }
     if (trace != nullptr) trace->Exit();  // pack
   } else {
-    tree.root_ = tree.arena_->Create();  // an empty leaf
+    tree.root_ = tree.NewNode();  // an empty leaf
   }
 
   // Single publish point: every path — empty input, single-leaf small input,
@@ -291,20 +294,6 @@ size_t IurTree::height() const {
     ++h;
   }
   return h;
-}
-
-size_t IurTree::NodeCount() const {
-  size_t count = 0;
-  std::vector<const Node*> stack = {root_};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    ++count;
-    if (!node->leaf) {
-      for (const Entry& e : node->entries) stack.push_back(e.child);
-    }
-  }
-  return count;
 }
 
 void IurTree::ChargeAccess(const Node* node, IoStats* stats) const {

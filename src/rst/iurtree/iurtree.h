@@ -1,14 +1,13 @@
 #ifndef RST_IURTREE_IURTREE_H_
 #define RST_IURTREE_IURTREE_H_
 
+#include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "rst/common/geometry.h"
 #include "rst/common/status.h"
 #include "rst/data/dataset.h"
-#include "rst/iurtree/arena_array.h"
 #include "rst/storage/io_stats.h"
 #include "rst/text/similarity.h"
 
@@ -48,8 +47,6 @@ struct TextBounds {
   double max_sim = 1.0;
 };
 
-class NodeArena;  // rst/iurtree/node_arena.h
-
 class IurTree {
  public:
   static constexpr uint32_t kNoObject = 0xFFFFFFFFu;
@@ -57,8 +54,7 @@ class IurTree {
   struct Node;
 
   /// One child slot of a node: either an object (leaf) or a subtree. The
-  /// child pointer is non-owning — every Node lives on the tree's NodeArena
-  /// and is destroyed with it.
+  /// child pointer is non-owning — the tree owns every Node.
   struct Entry {
     Rect rect;
     TextSummary summary;
@@ -66,21 +62,16 @@ class IurTree {
     /// for a plain IUR-tree.
     std::vector<std::pair<uint32_t, TextSummary>> clusters;
     uint32_t id = kNoObject;  ///< object/user id (leaf entries)
-    Node* child = nullptr;    ///< subtree (internal entries), arena-owned
+    Node* child = nullptr;    ///< subtree (internal entries), tree-owned
 
     bool is_object() const { return child == nullptr; }
     uint32_t count() const { return summary.count; }
   };
 
-  /// Tree node. Constructed only by NodeArena::Create, which co-allocates
-  /// the entry storage in the same cache-line-aligned arena chunk — one
-  /// allocation per node, entries adjacent to the header they belong to.
+  /// Tree node; its entries are reserved to max_entries when it is made.
   struct Node {
-    Node(Entry* entry_storage, size_t entry_capacity)
-        : entries(entry_storage, entry_capacity) {}
-
     bool leaf = true;
-    ArenaArray<Entry> entries;
+    std::vector<Entry> entries;
     /// Inverted-file length in bytes (MeasureNode).
     uint32_t invfile_bytes = 0;
 
@@ -121,12 +112,11 @@ class IurTree {
   const Node* root() const { return root_; }
   size_t size() const { return size_; }
   size_t height() const;
-  size_t NodeCount() const;
+  size_t NodeCount() const { return nodes_.size(); }
   bool clustered() const { return clustered_; }
 
   /// Total index bytes (node records + inverted files).
   uint64_t IndexBytes() const { return index_bytes_; }
-  const NodeArena& arena() const { return *arena_; }
 
   /// Charges the simulated I/O of opening `node`: one node read plus the
   /// blocks of its inverted file (papers' methodology; DESIGN.md §3.5).
@@ -143,11 +133,13 @@ class IurTree {
   explicit IurTree(const IurTreeOptions& options);
 
   static Entry MakeParentEntry(Node* node);
+  /// A new empty leaf with room for max_entries entries.
+  Node* NewNode();
 
   IurTreeOptions options_;
-  /// Owns every Node (and its co-allocated entry storage); declared before
-  /// root_ so the slabs outlive the pointers into them.
-  std::unique_ptr<NodeArena> arena_;
+  /// Owns every Node. A deque never moves its elements, so Entry::child and
+  /// root_ stay valid as nodes are added and when the tree is moved.
+  std::deque<Node> nodes_;
   Node* root_ = nullptr;
   uint64_t index_bytes_ = 0;
   size_t size_ = 0;

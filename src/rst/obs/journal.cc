@@ -294,7 +294,6 @@ Status ParseHeader(const JsonValue& obj, JournalHeader* header) {
   }
   JOURNAL_RETURN_IF_ERROR(ReadUint(obj, "threads", &header->threads));
   JOURNAL_RETURN_IF_ERROR(ReadUint(obj, "sample_every", &header->sample_every));
-  if (header->sample_every == 0) header->sample_every = 1;
   // Optional: only journals captured over a sharded forest carry it.
   const JsonValue* shards = obj.Get("shards");
   header->shards =
@@ -375,7 +374,6 @@ Status WorkloadRecorder::Open(const std::string& path,
                            std::strerror(errno));
   }
   header_ = header;
-  if (header_.sample_every == 0) header_.sample_every = 1;
   JsonWriter writer;
   AppendHeaderJson(&writer, header_);
   std::string line = writer.TakeString();
@@ -403,7 +401,7 @@ bool WorkloadRecorder::is_open() const {
 bool WorkloadRecorder::ShouldRecord(uint64_t index, double wall_ms) const {
   MutexLock lock(&mu_);
   if (file_ == nullptr) return false;
-  return index % header_.sample_every == 0 ||
+  return (header_.sample_every != 0 && index % header_.sample_every == 0) ||
          (header_.slow_ms >= 0.0 && wall_ms >= header_.slow_ms);
 }
 

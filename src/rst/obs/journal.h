@@ -42,6 +42,8 @@ struct JournalHeader {
   std::string weighting;  ///< "tfidf" | "lm" | "binary"
   double alpha = 0.5;
   uint64_t threads = 1;
+  /// Sampling stride: every sample_every-th query by index; 0 = no stride
+  /// (only slow_ms admits).
   uint64_t sample_every = 1;
   /// Latency admission threshold: a query at or above it is recorded even
   /// off the sampling stride, with its trace and EXPLAIN. < 0 = none (the
@@ -114,8 +116,9 @@ struct JournalQueryRecord {
 /// Admission (ShouldRecord) is one predicate: a query is recorded when its
 /// index is on the sampling stride (`index % sample_every == 0`, by index,
 /// not arrival order, so two captures sample the same queries at any thread
-/// count), and also, when the header sets `slow_ms`, when it ran for at
-/// least that long (timing-dependent by nature).
+/// count; `sample_every` 0 has no stride), and also, when the header sets
+/// `slow_ms`, when it ran for at least that long (timing-dependent by
+/// nature).
 class WorkloadRecorder {
  public:
   WorkloadRecorder() = default;

@@ -63,7 +63,7 @@ inline constexpr char kFrozenLoadLastMs[] = "frozen.load.last_ms";
 
 // --- per-phase latency attribution (obs/phase_timer.h; DESIGN.md §12) ---
 // One histogram per phase; each completed profiled query records its
-// per-phase self time as one sample, so Percentile() on these is a per-query
+// per-phase time as one sample, so Percentile() on these is a per-query
 // latency distribution, not a per-scope one.
 inline constexpr char kPhaseDescentMs[] = "rstknn.phase.descent.ms";
 inline constexpr char kPhaseBoundsMs[] = "rstknn.phase.bounds.ms";

@@ -1,7 +1,6 @@
 #include "rst/obs/phase_timer.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "rst/obs/json.h"
 #include "rst/obs/metrics.h"
@@ -39,24 +38,10 @@ struct PhaseMetrics {
   }
 };
 
-double ElapsedMs(std::chrono::steady_clock::time_point start,
-                 std::chrono::steady_clock::time_point end) {
-  return std::chrono::duration<double, std::milli>(end - start).count();
-}
-
 }  // namespace
 
 const char* PhaseName(Phase phase) {
   return kPhaseNames[static_cast<size_t>(phase)];
-}
-
-PhaseProfiler::PhaseProfiler() { Reset(); }
-
-void PhaseProfiler::Reset() {
-  std::memset(total_ms_, 0, sizeof(total_ms_));
-  std::memset(calls_, 0, sizeof(calls_));
-  depth_ = 0;
-  overflow_ = 0;
 }
 
 void PhaseProfiler::Merge(const PhaseProfiler& other) {
@@ -64,36 +49,6 @@ void PhaseProfiler::Merge(const PhaseProfiler& other) {
     total_ms_[p] += other.total_ms_[p];
     calls_[p] += other.calls_[p];
   }
-}
-
-void PhaseProfiler::Enter(Phase phase) {
-  const Clock::time_point now = Clock::now();
-  if (depth_ >= kMaxDepth) {
-    ++overflow_;
-    return;
-  }
-  if (depth_ > 0) {
-    // Pause the enclosing phase: bank its slice so nested time is never
-    // counted twice.
-    total_ms_[static_cast<size_t>(stack_[depth_ - 1])] +=
-        ElapsedMs(slice_start_, now);
-  }
-  stack_[depth_++] = phase;
-  ++calls_[static_cast<size_t>(phase)];
-  slice_start_ = now;
-}
-
-void PhaseProfiler::Exit() {
-  if (overflow_ > 0) {
-    --overflow_;
-    return;
-  }
-  if (depth_ == 0) return;  // unbalanced Exit: ignore rather than corrupt
-  const Clock::time_point now = Clock::now();
-  total_ms_[static_cast<size_t>(stack_[--depth_])] +=
-      ElapsedMs(slice_start_, now);
-  // Resume the parent's slice from here.
-  slice_start_ = now;
 }
 
 double PhaseProfiler::SumMs() const {

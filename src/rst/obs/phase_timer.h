@@ -3,9 +3,12 @@
 
 // Per-phase latency attribution (DESIGN.md §12). A PhaseProfiler splits one
 // query's wall time into a fixed set of phases — tree descent, summary/bound
-// kernels, contribution-list merge, page IO, result finalize — with EXCLUSIVE
-// (self-time) accounting: entering a nested phase pauses the enclosing one,
-// so the per-phase totals of a query always sum to at most its wall time.
+// kernels, contribution-list merge, page IO, result finalize. It keeps no
+// clock of its own: the search times each of its regions once into a
+// per-query record (rst::rstknn_internal::SearchObserver) and adds every row
+// to the row's phase here when it returns. The regions are disjoint — a
+// debug check asserts that they never nest — so the per-phase totals of a
+// query always sum to at most its wall time.
 //
 // Contrast with QueryTrace: a trace is a free-form span *tree* (names,
 // counts, arbitrary nesting) built for one query you intend to look at; the
@@ -14,19 +17,19 @@
 // (rstknn.phase.*) in the global registry.
 //
 // Overhead contract:
-//   * idle — a null profiler costs one pointer test per hook: the search
-//     opens every phase through its SearchObserver, which skips a null
-//     profiler (BENCH_obs.json measures the cost);
-//   * attached — one steady_clock read per phase boundary plus an array
-//     add; no allocation, no locks.
+//   * idle — with neither a profiler nor a trace attached the search reads
+//     no clock: each region costs one flag test (BENCH_obs.json measures
+//     the cost);
+//   * attached — one steady_clock pair per region plus a few adds into a
+//     fixed array; no allocation, no locks.
 //
-// Threading: a PhaseProfiler is single-threaded per query, exactly like
-// QueryTrace. Batch execution gives each query a private one
-// (rst::exec::BatchRunner) and merges them into the caller's after the join.
+// Threading: a PhaseProfiler is single-threaded, exactly like QueryTrace.
+// Batch execution gives each query a private one and folds them into its
+// worker's, then merges the workers' into the caller's after the join
+// (rst::exec::BatchRunner).
 
 #include <cstddef>
 #include <cstdint>
-#include <chrono>
 #include <string>
 
 namespace rst::obs {
@@ -54,28 +57,20 @@ inline constexpr size_t kNumPhases = 5;
 /// Short stable label ("descent", "bounds", ...), used in tables and JSON.
 const char* PhaseName(Phase phase);
 
-/// Per-query phase accumulator. Enter/Exit keep a small fixed stack; time is
-/// attributed to the INNERMOST open phase only (self time), so re-entering
-/// the same phase or nesting kIo under kBounds never double-counts.
+/// Per-phase accumulator of milliseconds and call counts.
 class PhaseProfiler {
  public:
-  PhaseProfiler();
-
-  PhaseProfiler(const PhaseProfiler&) = delete;
-  PhaseProfiler& operator=(const PhaseProfiler&) = delete;
-
-  /// Opens `phase`; pauses the enclosing phase if any. Depth beyond the
-  /// fixed stack (8) is counted but not timed — callers never nest that deep.
-  void Enter(Phase phase);
-  /// Closes the innermost open phase and resumes its parent.
-  void Exit();
+  /// Adds `ms` of time and `calls` region entries to `phase`.
+  void Add(Phase phase, double ms, uint64_t calls) {
+    total_ms_[static_cast<size_t>(phase)] += ms;
+    calls_[static_cast<size_t>(phase)] += calls;
+  }
 
   /// Zeroes totals and call counts (the searcher calls this per query).
-  void Reset();
+  void Reset() { *this = PhaseProfiler(); }
 
   /// Adds `other`'s per-phase totals and call counts to this profiler (a
-  /// batch folds its per-query profilers into the caller's this way). Open
-  /// phases of either profiler are left as they are.
+  /// batch folds its workers' profilers into the caller's this way).
   void Merge(const PhaseProfiler& other);
 
   double total_ms(Phase phase) const {
@@ -84,8 +79,8 @@ class PhaseProfiler {
   uint64_t calls(Phase phase) const {
     return calls_[static_cast<size_t>(phase)];
   }
-  /// Sum of every phase's self time — ≤ the query's wall time by
-  /// construction (phases are disjoint sub-intervals of the query).
+  /// Sum of every phase's time — ≤ the query's wall time, since the search
+  /// regions it adds up are disjoint sub-intervals of the query.
   double SumMs() const;
 
   /// Records one histogram sample per phase with calls > 0 into the global
@@ -99,16 +94,8 @@ class PhaseProfiler {
   void AppendJson(JsonWriter* writer) const;
 
  private:
-  using Clock = std::chrono::steady_clock;
-  static constexpr size_t kMaxDepth = 8;
-
-  double total_ms_[kNumPhases];
-  uint64_t calls_[kNumPhases];
-  Phase stack_[kMaxDepth];
-  size_t depth_ = 0;
-  /// Nesting beyond kMaxDepth: counted so Exit() stays balanced.
-  size_t overflow_ = 0;
-  Clock::time_point slice_start_;
+  double total_ms_[kNumPhases] = {};
+  uint64_t calls_[kNumPhases] = {};
 };
 
 }  // namespace rst::obs

@@ -65,6 +65,16 @@ void QueryTrace::AddCount(std::string_view key, uint64_t n) {
   span->counts[std::string(key)] += n;
 }
 
+void QueryTrace::AddCompleted(
+    std::string_view name, double ms, uint64_t calls,
+    std::span<const std::pair<std::string_view, uint64_t>> counts) {
+  Span* span =
+      ChildNamed(stack_.empty() ? root_.get() : stack_.back().span, name);
+  span->total_ms += ms;
+  span->calls += calls;
+  for (const auto& [key, n] : counts) span->counts[std::string(key)] += n;
+}
+
 namespace {
 
 /// Adds `from`'s counts and (recursively, by name) children into `into`.

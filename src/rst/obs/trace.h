@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "rst/obs/metric_names.h"
@@ -24,7 +26,8 @@ struct Span {
   std::string name;
   double total_ms = 0.0;
   uint64_t calls = 0;
-  /// Counter deltas attributed to this span via QueryTrace::AddCount.
+  /// Counter deltas attributed to this span via QueryTrace::AddCount or
+  /// QueryTrace::AddCompleted.
   std::map<std::string, uint64_t> counts;
   std::vector<std::unique_ptr<Span>> children;  ///< first-entered order
 };
@@ -48,6 +51,14 @@ class QueryTrace {
 
   /// Adds `n` to counter `key` of the innermost open span.
   void AddCount(std::string_view key, uint64_t n = 1);
+
+  /// Adds a finished child span to the innermost open span, merging by name
+  /// as Enter/Exit do: `ms`, `calls` and every (key, n) of `counts`
+  /// accumulate onto it. A caller that times its own regions (the RSTkNN
+  /// search's per-query record) reports them here once it is done.
+  void AddCompleted(
+      std::string_view name, double ms, uint64_t calls,
+      std::span<const std::pair<std::string_view, uint64_t>> counts);
 
   /// Folds `other`'s spans into the innermost open span of this trace, as if
   /// they had been recorded here: the other root's counts add to that span,

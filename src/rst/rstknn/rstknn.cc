@@ -314,8 +314,7 @@ RstknnResult SearchProbe(const FrozenTreeView& view, const Dataset& dataset,
   };
 
   {
-    const auto setup =
-        observer.Phase(obs::Phase::kDescent, obs::names::kSpanSetup);
+    const auto setup = observer.Time(Region::kSetup);
     qsum = TextSummary::FromDoc(*query.doc);
     mem = AcquireScratch(view, query, options, &local_scratch)->impl();
     const NodeRef root = view.Root();
@@ -341,9 +340,7 @@ RstknnResult SearchProbe(const FrozenTreeView& view, const Dataset& dataset,
     mem->ResetForCandidate();
     size_t guaranteed = 0;
     {
-      const auto probe =
-          observer.Phase(obs::Phase::kBounds, obs::names::kSpanProbeGuaranteed,
-                         SpanDeltas::kBoundsAndPops);
+      const auto probe = observer.Time(Region::kProbeGuaranteed);
       guaranteed = CountCompetitors(view, scorer, observer, arena.data(),
                                     index, mem, cand.q_max, query.k,
                                     query.self, /*guaranteed=*/true);
@@ -371,9 +368,7 @@ RstknnResult SearchProbe(const FrozenTreeView& view, const Dataset& dataset,
     // object of the candidate (MinST(q,E) >= kNNU(E)).
     size_t potential = 0;
     {
-      const auto probe =
-          observer.Phase(obs::Phase::kBounds, obs::names::kSpanProbePotential,
-                         SpanDeltas::kBoundsAndPops);
+      const auto probe = observer.Time(Region::kProbePotential);
       potential = CountCompetitors(view, scorer, observer, arena.data(), index,
                                    mem, cand.q_min, query.k, query.self,
                                    /*guaranteed=*/false);
@@ -388,8 +383,7 @@ RstknnResult SearchProbe(const FrozenTreeView& view, const Dataset& dataset,
     // Undecided: objects are always decided by the exact guaranteed count
     // (bounds are tight at leaf level), so only nodes reach this point.
     RST_DCHECK(!object);
-    const auto expand =
-        observer.Phase(obs::Phase::kDescent, obs::names::kSpanExpand);
+    const auto expand = observer.Time(Region::kExpand);
     const NodeRef child_node = view.Child(cand.entry);
     if (mem->charged.insert(child_node).second) {
       view.Charge(child_node, &result.stats);
@@ -400,11 +394,11 @@ RstknnResult SearchProbe(const FrozenTreeView& view, const Dataset& dataset,
     for (size_t i = 0; i < num_children; ++i) {
       add_candidate(view.EntryAt(child_node, i), child_node, index);
     }
-    expand.AddCount(obs::names::kCountEntries, num_children);
+    expand.AddEntries(num_children);
   }
 
   {
-    const auto finalize = observer.Phase(obs::Phase::kFinalize);
+    const auto finalize = observer.Time(Region::kFinalize);
     std::sort(result.answers.begin(), result.answers.end());
   }
   return result;
@@ -481,8 +475,7 @@ RstknnResult SearchContributionList(const FrozenTreeView& view,
   };
 
   auto expand = [&](size_t idx) {
-    const auto scope =
-        observer.Phase(obs::Phase::kDescent, obs::names::kSpanExpand);
+    const auto scope = observer.Time(Region::kExpand);
     FlatEntry& fe = entries[idx];
     const State inherited = fe.state;
     const NodeRef child_node = view.Child(fe.entry);
@@ -496,7 +489,7 @@ RstknnResult SearchContributionList(const FrozenTreeView& view,
     for (size_t i = 0; i < num_children; ++i) {
       add_entry(view.EntryAt(child_node, i), inherited);
     }
-    scope.AddCount(obs::names::kCountEntries, num_children);
+    scope.AddEntries(num_children);
   };
 
   // Pair bounds are pure functions of the two (immutable) entries, and each
@@ -537,8 +530,7 @@ RstknnResult SearchContributionList(const FrozenTreeView& view,
     size_t pick = SIZE_MAX;
     double best_priority = -1.0;
     {
-      const auto scope =
-          observer.Phase(obs::Phase::kDescent, obs::names::kSpanPick);
+      const auto scope = observer.Time(Region::kPick);
       for (size_t i = 0; i < entries.size(); ++i) {
         const FlatEntry& fe = entries[i];
         if (!fe.alive || fe.state != State::kUndecided) continue;
@@ -560,9 +552,7 @@ RstknnResult SearchContributionList(const FrozenTreeView& view,
     double knn_lower = 0.0;
     double knn_upper = 0.0;
     {
-      const auto scope =
-          observer.Phase(obs::Phase::kMerge, obs::names::kSpanContributions,
-                         SpanDeltas::kBounds);
+      const auto scope = observer.Time(Region::kContributions);
       std::vector<Contribution> contributions;
       contributions.reserve(entries.size());
       double best_blocker_score = -1.0;
@@ -621,7 +611,7 @@ RstknnResult SearchContributionList(const FrozenTreeView& view,
   }
 
   {
-    const auto finalize = observer.Phase(obs::Phase::kFinalize);
+    const auto finalize = observer.Time(Region::kFinalize);
     std::sort(result.answers.begin(), result.answers.end());
   }
   return result;

@@ -89,18 +89,22 @@ struct RstknnOptions {
   /// Weight of the entropy term under kTextEntropy.
   double entropy_weight = 0.25;
   /// The four instruments below (trace, profiler, explain, heatmap) feed
-  /// one per-query seam inside the search (DESIGN.md §9): each region opens
-  /// its profiler phase and trace span in one scope, and each
-  /// branch-and-bound verdict bumps RstknnStats and records EXPLAIN and the
-  /// heatmap in one call. A null instrument costs one branch per hook.
+  /// one per-query seam inside the search (DESIGN.md §9): with a trace or a
+  /// profiler attached, the search times each of its regions once into a
+  /// fixed per-query record (ns, calls and counter deltas per region) and
+  /// hands the record to both when it returns; each branch-and-bound verdict
+  /// bumps RstknnStats and records EXPLAIN and the heatmap in one call. A
+  /// null instrument costs one branch per hook, and with neither a trace nor
+  /// a profiler attached the search reads no clock.
   ///
-  /// Optional query trace: the search records per-phase spans (setup,
-  /// probe.guaranteed, probe.potential, expand, ...) with counter deltas.
+  /// Optional query trace: the search's regions (setup, probe.guaranteed,
+  /// probe.potential, pick, contributions, expand) appear as completed child
+  /// spans of the algorithm span, with their counter deltas.
   obs::QueryTrace* trace = nullptr;
   /// Optional per-phase latency attribution (DESIGN.md §12): Search() resets
-  /// the profiler, attributes wall time into the fixed phase set (descent /
-  /// bounds / merge / io / finalize, exclusive self-time) over the same
-  /// regions the trace spans cover, and publishes one rstknn.phase.*
+  /// the profiler, adds each region of the record to its phase (descent /
+  /// bounds / merge / finalize; the regions are disjoint, so the phases sum
+  /// to at most the query's wall time), and publishes one rstknn.phase.*
   /// histogram sample per phase on completion. Single-threaded like `trace`
   /// — exec::BatchRunner gives each query a private one and merges them into
   /// the batch's.

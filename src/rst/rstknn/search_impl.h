@@ -26,8 +26,10 @@
 /// output are byte-identical across runs, thread counts, and scratch reuse.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -250,75 +252,135 @@ inline double ViewClusterEntropy(const FrozenTreeView& view,
   return ClusterEntropy(counts);
 }
 
-/// Which RstknnStats deltas a SearchObserver scope attaches to its trace span
-/// when it closes.
-enum class SpanDeltas { kNone, kBounds, kBoundsAndPops };
+/// The instrumented regions of a search. The order is also the order in
+/// which both algorithms first enter them (the probe search: setup, then
+/// each candidate's probes, then expansions; the contribution-list search:
+/// pick, contributions, then expansions), so the span tree built from the
+/// rows keeps the children order of spans entered as they ran.
+enum class Region : uint8_t {
+  kSetup = 0,
+  kProbeGuaranteed,
+  kProbePotential,
+  kPick,
+  kContributions,
+  kExpand,
+  kFinalize,
+};
+
+inline constexpr size_t kNumRegions = 7;
+
+/// The counter deltas a region's span carries, as a bit set.
+enum RegionCounts : uint8_t {
+  kNoCounts = 0,
+  kBoundsCount = 1,   ///< RstknnStats::bound_computations
+  kPopsCount = 2,     ///< RstknnStats::pq_pops
+  kEntriesCount = 4,  ///< entries a node expansion adds (Scope::AddEntries)
+};
+
+/// The fixed map from a region to its profiler phase, its trace span (null:
+/// no span) and the counts that span carries.
+struct RegionInfo {
+  obs::Phase phase;
+  const char* span;
+  uint8_t counts;
+};
+
+inline constexpr RegionInfo kRegionInfo[kNumRegions] = {
+    {obs::Phase::kDescent, obs::names::kSpanSetup, kNoCounts},
+    {obs::Phase::kBounds, obs::names::kSpanProbeGuaranteed,
+     kBoundsCount | kPopsCount},
+    {obs::Phase::kBounds, obs::names::kSpanProbePotential,
+     kBoundsCount | kPopsCount},
+    {obs::Phase::kDescent, obs::names::kSpanPick, kNoCounts},
+    {obs::Phase::kMerge, obs::names::kSpanContributions, kBoundsCount},
+    {obs::Phase::kDescent, obs::names::kSpanExpand, kEntriesCount},
+    {obs::Phase::kFinalize, nullptr, kNoCounts},
+};
+
+/// One region's row of a query's time record: wall time, entries, and the
+/// counter deltas accumulated inside the region.
+struct RegionRow {
+  uint64_t ns = 0;
+  uint64_t calls = 0;
+  uint64_t bound_computations = 0;
+  uint64_t pq_pops = 0;
+  uint64_t entries = 0;
+};
 
 /// The one instrumentation seam of a search (DESIGN.md §9, §12.1), built
 /// once per query from the RstknnOptions instruments (trace, profiler,
 /// explain, heatmap) and the result's RstknnStats. It has two operations:
-///   * Phase() opens a scope: the profiler phase and the trace span of one
-///     region, entered together and exited together;
+///   * Time() opens a scope over one region. With a trace or a profiler
+///     attached the scope reads the clock once on entry and once on exit
+///     and adds the interval, one call and the region's counter deltas to
+///     the region's row of the query's time record. Scopes never nest (a
+///     debug check asserts it), so the rows are disjoint slices of the
+///     query. When the search returns, the observer adds each row to its
+///     phase of the profiler and appends each named row as a completed
+///     child span of the innermost open trace span (the algorithm span);
 ///   * Decide() takes one branch-and-bound verdict: it bumps the matching
 ///     decision counter of the stats and records the decision in EXPLAIN and
 ///     the heatmap under the entry's EntryKey / EntryLevel, so both reconcile
 ///     with the stats by construction.
-/// Hooks fire per candidate and per probe, never per pair; an absent
-/// instrument costs one null-pointer test. The per-pair counters
-/// (bound_computations, pq_pops, probes, io) stay plain increments on
-/// stats(). Constructing the observer resets and stamps the EXPLAIN recorder;
-/// the heatmap is deliberately not reset — it accumulates across queries.
+/// Hooks fire per candidate and per probe, never per pair; with no
+/// instrument attached a scope costs one flag test and reads no clock. The
+/// per-pair counters (bound_computations, pq_pops, probes, io) stay plain
+/// increments on stats(). Constructing the observer resets and stamps the
+/// EXPLAIN recorder; the heatmap is deliberately not reset — it accumulates
+/// across queries.
 class SearchObserver {
  public:
-  /// One instrumented region. The span is skipped when `span` is empty.
+  /// One timed region (see Time()).
   class [[nodiscard]] Scope {
    public:
-    Scope(const SearchObserver& observer, obs::Phase phase,
-          std::string_view span, SpanDeltas deltas)
-        : profiler_(observer.options_.profiler),
-          trace_(span.empty() ? nullptr : observer.options_.trace),
-          stats_(observer.stats_),
-          deltas_(deltas) {
-      if (trace_ != nullptr) {
-        trace_->Enter(span);
-        bounds_before_ = stats_->bound_computations;
-        pops_before_ = stats_->pq_pops;
-      }
-      if (profiler_ != nullptr) profiler_->Enter(phase);
+    Scope(const SearchObserver& observer, Region region)
+        : observer_(observer.timed_ ? &observer : nullptr), region_(region) {
+      if (observer_ == nullptr) return;
+      RST_DCHECK(!observer_->scope_open_) << "search scopes never nest";
+      observer_->scope_open_ = true;
+      bounds_before_ = observer_->stats_->bound_computations;
+      pops_before_ = observer_->stats_->pq_pops;
+      start_ = Clock::now();
     }
     ~Scope() {
-      if (profiler_ != nullptr) profiler_->Exit();
-      if (trace_ == nullptr) return;
-      if (deltas_ != SpanDeltas::kNone) {
-        trace_->AddCount(obs::names::kCountBoundComputations,
-                         stats_->bound_computations - bounds_before_);
-      }
-      if (deltas_ == SpanDeltas::kBoundsAndPops) {
-        trace_->AddCount(obs::names::kCountPqPops,
-                         stats_->pq_pops - pops_before_);
-      }
-      trace_->Exit();
+      if (observer_ == nullptr) return;
+      const Clock::time_point end = Clock::now();
+      RegionRow& row = observer_->rows_[static_cast<size_t>(region_)];
+      row.ns += static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
+              .count());
+      ++row.calls;
+      row.bound_computations +=
+          observer_->stats_->bound_computations - bounds_before_;
+      row.pq_pops += observer_->stats_->pq_pops - pops_before_;
+      observer_->scope_open_ = false;
     }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
-    /// Attributes `n` to counter `key` of the span (no-op without one).
-    void AddCount(std::string_view key, uint64_t n) const {
-      if (trace_ != nullptr) trace_->AddCount(key, n);
+    /// Adds `n` to the entries count of the region (an expansion's
+    /// children).
+    void AddEntries(uint64_t n) const {
+      if (observer_ != nullptr) {
+        observer_->rows_[static_cast<size_t>(region_)].entries += n;
+      }
     }
 
    private:
-    obs::PhaseProfiler* const profiler_;
-    obs::QueryTrace* const trace_;
-    const RstknnStats* const stats_;
-    const SpanDeltas deltas_;
+    using Clock = std::chrono::steady_clock;
+    const SearchObserver* const observer_;
+    const Region region_;
     uint64_t bounds_before_ = 0;
     uint64_t pops_before_ = 0;
+    Clock::time_point start_;
   };
 
   SearchObserver(const FrozenTreeView& view, const RstknnOptions& options,
                  RstknnStats* stats)
-      : view_(view), options_(options), stats_(stats) {
+      : view_(view),
+        options_(options),
+        stats_(stats),
+        timed_(options.trace != nullptr || options.profiler != nullptr) {
     if (options.explain != nullptr) {
       options.explain->Reset();
       options.explain->SetAlgorithm(
@@ -328,12 +390,40 @@ class SearchObserver {
     }
   }
 
+  /// Hands the time record to the attached profiler and trace.
+  ~SearchObserver() {
+    if (!timed_) return;
+    for (size_t r = 0; r < kNumRegions; ++r) {
+      const RegionRow& row = rows_[r];
+      if (row.calls == 0) continue;
+      const RegionInfo& info = kRegionInfo[r];
+      const double ms = static_cast<double>(row.ns) * 1e-6;
+      if (options_.profiler != nullptr) {
+        options_.profiler->Add(info.phase, ms, row.calls);
+      }
+      if (options_.trace == nullptr || info.span == nullptr) continue;
+      std::pair<std::string_view, uint64_t> counts[3];
+      size_t n = 0;
+      if (info.counts & kBoundsCount) {
+        counts[n++] = {obs::names::kCountBoundComputations,
+                       row.bound_computations};
+      }
+      if (info.counts & kPopsCount) {
+        counts[n++] = {obs::names::kCountPqPops, row.pq_pops};
+      }
+      if (info.counts & kEntriesCount) {
+        counts[n++] = {obs::names::kCountEntries, row.entries};
+      }
+      options_.trace->AddCompleted(info.span, ms, row.calls,
+                                   std::span(counts, n));
+    }
+  }
+  SearchObserver(const SearchObserver&) = delete;
+  SearchObserver& operator=(const SearchObserver&) = delete;
+
   RstknnStats* stats() const { return stats_; }
 
-  Scope Phase(obs::Phase phase, std::string_view span = {},
-              SpanDeltas deltas = SpanDeltas::kNone) const {
-    return Scope(*this, phase, span, deltas);
-  }
+  Scope Time(Region region) const { return Scope(*this, region); }
 
   /// One verdict on `entry`, whose similarity to q lies in [q_min, q_max]
   /// and which settles `decided_objects` objects.
@@ -370,6 +460,11 @@ class SearchObserver {
   const FrozenTreeView& view_;
   const RstknnOptions& options_;
   RstknnStats* const stats_;
+  /// A trace or a profiler is attached: scopes read the clock.
+  const bool timed_;
+  /// The query's time record, one row per Region.
+  mutable RegionRow rows_[kNumRegions] = {};
+  mutable bool scope_open_ = false;
 };
 
 /// Appends the ids of every object under `entry` except `exclude`.

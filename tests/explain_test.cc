@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -401,6 +402,32 @@ SpanTotals Spans(const obs::QueryTrace& trace, std::string_view name) {
   return totals;
 }
 
+/// The ms of the algorithm span's child named `name` (0 when absent).
+double ChildMs(const obs::Span& top, std::string_view name) {
+  for (const auto& child : top.children) {
+    if (child->name == name) return child->total_ms;
+  }
+  return 0.0;
+}
+
+/// Everything of a span tree but its times: names, calls and counts, in
+/// child order.
+void AppendShape(const obs::Span& span, std::string* out) {
+  *out += span.name + " x" + std::to_string(span.calls);
+  for (const auto& [key, n] : span.counts) {
+    *out += " " + key + "=" + std::to_string(n);
+  }
+  *out += " {";
+  for (const auto& child : span.children) AppendShape(*child, out);
+  *out += "}";
+}
+
+std::string Shape(const obs::QueryTrace& trace) {
+  std::string out;
+  AppendShape(trace.root(), &out);
+  return out;
+}
+
 TEST(SearchHooksTest, SpansPhasesAndDecisionsItemizeTheStats) {
   const ExplainFixture f(600);
   const std::vector<RstknnQuery> queries = f.Queries(6, 5);
@@ -447,6 +474,38 @@ TEST(SearchHooksTest, SpansPhasesAndDecisionsItemizeTheStats) {
           EXPECT_TRUE(allowed.count(child->name) > 0) << child->name;
           EXPECT_TRUE(child->children.empty()) << child->name;
         }
+        // The children follow the time record's row order, which is also
+        // the order the search first enters its regions.
+        const std::vector<std::string> row_order = {
+            names::kSpanSetup,         names::kSpanProbeGuaranteed,
+            names::kSpanProbePotential, names::kSpanPick,
+            names::kSpanContributions, names::kSpanExpand};
+        size_t next_row = 0;
+        for (const auto& child : top.children) {
+          const auto row = std::find(row_order.begin() + next_row,
+                                     row_order.end(), child->name);
+          ASSERT_NE(row, row_order.end()) << child->name << " out of order";
+          next_row = static_cast<size_t>(row - row_order.begin()) + 1;
+        }
+        // Each phase's time is the sum of its rows' span times: both are
+        // read from the one record.
+        EXPECT_DOUBLE_EQ(profiler.total_ms(obs::Phase::kDescent),
+                         ChildMs(top, names::kSpanSetup) +
+                             ChildMs(top, names::kSpanPick) +
+                             ChildMs(top, names::kSpanExpand));
+        EXPECT_DOUBLE_EQ(profiler.total_ms(obs::Phase::kBounds),
+                         ChildMs(top, names::kSpanProbeGuaranteed) +
+                             ChildMs(top, names::kSpanProbePotential));
+        EXPECT_DOUBLE_EQ(profiler.total_ms(obs::Phase::kMerge),
+                         ChildMs(top, names::kSpanContributions));
+        // A trace alone records the same spans.
+        obs::QueryTrace trace_only;
+        RstknnOptions trace_options;
+        trace_options.algorithm = algorithm;
+        trace_options.trace = &trace_only;
+        searcher.Search(q, trace_options);
+        trace_only.Finish();
+        EXPECT_EQ(Shape(trace_only), Shape(trace));
 
         const SpanTotals expand = Spans(trace, names::kSpanExpand);
         EXPECT_EQ(expand.calls, s.expansions);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rst/data/generators.h"
@@ -286,6 +287,75 @@ TEST(IurTreeTest, UsersTreeBuilds) {
         return id < gen.users.size() ? &gen.users[id].keywords : nullptr;
       });
   EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+// Node ownership: the tree owns every node it makes, keeps every one it
+// makes, and hands them over intact on a move. The CI sanitizer jobs run
+// these under ASan and TSan to shake out lifetime races.
+
+TEST(IurTreeTest, BuildKeepsEveryNodeItMakes) {
+  const Dataset d = SmallDataset(500, 11);
+  const IurTree tree = IurTree::BuildFromDataset(d, {});
+  // NodeCount() is the number of nodes the tree owns; the walk counts the
+  // reachable ones. Equal: no placeholder root, no orphan.
+  size_t reachable = 0;
+  std::vector<const IurTree::Node*> stack = {tree.root()};
+  while (!stack.empty()) {
+    const IurTree::Node* node = stack.back();
+    stack.pop_back();
+    ++reachable;
+    EXPECT_GE(node->entries.capacity(), IurTreeOptions().max_entries);
+    if (!node->leaf) {
+      for (const IurTree::Entry& e : node->entries) stack.push_back(e.child);
+    }
+  }
+  EXPECT_EQ(reachable, tree.NodeCount());
+  const Status s = tree.CheckInvariants(DocLookup(d));
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+TEST(IurTreeTest, MoveTransfersOwnership) {
+  const Dataset d = SmallDataset(200, 12);
+  IurTree tree = IurTree::BuildFromDataset(d, {});
+  const size_t nodes = tree.NodeCount();
+  const IurTree::Node* root = tree.root();
+
+  IurTree moved = std::move(tree);
+  EXPECT_EQ(moved.NodeCount(), nodes);
+  EXPECT_EQ(moved.size(), 200u);
+  EXPECT_EQ(moved.root(), root);  // nodes stay where they were built
+
+  // Move assignment over a live tree must destroy the old tree's nodes.
+  IurTree other = IurTree::BuildFromDataset(d, {});
+  other = std::move(moved);
+  EXPECT_EQ(other.NodeCount(), nodes);
+  const Status s = other.CheckInvariants(DocLookup(d));
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+TEST(IurTreeTest, ParallelBuildAndDestroyStress) {
+  // Each thread builds and destroys its own trees; under TSan/ASan this
+  // catches any shared state in the build or stale-pointer reuse across
+  // trees.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<Dataset> datasets;
+  for (int t = 0; t < kThreads; ++t) {
+    datasets.push_back(SmallDataset(300, 100 + static_cast<uint64_t>(t)));
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&datasets, t] {
+      const Dataset& d = datasets[static_cast<size_t>(t)];
+      for (int round = 0; round < kRounds; ++round) {
+        const IurTree tree = IurTree::BuildFromDataset(d, {});
+        const Status s = tree.CheckInvariants(DocLookup(d));
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
 }
 
 }  // namespace

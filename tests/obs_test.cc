@@ -3,7 +3,9 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rst/obs/json.h"
@@ -411,6 +413,27 @@ TEST(TraceTest, MergeFoldsSpansByNameIntoInnermostOpenSpan) {
                 second.root().children[1]->total_ms);
   EXPECT_EQ(outer.children[1]->name, "bound");
   EXPECT_EQ(outer.children[1]->calls, 1u);
+}
+
+TEST(TraceTest, AddCompletedMergesIntoInnermostOpenSpan) {
+  QueryTrace trace("query");
+  trace.Enter(kOuter);
+  const std::pair<std::string_view, uint64_t> hits[] = {{kHits, 3}};
+  trace.AddCompleted(kExpand, 1.5, 2, hits);
+  trace.AddCompleted(kBound, 0.5, 1, {});
+  trace.AddCompleted(kExpand, 0.25, 1, hits);  // merges by name
+  trace.Exit();
+  trace.Finish();
+
+  const Span& outer = *trace.root().children.at(0);
+  ASSERT_EQ(outer.children.size(), 2u);  // first-added order
+  const Span& expand = *outer.children[0];
+  EXPECT_EQ(expand.name, "expand");
+  EXPECT_DOUBLE_EQ(expand.total_ms, 1.75);
+  EXPECT_EQ(expand.calls, 3u);
+  EXPECT_EQ(expand.counts.at("hits"), 6u);
+  EXPECT_EQ(outer.children[1]->name, "bound");
+  EXPECT_TRUE(outer.children[1]->counts.empty());
 }
 
 TEST(TraceTest, FinishClosesDanglingSpansAndStampsTimes) {

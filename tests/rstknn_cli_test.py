@@ -31,7 +31,9 @@ On a generated 500-object dataset it checks that
     was edited fails replay with exit 1, naming io_node_reads;
   * a --slow-log-ms 0 capture records every query with its trace and
     EXPLAIN and replays clean under probe, under cl and on 4 threads, while
-    a capture without it carries neither;
+    a capture without it carries neither; --slow-log-ms 1e9 without
+    --journal-sample journals no query (its header says sample_every 0),
+    and --slow-log-ms -1 exits 2 with a message saying ">= 0";
   * a capture replayed after its dataset file was replaced by another one
     exits 1 before replaying, naming the file and both dataset digests.
 Exits non-zero with a message on the first failed check.
@@ -372,6 +374,26 @@ def main():
             check("digest mismatches: 0/" in proc.stdout,
                   "the slow capture replayed with mismatches (%s): %s" %
                   (extra, proc.stdout[:300]))
+        # Without --journal-sample, the threshold alone admits: no query
+        # of the batch runs for 1e9 ms, so none is journaled.
+        none_slow = os.path.join(tmp, "none_slow.jsonl")
+        ok(cli, *base, *many, "--slow-log-ms", "1e9", "--journal-out",
+           none_slow)
+        with open(none_slow) as f:
+            lines = f.read().splitlines()
+        check(json.loads(lines[0]).get("sample_every") == 0,
+              "a threshold-only capture's header lacks sample_every 0: %s"
+              % lines[0])
+        check(len(lines) == 1,
+              "--slow-log-ms 1e9 journaled %d of %d queries, want 0" %
+              (len(lines) - 1, len(many[1].split())))
+        # A one-sided bound names itself, not the upper sentinel.
+        proc = run(cli, *base, "--id", "3", "--slow-log-ms", "-1",
+                   "--journal-out", none_slow)
+        check(proc.returncode == 2 and "--slow-log-ms" in proc.stderr and
+              ">= 0" in proc.stderr and "e+308" not in proc.stderr,
+              "--slow-log-ms -1 exited %d with message: %s" %
+              (proc.returncode, proc.stderr.strip()))
 
         # A journal names its dataset: replayed after the file was replaced
         # by another dataset, it stops before replaying and says so.

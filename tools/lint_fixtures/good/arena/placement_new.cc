@@ -1,6 +1,6 @@
-// Good fixture: mirror of the node-arena sources, where placement new into
-// caller-owned storage is permitted without a suppression comment (see
-// PLACEMENT_NEW_ALLOWED in rst_lint.py). Plain new/delete would still be
+// Good fixture: a source where placement new into caller-owned storage is
+// permitted without a suppression comment (see PLACEMENT_NEW_ALLOWED in
+// rst_lint.py). Plain new/delete would still be
 // flagged here. Never compiled; linted only.
 
 namespace lintfix {

@@ -9,9 +9,9 @@ know about:
                             `(void)` plus a suppression comment with a reason
   metric-name-literal       names passed to rst::obs entry points (GetCounter,
                             GetGauge, GetHistogram, QueryTrace, Enter,
-                            AddCount, Publish) must be constants from
-                            src/rst/obs/metric_names.h, never inline string
-                            literals -- a typo'd literal is a silently
+                            AddCount, AddCompleted, Publish) must be constants
+                            from src/rst/obs/metric_names.h, never inline
+                            string literals -- a typo'd literal is a silently
                             separate time series
   nondeterministic-query-path
                             no wall-clock or RNG primitives inside the query
@@ -22,8 +22,8 @@ know about:
   raw-new-delete            no raw `new`/`delete`; ownership lives in smart
                             pointers and containers.
                             Placement new (constructing into storage someone
-                            else owns) is additionally permitted in the node
-                            arena sources listed in PLACEMENT_NEW_ALLOWED
+                            else owns) is additionally permitted in the
+                            sources listed in PLACEMENT_NEW_ALLOWED
   include-hygiene           project headers included as "rst/...", no
                             relative ("../") includes, no duplicates, and a
                             .cc file includes its own header first
@@ -127,13 +127,10 @@ QUERY_PATH_DIRS = [
 
 # Placement new is not an ownership operation — it constructs into storage
 # someone else owns — but a textual linter cannot tell `new (addr) T` from
-# `new T` reliably enough to allow it everywhere. These sources (the IUR-tree
-# node arena and its fixed-capacity entry array, plus the fixture mirror for
-# --self-test) are the only places placement new belongs; plain new/delete
-# remain banned there too.
+# `new T` reliably enough to allow it everywhere. No source of the library
+# needs it; the fixture mirror keeps the exemption tested by --self-test.
+# Plain new/delete remain banned there too.
 PLACEMENT_NEW_ALLOWED = {
-    os.path.join("src", "rst", "iurtree", "arena_array.h"),
-    os.path.join("src", "rst", "iurtree", "node_arena.cc"),
     os.path.join("tools", "lint_fixtures", "good", "arena",
                  "placement_new.cc"),
 }
@@ -160,7 +157,7 @@ METRIC_NAME_DECL_RE = re.compile(
 IDENTIFIER_RE = re.compile(r"\b[A-Za-z_]\w*")
 
 OBS_NAME_APIS = ("GetCounter", "GetGauge", "GetHistogram", "QueryTrace",
-                 "Enter", "AddCount", "Publish")
+                 "Enter", "AddCount", "AddCompleted", "Publish")
 
 NONDETERMINISTIC_TOKENS = [
     (re.compile(r"\bstd::rand\b|(?<![\w:])s?rand\s*\("), "C rand()"),

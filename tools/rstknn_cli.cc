@@ -89,12 +89,14 @@
 //                       one record per admitted query (query object,
 //                       wall/phase timings, stats, FNV-1a64 answer digest) —
 //                       replayable with tools/rst_replay
-//   --journal-sample N  record every N-th query by batch index (default 1)
-//   --slow-log-ms X     also record every query that ran for at least X ms
+//   --journal-sample N  record every N-th query by batch index (default 1;
+//                       with --slow-log-ms and no --journal-sample, none)
+//   --slow-log-ms X     record every query that ran for at least X ms
 //                       (X >= 0), and give each record the query's span
-//                       tree ("trace") and EXPLAIN summary ("explain"); pair
-//                       it with a large --journal-sample to keep mostly the
-//                       slow queries. Needs --journal-out (exit 2 without)
+//                       tree ("trace") and EXPLAIN summary ("explain"). On
+//                       its own it journals only the slow queries; an
+//                       explicit --journal-sample N also keeps every N-th.
+//                       Needs --journal-out (exit 2 without)
 //   --heatmap-out FILE  accumulate per-node visit/prune/expand/report
 //                       counters across the run (merged across workers)
 //                       and write the heatmap JSON; exits
@@ -215,8 +217,14 @@ class Flags {
     if (!ParseDouble(it->second, &value, lo, hi)) {
       std::fprintf(stderr, "--%s: '%s' is not a finite number", name.c_str(),
                    it->second.c_str());
-      if (lo != std::numeric_limits<double>::lowest()) {
+      const bool has_lo = lo != std::numeric_limits<double>::lowest();
+      const bool has_hi = hi != std::numeric_limits<double>::max();
+      if (has_lo && has_hi) {
         std::fprintf(stderr, " in [%g, %g]", lo, hi);
+      } else if (has_lo) {
+        std::fprintf(stderr, " >= %g", lo);
+      } else if (has_hi) {
+        std::fprintf(stderr, " <= %g", hi);
       }
       std::fprintf(stderr, "\n");
       std::exit(2);
@@ -327,7 +335,7 @@ struct ObsFlags {
   uint64_t trace_sample = 1;    ///< span tree of every N-th batch query
   long telemetry_ms = -1;       ///< runtime sampling period (< 0 = off)
   std::string journal_out;      ///< workload-journal JSONL path ("" = off)
-  uint64_t journal_sample = 1;  ///< journal every N-th query by index
+  uint64_t journal_sample = 1;  ///< journal every N-th query (0 = none)
   double slow_ms = -1.0;        ///< journal latency threshold (< 0 = off)
   std::string heatmap_out;      ///< index-heatmap JSON path ("" = off)
 
@@ -345,7 +353,12 @@ struct ObsFlags {
                                std::numeric_limits<long>::max()))
                          : -1),
         journal_out(flags.Get("journal-out", "")),
-        journal_sample(std::max<uint64_t>(1, flags.Uint("journal-sample", 1))),
+        // With a latency threshold and no explicit stride, latency alone
+        // admits (stride 0).
+        journal_sample(
+            flags.Has("journal-sample")
+                ? std::max<uint64_t>(1, flags.Uint("journal-sample", 1))
+                : (flags.Has("slow-log-ms") ? 0 : 1)),
         slow_ms(flags.Double("slow-log-ms", -1.0, /*lo=*/0.0)),
         heatmap_out(flags.Get("heatmap-out", "")) {}
 
