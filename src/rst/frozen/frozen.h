@@ -51,7 +51,7 @@ struct ClusterRef {
 /// summaries, leaf documents — concatenated into one contiguous TermWeight
 /// pool referenced by (offset, len) slices. The flat layout removes the
 /// pointer chasing and scattered term-weight reads of the builder's
-/// arena-allocated nodes (DESIGN.md §10).
+/// pointer-linked nodes, each holding its own term vectors (DESIGN.md §10).
 ///
 /// Storage: only lengths are kept — each node's inverted-file bytes and the
 /// IndexBytes total. Freeze copies them from the source tree, so the

@@ -43,7 +43,8 @@ class JsonWriter;
 class TraceEventWriter {
  public:
   /// `capacity` bounds the event buffer; `sample_every` = N keeps the span
-  /// tree of every N-th query by batch index (1 = every query).
+  /// tree of every N-th query by batch index (1 = every query; 0 is read as
+  /// 1).
   explicit TraceEventWriter(size_t capacity = 1 << 16,
                             uint64_t sample_every = 1);
 

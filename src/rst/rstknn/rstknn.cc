@@ -7,7 +7,6 @@
 #include <queue>
 #include <string>
 #include <tuple>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -53,103 +52,152 @@ RstknnStats& RstknnStats::Merge(const RstknnStats& other) {
 namespace rstknn_internal {
 namespace {
 
-using NodeRef = FrozenTreeView::NodeRef;
-using EntryRef = FrozenTreeView::EntryRef;
-
-/// Cluster-aware text bounds between an entry and a summary (see
-/// ViewPairTextBounds).
-TextBounds ViewEntryTextBounds(const FrozenTreeView& view, EntryRef e,
-                               const SummarySpan& other,
-                               const TextSimilarity& sim) {
-  const size_t nc = view.NumClusters(e);
-  if (nc == 0) {
-    const SummarySpan s = view.Summary(e);
-    return {sim.MinSim(s, other), sim.MaxSim(s, other)};
-  }
-  TextBounds bounds{1.0, 0.0};
-  for (size_t i = 0; i < nc; ++i) {
-    const SummarySpan s = view.ClusterSummary(e, i);
-    bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(s, other));
-    bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(s, other));
-  }
-  return bounds;
-}
-
-/// Collects the node set on the root-to-leaf path of object `id`.
-bool CollectPath(const FrozenTreeView& view, NodeRef node, ObjectId id,
-                 std::unordered_set<uint64_t>* path) {
-  for (size_t i = 0, n = view.NumEntries(node); i < n; ++i) {
-    const auto e = view.EntryAt(node, i);
-    if (view.IsObject(e)) {
-      if (view.Id(e) == id) {
-        path->insert(node);
-        return true;
-      }
-    } else if (CollectPath(view, view.Child(e), id, path)) {
-      path->insert(node);
+/// Marks the nodes on the root-to-leaf path of object `id` (the nodes whose
+/// subtrees hold it).
+bool MarkSelfPath(const FrozenTree& tree, uint32_t node, ObjectId id,
+                  std::vector<uint8_t>* marks) {
+  const uint32_t begin = tree.EntryBegin(node);
+  for (uint32_t e = begin; e < begin + tree.EntryCount(node); ++e) {
+    if (tree.IsObject(e) ? tree.ObjectIdOf(e) == id
+                         : MarkSelfPath(tree, tree.Child(e), id, marks)) {
+      (*marks)[node] |= ProbeScratch::Impl::kOnSelfPath;
       return true;
     }
   }
   return false;
 }
 
-/// A query's working memory — the caller's scratch (its containers keep
-/// their capacity across a batch) or a fresh one held in `local` — reset for
-/// `view`, with the query object's root path collected.
-ProbeScratch* AcquireScratch(const FrozenTreeView& view,
-                             const RstknnQuery& query,
-                             const RstknnOptions& options,
-                             std::unique_ptr<ProbeScratch>* local) {
-  ProbeScratch* scratch = options.scratch;
-  if (scratch == nullptr) {
-    *local = std::make_unique<ProbeScratch>();
-    scratch = local->get();
-  }
-  ProbeScratch::Impl* mem = scratch->impl();
-  mem->ResetForQuery(view.EntryKeySpace());
-  if (query.self != IurTree::kNoObject) {
-    CollectPath(view, view.Root(), query.self, &mem->self_path);
-  }
-  return scratch;
-}
+/// What both algorithms know of a search entry from its creation on.
+struct SearchEntry {
+  uint32_t entry = 0;
+  bool contains_self = false;  ///< subtree holds the query object
+  uint32_t objects = 0;        ///< its objects other than the query object
+  double q_min = 0.0;          ///< MinST(q, E)
+  double q_max = 0.0;          ///< MaxST(q, E)
+  double priority = 0.0;       ///< q_max, plus the entropy bias under TE
+};
 
-/// [MinST(q, E), MaxST(q, E)] of a node entry E: its spatial bounds to the
-/// query location blended with its (cluster-aware) text bounds to `qspan`.
-std::pair<double, double> QueryEntryBounds(const FrozenTreeView& view,
-                                           const StScorer& scorer,
-                                           const RstknnQuery& query,
-                                           const SummarySpan& qspan,
-                                           EntryRef e) {
-  const double alpha = scorer.options().alpha;
-  const TextBounds tb = ViewEntryTextBounds(view, e, qspan, scorer.text());
-  const Rect& rect = view.RectOf(e);
-  return {alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
-              (1.0 - alpha) * tb.min_sim,
-          alpha * scorer.SpatialSim(MinDistance(query.loc, rect)) +
-              (1.0 - alpha) * tb.max_sim};
-}
+/// One query's state shared by both algorithms, and the steps both take:
+/// create a search entry, open a node, expand a node entry.
+struct QueryContext {
+  QueryContext(const FrozenTree& tree, const Dataset& dataset,
+               const StScorer& scorer, const RstknnQuery& query,
+               const RstknnOptions& options, const SearchObserver& observer)
+      : tree(tree),
+        dataset(dataset),
+        scorer(scorer),
+        query(query),
+        options(options),
+        observer(observer) {}
 
-/// A candidate entry of the branch-and-bound search: a subtree (or object)
-/// whose membership in the answer is still to be decided. Candidates live in
-/// an index arena; `home` and the `parent` links spell out the candidate's
-/// root path (the nodes whose subtrees contain it), which the probes use to
-/// avoid double-counting the candidate's own objects.
-struct Candidate {
+  const FrozenTree& tree;
+  const Dataset& dataset;
+  const StScorer& scorer;
+  const RstknnQuery& query;
+  const RstknnOptions& options;
+  const SearchObserver& observer;
+  TextSummary qsum;
+  std::unique_ptr<ProbeScratch> local_scratch;
+  ProbeScratch::Impl* mem = nullptr;
+
+  /// Summarises the query and resets its working memory — the caller's
+  /// scratch (its containers keep their capacity across a batch) or a fresh
+  /// one — with the query object's root path marked.
+  void Begin() {
+    qsum = TextSummary::FromDoc(*query.doc);
+    ProbeScratch* scratch = options.scratch;
+    if (scratch == nullptr) {
+      local_scratch = std::make_unique<ProbeScratch>();
+      scratch = local_scratch.get();
+    }
+    mem = scratch->impl();
+    mem->ResetForQuery(tree);
+    if (query.self != IurTree::kNoObject) {
+      MarkSelfPath(tree, tree.root(), query.self, &mem->node_marks);
+    }
+  }
+
+  RstknnStats* stats() const { return observer.stats(); }
+
+  /// The branch-and-bound keeps every opened node resident for the whole
+  /// query (the contribution lists reference them), so each node costs its
+  /// I/O once per query regardless of how many probes revisit it.
+  void ChargeOnce(uint32_t node) const {
+    if (mem->MarkCharged(node)) tree.ChargeAccess(node, &stats()->io);
+  }
+
+  /// A new search entry for tree entry `e`. A node entry's [MinST, MaxST] to
+  /// q blends its spatial bounds to the query location with its
+  /// cluster-aware text bounds to the query summary.
+  SearchEntry MakeEntry(uint32_t e) const {
+    SearchEntry se;
+    se.entry = e;
+    if (tree.IsObject(e)) {
+      const ObjectId id = tree.ObjectIdOf(e);
+      se.contains_self = id == query.self;
+      if (!se.contains_self) {
+        const StObject& obj = dataset.object(id);
+        se.q_min = se.q_max =
+            scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
+      }
+    } else {
+      se.contains_self = mem->OnSelfPath(tree.Child(e));
+      const double alpha = scorer.options().alpha;
+      const TextBounds tb = SideTextBounds(tree, EntrySide(tree, e),
+                                           SummarySide(AsSpan(qsum)),
+                                           scorer.text());
+      const Rect& rect = tree.EntryRect(e);
+      se.q_min = alpha * scorer.SpatialSim(MaxDistance(query.loc, rect)) +
+                 (1.0 - alpha) * tb.min_sim;
+      se.q_max = alpha * scorer.SpatialSim(MinDistance(query.loc, rect)) +
+                 (1.0 - alpha) * tb.max_sim;
+    }
+    se.objects = tree.Count(e) - (se.contains_self ? 1 : 0);
+    se.priority = se.q_max;
+    if (options.expand == ExpandPolicy::kTextEntropy) {
+      se.priority += options.entropy_weight * EntryClusterEntropy(tree, e);
+    }
+    ++stats()->entries_created;
+    return se;
+  }
+
+  /// Charges `node` once and hands each of its entries to `add`; returns how
+  /// many it has.
+  template <typename Add>
+  uint32_t OpenNode(uint32_t node, Add&& add) const {
+    ChargeOnce(node);
+    const uint32_t begin = tree.EntryBegin(node);
+    const uint32_t n = tree.EntryCount(node);
+    for (uint32_t e = begin; e < begin + n; ++e) add(e);
+    return n;
+  }
+
+  /// Records the expand verdict on node entry `se` and opens its child node.
+  /// `se` is a copy: `add` may grow the container it came from.
+  template <typename Add>
+  void Expand(const SearchEntry se, Add&& add) const {
+    const auto scope = observer.Time(Region::kExpand);
+    observer.Decide(se.entry, se.q_min, se.q_max, obs::ExplainVerdict::kExpand,
+                    obs::ExplainBound::kNone, 0);
+    scope.AddEntries(OpenNode(tree.Child(se.entry), add));
+  }
+};
+
+/// A candidate of the probe search. Candidates live in an index arena;
+/// `home` and the `parent` links spell out the candidate's root path (the
+/// nodes whose subtrees contain it), which the probes use to avoid
+/// double-counting the candidate's own objects.
+struct Candidate : SearchEntry {
   static constexpr uint32_t kNoParent = std::numeric_limits<uint32_t>::max();
 
-  EntryRef entry{};
-  NodeRef home{};                 ///< the node holding `entry`
-  uint32_t parent = kNoParent;    ///< arena index of the expanded candidate
-                                  ///< whose child node is `home`
-  bool contains_self = false;     ///< subtree holds the query object
-  double q_min = 0.0;             ///< MinST(q, E)
-  double q_max = 0.0;             ///< MaxST(q, E)
-  double priority = 0.0;
+  uint32_t home = 0;            ///< the node holding `entry`
+  uint32_t parent = kNoParent;  ///< arena index of the expanded candidate
+                                ///< whose child node is `home`
 };
 
 /// True iff `node` lies on the root path of arena[index]: at most one link
 /// per tree level.
-bool OnCandidatePath(const Candidate* arena, uint32_t index, NodeRef node) {
+bool OnCandidatePath(const Candidate* arena, uint32_t index, uint32_t node) {
   for (;;) {
     const Candidate& c = arena[index];
     if (c.home == node) return true;
@@ -168,35 +216,32 @@ bool OnCandidatePath(const Candidate* arena, uint32_t index, NodeRef node) {
 /// threshold). Traversal is best-first by pair MaxST, so it terminates as
 /// soon as no remaining subtree can matter — and for an object candidate in
 /// guaranteed mode the count is exact, which forces a decision at leaf level.
-/// The pair memo and the probe heap live in `mem`, so a probe allocates only
-/// to record a newly opened node. Work counters land in `observer`'s stats.
-size_t CountCompetitors(const FrozenTreeView& view, const StScorer& scorer,
-                        const SearchObserver& observer,
-                        const Candidate* arena, uint32_t cand,
-                        ProbeScratch::Impl* mem, double threshold, size_t k,
-                        ObjectId exclude, bool guaranteed) {
-  RstknnStats* stats = observer.stats();
-  const auto& exclude_path = mem->self_path;
-  const auto e = arena[cand].entry;
-  const Rect& e_rect = view.RectOf(e);
-  const bool e_is_object = view.IsObject(e);
+/// The pair memo, the probe heap and the node marks live in the query's
+/// scratch, so a probe does not allocate once the scratch has grown. Work
+/// counters land in the query's stats.
+size_t CountCompetitors(const QueryContext& ctx, const Candidate* arena,
+                        uint32_t cand, double threshold, bool guaranteed) {
+  const FrozenTree& tree = ctx.tree;
+  const StScorer& scorer = ctx.scorer;
+  ProbeScratch::Impl* mem = ctx.mem;
+  RstknnStats* stats = ctx.stats();
+  const size_t k = ctx.query.k;
+  const ObjectId exclude = ctx.query.self;
+  const uint32_t e = arena[cand].entry;
+  const Rect& e_rect = tree.EntryRect(e);
+  const bool e_is_object = tree.IsObject(e);
   const double alpha = scorer.options().alpha;
   ++stats->probes;
-  auto charge_once = [&](NodeRef node) {
-    // The branch-and-bound keeps every opened node resident for the whole
-    // query (the contribution lists reference them), so each node costs its
-    // I/O once per query regardless of how many probes revisit it.
-    if (mem->charged.insert(node).second) view.Charge(node, stats);
-  };
 
   size_t count = 0;
   // Self term: the candidate's own other objects compete among themselves.
   // The pair text bounds are threshold-independent, so the potential probe
   // reuses what the guaranteed probe computed.
-  uint32_t own = view.Count(e) - (arena[cand].contains_self ? 1 : 0);
+  const uint32_t own = arena[cand].objects;
   if (own > 1) {
     if (!mem->self_tb_valid) {
-      mem->self_tb = ViewPairTextBounds(view, e, e, scorer.text());
+      mem->self_tb = SideTextBounds(tree, EntrySide(tree, e),
+                                    EntrySide(tree, e), scorer.text());
       mem->self_tb_valid = true;
       ++stats->bound_computations;
     }
@@ -214,47 +259,46 @@ size_t CountCompetitors(const FrozenTreeView& view, const StScorer& scorer,
 
   // Pair bounds are memoized per candidate (keyed by the other entry) so the
   // potential probe reuses the guaranteed probe's legs.
-  const PairJudge judge(view, scorer, e);
+  const PairJudge judge(tree, scorer, e);
   CandPairBounds* bounds = nullptr;  // the slot judge_pair last decided
-  auto judge_pair = [&](EntryRef other, bool overlaps_cand) {
+  auto judge_pair = [&](uint32_t other, bool overlaps_cand) {
     bool fresh = false;
-    std::tie(bounds, fresh) =
-        mem->cand_bounds.FindOrInsert(view.EntryKey(other));
+    std::tie(bounds, fresh) = mem->cand_bounds.FindOrInsert(other);
     return judge.Judge(bounds, fresh, other, threshold, guaranteed,
                        overlaps_cand, stats);
   };
 
   std::vector<ProbeItem>& heap = mem->probe_heap;
   heap.clear();
-  heap.push_back({1.0, view.Root()});
+  heap.push_back({1.0, tree.root()});
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end());
     const ProbeItem item = heap.back();
     heap.pop_back();
     ++stats->pq_pops;
     if (item.max_st <= threshold) break;  // nothing left can matter
-    const NodeRef node = static_cast<NodeRef>(item.node);
-    charge_once(node);
-    for (size_t i = 0, n = view.NumEntries(node); i < n; ++i) {
-      const auto child = view.EntryAt(node, i);
-      if (view.IsObject(child)) {
-        if (view.Id(child) == exclude) continue;
-        if (e_is_object && view.Id(child) == view.Id(e)) continue;
+    ctx.ChargeOnce(item.node);
+    const uint32_t begin = tree.EntryBegin(item.node);
+    const uint32_t end = begin + tree.EntryCount(item.node);
+    for (uint32_t child = begin; child < end; ++child) {
+      if (tree.IsObject(child)) {
+        const ObjectId id = tree.ObjectIdOf(child);
+        if (id == exclude) continue;
+        if (e_is_object && id == tree.ObjectIdOf(e)) continue;
         if (judge_pair(child, false) == PairVerdict::kCount && ++count >= k) {
           return k;
         }
         continue;
       }
-      const NodeRef child_node = view.Child(child);
+      const uint32_t child_node = tree.Child(child);
       // The candidate's own subtree is covered by the self term.
-      if (!e_is_object && child_node == view.Child(e)) continue;
+      if (!e_is_object && child_node == tree.Child(e)) continue;
       const PairVerdict verdict =
           judge_pair(child, OnCandidatePath(arena, cand, child_node));
       if (verdict == PairVerdict::kDrop) continue;  // nothing inside matters
       if (verdict == PairVerdict::kCount) {
         // Every object in this disjoint subtree clears the threshold.
-        const bool overlaps_excl = exclude_path.count(child_node) > 0;
-        count += view.Count(child) - (overlaps_excl ? 1 : 0);
+        count += tree.Count(child) - (mem->OnSelfPath(child_node) ? 1 : 0);
         if (count >= k) return k;
         continue;
       }
@@ -265,16 +309,13 @@ size_t CountCompetitors(const FrozenTreeView& view, const StScorer& scorer,
   return count;
 }
 
-RstknnResult SearchProbe(const FrozenTreeView& view, const Dataset& dataset,
-                         const StScorer& scorer, const RstknnQuery& query,
-                         const RstknnOptions& options) {
-  RstknnResult result;
-  const SearchObserver observer(view, options, &result.stats);
-  if (view.TreeSize() == 0 || query.k == 0) return result;
+void SearchProbe(QueryContext& ctx, std::vector<ObjectId>* answers) {
+  const FrozenTree& tree = ctx.tree;
+  const RstknnQuery& query = ctx.query;
+  const SearchObserver& observer = ctx.observer;
 
-  // Candidates live in an index arena; the work queue orders them by a
-  // static priority (upper-bound similarity to q, optionally biased by
-  // cluster entropy under the TE policy).
+  // Candidates live in an index arena; the work queue orders them by their
+  // static priority.
   std::vector<Candidate> arena;
   struct QueueItem {
     double priority;
@@ -284,66 +325,40 @@ RstknnResult SearchProbe(const FrozenTreeView& view, const Dataset& dataset,
     }
   };
   std::priority_queue<QueueItem> work;
-  TextSummary qsum;
-  std::unique_ptr<ProbeScratch> local_scratch;
-  ProbeScratch::Impl* mem = nullptr;
-
-  auto add_candidate = [&](EntryRef e, NodeRef home, uint32_t parent) {
-    if (view.IsObject(e) && view.Id(e) == query.self) return;  // never a
-                                                               // candidate
-    Candidate cand;
-    cand.entry = e;
-    cand.home = home;
-    cand.parent = parent;
-    if (view.IsObject(e)) {
-      const StObject& obj = dataset.object(view.Id(e));
-      cand.q_min = cand.q_max =
-          scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
-    } else {
-      cand.contains_self = mem->self_path.count(view.Child(e)) > 0;
-      std::tie(cand.q_min, cand.q_max) =
-          QueryEntryBounds(view, scorer, query, AsSpan(qsum), e);
-    }
-    cand.priority = cand.q_max;
-    if (options.expand == ExpandPolicy::kTextEntropy) {
-      cand.priority += options.entropy_weight * ViewClusterEntropy(view, e);
-    }
-    ++result.stats.entries_created;
-    work.push({cand.priority, static_cast<uint32_t>(arena.size())});
-    arena.push_back(cand);
+  // Adds the entries of node `home`, the child node of arena[parent].
+  auto add_candidates = [&](uint32_t home, uint32_t parent) {
+    return [&, home, parent](uint32_t e) {
+      // The query object is never a candidate.
+      if (tree.IsObject(e) && tree.ObjectIdOf(e) == query.self) return;
+      const Candidate cand{ctx.MakeEntry(e), home, parent};
+      work.push({cand.priority, static_cast<uint32_t>(arena.size())});
+      arena.push_back(cand);
+    };
   };
 
   {
     const auto setup = observer.Time(Region::kSetup);
-    qsum = TextSummary::FromDoc(*query.doc);
-    mem = AcquireScratch(view, query, options, &local_scratch)->impl();
-    const NodeRef root = view.Root();
-    mem->charged.insert(root);
-    view.Charge(root, &result.stats);
-    for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
-      add_candidate(view.EntryAt(root, i), root, Candidate::kNoParent);
-    }
+    ctx.Begin();
+    const uint32_t root = tree.root();
+    ctx.OpenNode(root, add_candidates(root, Candidate::kNoParent));
   }
 
   while (!work.empty()) {
     const uint32_t index = work.top().cand;
     work.pop();
-    ++result.stats.pq_pops;
+    ++ctx.stats()->pq_pops;
     // A copy: expanding below appends to the arena.
     const Candidate cand = arena[index];
-    const bool object = view.IsObject(cand.entry);
-    const uint32_t decided =
-        view.Count(cand.entry) - (cand.contains_self ? 1 : 0);
+    const bool object = tree.IsObject(cand.entry);
 
     // Prune test: at least k competitors are guaranteed to beat q for every
     // object of the candidate (MaxST(q,E) < kNNL(E)).
-    mem->ResetForCandidate();
+    ctx.mem->ResetForCandidate();
     size_t guaranteed = 0;
     {
       const auto probe = observer.Time(Region::kProbeGuaranteed);
-      guaranteed = CountCompetitors(view, scorer, observer, arena.data(),
-                                    index, mem, cand.q_max, query.k,
-                                    query.self, /*guaranteed=*/true);
+      guaranteed = CountCompetitors(ctx, arena.data(), index, cand.q_max,
+                                    /*guaranteed=*/true);
     }
     if (guaranteed >= query.k) {
       observer.Decide(cand.entry, cand.q_min, cand.q_max,
@@ -351,7 +366,7 @@ RstknnResult SearchProbe(const FrozenTreeView& view, const Dataset& dataset,
                              : obs::ExplainVerdict::kPrune,
                       object ? obs::ExplainBound::kExact
                              : obs::ExplainBound::kLowerBound,
-                      decided);
+                      cand.objects);
       continue;
     }
     // For an object candidate the guaranteed probe descends every straddling
@@ -361,7 +376,7 @@ RstknnResult SearchProbe(const FrozenTreeView& view, const Dataset& dataset,
       observer.Decide(cand.entry, cand.q_min, cand.q_max,
                       obs::ExplainVerdict::kReportHit,
                       obs::ExplainBound::kExact, 1);
-      result.answers.push_back(view.Id(cand.entry));
+      answers->push_back(tree.ObjectIdOf(cand.entry));
       continue;
     }
     // Report test: fewer than k competitors can possibly beat q for any
@@ -369,39 +384,20 @@ RstknnResult SearchProbe(const FrozenTreeView& view, const Dataset& dataset,
     size_t potential = 0;
     {
       const auto probe = observer.Time(Region::kProbePotential);
-      potential = CountCompetitors(view, scorer, observer, arena.data(), index,
-                                   mem, cand.q_min, query.k, query.self,
+      potential = CountCompetitors(ctx, arena.data(), index, cand.q_min,
                                    /*guaranteed=*/false);
     }
     if (potential < query.k) {
       observer.Decide(cand.entry, cand.q_min, cand.q_max,
                       obs::ExplainVerdict::kReportHit,
-                      obs::ExplainBound::kUpperBound, decided);
-      CollectObjectIds(view, cand.entry, query.self, &result.answers);
+                      obs::ExplainBound::kUpperBound, cand.objects);
+      CollectObjectIds(tree, cand.entry, query.self, answers);
       continue;
     }
     // Undecided: objects are always decided by the exact guaranteed count
     // (bounds are tight at leaf level), so only nodes reach this point.
-    RST_DCHECK(!object);
-    const auto expand = observer.Time(Region::kExpand);
-    const NodeRef child_node = view.Child(cand.entry);
-    if (mem->charged.insert(child_node).second) {
-      view.Charge(child_node, &result.stats);
-    }
-    observer.Decide(cand.entry, cand.q_min, cand.q_max,
-                    obs::ExplainVerdict::kExpand, obs::ExplainBound::kNone, 0);
-    const size_t num_children = view.NumEntries(child_node);
-    for (size_t i = 0; i < num_children; ++i) {
-      add_candidate(view.EntryAt(child_node, i), child_node, index);
-    }
-    expand.AddEntries(num_children);
+    ctx.Expand(cand, add_candidates(tree.Child(cand.entry), index));
   }
-
-  {
-    const auto finalize = observer.Time(Region::kFinalize);
-    std::sort(result.answers.begin(), result.answers.end());
-  }
-  return result;
 }
 
 /// Accumulated (min_st, max_st, count) contributions; the k-th guaranteed /
@@ -426,70 +422,33 @@ inline double KthSorted(std::vector<Contribution>* contributions, size_t k,
   return -1.0;
 }
 
-RstknnResult SearchContributionList(const FrozenTreeView& view,
-                                    const Dataset& dataset,
-                                    const StScorer& scorer,
-                                    const RstknnQuery& query,
-                                    const RstknnOptions& options) {
-  RstknnResult result;
-  const SearchObserver observer(view, options, &result.stats);
-  if (view.TreeSize() == 0 || query.k == 0) return result;
+void SearchContributionList(QueryContext& ctx, std::vector<ObjectId>* answers) {
+  const FrozenTree& tree = ctx.tree;
+  const StScorer& scorer = ctx.scorer;
+  const RstknnQuery& query = ctx.query;
+  const SearchObserver& observer = ctx.observer;
   const double alpha = scorer.options().alpha;
-  const TextSummary qsum = TextSummary::FromDoc(*query.doc);
-  const SummarySpan qspan = AsSpan(qsum);
-  std::unique_ptr<ProbeScratch> local_scratch;
-  ProbeScratch::Impl* mem =
-      AcquireScratch(view, query, options, &local_scratch)->impl();
+  ctx.Begin();
+  ProbeScratch::Impl* mem = ctx.mem;
 
   enum class State { kUndecided, kPruned, kReported };
-  struct FlatEntry {
-    EntryRef entry{};
+  struct FlatEntry : SearchEntry {
     State state = State::kUndecided;
-    bool alive = true;           // not yet replaced by its children
-    bool contains_self = false;  // subtree holds the query object
-    double q_min = 0.0;
-    double q_max = 0.0;
+    bool alive = true;  // not yet replaced by its children
   };
   std::vector<FlatEntry> entries;
-
-  auto add_entry = [&](EntryRef e, State inherited) {
-    FlatEntry fe;
-    fe.entry = e;
-    fe.state = inherited;
-    if (view.IsObject(e)) {
-      fe.contains_self = (view.Id(e) == query.self);
-      if (fe.contains_self) {
-        fe.state = State::kPruned;  // never a candidate nor a contributor
-      } else {
-        const StObject& obj = dataset.object(view.Id(e));
-        fe.q_min = fe.q_max =
-            scorer.Score(obj.loc, obj.doc, query.loc, *query.doc);
-      }
-    } else {
-      fe.contains_self = mem->self_path.count(view.Child(e)) > 0;
-      std::tie(fe.q_min, fe.q_max) =
-          QueryEntryBounds(view, scorer, query, qspan, e);
-    }
-    ++result.stats.entries_created;
-    entries.push_back(fe);
+  // Adds entries that inherit `inherited` from the entry they replace.
+  auto add_entries = [&](State inherited) {
+    return [&, inherited](uint32_t e) {
+      FlatEntry fe{ctx.MakeEntry(e), inherited};
+      // The query object is never a candidate nor a contributor.
+      if (fe.contains_self && tree.IsObject(e)) fe.state = State::kPruned;
+      entries.push_back(fe);
+    };
   };
-
   auto expand = [&](size_t idx) {
-    const auto scope = observer.Time(Region::kExpand);
-    FlatEntry& fe = entries[idx];
-    const State inherited = fe.state;
-    const NodeRef child_node = view.Child(fe.entry);
-    if (mem->charged.insert(child_node).second) {
-      view.Charge(child_node, &result.stats);
-    }
-    fe.alive = false;
-    observer.Decide(fe.entry, fe.q_min, fe.q_max, obs::ExplainVerdict::kExpand,
-                    obs::ExplainBound::kNone, 0);
-    const size_t num_children = view.NumEntries(child_node);
-    for (size_t i = 0; i < num_children; ++i) {
-      add_entry(view.EntryAt(child_node, i), inherited);
-    }
-    scope.AddEntries(num_children);
+    entries[idx].alive = false;
+    ctx.Expand(entries[idx], add_entries(entries[idx].state));
   };
 
   // Pair bounds are pure functions of the two (immutable) entries, and each
@@ -497,14 +456,15 @@ RstknnResult SearchContributionList(const FrozenTreeView& view,
   // picks turns the per-round cost from |live|² kernel evaluations into
   // lookups for every pair already seen.
   auto pair_bounds = [&](const FlatEntry& a, const FlatEntry& b) {
-    auto [it, inserted] = mem->pair_bounds.try_emplace(
-        uint64_t{view.EntryKey(a.entry)} << 32 | view.EntryKey(b.entry));
+    auto [it, inserted] =
+        mem->pair_bounds.try_emplace(uint64_t{a.entry} << 32 | b.entry);
     if (inserted) {
       const TextBounds tb =
-          ViewPairTextBounds(view, a.entry, b.entry, scorer.text());
-      ++result.stats.bound_computations;
-      const Rect& ra = view.RectOf(a.entry);
-      const Rect& rb = view.RectOf(b.entry);
+          SideTextBounds(tree, EntrySide(tree, a.entry),
+                         EntrySide(tree, b.entry), scorer.text());
+      ++ctx.stats()->bound_computations;
+      const Rect& ra = tree.EntryRect(a.entry);
+      const Rect& rb = tree.EntryRect(b.entry);
       it->second.mn = alpha * scorer.SpatialSim(MaxDistance(ra, rb)) +
                       (1.0 - alpha) * tb.min_sim;
       it->second.mx = alpha * scorer.SpatialSim(MinDistance(ra, rb)) +
@@ -513,17 +473,7 @@ RstknnResult SearchContributionList(const FrozenTreeView& view,
     return std::make_pair(it->second.mn, it->second.mx);
   };
 
-  const NodeRef root = view.Root();
-  mem->charged.insert(root);
-  view.Charge(root, &result.stats);
-  for (size_t i = 0, n = view.NumEntries(root); i < n; ++i) {
-    add_entry(view.EntryAt(root, i), State::kUndecided);
-  }
-
-  auto capacity = [&](const FlatEntry& fe) -> uint32_t {
-    const uint32_t n = view.Count(fe.entry);
-    return fe.contains_self && n > 0 ? n - 1 : n;
-  };
+  ctx.OpenNode(tree.root(), add_entries(State::kUndecided));
 
   while (true) {
     // Highest-priority undecided candidate.
@@ -534,14 +484,9 @@ RstknnResult SearchContributionList(const FrozenTreeView& view,
       for (size_t i = 0; i < entries.size(); ++i) {
         const FlatEntry& fe = entries[i];
         if (!fe.alive || fe.state != State::kUndecided) continue;
-        double priority = fe.q_max;
-        if (options.expand == ExpandPolicy::kTextEntropy) {
-          priority +=
-              options.entropy_weight * ViewClusterEntropy(view, fe.entry);
-        }
-        if (pick == SIZE_MAX || priority > best_priority) {
+        if (pick == SIZE_MAX || fe.priority > best_priority) {
           pick = i;
-          best_priority = priority;
+          best_priority = fe.priority;
         }
       }
     }
@@ -559,21 +504,20 @@ RstknnResult SearchContributionList(const FrozenTreeView& view,
       const FlatEntry& cand = entries[pick];
       for (size_t j = 0; j < entries.size(); ++j) {
         if (j == pick || !entries[j].alive) continue;
-        const uint32_t cap = capacity(entries[j]);
+        const uint32_t cap = entries[j].objects;
         if (cap == 0) continue;
         const auto [mn, mx] = pair_bounds(cand, entries[j]);
         contributions.push_back({mn, mx, cap});
-        if (!view.IsObject(entries[j].entry) && mx > best_blocker_score) {
+        if (!tree.IsObject(entries[j].entry) && mx > best_blocker_score) {
           best_blocker_score = mx;
           best_blocker = j;
         }
       }
-      const uint32_t self_cap = capacity(cand);
-      if (self_cap > 1) {
+      if (cand.objects > 1) {
         // Self pair: MinDistance(rect, rect) = 0, so mx already carries the
         // maximal spatial term; mn uses the rect diameter.
         const auto [mn, mx] = pair_bounds(cand, cand);
-        contributions.push_back({mn, mx, self_cap - 1});
+        contributions.push_back({mn, mx, cand.objects - 1});
       }
       std::vector<Contribution> scratch = contributions;
       knn_lower = KthSorted(&scratch, query.k, /*lower=*/true);
@@ -585,21 +529,21 @@ RstknnResult SearchContributionList(const FrozenTreeView& view,
     if (cand.q_max < knn_lower) {
       cand.state = State::kPruned;
       observer.Decide(cand.entry, cand.q_min, cand.q_max,
-                      view.IsObject(cand.entry)
+                      tree.IsObject(cand.entry)
                           ? obs::ExplainVerdict::kReportMiss
                           : obs::ExplainVerdict::kPrune,
-                      obs::ExplainBound::kLowerBound, capacity(cand));
+                      obs::ExplainBound::kLowerBound, cand.objects);
       continue;
     }
     if (cand.q_min >= knn_upper) {
       cand.state = State::kReported;
       observer.Decide(cand.entry, cand.q_min, cand.q_max,
                       obs::ExplainVerdict::kReportHit,
-                      obs::ExplainBound::kUpperBound, capacity(cand));
-      CollectObjectIds(view, cand.entry, query.self, &result.answers);
+                      obs::ExplainBound::kUpperBound, cand.objects);
+      CollectObjectIds(tree, cand.entry, query.self, answers);
       continue;
     }
-    if (!view.IsObject(cand.entry)) {
+    if (!tree.IsObject(cand.entry)) {
       expand(pick);
     } else {
       // Exact candidate blocked by a coarse contributor: refine the most
@@ -609,12 +553,6 @@ RstknnResult SearchContributionList(const FrozenTreeView& view,
       expand(best_blocker);
     }
   }
-
-  {
-    const auto finalize = observer.Time(Region::kFinalize);
-    std::sort(result.answers.begin(), result.answers.end());
-  }
-  return result;
 }
 
 }  // namespace
@@ -648,12 +586,21 @@ RstknnResult RstknnSearcher::Search(const RstknnQuery& query,
     obs::TraceSpan span(options.trace,
                         cl ? obs::names::kSpanRstknnContributionList
                            : obs::names::kSpanRstknnProbe);
-    const rstknn_internal::FrozenTreeView view{tree_};
-    result = cl ? rstknn_internal::SearchContributionList(view, *dataset_,
-                                                          *scorer_, query,
-                                                          options)
-                : rstknn_internal::SearchProbe(view, *dataset_, *scorer_,
-                                               query, options);
+    // Destroyed before `span` closes: it adds its regions as child spans.
+    const rstknn_internal::SearchObserver observer(*tree_, options,
+                                                   &result.stats);
+    if (tree_->size() > 0 && query.k > 0) {
+      rstknn_internal::QueryContext ctx(*tree_, *dataset_, *scorer_, query,
+                                        options, observer);
+      if (cl) {
+        rstknn_internal::SearchContributionList(ctx, &result.answers);
+      } else {
+        rstknn_internal::SearchProbe(ctx, &result.answers);
+      }
+      const auto finalize =
+          observer.Time(rstknn_internal::Region::kFinalize);
+      std::sort(result.answers.begin(), result.answers.end());
+    }
   }
   // Phase histograms are per-query by nature, so they publish even when the
   // aggregate-publish path (publish_metrics == false) suppresses the per-

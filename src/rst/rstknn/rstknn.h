@@ -58,15 +58,15 @@ enum class ExpandPolicy {
   kTextEntropy,
 };
 
-/// Reusable per-thread working memory for RstknnSearcher: the query-path /
-/// charged-node sets, the competitor probes' heap, and the per-candidate pair
-/// memo (a sparse set over the dense entry keys — the explain ids — of the
-/// searched tree: 4 B per index entry, plus one slot per pair a candidate's
-/// probes touch). A searcher given a scratch clears it instead of
-/// reallocating, so every container keeps its capacity across the queries of
-/// a batch. One scratch may serve frozen trees of any size, one query at a
-/// time; it must never be shared by two concurrent queries —
-/// rst::exec::BatchRunner keeps one per worker.
+/// Reusable per-thread working memory for RstknnSearcher: one byte of marks
+/// per tree node (on the query object's root path, already charged), the
+/// competitor probes' heap, and the per-candidate pair memo (a sparse set
+/// over the searched tree's entry indices: 4 B per index entry, plus one
+/// slot per pair a candidate's probes touch). A searcher given a scratch
+/// clears it instead of reallocating, so every container keeps its capacity
+/// across the queries of a batch. One scratch may serve frozen trees of any
+/// size, one query at a time; it must never be shared by two concurrent
+/// queries — rst::exec::BatchRunner keeps one per worker.
 class ProbeScratch {
  public:
   ProbeScratch();
@@ -170,9 +170,9 @@ struct RstknnResult {
 ///
 /// The searched index is a frozen flat-layout snapshot (rst::frozen): build
 /// an IurTree, freeze it once with FrozenTree::Freeze (or load a saved
-/// snapshot), then search. The snapshot stores entries in explain preorder,
-/// so entry index + 1 keys the probes' pair memo and labels EXPLAIN and
-/// heatmap records.
+/// snapshot), then search. The search keys its memos by the snapshot's entry
+/// indices; entries are stored in explain preorder, so entry index + 1
+/// labels EXPLAIN and heatmap records.
 class RstknnSearcher {
  public:
   /// All referents must outlive the searcher.

@@ -2,25 +2,18 @@
 #define RST_RSTKNN_SEARCH_IMPL_H_
 
 /// Internals of RstknnSearcher's branch-and-bound engine (rstknn.cc): the
-/// tree view, the instrumentation seam, the pair memo and the per-pair
-/// competitor judge. Include it only from rstknn.cc and from tests of these
-/// internals.
+/// per-query working memory, the cluster-aware text bounds, the
+/// instrumentation seam, the pair memo and the per-pair competitor judge.
+/// Include it only from rstknn.cc and from tests of these internals.
 ///
-/// Both RSTkNN algorithms run over FrozenTreeView, a read-only adapter of
-/// the frozen flat-layout snapshot (rst::frozen) that names nodes and
-/// entries by their dense uint32_t indices and exposes:
-///   * topology — Root, NumEntries, EntryAt, Child, IsObject, Id, Count;
-///   * geometry — RectOf;
-///   * text     — Summary / ClusterSummary as SummarySpan, which feed the
-///                single span-kernel implementation of every similarity
-///                bound;
-///   * keys     — NodeRefs widen losslessly to uint64_t, which keys the
-///                self-path and charged-node sets and the probe heap;
-///                EntryKey gives every entry a dense key in
-///                [1, EntryKeySpace()) — its explain id — which indexes the
-///                pair memo's sparse array and labels EXPLAIN and heatmap
-///                records, and EntryLevel gives its tree level;
-///   * I/O      — Charge (the papers' simulated accounting).
+/// Both RSTkNN algorithms run directly on frozen::FrozenTree, whose dense
+/// uint32_t indices name everything the search keys:
+///   * a node index addresses its byte of marks (on the query object's root
+///     path, already charged) in ProbeScratch::Impl::node_marks and keys the
+///     probe heap;
+///   * an entry index keys the pair memos; entry e is stored in explain
+///     preorder, so e + 1 is its explain id, which labels EXPLAIN and heatmap
+///     records.
 /// Every queue receives a deterministic insertion sequence and the memo
 /// containers are never iterated, so results, RstknnStats, and EXPLAIN
 /// output are byte-identical across runs, thread counts, and scratch reuse.
@@ -32,7 +25,6 @@
 #include <span>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -67,13 +59,13 @@ struct CandPairBounds {
   bool refined = false;
 };
 
-/// One candidate's pair memo: a Briggs–Torczon sparse set from dense entry
-/// keys to CandPairBounds. `sparse` holds one uint32 per key of the largest
-/// key space seen (4 B per entry); `packed` holds the live slots in
+/// One candidate's pair memo: a Briggs–Torczon sparse set from entry
+/// indices to CandPairBounds. `sparse` holds one uint32 per entry of the
+/// largest tree seen (4 B per entry); `packed` holds the live slots in
 /// insertion order and grows with the pairs one candidate touches. A key is
 /// live iff its sparse index points inside `packed` at a slot carrying that
 /// key, so Clear() is packed.clear() — stale sparse values, from earlier
-/// candidates or from another tree's key space, are rejected by that test.
+/// candidates or from another tree, are rejected by that test.
 class PairMemo {
  public:
   /// Grows the sparse array to cover keys [0, key_space); never shrinks.
@@ -106,11 +98,10 @@ class PairMemo {
   std::vector<Slot> packed_;
 };
 
-/// One queued node of a competitor probe: its pair MaxST and the node, its
-/// NodeRef widened to 64 bits.
+/// One queued node of a competitor probe: its pair MaxST and its index.
 struct ProbeItem {
   double max_st;
-  uint64_t node;
+  uint32_t node;
   bool operator<(const ProbeItem& other) const { return max_st < other.max_st; }
 };
 
@@ -127,95 +118,81 @@ struct PairBoundsValue {
 /// to keep for as long as their scope allows: cand_bounds spans one
 /// candidate's two probes, pair_bounds spans one whole contribution-list
 /// query. The vectors only ever grow, so once a reused scratch has seen its
-/// largest query the probes allocate only when they first open a node (the
-/// node-keyed `charged` set). Nodes are keyed by their widened NodeRef and
-/// entries by their dense EntryKey, so one scratch serves any tree.
+/// largest query and tree the probes do not allocate. Nodes and entries are
+/// keyed by their indices in the searched tree, so one scratch serves any
+/// tree.
 struct ProbeScratch::Impl {
-  std::unordered_set<uint64_t> self_path;
-  std::unordered_set<uint64_t> charged;
+  /// node_marks bits: the node's subtree holds the query object; the node's
+  /// I/O is already charged this query.
+  static constexpr uint8_t kOnSelfPath = 1;
+  static constexpr uint8_t kCharged = 2;
+
+  /// One byte of marks per node of the searched tree.
+  std::vector<uint8_t> node_marks;
   rstknn_internal::PairMemo cand_bounds;
   std::vector<rstknn_internal::ProbeItem> probe_heap;
   bool self_tb_valid = false;
   TextBounds self_tb;
-  /// Keyed by the ordered entry-key pair (a << 32 | b).
+  /// Keyed by the ordered entry-index pair (a << 32 | b).
   std::unordered_map<uint64_t, rstknn_internal::PairBoundsValue> pair_bounds;
 
-  /// `entry_key_space`: the searched tree's EntryKeySpace().
-  void ResetForQuery(size_t entry_key_space) {
-    self_path.clear();
-    charged.clear();
+  void ResetForQuery(const frozen::FrozenTree& tree) {
+    node_marks.assign(tree.num_nodes(), 0);
     pair_bounds.clear();
-    cand_bounds.Reserve(entry_key_space);
+    cand_bounds.Reserve(tree.num_entries());
     ResetForCandidate();
   }
   void ResetForCandidate() {
     cand_bounds.Clear();
     self_tb_valid = false;
   }
+
+  bool OnSelfPath(uint32_t node) const {
+    return (node_marks[node] & kOnSelfPath) != 0;
+  }
+  /// Marks `node` charged; true iff it was not yet.
+  bool MarkCharged(uint32_t node) {
+    const bool fresh = (node_marks[node] & kCharged) == 0;
+    node_marks[node] |= kCharged;
+    return fresh;
+  }
 };
 
 namespace rstknn_internal {
 
-/// The frozen flat-layout snapshot: entries are stored in explain preorder,
-/// so entry index + 1 is both the explain id and the dense pair-memo key.
-struct FrozenTreeView {
-  using NodeRef = uint32_t;
-  using EntryRef = uint32_t;
+using frozen::FrozenTree;
 
-  const frozen::FrozenTree* tree = nullptr;
-
-  size_t TreeSize() const { return tree->size(); }
-  NodeRef Root() const { return tree->root(); }
-  size_t NumEntries(NodeRef n) const { return tree->EntryCount(n); }
-  EntryRef EntryAt(NodeRef n, size_t i) const {
-    return tree->EntryBegin(n) + static_cast<uint32_t>(i);
-  }
-  bool IsObject(EntryRef e) const { return tree->IsObject(e); }
-  ObjectId Id(EntryRef e) const { return tree->ObjectIdOf(e); }
-  NodeRef Child(EntryRef e) const { return tree->Child(e); }
-  uint32_t Count(EntryRef e) const { return tree->Count(e); }
-  const Rect& RectOf(EntryRef e) const { return tree->EntryRect(e); }
-  SummarySpan Summary(EntryRef e) const { return tree->Summary(e); }
-  size_t NumClusters(EntryRef e) const { return tree->NumClusters(e); }
-  SummarySpan ClusterSummary(EntryRef e, size_t i) const {
-    return tree->ClusterSummary(e, static_cast<uint32_t>(i));
-  }
-  uint32_t ClusterCount(EntryRef e, size_t i) const {
-    return tree->ClusterCount(e, static_cast<uint32_t>(i));
-  }
-
-  /// The explain id: entries are stored in explain preorder.
-  uint32_t EntryKey(EntryRef e) const { return e + 1; }
-  uint32_t EntryLevel(EntryRef e) const { return tree->EntryLevel(e); }
-  size_t EntryKeySpace() const { return size_t{tree->num_entries()} + 1; }
-
-  /// Charges one node access with the papers' simulated accounting.
-  void Charge(NodeRef n, RstknnStats* stats) const {
-    tree->ChargeAccess(n, &stats->io);
-  }
+/// One side of a cluster-aware text bound: the per-cluster summaries of
+/// `entry` when it has any (CIUR-tree), else the one blended summary.
+struct TextSide {
+  SummarySpan blended;
+  uint32_t entry = 0;
+  uint32_t clusters = 0;  ///< 0: the side is `blended` alone
 };
 
-/// Cluster-aware text bounds between two entries. An entry with per-cluster
-/// summaries (CIUR-tree) is bounded by the min/max over its clusters, which
-/// is tighter than its blended summary's bound.
-inline TextBounds ViewPairTextBounds(const FrozenTreeView& view,
-                                     FrozenTreeView::EntryRef a,
-                                     FrozenTreeView::EntryRef b,
-                                     const TextSimilarity& sim) {
-  const size_t na = view.NumClusters(a);
-  const size_t nb = view.NumClusters(b);
-  if (na == 0 && nb == 0) {
-    const SummarySpan sa = view.Summary(a);
-    const SummarySpan sb = view.Summary(b);
-    return {sim.MinSim(sa, sb), sim.MaxSim(sa, sb)};
+/// Entry `e` of `tree`, bounded by its clusters if it has any.
+inline TextSide EntrySide(const FrozenTree& tree, uint32_t e) {
+  return {tree.Summary(e), e, tree.NumClusters(e)};
+}
+
+/// A bare summary: one blended side.
+inline TextSide SummarySide(const SummarySpan& summary) { return {summary}; }
+
+/// Text bounds of side `a` against side `b` (in that order: kSum is
+/// asymmetric). A clustered side is bounded by the min/max over its
+/// clusters, which is tighter than its blended summary's bound.
+inline TextBounds SideTextBounds(const FrozenTree& tree, const TextSide& a,
+                                 const TextSide& b, const TextSimilarity& sim) {
+  if (a.clusters == 0 && b.clusters == 0) {
+    return {sim.MinSim(a.blended, b.blended), sim.MaxSim(a.blended, b.blended)};
   }
-  // Treat an unclustered side as one blended cluster.
   TextBounds bounds{1.0, 0.0};
-  for (size_t i = 0; i < std::max<size_t>(na, 1); ++i) {
-    const SummarySpan sa = na == 0 ? view.Summary(a) : view.ClusterSummary(a, i);
-    for (size_t j = 0; j < std::max<size_t>(nb, 1); ++j) {
+  for (uint32_t i = 0; i < std::max(a.clusters, 1u); ++i) {
+    const SummarySpan sa =
+        a.clusters == 0 ? a.blended : tree.ClusterSummary(a.entry, i);
+    for (uint32_t j = 0; j < std::max(b.clusters, 1u); ++j) {
       const SummarySpan sb =
-          nb == 0 ? view.Summary(b) : view.ClusterSummary(b, j);
+          b.clusters == 0 ? b.blended : tree.ClusterSummary(b.entry, j);
       bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(sa, sb));
       bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(sa, sb));
     }
@@ -223,32 +200,14 @@ inline TextBounds ViewPairTextBounds(const FrozenTreeView& view,
   return bounds;
 }
 
-/// Cluster-aware text bounds between a summary and an entry.
-inline TextBounds ViewBoundsVsClusters(const FrozenTreeView& view,
-                                       const SummarySpan& a,
-                                       FrozenTreeView::EntryRef b,
-                                       const TextSimilarity& sim) {
-  const size_t nb = view.NumClusters(b);
-  if (nb == 0) {
-    const SummarySpan sb = view.Summary(b);
-    return {sim.MinSim(a, sb), sim.MaxSim(a, sb)};
-  }
-  TextBounds bounds{1.0, 0.0};
-  for (size_t i = 0; i < nb; ++i) {
-    const SummarySpan sb = view.ClusterSummary(b, i);
-    bounds.min_sim = std::min(bounds.min_sim, sim.MinSim(a, sb));
-    bounds.max_sim = std::max(bounds.max_sim, sim.MaxSim(a, sb));
-  }
-  return bounds;
-}
-
-inline double ViewClusterEntropy(const FrozenTreeView& view,
-                                 FrozenTreeView::EntryRef e) {
-  const size_t nc = view.NumClusters(e);
+/// The TE expansion bias of entry `e`: the entropy of its cluster sizes (0
+/// on an unclustered tree).
+inline double EntryClusterEntropy(const FrozenTree& tree, uint32_t e) {
+  const uint32_t nc = tree.NumClusters(e);
   if (nc == 0) return 0.0;
   std::vector<uint32_t> counts;
   counts.reserve(nc);
-  for (size_t i = 0; i < nc; ++i) counts.push_back(view.ClusterCount(e, i));
+  for (uint32_t i = 0; i < nc; ++i) counts.push_back(tree.ClusterCount(e, i));
   return ClusterEntropy(counts);
 }
 
@@ -320,8 +279,8 @@ struct RegionRow {
 ///     child span of the innermost open trace span (the algorithm span);
 ///   * Decide() takes one branch-and-bound verdict: it bumps the matching
 ///     decision counter of the stats and records the decision in EXPLAIN and
-///     the heatmap under the entry's EntryKey / EntryLevel, so both reconcile
-///     with the stats by construction.
+///     the heatmap under the entry's explain id (index + 1) and level, so both
+///     reconcile with the stats by construction.
 /// Hooks fire per candidate and per probe, never per pair; with no
 /// instrument attached a scope costs one flag test and reads no clock. The
 /// per-pair counters (bound_computations, pq_pops, probes, io) stay plain
@@ -375,9 +334,9 @@ class SearchObserver {
     Clock::time_point start_;
   };
 
-  SearchObserver(const FrozenTreeView& view, const RstknnOptions& options,
+  SearchObserver(const FrozenTree& tree, const RstknnOptions& options,
                  RstknnStats* stats)
-      : view_(view),
+      : tree_(tree),
         options_(options),
         stats_(stats),
         timed_(options.trace != nullptr || options.profiler != nullptr) {
@@ -427,7 +386,7 @@ class SearchObserver {
 
   /// One verdict on `entry`, whose similarity to q lies in [q_min, q_max]
   /// and which settles `decided_objects` objects.
-  void Decide(FrozenTreeView::EntryRef entry, double q_min, double q_max,
+  void Decide(uint32_t entry, double q_min, double q_max,
               obs::ExplainVerdict verdict, obs::ExplainBound bound,
               uint64_t decided_objects) const {
     switch (verdict) {
@@ -445,8 +404,8 @@ class SearchObserver {
     obs::ExplainRecorder* explain = options_.explain;
     obs::HeatmapRecorder* heatmap = options_.heatmap;
     if (explain == nullptr && heatmap == nullptr) return;
-    const uint64_t id = view_.EntryKey(entry);
-    const uint32_t level = view_.EntryLevel(entry);
+    const uint64_t id = uint64_t{entry} + 1;  // the explain id
+    const uint32_t level = tree_.EntryLevel(entry);
     if (explain != nullptr) {
       explain->Record(
           {id, level, verdict, bound, q_min, q_max, decided_objects});
@@ -457,7 +416,7 @@ class SearchObserver {
   }
 
  private:
-  const FrozenTreeView& view_;
+  const FrozenTree& tree_;
   const RstknnOptions& options_;
   RstknnStats* const stats_;
   /// A trace or a profiler is attached: scopes read the clock.
@@ -468,16 +427,17 @@ class SearchObserver {
 };
 
 /// Appends the ids of every object under `entry` except `exclude`.
-inline void CollectObjectIds(const FrozenTreeView& view,
-                             FrozenTreeView::EntryRef entry, ObjectId exclude,
-                             std::vector<ObjectId>* out) {
-  if (view.IsObject(entry)) {
-    if (view.Id(entry) != exclude) out->push_back(view.Id(entry));
+inline void CollectObjectIds(const FrozenTree& tree, uint32_t entry,
+                             ObjectId exclude, std::vector<ObjectId>* out) {
+  if (tree.IsObject(entry)) {
+    const ObjectId id = tree.ObjectIdOf(entry);
+    if (id != exclude) out->push_back(id);
     return;
   }
-  const auto child = view.Child(entry);
-  for (size_t i = 0, n = view.NumEntries(child); i < n; ++i) {
-    CollectObjectIds(view, view.EntryAt(child, i), exclude, out);
+  const uint32_t child = tree.Child(entry);
+  const uint32_t begin = tree.EntryBegin(child);
+  for (uint32_t e = begin; e < begin + tree.EntryCount(child); ++e) {
+    CollectObjectIds(tree, e, exclude, out);
   }
 }
 
@@ -504,13 +464,11 @@ enum class PairVerdict {
 /// threshold, the comparison is settled without running a text kernel.
 class PairJudge {
  public:
-  using EntryRef = FrozenTreeView::EntryRef;
-
-  PairJudge(const FrozenTreeView& view, const StScorer& scorer, EntryRef e)
-      : view_(view),
+  PairJudge(const FrozenTree& tree, const StScorer& scorer, uint32_t e)
+      : tree_(tree),
         scorer_(scorer),
-        e_rect_(view.RectOf(e)),
-        e_sum_(view.Summary(e)),
+        e_rect_(tree.EntryRect(e)),
+        e_sum_(tree.Summary(e)),
         alpha_(scorer.options().alpha),
         text_weight_(1.0 - alpha_),
         text_lo_(0.0),
@@ -519,11 +477,11 @@ class PairJudge {
   /// `bounds` is the pair's memo slot; `fresh` says it was just inserted
   /// (then its spatial legs are filled and bound_computations counts the
   /// pair). On kPush, bounds->mx holds the exact MaxST.
-  PairVerdict Judge(CandPairBounds* bounds, bool fresh, EntryRef other,
+  PairVerdict Judge(CandPairBounds* bounds, bool fresh, uint32_t other,
                     double threshold, bool guaranteed, bool overlaps_cand,
                     RstknnStats* stats) const {
     if (fresh) {
-      const Rect& other_rect = view_.RectOf(other);
+      const Rect& other_rect = tree_.EntryRect(other);
       bounds->spatial_min =
           alpha_ * scorer_.SpatialSim(MaxDistance(e_rect_, other_rect));
       bounds->spatial_max =
@@ -534,18 +492,19 @@ class PairJudge {
     // pairs) only when the blended bounds straddle the threshold and could
     // change the outcome; a refined pair stays refined — tighter bounds are
     // still valid brackets at the other probe's threshold.
-    if (!bounds->refined && view_.NumClusters(other) > 0 &&
+    if (!bounds->refined && tree_.NumClusters(other) > 0 &&
         MaxAbove(bounds, other, threshold) &&
         !MinAbove(bounds, other, threshold)) {
-      const TextBounds tb =
-          ViewBoundsVsClusters(view_, e_sum_, other, scorer_.text());
+      const TextBounds tb = SideTextBounds(tree_, SummarySide(e_sum_),
+                                           EntrySide(tree_, other),
+                                           scorer_.text());
       ++stats->bound_computations;
       bounds->mn = bounds->spatial_min + text_weight_ * tb.min_sim;
       bounds->mx = bounds->spatial_max + text_weight_ * tb.max_sim;
       bounds->has_mn = bounds->has_mx = true;
       bounds->refined = true;
     }
-    if (view_.IsObject(other)) {
+    if (tree_.IsObject(other)) {
       const bool above = guaranteed ? MinAbove(bounds, other, threshold)
                                     : MaxAbove(bounds, other, threshold);
       return above ? PairVerdict::kCount : PairVerdict::kDrop;
@@ -562,15 +521,15 @@ class PairJudge {
   }
 
  private:
-  double MinSim(EntryRef other) const {
-    return scorer_.text().MinSim(e_sum_, view_.Summary(other));
+  double MinSim(uint32_t other) const {
+    return scorer_.text().MinSim(e_sum_, tree_.Summary(other));
   }
-  double MaxSim(EntryRef other) const {
-    return scorer_.text().MaxSim(e_sum_, view_.Summary(other));
+  double MaxSim(uint32_t other) const {
+    return scorer_.text().MaxSim(e_sum_, tree_.Summary(other));
   }
 
   /// mn > threshold, running MinSim only when the bracket straddles.
-  bool MinAbove(CandPairBounds* bounds, EntryRef other,
+  bool MinAbove(CandPairBounds* bounds, uint32_t other,
                 double threshold) const {
     if (!bounds->has_mn) {
       if (bounds->spatial_min + text_lo_ > threshold) return true;
@@ -581,7 +540,7 @@ class PairJudge {
     return bounds->mn > threshold;
   }
   /// mx > threshold, running MaxSim only when the bracket straddles.
-  bool MaxAbove(CandPairBounds* bounds, EntryRef other,
+  bool MaxAbove(CandPairBounds* bounds, uint32_t other,
                 double threshold) const {
     if (!bounds->has_mx) {
       if (bounds->spatial_max + text_lo_ > threshold) return true;
@@ -592,7 +551,7 @@ class PairJudge {
     return bounds->mx > threshold;
   }
 
-  const FrozenTreeView& view_;
+  const FrozenTree& tree_;
   const StScorer& scorer_;
   const Rect& e_rect_;
   const SummarySpan e_sum_;

@@ -23,13 +23,14 @@
 namespace rst {
 namespace {
 
+using frozen::FrozenTree;
 using rstknn_internal::CandPairBounds;
 using rstknn_internal::CollectObjectIds;
-using rstknn_internal::FrozenTreeView;
+using rstknn_internal::EntryClusterEntropy;
+using rstknn_internal::EntrySide;
 using rstknn_internal::PairJudge;
 using rstknn_internal::PairVerdict;
-using rstknn_internal::ViewClusterEntropy;
-using rstknn_internal::ViewPairTextBounds;
+using rstknn_internal::SideTextBounds;
 
 constexpr double kAlphas[] = {0.0, 0.1, 0.5, 0.9, 1.0};
 
@@ -80,25 +81,25 @@ void ExpectStatsEqual(const RstknnStats& a, const RstknnStats& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Entry text bounds over the frozen view
+// Entry text bounds over the frozen tree
 
 /// Entry-pair text bounds bracket every cross pair of objects below the two
 /// entries — including an entry paired with itself (the probes' self term)
 /// and CIUR entries, where the bound is the cluster cross product.
-TEST(ViewBoundsTest, PairBoundsBracketCrossPairs) {
+TEST(EntryBoundsTest, PairBoundsBracketCrossPairs) {
   const TextSimilarity sim(TextMeasure::kExtendedJaccard);
   for (const bool clustered : {false, true}) {
     const Corpus corpus(300, clustered, 23);
-    const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(corpus.tree);
-    const FrozenTreeView view{&frozen};
+    const FrozenTree frozen = FrozenTree::Freeze(corpus.tree);
     const uint32_t roots = frozen.EntryCount(frozen.root());
     ASSERT_GE(roots, 2u);
     for (uint32_t a = 0; a < roots; ++a) {
       for (uint32_t b = a; b < roots; ++b) {
-        const TextBounds bounds = ViewPairTextBounds(view, a, b, sim);
+        const TextBounds bounds = SideTextBounds(
+            frozen, EntrySide(frozen, a), EntrySide(frozen, b), sim);
         std::vector<ObjectId> ids_a, ids_b;
-        CollectObjectIds(view, a, IurTree::kNoObject, &ids_a);
-        CollectObjectIds(view, b, IurTree::kNoObject, &ids_b);
+        CollectObjectIds(frozen, a, IurTree::kNoObject, &ids_a);
+        CollectObjectIds(frozen, b, IurTree::kNoObject, &ids_b);
         for (ObjectId ia : ids_a) {
           for (ObjectId ib : ids_b) {
             if (ia == ib) continue;
@@ -118,26 +119,24 @@ TEST(ViewBoundsTest, PairBoundsBracketCrossPairs) {
 /// The TE expansion priority: entries mixing several text clusters have
 /// positive entropy; single-cluster entries and every entry of an
 /// unclustered tree have none.
-TEST(ViewBoundsTest, ClusterEntropyHigherForMixedEntries) {
+TEST(EntryBoundsTest, ClusterEntropyHigherForMixedEntries) {
   const Corpus ciur(240, /*clustered=*/true, 29);
-  const frozen::FrozenTree clustered = frozen::FrozenTree::Freeze(ciur.tree);
-  const FrozenTreeView view{&clustered};
+  const FrozenTree clustered = FrozenTree::Freeze(ciur.tree);
   size_t mixed = 0;
   for (uint32_t e = 0; e < clustered.num_entries(); ++e) {
     if (clustered.NumClusters(e) > 1) {
-      EXPECT_GT(ViewClusterEntropy(view, e), 0.0) << "entry " << e;
+      EXPECT_GT(EntryClusterEntropy(clustered, e), 0.0) << "entry " << e;
       ++mixed;
     } else {
-      EXPECT_EQ(ViewClusterEntropy(view, e), 0.0) << "entry " << e;
+      EXPECT_EQ(EntryClusterEntropy(clustered, e), 0.0) << "entry " << e;
     }
   }
   EXPECT_GT(mixed, 0u);
 
   const Corpus iur(120, /*clustered=*/false, 29);
-  const frozen::FrozenTree plain = frozen::FrozenTree::Freeze(iur.tree);
-  const FrozenTreeView plain_view{&plain};
+  const FrozenTree plain = FrozenTree::Freeze(iur.tree);
   for (uint32_t e = 0; e < plain.num_entries(); ++e) {
-    EXPECT_EQ(ViewClusterEntropy(plain_view, e), 0.0) << "entry " << e;
+    EXPECT_EQ(EntryClusterEntropy(plain, e), 0.0) << "entry " << e;
   }
 }
 
@@ -154,31 +153,31 @@ struct EagerPair {
   uint64_t computations = 1;  ///< the pair's entry into the memo
 };
 
-EagerPair EagerInit(const FrozenTreeView& view, const StScorer& scorer,
-                    uint32_t e, uint32_t other) {
+EagerPair EagerInit(const FrozenTree& tree, const StScorer& scorer, uint32_t e,
+                    uint32_t other) {
   EagerPair p;
-  p.mn = scorer.MinScore(view.RectOf(e), view.Summary(e), view.RectOf(other),
-                         view.Summary(other));
-  p.mx = scorer.MaxScore(view.RectOf(e), view.Summary(e), view.RectOf(other),
-                         view.Summary(other));
+  p.mn = scorer.MinScore(tree.EntryRect(e), tree.Summary(e),
+                         tree.EntryRect(other), tree.Summary(other));
+  p.mx = scorer.MaxScore(tree.EntryRect(e), tree.Summary(e),
+                         tree.EntryRect(other), tree.Summary(other));
   return p;
 }
 
-PairVerdict EagerJudge(const FrozenTreeView& view, const StScorer& scorer,
+PairVerdict EagerJudge(const FrozenTree& tree, const StScorer& scorer,
                        uint32_t e, uint32_t other, double threshold,
                        bool guaranteed, bool overlaps_cand, EagerPair* p) {
-  const size_t nc = view.NumClusters(other);
+  const uint32_t nc = tree.NumClusters(other);
   if (!p->refined && nc > 0 && p->mn <= threshold && p->mx > threshold) {
     double min_sim = 1.0;
     double max_sim = 0.0;
-    for (size_t i = 0; i < nc; ++i) {
-      const SummarySpan c = view.ClusterSummary(other, i);
-      min_sim = std::min(min_sim, scorer.text().MinSim(view.Summary(e), c));
-      max_sim = std::max(max_sim, scorer.text().MaxSim(view.Summary(e), c));
+    for (uint32_t i = 0; i < nc; ++i) {
+      const SummarySpan c = tree.ClusterSummary(other, i);
+      min_sim = std::min(min_sim, scorer.text().MinSim(tree.Summary(e), c));
+      max_sim = std::max(max_sim, scorer.text().MaxSim(tree.Summary(e), c));
     }
     const double alpha = scorer.options().alpha;
-    const Rect& a = view.RectOf(e);
-    const Rect& b = view.RectOf(other);
+    const Rect& a = tree.EntryRect(e);
+    const Rect& b = tree.EntryRect(other);
     p->mn = alpha * scorer.SpatialSim(MaxDistance(a, b)) +
             (1.0 - alpha) * min_sim;
     p->mx = alpha * scorer.SpatialSim(MinDistance(a, b)) +
@@ -186,7 +185,7 @@ PairVerdict EagerJudge(const FrozenTreeView& view, const StScorer& scorer,
     p->refined = true;
     ++p->computations;
   }
-  if (view.IsObject(other)) {
+  if (tree.IsObject(other)) {
     return (guaranteed ? p->mn : p->mx) > threshold ? PairVerdict::kCount
                                                      : PairVerdict::kDrop;
   }
@@ -211,8 +210,7 @@ class PairJudgeTest : public ::testing::TestWithParam<JudgeCase> {};
 TEST_P(PairJudgeTest, MatchesEagerRule) {
   const JudgeCase& param = GetParam();
   const Corpus corpus(240, param.clustered, 31);
-  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(corpus.tree);
-  const FrozenTreeView view{&frozen};
+  const FrozenTree frozen = FrozenTree::Freeze(corpus.tree);
   const TextSimilarity sim(param.measure, &corpus.dataset.corpus_max());
 
   std::vector<std::vector<uint32_t>> by_level;
@@ -235,8 +233,10 @@ TEST_P(PairJudgeTest, MatchesEagerRule) {
     for (int trial = 0; trial < 600; ++trial) {
       const uint32_t e = pick();
       const uint32_t other = pick();
-      const PairJudge judge(view, scorer, e);
-      EagerPair eager = EagerInit(view, scorer, e, other);
+      const Rect& e_rect = frozen.EntryRect(e);
+      const Rect& o_rect = frozen.EntryRect(other);
+      const PairJudge judge(frozen, scorer, e);
+      EagerPair eager = EagerInit(frozen, scorer, e, other);
       CandPairBounds slot;
       RstknnStats stats;
       for (int call = 0; call < 4; ++call) {
@@ -251,10 +251,8 @@ TEST_P(PairJudgeTest, MatchesEagerRule) {
           case 2:  // the spatial bracket edges, exactly
             threshold =
                 rng.UniformInt(uint64_t{2}) == 0
-                    ? alpha * scorer.SpatialSim(MaxDistance(
-                                  view.RectOf(e), view.RectOf(other)))
-                    : alpha * scorer.SpatialSim(MinDistance(
-                                  view.RectOf(e), view.RectOf(other))) +
+                    ? alpha * scorer.SpatialSim(MaxDistance(e_rect, o_rect))
+                    : alpha * scorer.SpatialSim(MinDistance(e_rect, o_rect)) +
                           (1.0 - alpha);
             break;
           case 3:
@@ -269,8 +267,8 @@ TEST_P(PairJudgeTest, MatchesEagerRule) {
         const PairVerdict lazy = judge.Judge(&slot, call == 0, other,
                                              threshold, guaranteed, overlaps,
                                              &stats);
-        const PairVerdict want = EagerJudge(view, scorer, e, other, threshold,
-                                            guaranteed, overlaps, &eager);
+        const PairVerdict want = EagerJudge(
+            frozen, scorer, e, other, threshold, guaranteed, overlaps, &eager);
         const std::string where =
             "alpha=" + std::to_string(alpha) + " e=" + std::to_string(e) +
             " other=" + std::to_string(other) + " call=" +

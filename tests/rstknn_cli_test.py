@@ -34,6 +34,8 @@ On a generated 500-object dataset it checks that
     a capture without it carries neither; --slow-log-ms 1e9 without
     --journal-sample journals no query (its header says sample_every 0),
     and --slow-log-ms -1 exits 2 with a message saying ">= 0";
+  * --journal-sample 0 and --trace-sample 0 exit 2 with a message naming
+    the flag and saying ">= 1", and write no output file;
   * a capture replayed after its dataset file was replaced by another one
     exits 1 before replaying, naming the file and both dataset digests.
 Exits non-zero with a message on the first failed check.
@@ -394,6 +396,17 @@ def main():
               ">= 0" in proc.stderr and "e+308" not in proc.stderr,
               "--slow-log-ms -1 exited %d with message: %s" %
               (proc.returncode, proc.stderr.strip()))
+        # A zero stride is an error, not "every query".
+        zero_out = os.path.join(tmp, "zero_stride.out")
+        for flag, out_flag in (("--journal-sample", "--journal-out"),
+                               ("--trace-sample", "--trace-out")):
+            proc = run(cli, *base, *many, flag, "0", out_flag, zero_out)
+            check(proc.returncode == 2 and flag in proc.stderr and
+                  ">= 1" in proc.stderr and proc.stdout == "",
+                  "%s 0 exited %d with message: %s" %
+                  (flag, proc.returncode, proc.stderr.strip()))
+            check(not os.path.exists(zero_out),
+                  "%s 0 wrote %s" % (flag, out_flag))
 
         # A journal names its dataset: replayed after the file was replaced
         # by another dataset, it stops before replaying and says so.

@@ -105,37 +105,108 @@ TEST(RstknnTest, KGreaterThanDatasetReportsAll) {
   EXPECT_EQ(got.answers.size(), 39u);  // everyone except the query itself
 }
 
-TEST(RstknnTest, ClusteredTreeAndPoliciesAgree) {
+struct SweepCase {
+  RstknnAlgorithm algorithm;
+  ExpandPolicy expand;
+  bool clustered;
+};
+
+class AlgorithmPolicySweepTest : public ::testing::TestWithParam<SweepCase> {};
+
+/// Both algorithms under both expansion policies on IUR and CIUR trees match
+/// the oracle, for queries that are dataset objects and for external ones.
+/// On CIUR trees the TE priority must change the contribution-list search,
+/// or the sweep would not exercise it.
+TEST_P(AlgorithmPolicySweepTest, MatchesBruteForce) {
+  const SweepCase& param = GetParam();
   FlickrLikeConfig config;
-  config.num_objects = 400;
-  config.vocab_size = 200;
-  config.seed = 31;
-  Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  std::vector<TermVector> docs;
-  for (const StObject& o : d.objects()) docs.push_back(o.doc);
-  ClusteringOptions copts;
-  copts.num_clusters = 6;
-  copts.outlier_threshold = 0.1;
-  const ClusteringResult clusters = ClusterDocuments(docs, copts);
+  config.num_objects = 260;
+  config.vocab_size = 120;
+  config.seed = 41;
+  const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
+  std::vector<uint32_t> cluster_of;
+  if (param.clustered) {
+    std::vector<TermVector> docs;
+    for (const StObject& o : d.objects()) docs.push_back(o.doc);
+    ClusteringOptions copts;
+    copts.num_clusters = 6;
+    copts.outlier_threshold = 0.1;
+    cluster_of = ClusterDocuments(docs, copts).assignment;
+  }
+  IurTreeOptions topts;
+  topts.max_entries = 6;
+  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(
+      IurTree::BuildFromDataset(d, topts,
+                                param.clustered ? &cluster_of : nullptr));
+  const TextSimilarity sim(TextMeasure::kExtendedJaccard);
+  RstknnOptions options;
+  options.algorithm = param.algorithm;
+  options.expand = param.expand;
+  options.publish_metrics = false;
+  RstknnOptions best_first = options;
+  best_first.expand = ExpandPolicy::kBestFirst;
 
-  TextSimilarity sim(TextMeasure::kExtendedJaccard);
-  StScorer scorer(&sim, {0.5, d.max_dist()});
-  const frozen::FrozenTree plain =
-      frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(d, {}));
-  const frozen::FrozenTree ciur = frozen::FrozenTree::Freeze(
-      IurTree::BuildFromDataset(d, {}, &clusters.assignment));
-  RstknnSearcher plain_search(&plain, &d, &scorer);
-  RstknnSearcher ciur_search(&ciur, &d, &scorer);
-
-  const StObject& qobj = d.object(123);
-  RstknnQuery query{qobj.loc, &qobj.doc, 8, 123};
-  const auto expected = BruteForceRstknn(d, scorer, query);
-  EXPECT_EQ(plain_search.Search(query).answers, expected);
-  EXPECT_EQ(ciur_search.Search(query).answers, expected);
-  RstknnOptions te;
-  te.expand = ExpandPolicy::kTextEntropy;
-  EXPECT_EQ(ciur_search.Search(query, te).answers, expected);
+  const TermVector external_doc =
+      TermVector::FromUnsorted({{2, 0.9f}, {11, 0.6f}, {40, 1.1f}});
+  size_t stats_differ = 0;
+  for (double alpha : {0.3, 0.7}) {
+    const StScorer scorer(&sim, {alpha, d.max_dist()});
+    const RstknnSearcher searcher(&frozen, &d, &scorer);
+    Rng rng(static_cast<uint64_t>(alpha * 10) + 5);
+    for (size_t k : {size_t{3}, size_t{8}}) {
+      std::vector<RstknnQuery> queries;
+      for (int trial = 0; trial < 3; ++trial) {
+        const ObjectId qid =
+            static_cast<ObjectId>(rng.UniformInt(uint64_t{d.size()}));
+        queries.push_back({d.object(qid).loc, &d.object(qid).doc, k, qid});
+      }
+      queries.push_back({Point{40, 60}, &external_doc, k, IurTree::kNoObject});
+      for (const RstknnQuery& query : queries) {
+        const RstknnResult got = searcher.Search(query, options);
+        EXPECT_EQ(got.answers, BruteForceRstknn(d, scorer, query))
+            << "alpha=" << alpha << " k=" << k << " self=" << query.self;
+        const RstknnStats bf = searcher.Search(query, best_first).stats;
+        stats_differ += bf.entries_created != got.stats.entries_created ||
+                        bf.expansions != got.stats.expansions ||
+                        bf.bound_computations != got.stats.bound_computations;
+      }
+    }
+  }
+  // Without clusters TE is best-first. The probe search visits the same
+  // candidates in any order, so only the contribution-list search can show
+  // TE in its counters.
+  if (param.expand == ExpandPolicy::kTextEntropy && param.clustered &&
+      param.algorithm == RstknnAlgorithm::kContributionList) {
+    EXPECT_GT(stats_differ, 0u);
+  } else {
+    EXPECT_EQ(stats_differ, 0u);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AlgorithmsPoliciesTrees, AlgorithmPolicySweepTest,
+    ::testing::Values(
+        SweepCase{RstknnAlgorithm::kProbe, ExpandPolicy::kBestFirst, false},
+        SweepCase{RstknnAlgorithm::kProbe, ExpandPolicy::kBestFirst, true},
+        SweepCase{RstknnAlgorithm::kProbe, ExpandPolicy::kTextEntropy, false},
+        SweepCase{RstknnAlgorithm::kProbe, ExpandPolicy::kTextEntropy, true},
+        SweepCase{RstknnAlgorithm::kContributionList, ExpandPolicy::kBestFirst,
+                  false},
+        SweepCase{RstknnAlgorithm::kContributionList, ExpandPolicy::kBestFirst,
+                  true},
+        SweepCase{RstknnAlgorithm::kContributionList,
+                  ExpandPolicy::kTextEntropy, false},
+        SweepCase{RstknnAlgorithm::kContributionList,
+                  ExpandPolicy::kTextEntropy, true}),
+    [](const auto& info) {
+      std::string name = info.param.algorithm == RstknnAlgorithm::kProbe
+                             ? "probe"
+                             : "contribution_list";
+      name += info.param.expand == ExpandPolicy::kBestFirst ? "_bestfirst"
+                                                            : "_te";
+      name += info.param.clustered ? "_ciur" : "_iur";
+      return name;
+    });
 
 TEST(RstknnTest, StatsArepopulated) {
   Fixture f(300, TextMeasure::kExtendedJaccard, 0.5, 13);

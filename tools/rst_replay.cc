@@ -41,7 +41,7 @@
 //
 // After replaying, an aggregate analytics table is printed: per-level prune
 // efficiency, bound-fire frequency, hottest nodes and hottest query terms —
-// the workload-level view ROADMAP item 5's planner trains from.
+// a workload-level view of where the branch-and-bound spends its work.
 
 #include <algorithm>
 #include <cstdint>

@@ -68,7 +68,7 @@
 //                       timelines with each query's span tree nested under
 //                       its run slice
 //   --trace-sample N    keep the full span tree of every N-th query in the
-//                       trace-event output (default 1 = all)
+//                       trace-event output (N >= 1; default 1 = all)
 //   --telemetry-ms N    sample process runtime telemetry (RSS, page faults,
 //                       CPU time, thread count) every N ms into runtime.*
 //                       gauges, visible in the --metrics-out snapshot
@@ -89,8 +89,9 @@
 //                       one record per admitted query (query object,
 //                       wall/phase timings, stats, FNV-1a64 answer digest) —
 //                       replayable with tools/rst_replay
-//   --journal-sample N  record every N-th query by batch index (default 1;
-//                       with --slow-log-ms and no --journal-sample, none)
+//   --journal-sample N  record every N-th query by batch index (N >= 1;
+//                       default 1; with --slow-log-ms and no
+//                       --journal-sample, none)
 //   --slow-log-ms X     record every query that ran for at least X ms
 //                       (X >= 0), and give each record the query's span
 //                       tree ("trace") and EXPLAIN summary ("explain"). On
@@ -202,6 +203,16 @@ class Flags {
         std::fprintf(stderr, " <= %llu", static_cast<unsigned long long>(max));
       }
       std::fprintf(stderr, "\n");
+      std::exit(2);
+    }
+    return value;
+  }
+  /// --name as a decimal integer >= 1, `fallback` when absent; 0, like any
+  /// value Uint rejects, exits 2 naming the flag.
+  uint64_t Positive(const std::string& name, uint64_t fallback) const {
+    const uint64_t value = Uint(name, fallback);
+    if (value == 0) {
+      std::fprintf(stderr, "--%s: '0' is not an integer >= 1\n", name.c_str());
       std::exit(2);
     }
     return value;
@@ -346,7 +357,7 @@ struct ObsFlags {
         explain_log(flags.Uint("explain-log", 0)),
         profile(flags.Has("profile")),
         trace_out(flags.Get("trace-out", "")),
-        trace_sample(flags.Uint("trace-sample", 1)),
+        trace_sample(flags.Positive("trace-sample", 1)),
         telemetry_ms(flags.Has("telemetry-ms")
                          ? static_cast<long>(flags.Uint(
                                "telemetry-ms", 1,
@@ -357,7 +368,7 @@ struct ObsFlags {
         // admits (stride 0).
         journal_sample(
             flags.Has("journal-sample")
-                ? std::max<uint64_t>(1, flags.Uint("journal-sample", 1))
+                ? flags.Positive("journal-sample", 1)
                 : (flags.Has("slow-log-ms") ? 0 : 1)),
         slow_ms(flags.Double("slow-log-ms", -1.0, /*lo=*/0.0)),
         heatmap_out(flags.Get("heatmap-out", "")) {}
