@@ -1,16 +1,13 @@
-// Frozen flat-layout index life cycle: STR build at 1..N threads, freeze,
-// serialize and load, plus RSTkNN query time over the freshly frozen
-// snapshot and over its serialize -> load copy. The two query rows must
-// return identical answers (the loaded snapshot is byte-identical), so any
-// delta between them is timer noise.
+// Frozen flat-layout index life cycle: STR build, freeze, serialize and
+// load, plus RSTkNN query time over the freshly frozen snapshot and over its
+// serialize -> load copy. The two query rows must return identical answers
+// (the loaded snapshot is byte-identical), so any delta between them is
+// timer noise.
 //
 // Besides the console table this writes BENCH_frozen.json into the working
-// directory, including the host core count — the parallel-build speedup is
-// meaningless without it.
+// directory, including the host core count.
 
 #include "bench_common.h"
-
-#include <thread>
 
 #include "rst/common/file_util.h"
 #include "rst/common/stopwatch.h"
@@ -51,23 +48,13 @@ int main() {
   for (const rst::StObject& o : env.dataset.objects()) {
     items.push_back({o.id, o.loc, &o.doc});
   }
-  rst::IurTreeOptions topts;
-  double build1_ms = 0;
-  double buildn_ms = 0;
-  const unsigned cores = std::thread::hardware_concurrency();
-  const size_t build_threads = cores > 1 ? cores : 4;
+  double build_ms = 0;
   for (size_t rep = 0; rep < reps; ++rep) {
     rst::Stopwatch timer;
-    topts.build_threads = 1;
-    const rst::IurTree serial = rst::IurTree::Build(items, topts);
-    build1_ms += timer.ElapsedMillis();
-    timer.Restart();
-    topts.build_threads = build_threads;
-    const rst::IurTree threaded = rst::IurTree::Build(items, topts);
-    buildn_ms += timer.ElapsedMillis();
+    const rst::IurTree tree = rst::IurTree::Build(items, {});
+    build_ms += timer.ElapsedMillis();
   }
-  build1_ms /= static_cast<double>(reps);
-  buildn_ms /= static_cast<double>(reps);
+  build_ms /= static_cast<double>(reps);
 
   rst::Stopwatch lifecycle;
   const FrozenTree frozen = FrozenTree::Freeze(env.ciur);
@@ -115,15 +102,12 @@ int main() {
   PrintTitle("micro_frozen: frozen flat-layout index  (|D|=" +
              std::to_string(env.dataset.size()) + ", " +
              std::to_string(queries.size()) + " queries, k=" +
-             std::to_string(params.k) + ", " + std::to_string(cores) +
-             " core(s))");
+             std::to_string(params.k) + ")");
   PrintHeader({"index", "wall_ms", "|ans|"});
   for (const Measurement& m : series) {
     PrintRow({m.index, Fmt(m.wall_ms), FmtInt(m.answers)});
   }
-  std::printf("\nbuild: %.2f ms serial, %.2f ms at %zu threads (%.2fx)\n",
-              build1_ms, buildn_ms, build_threads,
-              buildn_ms > 0 ? build1_ms / buildn_ms : 0.0);
+  std::printf("\nbuild: %.2f ms\n", build_ms);
   std::printf("freeze: %.2f ms, serialize: %.2f ms (%zu bytes), load: %.2f ms\n",
               freeze_ms, serialize_ms, bytes.size(), load_ms);
 
@@ -139,12 +123,8 @@ int main() {
   writer.Uint(queries.size());
   writer.Key("k");
   writer.Uint(params.k);
-  writer.Key("build_serial_ms");
-  writer.Double(build1_ms);
-  writer.Key("build_threads");
-  writer.Uint(build_threads);
-  writer.Key("build_parallel_ms");
-  writer.Double(buildn_ms);
+  writer.Key("build_ms");
+  writer.Double(build_ms);
   writer.Key("freeze_ms");
   writer.Double(freeze_ms);
   writer.Key("serialize_ms");

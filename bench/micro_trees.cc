@@ -1,48 +1,14 @@
-// Microbenchmarks for the index structures: R-tree bulk load and kNN, IUR-tree
-// construction, and top-k search latency.
+// Microbenchmarks for the index structures: IUR-tree construction and top-k
+// search latency.
 
 #include <benchmark/benchmark.h>
 
 #include "rst/common/rng.h"
 #include "rst/data/generators.h"
-#include "rst/rtree/rtree.h"
 #include "rst/topk/topk.h"
 
 namespace rst {
 namespace {
-
-std::vector<std::pair<ObjectId, Rect>> RandomPoints(size_t n) {
-  Rng rng(7);
-  std::vector<std::pair<ObjectId, Rect>> items;
-  for (size_t i = 0; i < n; ++i) {
-    items.push_back({static_cast<ObjectId>(i),
-                     Rect::FromPoint({rng.Uniform(0, 100),
-                                      rng.Uniform(0, 100)})});
-  }
-  return items;
-}
-
-void BM_RTreeBulkLoad(benchmark::State& state) {
-  const auto items = RandomPoints(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto copy = items;
-    RTree tree = RTree::BulkLoad(std::move(copy));
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * items.size());
-}
-BENCHMARK(BM_RTreeBulkLoad)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_RTreeKnn(benchmark::State& state) {
-  RTree tree = RTree::BulkLoad(RandomPoints(50000));
-  Rng rng(9);
-  for (auto _ : state) {
-    const Point p{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    benchmark::DoNotOptimize(
-        tree.KnnQuery(p, static_cast<size_t>(state.range(0))));
-  }
-}
-BENCHMARK(BM_RTreeKnn)->Arg(1)->Arg(10)->Arg(100);
 
 struct TopKEnv {
   Dataset dataset;

@@ -5,7 +5,6 @@
 #include "bench_common.h"
 
 #include "rst/common/stopwatch.h"
-#include "rst/rtree/rtree.h"
 
 int main() {
   using namespace rst::bench;
@@ -20,14 +19,18 @@ int main() {
   PrintHeader({"structure", "build_ms", "size_MB", "nodes", "height"});
 
   {
+    // The spatial-only reference: the same STR packing over the same
+    // points, every document empty (the packing reads only locations).
     Stopwatch timer;
-    std::vector<std::pair<ObjectId, Rect>> items;
+    const TermVector no_text;
+    std::vector<IurTree::Item> items;
     for (const StObject& o : env.dataset.objects()) {
-      items.push_back({o.id, Rect::FromPoint(o.loc)});
+      items.push_back({o.id, o.loc, &no_text});
     }
-    const RTree rtree = RTree::BulkLoad(std::move(items));
-    PrintRow({"rtree", Fmt(timer.ElapsedMillis()), "-",
-              FmtInt(rtree.NodeCount()), FmtInt(rtree.height())});
+    const IurTree str = IurTree::Build(std::move(items), {});
+    PrintRow({"str-no-text", Fmt(timer.ElapsedMillis()),
+              Fmt(static_cast<double>(str.IndexBytes()) / (1 << 20)),
+              FmtInt(str.NodeCount()), FmtInt(str.height())});
   }
   {
     Stopwatch timer;

@@ -12,12 +12,6 @@ void Rect::Extend(const Rect& r) {
   max_y = std::max(max_y, r.max_y);
 }
 
-double Rect::Enlargement(const Rect& r) const {
-  Rect grown = *this;
-  grown.Extend(r);
-  return grown.Area() - (empty() ? 0.0 : Area());
-}
-
 std::string Rect::ToString() const {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "[(%g,%g)-(%g,%g)]", min_x, min_y, max_x,
@@ -55,19 +49,6 @@ double MaxDistance(const Rect& a, const Rect& b) {
   const double dy = std::max(std::abs(a.max_y - b.min_y),
                              std::abs(b.max_y - a.min_y));
   return std::hypot(dx, dy);
-}
-
-Rect Union(const Rect& a, const Rect& b) {
-  Rect out = a;
-  out.Extend(b);
-  return out;
-}
-
-double IntersectionArea(const Rect& a, const Rect& b) {
-  const double w = std::min(a.max_x, b.max_x) - std::max(a.min_x, b.min_x);
-  const double h = std::min(a.max_y, b.max_y) - std::max(a.min_y, b.min_y);
-  if (w <= 0.0 || h <= 0.0) return 0.0;
-  return w * h;
 }
 
 }  // namespace rst

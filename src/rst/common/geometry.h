@@ -20,7 +20,7 @@ struct Point {
 };
 
 /// Axis-aligned rectangle (MBR). An "empty" rectangle has min > max and acts
-/// as the identity for Extend/Union operations.
+/// as the identity for Extend.
 struct Rect {
   double min_x = std::numeric_limits<double>::infinity();
   double min_y = std::numeric_limits<double>::infinity();
@@ -35,10 +35,6 @@ struct Rect {
 
   bool empty() const { return min_x > max_x || min_y > max_y; }
 
-  double width() const { return empty() ? 0.0 : max_x - min_x; }
-  double height() const { return empty() ? 0.0 : max_y - min_y; }
-  double Area() const { return width() * height(); }
-  double Perimeter() const { return 2.0 * (width() + height()); }
   Point Center() const {
     return Point{(min_x + max_x) / 2.0, (min_y + max_y) / 2.0};
   }
@@ -46,21 +42,10 @@ struct Rect {
   bool Contains(const Point& p) const {
     return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
   }
-  bool Contains(const Rect& r) const {
-    return !r.empty() && r.min_x >= min_x && r.max_x <= max_x &&
-           r.min_y >= min_y && r.max_y <= max_y;
-  }
-  bool Intersects(const Rect& r) const {
-    return !empty() && !r.empty() && r.min_x <= max_x && r.max_x >= min_x &&
-           r.min_y <= max_y && r.max_y >= min_y;
-  }
 
   /// Grows this rectangle to cover `r` (no-op if `r` is empty).
   void Extend(const Rect& r);
   void Extend(const Point& p) { Extend(FromPoint(p)); }
-
-  /// Area increase caused by extending this rectangle to cover `r`.
-  double Enlargement(const Rect& r) const;
 
   std::string ToString() const;
 
@@ -86,12 +71,6 @@ double MinDistance(const Rect& a, const Rect& b);
 
 /// Maximum Euclidean distance between any two points of `a` and `b`.
 double MaxDistance(const Rect& a, const Rect& b);
-
-/// Union of two rectangles (MBR of both).
-Rect Union(const Rect& a, const Rect& b);
-
-/// Area of the intersection (0 when disjoint).
-double IntersectionArea(const Rect& a, const Rect& b);
 
 }  // namespace rst
 

@@ -10,7 +10,6 @@
 #include "rst/common/stopwatch.h"
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
-#include "rst/obs/trace.h"
 #include "rst/storage/node_size.h"
 #include "rst/storage/varint.h"
 
@@ -102,9 +101,8 @@ TermSlice AppendToPool(const TermVector& vec, std::vector<TermWeight>* pool) {
 
 }  // namespace
 
-FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
+FrozenTree FrozenTree::Freeze(const IurTree& tree) {
   Stopwatch timer;
-  obs::TraceSpan freeze_span(trace, obs::names::kSpanFrozenFreeze);
   FrozenTree out;
   out.size_ = tree.size();
   out.clustered_ = tree.clustered();
@@ -129,7 +127,6 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
   // Layout walk: a stack preorder (children pushed in reverse so they pop in
   // entry order; a popped node's entries get consecutive indices). Entry
   // index i carries explain id i + 1, a function of tree structure alone.
-  if (trace != nullptr) trace->Enter(obs::names::kSpanFrozenLayout);
   struct Frame {
     const IurTree::Node* node;
     uint32_t level;
@@ -171,7 +168,6 @@ FrozenTree FrozenTree::Freeze(const IurTree& tree, obs::QueryTrace* trace) {
   for (const auto& [entry_id, child] : child_links) {
     out.entry_child_[entry_id] = node_index.at(child);
   }
-  if (trace != nullptr) trace->Exit();  // layout
   out.index_bytes_ = tree.IndexBytes();
 
   const FrozenMetrics& metrics = FrozenMetrics::Get();

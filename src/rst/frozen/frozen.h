@@ -14,10 +14,6 @@
 
 namespace rst {
 
-namespace obs {
-class QueryTrace;
-}  // namespace obs
-
 namespace frozen {
 
 /// (offset, len) reference into the shared term-weight pool.
@@ -69,11 +65,9 @@ class FrozenTree {
   FrozenTree(FrozenTree&&) noexcept = default;
   FrozenTree& operator=(FrozenTree&&) noexcept = default;
 
-  /// Snapshots a built tree, copying its node lengths. Records
-  /// `frozen.freeze` spans on `trace` and publishes frozen.freezes /
-  /// frozen.freeze.last_ms.
-  static FrozenTree Freeze(const IurTree& tree,
-                           obs::QueryTrace* trace = nullptr);
+  /// Snapshots a built tree, copying its node lengths. Publishes
+  /// frozen.freezes / frozen.freeze.last_ms.
+  static FrozenTree Freeze(const IurTree& tree);
 
   // --- Topology (node/entry indices; root node is 0) ---
   uint32_t num_nodes() const { return static_cast<uint32_t>(node_leaf_.size()); }

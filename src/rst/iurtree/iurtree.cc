@@ -6,10 +6,8 @@
 
 #include "rst/common/check.h"
 #include "rst/common/stopwatch.h"
-#include "rst/exec/thread_pool.h"
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
-#include "rst/obs/trace.h"
 #include "rst/storage/node_size.h"
 
 namespace rst {
@@ -26,7 +24,6 @@ struct BuildMetrics {
   obs::Counter leaves_total;
   obs::Gauge last_build_ms;
   obs::Gauge last_node_count;
-  obs::Gauge parallel_ms;  ///< slab-sort phase of the last bulk load
   obs::HistogramRef fanout;
 
   static const BuildMetrics& Get() {
@@ -38,7 +35,6 @@ struct BuildMetrics {
       m.leaves_total = registry.GetCounter(obs::names::kIurtreeBuildLeafNodes);
       m.last_build_ms = registry.GetGauge(obs::names::kIurtreeBuildLastMs);
       m.last_node_count = registry.GetGauge(obs::names::kIurtreeBuildLastNodeCount);
-      m.parallel_ms = registry.GetGauge(obs::names::kIurtreeBuildParallelMs);
       // Fanout never exceeds max_entries (<= 64 in every configuration used
       // here); linear buckets of width 4 resolve underfull nodes.
       m.fanout = registry.GetHistogram(obs::names::kIurtreeFanout,
@@ -129,28 +125,15 @@ void PublishBuildMetrics(const IurTree& tree, double build_ms) {
 }  // namespace
 
 IurTree IurTree::Build(std::vector<Item> items, const IurTreeOptions& options,
-                       const std::vector<uint32_t>* cluster_of,
-                       obs::QueryTrace* trace) {
+                       const std::vector<uint32_t>* cluster_of) {
   Stopwatch build_timer;
-  obs::TraceSpan build_span(trace, obs::names::kSpanIurtreeBuild);
   IurTree tree(options);
   tree.clustered_ = cluster_of != nullptr;
   tree.size_ = items.size();
 
-  // The slab y-sorts are the only parallel phase; the slabs are disjoint
-  // ranges of the x-sorted level array, so the packed tree is identical at
-  // every thread count. The pool is created lazily — pure serial builds
-  // (build_threads <= 1) never construct one.
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (options.build_threads > 1) {
-    pool = std::make_unique<exec::ThreadPool>(options.build_threads);
-  }
-  double parallel_ms = 0.0;
-
   if (!items.empty()) {
     const size_t cap = options.max_entries;
 
-    if (trace != nullptr) trace->Enter(obs::names::kSpanPack);
     std::vector<Entry> level;
     level.reserve(items.size());
     for (const Item& item : items) {
@@ -176,32 +159,14 @@ IurTree IurTree::Build(std::vector<Item> items, const IurTreeOptions& options,
         return a.rect.Center().x < b.rect.Center().x;
       });
 
-      std::vector<std::pair<size_t, size_t>> slabs;
-      slabs.reserve((n + slab_size - 1) / slab_size);
+      std::vector<Entry> parents;
       for (size_t slab_begin = 0; slab_begin < n; slab_begin += slab_size) {
-        slabs.push_back({slab_begin, std::min(slab_begin + slab_size, n)});
-      }
-      const auto sort_slab = [&level](const std::pair<size_t, size_t>& slab) {
-        std::sort(level.begin() + static_cast<ptrdiff_t>(slab.first),
-                  level.begin() + static_cast<ptrdiff_t>(slab.second),
+        const size_t slab_end = std::min(slab_begin + slab_size, n);
+        std::sort(level.begin() + static_cast<ptrdiff_t>(slab_begin),
+                  level.begin() + static_cast<ptrdiff_t>(slab_end),
                   [](const Entry& a, const Entry& b) {
                     return a.rect.Center().y < b.rect.Center().y;
                   });
-      };
-      {
-        Stopwatch slab_timer;
-        if (pool != nullptr && slabs.size() > 1) {
-          pool->ParallelFor(slabs.size(), 1, [&](size_t s, size_t /*worker*/) {
-            sort_slab(slabs[s]);
-          });
-        } else {
-          for (const auto& slab : slabs) sort_slab(slab);
-        }
-        parallel_ms += slab_timer.ElapsedMillis();
-      }
-
-      std::vector<Entry> parents;
-      for (const auto& [slab_begin, slab_end] : slabs) {
         for (size_t begin = slab_begin; begin < slab_end; begin += cap) {
           const size_t end = std::min(begin + cap, slab_end);
           Node* node = tree.NewNode();
@@ -226,54 +191,48 @@ IurTree IurTree::Build(std::vector<Item> items, const IurTreeOptions& options,
       tree.root_->leaf = false;
       for (Entry& e : level) tree.root_->entries.push_back(std::move(e));
     }
-    if (trace != nullptr) trace->Exit();  // pack
   } else {
     tree.root_ = tree.NewNode();  // an empty leaf
   }
 
   // Single publish point: every path — empty input, single-leaf small input,
   // full STR pack — measures storage and publishes exactly once, here.
-  {
-    obs::TraceSpan finalize_span(trace, obs::names::kSpanFinalizeStorage);
-    std::vector<Node*> stack = {tree.root_};
-    std::vector<SizedEntry> entries;
-    std::vector<SizedCluster> clusters;
-    while (!stack.empty()) {
-      Node* node = stack.back();
-      stack.pop_back();
-      entries.clear();
-      clusters.clear();
-      for (const Entry& e : node->entries) {
-        entries.push_back({e.id, AsSpan(e.summary),
-                           static_cast<uint32_t>(clusters.size()),
-                           static_cast<uint32_t>(e.clusters.size())});
-        for (const auto& [cluster_id, summary] : e.clusters) {
-          clusters.push_back({cluster_id, AsSpan(summary)});
-        }
-      }
-      const NodeSizes sizes = MeasureNode(entries, clusters, tree.clustered_);
-      node->invfile_bytes = static_cast<uint32_t>(sizes.invfile_bytes);
-      tree.index_bytes_ += sizes.record_bytes + sizes.invfile_bytes;
-      if (!node->leaf) {
-        for (const Entry& e : node->entries) stack.push_back(e.child);
+  std::vector<Node*> stack = {tree.root_};
+  std::vector<SizedEntry> entries;
+  std::vector<SizedCluster> clusters;
+  while (!stack.empty()) {
+    Node* node = stack.back();
+    stack.pop_back();
+    entries.clear();
+    clusters.clear();
+    for (const Entry& e : node->entries) {
+      entries.push_back({e.id, AsSpan(e.summary),
+                         static_cast<uint32_t>(clusters.size()),
+                         static_cast<uint32_t>(e.clusters.size())});
+      for (const auto& [cluster_id, summary] : e.clusters) {
+        clusters.push_back({cluster_id, AsSpan(summary)});
       }
     }
+    const NodeSizes sizes = MeasureNode(entries, clusters, tree.clustered_);
+    node->invfile_bytes = static_cast<uint32_t>(sizes.invfile_bytes);
+    tree.index_bytes_ += sizes.record_bytes + sizes.invfile_bytes;
+    if (!node->leaf) {
+      for (const Entry& e : node->entries) stack.push_back(e.child);
+    }
   }
-  BuildMetrics::Get().parallel_ms.Set(parallel_ms);
   PublishBuildMetrics(tree, build_timer.ElapsedMillis());
   return tree;
 }
 
 IurTree IurTree::BuildFromDataset(const Dataset& dataset,
                                   const IurTreeOptions& options,
-                                  const std::vector<uint32_t>* cluster_of,
-                                  obs::QueryTrace* trace) {
+                                  const std::vector<uint32_t>* cluster_of) {
   std::vector<Item> items;
   items.reserve(dataset.size());
   for (const StObject& obj : dataset.objects()) {
     items.push_back({obj.id, obj.loc, &obj.doc});
   }
-  return Build(std::move(items), options, cluster_of, trace);
+  return Build(std::move(items), options, cluster_of);
 }
 
 IurTree IurTree::BuildFromUsers(const std::vector<StUser>& users,

@@ -13,10 +13,6 @@
 
 namespace rst {
 
-namespace obs {
-class QueryTrace;
-}  // namespace obs
-
 /// The IUR-tree (Intersection–Union R-tree) of the 2011 RSTkNN paper: an
 /// R-tree whose every entry additionally carries a text summary — the
 /// per-term maximum (union vector) and minimum (intersection vector) weights
@@ -35,10 +31,6 @@ class QueryTrace;
 /// text bounds on topic-mixed nodes (see EntryTextBounds).
 struct IurTreeOptions {
   size_t max_entries = 32;
-  /// Worker threads for the STR bulk-load slab sorts. The slabs are disjoint
-  /// ranges of one level array, so the resulting tree is identical at every
-  /// thread count. 1 = fully serial (no pool is created).
-  size_t build_threads = 1;
 };
 
 /// Min/max text-similarity bounds of a node/entry against a query summary.
@@ -85,23 +77,20 @@ class IurTree {
     const TermVector* doc = nullptr;  ///< must outlive the tree
   };
 
-  /// STR bulk load — the only way to make a tree, which never changes
-  /// afterwards. Summaries are computed bottom-up, then every node's lengths
-  /// are measured once (MeasureNode; no node is encoded). If
-  /// `cluster_of` is non-null it maps item *ids* to cluster ids and the
-  /// result is a CIUR-tree. An optional trace records build-phase spans
-  /// (pack, finalize_storage); node counts and the fanout histogram always go
-  /// to the global metric registry (`iurtree.*`).
+  /// STR bulk load — the only way to make a spatial index, which never
+  /// changes afterwards. The packing reads only the item locations, so items
+  /// with empty documents give the plain STR R-tree. Summaries are computed
+  /// bottom-up, then every node's lengths are measured once (MeasureNode; no
+  /// node is encoded). If `cluster_of` is non-null it maps item *ids* to
+  /// cluster ids and the result is a CIUR-tree. Node counts and the fanout
+  /// histogram go to the global metric registry (`iurtree.*`).
   static IurTree Build(std::vector<Item> items, const IurTreeOptions& options,
-                       const std::vector<uint32_t>* cluster_of = nullptr,
-                       obs::QueryTrace* trace = nullptr);
+                       const std::vector<uint32_t>* cluster_of = nullptr);
 
   /// Convenience builders. The dataset/users must outlive the tree.
-  static IurTree BuildFromDataset(const Dataset& dataset,
-                                  const IurTreeOptions& options,
-                                  const std::vector<uint32_t>* cluster_of =
-                                      nullptr,
-                                  obs::QueryTrace* trace = nullptr);
+  static IurTree BuildFromDataset(
+      const Dataset& dataset, const IurTreeOptions& options,
+      const std::vector<uint32_t>* cluster_of = nullptr);
   static IurTree BuildFromUsers(const std::vector<StUser>& users,
                                 const IurTreeOptions& options);
 

@@ -156,27 +156,4 @@ std::string HeatmapRecorder::ToJson(size_t max_nodes) const {
   return writer.TakeString();
 }
 
-std::string HeatmapRecorder::ToString() const {
-  std::ostringstream os;
-  os << "heatmap: " << queries_ << " queries, " << decisions()
-     << " decisions over " << nodes_.size() << " nodes — prune="
-     << totals_.pruned << " expand=" << totals_.expanded
-     << " report_hit=" << totals_.reported_hit
-     << " report_miss=" << totals_.reported_miss << "\n";
-  for (const DecisionCounters& level : LevelSummaries()) {
-    const uint64_t decided = level.pruned + level.reported_miss;
-    os << "  level " << level.level << ": visits=" << level.visits
-       << " prune=" << level.pruned << " expand=" << level.expanded
-       << " report_hit=" << level.reported_hit
-       << " report_miss=" << level.reported_miss << " obj_pruned="
-       << level.objects_pruned << " obj_reported=" << level.objects_reported;
-    if (level.visits > 0) {
-      os << " prune_rate=" << static_cast<double>(decided) /
-                                  static_cast<double>(level.visits);
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
 }  // namespace rst::obs

@@ -68,8 +68,6 @@ class HeatmapRecorder {
   void AppendJson(JsonWriter* writer, size_t max_nodes = 0) const;
   std::string ToJson(size_t max_nodes = 0) const;
 
-  std::string ToString() const;
-
  private:
   uint64_t queries_ = 0;
   DecisionCounters totals_;

@@ -35,7 +35,6 @@ inline constexpr char kIurtreeBuildLeafNodes[] = "iurtree.build.leaf_nodes";
 inline constexpr char kIurtreeBuildLastMs[] = "iurtree.build.last_ms";
 inline constexpr char kIurtreeBuildLastNodeCount[] =
     "iurtree.build.last_node_count";
-inline constexpr char kIurtreeBuildParallelMs[] = "iurtree.build.parallel_ms";
 inline constexpr char kIurtreeFanout[] = "iurtree.fanout";
 
 // --- topk ---
@@ -142,15 +141,10 @@ inline constexpr char kTraceRstknn[] = "rstknn";
 inline constexpr char kTraceMaxbrst[] = "maxbrst";
 
 // --- TraceSpan labels ---
-inline constexpr char kSpanIurtreeBuild[] = "iurtree.build";
-inline constexpr char kSpanPack[] = "pack";
-inline constexpr char kSpanFinalizeStorage[] = "finalize_storage";
 inline constexpr char kSpanTopkSearch[] = "topk.search";
 inline constexpr char kSpanMaxbrstFilter[] = "maxbrst.filter";
 inline constexpr char kSpanMaxbrstSelect[] = "maxbrst.select";
 inline constexpr char kSpanMaxbrstEvaluate[] = "maxbrst.evaluate";
-inline constexpr char kSpanFrozenFreeze[] = "frozen.freeze";
-inline constexpr char kSpanFrozenLayout[] = "layout";
 inline constexpr char kSpanSetup[] = "setup";
 inline constexpr char kSpanExpand[] = "expand";
 inline constexpr char kSpanPick[] = "pick";

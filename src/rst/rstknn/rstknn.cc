@@ -155,7 +155,7 @@ struct QueryContext {
     se.objects = tree.Count(e) - (se.contains_self ? 1 : 0);
     se.priority = se.q_max;
     if (options.expand == ExpandPolicy::kTextEntropy) {
-      se.priority += options.entropy_weight * EntryClusterEntropy(tree, e);
+      se.priority += kEntropyWeight * EntryClusterEntropy(tree, e);
     }
     ++stats()->entries_created;
     return se;

@@ -17,6 +17,7 @@ namespace obs {
 class ExplainRecorder;
 class HeatmapRecorder;
 class PhaseProfiler;
+class QueryTrace;
 }  // namespace obs
 
 /// The Reverse Spatial-Textual k Nearest Neighbor query (SIGMOD 2011):
@@ -86,8 +87,6 @@ class ProbeScratch {
 struct RstknnOptions {
   RstknnAlgorithm algorithm = RstknnAlgorithm::kProbe;
   ExpandPolicy expand = ExpandPolicy::kBestFirst;
-  /// Weight of the entropy term under kTextEntropy.
-  double entropy_weight = 0.25;
   /// The four instruments below (trace, profiler, explain, heatmap) feed
   /// one per-query seam inside the search (DESIGN.md §9): with a trace or a
   /// profiler attached, the search times each of its regions once into a

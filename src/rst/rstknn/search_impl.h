@@ -200,6 +200,10 @@ inline TextBounds SideTextBounds(const FrozenTree& tree, const TextSide& a,
   return bounds;
 }
 
+/// Weight of the cluster-entropy term in an entry's TE expansion priority
+/// (q_max + kEntropyWeight * EntryClusterEntropy).
+inline constexpr double kEntropyWeight = 0.25;
+
 /// The TE expansion bias of entry `e`: the entropy of its cluster sizes (0
 /// on an unclustered tree).
 inline double EntryClusterEntropy(const FrozenTree& tree, uint32_t e) {

@@ -27,11 +27,6 @@ struct QueueItem {
   }
 };
 
-/// True iff `candidate` contains every term of `required`.
-bool ContainsAllTerms(const TermVector& candidate, const TermVector& required) {
-  return candidate.OverlapCount(required) == required.size();
-}
-
 /// Cached registry handles — Search runs microseconds-hot (the precompute
 /// baseline and the MaxBRSTkNN joint algorithm issue one per object/user),
 /// so the per-query publishing cost must stay at a few relaxed atomic adds.
@@ -87,18 +82,10 @@ std::vector<TopKResult> TopKSearcher::Search(const TopKQuery& query,
       if (e.is_object()) {
         if (e.id == query.exclude) continue;
         const StObject& obj = dataset_->object(e.id);
-        if (query.require_all_terms &&
-            !ContainsAllTerms(obj.doc, *query.doc)) {
-          continue;
-        }
         const double score =
             scorer_->Score(obj.loc, obj.doc, query.loc, *query.doc);
         pq.push({score, true, e.id, nullptr});
       } else {
-        if (query.require_all_terms &&
-            !ContainsAllTerms(e.summary.uni, *query.doc)) {
-          continue;  // some required term appears nowhere in the subtree
-        }
         const TextBounds tb = EntryTextBounds(e, qside, scorer_->text());
         const double upper =
             alpha * scorer_->SpatialSim(MinDistance(query.loc, e.rect)) +
@@ -124,10 +111,6 @@ std::vector<TopKResult> BruteForceTopK(const Dataset& dataset,
   all.reserve(dataset.size());
   for (const StObject& obj : dataset.objects()) {
     if (obj.id == query.exclude) continue;
-    if (query.require_all_terms &&
-        obj.doc.OverlapCount(*query.doc) != query.doc->size()) {
-      continue;
-    }
     all.push_back(
         {obj.id, scorer.Score(obj.loc, obj.doc, query.loc, *query.doc)});
   }

@@ -10,6 +10,10 @@
 
 namespace rst {
 
+namespace obs {
+class QueryTrace;
+}  // namespace obs
+
 /// One ranked answer of a top-k query.
 struct TopKResult {
   ObjectId id = 0;
@@ -29,10 +33,6 @@ struct TopKQuery {
   /// Optionally exclude one object (used when computing an object's own kNN
   /// among the rest of the collection).
   ObjectId exclude = IurTree::kNoObject;
-  /// Boolean AND semantics: only objects containing *every* query term
-  /// qualify (ranking among qualifiers unchanged). Subtrees whose union
-  /// vector misses a query term are pruned wholesale.
-  bool require_all_terms = false;
 };
 
 /// Best-first top-k search over an IUR-/IR-tree (Cong et al. 2009 style):

@@ -449,24 +449,5 @@ TEST(FrozenTreeTest, CheckMatchesDatasetRejectsAForeignSnapshot) {
                   .ok());
 }
 
-TEST(FrozenTreeTest, ParallelBuildProducesIdenticalFrozenBytes) {
-  FlickrLikeConfig config;
-  config.num_objects = 500;
-  config.vocab_size = 200;
-  config.seed = 13;
-  const Dataset dataset = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  IurTreeOptions serial;
-  serial.max_entries = 8;
-  IurTreeOptions parallel = serial;
-  parallel.build_threads = 4;
-  const IurTree t1 = IurTree::BuildFromDataset(dataset, serial);
-  const IurTree t4 = IurTree::BuildFromDataset(dataset, parallel);
-  // The slab sorts are disjoint ranges of one level array, so the packed
-  // tree — and hence the canonical frozen serialization — is identical at
-  // every thread count.
-  EXPECT_EQ(frozen::FrozenTree::Freeze(t1).SerializeToString(),
-            frozen::FrozenTree::Freeze(t4).SerializeToString());
-}
-
 }  // namespace
 }  // namespace rst

@@ -50,15 +50,6 @@ TEST(IurTreeInvariantsTest, SerialBuildValidates) {
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
-TEST(IurTreeInvariantsTest, ParallelBuildValidates) {
-  const Dataset d = SmallDataset(900);
-  IurTreeOptions options;
-  options.build_threads = 4;
-  const IurTree tree = IurTree::BuildFromDataset(d, options);
-  const Status s = tree.CheckInvariants(DocLookup(d));
-  EXPECT_TRUE(s.ok()) << s.ToString();
-}
-
 TEST(IurTreeInvariantsTest, ClusteredBuildValidates) {
   const Dataset d = SmallDataset(700);
   std::vector<TermVector> docs;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "rst/data/generators.h"
+#include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/storage/node_size.h"
 
@@ -86,18 +87,45 @@ TEST(IurTreeTest, SmallInputsFinalizeStorageLikeTheFullPath) {
   }
 }
 
-TEST(IurTreeTest, ParallelBuildIsDeterministic) {
-  const Dataset d = SmallDataset(900, 3);
-  IurTreeOptions serial;
-  IurTreeOptions threaded;
-  threaded.build_threads = 4;
-  const IurTree a = IurTree::BuildFromDataset(d, serial);
-  const IurTree b = IurTree::BuildFromDataset(d, threaded);
-  EXPECT_TRUE(b.CheckInvariants(DocLookup(d)).ok());
-  // Identical structure ⇒ identical serialized payload stream.
-  EXPECT_EQ(a.NodeCount(), b.NodeCount());
-  EXPECT_EQ(a.height(), b.height());
-  EXPECT_EQ(a.IndexBytes(), b.IndexBytes());
+TEST(IurTreeTest, PackingDependsOnlyOnLocations) {
+  // The STR packing reads only item locations: the same points built with
+  // their documents and with empty documents give the same tree shape and
+  // the same entry rectangles (and object ids) in frozen preorder, which is
+  // what lets the text-less build stand in for a plain R-tree.
+  const Dataset d = SmallDataset(700, 5);
+  std::vector<TermVector> docs;
+  for (const StObject& o : d.objects()) docs.push_back(o.doc);
+  ClusteringOptions copts;
+  copts.num_clusters = 4;
+  const ClusteringResult clusters = ClusterDocuments(docs, copts);
+  const TermVector no_text;
+  std::vector<IurTree::Item> with_text;
+  std::vector<IurTree::Item> without_text;
+  for (const StObject& o : d.objects()) {
+    with_text.push_back({o.id, o.loc, &o.doc});
+    without_text.push_back({o.id, o.loc, &no_text});
+  }
+  for (const std::vector<uint32_t>* cluster_of :
+       {static_cast<const std::vector<uint32_t>*>(nullptr),
+        &clusters.assignment}) {
+    for (size_t max_entries : {6u, 32u}) {
+      const std::string what = std::string(cluster_of ? "ciur" : "iur") +
+                               " max_entries=" + std::to_string(max_entries);
+      IurTreeOptions options;
+      options.max_entries = max_entries;
+      const IurTree a = IurTree::Build(with_text, options, cluster_of);
+      const IurTree b = IurTree::Build(without_text, options, cluster_of);
+      ASSERT_EQ(a.NodeCount(), b.NodeCount()) << what;
+      ASSERT_EQ(a.height(), b.height()) << what;
+      const frozen::FrozenTree fa = frozen::FrozenTree::Freeze(a);
+      const frozen::FrozenTree fb = frozen::FrozenTree::Freeze(b);
+      ASSERT_EQ(fa.num_entries(), fb.num_entries()) << what;
+      for (uint32_t e = 0; e < fa.num_entries(); ++e) {
+        ASSERT_EQ(fa.EntryRect(e), fb.EntryRect(e)) << what << " entry " << e;
+        ASSERT_EQ(fa.ObjectIdOf(e), fb.ObjectIdOf(e)) << what << " entry " << e;
+      }
+    }
+  }
 }
 
 TEST(IurTreeTest, NodeSummariesBracketSubtreeDocs) {

@@ -177,7 +177,7 @@ def main():
         for bad in (["--id", "3", "--threads", "-1"],
                     ["--id", "3", "--threads", "0"],
                     ["--id", "3", "--threads", "two"],
-                    ["--id", "3", "--build-threads", "0"],
+                    ["--id", "3", "--build-threads", "4"],
                     ["--ids", "3 x"],
                     ["--ids", "4294967299"],
                     ["--ids", ""],

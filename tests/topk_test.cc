@@ -143,66 +143,6 @@ TEST(TopKTest, ClusteredTreeSameAnswersLowerOrEqualWork) {
   }
 }
 
-TEST(TopKTest, BooleanAndSemanticsMatchBruteForce) {
-  FlickrLikeConfig config;
-  config.num_objects = 2000;
-  config.vocab_size = 150;  // dense vocabulary so conjunctions have matches
-  const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
-  TextSimilarity sim(TextMeasure::kExtendedJaccard);
-  StScorer scorer(&sim, {0.5, d.max_dist()});
-  TopKSearcher searcher(&tree, &d, &scorer);
-  Rng rng(71);
-  for (int trial = 0; trial < 20; ++trial) {
-    // Conjunctions of 1-3 terms taken from a random object (so at least one
-    // match exists), plus occasionally a random pair (possibly unsatisfiable).
-    TermVector qdoc;
-    if (trial % 4 == 3) {
-      qdoc = TermVector::FromTerms(
-          {static_cast<TermId>(rng.UniformInt(uint64_t{150})),
-           static_cast<TermId>(rng.UniformInt(uint64_t{150}))});
-    } else {
-      const StObject& donor = d.object(
-          static_cast<ObjectId>(rng.UniformInt(uint64_t{d.size()})));
-      qdoc = donor.doc.TopKByWeight(1 + trial % 3);
-    }
-    TopKQuery q;
-    q.loc = Point{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    q.doc = &qdoc;
-    q.k = 10;
-    q.require_all_terms = true;
-    const auto got = searcher.Search(q);
-    const auto expected = BruteForceTopK(d, scorer, q);
-    ASSERT_EQ(got.size(), expected.size()) << "trial " << trial;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, expected[i].id) << "trial " << trial;
-    }
-    // Every result really contains all query terms.
-    for (const TopKResult& r : got) {
-      EXPECT_EQ(d.object(r.id).doc.OverlapCount(qdoc), qdoc.size());
-    }
-  }
-}
-
-TEST(TopKTest, BooleanModePrunesMoreThanRankedMode) {
-  FlickrLikeConfig config;
-  config.num_objects = 3000;
-  const Dataset d = GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
-  const IurTree tree = IurTree::BuildFromDataset(d, {});
-  TextSimilarity sim(TextMeasure::kExtendedJaccard);
-  StScorer scorer(&sim, {0.5, d.max_dist()});
-  TopKSearcher searcher(&tree, &d, &scorer);
-  // A rare conjunction: two low-frequency terms.
-  const TermVector qdoc = TermVector::FromTerms({1900, 1950});
-  TopKQuery q{Point{50, 50}, &qdoc, 10, IurTree::kNoObject,
-              /*require_all_terms=*/true};
-  IoStats strict_io, ranked_io;
-  searcher.Search(q, &strict_io);
-  q.require_all_terms = false;
-  searcher.Search(q, &ranked_io);
-  EXPECT_LE(strict_io.TotalIos(), ranked_io.TotalIos());
-}
-
 TEST(TopKTest, IoGrowsWithK) {
   FlickrLikeConfig config;
   config.num_objects = 3000;

@@ -50,12 +50,17 @@
 //                       rebuilding the tree (--data must still name the
 //                       dataset the index was built from; a snapshot whose
 //                       object count or ids do not fit it exits 1)
-//   --build-threads N   worker threads for the STR bulk-load slab sorts
-//                       (default 1; any N produces the identical tree)
-//   --check-invariants  run the deep structural validation (DESIGN.md §11.2)
-//                       over the index before answering — summary domination,
-//                       tight MBRs, level leaves, cluster partitions; exits
-//                       non-zero with the precise violation on corruption
+//   --check-invariants  validate the index before answering (DESIGN.md
+//                       §11.2); exits non-zero with the precise violation on
+//                       corruption. A built tree gets the deep check (tight
+//                       MBRs, summaries equal to the merge of their children,
+//                       cluster partitions, level leaves, summary domination)
+//                       and then the snapshot check. A loaded snapshot gets
+//                       only the snapshot check (links, levels, pool slices,
+//                       sorted non-negative weights, summary domination) on
+//                       top of the leaf match every --load-index runs; its
+//                       MBR tightness, summary merges and cluster partitions
+//                       are not checked
 //
 // Profiling flags (rstknn; DESIGN.md §12):
 //   --profile           attribute each query's wall time into the fixed phase
@@ -691,11 +696,8 @@ int CmdRstknn(const Flags& flags) {
     return 2;
   }
   size_t threads = 1;
-  size_t build_threads = 1;
   if (!tools::ParseThreadCount(flags.Get("threads", "1"), "threads",
-                               &threads) ||
-      !tools::ParseThreadCount(flags.Get("build-threads", "1"),
-                               "build-threads", &build_threads)) {
+                               &threads)) {
     return 2;
   }
 
@@ -747,10 +749,11 @@ int CmdRstknn(const Flags& flags) {
   // build entirely.
   const bool load_index = flags.Has("load-index");
   const bool save_index = flags.Has("save-index");
-  // Opt-in deep validation of the index that will serve the query: every
-  // node summary dominated and equal to the merge of its children, MBRs
-  // tight, leaves level, cluster lists partitioning. Exits non-zero with the
-  // precise violation so scripted runs can gate on it.
+  // Opt-in validation of the index that will serve the query: a built tree
+  // gets IurTree::CheckInvariants, and both paths then get
+  // FrozenTree::CheckInvariants (what each covers: the --check-invariants
+  // note in the header). Exits non-zero with the precise violation so
+  // scripted runs can gate on it.
   const bool check_invariants = flags.Has("check-invariants");
   Status invariants = Status::Ok();
   std::optional<frozen::FrozenTree> frozen;
@@ -766,9 +769,7 @@ int CmdRstknn(const Flags& flags) {
     }
     frozen.emplace(std::move(loaded.value()));
   } else {
-    IurTreeOptions tree_options;
-    tree_options.build_threads = build_threads;
-    const IurTree tree = IurTree::BuildFromDataset(dataset, tree_options);
+    const IurTree tree = IurTree::BuildFromDataset(dataset, {});
     if (check_invariants) {
       invariants = tree.CheckInvariants(
           [&dataset](uint32_t oid) -> const TermVector* {
@@ -994,7 +995,7 @@ int Main(int argc, char** argv) {
       {"rstknn",
        CmdRstknn,
        {"data", "weighting", "measure", "alpha", "algo", "id", "ids", "x",
-        "y", "keywords", "k", "threads", "build-threads",
+        "y", "keywords", "k", "threads",
         "save-index", "load-index", "check-invariants", "trace",
         "metrics-out", "explain", "explain-log", "slow-log-ms",
         "profile", "trace-out", "trace-sample",
