@@ -13,7 +13,7 @@
 //
 //   RST_CHECK(ptr != nullptr) << "node " << id << " lost its child";
 //   RST_DCHECK_LE(entry.min_sim, entry.max_sim);
-//   RST_CHECK_OK(tree.CheckInvariants(doc_of));
+//   RST_CHECK_OK(frozen.CheckInvariants());
 //
 // These replace the bare assert()s the library grew up with: a failed
 // contract names its location and condition in the abort message instead of

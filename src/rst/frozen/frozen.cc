@@ -10,6 +10,7 @@
 #include "rst/common/stopwatch.h"
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
+#include "rst/simd/simd.h"
 #include "rst/storage/node_size.h"
 #include "rst/storage/varint.h"
 
@@ -388,9 +389,13 @@ Result<FrozenTree> FrozenTree::Deserialize(const std::string& bytes) {
     return Status::Corruption("frozen index: trailing bytes");
   }
 
-  status = out.CheckInvariants();
+  // CheckInvariants, split where load recomputes the norms: the slices they
+  // are computed from are validated first.
+  status = out.CheckStructure();
   if (!status.ok()) return status;
   out.RecomputeNorms();
+  status = out.CheckSummaries();
+  if (!status.ok()) return status;
   out.MeasureNodes();
   return out;
 }
@@ -419,6 +424,7 @@ Status FrozenTree::CheckMatchesDataset(const Dataset& dataset) const {
         " objects but the dataset has " + std::to_string(num_objects) +
         "; load the snapshot with the dataset it was built from");
   }
+  std::vector<uint8_t> seen(num_objects, 0);
   for (uint32_t e = 0; e < num_entries(); ++e) {
     if (!IsObject(e)) continue;
     const uint32_t id = entry_id_[e];
@@ -442,16 +448,76 @@ Status FrozenTree::CheckMatchesDataset(const Dataset& dataset) const {
           " has another location or document than the dataset's; load the "
           "snapshot with the dataset it was built from");
     }
+    if (seen[id]++ != 0) {
+      return Status::InvalidArgument("frozen index holds object " +
+                                     std::to_string(id) + " twice");
+    }
   }
   return Status::Ok();
 }
 
-Status FrozenTree::CheckInvariants() const {
-  if (num_nodes() == 0) return Status::Corruption("frozen index: no root");
-  if (node_entry_begin_.size() != num_nodes() ||
-      node_entry_count_.size() != num_nodes()) {
-    return Status::Corruption("frozen index: node array size mismatch");
+namespace {
+
+/// "frozen index: node N, entry I: " — every entry-level violation names the
+/// node, the entry's index within it and then the broken rule.
+Status EntryCorruption(uint32_t node, uint32_t index, const std::string& rule) {
+  return Status::Corruption("frozen index: node " + std::to_string(node) +
+                            ", entry " + std::to_string(index) + ": " + rule);
+}
+
+/// Folds children's summaries exactly as TextSummary::Merge does — uni the
+/// term-wise max, intr the term-wise min with absent and zero terms dropped,
+/// counts summed, count-0 summaries skipped — into buffers reused across
+/// entries, so the merge check builds no TermVector.
+struct SummaryFold {
+  std::vector<TermWeight> uni, intr, tmp;
+  uint64_t count = 0;  ///< 64-bit: a sum that wraps uint32 must not match
+
+  void Reset() {
+    uni.clear();
+    intr.clear();
+    count = 0;
   }
+
+  void Add(const SummaryRef& s, const TermWeight* pool) {
+    if (s.count == 0) return;
+    const TermWeight* su = pool + s.uni.offset;
+    const TermWeight* si = pool + s.intr.offset;
+    if (count == 0) {
+      uni.assign(su, su + s.uni.len);
+      intr.assign(si, si + s.intr.len);
+    } else {
+      const simd::Kernels& kernels = simd::Active();
+      tmp.resize(uni.size() + s.uni.len);
+      tmp.resize(kernels.union_max(uni.data(), uni.size(), su, s.uni.len,
+                                   tmp.data()));
+      uni.swap(tmp);
+      tmp.resize(std::min<size_t>(intr.size(), s.intr.len));
+      tmp.resize(kernels.intersect_min(intr.data(), intr.size(), si,
+                                       s.intr.len, tmp.data()));
+      intr.swap(tmp);
+    }
+    count += s.count;
+  }
+
+  /// Whether `s` is the fold of at least one summary added since Reset.
+  bool Matches(const SummaryRef& s, const TermWeight* pool) const {
+    return count != 0 && s.count == count && s.uni.len == uni.size() &&
+           std::equal(uni.begin(), uni.end(), pool + s.uni.offset) &&
+           s.intr.len == intr.size() &&
+           std::equal(intr.begin(), intr.end(), pool + s.intr.offset);
+  }
+};
+
+}  // namespace
+
+Status FrozenTree::CheckInvariants() const {
+  const Status status = CheckStructure();
+  return status.ok() ? CheckSummaries() : status;
+}
+
+Status FrozenTree::CheckStructure() const {
+  if (num_nodes() == 0) return Status::Corruption("frozen index: no root");
   // Entries tile [0, num_entries) in node order (the layout walk appends a
   // popped node's entries consecutively).
   uint32_t expected_begin = 0;
@@ -459,114 +525,232 @@ Status FrozenTree::CheckInvariants() const {
     if (node_entry_begin_[n] != expected_begin) {
       return Status::Corruption("frozen index: entries do not tile");
     }
-    if (node_entry_count_[n] >
-        num_entries() - expected_begin) {
+    if (node_entry_count_[n] > num_entries() - expected_begin) {
       return Status::Corruption("frozen index: entry span overflow");
+    }
+    if (n > 0 && node_entry_count_[n] == 0) {
+      return Status::Corruption("frozen index: node " + std::to_string(n) +
+                                ": non-root node without entries");
     }
     expected_begin += node_entry_count_[n];
   }
   if (expected_begin != num_entries()) {
     return Status::Corruption("frozen index: dangling entries");
   }
+
+  // Slices sorted, weights non-negative (NaN rejected too) and the
+  // intersection dominated by the union: the merge check and the kernels
+  // rely on all three, and without domination MinSim could exceed MaxSim.
+  const auto check_summary = [this](const SummaryRef& s) -> std::string {
+    const TermSlice* slices[] = {&s.uni, &s.intr};
+    for (const TermSlice* slice : slices) {
+      if (slice->offset > pool_.size() ||
+          slice->len > pool_.size() - slice->offset) {
+        return "summary slice out of pool";
+      }
+      for (uint32_t i = 0; i < slice->len; ++i) {
+        const TermWeight& w = pool_[slice->offset + i];
+        if (i > 0 && pool_[slice->offset + i - 1].term >= w.term) {
+          return "unsorted summary slice";
+        }
+        if (!(w.weight >= 0.0f)) return "negative or NaN summary weight";
+      }
+    }
+    const TermWeight* uni = pool_.data() + s.uni.offset;
+    for (uint32_t i = 0; i < s.intr.len; ++i) {
+      const TermWeight& w = pool_[s.intr.offset + i];
+      if (!ContainsSpan(uni, s.uni.len, w.term) ||
+          w.weight > GetSpan(uni, s.uni.len, w.term)) {
+        return "intersection not dominated by union for term " +
+               std::to_string(w.term);
+      }
+    }
+    if (s.count == 0 && (s.uni.len != 0 || s.intr.len != 0)) {
+      return "empty summary carries terms";
+    }
+    return "";
+  };
+
+  // Children pop after their parent in the layout walk, so a node's depth is
+  // set (from its parent) before the node itself is visited.
+  std::vector<uint32_t> depth(num_nodes(), 0);
   std::vector<uint8_t> child_seen(num_nodes(), 0);
+  uint32_t leaf_depth = kNoNode;
   uint64_t objects = 0;
   for (uint32_t n = 0; n < num_nodes(); ++n) {
-    const uint32_t begin = node_entry_begin_[n];
+    if (IsLeaf(n)) {
+      if (leaf_depth == kNoNode) leaf_depth = depth[n];
+      if (depth[n] != leaf_depth) {
+        return Status::Corruption(
+            "frozen index: node " + std::to_string(n) + ": leaf at depth " +
+            std::to_string(depth[n]) + ", another at " +
+            std::to_string(leaf_depth));
+      }
+    }
     for (uint32_t i = 0; i < node_entry_count_[n]; ++i) {
-      const uint32_t e = begin + i;
+      const uint32_t e = node_entry_begin_[n] + i;
+      if (entry_level_[e] != depth[n]) {
+        return EntryCorruption(n, i,
+                               "level " + std::to_string(entry_level_[e]) +
+                                   " at depth " + std::to_string(depth[n]));
+      }
       if (IsLeaf(n)) {
         if (entry_child_[e] != kNoNode) {
-          return Status::Corruption("frozen index: leaf entry with child");
+          return EntryCorruption(n, i, "leaf entry with child");
         }
         if (entry_id_[e] == kNoObject) {
-          return Status::Corruption("frozen index: leaf entry without object");
+          return EntryCorruption(n, i, "leaf entry without object");
         }
         ++objects;
       } else {
         const uint32_t child = entry_child_[e];
         if (child == kNoNode) {
-          return Status::Corruption("frozen index: internal entry w/o child");
+          return EntryCorruption(n, i, "internal entry without child");
         }
-        // Children pop after their parent in the layout walk, so a child
-        // index <= its parent's means a cycle or a forged link.
+        // A child index <= its parent's means a cycle or a forged link.
         if (child <= n || child >= num_nodes()) {
-          return Status::Corruption("frozen index: child index out of order");
+          return EntryCorruption(n, i, "child index out of order");
         }
         if (child_seen[child]++ != 0) {
-          return Status::Corruption("frozen index: node with two parents");
+          return EntryCorruption(n, i, "child node with two parents");
         }
-        const uint32_t child_begin = node_entry_begin_[child];
-        for (uint32_t j = 0; j < node_entry_count_[child]; ++j) {
-          if (entry_level_[child_begin + j] != entry_level_[e] + 1) {
-            return Status::Corruption("frozen index: inconsistent levels");
-          }
+        depth[child] = depth[n] + 1;
+      }
+      std::string rule = check_summary(entry_summary_[e]);
+      if (!rule.empty()) return EntryCorruption(n, i, rule);
+      const uint64_t cluster_end =
+          static_cast<uint64_t>(entry_cluster_begin_[e]) +
+          entry_cluster_count_[e];
+      if (cluster_end > clusters_.size()) {
+        return EntryCorruption(n, i, "cluster run out of range");
+      }
+      for (uint32_t c = 0; c < NumClusters(e); ++c) {
+        const ClusterRef& cluster = clusters_[entry_cluster_begin_[e] + c];
+        if (c > 0 && ClusterId(e, c - 1) >= cluster.cluster_id) {
+          return EntryCorruption(n, i, "cluster ids not strictly ascending");
+        }
+        rule = check_summary(cluster.summary);
+        if (!rule.empty()) {
+          return EntryCorruption(
+              n, i, "cluster " + std::to_string(cluster.cluster_id) + ": " +
+                        rule);
         }
       }
     }
   }
   for (uint32_t n = 1; n < num_nodes(); ++n) {
     if (child_seen[n] == 0) {
-      return Status::Corruption("frozen index: orphan node");
+      return Status::Corruption("frozen index: orphan node " +
+                                std::to_string(n));
     }
   }
   if (objects != size_) {
     return Status::Corruption("frozen index: object count mismatch");
   }
-  auto check_ref = [this](const SummaryRef& s) {
-    return s.uni.offset + s.uni.len <= pool_.size() &&
-           s.intr.offset + s.intr.len <= pool_.size();
+  return Status::Ok();
+}
+
+Status FrozenTree::CheckSummaries() const {
+  const TermWeight* pool = pool_.data();
+  const auto same_slice = [pool](const TermSlice& a, const TermSlice& b) {
+    return a.len == b.len &&
+           std::equal(pool + a.offset, pool + a.offset + a.len,
+                      pool + b.offset);
   };
-  for (const SummaryRef& s : entry_summary_) {
-    if (!check_ref(s)) {
-      return Status::Corruption("frozen index: summary slice out of pool");
-    }
-  }
-  for (uint32_t e = 0; e < num_entries(); ++e) {
-    const uint64_t end = static_cast<uint64_t>(entry_cluster_begin_[e]) +
-                         entry_cluster_count_[e];
-    if (end > clusters_.size()) {
-      return Status::Corruption("frozen index: cluster span out of range");
-    }
-  }
-  for (const ClusterRef& c : clusters_) {
-    if (!check_ref(c.summary)) {
-      return Status::Corruption("frozen index: cluster slice out of pool");
-    }
-  }
-  // Same bracketing contract IurTree::CheckInvariants enforces: slices sorted,
-  // weights non-negative, and the intersection dominated by the union —
-  // otherwise the frozen kernels could compute MinSim > MaxSim.
-  auto check_summary = [this](const SummaryRef& s) -> Status {
-    const TermSlice* slices[] = {&s.uni, &s.intr};
-    for (const TermSlice* slice : slices) {
-      for (uint32_t i = 0; i < slice->len; ++i) {
-        const TermWeight& w = pool_[slice->offset + i];
-        if (i > 0 && pool_[slice->offset + i - 1].term >= w.term) {
-          return Status::Corruption("frozen index: unsorted summary slice");
+  const auto norms_ok = [pool](const SummaryRef& s) {
+    return s.uni_norm_sq == NormSquaredSpan(pool + s.uni.offset, s.uni.len) &&
+           s.intr_norm_sq == NormSquaredSpan(pool + s.intr.offset, s.intr.len);
+  };
+  SummaryFold fold;
+  std::vector<uint32_t> cursor;  // per child entry: next cluster to merge
+  for (uint32_t n = 0; n < num_nodes(); ++n) {
+    for (uint32_t i = 0; i < node_entry_count_[n]; ++i) {
+      const uint32_t e = node_entry_begin_[n] + i;
+      const SummaryRef& summary = entry_summary_[e];
+      bool norms = norms_ok(summary);
+      for (uint32_t k = 0; norms && k < NumClusters(e); ++k) {
+        norms = norms_ok(clusters_[entry_cluster_begin_[e] + k].summary);
+      }
+      if (!norms) {
+        return EntryCorruption(n, i, "cached norm disagrees with weights");
+      }
+      if (IsLeaf(n)) {
+        if (summary.count != 1) {
+          return EntryCorruption(n, i, "leaf entry count " +
+                                           std::to_string(summary.count));
         }
-        if (w.weight < 0.0f) {
-          return Status::Corruption("frozen index: negative summary weight");
+        if (!same_slice(summary.intr, summary.uni)) {
+          return EntryCorruption(n, i, "leaf intersection differs from union");
+        }
+        if (NumClusters(e) != (clustered_ ? 1u : 0u)) {
+          return EntryCorruption(n, i, "leaf carries " +
+                                           std::to_string(NumClusters(e)) +
+                                           " clusters");
+        }
+        const SummaryRef* cluster =
+            clustered_ ? &clusters_[entry_cluster_begin_[e]].summary : nullptr;
+        if (cluster != nullptr &&
+            (cluster->count != 1 || !same_slice(cluster->uni, summary.uni) ||
+             !same_slice(cluster->intr, summary.intr))) {
+          return EntryCorruption(n, i, "leaf cluster differs from the leaf");
+        }
+        continue;
+      }
+
+      const uint32_t begin = node_entry_begin_[Child(e)];
+      const uint32_t end = begin + node_entry_count_[Child(e)];
+      Rect mbr;
+      fold.Reset();
+      for (uint32_t c = begin; c < end; ++c) {
+        mbr.Extend(entry_rect_[c]);
+        fold.Add(entry_summary_[c], pool);
+      }
+      if (!(entry_rect_[e] == mbr)) {
+        return EntryCorruption(n, i, "stale MBR " + entry_rect_[e].ToString() +
+                                         ", children span " + mbr.ToString());
+      }
+      if (!fold.Matches(summary, pool)) {
+        return EntryCorruption(
+            n, i, "summary is not the merge of its children (count " +
+                      std::to_string(summary.count) + ", children sum to " +
+                      std::to_string(fold.count) + ")");
+      }
+      // Each cluster is the merge of the children's clusters under its id;
+      // a child cluster the run skips leaves its cursor short.
+      cursor.assign(end - begin, 0);
+      uint64_t cluster_total = 0;
+      for (uint32_t k = 0; k < NumClusters(e); ++k) {
+        const ClusterRef& cluster = clusters_[entry_cluster_begin_[e] + k];
+        fold.Reset();
+        for (uint32_t c = begin; c < end; ++c) {
+          uint32_t& next = cursor[c - begin];
+          if (next < NumClusters(c) &&
+              ClusterId(c, next) == cluster.cluster_id) {
+            fold.Add(clusters_[entry_cluster_begin_[c] + next++].summary, pool);
+          }
+        }
+        if (!fold.Matches(cluster.summary, pool)) {
+          return EntryCorruption(n, i,
+                                 "stale summary for cluster " +
+                                     std::to_string(cluster.cluster_id));
+        }
+        cluster_total += cluster.summary.count;
+      }
+      for (uint32_t c = begin; c < end; ++c) {
+        if (cursor[c - begin] != NumClusters(c)) {
+          return EntryCorruption(
+              n, i, "child cluster " +
+                        std::to_string(ClusterId(c, cursor[c - begin])) +
+                        " missing from the run");
         }
       }
-    }
-    for (uint32_t i = 0; i < s.intr.len; ++i) {
-      const TermWeight& w = pool_[s.intr.offset + i];
-      if (!ContainsSpan(&pool_[s.uni.offset], s.uni.len, w.term) ||
-          w.weight > GetSpan(&pool_[s.uni.offset], s.uni.len, w.term)) {
-        return Status::Corruption(
-            "frozen index: intersection not dominated by union for term " +
-            std::to_string(w.term));
+      if (clustered_ && cluster_total != summary.count) {
+        return EntryCorruption(n, i, "cluster counts sum to " +
+                                         std::to_string(cluster_total) +
+                                         ", entry covers " +
+                                         std::to_string(summary.count));
       }
     }
-    return Status::Ok();
-  };
-  for (const SummaryRef& s : entry_summary_) {
-    const Status summary_ok = check_summary(s);
-    if (!summary_ok.ok()) return summary_ok;
-  }
-  for (const ClusterRef& c : clusters_) {
-    const Status summary_ok = check_summary(c.summary);
-    if (!summary_ok.ok()) return summary_ok;
   }
   return Status::Ok();
 }

@@ -114,19 +114,33 @@ class FrozenTree {
 
   // --- Persistence (versioned flat snapshot; DESIGN.md §10.3) ---
   std::string SerializeToString() const;
-  /// Rejects wrong magic/version, truncation, checksum mismatches, and
-  /// inconsistent indices with a Status — never crashes on corrupt input.
+  /// Rejects wrong magic/version, truncation, checksum mismatches, and any
+  /// tree that fails CheckInvariants with a Status — never crashes on
+  /// corrupt input.
   static Result<FrozenTree> Deserialize(const std::string& bytes);
   Status Save(const std::string& path) const;
   static Result<FrozenTree> Load(const std::string& path);
 
-  /// Deep validation for tests: array sizes consistent, slices inside the
-  /// pool, child links acyclic and complete, levels consistent.
+  /// The one deep check of an IUR/CIUR tree (DESIGN.md §11.2); Deserialize
+  /// runs it on every load, Freeze does not. Structure: entries tile the
+  /// nodes, child links are acyclic and complete, levels match depths, all
+  /// leaves sit at one depth, slices lie inside the pool, slices are sorted
+  /// with non-negative weights, intersections are dominated by unions, an
+  /// empty summary carries no terms and cluster ids ascend. Merges, compared
+  /// exactly: an internal entry's rect is the union of its child's entry
+  /// rects, its uni/intr/count and each cluster summary are the merge of the
+  /// children's (TextSummary::Merge), and in a CIUR-tree its cluster counts
+  /// sum to its count. A leaf entry has count 1, intr equal to uni, and one
+  /// cluster equal to its summary in a CIUR-tree (none otherwise). Cached
+  /// norms equal NormSquaredSpan of their slices. Every violation names the
+  /// node, the entry's index within it and the rule. Fanout is not checked:
+  /// a snapshot does not record max_entries.
   Status CheckInvariants() const;
 
   /// InvalidArgument unless this snapshot indexes exactly the objects of
-  /// `dataset`: the same object count, and every leaf entry's rect and
-  /// summary (uni and intr) equal to its object's point and document. A
+  /// `dataset`: the same object count, each object once, and every leaf
+  /// entry's rect and summary (uni and intr) equal to its object's point and
+  /// document. A
   /// search reads each answer's object from the dataset by id, so a
   /// snapshot of another dataset would answer wrongly or read past its end.
   /// O(total terms).
@@ -139,6 +153,11 @@ class FrozenTree {
         TermSpan{pool_.data() + s.intr.offset, s.intr.len, s.intr_norm_sq},
         s.count};
   }
+
+  /// CheckInvariants' structure rules: everything before any norm is read.
+  Status CheckStructure() const;
+  /// CheckInvariants' merge, leaf and norm rules; needs CheckStructure.
+  Status CheckSummaries() const;
 
   /// Measures every node's lengths with MeasureNode (Deserialize).
   void MeasureNodes();

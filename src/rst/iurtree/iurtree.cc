@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "rst/common/check.h"
 #include "rst/common/stopwatch.h"
 #include "rst/obs/metrics.h"
 #include "rst/obs/metric_names.h"
@@ -259,200 +258,6 @@ void IurTree::ChargeAccess(const Node* node, IoStats* stats) const {
   if (stats == nullptr) return;
   stats->AddNodeRead();
   stats->AddPayloadRead(node->invfile_bytes);
-}
-
-namespace {
-
-/// Formats "depth D, entry I" for invariant-violation messages so a failed
-/// check names the exact node, not just the rule it broke.
-std::string EntryContext(size_t depth, size_t index) {
-  return "depth " + std::to_string(depth) + ", entry " + std::to_string(index);
-}
-
-/// Structural validity of one term vector: sorted unique term ids,
-/// non-negative weights, and the cached squared norm agreeing with a fresh
-/// recomputation (the caches are what the similarity kernels actually read,
-/// so a stale cache silently skews every bound downstream).
-Status CheckVectorWellFormed(const TermVector& v, const std::string& what) {
-  const std::vector<TermWeight>& entries = v.entries();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (i > 0 && entries[i - 1].term >= entries[i].term) {
-      return Status::Corruption(what + ": term ids not strictly ascending at "
-                                "position " + std::to_string(i));
-    }
-    if (entries[i].weight < 0.0f) {
-      return Status::Corruption(what + ": negative weight for term " +
-                                std::to_string(entries[i].term));
-    }
-  }
-  if (v.NormSquared() != NormSquaredSpan(entries.data(), entries.size())) {
-    return Status::Corruption(what + ": cached norm disagrees with weights");
-  }
-  return Status::Ok();
-}
-
-/// The IUR-tree bracketing contract: the intersection vector must be
-/// dominated by the union vector — every intr term present in uni with
-/// intr weight <= uni weight. A violation would let MinSim exceed MaxSim
-/// and flip prune/report decisions.
-Status CheckSummaryDomination(const TextSummary& s, const std::string& what) {
-  Status well_formed = CheckVectorWellFormed(s.uni, what + " union");
-  if (!well_formed.ok()) return well_formed;
-  well_formed = CheckVectorWellFormed(s.intr, what + " intersection");
-  if (!well_formed.ok()) return well_formed;
-  for (const TermWeight& e : s.intr.entries()) {
-    const float uni_weight = s.uni.Get(e.term);
-    if (!s.uni.Contains(e.term) || e.weight > uni_weight) {
-      return Status::Corruption(
-          what + ": intersection weight " + std::to_string(e.weight) +
-          " for term " + std::to_string(e.term) +
-          " exceeds union weight " + std::to_string(uni_weight));
-    }
-  }
-  if (s.count == 0 && (!s.uni.empty() || !s.intr.empty())) {
-    return Status::Corruption(what + ": empty summary carries terms");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status IurTree::CheckInvariants(
-    const std::function<const TermVector*(uint32_t)>& doc_of) const {
-  struct Frame {
-    const Node* node;
-    size_t depth;
-  };
-  if (root_ == nullptr) return Status::Corruption("null root");
-  size_t leaf_depth = SIZE_MAX;
-  uint64_t objects_seen = 0;
-  std::vector<Frame> stack = {{root_, 0}};
-  while (!stack.empty()) {
-    auto [node, depth] = stack.back();
-    stack.pop_back();
-    if (node->entries.size() > options_.max_entries) {
-      return Status::Corruption("node overflow at depth " +
-                                std::to_string(depth) + ": " +
-                                std::to_string(node->entries.size()) +
-                                " entries, max " +
-                                std::to_string(options_.max_entries));
-    }
-    // Every entry — leaf or internal — must carry a dominated, well-formed
-    // summary whose MBR contains nothing outside the parent (checked from
-    // the parent side below) and whose cluster list is sorted.
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      const Entry& e = node->entries[i];
-      const std::string context = EntryContext(depth, i);
-      const Status summary_ok =
-          CheckSummaryDomination(e.summary, context + " summary");
-      if (!summary_ok.ok()) return summary_ok;
-      for (size_t c = 0; c < e.clusters.size(); ++c) {
-        if (c > 0 && e.clusters[c - 1].first >= e.clusters[c].first) {
-          return Status::Corruption(context +
-                                    ": cluster ids not strictly ascending");
-        }
-        const Status cluster_ok = CheckSummaryDomination(
-            e.clusters[c].second,
-            context + " cluster " + std::to_string(e.clusters[c].first));
-        if (!cluster_ok.ok()) return cluster_ok;
-      }
-    }
-    if (node->leaf) {
-      if (leaf_depth == SIZE_MAX) leaf_depth = depth;
-      if (depth != leaf_depth) {
-        return Status::Corruption("unequal leaf depth: " +
-                                  std::to_string(depth) + " vs " +
-                                  std::to_string(leaf_depth));
-      }
-      for (size_t i = 0; i < node->entries.size(); ++i) {
-        const Entry& e = node->entries[i];
-        const std::string context = EntryContext(depth, i);
-        if (!e.is_object()) {
-          return Status::Corruption(context + ": leaf entry with a child");
-        }
-        if (e.count() != 1) {
-          return Status::Corruption(context + ": leaf entry count " +
-                                    std::to_string(e.count()) + " != 1");
-        }
-        const TermVector* doc = doc_of(e.id);
-        if (doc == nullptr) {
-          return Status::Corruption(context + ": unknown object id " +
-                                    std::to_string(e.id));
-        }
-        if (!(e.summary.uni == *doc) || !(e.summary.intr == *doc)) {
-          return Status::Corruption(context + ": summary of object " +
-                                    std::to_string(e.id) +
-                                    " differs from its document");
-        }
-        if (clustered_ && e.clusters.size() != 1) {
-          return Status::Corruption(context + ": leaf cluster list size " +
-                                    std::to_string(e.clusters.size()) +
-                                    " != 1");
-        }
-        ++objects_seen;
-      }
-      continue;
-    }
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      const Entry& e = node->entries[i];
-      const std::string context = EntryContext(depth, i);
-      if (e.is_object()) {
-        return Status::Corruption(context + ": object entry in internal node");
-      }
-      const Node* child = e.child;
-      const Rect child_mbr = child->ComputeMbr();
-      if (!(e.rect == child_mbr)) {
-        return Status::Corruption(context + ": stale MBR " + e.rect.ToString() +
-                                  ", children span " + child_mbr.ToString());
-      }
-      TextSummary expected;
-      ClusterList expected_clusters;
-      for (const Entry& ce : child->entries) {
-        expected = TextSummary::Merge(expected, ce.summary);
-        expected_clusters = MergeClusterLists(expected_clusters, ce.clusters);
-      }
-      if (!(expected.uni == e.summary.uni) ||
-          !(expected.intr == e.summary.intr) ||
-          expected.count != e.summary.count) {
-        return Status::Corruption(
-            context + ": summary is not the merge of its " +
-            std::to_string(child->entries.size()) + " children (count " +
-            std::to_string(e.summary.count) + ", expected " +
-            std::to_string(expected.count) + ")");
-      }
-      if (expected_clusters.size() != e.clusters.size()) {
-        return Status::Corruption(context + ": cluster list size " +
-                                  std::to_string(e.clusters.size()) +
-                                  ", children merge to " +
-                                  std::to_string(expected_clusters.size()));
-      }
-      uint32_t cluster_total = 0;
-      for (size_t c = 0; c < expected_clusters.size(); ++c) {
-        if (expected_clusters[c].first != e.clusters[c].first ||
-            !(expected_clusters[c].second.uni == e.clusters[c].second.uni) ||
-            !(expected_clusters[c].second.intr == e.clusters[c].second.intr) ||
-            expected_clusters[c].second.count != e.clusters[c].second.count) {
-          return Status::Corruption(
-              context + ": stale summary for cluster " +
-              std::to_string(e.clusters[c].first));
-        }
-        cluster_total += e.clusters[c].second.count;
-      }
-      if (clustered_ && cluster_total != e.count()) {
-        return Status::Corruption(
-            context + ": cluster counts sum to " +
-            std::to_string(cluster_total) + ", entry covers " +
-            std::to_string(e.count()) + " objects");
-      }
-      stack.push_back({child, depth + 1});
-    }
-  }
-  if (objects_seen != size_) {
-    return Status::Corruption("tree holds " + std::to_string(objects_seen) +
-                              " objects, size() says " +
-                              std::to_string(size_));
-  }
-  return Status::Ok();
 }
 
 TextBounds EntryTextBounds(const IurTree::Entry& entry,

@@ -2,11 +2,9 @@
 #define RST_IURTREE_IURTREE_H_
 
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "rst/common/geometry.h"
-#include "rst/common/status.h"
 #include "rst/data/dataset.h"
 #include "rst/storage/io_stats.h"
 #include "rst/text/similarity.h"
@@ -110,13 +108,6 @@ class IurTree {
   /// Charges the simulated I/O of opening `node`: one node read plus the
   /// blocks of its inverted file (papers' methodology; DESIGN.md §3.5).
   void ChargeAccess(const Node* node, IoStats* stats) const;
-
-  /// Deep structural validation for tests: MBRs tight, summaries exactly the
-  /// merge of children, counts consistent, leaves at equal depth, cluster
-  /// summaries partition the blended summary. `doc_of` maps an item id to
-  /// its document vector.
-  Status CheckInvariants(
-      const std::function<const TermVector*(uint32_t)>& doc_of) const;
 
  private:
   explicit IurTree(const IurTreeOptions& options);

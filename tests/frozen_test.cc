@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
 #include <utility>
@@ -15,6 +16,8 @@
 #include "rst/obs/explain.h"
 #include "rst/obs/heatmap.h"
 #include "rst/rstknn/rstknn.h"
+#include "rst/storage/varint.h"
+#include "snapshot_edit.h"
 
 namespace rst {
 namespace {
@@ -350,17 +353,62 @@ TEST(FrozenSerializationTest, CorruptInputsReturnStatusNeverCrash) {
   // checksum so version rejection — not the checksum — is what fires).
   std::string future = bytes;
   future[4] = static_cast<char>(frozen::FrozenTree::kFormatVersion + 1);
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i + 8 < future.size(); ++i) {
-    h ^= static_cast<uint8_t>(future[i]);
-    h *= 1099511628211ULL;
-  }
-  for (int b = 0; b < 8; ++b) {
-    future[future.size() - 8 + b] = static_cast<char>((h >> (8 * b)) & 0xFF);
-  }
+  snapshot_edit::ResealTrailer(&future);
   const Result<frozen::FrozenTree> v = frozen::FrozenTree::Deserialize(future);
   ASSERT_FALSE(v.ok());
   EXPECT_NE(v.status().ToString().find("version"), std::string::npos);
+}
+
+// A snapshot edited on disk with its trailer resealed passes the checksum,
+// so only the load's deep check stands between it and wrong answers. A
+// shifted internal rect, a raised union weight and a raised count must each
+// be rejected with Corruption naming the entry and the rule.
+TEST(FrozenSerializationTest, ResealedTamperedSnapshotsAreRejected) {
+  const Fixture f(300, /*clustered=*/true);
+  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(f.tree);
+  ASSERT_FALSE(frozen.IsObject(0)) << "root entry 0 must be internal";
+  const std::string bytes = frozen.SerializeToString();
+  const snapshot_edit::Layout layout = snapshot_edit::ReadLayout(bytes);
+  const auto expect_rejected = [](std::string edited, const std::string& rule) {
+    snapshot_edit::ResealTrailer(&edited);
+    const Result<frozen::FrozenTree> got =
+        frozen::FrozenTree::Deserialize(edited);
+    ASSERT_FALSE(got.ok()) << rule;
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(got.status().message().find("node 0, entry 0: " + rule),
+              std::string::npos)
+        << got.status().ToString();
+  };
+
+  // Root entry 0's rect moved +1000 in x (min_x and max_x).
+  std::string shifted = bytes;
+  for (const size_t field : {size_t{0}, size_t{2}}) {
+    double x = 0;
+    const size_t at = layout.entry_rect[0] + field * sizeof(double);
+    std::memcpy(&x, &shifted[at], sizeof(double));
+    x += 1000.0;
+    std::memcpy(&shifted[at], &x, sizeof(double));
+  }
+  expect_rejected(shifted, "stale MBR");
+
+  // The first union weight of root entry 0 raised: the union still
+  // dominates the intersection, so only the merge check sees it.
+  std::string raised = bytes;
+  const size_t at = layout.pool_weight[layout.entry_uni[0]];
+  float w = 0;
+  std::memcpy(&w, &raised[at], sizeof(float));
+  w += 1.0f;
+  std::memcpy(&raised[at], &w, sizeof(float));
+  expect_rejected(raised, "summary is not the merge");
+
+  // Root entry 0's count raised by one (re-encoded in place).
+  size_t end = layout.entry_count[0];
+  const uint64_t count = snapshot_edit::ReadVarint(bytes, &end);
+  std::string recounted;
+  PutVarint32(&recounted, static_cast<uint32_t>(count + 1));
+  expect_rejected(bytes.substr(0, layout.entry_count[0]) + recounted +
+                      bytes.substr(end),
+                  "summary is not the merge");
 }
 
 // ---------------------------------------------------------------------------
@@ -447,6 +495,15 @@ TEST(FrozenTreeTest, CheckMatchesDatasetRejectsAForeignSnapshot) {
   EXPECT_TRUE(frozen::FrozenTree::Freeze(IurTree::Build(moved, {}))
                   .CheckMatchesDataset(f.dataset)
                   .ok());
+
+  // Object 5 indexed twice and object 6 not at all: the count and every
+  // leaf fit, but a search would report 5 twice and never 6.
+  moved[6] = moved[5];
+  status = frozen::FrozenTree::Freeze(IurTree::Build(moved, {}))
+               .CheckMatchesDataset(f.dataset);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("object 5 twice"), std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace

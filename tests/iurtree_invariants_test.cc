@@ -1,8 +1,8 @@
-// IurTree::CheckInvariants / FrozenTree::CheckInvariants behavior
-// (DESIGN.md §11.2): every tree the builders produce — serial, parallel,
-// clustered — validates clean, and each class of hand-injected corruption is
-// caught with a message precise enough to name the node, the entry, and the
-// violated invariant.
+// FrozenTree::CheckInvariants and CheckMatchesDataset behavior (DESIGN.md
+// §11.2): every tree the builder produces — plain and clustered — validates
+// clean after Freeze, and each class of corruption injected into the pointer
+// tree before Freeze is caught with a message precise enough to name the
+// node, the entry, and the violated invariant.
 
 #include <string>
 #include <vector>
@@ -13,6 +13,7 @@
 #include "rst/frozen/frozen.h"
 #include "rst/iurtree/cluster.h"
 #include "rst/iurtree/iurtree.h"
+#include "snapshot_edit.h"
 
 namespace rst {
 namespace {
@@ -25,14 +26,16 @@ Dataset SmallDataset(size_t n, uint64_t seed = 11) {
   return GenFlickrLike(config, {Weighting::kTfIdf, 0.1});
 }
 
-std::function<const TermVector*(uint32_t)> DocLookup(const Dataset& d) {
-  return [&d](uint32_t id) -> const TermVector* {
-    return id < d.size() ? &d.object(id).doc : nullptr;
-  };
+// The deep check of a built tree: its frozen snapshot's invariants, then
+// every leaf against the dataset.
+Status CheckTree(const IurTree& tree, const Dataset& d) {
+  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(tree);
+  const Status s = frozen.CheckInvariants();
+  return s.ok() ? frozen.CheckMatchesDataset(d) : s;
 }
 
-// The checker takes the tree by const ref; corruption tests deliberately
-// reach through it to damage one node in place.
+// The builder hands out its tree by const ref; corruption tests deliberately
+// reach through it to damage one node in place before freezing it.
 IurTree::Node* MutableRoot(const IurTree& tree) {
   return const_cast<IurTree::Node*>(tree.root());
 }
@@ -46,7 +49,7 @@ IurTree::Node* LeftmostLeaf(IurTree::Node* node) {
 TEST(IurTreeInvariantsTest, SerialBuildValidates) {
   const Dataset d = SmallDataset(900);
   const IurTree tree = IurTree::BuildFromDataset(d, {});
-  const Status s = tree.CheckInvariants(DocLookup(d));
+  const Status s = CheckTree(tree, d);
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
@@ -57,7 +60,7 @@ TEST(IurTreeInvariantsTest, ClusteredBuildValidates) {
   const ClusteringResult clusters = ClusterDocuments(docs, {});
   const IurTree tree = IurTree::BuildFromDataset(d, {}, &clusters.assignment);
   ASSERT_TRUE(tree.clustered());
-  const Status s = tree.CheckInvariants(DocLookup(d));
+  const Status s = CheckTree(tree, d);
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
@@ -66,9 +69,9 @@ TEST(IurTreeInvariantsTest, CatchesStaleMbr) {
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   ASSERT_FALSE(tree.root()->leaf);
   MutableRoot(tree)->entries[0].rect.max_x += 1.0;
-  const Status s = tree.CheckInvariants(DocLookup(d));
+  const Status s = CheckTree(tree, d);
   ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("depth 0, entry 0"), std::string::npos)
+  EXPECT_NE(s.ToString().find("node 0, entry 0"), std::string::npos)
       << s.ToString();
   EXPECT_NE(s.ToString().find("stale MBR"), std::string::npos) << s.ToString();
 }
@@ -83,9 +86,10 @@ TEST(IurTreeInvariantsTest, CatchesUndominatedIntersection) {
   const TermWeight first = e.summary.uni.entries()[0];
   e.summary.intr =
       TermVector::FromSorted({{first.term, first.weight * 2 + 1.0f}});
-  const Status s = tree.CheckInvariants(DocLookup(d));
+  const Status s = CheckTree(tree, d);
   ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("exceeds union weight"), std::string::npos)
+  EXPECT_NE(s.ToString().find("node 0, entry 0: intersection not dominated"),
+            std::string::npos)
       << s.ToString();
 }
 
@@ -94,7 +98,7 @@ TEST(IurTreeInvariantsTest, CatchesStaleSummaryCount) {
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   ASSERT_FALSE(tree.root()->leaf);
   MutableRoot(tree)->entries[0].summary.count += 1;
-  const Status s = tree.CheckInvariants(DocLookup(d));
+  const Status s = CheckTree(tree, d);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.ToString().find("summary is not the merge"), std::string::npos)
       << s.ToString();
@@ -104,10 +108,9 @@ TEST(IurTreeInvariantsTest, CatchesUnknownObjectId) {
   const Dataset d = SmallDataset(900);
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   LeftmostLeaf(MutableRoot(tree))->entries[0].id = 0xFEDCBA98u;
-  const Status s = tree.CheckInvariants(DocLookup(d));
+  const Status s = CheckTree(tree, d);
   ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("unknown object id 4275878552"),
-            std::string::npos)
+  EXPECT_NE(s.ToString().find("object id 4275878552"), std::string::npos)
       << s.ToString();
 }
 
@@ -122,9 +125,10 @@ TEST(IurTreeInvariantsTest, CatchesLeafSummaryDocumentMismatch) {
   const uint32_t other = (e.id + 1) % static_cast<uint32_t>(d.size());
   ASSERT_FALSE(d.object(other).doc == d.object(e.id).doc);
   e.id = other;
-  const Status s = tree.CheckInvariants(DocLookup(d));
+  const Status s = CheckTree(tree, d);
   ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("differs from its document"), std::string::npos)
+  EXPECT_NE(s.ToString().find("another location or document"),
+            std::string::npos)
       << s.ToString();
 }
 
@@ -137,9 +141,10 @@ TEST(IurTreeInvariantsTest, CatchesUnsortedClusterList) {
   IurTree::Entry& e = MutableRoot(tree)->entries[0];
   ASSERT_GE(e.clusters.size(), 2u) << "need >=2 clusters to unsort";
   std::swap(e.clusters[0], e.clusters[1]);
-  const Status s = tree.CheckInvariants(DocLookup(d));
+  const Status s = CheckTree(tree, d);
   ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("cluster ids not strictly ascending"),
+  EXPECT_NE(s.ToString().find("node 0, entry 0: cluster ids not strictly "
+                              "ascending"),
             std::string::npos)
       << s.ToString();
 }
@@ -159,21 +164,30 @@ TEST(FrozenInvariantsTest, FrozenTreeValidatesAfterFreezeAndRoundTrip) {
 }
 
 // Deserialize must never accept bytes that fail the deep check: acceptance
-// and validation are one decision. Flip every 97th byte of a valid snapshot
-// and require reject-or-coherent for each variant.
+// and validation are one decision. Flip every 97th byte of a valid snapshot,
+// reseal the trailer so the flip reaches field parsing instead of the
+// checksum, and require reject-or-coherent for each variant.
 TEST(FrozenInvariantsTest, ByteFlippedSnapshotsAreRejectedOrCoherent) {
   const Dataset d = SmallDataset(300);
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   const std::string bytes = frozen::FrozenTree::Freeze(tree).SerializeToString();
   size_t accepted = 0;
   size_t rejected = 0;
+  size_t merge_rejected = 0;
   for (size_t pos = 0; pos < bytes.size(); pos += 97) {
     for (uint8_t bit : {uint8_t{1}, uint8_t{0x80}}) {
       std::string mutated = bytes;
       mutated[pos] = static_cast<char>(mutated[pos] ^ bit);
+      snapshot_edit::ResealTrailer(&mutated);
       Result<frozen::FrozenTree> got = frozen::FrozenTree::Deserialize(mutated);
       if (!got.ok()) {
         ++rejected;
+        const std::string message = got.status().ToString();
+        EXPECT_EQ(message.find("checksum"), std::string::npos) << message;
+        if (message.find("stale MBR") != std::string::npos ||
+            message.find("not the merge") != std::string::npos) {
+          ++merge_rejected;
+        }
         continue;
       }
       ++accepted;
@@ -182,11 +196,14 @@ TEST(FrozenInvariantsTest, ByteFlippedSnapshotsAreRejectedOrCoherent) {
                           << "incoherent: " << s.ToString();
     }
   }
-  // Structural damage (header, offsets, counts) must bounce; flips that land
-  // in payload bytes may legitimately decode to a different-but-coherent
-  // tree, so only the accepted-implies-coherent property is universal.
+  // Structural damage (header, offsets, counts) must bounce, and so must a
+  // flip in a rect or a weight that the merge check sees; a flip may also
+  // decode to a different-but-coherent tree, so only the
+  // accepted-implies-coherent property is universal.
   EXPECT_GT(rejected, 0u) << rejected << " rejected, " << accepted
                           << " accepted";
+  EXPECT_GT(merge_rejected, 0u) << rejected << " rejected, " << accepted
+                                << " accepted";
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,10 +23,12 @@ Dataset SmallDataset(size_t n, uint64_t seed = 1) {
   return GenFlickrLike(config, {Weighting::kLanguageModel, 0.1});
 }
 
-std::function<const TermVector*(uint32_t)> DocLookup(const Dataset& d) {
-  return [&d](uint32_t id) -> const TermVector* {
-    return id < d.size() ? &d.object(id).doc : nullptr;
-  };
+// The deep check of a built tree: its frozen snapshot's invariants, then
+// every leaf against the dataset.
+Status CheckTree(const IurTree& tree, const Dataset& d) {
+  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(tree);
+  const Status s = frozen.CheckInvariants();
+  return s.ok() ? frozen.CheckMatchesDataset(d) : s;
 }
 
 TEST(IurTreeTest, BulkLoadInvariants) {
@@ -33,7 +36,7 @@ TEST(IurTreeTest, BulkLoadInvariants) {
   const IurTree tree = IurTree::BuildFromDataset(d, {});
   EXPECT_EQ(tree.size(), 1200u);
   EXPECT_GE(tree.height(), 1u);
-  const Status s = tree.CheckInvariants(DocLookup(d));
+  const Status s = CheckTree(tree, d);
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
@@ -42,7 +45,7 @@ TEST(IurTreeTest, DegenerateSizes) {
     const Dataset d = SmallDataset(n, 7 + n);
     const IurTree tree = IurTree::BuildFromDataset(d, {});
     EXPECT_EQ(tree.size(), n);
-    const Status s = tree.CheckInvariants(DocLookup(d));
+    const Status s = CheckTree(tree, d);
     EXPECT_TRUE(s.ok()) << "n=" << n << " " << s.ToString();
   }
 }
@@ -120,6 +123,13 @@ TEST(IurTreeTest, PackingDependsOnlyOnLocations) {
       const frozen::FrozenTree fa = frozen::FrozenTree::Freeze(a);
       const frozen::FrozenTree fb = frozen::FrozenTree::Freeze(b);
       ASSERT_EQ(fa.num_entries(), fb.num_entries()) << what;
+      // Fanout is the one builder rule the frozen check cannot see: a
+      // snapshot does not record max_entries.
+      for (uint32_t n = 0; n < fa.num_nodes(); ++n) {
+        ASSERT_LE(fa.EntryCount(n), max_entries) << what << " node " << n;
+      }
+      const Status s = fa.CheckInvariants();
+      ASSERT_TRUE(s.ok()) << what << " " << s.ToString();
       for (uint32_t e = 0; e < fa.num_entries(); ++e) {
         ASSERT_EQ(fa.EntryRect(e), fb.EntryRect(e)) << what << " entry " << e;
         ASSERT_EQ(fa.ObjectIdOf(e), fb.ObjectIdOf(e)) << what << " entry " << e;
@@ -159,7 +169,7 @@ TEST(IurTreeTest, ClusteredBuildInvariants) {
   const ClusteringResult clusters = ClusterDocuments(docs, copts);
   const IurTree tree = IurTree::BuildFromDataset(d, {}, &clusters.assignment);
   EXPECT_TRUE(tree.clustered());
-  const Status s = tree.CheckInvariants(DocLookup(d));
+  const Status s = CheckTree(tree, d);
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
@@ -310,11 +320,24 @@ TEST(IurTreeTest, UsersTreeBuilds) {
   const GeneratedUsers gen = GenUsers(d, ucfg);
   const IurTree user_tree = IurTree::BuildFromUsers(gen.users, {});
   EXPECT_EQ(user_tree.size(), gen.users.size());
-  const Status s = user_tree.CheckInvariants(
-      [&gen](uint32_t id) -> const TermVector* {
-        return id < gen.users.size() ? &gen.users[id].keywords : nullptr;
-      });
+  const frozen::FrozenTree frozen = frozen::FrozenTree::Freeze(user_tree);
+  const Status s = frozen.CheckInvariants();
   EXPECT_TRUE(s.ok()) << s.ToString();
+  // Every user is one leaf whose summary is its keyword vector.
+  std::vector<int> seen(gen.users.size(), 0);
+  for (uint32_t e = 0; e < frozen.num_entries(); ++e) {
+    if (!frozen.IsObject(e)) continue;
+    const uint32_t id = frozen.ObjectIdOf(e);
+    ASSERT_LT(id, gen.users.size());
+    ++seen[id];
+    const StUser& user = gen.users[id];
+    EXPECT_EQ(frozen.EntryRect(e), Rect::FromPoint(user.loc)) << "user " << id;
+    const TermSpan uni = frozen.Summary(e).uni;
+    EXPECT_TRUE(std::vector<TermWeight>(uni.data, uni.data + uni.len) ==
+                user.keywords.entries())
+        << "user " << id;
+  }
+  EXPECT_EQ(seen, std::vector<int>(gen.users.size(), 1));
 }
 
 // Node ownership: the tree owns every node it makes, keeps every one it
@@ -338,7 +361,7 @@ TEST(IurTreeTest, BuildKeepsEveryNodeItMakes) {
     }
   }
   EXPECT_EQ(reachable, tree.NodeCount());
-  const Status s = tree.CheckInvariants(DocLookup(d));
+  const Status s = CheckTree(tree, d);
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
@@ -357,7 +380,7 @@ TEST(IurTreeTest, MoveTransfersOwnership) {
   IurTree other = IurTree::BuildFromDataset(d, {});
   other = std::move(moved);
   EXPECT_EQ(other.NodeCount(), nodes);
-  const Status s = other.CheckInvariants(DocLookup(d));
+  const Status s = CheckTree(other, d);
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
@@ -378,7 +401,7 @@ TEST(IurTreeTest, ParallelBuildAndDestroyStress) {
       const Dataset& d = datasets[static_cast<size_t>(t)];
       for (int round = 0; round < kRounds; ++round) {
         const IurTree tree = IurTree::BuildFromDataset(d, {});
-        const Status s = tree.CheckInvariants(DocLookup(d));
+        const Status s = CheckTree(tree, d);
         ASSERT_TRUE(s.ok()) << s.ToString();
       }
     });

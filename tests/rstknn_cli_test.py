@@ -12,6 +12,10 @@ On a generated 500-object dataset it checks that
     or of the same size -- exits 1 naming --load-index, whether or not
     --check-invariants is given, and a snapshot loaded beside its own
     dataset answers as a fresh build does;
+  * a snapshot whose root entry 0 rect was shifted +1000 in x, with its
+    checksum trailer resealed, exits 1 on --load-index with a Corruption
+    message naming the entry, and --check-invariants prints "index ok" on a
+    built tree and on a sound loaded snapshot;
   * malformed numbers (thread counts below 1, non-numeric, negative,
     out-of-range or 32-bit-wrapping ids, non-numeric keywords, an --alpha
     outside [0, 1], and junk or negative values of every other numeric flag
@@ -44,6 +48,7 @@ Exits non-zero with a message on the first failed check.
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -87,6 +92,42 @@ def explain_table(stderr):
         elif table:
             break
     return table
+
+
+def read_varint(raw, pos):
+    value = shift = 0
+    while True:
+        byte = raw[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
+        shift += 7
+
+
+def first_entry_rect(raw):
+    """Byte offset of entry 0's rect in a v1 snapshot (DESIGN.md §10.3):
+    magic, version, flags, then the object, node, entry, cluster and pool
+    counts, then one (leaf byte, entry begin, entry count) record per
+    node."""
+    _, pos = read_varint(raw, 4)  # version
+    pos += 1  # flags
+    counts = []
+    for _ in range(5):
+        value, pos = read_varint(raw, pos)
+        counts.append(value)
+    for _ in range(counts[1]):
+        _, pos = read_varint(raw, pos + 1)
+        _, pos = read_varint(raw, pos)
+    return pos
+
+
+def reseal(raw):
+    """Rewrites the FNV-1a64 trailer over raw[:-8]."""
+    h = 1469598103934665603
+    for byte in raw[:-8]:
+        h = ((h ^ byte) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
+    raw[-8:] = struct.pack("<Q", h)
 
 
 def check(condition, message):
@@ -173,6 +214,36 @@ def main():
                  *query).stdout ==
               ok(cli, "rstknn", "--data", big, *query).stdout,
               "a snapshot loaded beside its own dataset answers differently")
+
+        # The same snapshot tampered on disk: root entry 0's rect moved +1000
+        # in x and the trailer resealed, so the checksum passes and only the
+        # load's merge check stands between it and wrong answers.
+        with open(snapshot, "rb") as f:
+            raw = bytearray(f.read())
+        rect = first_entry_rect(raw)
+        for field in (0, 2):  # min_x, max_x
+            (x,) = struct.unpack_from("<d", raw, rect + 8 * field)
+            struct.pack_into("<d", raw, rect + 8 * field, x + 1000.0)
+        reseal(raw)
+        tampered = os.path.join(tmp, "tampered.frz")
+        with open(tampered, "wb") as f:
+            f.write(raw)
+        args = ["rstknn", "--data", big, "--load-index", tampered, *query]
+        proc = run(cli, *args)
+        check(proc.returncode == 1,
+              "%s exited %d, want 1 (stderr: %s)" %
+              (args, proc.returncode, proc.stderr.strip()))
+        check(proc.stdout == "", "%s printed output" % args)
+        check("Corruption" in proc.stderr and
+              "node 0, entry 0" in proc.stderr,
+              "%s: the message does not say Corruption naming the entry "
+              "(stderr: %s)" % (args, proc.stderr.strip()))
+        for index in ([], ["--load-index", snapshot]):
+            proc = ok(cli, "rstknn", "--data", big, *index, *query,
+                      "--check-invariants")
+            check("--check-invariants: index ok" in proc.stderr,
+                  "--check-invariants %s did not print index ok (stderr: %s)"
+                  % (index, proc.stderr.strip()))
 
         for bad in (["--id", "3", "--threads", "-1"],
                     ["--id", "3", "--threads", "0"],

@@ -52,15 +52,14 @@
 //                       object count or ids do not fit it exits 1)
 //   --check-invariants  validate the index before answering (DESIGN.md
 //                       §11.2); exits non-zero with the precise violation on
-//                       corruption. A built tree gets the deep check (tight
-//                       MBRs, summaries equal to the merge of their children,
-//                       cluster partitions, level leaves, summary domination)
-//                       and then the snapshot check. A loaded snapshot gets
-//                       only the snapshot check (links, levels, pool slices,
-//                       sorted non-negative weights, summary domination) on
-//                       top of the leaf match every --load-index runs; its
-//                       MBR tightness, summary merges and cluster partitions
-//                       are not checked
+//                       corruption. Built and loaded indexes get the same
+//                       checks: FrozenTree::CheckInvariants (links, levels,
+//                       pool slices, sorted non-negative weights, summary
+//                       domination, tight MBRs, summaries and cluster
+//                       summaries equal to the merge of their children,
+//                       leaves) and then the dataset match. A loaded
+//                       snapshot already passed both on load, so the flag
+//                       adds the cached-norm check there
 //
 // Profiling flags (rstknn; DESIGN.md §12):
 //   --profile           attribute each query's wall time into the fixed phase
@@ -749,13 +748,6 @@ int CmdRstknn(const Flags& flags) {
   // build entirely.
   const bool load_index = flags.Has("load-index");
   const bool save_index = flags.Has("save-index");
-  // Opt-in validation of the index that will serve the query: a built tree
-  // gets IurTree::CheckInvariants, and both paths then get
-  // FrozenTree::CheckInvariants (what each covers: the --check-invariants
-  // note in the header). Exits non-zero with the precise violation so
-  // scripted runs can gate on it.
-  const bool check_invariants = flags.Has("check-invariants");
-  Status invariants = Status::Ok();
   std::optional<frozen::FrozenTree> frozen;
   if (load_index) {
     Result<frozen::FrozenTree> loaded =
@@ -769,17 +761,16 @@ int CmdRstknn(const Flags& flags) {
     }
     frozen.emplace(std::move(loaded.value()));
   } else {
-    const IurTree tree = IurTree::BuildFromDataset(dataset, {});
-    if (check_invariants) {
-      invariants = tree.CheckInvariants(
-          [&dataset](uint32_t oid) -> const TermVector* {
-            return oid < dataset.size() ? &dataset.object(oid).doc : nullptr;
-          });
-    }
-    frozen.emplace(frozen::FrozenTree::Freeze(tree));
+    frozen.emplace(
+        frozen::FrozenTree::Freeze(IurTree::BuildFromDataset(dataset, {})));
   }
-  if (check_invariants) {
-    if (invariants.ok()) invariants = frozen->CheckInvariants();
+  // Opt-in validation of the index that will serve the query, one path for
+  // built and loaded indexes (what it covers: the --check-invariants note in
+  // the header). Exits non-zero with the precise violation so scripted runs
+  // can gate on it.
+  if (flags.Has("check-invariants")) {
+    Status invariants = frozen->CheckInvariants();
+    if (invariants.ok()) invariants = frozen->CheckMatchesDataset(dataset);
     if (!invariants.ok()) {
       std::fprintf(stderr, "--check-invariants: %s\n",
                    invariants.ToString().c_str());
